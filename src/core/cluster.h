@@ -121,11 +121,13 @@ inline void MapResultToOriginalIds(std::vector<VertexId>* result,
   std::sort(result->begin(), result->end());
 }
 
-/// The job driver. Owns the hub and the N workers, plays the master role
-/// (paper §V-B): receives progress reports, synchronizes the aggregator,
-/// plans work stealing, coordinates checkpoints, and detects termination
-/// (all workers idle and the data-message flow balanced, stable across two
-/// consecutive global snapshots).
+/// The job driver. Owns the hub and the local workers, and plays the master
+/// role (paper §V-B): receives progress reports, synchronizes the
+/// aggregator, plans work stealing, coordinates checkpoints, and detects
+/// termination (all workers idle and the data-message flow balanced, stable
+/// across two consecutive global snapshots). Run and RunDistributed share
+/// one driver; they differ only in the transport under the hub and in which
+/// workers live in this process.
 template <typename ComperT>
 class Cluster {
  public:
@@ -134,10 +136,35 @@ class Cluster {
   using AggT = typename ComperT::AggT;
   using VertexT = typename TaskT::VertexT;
 
-  static RunResult<ComperT> Run(const Job<ComperT>& caller_job) {
-    // Local copy: the layout pass below may swap the input graph/labels for
-    // renumbered ones and derive config.layout.cache_segment_shift.
-    Job<ComperT> job = caller_job;
+  /// In-process execution: every worker and the master run as threads of
+  /// this process over the in-process transport.
+  static RunResult<ComperT> Run(const Job<ComperT>& job) {
+    return Drive(job, /*rank=*/-1);
+  }
+
+  /// One-rank-per-process execution over the TCP transport (paper §V-A run
+  /// on real processes instead of threads). Every process calls this with
+  /// the same Job — graph included; each rank keeps only its hash-owned
+  /// slice — and its own `rank` in [0, num_workers). Rank 0 additionally
+  /// hosts the master. The aggregate and the cluster-wide counters are
+  /// authoritative on rank 0 only (final drained deltas only ever reach the
+  /// master); other ranks return ComperT::AggZero() plus their own worker's
+  /// metrics, spans and phase profile.
+  static RunResult<ComperT> RunDistributed(Job<ComperT> job, int rank) {
+    job.config.comm.transport = CommConfig::Transport::kTcp;
+    GT_CHECK_OK(job.config.comm.LoadHostfile());
+    GT_CHECK(rank >= 0 && rank < job.config.num_workers)
+        << "rank " << rank << " outside [0, " << job.config.num_workers << ")";
+    GT_CHECK(job.resume_epoch < 0)
+        << "checkpoint restore is in-process only (see JobConfig::Validate)";
+    return Drive(std::move(job), rank);
+  }
+
+ private:
+  /// The driver behind Run (`rank` < 0: all workers plus the master here,
+  /// in-process transport) and RunDistributed (this process is TCP rank
+  /// `rank`: worker `rank`, plus the master on rank 0).
+  static RunResult<ComperT> Drive(Job<ComperT> job, int rank) {
     GT_CHECK_OK(job.config.Validate());
     // Kernels are free functions without a config handle; the dense/sparse
     // switch is process-global (apps/kernels.h).
@@ -152,7 +179,8 @@ class Cluster {
     // Hub-last layout (JobConfig::layout): renumber once before any worker
     // exists. Everything downstream — OwnerOf placement, T_cache routing,
     // the wire — speaks new IDs; the map is kept to translate the final
-    // aggregate back to original IDs.
+    // aggregate back to original IDs. HubLast is deterministic, so every
+    // TCP rank computes the identical map from the shared input graph.
     VertexLayout layout;
     Graph reordered_graph;
     std::vector<Label> reordered_labels;
@@ -180,41 +208,58 @@ class Cluster {
 
     const int num_workers = config.num_workers;
     const int master_id = num_workers;
-    CommHub hub(num_workers + 1, config.comm.net);
+    // This process hosts workers [first_local, first_local + num_local).
+    const int first_local = rank < 0 ? 0 : rank;
+    const int num_local = rank < 0 ? num_workers : 1;
+    const bool hosts_master = rank <= 0;
+
+    std::unique_ptr<CommHub> hub_owner;
+    if (rank < 0) {
+      hub_owner = std::make_unique<CommHub>(num_workers + 1, config.comm.net);
+    } else {
+      net::TcpTransportOptions topts;
+      topts.rank = rank;
+      topts.num_workers = num_workers;
+      topts.hosts = config.comm.hosts;
+      topts.send_buffer_max_bytes = config.comm.tcp_send_buffer_max_bytes;
+      topts.connect_timeout_ms = config.comm.tcp_connect_timeout_ms;
+      topts.backoff_initial_ms = config.comm.tcp_backoff_initial_ms;
+      topts.backoff_max_ms = config.comm.tcp_backoff_max_ms;
+      topts.io_threads = config.comm.tcp_io_threads;
+      hub_owner = std::make_unique<CommHub>(
+          num_workers + 1,
+          std::make_unique<net::TcpTransport>(std::move(topts)));
+    }
+    CommHub& hub = *hub_owner;
     GT_CHECK_OK(hub.Start());
 
-    // Flight recorder: always-on bounded ring of recent structural events
-    // (capacity knob `flight_recorder_events`; 0 disables). Declared before
-    // the workers so it outlives every thread that records into it; the
-    // process-wide crash handlers dump all live recorders on a fatal check,
-    // SIGTERM/SIGINT, or (below) a time-budget exit.
+    // Flight recorder (knob `flight_recorder_events`; 0 disables): declared
+    // before the workers so it outlives every thread recording into it;
+    // dumped on a fatal check, SIGTERM/SIGINT, or a time-budget exit.
     obs::FlightRecorder::SetDumpDir(config.flight_dump_dir);
     obs::FlightRecorder::InstallCrashHandlers();
     obs::FlightRecorder flight(config.flight_recorder_events);
 
-    std::vector<std::unique_ptr<WorkerT>> workers;
-    workers.reserve(num_workers);
-    for (int w = 0; w < num_workers; ++w) {
-      workers.push_back(std::make_unique<WorkerT>(
-          w, config, &hub, job.comper_factory, job.trimmer,
-          spill_root + "/w" + std::to_string(w)));
+    if (!job.output_dir.empty()) {
       std::error_code ec;
-      std::filesystem::create_directories(spill_root + "/w" +
-                                          std::to_string(w), ec);
+      std::filesystem::create_directories(job.output_dir, ec);
       GT_CHECK(!ec);
-      workers[w]->SetFlightRecorder(&flight);
-      if (job.checkpoint_dfs != nullptr) {
-        workers[w]->SetCheckpointDfs(job.checkpoint_dfs);
-      }
-      if (!job.output_dir.empty()) {
-        std::error_code out_ec;
-        std::filesystem::create_directories(job.output_dir, out_ec);
-        GT_CHECK(!out_ec);
-        workers[w]->SetOutputDir(job.output_dir);
-      }
+    }
+    std::vector<std::unique_ptr<WorkerT>> workers;
+    workers.reserve(num_local);
+    for (int w = first_local; w < first_local + num_local; ++w) {
+      const std::string spill_dir = spill_root + "/w" + std::to_string(w);
+      std::error_code ec;
+      std::filesystem::create_directories(spill_dir, ec);
+      GT_CHECK(!ec);
+      workers.push_back(std::make_unique<WorkerT>(
+          w, config, &hub, job.comper_factory, job.trimmer, spill_dir));
+      workers.back()->SetFlightRecorder(&flight);
+      workers.back()->SetCheckpointDfs(job.checkpoint_dfs);  // may be null
+      workers.back()->SetOutputDir(job.output_dir);  // empty = no output
     }
 
-    LoadInput(job, &workers);
+    LoadInput(job, first_local, &workers);
 
     AggT global = ComperT::AggZero();
     uint64_t next_ckpt_epoch = 1;
@@ -225,37 +270,34 @@ class Cluster {
 
     for (auto& worker : workers) worker->Start();
 
-    // Gauge sampler (JobConfig::metrics_sample_ms): a master-side thread
-    // polling each worker's cheap probes plus the hub inbox backlog into
-    // bounded time-series. Reads are single relaxed atomics, so the sampler
-    // perturbs nothing; it is joined before the workers are torn down. The
-    // sampled set (names and probe order) is obs::kWorkerSampledGauges.
+    // Gauge sampler (JobConfig::metrics_sample_ms): polls each local
+    // worker's relaxed-atomic probes plus its inbox backlog into bounded
+    // time-series (obs::kWorkerSampledGauges); joined before teardown.
     constexpr size_t kNumSeries = obs::kNumWorkerSampledGauges;
-    std::vector<std::vector<obs::BoundedSeries>> sampled(num_workers);
+    std::vector<obs::BoundedSeries> sampled;  // kNumSeries per local worker
     std::atomic<bool> sampler_stop{false};
     std::thread sampler;
     if (config.metrics_sample_ms > 0) {
-      for (int w = 0; w < num_workers; ++w) {
-        sampled[w].reserve(kNumSeries);
-        for (size_t s = 0; s < kNumSeries; ++s) {
-          sampled[w].emplace_back(obs::kWorkerSampledGauges[s], w);
+      for (int i = 0; i < num_local; ++i) {
+        for (const char* gauge : obs::kWorkerSampledGauges) {
+          sampled.emplace_back(gauge, first_local + i);
         }
       }
       sampler = std::thread([&] {
         while (!sampler_stop.load(std::memory_order_acquire)) {
           const int64_t t = hub.NowUs();
-          for (int w = 0; w < num_workers; ++w) {
+          for (int i = 0; i < num_local; ++i) {
             // Probe order must match obs::kWorkerSampledGauges.
             const int64_t values[kNumSeries] = {
-                workers[w]->SampleCacheSize(),
-                workers[w]->SampleLiveTasks(),
-                workers[w]->SampleQueueDepth(),
-                workers[w]->SampleDiskTasks(),
-                hub.InboxDepth(w),
-                workers[w]->SampleSpillQueueDepth(),
+                workers[i]->SampleCacheSize(),
+                workers[i]->SampleLiveTasks(),
+                workers[i]->SampleQueueDepth(),
+                workers[i]->SampleDiskTasks(),
+                hub.InboxDepth(first_local + i),
+                workers[i]->SampleSpillQueueDepth(),
             };
             for (size_t s = 0; s < kNumSeries; ++s) {
-              sampled[w][s].Append(t, values[s]);
+              sampled[i * kNumSeries + s].Append(t, values[s]);
             }
           }
           std::this_thread::sleep_for(
@@ -264,20 +306,17 @@ class Cluster {
       });
     }
 
-    // ------------------------- master loop -------------------------
     RunResult<ComperT> out;
     JobStats& stats = out.stats;
     Timer wall;
-    Timer ckpt_timer;
 
-    // Live status endpoint (knob `status_port`; 0 = off, -1 = ephemeral).
-    // Both snapshot callbacks read only relaxed-atomic probes and
-    // mutex-frozen registry snapshots, so a scrape never perturbs the run.
-    // Stopped explicitly before the workers are destroyed.
+    // Live status endpoint (knob `status_port`; 0 = off, -1 = ephemeral),
+    // served by the master's process over its local workers from atomic
+    // probes and frozen snapshots; stopped before the workers are destroyed.
     obs::StatusServer status_server(
         [&]() {
           std::vector<obs::MetricsSnapshot> snaps;
-          snaps.reserve(static_cast<size_t>(num_workers) + 2);
+          snaps.reserve(workers.size() + 2);
           for (auto& worker : workers) {
             snaps.push_back(worker->MetricsSnapshot());
           }
@@ -288,8 +327,9 @@ class Cluster {
           obs::MetricsSnapshot job;
           job.scope = "job";
           job.gauges.emplace_back("uptime_us", wall.ElapsedMicros());
-          for (int w = 0; w < num_workers; ++w) {
-            const auto s = workers[w]->SampleLiveStatus();
+          for (int i = 0; i < num_local; ++i) {
+            const auto s = workers[i]->SampleLiveStatus();
+            const int w = first_local + i;
             const std::string l = "{worker=" + std::to_string(w) + "}";
             job.gauges.emplace_back("tasks_live" + l, s.live_tasks);
             job.gauges.emplace_back("queue_depth" + l, s.queue_depth);
@@ -317,8 +357,8 @@ class Cluster {
           int64_t splits = 0;
           w.Key("workers");
           w.BeginArray();
-          for (int wi = 0; wi < num_workers; ++wi) {
-            const auto s = workers[wi]->SampleLiveStatus();
+          for (int i = 0; i < num_local; ++i) {
+            const auto s = workers[i]->SampleLiveStatus();
             live += s.live_tasks;
             pending += s.queue_depth;
             disk += s.disk_tasks;
@@ -332,7 +372,7 @@ class Cluster {
             splits += s.splits;
             w.BeginObject();
             w.Key("worker");
-            w.Int(wi);
+            w.Int(first_local + i);
             w.Key("tasks_live");
             w.Int(s.live_tasks);
             w.Key("queue_depth");
@@ -344,7 +384,7 @@ class Cluster {
             w.Key("cache_size");
             w.Int(s.cache_size);
             w.Key("inbox_depth");
-            w.Int(hub.InboxDepth(wi));
+            w.Int(hub.InboxDepth(first_local + i));
             w.Key("peak_mem_bytes");
             w.Int(s.peak_mem_bytes);
             w.Key("comper_utilization");
@@ -395,7 +435,7 @@ class Cluster {
           w.EndObject();
           return w.Take();
         });
-    if (config.status_port != 0) {
+    if (hosts_master && config.status_port != 0) {
       const Status bound = status_server.Start(config.status_port);
       if (bound.ok()) {
         stats.status_port = status_server.port();
@@ -407,327 +447,349 @@ class Cluster {
       }
     }
 
-    std::vector<ProgressReport> latest(num_workers);
-    std::vector<bool> fresh(num_workers, false);
+    // The master: snapshots, termination, steals, checkpoints, drain.
     std::vector<ProgressReport> final_reports(num_workers);
-    std::vector<bool> final_seen(num_workers, false);
+    if (hosts_master) {
+      Timer ckpt_timer;
+      std::vector<ProgressReport> latest(num_workers);
+      std::vector<bool> fresh(num_workers, false);
 
-    struct Snapshot {
-      bool valid = false;
-      bool all_idle = false;
-      bool balanced = false;
-      bool conserved = false;  // global task ledger balances
-      std::vector<int64_t> sent, processed;
-    };
-    Snapshot prev;
+      // A snapshot is quiet when every worker is idle, the data-message
+      // flow balances and the global task ledger is conserved.
+      struct Snapshot {
+        bool quiet = false;
+        std::vector<int64_t> sent, processed;
+      };
+      Snapshot prev;
 
-    int pending_ckpt_acks = 0;
-    uint64_t active_ckpt_epoch = 0;
-    // Checkpoint quiesce (paper §V-B fault tolerance, hardened): while true,
-    // the master stops issuing steal orders and holds the kCheckpointRequest
-    // broadcast until the wire carries no kStealOrder / kTaskBatch traffic,
-    // so no donated batch can fall between the donor's and the recipient's
-    // snapshots (outside both).
-    bool ckpt_quiescing = false;
-    // Checkpoint-consistent aggregate: per-link FIFO ordering guarantees that
-    // everything a worker committed *before* its snapshot arrives before its
-    // ack. Deltas from not-yet-acked workers merge here too; deltas arriving
-    // after a worker's ack are post-snapshot and must not enter the meta.
-    AggT ckpt_global = ComperT::AggZero();
-    std::vector<bool> ckpt_acked(num_workers, false);
-    bool terminate = false;
+      int pending_ckpt_acks = 0;
+      uint64_t active_ckpt_epoch = 0;
+      // Checkpoint quiesce (paper §V-B fault tolerance, hardened): while
+      // true, the master stops issuing steal orders and holds the
+      // kCheckpointRequest broadcast until the wire carries no kStealOrder /
+      // kTaskBatch traffic, so no donated batch can fall between the donor's
+      // and the recipient's snapshots (outside both).
+      bool ckpt_quiescing = false;
+      // Checkpoint-consistent aggregate: per-link FIFO delivers everything a
+      // worker committed before its snapshot ahead of its ack, so deltas
+      // merge here until that worker's ack and never after it.
+      AggT ckpt_global = ComperT::AggZero();
+      std::vector<bool> ckpt_acked(num_workers, false);
+      bool terminate = false;
 
-    // Broadcasting a Payload is cheap by design: each copy bumps fragment
-    // refcounts, so all N workers share the sender's one encoded buffer.
-    auto broadcast = [&](MsgType type, const Payload& payload) {
-      for (int w = 0; w < num_workers; ++w) {
+      // Broadcasting a Payload is cheap by design: each copy bumps fragment
+      // refcounts, so all N workers share the sender's one encoded buffer.
+      auto broadcast = [&](MsgType type, const Payload& payload) {
+        for (int w = 0; w < num_workers; ++w) {
+          MessageBatch mb;
+          mb.src_worker = master_id;
+          mb.dst_worker = w;
+          mb.type = type;
+          mb.payload = payload;
+          hub.Send(std::move(mb));
+        }
+      };
+
+      while (!terminate) {
         MessageBatch mb;
-        mb.src_worker = master_id;
-        mb.dst_worker = w;
-        mb.type = type;
-        mb.payload = payload;
-        hub.Send(std::move(mb));
-      }
-    };
-    auto merge_delta = [&](const std::string& blob) {
-      AggT delta{};
-      Deserializer des(blob);
-      GT_CHECK_OK(Codec<AggT>::Decode(des, &delta));
-      global = ComperT::AggMerge(global, delta);
-    };
-    auto encode_global = [&]() {
-      Serializer ser;
-      Codec<AggT>::Encode(ser, global);
-      return TakePayload(ser);
-    };
-
-    while (!terminate) {
-      MessageBatch mb;
-      if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
-        switch (mb.type) {
-          case MsgType::kProgressReport: {
-            ProgressReport report;
-            GT_CHECK_OK(report.Decode(mb.payload));
-            merge_delta(report.agg_delta);
-            if (pending_ckpt_acks > 0 && !ckpt_acked[report.worker_id]) {
-              MergeInto(&ckpt_global, report.agg_delta);
-            }
-            latest[report.worker_id] = report;
-            fresh[report.worker_id] = true;
-            break;
-          }
-          case MsgType::kCheckpointAck: {
-            CheckpointAck ack;
-            GT_CHECK_OK(ack.Decode(mb.payload));
-            merge_delta(ack.agg_delta);
-            if (ack.epoch == active_ckpt_epoch && pending_ckpt_acks > 0 &&
-                !ckpt_acked[ack.worker_id]) {
-              MergeInto(&ckpt_global, ack.agg_delta);
-              ckpt_acked[ack.worker_id] = true;
-              if (--pending_ckpt_acks == 0) {
-                CommitCheckpointMeta(job, active_ckpt_epoch, ckpt_global,
-                                     num_workers);
-                ++stats.checkpoints;
+        if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
+          switch (mb.type) {
+            case MsgType::kProgressReport: {
+              ProgressReport report;
+              GT_CHECK_OK(report.Decode(mb.payload));
+              MergeInto(&global, report.agg_delta);
+              if (pending_ckpt_acks > 0 && !ckpt_acked[report.worker_id]) {
+                MergeInto(&ckpt_global, report.agg_delta);
               }
+              latest[report.worker_id] = report;
+              fresh[report.worker_id] = true;
+              break;
             }
-            break;
+            case MsgType::kCheckpointAck: {
+              CheckpointAck ack;
+              GT_CHECK_OK(ack.Decode(mb.payload));
+              MergeInto(&global, ack.agg_delta);
+              if (ack.epoch == active_ckpt_epoch && pending_ckpt_acks > 0 &&
+                  !ckpt_acked[ack.worker_id]) {
+                MergeInto(&ckpt_global, ack.agg_delta);
+                ckpt_acked[ack.worker_id] = true;
+                if (--pending_ckpt_acks == 0) {
+                  CommitCheckpointMeta(job, active_ckpt_epoch, ckpt_global,
+                                       num_workers);
+                  ++stats.checkpoints;
+                }
+              }
+              break;
+            }
+            default:
+              LOG_FATAL << "master: unexpected message type "
+                        << static_cast<int>(mb.type);
           }
-          default:
-            LOG_FATAL << "master: unexpected message type "
-                      << static_cast<int>(mb.type);
+          hub.MarkProcessed(mb.type);
+        }
+
+        // A global snapshot forms once every worker reported since the last.
+        if (std::all_of(fresh.begin(), fresh.end(), [](bool b) { return b; })) {
+          Snapshot snap;
+          bool all_idle = true;
+          int64_t sent = 0, processed = 0, live = 0;
+          TaskLedger sum;
+          for (int w = 0; w < num_workers; ++w) {
+            all_idle = all_idle && latest[w].idle != 0;
+            sent += latest[w].data_sent;
+            processed += latest[w].data_processed;
+            snap.sent.push_back(latest[w].data_sent);
+            snap.processed.push_back(latest[w].data_processed);
+            sum.Accumulate(latest[w].ledger);
+            live += latest[w].tasks_live;
+          }
+          // Task conservation: the summed ledger must account for exactly
+          // the tasks the workers report alive. In-flight kTaskBatch records
+          // are neutral (donor already counted `donated`, recipient not yet
+          // `received`), so a correct system balances at every snapshot; the
+          // counters are read without a global freeze, though, so a
+          // transient skew only delays termination by one snapshot rather
+          // than failing.
+          snap.quiet =
+              all_idle && sent == processed && sum.ExpectedLive() == live;
+
+          Serializer agg;
+          Codec<AggT>::Encode(agg, global);
+          broadcast(MsgType::kAggregatorSync, TakePayload(agg));
+
+          if (snap.quiet && prev.quiet && prev.sent == snap.sent &&
+              prev.processed == snap.processed && pending_ckpt_acks == 0 &&
+              !ckpt_quiescing) {
+            terminate = true;
+          } else if (config.enable_stealing && !all_idle && !ckpt_quiescing &&
+                     pending_ckpt_acks == 0) {
+            PlanSteals(latest, config, master_id, &hub);
+          }
+          prev = std::move(snap);
+          std::fill(fresh.begin(), fresh.end(), false);
+        }
+
+        if (!terminate && config.time_budget_s > 0.0 &&
+            wall.ElapsedSeconds() > config.time_budget_s) {
+          stats.timed_out = true;
+          terminate = true;
+          // A budget exit is a diagnosis moment: dump the recent event
+          // history so the state that failed to converge is inspectable
+          // post-mortem.
+          flight.Record(obs::FlightKind::kTimeout, /*worker=*/-1,
+                        /*comper=*/-1,
+                        static_cast<int64_t>(wall.ElapsedSeconds()));
+          obs::FlightRecorder::WriteCrashDump("timeout");
+        }
+
+        // Checkpointing is in-process only (Validate rejects it under tcp),
+        // so on a TCP rank neither checkpoint branch ever fires.
+        if (!terminate && config.checkpoint_interval_us > 0 &&
+            pending_ckpt_acks == 0 && !ckpt_quiescing &&
+            ckpt_timer.ElapsedMicros() >= config.checkpoint_interval_us) {
+          // Phase 1: stop feeding the wire with steal orders (PlanSteals is
+          // gated on !ckpt_quiescing) and wait for in-flight stealing
+          // traffic to settle before asking anyone to snapshot.
+          ckpt_quiescing = true;
+        }
+
+        if (!terminate && ckpt_quiescing &&
+            // Order matters: a donor sends its kTaskBatch *before* marking
+            // the kStealOrder processed, so once no steal order is
+            // unprocessed, every batch it will ever produce is already
+            // visible to the kTaskBatch count checked second.
+            hub.InFlightCount(MsgType::kStealOrder) == 0 &&
+            hub.InFlightCount(MsgType::kTaskBatch) == 0) {
+          ckpt_quiescing = false;
+          active_ckpt_epoch = next_ckpt_epoch++;
+          pending_ckpt_acks = num_workers;
+          ckpt_global = global;  // everything committed so far is pre-snapshot
+          std::fill(ckpt_acked.begin(), ckpt_acked.end(), false);
+          CheckpointRequest req;
+          req.epoch = active_ckpt_epoch;
+          broadcast(MsgType::kCheckpointRequest, req.Encode());
+          ckpt_timer.Restart();
+        }
+      }
+
+      broadcast(MsgType::kTerminate, "");
+
+      // Two-phase drain (lossless shutdown). Each worker, on kTerminate,
+      // stops its compers, flushes its request buffers, and sends a
+      // kDrainBarrier; once all N arrive nobody can originate new traffic,
+      // so the master echoes an (empty) kDrainBarrier releasing the workers
+      // to pump the wire dry — they send their final report only after
+      // CommHub::InFlightCount() proves nothing is queued, in transit, or in
+      // a handler that could still send. The wait bounds silence, not
+      // progress: a worker keeps reporting while a comper finishes an
+      // uninterruptible Compute(), then needs at most 2x drain_timeout_us
+      // (drain deadline plus grace window) for its final report. One that
+      // owes its report and stays silent for 3x (a dead or wedged rank)
+      // fails the job: returning without it would be a partial answer.
+      int barriers = 0;
+      int finals = 0;
+      std::vector<bool> barrier_seen(num_workers, false);
+      std::vector<int64_t> last_heard_us(num_workers, wall.ElapsedMicros());
+      while (finals < num_workers) {
+        for (int w = 0; w < num_workers; ++w) {
+          if (final_reports[w].final_report != 0 ||
+              wall.ElapsedMicros() - last_heard_us[w] <=
+                  3 * config.drain_timeout_us) {
+            continue;
+          }
+          std::string no_barrier, no_final;
+          for (int v = 0; v < num_workers; ++v) {
+            if (!barrier_seen[v]) no_barrier += " " + std::to_string(v);
+            if (final_reports[v].final_report == 0) {
+              no_final += " " + std::to_string(v);
+            }
+          }
+          // The fatal hook writes the crash dump, this event included.
+          flight.Record(obs::FlightKind::kDrain, /*worker=*/-1, /*comper=*/-1,
+                        /*phase=*/5, /*missing=*/num_workers - finals);
+          LOG_FATAL << "master: drain stalled; worker " << w << " silent for "
+                    << 3 * config.drain_timeout_us
+                    << " us; no drain barrier from worker(s)" << no_barrier
+                    << "; no final report from worker(s)" << no_final;
+        }
+        MessageBatch mb;
+        if (!hub.Receive(master_id, /*timeout_us=*/10'000, &mb)) continue;
+        if (mb.src_worker >= 0 && mb.src_worker < num_workers) {
+          last_heard_us[mb.src_worker] = wall.ElapsedMicros();
+        }
+        if (mb.type == MsgType::kProgressReport) {
+          ProgressReport report;
+          GT_CHECK_OK(report.Decode(mb.payload));
+          MergeInto(&global, report.agg_delta);
+          if (report.final_report != 0 &&
+              final_reports[report.worker_id].final_report == 0) {
+            final_reports[report.worker_id] = report;
+            ++finals;
+          }
+        } else if (mb.type == MsgType::kCheckpointAck) {
+          CheckpointAck ack;
+          GT_CHECK_OK(ack.Decode(mb.payload));
+          MergeInto(&global, ack.agg_delta);
+        } else if (mb.type == MsgType::kDrainBarrier) {
+          int32_t worker_id = -1;
+          GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
+          if (!barrier_seen[worker_id]) {
+            barrier_seen[worker_id] = true;
+            if (++barriers == num_workers) {
+              broadcast(MsgType::kDrainBarrier, "");
+              // The master originates nothing further; on tcp this lets the
+              // transport start its cluster-wide FLUSH marker rounds.
+              hub.BeginDrain(master_id);
+            }
+          }
+        } else {
+          LOG_FATAL << "master: unexpected drain-phase message type "
+                    << static_cast<int>(mb.type);
         }
         hub.MarkProcessed(mb.type);
       }
-
-      // A global snapshot forms once every worker reported since the last.
-      if (std::all_of(fresh.begin(), fresh.end(), [](bool b) { return b; })) {
-        Snapshot snap;
-        snap.valid = true;
-        snap.all_idle = true;
-        int64_t sent = 0, processed = 0;
-        TaskLedger sum;
-        int64_t live = 0;
-        for (int w = 0; w < num_workers; ++w) {
-          snap.all_idle = snap.all_idle && latest[w].idle != 0;
-          sent += latest[w].data_sent;
-          processed += latest[w].data_processed;
-          snap.sent.push_back(latest[w].data_sent);
-          snap.processed.push_back(latest[w].data_processed);
-          sum.Accumulate(latest[w].ledger);
-          live += latest[w].tasks_live;
-        }
-        snap.balanced = (sent == processed);
-        // Task conservation: the summed ledger must account for exactly the
-        // tasks the workers report alive. In-flight kTaskBatch records are
-        // neutral (donor already counted `donated`, recipient not yet
-        // `received`), so a correct system balances at every snapshot; the
-        // counters are read without a global freeze, though, so a transient
-        // skew only delays termination by one snapshot rather than failing.
-        snap.conserved = (sum.ExpectedLive() == live);
-
-        broadcast(MsgType::kAggregatorSync, encode_global());
-
-        if (snap.all_idle && snap.balanced && snap.conserved && prev.valid &&
-            prev.all_idle && prev.balanced && prev.conserved &&
-            prev.sent == snap.sent && prev.processed == snap.processed &&
-            pending_ckpt_acks == 0 && !ckpt_quiescing) {
-          terminate = true;
-        } else if (config.enable_stealing && !snap.all_idle &&
-                   !ckpt_quiescing && pending_ckpt_acks == 0) {
-          PlanSteals(latest, config, master_id, &hub);
-        }
-        prev = std::move(snap);
-        std::fill(fresh.begin(), fresh.end(), false);
-      }
-
-      if (!terminate && config.time_budget_s > 0.0 &&
-          wall.ElapsedSeconds() > config.time_budget_s) {
-        stats.timed_out = true;
-        terminate = true;
-        // A budget exit is a diagnosis moment: dump the recent event history
-        // so the state that failed to converge is inspectable post-mortem.
-        flight.Record(obs::FlightKind::kTimeout, /*worker=*/-1, /*comper=*/-1,
-                      static_cast<int64_t>(wall.ElapsedSeconds()));
-        obs::FlightRecorder::WriteCrashDump("timeout");
-      }
-
-      if (!terminate && config.checkpoint_interval_us > 0 &&
-          pending_ckpt_acks == 0 && !ckpt_quiescing &&
-          ckpt_timer.ElapsedMicros() >= config.checkpoint_interval_us) {
-        // Phase 1: stop feeding the wire with steal orders (PlanSteals is
-        // gated on !ckpt_quiescing) and wait for in-flight stealing traffic
-        // to settle before asking anyone to snapshot.
-        ckpt_quiescing = true;
-      }
-
-      if (!terminate && ckpt_quiescing &&
-          // Order matters: a donor sends its kTaskBatch *before* marking the
-          // kStealOrder processed, so once no steal order is unprocessed,
-          // every batch it will ever produce is already visible to the
-          // kTaskBatch count checked second.
-          hub.InFlightCount(MsgType::kStealOrder) == 0 &&
-          hub.InFlightCount(MsgType::kTaskBatch) == 0) {
-        ckpt_quiescing = false;
-        active_ckpt_epoch = next_ckpt_epoch++;
-        pending_ckpt_acks = num_workers;
-        ckpt_global = global;  // everything committed so far is pre-snapshot
-        std::fill(ckpt_acked.begin(), ckpt_acked.end(), false);
-        CheckpointRequest req;
-        req.epoch = active_ckpt_epoch;
-        broadcast(MsgType::kCheckpointRequest, req.Encode());
-        ckpt_timer.Restart();
-      }
     }
-
-    broadcast(MsgType::kTerminate, "");
-
-    // Two-phase drain (lossless shutdown). Each worker, on kTerminate,
-    // stops its compers, flushes its request buffers, and sends a
-    // kDrainBarrier; once all N arrive nobody can originate new traffic, so
-    // the master echoes an (empty) kDrainBarrier releasing the workers to
-    // pump the wire dry — they send their final report only after
-    // CommHub::InFlightCount() proves nothing is queued, in transit, or in a
-    // handler that could still send.
-    int barriers = 0;
-    int finals = 0;
-    std::vector<bool> barrier_seen(num_workers, false);
-    while (finals < num_workers) {
-      MessageBatch mb;
-      if (!hub.Receive(master_id, /*timeout_us=*/10'000, &mb)) continue;
-      if (mb.type == MsgType::kProgressReport) {
-        ProgressReport report;
-        GT_CHECK_OK(report.Decode(mb.payload));
-        merge_delta(report.agg_delta);
-        if (report.final_report != 0 && !final_seen[report.worker_id]) {
-          final_seen[report.worker_id] = true;
-          final_reports[report.worker_id] = report;
-          ++finals;
-        }
-      } else if (mb.type == MsgType::kCheckpointAck) {
-        CheckpointAck ack;
-        GT_CHECK_OK(ack.Decode(mb.payload));
-        merge_delta(ack.agg_delta);
-      } else if (mb.type == MsgType::kDrainBarrier) {
-        int32_t worker_id = -1;
-        GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
-        if (!barrier_seen[worker_id]) {
-          barrier_seen[worker_id] = true;
-          if (++barriers == num_workers) {
-            broadcast(MsgType::kDrainBarrier, "");
-          }
-        }
-      }
-      hub.MarkProcessed(mb.type);
-    }
+    // Off the master, the workers follow the master's broadcasts; their
+    // comm threads exit once the drain proved the wire empty.
     for (auto& worker : workers) worker->Join();
 
     if (sampler.joinable()) {
       sampler_stop.store(true, std::memory_order_release);
       sampler.join();
-      for (int w = 0; w < num_workers; ++w) {
-        for (obs::BoundedSeries& series : sampled[w]) {
-          stats.timeseries.push_back(series.Take());
-        }
+      for (obs::BoundedSeries& series : sampled) {
+        stats.timeseries.push_back(series.Take());
       }
     }
 
     stats.elapsed_s = wall.ElapsedSeconds();
-    for (int w = 0; w < num_workers; ++w) {
-      const ProgressReport& r = final_reports[w];
-      stats.tasks_spawned += r.tasks_spawned;
-      stats.task_iterations += r.task_iterations;
-      stats.tasks_finished += r.tasks_finished;
-      stats.spilled_batches += r.spilled_batches;
-      stats.stolen_batches += r.stolen_batches;
-      stats.vertex_requests += r.vertex_requests;
-      stats.cache_hits += r.cache_hits;
-      stats.cache_requests += r.cache_requests;
-      stats.cache_evictions += r.cache_evictions;
-      stats.comper_idle_rounds += r.comper_idle_rounds;
-      stats.comper_rounds += r.comper_rounds;
-      stats.ledger.Accumulate(r.ledger);
-      stats.tasks_live_at_exit += r.tasks_live;
-      stats.drained_messages += r.drained_messages;
-      stats.peak_mem_bytes.push_back(workers[w]->PeakMemBytes());
-      stats.max_peak_mem_bytes =
-          std::max(stats.max_peak_mem_bytes, workers[w]->PeakMemBytes());
-      stats.records_output += workers[w]->RecordsOutput();
+    if (hosts_master) {
+      for (const ProgressReport& r : final_reports) {
+        stats.tasks_spawned += r.tasks_spawned;
+        stats.task_iterations += r.task_iterations;
+        stats.tasks_finished += r.tasks_finished;
+        stats.spilled_batches += r.spilled_batches;
+        stats.stolen_batches += r.stolen_batches;
+        stats.vertex_requests += r.vertex_requests;
+        stats.cache_hits += r.cache_hits;
+        stats.cache_requests += r.cache_requests;
+        stats.cache_evictions += r.cache_evictions;
+        stats.comper_idle_rounds += r.comper_idle_rounds;
+        stats.comper_rounds += r.comper_rounds;
+        stats.ledger.Accumulate(r.ledger);
+        stats.tasks_live_at_exit += r.tasks_live;
+        stats.drained_messages += r.drained_messages;
+      }
+
+      // Task-conservation verdict. The final reports follow every worker's
+      // quiesce and drain, so the summed ledger must account for every task
+      // ever created (under tcp: no batch lost or duplicated on a socket).
+      // Any residue aborts the job rather than return a partial answer.
+      stats.tasks_lost = stats.ledger.ExpectedLive() - stats.tasks_live_at_exit;
+      GT_CHECK_EQ(stats.tasks_lost, 0)
+          << "task-conservation violation: spawned=" << stats.ledger.spawned
+          << " restored=" << stats.ledger.restored
+          << " received=" << stats.ledger.received
+          << " finished=" << stats.ledger.finished
+          << " donated=" << stats.ledger.donated
+          << " dropped=" << stats.ledger.dropped
+          << " live_at_exit=" << stats.tasks_live_at_exit;
+    }
+
+    // Clean completion also means nothing was left behind: no live task
+    // (counted on the master) and a provably empty wire, which under tcp
+    // each process certifies for its own transport after the FLUSH rounds.
+    if (!stats.timed_out && stats.ledger.dropped == 0) {
+      GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
+          << "clean termination left live tasks behind";
+      Timer drain_wait;
+      while (hub.InFlightCount() != 0 &&
+             drain_wait.ElapsedMicros() < config.drain_timeout_us) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      GT_CHECK_EQ(hub.InFlightCount(), 0)
+          << "clean termination left undrained messages on the wire";
     }
     stats.batches_sent = hub.TotalBatchesSent();
     stats.bytes_sent = hub.TotalBytesSent();
     stats.steal_orders = hub.SentCount(MsgType::kStealOrder);
 
-    // Per-scope metric snapshots: every worker's registry (with the cache /
-    // task roll-ups folded in) plus the hub's wire view. Safe here: workers
-    // are joined, the hub is quiet.
+    // Per-scope metric snapshots: every local worker's registry (with the
+    // cache / task roll-ups folded in) plus the hub's wire view. The
+    // transport stops first so teardown accounting (any
+    // transport.batches_abandoned frames) reaches the job report.
+    for (auto& worker : workers) worker->FinalizeObs();
+    hub.Shutdown();
     for (auto& worker : workers) {
-      worker->FinalizeObs();
       stats.metrics.push_back(worker->MetricsSnapshot());
+      stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
+      stats.max_peak_mem_bytes =
+          std::max(stats.max_peak_mem_bytes, worker->PeakMemBytes());
+      stats.records_output += worker->RecordsOutput();
     }
     stats.metrics.push_back(hub.MetricsSnapshot());
 
-    // Split/lineage roll-up across the per-worker registries (satellite of
-    // the big-task decomposition work: how much splitting actually happened).
+    // Split/lineage roll-up across the per-worker registries (how much
+    // splitting actually happened; an absent counter reads -1).
     for (const obs::MetricsSnapshot& snap : stats.metrics) {
-      const int64_t splits = snap.CounterValue("split.count");
-      if (splits > 0) stats.splits += splits;
-      const int64_t children = snap.CounterValue("split.children");
-      if (children > 0) stats.split_children += children;
+      stats.splits += std::max<int64_t>(0, snap.CounterValue("split.count"));
+      stats.split_children +=
+          std::max<int64_t>(0, snap.CounterValue("split.children"));
       if (const obs::HistogramSnapshot* depth =
               snap.FindHistogram("split.depth")) {
         stats.split_depth_max = std::max(stats.split_depth_max, depth->max);
       }
     }
 
-    // Task-conservation verdict. The final reports are taken after every
-    // worker has quiesced and drained, so the summed ledger must account for
-    // every task ever created; any residue is a silently lost (or
-    // double-counted) task and aborts the job rather than returning a
-    // plausible-looking partial answer.
-    stats.tasks_lost = stats.ledger.ExpectedLive() - stats.tasks_live_at_exit;
-    GT_CHECK_EQ(stats.tasks_lost, 0)
-        << "task-conservation violation: spawned=" << stats.ledger.spawned
-        << " restored=" << stats.ledger.restored
-        << " received=" << stats.ledger.received
-        << " finished=" << stats.ledger.finished
-        << " donated=" << stats.ledger.donated
-        << " dropped=" << stats.ledger.dropped
-        << " live_at_exit=" << stats.tasks_live_at_exit;
-    if (!stats.timed_out && stats.ledger.dropped == 0) {
-      // Clean completion additionally means nothing was left behind: no live
-      // task anywhere and a provably empty wire.
-      GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
-          << "clean termination left live tasks behind";
-      GT_CHECK_EQ(hub.InFlightCount(), 0)
-          << "clean termination left undrained messages on the wire";
-    }
-
-    if (config.enable_tracing) {
-      for (auto& worker : workers) {
-        const TraceRing* ring = worker->trace();
-        if (ring == nullptr) continue;
-        stats.trace_events_total += ring->total();
-        for (const TraceEvent& e : ring->Snapshot()) {
-          stats.trace.push_back(e);
-        }
-      }
-      std::sort(stats.trace.begin(), stats.trace.end(),
-                [](const TraceEvent& a, const TraceEvent& b) {
-                  return a.t_us < b.t_us;
-                });
-    }
-
     if (config.enable_span_tracing) {
       for (auto& worker : workers) {
-        const obs::SpanRing* ring = worker->spans();
-        if (ring == nullptr) continue;
+        const obs::SpanRing* ring = worker->spans();  // non-null: tracing on
         stats.span_events_total += ring->total();
         for (const obs::SpanEvent& e : ring->Snapshot()) {
           stats.spans.push_back(e);
         }
       }
-      // Hub-clock timestamps share one epoch across workers, so a global
-      // sort gives true cluster-wide ordering.
+      // Hub-clock timestamps share one epoch across the process's workers,
+      // so a global sort gives true ordering.
       std::sort(stats.spans.begin(), stats.spans.end(),
                 [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
                   return a.t_us < b.t_us;
@@ -745,7 +807,9 @@ class Cluster {
     workers.clear();
     if (own_spill_root) RemoveTree(spill_root);
 
-    {
+    // Only the process hosting the master writes the artifacts, so two tcp
+    // ranks never write the same file.
+    if (hosts_master) {
       const Status artifacts =
           WriteObservabilityArtifacts("gthinker", config, stats);
       if (!artifacts.ok()) {
@@ -758,315 +822,6 @@ class Cluster {
     return out;
   }
 
-  /// One-rank-per-process execution over the TCP transport (paper §V-A run
-  /// on real processes instead of threads). Every process calls this with
-  /// the same Job — graph included; each rank keeps only its hash-owned
-  /// slice — and its own `rank` in [0, num_workers). Rank 0 additionally
-  /// hosts the master endpoint and plays the master role. The returned
-  /// aggregate is authoritative on rank 0 only (final drained deltas only
-  /// ever reach the master); other ranks return ComperT::AggZero() plus
-  /// their local worker stats.
-  static RunResult<ComperT> RunDistributed(const Job<ComperT>& job,
-                                           int rank) {
-    JobConfig config = job.config;
-    config.comm.transport = CommConfig::Transport::kTcp;
-    GT_CHECK_OK(config.comm.LoadHostfile());
-    GT_CHECK_OK(config.Validate());
-    SetKernelBitsetMaxVertices(config.kernel_bitset_max_vertices);
-    GT_CHECK(job.comper_factory != nullptr);
-    GT_CHECK(job.graph != nullptr)
-        << "RunDistributed loads from an in-memory graph";
-    GT_CHECK(job.resume_epoch < 0)
-        << "checkpoint restore is in-process only (see JobConfig::Validate)";
-
-    const int num_workers = config.num_workers;
-    GT_CHECK(rank >= 0 && rank < num_workers)
-        << "rank " << rank << " outside [0, " << num_workers << ")";
-    const int master_id = num_workers;
-
-    // Hub-last layout (JobConfig::layout): HubLast is deterministic, so
-    // every rank computes the identical old<->new map from the shared input
-    // graph before keeping only its hash-owned slice. Rank 0 translates the
-    // authoritative aggregate back to original IDs at the end.
-    Job<ComperT> local_job = job;
-    VertexLayout layout;
-    Graph reordered_graph;
-    std::vector<Label> reordered_labels;
-    if (config.layout.reorder) {
-      layout = VertexLayout::HubLast(*job.graph);
-      reordered_graph = layout.Apply(*job.graph);
-      if (job.labels != nullptr) {
-        reordered_labels = layout.ApplyLabels(*job.labels);
-        local_job.labels = &reordered_labels;
-      }
-      local_job.graph = &reordered_graph;
-      config.layout.cache_segment_shift = DeriveCacheSegmentShift(
-          reordered_graph, config.layout.llc_segment_bytes,
-          config.cache_num_buckets);
-    }
-
-    std::string spill_root = config.spill_root;
-    const bool own_spill_root = spill_root.empty();
-    if (own_spill_root) spill_root = MakeTempDir("spill");
-
-    net::TcpTransportOptions topts;
-    topts.rank = rank;
-    topts.num_workers = num_workers;
-    topts.hosts = config.comm.hosts;
-    topts.send_buffer_max_bytes = config.comm.tcp_send_buffer_max_bytes;
-    topts.connect_timeout_ms = config.comm.tcp_connect_timeout_ms;
-    topts.backoff_initial_ms = config.comm.tcp_backoff_initial_ms;
-    topts.backoff_max_ms = config.comm.tcp_backoff_max_ms;
-    topts.io_threads = config.comm.tcp_io_threads;
-    CommHub hub(num_workers + 1,
-                std::make_unique<net::TcpTransport>(std::move(topts)));
-    GT_CHECK_OK(hub.Start());
-
-    obs::FlightRecorder::SetDumpDir(config.flight_dump_dir);
-    obs::FlightRecorder::InstallCrashHandlers();
-    obs::FlightRecorder flight(config.flight_recorder_events);
-
-    const std::string spill_dir = spill_root + "/w" + std::to_string(rank);
-    {
-      std::error_code ec;
-      std::filesystem::create_directories(spill_dir, ec);
-      GT_CHECK(!ec);
-    }
-    auto worker = std::make_unique<WorkerT>(rank, config, &hub,
-                                            job.comper_factory, job.trimmer,
-                                            spill_dir);
-    worker->SetFlightRecorder(&flight);
-    if (!job.output_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(job.output_dir, ec);
-      GT_CHECK(!ec);
-      worker->SetOutputDir(job.output_dir);
-    }
-
-    LoadInputRank(local_job, rank, worker.get());
-    worker->Start();
-
-    RunResult<ComperT> out;
-    JobStats& stats = out.stats;
-    AggT global = ComperT::AggZero();
-    Timer wall;
-
-    if (rank == 0) {
-      // ------------------- master loop (lean variant) -------------------
-      // Same termination protocol as Run(): two consecutive stable global
-      // snapshots, all idle, data flow balanced, task ledger conserved.
-      // No checkpoints (Validate rejects them under tcp — quiesce needs a
-      // cluster-global typed InFlightCount), no sampler / status server.
-      std::vector<ProgressReport> latest(num_workers);
-      std::vector<bool> fresh(num_workers, false);
-      struct Snapshot {
-        bool valid = false;
-        bool all_idle = false;
-        bool balanced = false;
-        bool conserved = false;
-        std::vector<int64_t> sent, processed;
-      };
-      Snapshot prev;
-      bool terminate = false;
-
-      auto broadcast = [&](MsgType type, const Payload& payload) {
-        for (int w = 0; w < num_workers; ++w) {
-          MessageBatch mb;
-          mb.src_worker = master_id;
-          mb.dst_worker = w;
-          mb.type = type;
-          mb.payload = payload;
-          hub.Send(std::move(mb));
-        }
-      };
-      auto encode_global = [&]() {
-        Serializer ser;
-        Codec<AggT>::Encode(ser, global);
-        return TakePayload(ser);
-      };
-
-      while (!terminate) {
-        MessageBatch mb;
-        if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
-          GT_CHECK(mb.type == MsgType::kProgressReport)
-              << "distributed master: unexpected message type "
-              << static_cast<int>(mb.type);
-          ProgressReport report;
-          GT_CHECK_OK(report.Decode(mb.payload));
-          MergeInto(&global, report.agg_delta);
-          latest[report.worker_id] = report;
-          fresh[report.worker_id] = true;
-          hub.MarkProcessed(mb.type);
-        }
-
-        if (std::all_of(fresh.begin(), fresh.end(),
-                        [](bool b) { return b; })) {
-          Snapshot snap;
-          snap.valid = true;
-          snap.all_idle = true;
-          int64_t sent = 0, processed = 0;
-          TaskLedger sum;
-          int64_t live = 0;
-          for (int w = 0; w < num_workers; ++w) {
-            snap.all_idle = snap.all_idle && latest[w].idle != 0;
-            sent += latest[w].data_sent;
-            processed += latest[w].data_processed;
-            snap.sent.push_back(latest[w].data_sent);
-            snap.processed.push_back(latest[w].data_processed);
-            sum.Accumulate(latest[w].ledger);
-            live += latest[w].tasks_live;
-          }
-          snap.balanced = (sent == processed);
-          snap.conserved = (sum.ExpectedLive() == live);
-
-          broadcast(MsgType::kAggregatorSync, encode_global());
-
-          if (snap.all_idle && snap.balanced && snap.conserved &&
-              prev.valid && prev.all_idle && prev.balanced &&
-              prev.conserved && prev.sent == snap.sent &&
-              prev.processed == snap.processed) {
-            terminate = true;
-          } else if (config.enable_stealing && !snap.all_idle) {
-            PlanSteals(latest, config, master_id, &hub);
-          }
-          prev = std::move(snap);
-          std::fill(fresh.begin(), fresh.end(), false);
-        }
-
-        if (!terminate && config.time_budget_s > 0.0 &&
-            wall.ElapsedSeconds() > config.time_budget_s) {
-          stats.timed_out = true;
-          terminate = true;
-          flight.Record(obs::FlightKind::kTimeout, /*worker=*/-1,
-                        /*comper=*/-1,
-                        static_cast<int64_t>(wall.ElapsedSeconds()));
-          obs::FlightRecorder::WriteCrashDump("timeout");
-        }
-      }
-
-      broadcast(MsgType::kTerminate, "");
-
-      // Two-phase drain, as in Run(). After the release broadcast the
-      // master originates nothing further, so its endpoint announces drain
-      // too — on tcp that is what lets the transport start its cluster-wide
-      // FLUSH marker rounds.
-      std::vector<ProgressReport> final_reports(num_workers);
-      std::vector<bool> final_seen(num_workers, false);
-      std::vector<bool> barrier_seen(num_workers, false);
-      int barriers = 0;
-      int finals = 0;
-      while (finals < num_workers) {
-        MessageBatch mb;
-        if (!hub.Receive(master_id, /*timeout_us=*/10'000, &mb)) continue;
-        if (mb.type == MsgType::kProgressReport) {
-          ProgressReport report;
-          GT_CHECK_OK(report.Decode(mb.payload));
-          MergeInto(&global, report.agg_delta);
-          if (report.final_report != 0 && !final_seen[report.worker_id]) {
-            final_seen[report.worker_id] = true;
-            final_reports[report.worker_id] = report;
-            ++finals;
-          }
-        } else if (mb.type == MsgType::kDrainBarrier) {
-          int32_t worker_id = -1;
-          GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
-          if (!barrier_seen[worker_id]) {
-            barrier_seen[worker_id] = true;
-            if (++barriers == num_workers) {
-              broadcast(MsgType::kDrainBarrier, "");
-              hub.BeginDrain(master_id);
-            }
-          }
-        } else {
-          LOG_FATAL << "distributed master: unexpected drain-phase type "
-                    << static_cast<int>(mb.type);
-        }
-        hub.MarkProcessed(mb.type);
-      }
-      worker->Join();
-
-      stats.elapsed_s = wall.ElapsedSeconds();
-      for (int w = 0; w < num_workers; ++w) {
-        const ProgressReport& r = final_reports[w];
-        stats.tasks_spawned += r.tasks_spawned;
-        stats.task_iterations += r.task_iterations;
-        stats.tasks_finished += r.tasks_finished;
-        stats.spilled_batches += r.spilled_batches;
-        stats.stolen_batches += r.stolen_batches;
-        stats.vertex_requests += r.vertex_requests;
-        stats.cache_hits += r.cache_hits;
-        stats.cache_requests += r.cache_requests;
-        stats.cache_evictions += r.cache_evictions;
-        stats.comper_idle_rounds += r.comper_idle_rounds;
-        stats.comper_rounds += r.comper_rounds;
-        stats.ledger.Accumulate(r.ledger);
-        stats.tasks_live_at_exit += r.tasks_live;
-        stats.drained_messages += r.drained_messages;
-      }
-      stats.steal_orders = hub.SentCount(MsgType::kStealOrder);
-
-      // The same conservation verdict Run() enforces; the summed ledger now
-      // spans OS processes, so it additionally certifies that no task
-      // batch was lost or duplicated crossing the sockets.
-      stats.tasks_lost =
-          stats.ledger.ExpectedLive() - stats.tasks_live_at_exit;
-      GT_CHECK_EQ(stats.tasks_lost, 0)
-          << "task-conservation violation across processes: spawned="
-          << stats.ledger.spawned << " restored=" << stats.ledger.restored
-          << " received=" << stats.ledger.received
-          << " finished=" << stats.ledger.finished
-          << " donated=" << stats.ledger.donated
-          << " dropped=" << stats.ledger.dropped
-          << " live_at_exit=" << stats.tasks_live_at_exit;
-      if (!stats.timed_out && stats.ledger.dropped == 0) {
-        GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
-            << "clean termination left live tasks behind";
-      }
-    } else {
-      // Non-zero ranks: the worker follows the master's broadcasts; the
-      // comm thread exits once the drain proved the wire empty.
-      worker->Join();
-      stats.elapsed_s = wall.ElapsedSeconds();
-      const auto s = worker->SampleLiveStatus();
-      stats.tasks_spawned = s.tasks_spawned;
-      stats.tasks_finished = s.tasks_finished;
-      stats.spilled_batches = s.spilled_batches;
-      stats.stolen_batches = s.stolen_batches;
-    }
-
-    // Every rank certifies its own transport drained: both FLUSH rounds
-    // completed, send queues flushed, inboxes empty, nothing unprocessed.
-    if (!stats.timed_out) {
-      Timer drain_wait;
-      while (hub.InFlightCount() != 0 && drain_wait.ElapsedSeconds() < 30.0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      GT_CHECK_EQ(hub.InFlightCount(), 0)
-          << "rank " << rank << ": shutdown left undrained transport state";
-    }
-
-    stats.batches_sent = hub.TotalBatchesSent();
-    stats.bytes_sent = hub.TotalBytesSent();
-    worker->FinalizeObs();
-    // Stop the transport before snapshotting so teardown accounting (any
-    // transport.batches_abandoned frames) reaches the job report.
-    hub.Shutdown();
-    stats.metrics.push_back(worker->MetricsSnapshot());
-    stats.metrics.push_back(hub.MetricsSnapshot());
-    stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
-    stats.max_peak_mem_bytes = worker->PeakMemBytes();
-    stats.records_output = worker->RecordsOutput();
-
-    worker.reset();
-    if (own_spill_root) RemoveTree(spill_root);
-
-    // A no-op off rank 0 (non-master ranks return AggZero()).
-    if (!layout.empty()) MapResultToOriginalIds(&global, layout);
-    out.result = std::move(global);
-    return out;
-  }
-
- private:
   static void MergeInto(AggT* target, const std::string& blob) {
     AggT delta{};
     Deserializer des(blob);
@@ -1074,17 +829,28 @@ class Cluster {
     *target = ComperT::AggMerge(*target, delta);
   }
 
-  static void LoadInput(const Job<ComperT>& job,
+  /// Installs every vertex whose hash owner is a local worker; `workers`
+  /// holds worker IDs [first_local, first_local + workers->size()). A TCP
+  /// rank walks the same shared input but materializes only its own slice,
+  /// so per-rank memory stays O(|V|/p) for the vertex table (the read-only
+  /// input graph itself is shared copy-on-write when the launcher forks).
+  static void LoadInput(const Job<ComperT>& job, int first_local,
                         std::vector<std::unique_ptr<WorkerT>>* workers) {
     const int num_workers = job.config.num_workers;
+    const int num_local = static_cast<int>(workers->size());
+    auto local_owner = [&](VertexId v) -> WorkerT* {
+      const int i = WorkerT::OwnerOf(v, num_workers) - first_local;
+      return i >= 0 && i < num_local ? (*workers)[i].get() : nullptr;
+    };
     if (job.graph != nullptr) {
       const Graph& g = *job.graph;
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        WorkerT* owner = local_owner(v);
+        if (owner == nullptr) continue;
         VertexT vertex;
         vertex.id = v;
         BuildVertexValue(g, job.labels, v, &vertex.value);
-        (*workers)[WorkerT::OwnerOf(v, num_workers)]->AddLocalVertex(
-            std::move(vertex));
+        owner->AddLocalVertex(std::move(vertex));
       }
     } else {
       // Adjacency-format part files on the DFS; the driver parses lines and
@@ -1105,30 +871,13 @@ class Cluster {
           if (line.empty()) continue;
           VertexT vertex;
           GT_CHECK_OK(ParseDfsLine(line, &vertex));
-          (*workers)[WorkerT::OwnerOf(vertex.id, num_workers)]->AddLocalVertex(
-              std::move(vertex));
+          if (WorkerT* owner = local_owner(vertex.id)) {
+            owner->AddLocalVertex(std::move(vertex));
+          }
         }
       }
     }
     for (auto& worker : *workers) worker->FinalizeLoad();
-  }
-
-  /// Distributed variant of LoadInput: every process walks the same shared
-  /// graph but materializes only the slice its rank hash-owns, so per-rank
-  /// memory stays O(|V|/p) for the vertex table (the read-only input graph
-  /// itself is shared copy-on-write when the launcher forks).
-  static void LoadInputRank(const Job<ComperT>& job, int rank,
-                            WorkerT* worker) {
-    const int num_workers = job.config.num_workers;
-    const Graph& g = *job.graph;
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      if (WorkerT::OwnerOf(v, num_workers) != rank) continue;
-      VertexT vertex;
-      vertex.id = v;
-      BuildVertexValue(g, job.labels, v, &vertex.value);
-      worker->AddLocalVertex(std::move(vertex));
-    }
-    worker->FinalizeLoad();
   }
 
   static Status ParseDfsLine(const std::string& line,

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/protocol.h"
-#include "core/trace.h"
 #include "core/wire_codec.h"
 #include "net/message.h"
 #include "obs/metrics.h"
@@ -25,7 +24,8 @@ namespace gthinker {
 struct CommConfig {
   enum class Transport {
     kInProc,  // per-endpoint in-memory mailboxes; supports simulated latency
-    kTcp,     // framed sockets, one process per rank (Cluster::RunDistributed)
+    kTcp,     // framed sockets, one process per rank; selected by
+              // Cluster::RunDistributed (Cluster::Run is always in-process)
   };
   Transport transport = Transport::kInProc;
 
@@ -172,7 +172,7 @@ struct JobConfig {
     /// one bucket's lock and the LLC. Sized to a slice of the last-level
     /// cache; default 2 MiB.
     int64_t llc_segment_bytes = 2ll << 20;
-    /// Derived by Cluster::Run from llc_segment_bytes and the loaded
+    /// Derived by the Cluster driver from llc_segment_bytes and the loaded
     /// graph's average row size — not user-set (Validate rejects values
     /// outside [0, 30]). 0 = plain per-ID Mix64 routing, bit-identical to
     /// the unsegmented router.
@@ -194,7 +194,7 @@ struct JobConfig {
   /// word-parallel k-clique); bigger task subgraphs fall back to the CSR
   /// sorted-list path with identical results. Caps the O(n²/8)-byte
   /// adjacency matrix a task may allocate (default 2048 ≈ 512 KB); 0
-  /// disables the bitset kernels. Cluster::Run installs the value
+  /// disables the bitset kernels. The Cluster driver installs the value
   /// process-wide via SetKernelBitsetMaxVertices().
   int kernel_bitset_max_vertices = 2048;
 
@@ -210,14 +210,16 @@ struct JobConfig {
   /// provably empty (CommHub::InFlightCount()==0). This bounds that wait
   /// against a pathologically wedged peer; anything still undelivered at the
   /// deadline is counted in TaskLedger::dropped rather than silently lost.
+  /// It bounds the master's drain wait too, by silence rather than
+  /// progress: a worker still waiting for a long Compute() keeps reporting,
+  /// but one that owes its final report and sends nothing for 3x this long
+  /// (a dead or wedged rank) fails the job, naming the silent workers,
+  /// instead of hanging or returning a partial answer.
   int64_t drain_timeout_us = 10'000'000;
   /// ABLATION ONLY (bench/ablation_refill): invert the refill priority to
   /// spawn-new-tasks-first instead of the paper's spilled-files-first rule,
   /// to measure how the rule bounds disk-resident tasks.
   bool refill_spawn_first = false;
-  /// Record task lifecycle events into per-worker rings, returned in
-  /// JobStats::trace (debugging facility; leave off for benchmarks).
-  bool enable_tracing = false;
 
   // ---- observability (docs/OBSERVABILITY.md) ----
   /// Period of the master's gauge sampler (0 = off): every metrics_sample_ms
@@ -228,15 +230,19 @@ struct JobConfig {
   /// with task IDs) into per-worker rings, merged into JobStats::spans and
   /// exportable as a Chrome trace (obs::WriteChromeTrace / trace_path).
   bool enable_span_tracing = false;
-  /// When non-empty, Cluster::Run writes the JSON run report here.
+  /// When non-empty, the process hosting the master (the Cluster::Run
+  /// process, or rank 0 of Cluster::RunDistributed) writes the JSON run
+  /// report here; other ranks never write it.
   std::string report_path;
-  /// When non-empty (and enable_span_tracing), writes the Chrome trace here.
+  /// When non-empty (and enable_span_tracing), the process hosting the
+  /// master writes the Chrome trace of its local workers here.
   std::string trace_path;
   /// Live status server (obs/status_server.h): 0 = off, > 0 = bind that
   /// port on 127.0.0.1, -1 = ephemeral port (tests; discover via
   /// JobStats::status_port or obs::StatusServer::Current()). Serves
-  /// /metrics (Prometheus), /status.json and /healthz for the duration of
-  /// Cluster::Run.
+  /// /metrics (Prometheus), /status.json and /healthz over the local
+  /// workers for the duration of the job, from the process hosting the
+  /// master (the Cluster::Run process, or rank 0 of RunDistributed).
   int status_port = 0;
   /// Capacity (events per job) of the always-on flight recorder ring
   /// (obs/flight_recorder.h); 0 disables it. Recent scheduler transitions
@@ -270,7 +276,8 @@ struct JobConfig {
   /// aborts the job and JobStats::timed_out is set (the paper's ">24 hr").
   double time_budget_s = 0.0;
 
-  /// Checks internal consistency; Cluster::Run validates before starting.
+  /// Checks internal consistency; Cluster::Run and RunDistributed validate
+  /// before starting.
   Status Validate() const {
     if (num_workers <= 0) {
       return Status::InvalidArgument("num_workers must be positive");
@@ -473,11 +480,6 @@ struct JobStats {
 
   // Records emitted through Comper::Output.
   int64_t records_output = 0;
-
-  // Task lifecycle trace (only when JobConfig::enable_tracing): the newest
-  // events per worker, merged; trace_events_total counts all recorded.
-  std::vector<TraceEvent> trace;
-  int64_t trace_events_total = 0;
 
   // ---- observability payloads ----
   /// Per-scope metric snapshots: one per worker ("worker<i>") plus the hub

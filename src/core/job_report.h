@@ -50,7 +50,6 @@ inline obs::JobReport MakeJobReport(const std::string& job_name,
   report.ints["max_peak_mem_bytes"] = stats.max_peak_mem_bytes;
   report.ints["drained_messages"] = stats.drained_messages;
   report.ints["span_events_total"] = stats.span_events_total;
-  report.ints["trace_events_total"] = stats.trace_events_total;
   report.ints["splits"] = stats.splits;
   report.ints["split_children"] = stats.split_children;
   report.ints["split_depth_max"] = stats.split_depth_max;

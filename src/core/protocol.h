@@ -264,9 +264,8 @@ inline Status DecodeTaskBatch(const Payload& payload,
 
 /// kStealOrder payload: the worker that should receive the donated batch,
 /// plus the hub-clock instant the master issued the order (steal round-trip
-/// measurement). The timestamp defaults keep old call sites byte-compatible
-/// readers: Decode tolerates the short legacy encoding.
-inline Payload EncodeStealOrder(int32_t dst_worker, int64_t order_t_us = 0) {
+/// measurement).
+inline Payload EncodeStealOrder(int32_t dst_worker, int64_t order_t_us) {
   Serializer ser;
   ser.Write(dst_worker);
   ser.Write(order_t_us);
@@ -274,16 +273,11 @@ inline Payload EncodeStealOrder(int32_t dst_worker, int64_t order_t_us = 0) {
 }
 
 inline Status DecodeStealOrder(const Payload& payload, int32_t* dst_worker,
-                               int64_t* order_t_us = nullptr) {
+                               int64_t* order_t_us) {
   PayloadView view(payload);
   Deserializer des(view.data(), view.size());
   GT_RETURN_IF_ERROR(des.Read(dst_worker));
-  int64_t t_us = 0;
-  if (des.remaining() >= sizeof(int64_t)) {
-    GT_RETURN_IF_ERROR(des.Read(&t_us));
-  }
-  if (order_t_us != nullptr) *order_t_us = t_us;
-  return Status::Ok();
+  return des.Read(order_t_us);
 }
 
 /// kDrainBarrier payload (worker -> master direction): the quiesced worker.

@@ -73,7 +73,6 @@ class Worker {
                     config.comm.wire_encoding),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
-    if (config_.enable_tracing) trace_ = std::make_unique<TraceRing>();
     if (config_.enable_span_tracing) {
       spans_ = std::make_unique<obs::SpanRing>(1 << 16);
     }
@@ -256,7 +255,6 @@ class Worker {
     // ---- Comper<>::Runtime ----
     void AddTask(std::unique_ptr<TaskT> task) override {
       worker_->OnTaskSpawned();
-      worker_->Trace(index_, TaskEvent::kSpawned);
       if (worker_->spans_ != nullptr) {
         task->set_span_id(worker_->NextSpanId());
         worker_->Span(task->span_id(), index_, obs::SpanPhase::kSpawn);
@@ -347,7 +345,6 @@ class Worker {
         }
       }
       if (ready != nullptr) {
-        worker_->Trace(index_, TaskEvent::kReady);
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
         worker_->Span(ready->span_id(), index_, obs::SpanPhase::kReady);
         // Push to B_task *before* shrinking the T_task mirror: a reader that
@@ -467,7 +464,6 @@ class Worker {
               static_cast<int64_t>(records.size()), std::memory_order_relaxed);
           worker_->refill_spill_tasks_->Add(
               static_cast<int64_t>(records.size()));
-          worker_->Trace(index_, TaskEvent::kLoadedBatch);
           if (phase_spill_ != nullptr) {
             phase_spill_->Add(spill_timer.ElapsedMicros());
           }
@@ -524,7 +520,6 @@ class Worker {
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
                                           std::memory_order_relaxed);
-        worker_->Trace(index_, TaskEvent::kSpilledBatch);
         if (phase_spill_ != nullptr) {
           phase_spill_->Add(spill_timer.ElapsedMicros());
         }
@@ -547,7 +542,6 @@ class Worker {
         return;
       }
       const uint64_t tid = MakeTaskId(index_, seq_++);
-      worker_->Trace(index_, TaskEvent::kPending);
       worker_->Span(task->span_id(), index_, obs::SpanPhase::kPending);
       const int64_t pending_at_us = worker_->hub_->NowUs();
       TaskT* raw = task.get();
@@ -588,7 +582,6 @@ class Worker {
       }
       if (ready != nullptr) {
         // The responses raced in while we were still registering pulls.
-        worker_->Trace(index_, TaskEvent::kReady);
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
         worker_->Span(ready->span_id(), index_, obs::SpanPhase::kReady);
         worker_->mem_.Release(ready->MemoryBytes());
@@ -622,7 +615,6 @@ class Worker {
       const int64_t compute_us = compute_timer.ElapsedMicros();
       compute_us_->Record(compute_us);
       if (phase_compute_ != nullptr) phase_compute_->Add(compute_us);
-      worker_->Trace(index_, TaskEvent::kExecuted);
       if (worker_->spans_ != nullptr) {
         // Stamp the slice at its start so the viewer draws [start, start+dur].
         worker_->Span(task->span_id(), index_, obs::SpanPhase::kExecute,
@@ -640,7 +632,6 @@ class Worker {
         AddToQueue(std::move(task));
       } else {
         worker_->OnTaskFinished();
-        worker_->Trace(index_, TaskEvent::kFinished);
         worker_->Span(task->span_id(), index_, obs::SpanPhase::kFinish);
       }
     }
@@ -672,7 +663,6 @@ class Worker {
       }
       for (auto& child : split_scratch_) {
         worker_->OnTaskSpawned();
-        worker_->Trace(index_, TaskEvent::kSpawned);
         if (worker_->spans_ != nullptr) {
           child->set_span_id(worker_->NextSpanId());
           worker_->Span(child->span_id(), index_, obs::SpanPhase::kSpawn,
@@ -818,13 +808,6 @@ class Worker {
   void OnTaskFinished() {
     tasks_finished_.fetch_add(1, std::memory_order_relaxed);
     live_tasks_.fetch_sub(1);
-  }
-
-  void Trace(int comper, TaskEvent kind) {
-    if (trace_ != nullptr) {
-      trace_->Record(static_cast<int16_t>(id_), static_cast<int16_t>(comper),
-                     kind);
-    }
   }
 
   /// Span-trace event (no-op unless enable_span_tracing). `t_us` < 0 means
@@ -1002,7 +985,9 @@ class Worker {
   /// until their threads actually exit — a comper mid-iteration may still
   /// issue vertex pulls — then flush the per-destination request buffers so
   /// nothing is stranded in them, and report the quiesce to the master with
-  /// a kDrainBarrier.
+  /// a kDrainBarrier. A Compute() call cannot be interrupted, so this wait
+  /// is unbounded; non-final progress reports keep flowing meanwhile so the
+  /// master can tell a worker that is busy from one that is gone.
   ///
   /// Phase 2 (wire drain): once the master echoes the barrier (= every
   /// worker is quiesced, so no *new* traffic can originate anywhere), keep
@@ -1014,8 +999,15 @@ class Worker {
   /// time_budget_s timeout path).
   void DrainAndReport() {
     Flight(obs::FlightKind::kDrain, -1, /*phase=*/0);  // quiescing compers
+    const int64_t heartbeat_us =
+        std::min(config_.progress_interval_us, config_.drain_timeout_us);
+    Timer heartbeat_timer;
     while (compers_running_.load(std::memory_order_acquire) > 0) {
       PumpOneDrainMessage();  // keep the wire moving while compers wind down
+      if (heartbeat_timer.ElapsedMicros() >= heartbeat_us) {
+        SendProgress(/*final_report=*/false);
+        heartbeat_timer.Restart();
+      }
     }
     FlushAllRequests();
     Flight(obs::FlightKind::kDrain, -1, /*phase=*/1);  // barrier sent
@@ -1157,7 +1149,6 @@ class Worker {
           const std::string path = SpillWrite(std::move(records));
           l_file_.PushBack(path, count);
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
-          Trace(-1, TaskEvent::kStolenBatch);
           Flight(obs::FlightKind::kStealReceive, -1, count, mb.src_worker);
         }
         break;
@@ -1217,7 +1208,7 @@ class Worker {
   /// `order_t_us` is the hub-clock instant the master issued the steal order;
   /// it rides along in the kTaskBatch so the recipient can close the
   /// round-trip measurement.
-  void DonateTasks(int dst, int64_t order_t_us = 0) {
+  void DonateTasks(int dst, int64_t order_t_us) {
     std::vector<std::string> records;
     if (auto file = l_file_.TryPopBack()) {
       GT_CHECK_OK(SpillFetch(file->path, &records));
@@ -1494,9 +1485,6 @@ class Worker {
     return records_output_.load(std::memory_order_relaxed);
   }
 
-  /// Trace ring (null when tracing is disabled).
-  const TraceRing* trace() const { return trace_.get(); }
-
   /// Span ring (null when span tracing is disabled).
   const obs::SpanRing* spans() const { return spans_.get(); }
 
@@ -1672,9 +1660,6 @@ class Worker {
   ResponseCache<VertexT> resp_cache_;
 
   MiniDfs* checkpoint_dfs_ = nullptr;
-
-  // task lifecycle tracing (JobConfig::enable_tracing)
-  std::unique_ptr<TraceRing> trace_;
 
   // observability (docs/OBSERVABILITY.md). The histogram/counter pointers
   // are registered once in the constructor; recording through them is

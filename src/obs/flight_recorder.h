@@ -33,7 +33,8 @@ enum class FlightKind : uint8_t {
   kStealDonate = 4,   // a = tasks donated, b = destination worker
   kStealReceive = 5,  // a = tasks received, b = source worker
   kLedger = 6,        // a = ExpectedLive(), b = live tasks (progress cadence)
-  kDrain = 7,         // a = drain phase (see worker DrainAndReport)
+  kDrain = 7,         // a = drain phase: 0-4 worker DrainAndReport; 5 master
+                      // drain stalled, b = final reports missing
   kCheckpoint = 8,    // a = checkpoint epoch
   kTimeout = 9,       // master hit the time budget; a = elapsed seconds
   kTerminate = 10,    // worker saw kTerminate
@@ -239,8 +240,8 @@ class FlightRecorder {
   /// Installs the fatal-log hook (GT_CHECK / LOG_FATAL) and SIGTERM/SIGINT
   /// handlers that dump all live recorders before the process dies. The
   /// signal path re-raises with the default disposition after dumping, so
-  /// exit codes are unchanged. Idempotent; called from Cluster::Run when the
-  /// recorder is enabled. (The handlers allocate and lock — not strictly
+  /// exit codes are unchanged. Idempotent; called by the Cluster job driver
+  /// (Run and RunDistributed) when the recorder is enabled. (The handlers allocate and lock — not strictly
   /// async-signal-safe, a documented best-effort trade for a dependency-free
   /// dump on the way out.)
   static void InstallCrashHandlers() {

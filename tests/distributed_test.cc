@@ -1,0 +1,239 @@
+// Distributed differentials: Cluster::RunDistributed over loopback TCP —
+// rank 0 in the test process, every other rank in a forked child — must
+// return the answer in-process Cluster::Run returns for the aggregator-pruned
+// maximum clique, labeled matching (LabeledAdj values on the wire), and a
+// 3-rank triangle count batched small enough to spill and steal across
+// processes. Every rank must come back with its own phase profile. A rank
+// killed mid-job must make rank 0 fail loudly within a bound instead of
+// hanging. Forks happen between jobs, when no job threads are live, so the
+// suite is safe under TSan as well.
+
+#include <gtest/gtest.h>
+
+#if defined(__linux__)
+
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "apps/kernels.h"
+#include "apps/match_app.h"
+#include "apps/maxclique_app.h"
+#include "apps/triangle_app.h"
+#include "core/cluster.h"
+#include "free_ports.h"
+#include "graph/generator.h"
+
+namespace gthinker {
+namespace {
+
+/// `base` reshaped into a `procs`-rank loopback TCP cluster.
+JobConfig TcpConfig(JobConfig base, int procs) {
+  base.num_workers = procs;
+  base.comm.transport = CommConfig::Transport::kTcp;
+  for (int port : PickFreePorts(procs)) {
+    base.comm.hosts.push_back("127.0.0.1:" + std::to_string(port));
+  }
+  base.time_budget_s = 120.0;  // a hung rank must not hang the suite
+  return base;
+}
+
+/// Runs `job` on its TCP cluster: ranks 1.. in forked children, rank 0
+/// here. A child exits 0 only if its rank returned a non-empty phase
+/// profile; returns rank 0's result.
+template <typename ComperT>
+RunResult<ComperT> RunTcpCluster(const Job<ComperT>& job) {
+  std::vector<pid_t> pids;
+  for (int r = 1; r < job.config.num_workers; ++r) {
+    const pid_t pid = ::fork();
+    GT_CHECK_GE(pid, 0);
+    if (pid == 0) {
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the test binary
+      const RunResult<ComperT> rank = Cluster<ComperT>::RunDistributed(job, r);
+      ::_exit(rank.stats.phases.empty() ? 3 : 0);
+    }
+    pids.push_back(pid);
+  }
+  RunResult<ComperT> rank0 = Cluster<ComperT>::RunDistributed(job, 0);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    int status = 0;
+    EXPECT_EQ(::waitpid(pids[i], &status, 0), pids[i]);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "rank " << i + 1 << " wait status " << status;
+  }
+  EXPECT_FALSE(rank0.stats.phases.empty());
+  EXPECT_FALSE(rank0.stats.timed_out);
+  EXPECT_EQ(rank0.stats.tasks_lost, 0);
+  return rank0;
+}
+
+TEST(DistributedDifferential, MaxCliqueMatchesInProcess) {
+  Graph g = Generator::ErdosRenyi(300, 6000, 71);
+  Job<MaxCliqueComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<MaxCliqueComper>(30); };
+  job.trimmer = TrimToGreater;
+  const size_t expected = Cluster<MaxCliqueComper>::Run(job).result.size();
+  EXPECT_EQ(expected, MaxCliqueSerial(g).size());
+
+  job.config = TcpConfig(job.config, 2);
+  EXPECT_EQ(RunTcpCluster(job).result.size(), expected);
+}
+
+TEST(DistributedDifferential, LabeledMatchMatchesInProcess) {
+  Graph g = Generator::PowerLaw(400, 10.0, 2.3, 72);
+  const std::vector<Label> labels =
+      Generator::RandomLabels(g.NumVertices(), 3, 73);
+  const QueryGraph query = QueryGraph::Triangle(0, 1, 2);
+  Job<MatchComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.graph = &g;
+  job.labels = &labels;
+  job.comper_factory = [query] {
+    return std::make_unique<MatchComper>(query);
+  };
+  job.trimmer = [query](Vertex<LabeledAdj>& v) {
+    MatchComper::TrimByQuery(query, v);
+  };
+  const uint64_t expected = Cluster<MatchComper>::Run(job).result;
+  EXPECT_EQ(expected, CountMatchesSerial(g, labels, query));
+  ASSERT_GT(expected, 0u);
+
+  job.config = TcpConfig(job.config, 2);
+  EXPECT_EQ(RunTcpCluster(job).result, expected);
+}
+
+TEST(DistributedDifferential, ThreeRankTriangleSpillsAndStealsAcrossProcesses) {
+  // Every edge joins multiples of 3, so worker 0 owns all the work and
+  // ranks 1 and 2 starve until the master has rank 0 donate to them.
+  const Graph base = Generator::ErdosRenyi(3000, 300000, 74);
+  Graph g(3 * base.NumVertices());
+  for (VertexId u = 0; u < base.NumVertices(); ++u) {
+    for (VertexId v : base.GreaterNeighbors(u)) g.AddEdge(3 * u, 3 * v);
+  }
+  g.Finalize();
+  Job<TriangleComper> job;
+  job.config.num_workers = 3;
+  job.config.compers_per_worker = 1;
+  job.config.task_batch_size = 4;
+  job.config.task_queue_capacity_batches = 2;
+  job.config.inflight_task_cap = 8;
+  job.config.progress_interval_us = 500;  // plan steals early and often
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  const uint64_t expected = Cluster<TriangleComper>::Run(job).result;
+  EXPECT_EQ(expected, CountTrianglesSerial(g));
+
+  job.config = TcpConfig(job.config, 3);
+  const RunResult<TriangleComper> got = RunTcpCluster(job);
+  EXPECT_EQ(got.result, expected);
+  // The master's roll-up spans all three processes.
+  EXPECT_GT(got.stats.spilled_batches, 0);
+  EXPECT_GT(got.stats.steal_orders, 0);
+  EXPECT_GT(got.stats.stolen_batches, 0);
+}
+
+/// Triangle comper that kills its own process from its first Compute(): the
+/// mesh is up and the job is running by then.
+class KillSelfComper : public TriangleComper {
+ public:
+  bool Compute(TaskT*, const Frontier&) override {
+    // Give rank 0 time to finish its side of the handshake, so it is the
+    // drain — not Start() — that observes the death.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ::raise(SIGKILL);
+    return false;
+  }
+};
+
+TEST(DistributedFailure, KilledRankFailsRankZeroWithinBound) {
+  Graph g = Generator::ErdosRenyi(300, 3000, 75);
+  JobConfig config;
+  config.compers_per_worker = 1;
+  config = TcpConfig(config, 2);
+  config.time_budget_s = 1.0;
+  config.drain_timeout_us = 500'000;
+  const std::string dir = MakeTempDir("killed_rank");
+  config.flight_dump_dir = dir;
+  const std::string rank0_log = dir + "/rank0.stderr";
+
+  std::vector<pid_t> pids;
+  for (int r = 0; r < 2; ++r) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (r == 0) {
+        std::FILE* log = std::freopen(rank0_log.c_str(), "w", stderr);
+        if (log == nullptr) ::_exit(4);
+      }
+      Job<TriangleComper> job;
+      job.config = config;
+      job.graph = &g;
+      job.comper_factory = [r]() -> std::unique_ptr<TriangleComper> {
+        if (r == 1) return std::make_unique<KillSelfComper>();
+        return std::make_unique<TriangleComper>();
+      };
+      job.trimmer = TrimToGreater;
+      Cluster<TriangleComper>::RunDistributed(job, r);
+      ::_exit(0);  // rank 0 must never get here
+    }
+    pids.push_back(pid);
+  }
+
+  // Rank 0 needs ~1 s of budget plus 0.5 s of drain deadline; allow ample
+  // slack for sanitizer builds, but a hang is a failure.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = ::waitpid(pids[0], &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    ::kill(pids[0], SIGKILL);
+    ::waitpid(pids[0], nullptr, 0);
+  }
+  ::kill(pids[1], SIGKILL);  // already dead by its own hand, unless it hung
+  ::waitpid(pids[1], nullptr, 0);
+  ASSERT_EQ(done, pids[0]) << "rank 0 hung after rank 1 died";
+  EXPECT_FALSE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "rank 0 returned an answer without rank 1";
+
+  std::ifstream in(rank0_log);
+  std::stringstream log;
+  log << in.rdbuf();
+  EXPECT_NE(log.str().find("no drain barrier from worker(s) 1"),
+            std::string::npos)
+      << log.str();
+  // The stall itself left a crash dump, not just the earlier budget exit.
+  bool stall_dumped = false;
+  std::istringstream lines(log.str());
+  for (std::string line; std::getline(lines, line);) {
+    stall_dumped = stall_dumped ||
+                   (line.find("wrote crash dump") != std::string::npos &&
+                    line.find("drain stalled") != std::string::npos);
+  }
+  EXPECT_TRUE(stall_dumped) << log.str();
+  RemoveTree(dir);
+}
+
+}  // namespace
+}  // namespace gthinker
+
+#endif  // __linux__

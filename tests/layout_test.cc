@@ -30,8 +30,7 @@
 #include "storage/mini_dfs.h"
 
 #if defined(__linux__)
-#include <netinet/in.h>
-#include <sys/socket.h>
+#include "free_ports.h"
 #endif
 
 namespace gthinker {
@@ -281,27 +280,6 @@ TEST(LayoutDifferential, MaxCliqueResultSpeaksOriginalIds) {
 // ---------------------------------------------------------------------------
 
 #if defined(__linux__)
-
-std::vector<int> PickFreePorts(int n) {
-  std::vector<int> fds, ports;
-  for (int i = 0; i < n; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    GT_CHECK_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    GT_CHECK_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-                0);
-    socklen_t len = sizeof(addr);
-    GT_CHECK_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len),
-                0);
-    fds.push_back(fd);
-    ports.push_back(ntohs(addr.sin_port));
-  }
-  for (int fd : fds) ::close(fd);
-  return ports;
-}
 
 TEST(LayoutDistributed, TcpTwoProcessReorderMatchesInProcess) {
   Graph g = Generator::HubSkewed(600, 8, 90, 2.5, 51);

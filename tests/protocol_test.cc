@@ -186,23 +186,23 @@ TEST(ProtocolTest, StealOrderRoundTrip) {
 }
 
 TEST(ProtocolTest, StealOrderLegacyShortFormDecodes) {
-  // Pre-timestamp encoders sent only the i32 destination; Decode must
-  // tolerate the short form and default the timestamp to 0.
+  // The pre-timestamp i32-only form now decodes as Corruption: the
+  // timestamp is mandatory, and no peer can send the short form because
+  // the wire is versioned through HELLO.
   Serializer ser;
   ser.Write<int32_t>(2);
   int32_t dst = -1;
   int64_t t_us = -1;
-  ASSERT_TRUE(DecodeStealOrder(TakePayload(ser), &dst, &t_us).ok());
-  EXPECT_EQ(dst, 2);
-  EXPECT_EQ(t_us, 0);
+  EXPECT_TRUE(DecodeStealOrder(TakePayload(ser), &dst, &t_us).IsCorruption());
 }
 
 TEST(ProtocolTest, StealOrderTooShortIsCorruption) {
   Serializer ser;
   ser.Write<int16_t>(1);  // not even the i32 fits
   int32_t dst = 0;
-  EXPECT_TRUE(DecodeStealOrder(TakePayload(ser), &dst).IsCorruption());
-  EXPECT_TRUE(DecodeStealOrder(Payload(), &dst).IsCorruption());
+  int64_t t_us = 0;
+  EXPECT_TRUE(DecodeStealOrder(TakePayload(ser), &dst, &t_us).IsCorruption());
+  EXPECT_TRUE(DecodeStealOrder(Payload(), &dst, &t_us).IsCorruption());
 }
 
 TEST(ProtocolTest, DrainBarrierRoundTripAndTruncation) {

@@ -215,8 +215,10 @@ TEST(Protocol, RecordBatchRoundtrip) {
 
 TEST(Protocol, StealOrderRoundtrip) {
   int32_t dst = -1;
-  ASSERT_TRUE(DecodeStealOrder(EncodeStealOrder(7), &dst).ok());
+  int64_t t_us = -1;
+  ASSERT_TRUE(DecodeStealOrder(EncodeStealOrder(7, 42), &dst, &t_us).ok());
   EXPECT_EQ(dst, 7);
+  EXPECT_EQ(t_us, 42);
 }
 
 TEST(Protocol, CheckpointMessagesRoundtrip) {

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "apps/kernels.h"
 #include "apps/triangle_app.h"
@@ -113,6 +116,49 @@ TEST(Termination, TimeoutShutdownDrainsInFlightWork) {
     EXPECT_EQ(stats.tasks_live_at_exit, 0);
     EXPECT_EQ(stats.tasks_spawned, stats.tasks_finished);
   }
+}
+
+/// Triangle comper whose first Compute() across the job sleeps for `nap`.
+class NapOnceComper : public TriangleComper {
+ public:
+  NapOnceComper(std::atomic<bool>* napped, std::chrono::milliseconds nap)
+      : napped_(napped), nap_(nap) {}
+  bool Compute(TaskT* task, const Frontier& frontier) override {
+    if (!napped_->exchange(true)) std::this_thread::sleep_for(nap_);
+    return TriangleComper::Compute(task, frontier);
+  }
+
+ private:
+  std::atomic<bool>* napped_;
+  std::chrono::milliseconds nap_;
+};
+
+// Compute() cannot be interrupted, so a budget exit can land while one task
+// runs far longer than the drain deadline. The busy worker keeps reporting
+// progress while it waits for that comper, so the master must wait it out
+// and return a timed-out result instead of failing the drain.
+TEST(Termination, BudgetExitOutlastsLongComputeWithoutAborting) {
+  Graph g = Generator::PowerLaw(400, 8.0, 2.4, 31);
+  std::atomic<bool> napped{false};
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 1;
+  job.config.time_budget_s = 0.1;
+  job.config.drain_timeout_us = 150'000;  // the nap outlasts 3x this
+  job.graph = &g;
+  job.comper_factory = [&napped] {
+    return std::make_unique<NapOnceComper>(&napped,
+                                           std::chrono::milliseconds(1200));
+  };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+
+  const JobStats& stats = result.stats;
+  EXPECT_TRUE(napped.load());
+  EXPECT_TRUE(stats.timed_out);
+  EXPECT_GE(stats.elapsed_s, 1.0);  // the master waited for the nap
+  EXPECT_EQ(stats.tasks_lost, 0);
+  EXPECT_EQ(stats.ledger.ExpectedLive(), stats.tasks_live_at_exit);
 }
 
 }  // namespace

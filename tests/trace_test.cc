@@ -1,89 +1,46 @@
-// Tests for the task-lifecycle tracing facility.
-
-#include "core/trace.h"
+// Task-lifecycle invariants of a real job, read off the per-task spans
+// (JobConfig::enable_span_tracing).
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "apps/triangle_app.h"
 #include "core/cluster.h"
 #include "graph/generator.h"
+#include "obs/span_trace.h"
 
 namespace gthinker {
 namespace {
-
-TEST(TraceRing, RecordsInOrder) {
-  TraceRing ring(16);
-  ring.Record(0, 1, TaskEvent::kSpawned);
-  ring.Record(0, 1, TaskEvent::kExecuted);
-  ring.Record(0, 1, TaskEvent::kFinished);
-  auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, TaskEvent::kSpawned);
-  EXPECT_EQ(events[2].kind, TaskEvent::kFinished);
-  EXPECT_LE(events[0].t_us, events[2].t_us);
-  EXPECT_EQ(ring.total(), 3);
-}
-
-TEST(TraceRing, BoundedCapacityKeepsNewest) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i) {
-    ring.Record(0, static_cast<int16_t>(i), TaskEvent::kSpawned);
-  }
-  auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].comper, 6);  // oldest retained
-  EXPECT_EQ(events[3].comper, 9);  // newest
-  EXPECT_EQ(ring.total(), 10);
-}
-
-TEST(TraceRing, ConcurrentRecording) {
-  TraceRing ring(1 << 14);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&ring, t] {
-      for (int i = 0; i < 1000; ++i) {
-        ring.Record(static_cast<int16_t>(t), 0, TaskEvent::kExecuted);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(ring.total(), 4000);
-  EXPECT_EQ(ring.Snapshot().size(), 4000u);
-}
-
-TEST(TraceRing, EventNames) {
-  EXPECT_STREQ(TaskEventName(TaskEvent::kSpawned), "spawned");
-  EXPECT_STREQ(TaskEventName(TaskEvent::kStolenBatch), "stolen-batch");
-}
 
 TEST(Trace, JobProducesCoherentLifecycle) {
   Graph g = Generator::PowerLaw(300, 9.0, 2.4, 901);
   Job<TriangleComper> job;
   job.config.num_workers = 2;
   job.config.compers_per_worker = 2;
-  job.config.enable_tracing = true;
+  job.config.enable_span_tracing = true;
   job.graph = &g;
   job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
   job.trimmer = TrimToGreater;
   auto result = Cluster<TriangleComper>::Run(job);
 
-  ASSERT_FALSE(result.stats.trace.empty());
-  EXPECT_GT(result.stats.trace_events_total, 0);
-  std::map<TaskEvent, int64_t> counts;
-  for (const TraceEvent& e : result.stats.trace) ++counts[e.kind];
+  const std::vector<obs::SpanEvent>& spans = result.stats.spans;
+  ASSERT_FALSE(spans.empty());
+  // The rings are far from full on this job, so nothing was overwritten.
+  EXPECT_EQ(result.stats.span_events_total,
+            static_cast<int64_t>(spans.size()));
+  std::map<obs::SpanPhase, int64_t> counts;
+  for (const obs::SpanEvent& e : spans) ++counts[e.phase];
   // Every TC task runs exactly one iteration and finishes.
-  EXPECT_GT(counts[TaskEvent::kSpawned], 0);
-  EXPECT_GT(counts[TaskEvent::kExecuted], 0);
-  EXPECT_EQ(counts[TaskEvent::kExecuted], counts[TaskEvent::kFinished]);
+  EXPECT_GT(counts[obs::SpanPhase::kSpawn], 0);
+  EXPECT_GT(counts[obs::SpanPhase::kExecute], 0);
+  EXPECT_EQ(counts[obs::SpanPhase::kExecute], counts[obs::SpanPhase::kFinish]);
   // Every task that went pending must have become ready.
-  EXPECT_EQ(counts[TaskEvent::kPending], counts[TaskEvent::kReady]);
+  EXPECT_EQ(counts[obs::SpanPhase::kPending], counts[obs::SpanPhase::kReady]);
   // Timestamps are sorted by the collector.
-  for (size_t i = 1; i < result.stats.trace.size(); ++i) {
-    EXPECT_LE(result.stats.trace[i - 1].t_us, result.stats.trace[i].t_us);
+  for (size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].t_us, spans[i].t_us);
   }
 }
 
@@ -96,8 +53,8 @@ TEST(Trace, DisabledByDefault) {
   job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
   job.trimmer = TrimToGreater;
   auto result = Cluster<TriangleComper>::Run(job);
-  EXPECT_TRUE(result.stats.trace.empty());
-  EXPECT_EQ(result.stats.trace_events_total, 0);
+  EXPECT_TRUE(result.stats.spans.empty());
+  EXPECT_EQ(result.stats.span_events_total, 0);
 }
 
 }  // namespace
