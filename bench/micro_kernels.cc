@@ -16,12 +16,18 @@
 //   quasiclique, match: bitset vs CSR sorted path (the pre-PR code for these
 //                 is the sorted path modulo the CSR layout), toggled through
 //                 SetKernelBitsetMaxVertices.
+//   compact_build: task-subgraph → CompactGraph construction, the per-entry
+//                 lookup builders vs the sorted-intersection builder, on GM-
+//                 and MCF-shaped tasks. Exits 1 if any CSR differs.
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -259,6 +265,94 @@ uint64_t CountMaximalCliquesSerial(const Graph& g) {
   return total;
 }
 
+// ---------------------------------------------------------------------------
+// Per-entry-lookup compact-view builders, verbatim from the kernels.cc that
+// preceded the sorted-intersection builder (output: today's CSR structs).
+// ---------------------------------------------------------------------------
+
+void FlattenRows(const std::vector<std::vector<int32_t>>& rows,
+                 std::vector<uint32_t>* offsets, std::vector<int32_t>* nbrs) {
+  const size_t n = rows.size();
+  size_t total = 0;
+  for (const auto& row : rows) total += row.size();
+  offsets->resize(n + 1);
+  nbrs->clear();
+  nbrs->reserve(total);
+  for (size_t i = 0; i < n; ++i) {
+    (*offsets)[i] = static_cast<uint32_t>(nbrs->size());
+    nbrs->insert(nbrs->end(), rows[i].begin(), rows[i].end());
+  }
+  (*offsets)[n] = static_cast<uint32_t>(nbrs->size());
+}
+
+gthinker::CompactGraph CompactFromSubgraph(
+    const Subgraph<Vertex<AdjList>>& g) {
+  gthinker::CompactGraph out;
+  out.ids.reserve(g.NumVertices());
+  for (const auto& v : g.vertices()) out.ids.push_back(v.id);
+  std::vector<std::pair<VertexId, int32_t>> index;
+  index.reserve(out.ids.size());
+  for (size_t k = 0; k < out.ids.size(); ++k) {
+    index.emplace_back(out.ids[k], static_cast<int32_t>(k));
+  }
+  std::sort(index.begin(), index.end());
+  const auto find = [&index](VertexId u) -> int32_t {
+    auto it = std::lower_bound(
+        index.begin(), index.end(), u,
+        [](const std::pair<VertexId, int32_t>& p, VertexId x) {
+          return p.first < x;
+        });
+    return it != index.end() && it->first == u ? it->second : -1;
+  };
+  std::vector<std::vector<int32_t>> rows(out.ids.size());
+  int32_t i = 0;
+  for (const auto& v : g.vertices()) {
+    for (VertexId u : v.value) {
+      const int32_t j = find(u);
+      if (j >= 0) {
+        rows[i].push_back(j);
+        rows[j].push_back(i);
+      }
+    }
+    ++i;
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  FlattenRows(rows, &out.offsets, &out.nbrs);
+  return out;
+}
+
+CompactLabeledGraph CompactFromLabeledSubgraph(
+    const Subgraph<Vertex<LabeledAdj>>& g) {
+  CompactLabeledGraph out;
+  std::unordered_map<VertexId, int> index;
+  index.reserve(g.NumVertices());
+  for (const auto& v : g.vertices()) {
+    index.emplace(v.id, static_cast<int>(out.ids.size()));
+    out.ids.push_back(v.id);
+    out.labels.push_back(v.value.label);
+  }
+  std::vector<std::vector<int32_t>> rows(out.ids.size());
+  for (const auto& v : g.vertices()) {
+    const int i = index.at(v.id);
+    for (const LabeledNbr& nbr : v.value.adj) {
+      auto it = index.find(nbr.id);
+      if (it != index.end()) {
+        rows[i].push_back(it->second);
+        rows[it->second].push_back(i);
+      }
+    }
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  FlattenRows(rows, &out.offsets, &out.nbrs);
+  return out;
+}
+
 }  // namespace legacy
 
 namespace {
@@ -317,6 +411,49 @@ void PrintAndRecord(BenchJson* json, const char* experiment,
       row->numbers["items_per_s"] = work_items / v.elapsed_s;
     }
   }
+}
+
+/// Order-sensitive digest of a compact view's CSR arrays.
+template <typename CompactT>
+uint64_t CsrDigest(const CompactT& cg) {
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a over 32-bit words
+  const auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+  for (VertexId id : cg.ids) mix(id);
+  for (uint32_t o : cg.offsets) mix(o);
+  for (int32_t u : cg.nbrs) mix(static_cast<uint32_t>(u));
+  return h;
+}
+
+/// Times the legacy and the shipping builder over every task subgraph and
+/// records the compact_build/<shape>/{legacy,sorted} rows. Returns false,
+/// naming the task, if any pair of CSRs differs.
+template <typename SubgraphT, typename LegacyFn, typename SortedFn>
+bool BenchCompactBuild(BenchJson* json, int reps, const std::string& shape,
+                       const std::vector<SubgraphT>& tasks, uint64_t entries,
+                       LegacyFn legacy_fn, SortedFn sorted_fn) {
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    const auto want = legacy_fn(tasks[t]);
+    const auto got = sorted_fn(tasks[t]);
+    if (got.ids != want.ids || got.offsets != want.offsets ||
+        got.nbrs != want.nbrs) {
+      std::fprintf(stderr, "%s: task %zu: CSR differs from legacy\n",
+                   shape.c_str(), t);
+      return false;
+    }
+  }
+  std::printf("%s: %zu tasks, %" PRIu64 " adjacency entries, best of %d\n",
+              shape.c_str(), tasks.size(), entries, reps);
+  const auto run = [&tasks](const auto& build) {
+    uint64_t sum = 0;
+    for (const SubgraphT& task : tasks) sum += CsrDigest(build(task));
+    return sum;
+  };
+  std::vector<Variant> v{{"legacy"}, {"sorted"}};
+  v[0].elapsed_s = BestOf(reps, &v[0].checksum, [&] { return run(legacy_fn); });
+  v[1].elapsed_s = BestOf(reps, &v[1].checksum, [&] { return run(sorted_fn); });
+  GT_CHECK_EQ(v[0].checksum, v[1].checksum);
+  PrintAndRecord(json, shape.c_str(), v, static_cast<double>(entries));
+  return true;
 }
 
 int Main(int argc, char** argv) {
@@ -542,6 +679,61 @@ int Main(int argc, char** argv) {
     PrintAndRecord(&json, "match", v, 0.0);
     json.AddRow("match/speedup")->numbers["speedup"] =
         v[0].elapsed_s / v[1].elapsed_s;
+  }
+
+  // ---- compact-view construction: per-entry lookup vs sorted walk -------
+  // GM shape: a labeled-triangle task's ego network, root first, every
+  // member carrying its full row, so rows mostly name non-members and a
+  // hub's row dwarfs the member list. MCF shape: ext(S)-induced subgraphs
+  // whose Γ_> rows were already filtered to members, in ascending order.
+  {
+    const Graph g = Generator::Rmat(13, 110'000, 1);
+    const auto labels = Generator::RandomLabels(g.NumVertices(), 4, 2);
+    const auto labeled = [&](VertexId v) {
+      Vertex<LabeledAdj> out;
+      out.id = v;
+      out.value.label = labels[v];
+      for (VertexId u : g.Neighbors(v)) out.value.adj.push_back({u, labels[u]});
+      return out;
+    };
+    std::vector<Subgraph<Vertex<LabeledAdj>>> tasks;
+    uint64_t entries = 0;
+    for (VertexId root = 0; root < g.NumVertices(); root += 32) {
+      if (g.Degree(root) == 0) continue;
+      Subgraph<Vertex<LabeledAdj>>& task = tasks.emplace_back();
+      task.AddVertex(labeled(root));
+      for (VertexId u : g.Neighbors(root)) task.AddVertex(labeled(u));
+      for (const auto& v : task.vertices()) entries += v.value.adj.size();
+    }
+    if (!BenchCompactBuild(&json, reps, "compact_build/gm_hub", tasks, entries,
+                           legacy::CompactFromLabeledSubgraph,
+                           CompactFromLabeledSubgraph)) {
+      return 1;
+    }
+  }
+  {
+    const Graph g = Generator::Rmat(13, 50'000, 1);
+    std::vector<Subgraph<Vertex<AdjList>>> tasks;
+    uint64_t entries = 0;
+    for (VertexId root = 0; root < g.NumVertices(); ++root) {
+      const AdjList ext = g.GreaterNeighbors(root);
+      if (ext.size() < 2) continue;
+      Subgraph<Vertex<AdjList>>& task = tasks.emplace_back();
+      for (VertexId u : ext) {
+        const AdjList gt = g.GreaterNeighbors(u);
+        Vertex<AdjList> nu;
+        nu.id = u;
+        std::set_intersection(gt.begin(), gt.end(), ext.begin(), ext.end(),
+                              std::back_inserter(nu.value));
+        entries += nu.value.size();
+        task.AddVertex(std::move(nu));
+      }
+    }
+    if (!BenchCompactBuild(&json, reps, "compact_build/mcf_trimmed", tasks,
+                           entries, legacy::CompactFromSubgraph,
+                           CompactFromSubgraph)) {
+      return 1;
+    }
   }
 
   const Status s = json.WriteTo(JsonPathArg(argc, argv));

@@ -97,52 +97,77 @@ uint64_t IntersectAdaptive(const std::vector<T>& a, const std::vector<T>& b) {
   return IntersectAdaptive(a.data(), a.size(), b.data(), b.size());
 }
 
-/// Materializing merge: appends the common elements (ascending) to `out`.
-template <typename T>
-void IntersectMergeInto(const T* a, size_t na, const T* b, size_t nb,
-                        std::vector<T>* out) {
+/// Key projection for plain sorted lists: the element is its own key.
+struct Identity {
+  template <typename T>
+  constexpr const T& operator()(const T& x) const {
+    return x;
+  }
+};
+
+/// Position-reporting merge: calls f(i, j) for every ka(a[i]) == kb(b[j]),
+/// ascending. The key projections let a list of records (labeled neighbors)
+/// intersect in place against a plain id list.
+template <typename A, typename B, typename KA, typename KB, typename F>
+void MergeForEach(const A* a, size_t na, const B* b, size_t nb, KA ka, KB kb,
+                  F&& f) {
   size_t i = 0, j = 0;
   while (i < na && j < nb) {
-    const T av = a[i];
-    const T bv = b[j];
-    if (av == bv) out->push_back(av);
+    const auto av = ka(a[i]);
+    const auto bv = kb(b[j]);
+    if (av == bv) f(i, j);
     i += static_cast<size_t>(av <= bv);
     j += static_cast<size_t>(bv <= av);
   }
 }
 
-/// Materializing gallop; `a` must be the shorter side.
-template <typename T>
-void IntersectGallopInto(const T* a, size_t na, const T* b, size_t nb,
-                         std::vector<T>* out) {
+/// Position-reporting gallop; `a` should be the shorter side.
+template <typename A, typename B, typename KA, typename KB, typename F>
+void GallopForEach(const A* a, size_t na, const B* b, size_t nb, KA ka, KB kb,
+                   F&& f) {
   size_t j = 0;
   for (size_t i = 0; i < na && j < nb; ++i) {
-    const T x = a[i];
+    const auto x = ka(a[i]);
     size_t step = 1;
-    while (j + step < nb && b[j + step] < x) step <<= 1;
+    while (j + step < nb && kb(b[j + step]) < x) step <<= 1;
     const size_t hi = std::min(j + step + 1, nb);
-    j = static_cast<size_t>(std::lower_bound(b + j, b + hi, x) - b);
-    if (j < nb && b[j] == x) {
-      out->push_back(x);
+    j = static_cast<size_t>(
+        std::lower_bound(b + j, b + hi, x,
+                         [&kb](const B& e, const decltype(x)& v) {
+                           return kb(e) < v;
+                         }) -
+        b);
+    if (j < nb && kb(b[j]) == x) {
+      f(i, j);
       ++j;
     }
   }
 }
 
-/// Materializing adaptive intersection; result is ascending.
+/// Adaptive position-reporting intersection: f(i, j) for every common key,
+/// ascending, galloping the shorter side through the longer one past the
+/// ratio threshold (in either direction) and merging otherwise.
+template <typename A, typename B, typename KA, typename KB, typename F>
+void IntersectAdaptiveForEach(const A* a, size_t na, const B* b, size_t nb,
+                              KA ka, KB kb, F&& f) {
+  if (na == 0 || nb == 0) return;
+  if (nb / na >= kGallopRatio) {
+    GallopForEach(a, na, b, nb, ka, kb, f);
+  } else if (na / nb >= kGallopRatio) {
+    GallopForEach(b, nb, a, na, kb, ka,
+                  [&f](size_t j, size_t i) { f(i, j); });
+  } else {
+    MergeForEach(a, na, b, nb, ka, kb, f);
+  }
+}
+
+/// Materializing adaptive intersection: appends the common elements to
+/// `out`, ascending.
 template <typename T>
 void IntersectAdaptiveInto(const T* a, size_t na, const T* b, size_t nb,
                            std::vector<T>* out) {
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  if (na == 0) return;
-  if (nb / na >= kGallopRatio) {
-    IntersectGallopInto(a, na, b, nb, out);
-  } else {
-    IntersectMergeInto(a, na, b, nb, out);
-  }
+  IntersectAdaptiveForEach(a, na, b, nb, Identity{}, Identity{},
+                           [a, out](size_t i, size_t) { out->push_back(a[i]); });
 }
 
 /// True if the two sorted ranges share any element; early-exits on the first

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <queue>
-#include <unordered_map>
+#include <utility>
 
 #include "apps/kernel_simd.h"
 #include "util/logging.h"
@@ -17,20 +17,88 @@ bool RowContains(const NbrSpan& row, int32_t x) {
   return std::binary_search(row.begin(), row.end(), x);
 }
 
-/// Moves per-vertex rows into the flat CSR arrays (rows must be sorted).
-void FlattenRows(const std::vector<std::vector<int32_t>>& rows,
-                 std::vector<uint32_t>* offsets, std::vector<int32_t>* nbrs) {
-  const size_t n = rows.size();
-  size_t total = 0;
-  for (const auto& row : rows) total += row.size();
-  offsets->resize(n + 1);
-  nbrs->clear();
-  nbrs->reserve(total);
-  for (size_t i = 0; i < n; ++i) {
-    (*offsets)[i] = static_cast<uint32_t>(nbrs->size());
-    nbrs->insert(nbrs->end(), rows[i].begin(), rows[i].end());
+/// Turns per-vertex counts in (*offsets)[1..n] into CSR row starts.
+void PrefixSum(std::vector<uint32_t>* offsets) {
+  for (size_t i = 1; i < offsets->size(); ++i) {
+    (*offsets)[i] += (*offsets)[i - 1];
   }
-  (*offsets)[n] = static_cast<uint32_t>(nbrs->size());
+}
+
+/// The compact-view builder behind CompactFromSubgraph and
+/// CompactFromLabeledSubgraph. `row(v)` yields member v's adjacency as a
+/// (pointer, length) pair sorted ascending by `key(entry)`, the entry's
+/// vertex ID. Output row i is the ascending, duplicate-free set of members
+/// that i's row names or whose rows name i: task subgraphs often carry
+/// trimmed (Γ_>) lists, where each edge appears in one endpoint's list only.
+///
+/// Each row is walked against the ID-sorted members with the adaptive
+/// merge/gallop, so a hub's long row gallops over the few members instead
+/// of probing an index once per entry, and the symmetric CSR comes out of
+/// two transposes with counting passes — no per-row vectors, no sorts.
+template <typename VertexT, typename RowFn, typename Key>
+void BuildCompactCsr(const std::vector<VertexT>& members, RowFn row, Key key,
+                     std::vector<VertexId>* ids,
+                     std::vector<uint32_t>* offsets,
+                     std::vector<int32_t>* nbrs) {
+  const size_t n = members.size();
+  std::vector<std::pair<VertexId, int32_t>> by_id(n);
+  ids->resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    (*ids)[k] = members[k].id;
+    by_id[k] = {members[k].id, static_cast<int32_t>(k)};
+  }
+  std::sort(by_id.begin(), by_id.end());
+
+  // fwd(k): the members k's row names (in ID order, not index order).
+  std::vector<uint32_t> fwd_off(n + 1, 0);
+  std::vector<int32_t> fwd;
+  for (size_t k = 0; k < n; ++k) {
+    const auto [ptr, len] = row(members[k]);
+    simd::IntersectAdaptiveForEach(
+        ptr, len, by_id.data(), n, key,
+        [](const std::pair<VertexId, int32_t>& p) { return p.first; },
+        [&](size_t, size_t r) { fwd.push_back(by_id[r].second); });
+    fwd_off[k + 1] = static_cast<uint32_t>(fwd.size());
+  }
+
+  // rev(t) = {k : t ∈ fwd(k)}, the transpose of fwd.
+  std::vector<uint32_t> rev_off(n + 1, 0);
+  for (int32_t t : fwd) ++rev_off[t + 1];
+  PrefixSum(&rev_off);
+  std::vector<int32_t> rev(fwd.size());
+  std::vector<uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
+  for (size_t k = 0; k < n; ++k) {
+    for (uint32_t e = fwd_off[k]; e < fwd_off[k + 1]; ++e) {
+      rev[cursor[fwd[e]]++] = static_cast<int32_t>(k);
+    }
+  }
+
+  // Row s holds t iff s ∈ fwd(t) ∪ rev(t). Visiting t ascending and
+  // appending t to each such row fills every row in ascending order; an
+  // edge named by both endpoints reaches its rows twice in one visit, and
+  // the second copy is skipped.
+  const auto for_each_edge = [&](auto&& emit) {
+    for (size_t t = 0; t < n; ++t) {
+      const auto tt = static_cast<int32_t>(t);
+      for (uint32_t e = rev_off[t]; e < rev_off[t + 1]; ++e) emit(rev[e], tt);
+      for (uint32_t e = fwd_off[t]; e < fwd_off[t + 1]; ++e) emit(fwd[e], tt);
+    }
+  };
+  offsets->assign(n + 1, 0);
+  std::vector<int32_t> last(n, -1);
+  for_each_edge([&](int32_t s, int32_t t) {
+    if (last[s] == t) return;
+    last[s] = t;
+    ++(*offsets)[s + 1];
+  });
+  PrefixSum(offsets);
+  nbrs->resize(offsets->back());
+  cursor.assign(offsets->begin(), offsets->end() - 1);
+  for_each_edge([&](int32_t s, int32_t t) {
+    uint32_t& c = cursor[s];
+    if (c > (*offsets)[s] && (*nbrs)[c - 1] == t) return;
+    (*nbrs)[c++] = t;
+  });
 }
 
 std::atomic<int> g_kernel_bitset_max_vertices{2048};
@@ -74,45 +142,12 @@ bool CompactLabeledGraph::HasEdge(int a, int b) const {
 
 CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g) {
   CompactGraph out;
-  out.ids.reserve(g.NumVertices());
-  for (const auto& v : g.vertices()) out.ids.push_back(v.id);
-  // Sorted (id, index) pairs + binary search for the per-adjacency-entry
-  // membership probe: contiguous and cache-friendly where the old
-  // unordered_map hopped heap nodes — this probe dominates when a budgeted
-  // task rebuilds its compact form on every re-entry.
-  std::vector<std::pair<VertexId, int32_t>> index;
-  index.reserve(out.ids.size());
-  for (size_t k = 0; k < out.ids.size(); ++k) {
-    index.emplace_back(out.ids[k], static_cast<int32_t>(k));
-  }
-  std::sort(index.begin(), index.end());
-  const auto find = [&index](VertexId u) -> int32_t {
-    auto it = std::lower_bound(
-        index.begin(), index.end(), u,
-        [](const std::pair<VertexId, int32_t>& p, VertexId x) {
-          return p.first < x;
-        });
-    return it != index.end() && it->first == u ? it->second : -1;
-  };
-  std::vector<std::vector<int32_t>> rows(out.ids.size());
-  int32_t i = 0;
-  for (const auto& v : g.vertices()) {
-    for (VertexId u : v.value) {
-      const int32_t j = find(u);
-      if (j >= 0) {
-        // Symmetrize: task subgraphs often carry trimmed (Γ_>) lists, where
-        // each edge appears in only one endpoint's list.
-        rows[i].push_back(j);
-        rows[j].push_back(i);
-      }
-    }
-    ++i;
-  }
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-  }
-  FlattenRows(rows, &out.offsets, &out.nbrs);
+  BuildCompactCsr(
+      g.vertices(),
+      [](const Vertex<AdjList>& v) {
+        return std::make_pair(v.value.data(), v.value.size());
+      },
+      simd::Identity{}, &out.ids, &out.offsets, &out.nbrs);
   return out;
 }
 
@@ -915,29 +950,15 @@ QueryGraph QueryGraph::Star(Label center, const std::vector<Label>& leaves) {
 CompactLabeledGraph CompactFromLabeledSubgraph(
     const Subgraph<Vertex<LabeledAdj>>& g) {
   CompactLabeledGraph out;
-  std::unordered_map<VertexId, int> index;
-  index.reserve(g.NumVertices());
-  for (const auto& v : g.vertices()) {
-    index.emplace(v.id, static_cast<int>(out.ids.size()));
-    out.ids.push_back(v.id);
-    out.labels.push_back(v.value.label);
-  }
-  std::vector<std::vector<int32_t>> rows(out.ids.size());
-  for (const auto& v : g.vertices()) {
-    const int i = index.at(v.id);
-    for (const LabeledNbr& nbr : v.value.adj) {
-      auto it = index.find(nbr.id);
-      if (it != index.end()) {
-        rows[i].push_back(it->second);
-        rows[it->second].push_back(i);  // symmetrize (see CompactGraph)
-      }
-    }
-  }
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-  }
-  FlattenRows(rows, &out.offsets, &out.nbrs);
+  BuildCompactCsr(
+      g.vertices(),
+      [](const Vertex<LabeledAdj>& v) {
+        return std::make_pair(v.value.adj.data(), v.value.adj.size());
+      },
+      [](const LabeledNbr& nbr) { return nbr.id; }, &out.ids, &out.offsets,
+      &out.nbrs);
+  out.labels.reserve(out.ids.size());
+  for (const auto& v : g.vertices()) out.labels.push_back(v.value.label);
   return out;
 }
 

@@ -48,7 +48,14 @@ struct CompactGraph {
 };
 
 /// Builds the compact view of a Subgraph whose vertex values are adjacency
-/// lists; adjacency entries pointing outside the subgraph are dropped.
+/// lists; adjacency entries pointing outside the subgraph are dropped and
+/// an edge listed by either endpoint appears in both rows. Compact index i
+/// is the i-th vertex in insertion order.
+///
+/// Precondition: every adjacency list is sorted ascending and duplicate-
+/// free (the Graph invariant; every shipped trimmer and ext(S) filter
+/// preserves it). Rows are intersected against the sorted member IDs, so an
+/// unsorted row silently loses edges.
 CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g);
 
 /// Builds a compact view of the whole input graph (serial baselines, tests).
@@ -225,6 +232,9 @@ struct CompactLabeledGraph {
   bool HasEdge(int a, int b) const;
 };
 
+/// Labeled counterpart of CompactFromSubgraph, built by the same code, with
+/// the same precondition: every `adj` list is sorted ascending by neighbor
+/// ID and duplicate-free.
 CompactLabeledGraph CompactFromLabeledSubgraph(
     const Subgraph<Vertex<LabeledAdj>>& g);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "apps/kernel_simd.h"
 #include "util/logging.h"
 
 namespace gthinker {
@@ -36,12 +37,8 @@ bool MaxCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
     for (const VertexT* u : frontier) {
       VertexT nu;
       nu.id = u->id;
-      nu.value.reserve(u->value.size());
-      for (VertexId w : u->value) {
-        if (std::binary_search(ext.begin(), ext.end(), w)) {
-          nu.value.push_back(w);
-        }
-      }
+      simd::IntersectAdaptiveInto(u->value.data(), u->value.size(),
+                                  ext.data(), ext.size(), &nu.value);
       g.AddVertex(std::move(nu));
     }
     task->subgraph() = std::move(g);
@@ -69,11 +66,8 @@ void MaxCliqueComper::Process(TaskT* task) {
         GT_CHECK(wv != nullptr);
         VertexT nw;
         nw.id = w;
-        for (VertexId x : wv->value) {
-          if (std::binary_search(ext.begin(), ext.end(), x)) {
-            nw.value.push_back(x);
-          }
-        }
+        simd::IntersectAdaptiveInto(wv->value.data(), wv->value.size(),
+                                    ext.data(), ext.size(), &nw.value);
         child->subgraph().AddVertex(std::move(nw));
       }
       AddTask(std::move(child));

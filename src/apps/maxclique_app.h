@@ -49,6 +49,9 @@ class MaxCliqueComper : public Comper<CliqueTask, std::vector<VertexId>> {
   explicit MaxCliqueComper(size_t tau = 400) : tau_(tau) {}
 
   void TaskSpawn(const VertexT& v) override;
+  /// Precondition: the root's list and every pulled list are sorted
+  /// ascending (the Graph invariant, kept by TrimToGreater); the ext(S)
+  /// filter is a sorted-list intersection.
   bool Compute(TaskT* task, const Frontier& frontier) override;
 
   static AggT AggZero() { return {}; }
@@ -61,6 +64,8 @@ class MaxCliqueComper : public Comper<CliqueTask, std::vector<VertexId>> {
 
  private:
   /// Runs the decompose-or-mine step on a task whose subgraph is built.
+  /// Precondition: every subgraph list is sorted ascending (Compute's
+  /// intersections keep them so); children's lists are intersections too.
   void Process(TaskT* task);
 
   size_t tau_;

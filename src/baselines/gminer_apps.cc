@@ -148,11 +148,9 @@ GMinerMcfResult GMinerMaxClique(const Graph& graph, size_t tau,
       for (size_t i = 0; i < frontier.size(); ++i) {
         Vertex<AdjList> nu;
         nu.id = task.pulls[i];
-        for (VertexId w : GreaterOf(frontier[i], nu.id)) {
-          if (std::binary_search(ext.begin(), ext.end(), w)) {
-            nu.value.push_back(w);
-          }
-        }
+        const AdjList gt = GreaterOf(frontier[i], nu.id);
+        simd::IntersectAdaptiveInto(gt.data(), gt.size(), ext.data(),
+                                    ext.size(), &nu.value);
         g.AddVertex(std::move(nu));
       }
     }
@@ -170,11 +168,8 @@ GMinerMcfResult GMinerMaxClique(const Graph& graph, size_t tau,
           GT_CHECK(wv != nullptr);
           Vertex<AdjList> nw;
           nw.id = w;
-          for (VertexId x : wv->value) {
-            if (std::binary_search(ext.begin(), ext.end(), x)) {
-              nw.value.push_back(x);
-            }
-          }
+          simd::IntersectAdaptiveInto(wv->value.data(), wv->value.size(),
+                                      ext.data(), ext.size(), &nw.value);
           g2.AddVertex(std::move(nw));
         }
         // The child goes back through the disk queue (the G-Miner cost).

@@ -68,11 +68,10 @@ NScaleMcfResult NScaleMaxClique(const Graph& graph,
       GT_CHECK(uv != nullptr);
       Vertex<AdjList> nu;
       nu.id = u;
-      for (VertexId w : uv->value) {
-        if (w > u && std::binary_search(ext.begin(), ext.end(), w)) {
-          nu.value.push_back(w);
-        }
-      }
+      const auto gt = std::upper_bound(uv->value.begin(), uv->value.end(), u);
+      simd::IntersectAdaptiveInto(uv->value.data() + (gt - uv->value.begin()),
+                                  static_cast<size_t>(uv->value.end() - gt),
+                                  ext.data(), ext.size(), &nu.value);
       g.AddVertex(std::move(nu));
     }
     const size_t bound = best_size.load(std::memory_order_relaxed);

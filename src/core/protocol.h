@@ -44,6 +44,10 @@ struct TaskLedger {
   int64_t checkpointed = 0;  // serialized into a checkpoint snapshot
   int64_t dropped = 0;       // lost at shutdown (non-zero only on the
                              // drain-deadline path; always accounted)
+  int64_t disk_donated = 0;  // taken from L_file to fill a donation
+  // L_file flow: spilled, received (minus dropped) and restored tasks enter
+  // it; loaded and disk_donated tasks leave it. So at a clean exit
+  // spilled + received + restored == loaded + disk_donated.
 
   void Accumulate(const TaskLedger& other) {
     spawned += other.spawned;
@@ -55,6 +59,7 @@ struct TaskLedger {
     received += other.received;
     checkpointed += other.checkpointed;
     dropped += other.dropped;
+    disk_donated += other.disk_donated;
   }
 
   /// Tasks this ledger says must still be alive somewhere.
@@ -72,6 +77,7 @@ struct TaskLedger {
     ser->Write(received);
     ser->Write(checkpointed);
     ser->Write(dropped);
+    ser->Write(disk_donated);
   }
 
   Status DecodeFrom(Deserializer* des) {
@@ -83,7 +89,8 @@ struct TaskLedger {
     GT_RETURN_IF_ERROR(des->Read(&donated));
     GT_RETURN_IF_ERROR(des->Read(&received));
     GT_RETURN_IF_ERROR(des->Read(&checkpointed));
-    return des->Read(&dropped);
+    GT_RETURN_IF_ERROR(des->Read(&dropped));
+    return des->Read(&disk_donated);
   }
 };
 

@@ -188,6 +188,7 @@ class Worker {
     started_ = true;
     compers_running_.store(static_cast<int>(engines_.size()),
                            std::memory_order_release);
+    compers_spawning_.store(static_cast<int>(engines_.size()));
     for (size_t i = 0; i < engines_.size(); ++i) {
       threads_.emplace_back([this, e = engines_[i].get(), i] {
         if (config_.comper_pinning) {
@@ -478,13 +479,14 @@ class Worker {
 
     /// Spawns one batch of new tasks from T_local; false when exhausted.
     bool SpawnBatch() {
+      if (spawn_flushed_) return false;
       std::vector<VertexId> to_spawn;
       worker_->ClaimSpawnBatch(worker_->config_.task_batch_size, &to_spawn);
       if (to_spawn.empty()) {
-        if (!spawn_flushed_) {
-          spawn_flushed_ = true;
-          user_->SpawnFlush();  // emit any partially-bundled task
-        }
+        spawn_flushed_ = true;
+        user_->SpawnFlush();  // emit any partially-bundled task
+        // Every task this comper spawned is live by now (see SpawnDone).
+        worker_->compers_spawning_.fetch_sub(1);
         return false;
       }
       for (VertexId v : to_spawn) {
@@ -894,9 +896,13 @@ class Worker {
     out->assign(spawn_order_.begin() + begin, spawn_order_.begin() + end);
   }
 
-  bool SpawnDone() const {
-    return next_spawn_.load(std::memory_order_relaxed) >= spawn_order_.size();
-  }
+  /// True once every comper has found the spawn order exhausted and flushed.
+  /// Exhaustion alone is not enough: a comper's last claimed batch is in no
+  /// queue and not yet live until its TaskSpawn calls (and SpawnFlush)
+  /// return, so an idle report in that window would let the master end the
+  /// job with work unspawned. The comm thread's own steal-spawns cannot
+  /// interleave with its progress reports, so they need no count.
+  bool SpawnDone() const { return compers_spawning_.load() == 0; }
 
   /// Queues a vertex pull for batched sending (paper: requests are batched
   /// per destination to combat round-trip time). The coalescer additionally
@@ -1214,6 +1220,7 @@ class Worker {
       GT_CHECK_OK(SpillFetch(file->path, &records));
       GT_CHECK_EQ(static_cast<int64_t>(records.size()), file->records)
           << "spill file " << file->path << " record count drifted";
+      tasks_disk_donated_.fetch_add(file->records, std::memory_order_relaxed);
     } else {
       std::vector<VertexId> to_spawn;
       ClaimSpawnBatch(config_.task_batch_size, &to_spawn);
@@ -1354,6 +1361,8 @@ class Worker {
     report.ledger.checkpointed =
         tasks_checkpointed_.load(std::memory_order_relaxed);
     report.ledger.dropped = tasks_dropped_.load(std::memory_order_relaxed);
+    report.ledger.disk_donated =
+        tasks_disk_donated_.load(std::memory_order_relaxed);
     report.tasks_live = live_tasks_.load();
     report.tasks_on_disk = l_file_.TotalRecords();
     // Ledger delta at progress cadence: a crash dump shows the conservation
@@ -1715,6 +1724,8 @@ class Worker {
   // live_tasks_ uses seq_cst: it is the one value whose ==0 reading decides
   // worker idleness, and single-variable linearizability is the whole point.
   std::atomic<int64_t> live_tasks_{0};
+  // Compers that have not yet flushed their spawn state (see SpawnDone).
+  std::atomic<int> compers_spawning_{0};
   std::atomic<int64_t> tasks_restored_{0};
   std::atomic<int64_t> tasks_spilled_{0};
   std::atomic<int64_t> tasks_loaded_{0};
@@ -1722,6 +1733,7 @@ class Worker {
   std::atomic<int64_t> tasks_received_{0};
   std::atomic<int64_t> tasks_checkpointed_{0};
   std::atomic<int64_t> tasks_dropped_{0};
+  std::atomic<int64_t> tasks_disk_donated_{0};
   std::atomic<int64_t> drained_messages_{0};
 };
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "apps/kernel_simd.h"
@@ -186,6 +188,222 @@ TEST(CompactGraph, CsrLayoutInvariants) {
       EXPECT_TRUE(cg.HasEdge(u, v));  // symmetric
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Compact-view builders against the per-entry-lookup builders they replaced,
+// copied here unchanged as the oracle: the CSR must match byte for byte.
+// ---------------------------------------------------------------------------
+
+namespace legacy {
+
+void FlattenRows(const std::vector<std::vector<int32_t>>& rows,
+                 std::vector<uint32_t>* offsets, std::vector<int32_t>* nbrs) {
+  const size_t n = rows.size();
+  size_t total = 0;
+  for (const auto& row : rows) total += row.size();
+  offsets->resize(n + 1);
+  nbrs->clear();
+  nbrs->reserve(total);
+  for (size_t i = 0; i < n; ++i) {
+    (*offsets)[i] = static_cast<uint32_t>(nbrs->size());
+    nbrs->insert(nbrs->end(), rows[i].begin(), rows[i].end());
+  }
+  (*offsets)[n] = static_cast<uint32_t>(nbrs->size());
+}
+
+CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g) {
+  CompactGraph out;
+  out.ids.reserve(g.NumVertices());
+  for (const auto& v : g.vertices()) out.ids.push_back(v.id);
+  std::vector<std::pair<VertexId, int32_t>> index;
+  index.reserve(out.ids.size());
+  for (size_t k = 0; k < out.ids.size(); ++k) {
+    index.emplace_back(out.ids[k], static_cast<int32_t>(k));
+  }
+  std::sort(index.begin(), index.end());
+  const auto find = [&index](VertexId u) -> int32_t {
+    auto it = std::lower_bound(
+        index.begin(), index.end(), u,
+        [](const std::pair<VertexId, int32_t>& p, VertexId x) {
+          return p.first < x;
+        });
+    return it != index.end() && it->first == u ? it->second : -1;
+  };
+  std::vector<std::vector<int32_t>> rows(out.ids.size());
+  int32_t i = 0;
+  for (const auto& v : g.vertices()) {
+    for (VertexId u : v.value) {
+      const int32_t j = find(u);
+      if (j >= 0) {
+        rows[i].push_back(j);
+        rows[j].push_back(i);
+      }
+    }
+    ++i;
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  FlattenRows(rows, &out.offsets, &out.nbrs);
+  return out;
+}
+
+CompactLabeledGraph CompactFromLabeledSubgraph(
+    const Subgraph<Vertex<LabeledAdj>>& g) {
+  CompactLabeledGraph out;
+  std::unordered_map<VertexId, int> index;
+  index.reserve(g.NumVertices());
+  for (const auto& v : g.vertices()) {
+    index.emplace(v.id, static_cast<int>(out.ids.size()));
+    out.ids.push_back(v.id);
+    out.labels.push_back(v.value.label);
+  }
+  std::vector<std::vector<int32_t>> rows(out.ids.size());
+  for (const auto& v : g.vertices()) {
+    const int i = index.at(v.id);
+    for (const LabeledNbr& nbr : v.value.adj) {
+      auto it = index.find(nbr.id);
+      if (it != index.end()) {
+        rows[i].push_back(it->second);
+        rows[it->second].push_back(i);
+      }
+    }
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  FlattenRows(rows, &out.offsets, &out.nbrs);
+  return out;
+}
+
+}  // namespace legacy
+
+/// One random task subgraph: member IDs in task order, each with a sorted
+/// adjacency list mixing members and non-members.
+struct RandomTaskRows {
+  std::vector<VertexId> ids;
+  std::vector<AdjList> rows;
+};
+
+/// Members' order: ascending ID (MCF/k-clique), root first and the rest
+/// ascending (GM, quasi-clique), or arbitrary.
+enum class MemberOrder { kAscending, kRootFirst, kShuffled };
+
+/// `n` members among 2(n + outside) + 8 candidate IDs. Member edges appear
+/// with probability `edge_p`; a row lists all its member neighbors, or only
+/// the larger-ID ones with probability `trim_p` (Γ_> trimming), so an edge
+/// is listed by one endpoint or both. Each row also names up to `outside`
+/// non-members, and about one row in ten is emptied.
+RandomTaskRows MakeTaskRows(Random* rng, size_t n, size_t outside,
+                            double edge_p, double trim_p, MemberOrder order) {
+  std::vector<VertexId> pool(2 * (n + outside) + 8);
+  for (size_t i = 0; i < pool.size(); ++i) pool[i] = static_cast<VertexId>(i);
+  for (size_t i = pool.size() - 1; i > 0; --i) {
+    std::swap(pool[i], pool[rng->Uniform(i + 1)]);
+  }
+  RandomTaskRows out;
+  out.ids.assign(pool.begin(), pool.begin() + static_cast<int64_t>(n));
+  if (order == MemberOrder::kAscending) {
+    std::sort(out.ids.begin(), out.ids.end());
+  } else if (order == MemberOrder::kRootFirst && n > 1) {
+    std::sort(out.ids.begin() + 1, out.ids.end());
+  }
+  out.rows.resize(n);
+  std::vector<bool> trimmed(n);
+  for (size_t i = 0; i < n; ++i) trimmed[i] = rng->Bernoulli(trim_p);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (!rng->Bernoulli(edge_p)) continue;
+      if (!trimmed[i] || out.ids[j] > out.ids[i]) {
+        out.rows[i].push_back(out.ids[j]);
+      }
+      if (!trimmed[j] || out.ids[i] > out.ids[j]) {
+        out.rows[j].push_back(out.ids[i]);
+      }
+    }
+  }
+  const size_t outsiders = pool.size() - n;
+  for (size_t i = 0; i < n; ++i) {
+    AdjList& row = out.rows[i];
+    for (size_t k = 0; k < outside; ++k) {
+      row.push_back(pool[n + rng->Uniform(outsiders)]);
+    }
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    if (rng->Bernoulli(0.1)) row.clear();
+  }
+  return out;
+}
+
+TEST(CompactBuilders, MatchLegacyBuildersByteForByte) {
+  Random rng(8080);
+  // Row-vs-member length ratios past simd::kGallopRatio, one per direction:
+  // a hub row gallops the members through itself, a short row gallops
+  // through many members.
+  int long_rows = 0, short_rows = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    size_t n = 0, outside = 0;
+    switch (iter % 4) {
+      case 0:  // balanced: merge regime (the first case is the empty graph)
+        n = iter == 0 ? 0 : rng.Uniform(40);
+        outside = rng.Uniform(40);
+        break;
+      case 1:  // hub rows: few members, very long rows
+        n = 1 + rng.Uniform(4);
+        outside = 64 + rng.Uniform(400);
+        break;
+      case 2:  // many members, rows of a handful of entries
+        n = 100 + rng.Uniform(200);
+        outside = rng.Uniform(3);
+        break;
+      default:  // mid-size, sparse
+        n = 20 + rng.Uniform(80);
+        outside = rng.Uniform(200);
+        break;
+    }
+    const double kTrimP[] = {0.0, 1.0, 0.5};  // full, Γ_>, mixed rows
+    const double edge_p = iter % 4 == 2 ? 0.01 : rng.NextDouble();
+    const double trim_p = kTrimP[iter % 3];
+    const auto order = static_cast<MemberOrder>(rng.Uniform(3));
+    const RandomTaskRows t =
+        MakeTaskRows(&rng, n, outside, edge_p, trim_p, order);
+
+    Subgraph<Vertex<AdjList>> plain;
+    Subgraph<Vertex<LabeledAdj>> labeled;
+    for (size_t i = 0; i < n; ++i) {
+      const AdjList& row = t.rows[i];
+      if (!row.empty() && row.size() >= simd::kGallopRatio * n) ++long_rows;
+      if (!row.empty() && n >= simd::kGallopRatio * row.size()) ++short_rows;
+      plain.AddVertex({t.ids[i], row});
+      Vertex<LabeledAdj> lv;
+      lv.id = t.ids[i];
+      lv.value.label = static_cast<Label>(rng.Uniform(5));
+      for (VertexId u : row) {
+        lv.value.adj.push_back({u, static_cast<Label>(rng.Uniform(5))});
+      }
+      labeled.AddVertex(std::move(lv));
+    }
+
+    SCOPED_TRACE(::testing::Message() << "iter " << iter << " n=" << n
+                                      << " outside=" << outside);
+    const CompactGraph got = CompactFromSubgraph(plain);
+    const CompactGraph want = legacy::CompactFromSubgraph(plain);
+    EXPECT_EQ(got.ids, want.ids);
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.nbrs, want.nbrs);
+    const CompactLabeledGraph lgot = CompactFromLabeledSubgraph(labeled);
+    const CompactLabeledGraph lwant =
+        legacy::CompactFromLabeledSubgraph(labeled);
+    EXPECT_EQ(lgot.ids, lwant.ids);
+    EXPECT_EQ(lgot.labels, lwant.labels);
+    EXPECT_EQ(lgot.offsets, lwant.offsets);
+    EXPECT_EQ(lgot.nbrs, lwant.nbrs);
+  }
+  EXPECT_GT(long_rows, 50);
+  EXPECT_GT(short_rows, 50);
 }
 
 // ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ ProgressReport MakeReport() {
   r.ledger.received = 1;
   r.ledger.checkpointed = 4;
   r.ledger.dropped = 0;
+  r.ledger.disk_donated = 3;
   r.tasks_live = 2;
   r.tasks_on_disk = 1;
   r.drained_messages = 5;
@@ -92,6 +93,7 @@ TEST(ProtocolTest, ProgressReportRoundTrip) {
   EXPECT_EQ(got.ledger.received, r.ledger.received);
   EXPECT_EQ(got.ledger.checkpointed, r.ledger.checkpointed);
   EXPECT_EQ(got.ledger.dropped, r.ledger.dropped);
+  EXPECT_EQ(got.ledger.disk_donated, r.ledger.disk_donated);
   EXPECT_EQ(got.tasks_live, r.tasks_live);
   EXPECT_EQ(got.tasks_on_disk, r.tasks_on_disk);
   EXPECT_EQ(got.drained_messages, r.drained_messages);

@@ -50,34 +50,68 @@ TEST(Termination, IdleRaceStressManyWorkersFewVertices) {
   }
 }
 
-TEST(Termination, CleanRunLedgerBalances) {
-  Graph g = Generator::PowerLaw(800, 12.0, 2.4, 23);
-  const uint64_t truth = CountTrianglesSerial(g);
+/// Runs TC on `g` and checks every ledger identity a clean (untimed-out,
+/// undropped) run must satisfy, whether or not any steal completed.
+JobStats RunAndCheckCleanLedger(const Graph& g, const JobConfig& config) {
   Job<TriangleComper> job;
-  job.config.num_workers = 3;
-  job.config.compers_per_worker = 2;
-  job.config.enable_stealing = true;
-  job.config.task_batch_size = 16;
-  job.config.inflight_task_cap = 64;
+  job.config = config;
   job.graph = &g;
   job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
   job.trimmer = TrimToGreater;
   auto result = Cluster<TriangleComper>::Run(job);
-  EXPECT_EQ(result.result, truth);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
 
   const JobStats& stats = result.stats;
-  ASSERT_FALSE(stats.timed_out);
+  EXPECT_FALSE(stats.timed_out);
+  const TaskLedger& l = stats.ledger;
   // Every task ever created was finished somewhere.
-  EXPECT_EQ(stats.ledger.spawned + stats.ledger.restored,
-            stats.ledger.finished);
+  EXPECT_EQ(l.spawned + l.restored, l.finished);
   EXPECT_EQ(stats.tasks_spawned, stats.tasks_finished);
   // The drain protocol delivered every donated batch before shutdown.
-  EXPECT_EQ(stats.ledger.donated, stats.ledger.received);
-  // Whatever went to disk came back.
-  EXPECT_EQ(stats.ledger.spilled, stats.ledger.loaded);
-  EXPECT_EQ(stats.ledger.dropped, 0);
+  EXPECT_EQ(l.donated, l.received);
+  // L_file ends empty: everything that entered it (spilled, stolen and
+  // banked on arrival, restored) left it (refilled, or re-donated).
+  EXPECT_EQ(l.spilled + l.received + l.restored, l.loaded + l.disk_donated);
+  EXPECT_EQ(l.dropped, 0);
   EXPECT_EQ(stats.tasks_lost, 0);
   EXPECT_EQ(stats.tasks_live_at_exit, 0);
+  return stats;
+}
+
+TEST(Termination, CleanRunLedgerBalances) {
+  Graph g = Generator::PowerLaw(800, 12.0, 2.4, 23);
+  JobConfig config;
+  config.num_workers = 3;
+  config.compers_per_worker = 2;
+  config.enable_stealing = true;
+  config.task_batch_size = 16;
+  config.inflight_task_cap = 64;
+  RunAndCheckCleanLedger(g, config);
+}
+
+// Every edge joins multiples of 3, so worker 0 owns all the work, spills,
+// and the master has it donate to the starving workers 1 and 2. Stolen
+// batches enter the thief's L_file as `received` and donated spill files
+// leave the donor's unloaded, so spilled and loaded need not match; the
+// L_file flow identity must still hold.
+TEST(Termination, CleanRunLedgerBalancesWhileStealing) {
+  const Graph base = Generator::ErdosRenyi(3000, 200000, 74);
+  Graph g(3 * base.NumVertices());
+  for (VertexId u = 0; u < base.NumVertices(); ++u) {
+    for (VertexId v : base.GreaterNeighbors(u)) g.AddEdge(3 * u, 3 * v);
+  }
+  g.Finalize();
+  JobConfig config;
+  config.num_workers = 3;
+  config.compers_per_worker = 1;
+  config.enable_stealing = true;
+  config.task_batch_size = 4;
+  config.task_queue_capacity_batches = 2;
+  config.inflight_task_cap = 8;
+  config.progress_interval_us = 500;  // plan steals early and often
+  const JobStats stats = RunAndCheckCleanLedger(g, config);
+  EXPECT_GT(stats.spilled_batches, 0);
+  EXPECT_GT(stats.stolen_batches, 0);
 }
 
 // Abort mid-flight via the time budget with a throttled wire and stealing
