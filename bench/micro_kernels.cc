@@ -13,12 +13,16 @@
 //                 balanced and skewed.
 //   maxclique, kclique, maximalclique: branch-and-bound kernels, legacy vs
 //                 the CSR sorted path vs the bitset path.
-//   quasiclique, match: bitset vs CSR sorted path (the pre-PR code for these
-//                 is the sorted path modulo the CSR layout), toggled through
+//   quasiclique:  bitset vs CSR sorted path (the pre-CSR code is the sorted
+//                 path modulo the CSR layout), toggled through
 //                 SetKernelBitsetMaxVertices.
 //   compact_build: task-subgraph → CompactGraph construction, the per-entry
-//                 lookup builders vs the sorted-intersection builder, on GM-
-//                 and MCF-shaped tasks. Exits 1 if any CSR differs.
+//                 lookup builder vs the sorted-intersection builder, on MCF-
+//                 shaped tasks. Exits 1 if any CSR differs.
+//   match/gm_ego: per-task labeled-triangle counting on R-MAT ego networks,
+//                 the labeled compact view + backtracking matcher vs the
+//                 generic-join matcher on the task's rows. Exits 1 if any
+//                 task's count differs.
 
 #include <algorithm>
 #include <cinttypes>
@@ -27,7 +31,6 @@
 #include <cstring>
 #include <iterator>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -266,8 +269,8 @@ uint64_t CountMaximalCliquesSerial(const Graph& g) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-entry-lookup compact-view builders, verbatim from the kernels.cc that
-// preceded the sorted-intersection builder (output: today's CSR structs).
+// The per-entry-lookup compact-view builder, verbatim from the kernels.cc
+// that preceded the sorted-intersection builder.
 // ---------------------------------------------------------------------------
 
 void FlattenRows(const std::vector<std::vector<int32_t>>& rows,
@@ -324,34 +327,166 @@ gthinker::CompactGraph CompactFromSubgraph(
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// The GM path before matching moved onto rows, verbatim from the kernels.cc
+// that preceded it: the sorted-walk labeled compact view and the
+// backtracking matcher with its bitset conflict checks.
+// ---------------------------------------------------------------------------
+
+struct CompactLabeledGraph {
+  std::vector<VertexId> ids;
+  std::vector<Label> labels;
+  std::vector<uint32_t> offsets;
+  std::vector<int32_t> nbrs;
+
+  int NumVertices() const { return static_cast<int>(ids.size()); }
+  int Degree(int v) const {
+    return static_cast<int>(offsets[v + 1] - offsets[v]);
+  }
+  NbrSpan Neigh(int v) const {
+    return {nbrs.data() + offsets[v], Degree(v)};
+  }
+  bool HasEdge(int a, int b) const {
+    if (Degree(a) > Degree(b)) std::swap(a, b);
+    const NbrSpan row = Neigh(a);
+    return std::binary_search(row.begin(), row.end(), static_cast<int32_t>(b));
+  }
+};
+
+void PrefixSum(std::vector<uint32_t>* offsets) {
+  for (size_t i = 1; i < offsets->size(); ++i) {
+    (*offsets)[i] += (*offsets)[i - 1];
+  }
+}
+
 CompactLabeledGraph CompactFromLabeledSubgraph(
     const Subgraph<Vertex<LabeledAdj>>& g) {
   CompactLabeledGraph out;
-  std::unordered_map<VertexId, int> index;
-  index.reserve(g.NumVertices());
-  for (const auto& v : g.vertices()) {
-    index.emplace(v.id, static_cast<int>(out.ids.size()));
-    out.ids.push_back(v.id);
-    out.labels.push_back(v.value.label);
+  const std::vector<Vertex<LabeledAdj>>& members = g.vertices();
+  const size_t n = members.size();
+  std::vector<std::pair<VertexId, int32_t>> by_id(n);
+  out.ids.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    out.ids[k] = members[k].id;
+    by_id[k] = {members[k].id, static_cast<int32_t>(k)};
   }
-  std::vector<std::vector<int32_t>> rows(out.ids.size());
-  for (const auto& v : g.vertices()) {
-    const int i = index.at(v.id);
-    for (const LabeledNbr& nbr : v.value.adj) {
-      auto it = index.find(nbr.id);
-      if (it != index.end()) {
-        rows[i].push_back(it->second);
-        rows[it->second].push_back(i);
+  std::sort(by_id.begin(), by_id.end());
+
+  std::vector<uint32_t> fwd_off(n + 1, 0);
+  std::vector<int32_t> fwd;
+  for (size_t k = 0; k < n; ++k) {
+    const std::vector<LabeledNbr>& row = members[k].value.adj;
+    simd::IntersectAdaptiveForEach(
+        row.data(), row.size(), by_id.data(), n,
+        [](const LabeledNbr& nbr) { return nbr.id; },
+        [](const std::pair<VertexId, int32_t>& p) { return p.first; },
+        [&](size_t, size_t r) { fwd.push_back(by_id[r].second); });
+    fwd_off[k + 1] = static_cast<uint32_t>(fwd.size());
+  }
+
+  std::vector<uint32_t> rev_off(n + 1, 0);
+  for (int32_t t : fwd) ++rev_off[t + 1];
+  PrefixSum(&rev_off);
+  std::vector<int32_t> rev(fwd.size());
+  std::vector<uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
+  for (size_t k = 0; k < n; ++k) {
+    for (uint32_t e = fwd_off[k]; e < fwd_off[k + 1]; ++e) {
+      rev[cursor[fwd[e]]++] = static_cast<int32_t>(k);
+    }
+  }
+
+  const auto for_each_edge = [&](auto&& emit) {
+    for (size_t t = 0; t < n; ++t) {
+      const auto tt = static_cast<int32_t>(t);
+      for (uint32_t e = rev_off[t]; e < rev_off[t + 1]; ++e) emit(rev[e], tt);
+      for (uint32_t e = fwd_off[t]; e < fwd_off[t + 1]; ++e) emit(fwd[e], tt);
+    }
+  };
+  out.offsets.assign(n + 1, 0);
+  std::vector<int32_t> last(n, -1);
+  for_each_edge([&](int32_t s, int32_t t) {
+    if (last[s] == t) return;
+    last[s] = t;
+    ++out.offsets[s + 1];
+  });
+  PrefixSum(&out.offsets);
+  out.nbrs.resize(out.offsets.back());
+  cursor.assign(out.offsets.begin(), out.offsets.end() - 1);
+  for_each_edge([&](int32_t s, int32_t t) {
+    uint32_t& c = cursor[s];
+    if (c > out.offsets[s] && out.nbrs[c - 1] == t) return;
+    out.nbrs[c++] = t;
+  });
+
+  out.labels.reserve(n);
+  for (const auto& v : members) out.labels.push_back(v.value.label);
+  return out;
+}
+
+class Matcher {
+ public:
+  Matcher(const CompactLabeledGraph& g, const QueryGraph& q) : g_(g), q_(q) {
+    const int n = g.NumVertices();
+    if (n > 0 && n <= KernelBitsetMaxVertices()) {
+      adj_bits_.Reset(n);
+      for (int v = 0; v < n; ++v) {
+        for (int32_t u : g.Neigh(v)) adj_bits_.Set(v, u);
       }
     }
   }
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
+
+  uint64_t CountFrom(int root) {
+    if (g_.labels[root] != q_.labels[0]) return 0;
+    mapping_.assign(q_.NumVertices(), -1);
+    used_.assign(g_.NumVertices(), false);
+    mapping_[0] = root;
+    used_[root] = true;
+    const uint64_t count = Extend(1);
+    used_[root] = false;
+    return count;
   }
-  FlattenRows(rows, &out.offsets, &out.nbrs);
-  return out;
-}
+
+ private:
+  bool Adjacent(int a, int b) const {
+    if (!adj_bits_.empty()) return adj_bits_.Test(a, b);
+    return g_.HasEdge(a, b);
+  }
+
+  uint64_t Extend(int qi) {
+    if (qi == q_.NumVertices()) return 1;
+    int anchor = -1;
+    for (int u : q_.adj[qi]) {
+      if (u < qi && (anchor < 0 || g_.Degree(mapping_[u]) <
+                                       g_.Degree(mapping_[anchor]))) {
+        anchor = u;
+      }
+    }
+    uint64_t count = 0;
+    for (int32_t cand : g_.Neigh(mapping_[anchor])) {
+      if (used_[cand] || g_.labels[cand] != q_.labels[qi]) continue;
+      bool ok = true;
+      for (int u : q_.adj[qi]) {
+        if (u < qi && u != anchor && !Adjacent(mapping_[u], cand)) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) continue;
+      mapping_[qi] = cand;
+      used_[cand] = true;
+      count += Extend(qi + 1);
+      used_[cand] = false;
+      mapping_[qi] = -1;
+    }
+    return count;
+  }
+
+  const CompactLabeledGraph& g_;
+  const QueryGraph& q_;
+  simd::BitMatrix adj_bits_;
+  std::vector<int> mapping_;
+  std::vector<bool> used_;
+};
 
 }  // namespace legacy
 
@@ -414,8 +549,7 @@ void PrintAndRecord(BenchJson* json, const char* experiment,
 }
 
 /// Order-sensitive digest of a compact view's CSR arrays.
-template <typename CompactT>
-uint64_t CsrDigest(const CompactT& cg) {
+uint64_t CsrDigest(const CompactGraph& cg) {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a over 32-bit words
   const auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
   for (VertexId id : cg.ids) mix(id);
@@ -639,7 +773,7 @@ int Main(int argc, char** argv) {
         v[0].elapsed_s / v[2].elapsed_s;
   }
 
-  // ---- quasi-clique and matcher: bitset vs CSR sorted ------------------
+  // ---- quasi-clique: bitset vs CSR sorted -------------------------------
   {
     // Set-enumeration explodes combinatorially with n; this stays in the
     // regime the pre-CSR test suite used (n <= ~24).
@@ -660,57 +794,9 @@ int Main(int argc, char** argv) {
     json.AddRow("quasiclique/speedup")->numbers["speedup"] =
         v[0].elapsed_s / v[1].elapsed_s;
   }
-  {
-    const Graph g = Generator::ErdosRenyi(1200, 14'000, 23);
-    const auto labels = Generator::RandomLabels(g.NumVertices(), 3, 29);
-    const QueryGraph q = QueryGraph::Triangle(0, 1, 2);
-    std::printf("match: ER n=%u m=%" PRIu64 " triangle query\n",
-                g.NumVertices(), g.NumEdges());
-    std::vector<Variant> v{{"csr_sorted"}, {"bitset"}};
-    v[0].elapsed_s = BestOf(reps, &v[0].checksum, [&] {
-      ThresholdGuard off(0);
-      return CountMatchesSerial(g, labels, q);
-    });
-    v[1].elapsed_s = BestOf(reps, &v[1].checksum, [&] {
-      ThresholdGuard on(1 << 20);
-      return CountMatchesSerial(g, labels, q);
-    });
-    GT_CHECK_EQ(v[0].checksum, v[1].checksum);
-    PrintAndRecord(&json, "match", v, 0.0);
-    json.AddRow("match/speedup")->numbers["speedup"] =
-        v[0].elapsed_s / v[1].elapsed_s;
-  }
-
   // ---- compact-view construction: per-entry lookup vs sorted walk -------
-  // GM shape: a labeled-triangle task's ego network, root first, every
-  // member carrying its full row, so rows mostly name non-members and a
-  // hub's row dwarfs the member list. MCF shape: ext(S)-induced subgraphs
-  // whose Γ_> rows were already filtered to members, in ascending order.
-  {
-    const Graph g = Generator::Rmat(13, 110'000, 1);
-    const auto labels = Generator::RandomLabels(g.NumVertices(), 4, 2);
-    const auto labeled = [&](VertexId v) {
-      Vertex<LabeledAdj> out;
-      out.id = v;
-      out.value.label = labels[v];
-      for (VertexId u : g.Neighbors(v)) out.value.adj.push_back({u, labels[u]});
-      return out;
-    };
-    std::vector<Subgraph<Vertex<LabeledAdj>>> tasks;
-    uint64_t entries = 0;
-    for (VertexId root = 0; root < g.NumVertices(); root += 32) {
-      if (g.Degree(root) == 0) continue;
-      Subgraph<Vertex<LabeledAdj>>& task = tasks.emplace_back();
-      task.AddVertex(labeled(root));
-      for (VertexId u : g.Neighbors(root)) task.AddVertex(labeled(u));
-      for (const auto& v : task.vertices()) entries += v.value.adj.size();
-    }
-    if (!BenchCompactBuild(&json, reps, "compact_build/gm_hub", tasks, entries,
-                           legacy::CompactFromLabeledSubgraph,
-                           CompactFromLabeledSubgraph)) {
-      return 1;
-    }
-  }
+  // MCF shape: ext(S)-induced subgraphs whose Γ_> rows were already filtered
+  // to members, in ascending order.
   {
     const Graph g = Generator::Rmat(13, 50'000, 1);
     std::vector<Subgraph<Vertex<AdjList>>> tasks;
@@ -734,6 +820,65 @@ int Main(int argc, char** argv) {
                            CompactFromSubgraph)) {
       return 1;
     }
+  }
+
+  // ---- GM matching: compact view + backtracking vs rows -----------------
+  // The gm-rmat-evict tasks: R-MAT scale 13, 4 labels, a labeled-triangle
+  // query, one task per root labeled like query vertex 0, holding the root
+  // and its neighbors with TrimByQuery rows. Rows mostly name non-members,
+  // and a hub's row dwarfs the member list.
+  {
+    const Graph g = Generator::Rmat(13, 110'000, 1);
+    const auto labels = Generator::RandomLabels(g.NumVertices(), 4, 2);
+    const QueryGraph q = QueryGraph::Triangle(0, 1, 2);
+    const auto trimmed = [&](VertexId v) {
+      Vertex<LabeledAdj> out;
+      out.id = v;
+      out.value.label = labels[v];
+      for (VertexId u : g.Neighbors(v)) {
+        if (q.UsesLabel(labels[u])) out.value.adj.push_back({u, labels[u]});
+      }
+      return out;
+    };
+    std::vector<Subgraph<Vertex<LabeledAdj>>> tasks;
+    uint64_t entries = 0;
+    for (VertexId root = 0; root < g.NumVertices(); ++root) {
+      if (labels[root] != q.labels[0]) continue;
+      const Vertex<LabeledAdj> r = trimmed(root);
+      if (r.value.adj.empty()) continue;
+      Subgraph<Vertex<LabeledAdj>>& task = tasks.emplace_back();
+      task.AddVertex(r);
+      for (const LabeledNbr& nbr : r.value.adj) task.AddVertex(trimmed(nbr.id));
+      for (const auto& v : task.vertices()) entries += v.value.adj.size();
+    }
+    const auto compact = [&q](const Subgraph<Vertex<LabeledAdj>>& task) {
+      const legacy::CompactLabeledGraph cg =
+          legacy::CompactFromLabeledSubgraph(task);
+      return legacy::Matcher(cg, q).CountFrom(0);
+    };
+    const auto rows = [&q](const Subgraph<Vertex<LabeledAdj>>& task) {
+      return CountMatchesFromRoot(task, q, task.vertices()[0].id);
+    };
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      if (compact(tasks[t]) != rows(tasks[t])) {
+        std::fprintf(stderr, "match/gm_ego: task %zu: count differs\n", t);
+        return 1;
+      }
+    }
+    std::printf("match/gm_ego: %zu tasks, %" PRIu64
+                " adjacency entries, best of %d\n",
+                tasks.size(), entries, reps);
+    const auto run = [&tasks](const auto& count) {
+      uint64_t sum = 0;
+      for (const auto& task : tasks) sum += count(task);
+      return sum;
+    };
+    std::vector<Variant> v{{"compact"}, {"rows"}};
+    v[0].elapsed_s = BestOf(reps, &v[0].checksum, [&] { return run(compact); });
+    v[1].elapsed_s = BestOf(reps, &v[1].checksum, [&] { return run(rows); });
+    GT_CHECK_EQ(v[0].checksum, v[1].checksum);
+    PrintAndRecord(&json, "match/gm_ego", v,
+                   static_cast<double>(tasks.size()));
   }
 
   const Status s = json.WriteTo(JsonPathArg(argc, argv));

@@ -24,19 +24,16 @@ void PrefixSum(std::vector<uint32_t>* offsets) {
   }
 }
 
-/// The compact-view builder behind CompactFromSubgraph and
-/// CompactFromLabeledSubgraph. `row(v)` yields member v's adjacency as a
-/// (pointer, length) pair sorted ascending by `key(entry)`, the entry's
-/// vertex ID. Output row i is the ascending, duplicate-free set of members
-/// that i's row names or whose rows name i: task subgraphs often carry
-/// trimmed (Γ_>) lists, where each edge appears in one endpoint's list only.
+/// Builds the CSR rows of CompactFromSubgraph. Output row i is the
+/// ascending, duplicate-free set of members that i's row names or whose
+/// rows name i: task subgraphs often carry trimmed (Γ_>) lists, where each
+/// edge appears in one endpoint's list only.
 ///
 /// Each row is walked against the ID-sorted members with the adaptive
-/// merge/gallop, so a hub's long row gallops over the few members instead
-/// of probing an index once per entry, and the symmetric CSR comes out of
-/// two transposes with counting passes — no per-row vectors, no sorts.
-template <typename VertexT, typename RowFn, typename Key>
-void BuildCompactCsr(const std::vector<VertexT>& members, RowFn row, Key key,
+/// merge/gallop, so a long row gallops over the few members instead of
+/// probing an index once per entry, and the symmetric CSR comes out of two
+/// transposes with counting passes — no per-row vectors, no sorts.
+void BuildCompactCsr(const std::vector<Vertex<AdjList>>& members,
                      std::vector<VertexId>* ids,
                      std::vector<uint32_t>* offsets,
                      std::vector<int32_t>* nbrs) {
@@ -53,9 +50,9 @@ void BuildCompactCsr(const std::vector<VertexT>& members, RowFn row, Key key,
   std::vector<uint32_t> fwd_off(n + 1, 0);
   std::vector<int32_t> fwd;
   for (size_t k = 0; k < n; ++k) {
-    const auto [ptr, len] = row(members[k]);
+    const AdjList& row = members[k].value;
     simd::IntersectAdaptiveForEach(
-        ptr, len, by_id.data(), n, key,
+        row.data(), row.size(), by_id.data(), n, simd::Identity{},
         [](const std::pair<VertexId, int32_t>& p) { return p.first; },
         [&](size_t, size_t r) { fwd.push_back(by_id[r].second); });
     fwd_off[k + 1] = static_cast<uint32_t>(fwd.size());
@@ -111,8 +108,7 @@ bool UseBitsetKernels(int n) {
 }
 
 /// Fills `m` with the adjacency of `g` (both directions).
-template <typename CompactT>
-void BuildBitMatrix(const CompactT& g, simd::BitMatrix* m) {
+void BuildBitMatrix(const CompactGraph& g, simd::BitMatrix* m) {
   m->Reset(g.NumVertices());
   for (int v = 0; v < g.NumVertices(); ++v) {
     for (int32_t u : g.Neigh(v)) m->Set(v, u);
@@ -135,19 +131,9 @@ bool CompactGraph::HasEdge(int a, int b) const {
   return RowContains(Neigh(a), static_cast<int32_t>(b));
 }
 
-bool CompactLabeledGraph::HasEdge(int a, int b) const {
-  if (Degree(a) > Degree(b)) std::swap(a, b);
-  return RowContains(Neigh(a), static_cast<int32_t>(b));
-}
-
 CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g) {
   CompactGraph out;
-  BuildCompactCsr(
-      g.vertices(),
-      [](const Vertex<AdjList>& v) {
-        return std::make_pair(v.value.data(), v.value.size());
-      },
-      simd::Identity{}, &out.ids, &out.offsets, &out.nbrs);
+  BuildCompactCsr(g.vertices(), &out.ids, &out.offsets, &out.nbrs);
   return out;
 }
 
@@ -947,119 +933,146 @@ QueryGraph QueryGraph::Star(Label center, const std::vector<Label>& leaves) {
   return q;
 }
 
-CompactLabeledGraph CompactFromLabeledSubgraph(
-    const Subgraph<Vertex<LabeledAdj>>& g) {
-  CompactLabeledGraph out;
-  BuildCompactCsr(
-      g.vertices(),
-      [](const Vertex<LabeledAdj>& v) {
-        return std::make_pair(v.value.adj.data(), v.value.adj.size());
-      },
-      [](const LabeledNbr& nbr) { return nbr.id; }, &out.ids, &out.offsets,
-      &out.nbrs);
-  out.labels.reserve(out.ids.size());
-  for (const auto& v : g.vertices()) out.labels.push_back(v.value.label);
-  return out;
-}
-
 namespace {
 
-class Matcher {
+/// Matcher row source over a task subgraph: a member is its vertex, and
+/// each row entry carries the neighbor's label inline.
+struct SubgraphRows {
+  using Member = const Vertex<LabeledAdj>*;
+  using Entry = LabeledNbr;
+  struct Key {
+    VertexId operator()(const LabeledNbr& e) const { return e.id; }
+  };
+
+  const Subgraph<Vertex<LabeledAdj>>& g;
+
+  Label EntryLabel(const LabeledNbr& e) const { return e.label; }
+  Label MemberLabel(Member m) const { return m->value.label; }
+  VertexId IdOf(Member m) const { return m->id; }
+  const std::vector<LabeledNbr>& Row(Member m) const { return m->value.adj; }
+  bool Find(VertexId id, Member* m) const {
+    *m = g.GetVertex(id);
+    return *m != nullptr;
+  }
+};
+
+/// Matcher row source over a whole graph: every vertex is a member, and
+/// labels come from the side array.
+struct GraphRows {
+  using Member = VertexId;
+  using Entry = VertexId;
+  using Key = simd::Identity;
+
+  const Graph& g;
+  const std::vector<Label>& labels;
+
+  Label EntryLabel(VertexId v) const { return labels[v]; }
+  Label MemberLabel(VertexId v) const { return labels[v]; }
+  VertexId IdOf(VertexId v) const { return v; }
+  const AdjList& Row(VertexId v) const { return g.Neighbors(v); }
+  bool Find(VertexId id, VertexId* m) const {
+    *m = id;
+    return true;
+  }
+};
+
+/// Generic-join matcher: extends a partial embedding by intersecting the
+/// sorted rows of the already-mapped vertices. Query vertex i's candidates
+/// are the entries labeled q.labels[i] in the shortest row among i's mapped
+/// backward neighbors, narrowed in place against each other backward
+/// neighbor's row. Only the survivors are checked against the mapped IDs
+/// (a scan over at most |Q|) and looked up as members, so the search reads
+/// just the rows the query needs. Candidate buffers are per depth and
+/// reused, so Extend allocates nothing after warm-up.
+template <typename Rows>
+class RowMatcher {
  public:
-  Matcher(const CompactLabeledGraph& g, const QueryGraph& q) : g_(g), q_(q) {
+  using Member = typename Rows::Member;
+  using Entry = typename Rows::Entry;
+
+  RowMatcher(Rows rows, const QueryGraph& q)
+      : rows_(rows),
+        q_(q),
+        back_(q.NumVertices()),
+        cands_(q.NumVertices()),
+        members_(q.NumVertices()),
+        ids_(q.NumVertices()) {
     GT_CHECK(q.IsValidPlan()) << "query plan not left-connected";
-    if (UseBitsetKernels(g.NumVertices())) {
-      BuildBitMatrix(g, &adj_bits_);
+    for (int i = 1; i < q.NumVertices(); ++i) {
+      for (int u : q.adj[i]) {
+        if (u < i) back_[i].push_back(u);
+      }
     }
   }
 
-  uint64_t CountFrom(int root) {
-    if (g_.labels[root] != q_.labels[0]) return 0;
-    mapping_.assign(q_.NumVertices(), -1);
-    used_.assign(g_.NumVertices(), false);
-    mapping_[0] = root;
-    used_[root] = true;
-    const uint64_t count = Extend(1);
-    used_[root] = false;
-    return count;
+  uint64_t CountFrom(Member root) {
+    if (rows_.MemberLabel(root) != q_.labels[0]) return 0;
+    members_[0] = root;
+    ids_[0] = rows_.IdOf(root);
+    return Extend(1);
   }
 
  private:
-  /// O(1) bitset row probe when the matrix exists; CSR binary search above
-  /// the threshold. Replaces the per-edge HasEdge in the inner loop.
-  bool Adjacent(int a, int b) const {
-    if (!adj_bits_.empty()) return adj_bits_.Test(a, b);
-    return g_.HasEdge(a, b);
-  }
-
   uint64_t Extend(int qi) {
     if (qi == q_.NumVertices()) return 1;
-    // Candidates come from the adjacency of an already-mapped query
-    // neighbor; every other mapped query neighbor must also be adjacent.
-    int anchor = -1;
-    for (int u : q_.adj[qi]) {
-      if (u < qi && (anchor < 0 || g_.Degree(mapping_[u]) <
-                                       g_.Degree(mapping_[anchor]))) {
+    const std::vector<int>& back = back_[qi];
+    int anchor = back[0];
+    for (int u : back) {
+      if (rows_.Row(members_[u]).size() <
+          rows_.Row(members_[anchor]).size()) {
         anchor = u;
       }
     }
-    GT_CHECK_GE(anchor, 0);
+    std::vector<Entry>& cand = cands_[qi];
+    cand.clear();
+    for (const Entry& e : rows_.Row(members_[anchor])) {
+      if (rows_.EntryLabel(e) == q_.labels[qi]) cand.push_back(e);
+    }
+    const typename Rows::Key key;
+    for (int u : back) {
+      if (u == anchor) continue;
+      const auto& row = rows_.Row(members_[u]);
+      // Matches arrive ascending, so the write index trails the read index.
+      size_t kept = 0;
+      simd::IntersectAdaptiveForEach(
+          cand.data(), cand.size(), row.data(), row.size(), key, key,
+          [&cand, &kept](size_t i, size_t) { cand[kept++] = cand[i]; });
+      cand.resize(kept);
+    }
+    const auto mapped_end = ids_.begin() + qi;
     uint64_t count = 0;
-    for (int32_t cand : g_.Neigh(mapping_[anchor])) {
-      if (used_[cand] || g_.labels[cand] != q_.labels[qi]) continue;
-      bool ok = true;
-      for (int u : q_.adj[qi]) {
-        if (u < qi && u != anchor && !Adjacent(mapping_[u], cand)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      mapping_[qi] = cand;
-      used_[cand] = true;
+    for (const Entry& e : cand) {
+      const VertexId id = key(e);
+      if (std::find(ids_.begin(), mapped_end, id) != mapped_end) continue;
+      if (!rows_.Find(id, &members_[qi])) continue;
+      ids_[qi] = id;
       count += Extend(qi + 1);
-      used_[cand] = false;
-      mapping_[qi] = -1;
     }
     return count;
   }
 
-  const CompactLabeledGraph& g_;
+  const Rows rows_;
   const QueryGraph& q_;
-  simd::BitMatrix adj_bits_;
-  std::vector<int> mapping_;
-  std::vector<bool> used_;
+  std::vector<std::vector<int>> back_;  // back_[i]: i's neighbors j < i
+  std::vector<std::vector<Entry>> cands_;
+  std::vector<Member> members_;
+  std::vector<VertexId> ids_;
 };
 
 }  // namespace
 
-uint64_t CountMatchesFromRoot(const CompactLabeledGraph& g,
-                              const QueryGraph& q, int root) {
-  return Matcher(g, q).CountFrom(root);
+uint64_t CountMatchesFromRoot(const Subgraph<Vertex<LabeledAdj>>& g,
+                              const QueryGraph& q, VertexId root) {
+  const Vertex<LabeledAdj>* r = g.GetVertex(root);
+  GT_CHECK(r != nullptr) << "match root " << root << " is not a member";
+  return RowMatcher<SubgraphRows>(SubgraphRows{g}, q).CountFrom(r);
 }
 
 uint64_t CountMatchesSerial(const Graph& g, const std::vector<Label>& labels,
                             const QueryGraph& q) {
-  CompactLabeledGraph cg;
-  const VertexId n = g.NumVertices();
-  cg.ids.resize(n);
-  cg.labels = labels;
-  cg.offsets.resize(n + 1);
-  cg.offsets[0] = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    cg.ids[v] = v;
-    cg.offsets[v + 1] = cg.offsets[v] + g.Degree(v);
-  }
-  cg.nbrs.resize(cg.offsets[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    const AdjList& adj = g.Neighbors(v);
-    std::copy(adj.begin(), adj.end(), cg.nbrs.begin() + cg.offsets[v]);
-  }
-  Matcher matcher(cg, q);
+  RowMatcher<GraphRows> matcher(GraphRows{g, labels}, q);
   uint64_t total = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    total += matcher.CountFrom(static_cast<int>(v));
-  }
+  for (VertexId v = 0; v < g.NumVertices(); ++v) total += matcher.CountFrom(v);
   return total;
 }
 

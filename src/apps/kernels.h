@@ -64,13 +64,13 @@ CompactGraph CompactFromGraph(const Graph& g);
 // ---------------------------------------------------------------------------
 // Dense/sparse kernel switch.
 //
-// The branch-and-bound kernels (max clique, Bron–Kerbosch, k-clique, the
-// quasi-clique searcher and the matcher's conflict checks) run in bitset row
-// form — adjacency as an n×n BitMatrix, candidate sets as words — when the
-// compact graph has at most KernelBitsetMaxVertices() vertices. Above the
-// threshold they fall back to the CSR sorted-list path, which computes
-// identical results. The threshold caps the O(n²/8)-byte matrix a task may
-// allocate; JobConfig::kernel_bitset_max_vertices wires it per job.
+// The branch-and-bound kernels (max clique, Bron–Kerbosch, k-clique and the
+// quasi-clique searcher) run in bitset row form — adjacency as an n×n
+// BitMatrix, candidate sets as words — when the compact graph has at most
+// KernelBitsetMaxVertices() vertices. Above the threshold they fall back to
+// the CSR sorted-list path, which computes identical results. The threshold
+// caps the O(n²/8)-byte matrix a task may allocate;
+// JobConfig::kernel_bitset_max_vertices wires it per job.
 // ---------------------------------------------------------------------------
 
 /// Current threshold (process-global; default 2048 ≈ a 512 KB matrix).
@@ -214,38 +214,21 @@ struct QueryGraph {
   static QueryGraph Star(Label center, const std::vector<Label>& leaves);
 };
 
-/// Compact labeled view for the matcher; same flat CSR layout as
-/// CompactGraph plus a label per compact vertex.
-struct CompactLabeledGraph {
-  std::vector<VertexId> ids;
-  std::vector<Label> labels;
-  std::vector<uint32_t> offsets;
-  std::vector<int32_t> nbrs;
+/// Counts injective label- and edge-preserving mappings of `q` into the
+/// task subgraph `g` with query vertex 0 mapped to member `root` and every
+/// image a member. (Embeddings are counted per mapping; query automorphisms
+/// are not quotiented out — every engine in this repo counts the same way.)
+///
+/// Reads the members' rows directly (no compact view), so an edge counts
+/// only where a mapped endpoint's row names it. Precondition: every `adj`
+/// is sorted ascending by ID and duplicate-free, and an edge between two
+/// members is listed by both rows or by neither (MatchComper::TrimByQuery
+/// keeps both). Rows may name non-members.
+uint64_t CountMatchesFromRoot(const Subgraph<Vertex<LabeledAdj>>& g,
+                              const QueryGraph& q, VertexId root);
 
-  int NumVertices() const { return static_cast<int>(ids.size()); }
-  int Degree(int v) const {
-    return static_cast<int>(offsets[v + 1] - offsets[v]);
-  }
-  NbrSpan Neigh(int v) const {
-    return {nbrs.data() + offsets[v], Degree(v)};
-  }
-  bool HasEdge(int a, int b) const;
-};
-
-/// Labeled counterpart of CompactFromSubgraph, built by the same code, with
-/// the same precondition: every `adj` list is sorted ascending by neighbor
-/// ID and duplicate-free.
-CompactLabeledGraph CompactFromLabeledSubgraph(
-    const Subgraph<Vertex<LabeledAdj>>& g);
-
-/// Counts injective label- and edge-preserving mappings of `q` into `g` with
-/// query vertex 0 mapped to compact index `root`. (Embeddings are counted per
-/// mapping; query automorphisms are not quotiented out — every engine in this
-/// repo counts the same way.)
-uint64_t CountMatchesFromRoot(const CompactLabeledGraph& g,
-                              const QueryGraph& q, int root);
-
-/// Serial whole-graph ground truth: Σ over all root candidates.
+/// Serial whole-graph ground truth: Σ over all root candidates, on the same
+/// matcher over g's rows.
 uint64_t CountMatchesSerial(const Graph& g, const std::vector<Label>& labels,
                             const QueryGraph& q);
 

@@ -28,7 +28,7 @@ void MatchComper::TaskSpawn(const VertexT& v) {
   if (query_.NumVertices() > 1 && v.value.adj.empty()) return;
   auto task = std::make_unique<TaskT>();
   task->context() = v.id;
-  task->subgraph().AddVertex(v);  // root first => compact index 0
+  task->subgraph().AddVertex(v);  // root first
   if (depth_ >= 1) {
     for (const LabeledNbr& nbr : v.value.adj) task->Pull(nbr.id);
   }
@@ -53,9 +53,9 @@ bool MatchComper::Compute(TaskT* task, const Frontier& frontier) {
     }
     if (!task->pulls().empty()) return true;
   }
-  const CompactLabeledGraph cg = CompactFromLabeledSubgraph(task->subgraph());
-  GT_CHECK_EQ(cg.ids[0], task->context());
-  const uint64_t count = CountMatchesFromRoot(cg, query_, /*root=*/0);
+  GT_CHECK_EQ(task->subgraph().vertices().front().id, task->context());
+  const uint64_t count =
+      CountMatchesFromRoot(task->subgraph(), query_, task->context());
   if (count > 0) Aggregate(count);
   return false;
 }

@@ -14,11 +14,10 @@ using MatchTask = Task<LabeledAdj, /*ContextT=*/VertexId>;
 /// Subgraph matching (GM): counts embeddings of a small labeled query
 /// pattern. One task per data vertex v whose label matches query vertex 0;
 /// the task pulls label-filtered neighborhoods hop by hop out to the query's
-/// BFS depth, then counts embeddings rooted at v with the backtracking
-/// matcher (conflict-edge checks run against a bitset adjacency on small
-/// subgraphs — apps/kernels.h). The search space is partitioned by the image
-/// of query vertex 0 (paper §IV: "partition by different vertex instances of
-/// the same label").
+/// BFS depth, then counts embeddings rooted at v by intersecting the
+/// subgraph's sorted rows (CountMatchesFromRoot, apps/kernels.h). The
+/// search space is partitioned by the image of query vertex 0 (paper §IV:
+/// "partition by different vertex instances of the same label").
 class MatchComper : public Comper<MatchTask, uint64_t> {
  public:
   explicit MatchComper(QueryGraph query);

@@ -298,9 +298,8 @@ GMinerMatchResult GMinerMatch(const Graph& graph,
         return;
       }
     }
-    const CompactLabeledGraph cg = CompactFromLabeledSubgraph(g);
-    GT_CHECK_EQ(cg.ids[0], root);
-    const uint64_t count = CountMatchesFromRoot(cg, query, /*root=*/0);
+    GT_CHECK_EQ(g.vertices().front().id, root);
+    const uint64_t count = CountMatchesFromRoot(g, query, root);
     if (count > 0) matches.fetch_add(count, std::memory_order_relaxed);
   };
 

@@ -113,6 +113,22 @@ TEST(Baselines, GMinerMatchTwoHopReinserts) {
   EXPECT_GT(result.stats.reinserts, 0);  // the disk-queue churn
 }
 
+TEST(Baselines, GMinerMatchDiamondQuery) {
+  // Two triangles sharing edge 1-2: vertices 2 and 3 each have two
+  // backward neighbors, and vertex 3 is two hops from the root.
+  Graph g = Generator::ErdosRenyi(150, 900, 215);
+  auto labels = Generator::RandomLabels(g.NumVertices(), 2, 216);
+  QueryGraph q;
+  q.labels = {0, 1, 1, 0};
+  q.adj = {{1, 2}, {0, 2, 3}, {0, 1, 3}, {1, 2}};
+  GMinerEngine::Options opts;
+  opts.num_workers = 2;
+  opts.threads_per_worker = 2;
+  auto result = GMinerMatch(g, labels, q, opts);
+  EXPECT_EQ(result.matches, CountMatchesSerial(g, labels, q));
+  EXPECT_GT(result.matches, 0u);
+}
+
 TEST(Baselines, GMinerMcfDecompositionReinserts) {
   // Tiny τ forces decomposition children back through the disk queue.
   Graph g = Generator::ErdosRenyi(100, 1200, 214);

@@ -1,12 +1,12 @@
 // Distributed differentials: Cluster::RunDistributed over loopback TCP —
 // rank 0 in the test process, every other rank in a forked child — must
 // return the answer in-process Cluster::Run returns for the aggregator-pruned
-// maximum clique, labeled matching (LabeledAdj values on the wire), and a
-// 3-rank triangle count batched small enough to spill and steal across
-// processes. Every rank must come back with its own phase profile. A rank
-// killed mid-job must make rank 0 fail loudly within a bound instead of
-// hanging. Forks happen between jobs, when no job threads are live, so the
-// suite is safe under TSan as well.
+// maximum clique, labeled triangle and diamond matching (LabeledAdj values
+// on the wire), and a 3-rank triangle count batched small enough to spill
+// and steal across processes. Every rank must come back with its own phase
+// profile. A rank killed mid-job must make rank 0 fail loudly within a bound
+// instead of hanging. Forks happen between jobs, when no job threads are
+// live, so the suite is safe under TSan as well.
 
 #include <gtest/gtest.h>
 
@@ -96,24 +96,31 @@ TEST(DistributedDifferential, LabeledMatchMatchesInProcess) {
   Graph g = Generator::PowerLaw(400, 10.0, 2.3, 72);
   const std::vector<Label> labels =
       Generator::RandomLabels(g.NumVertices(), 3, 73);
-  const QueryGraph query = QueryGraph::Triangle(0, 1, 2);
-  Job<MatchComper> job;
-  job.config.num_workers = 2;
-  job.config.compers_per_worker = 2;
-  job.graph = &g;
-  job.labels = &labels;
-  job.comper_factory = [query] {
-    return std::make_unique<MatchComper>(query);
-  };
-  job.trimmer = [query](Vertex<LabeledAdj>& v) {
-    MatchComper::TrimByQuery(query, v);
-  };
-  const uint64_t expected = Cluster<MatchComper>::Run(job).result;
-  EXPECT_EQ(expected, CountMatchesSerial(g, labels, query));
-  ASSERT_GT(expected, 0u);
+  // A triangle, and a diamond (two triangles sharing edge 1-2): its
+  // vertices 2 and 3 each have two backward neighbors, and vertex 3 sits
+  // two hops from the root.
+  QueryGraph diamond;
+  diamond.labels = {0, 1, 2, 0};
+  diamond.adj = {{1, 2}, {0, 2, 3}, {0, 1, 3}, {1, 2}};
+  for (const QueryGraph& query : {QueryGraph::Triangle(0, 1, 2), diamond}) {
+    Job<MatchComper> job;
+    job.config.num_workers = 2;
+    job.config.compers_per_worker = 2;
+    job.graph = &g;
+    job.labels = &labels;
+    job.comper_factory = [query] {
+      return std::make_unique<MatchComper>(query);
+    };
+    job.trimmer = [query](Vertex<LabeledAdj>& v) {
+      MatchComper::TrimByQuery(query, v);
+    };
+    const uint64_t expected = Cluster<MatchComper>::Run(job).result;
+    EXPECT_EQ(expected, CountMatchesSerial(g, labels, query));
+    ASSERT_GT(expected, 0u);
 
-  job.config = TcpConfig(job.config, 2);
-  EXPECT_EQ(RunTcpCluster(job).result, expected);
+    job.config = TcpConfig(job.config, 2);
+    EXPECT_EQ(RunTcpCluster(job).result, expected);
+  }
 }
 
 TEST(DistributedDifferential, ThreeRankTriangleSpillsAndStealsAcrossProcesses) {

@@ -1,6 +1,7 @@
 // Property tests for the serial mining kernels against brute-force oracles,
 // plus randomized differential tests pinning the bitset kernels to the CSR
-// sorted-list path (toggled via SetKernelBitsetMaxVertices).
+// sorted-list path (toggled via SetKernelBitsetMaxVertices) and the compact
+// builder and the row matcher to the code they replaced.
 
 #include "apps/kernels.h"
 
@@ -12,7 +13,9 @@
 #include <vector>
 
 #include "apps/kernel_simd.h"
+#include "apps/match_app.h"
 #include "graph/generator.h"
+#include "graph/layout.h"
 #include "util/random.h"
 
 namespace gthinker {
@@ -191,8 +194,9 @@ TEST(CompactGraph, CsrLayoutInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// Compact-view builders against the per-entry-lookup builders they replaced,
-// copied here unchanged as the oracle: the CSR must match byte for byte.
+// The compact-view builder against the per-entry-lookup builder it
+// replaced, copied here unchanged as the oracle: the CSR must match byte for
+// byte.
 // ---------------------------------------------------------------------------
 
 namespace legacy {
@@ -241,35 +245,6 @@ CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g) {
       }
     }
     ++i;
-  }
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-  }
-  FlattenRows(rows, &out.offsets, &out.nbrs);
-  return out;
-}
-
-CompactLabeledGraph CompactFromLabeledSubgraph(
-    const Subgraph<Vertex<LabeledAdj>>& g) {
-  CompactLabeledGraph out;
-  std::unordered_map<VertexId, int> index;
-  index.reserve(g.NumVertices());
-  for (const auto& v : g.vertices()) {
-    index.emplace(v.id, static_cast<int>(out.ids.size()));
-    out.ids.push_back(v.id);
-    out.labels.push_back(v.value.label);
-  }
-  std::vector<std::vector<int32_t>> rows(out.ids.size());
-  for (const auto& v : g.vertices()) {
-    const int i = index.at(v.id);
-    for (const LabeledNbr& nbr : v.value.adj) {
-      auto it = index.find(nbr.id);
-      if (it != index.end()) {
-        rows[i].push_back(it->second);
-        rows[it->second].push_back(i);
-      }
-    }
   }
   for (auto& row : rows) {
     std::sort(row.begin(), row.end());
@@ -372,19 +347,11 @@ TEST(CompactBuilders, MatchLegacyBuildersByteForByte) {
         MakeTaskRows(&rng, n, outside, edge_p, trim_p, order);
 
     Subgraph<Vertex<AdjList>> plain;
-    Subgraph<Vertex<LabeledAdj>> labeled;
     for (size_t i = 0; i < n; ++i) {
       const AdjList& row = t.rows[i];
       if (!row.empty() && row.size() >= simd::kGallopRatio * n) ++long_rows;
       if (!row.empty() && n >= simd::kGallopRatio * row.size()) ++short_rows;
       plain.AddVertex({t.ids[i], row});
-      Vertex<LabeledAdj> lv;
-      lv.id = t.ids[i];
-      lv.value.label = static_cast<Label>(rng.Uniform(5));
-      for (VertexId u : row) {
-        lv.value.adj.push_back({u, static_cast<Label>(rng.Uniform(5))});
-      }
-      labeled.AddVertex(std::move(lv));
     }
 
     SCOPED_TRACE(::testing::Message() << "iter " << iter << " n=" << n
@@ -394,13 +361,6 @@ TEST(CompactBuilders, MatchLegacyBuildersByteForByte) {
     EXPECT_EQ(got.ids, want.ids);
     EXPECT_EQ(got.offsets, want.offsets);
     EXPECT_EQ(got.nbrs, want.nbrs);
-    const CompactLabeledGraph lgot = CompactFromLabeledSubgraph(labeled);
-    const CompactLabeledGraph lwant =
-        legacy::CompactFromLabeledSubgraph(labeled);
-    EXPECT_EQ(lgot.ids, lwant.ids);
-    EXPECT_EQ(lgot.labels, lwant.labels);
-    EXPECT_EQ(lgot.offsets, lwant.offsets);
-    EXPECT_EQ(lgot.nbrs, lwant.nbrs);
   }
   EXPECT_GT(long_rows, 50);
   EXPECT_GT(short_rows, 50);
@@ -478,6 +438,242 @@ TEST_P(MatchSeedTest, StarQueryMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchSeedTest,
                          ::testing::Values(21, 22, 23, 24, 25));
+
+// ---------------------------------------------------------------------------
+// The row matcher against the compact-view matcher it replaced.
+// ---------------------------------------------------------------------------
+
+namespace legacy {
+
+/// The labeled compact view and backtracking matcher GM ran on before
+/// matching moved onto rows, copied here as the oracle. The builder is the
+/// per-entry-lookup one, whose CSR the sorted builder matched byte for byte;
+/// the matcher is its CSR path, which the bitset path matched count for
+/// count.
+struct CompactLabeledGraph {
+  std::vector<VertexId> ids;
+  std::vector<Label> labels;
+  std::vector<uint32_t> offsets;
+  std::vector<int32_t> nbrs;
+
+  int NumVertices() const { return static_cast<int>(ids.size()); }
+  int Degree(int v) const {
+    return static_cast<int>(offsets[v + 1] - offsets[v]);
+  }
+  NbrSpan Neigh(int v) const {
+    return {nbrs.data() + offsets[v], Degree(v)};
+  }
+  bool HasEdge(int a, int b) const {
+    if (Degree(a) > Degree(b)) std::swap(a, b);
+    const NbrSpan row = Neigh(a);
+    return std::binary_search(row.begin(), row.end(), static_cast<int32_t>(b));
+  }
+};
+
+CompactLabeledGraph CompactFromLabeledSubgraph(
+    const Subgraph<Vertex<LabeledAdj>>& g) {
+  CompactLabeledGraph out;
+  std::unordered_map<VertexId, int> index;
+  index.reserve(g.NumVertices());
+  for (const auto& v : g.vertices()) {
+    index.emplace(v.id, static_cast<int>(out.ids.size()));
+    out.ids.push_back(v.id);
+    out.labels.push_back(v.value.label);
+  }
+  std::vector<std::vector<int32_t>> rows(out.ids.size());
+  for (const auto& v : g.vertices()) {
+    const int i = index.at(v.id);
+    for (const LabeledNbr& nbr : v.value.adj) {
+      auto it = index.find(nbr.id);
+      if (it != index.end()) {
+        rows[i].push_back(it->second);
+        rows[it->second].push_back(i);
+      }
+    }
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  FlattenRows(rows, &out.offsets, &out.nbrs);
+  return out;
+}
+
+class Matcher {
+ public:
+  Matcher(const CompactLabeledGraph& g, const QueryGraph& q) : g_(g), q_(q) {}
+
+  uint64_t CountFrom(int root) {
+    if (g_.labels[root] != q_.labels[0]) return 0;
+    mapping_.assign(q_.NumVertices(), -1);
+    used_.assign(g_.NumVertices(), false);
+    mapping_[0] = root;
+    used_[root] = true;
+    const uint64_t count = Extend(1);
+    used_[root] = false;
+    return count;
+  }
+
+ private:
+  uint64_t Extend(int qi) {
+    if (qi == q_.NumVertices()) return 1;
+    int anchor = -1;
+    for (int u : q_.adj[qi]) {
+      if (u < qi && (anchor < 0 || g_.Degree(mapping_[u]) <
+                                       g_.Degree(mapping_[anchor]))) {
+        anchor = u;
+      }
+    }
+    uint64_t count = 0;
+    for (int32_t cand : g_.Neigh(mapping_[anchor])) {
+      if (used_[cand] || g_.labels[cand] != q_.labels[qi]) continue;
+      bool ok = true;
+      for (int u : q_.adj[qi]) {
+        if (u < qi && u != anchor && !g_.HasEdge(mapping_[u], cand)) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) continue;
+      mapping_[qi] = cand;
+      used_[cand] = true;
+      count += Extend(qi + 1);
+      used_[cand] = false;
+      mapping_[qi] = -1;
+    }
+    return count;
+  }
+
+  const CompactLabeledGraph& g_;
+  const QueryGraph& q_;
+  std::vector<int> mapping_;
+  std::vector<bool> used_;
+};
+
+}  // namespace legacy
+
+QueryGraph MakeQuery(std::vector<Label> labels,
+                     const std::vector<std::pair<int, int>>& edges) {
+  QueryGraph q;
+  q.labels = std::move(labels);
+  q.adj.resize(q.labels.size());
+  for (const auto& [a, b] : edges) {
+    q.adj[a].push_back(b);
+    q.adj[b].push_back(a);
+  }
+  return q;
+}
+
+/// Three queries whose vertices each have one backward neighbor, and three
+/// where some vertex has two or three. Every query repeats a label, so the
+/// injectivity check prunes.
+std::vector<QueryGraph> OracleQueries() {
+  return {
+      QueryGraph::Triangle(0, 1, 1),
+      QueryGraph::Path3(0, 1, 0),
+      QueryGraph::Star(0, {1, 1}),
+      MakeQuery({0, 1, 0, 1}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}),  // 4-cycle
+      MakeQuery({0, 1, 1, 0},
+                {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}}),  // diamond
+      MakeQuery({0, 0, 1, 1},
+                {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}),  // K4
+  };
+}
+
+/// A GM task subgraph built the way MatchComper builds one: the root first,
+/// then, hop by hop out to q.DepthFromRoot(), every vertex a member's row
+/// names, each carrying its TrimByQuery row. The last hop's rows name
+/// vertices that were never pulled.
+Subgraph<Vertex<LabeledAdj>> MatchTaskSubgraph(const Graph& g,
+                                               const std::vector<Label>& labels,
+                                               const QueryGraph& q,
+                                               VertexId root) {
+  const auto trimmed = [&](VertexId v) {
+    Vertex<LabeledAdj> out;
+    out.id = v;
+    out.value.label = labels[v];
+    for (VertexId u : g.Neighbors(v)) out.value.adj.push_back({u, labels[u]});
+    MatchComper::TrimByQuery(q, out);
+    return out;
+  };
+  Subgraph<Vertex<LabeledAdj>> task;
+  task.AddVertex(trimmed(root));
+  std::vector<VertexId> frontier = {root};
+  for (int hop = 0; hop < q.DepthFromRoot(); ++hop) {
+    std::vector<VertexId> next;
+    for (VertexId v : frontier) {
+      const std::vector<LabeledNbr> row = task.GetVertex(v)->value.adj;
+      for (const LabeledNbr& nbr : row) {
+        if (task.HasVertex(nbr.id)) continue;
+        task.AddVertex(trimmed(nbr.id));
+        next.push_back(nbr.id);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return task;
+}
+
+/// For every oracle query: the row matcher's count on each root's task
+/// subgraph equals the legacy matcher's on the compact view of the same
+/// subgraph, and the serial count equals their sum. Adds each query's sum
+/// to (*totals)[query].
+void ExpectRowsMatchLegacy(const Graph& g, const std::vector<Label>& labels,
+                           std::vector<uint64_t>* totals) {
+  const std::vector<QueryGraph> queries = OracleQueries();
+  totals->resize(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const QueryGraph& q = queries[qi];
+    SCOPED_TRACE(::testing::Message() << "query " << qi);
+    uint64_t total = 0;
+    for (VertexId root = 0; root < g.NumVertices(); ++root) {
+      if (labels[root] != q.labels[0]) continue;
+      const auto task = MatchTaskSubgraph(g, labels, q, root);
+      const legacy::CompactLabeledGraph cg =
+          legacy::CompactFromLabeledSubgraph(task);
+      const uint64_t want = legacy::Matcher(cg, q).CountFrom(0);
+      ASSERT_EQ(CountMatchesFromRoot(task, q, root), want) << "root " << root;
+      total += want;
+    }
+    EXPECT_EQ(CountMatchesSerial(g, labels, q), total);
+    (*totals)[qi] += total;
+  }
+}
+
+TEST(MatchOracle, RowMatcherEqualsLegacyPerRoot) {
+  std::vector<uint64_t> totals;
+  for (uint64_t seed : {61, 62, 63}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const Graph sparse = Generator::ErdosRenyi(60, 200, seed);
+    ExpectRowsMatchLegacy(
+        sparse, Generator::RandomLabels(sparse.NumVertices(), 2, seed + 1),
+        &totals);
+    const Graph dense = Generator::ErdosRenyi(24, 160, seed + 2);
+    ExpectRowsMatchLegacy(
+        dense, Generator::RandomLabels(dense.NumVertices(), 2, seed + 3),
+        &totals);
+  }
+  // Hubs: a hub's row is many times a leaf's, so the intersections gallop.
+  const Graph hubs = Generator::PowerLaw(300, 6.0, 2.1, 64);
+  const std::vector<Label> hub_labels =
+      Generator::RandomLabels(hubs.NumVertices(), 2, 65);
+  ExpectRowsMatchLegacy(hubs, hub_labels, &totals);
+  // The same graph renumbered hub-last, as layout.reorder loads it.
+  const VertexLayout layout = VertexLayout::HubLast(hubs);
+  ExpectRowsMatchLegacy(layout.Apply(hubs), layout.ApplyLabels(hub_labels),
+                        &totals);
+  for (size_t qi = 0; qi < totals.size(); ++qi) {
+    EXPECT_GT(totals[qi], 0u) << "query " << qi << " never matched";
+  }
+}
+
+TEST_P(MatchSeedTest, OracleQueriesMatchBruteForce) {
+  const Graph g = Generator::ErdosRenyi(16, 48, GetParam());
+  const auto labels = Generator::RandomLabels(g.NumVertices(), 2, GetParam());
+  for (const QueryGraph& q : OracleQueries()) {
+    EXPECT_EQ(CountMatchesSerial(g, labels, q), BruteMatches(g, labels, q));
+  }
+}
 
 TEST(QueryGraph, Properties) {
   const QueryGraph tri = QueryGraph::Triangle(0, 1, 2);
@@ -669,9 +865,6 @@ class KernelDiffTest : public ::testing::TestWithParam<DiffCase> {};
 TEST_P(KernelDiffTest, BothPathsProduceIdenticalResults) {
   const DiffCase c = GetParam();
   Graph g = Generator::ErdosRenyi(c.n, c.edges, c.seed);
-  auto labels = Generator::RandomLabels(g.NumVertices(), 3, c.seed + 7);
-  const QueryGraph query = QueryGraph::Triangle(0, 1, 2);
-
   // Quasi-clique set-enumeration blows up combinatorially with size and
   // density (the pre-CSR suite capped it at n=18), so only the small sparse
   // cases exercise it; the tight gamma keeps the candidate pruning
@@ -680,7 +873,7 @@ TEST_P(KernelDiffTest, BothPathsProduceIdenticalResults) {
 
   size_t clique_sorted;
   std::vector<VertexId> clique_sorted_members;
-  uint64_t maximal_sorted, k3_sorted, k4_sorted, match_sorted;
+  uint64_t maximal_sorted, k3_sorted, k4_sorted;
   std::vector<VertexId> quasi_sorted;
   {
     ThresholdGuard off(0);  // force the CSR sorted-list path
@@ -689,7 +882,6 @@ TEST_P(KernelDiffTest, BothPathsProduceIdenticalResults) {
     maximal_sorted = CountMaximalCliquesSerial(g);
     k3_sorted = CountKCliquesSerial(g, 3);
     k4_sorted = CountKCliquesSerial(g, 4);
-    match_sorted = CountMatchesSerial(g, labels, query);
     if (run_quasi) quasi_sorted = LargestQuasiCliqueSerial(g, 0.8, 3);
   }
 
@@ -702,7 +894,6 @@ TEST_P(KernelDiffTest, BothPathsProduceIdenticalResults) {
   EXPECT_EQ(CountKCliquesSerial(g, 3), k3_sorted);
   EXPECT_EQ(k3_sorted, CountTrianglesSerial(g));  // k=3 cross-check
   EXPECT_EQ(CountKCliquesSerial(g, 4), k4_sorted);
-  EXPECT_EQ(CountMatchesSerial(g, labels, query), match_sorted);
   if (run_quasi) {
     const std::vector<VertexId> quasi_bits =
         LargestQuasiCliqueSerial(g, 0.8, 3);
