@@ -14,15 +14,15 @@
 //                     bucket, one lock per bucket run.
 //       The headline speedup row compares batched against legacy (the
 //       checked-in before/after number); batched vs unbatched isolates the
-//       lock-amortization gain alone. Also runs the batched path under
-//       JobConfig::cache_spinlock for the knob's row.
+//       lock-amortization gain alone.
 //   [2] Eviction duel: GC throughput with the intrusive Z-list vs the
 //       full-Γ-scan ablation (cache_use_z_table=false), on the same
 //       90%-locked population bench/ablation_ztable uses.
 //   [3] Spill round-trip: a spill stream written and read back through a
 //       bounded L_file window, synchronously (SpillFile::WriteBatch +
-//       ReadBatchAndDelete, the spill_async=false path) vs through
-//       AsyncSpillIo (writer thread + mem-hit cancellation + prefetch).
+//       ReadBatchAndDelete inline, the pre-writer-thread spill path) vs
+//       through AsyncSpillIo (writer thread + mem-hit cancellation +
+//       prefetch), the worker's only spill path.
 //
 // `--rounds N` scales experiment [1]; `--json PATH` writes the machine-
 // readable rows (baseline checked in as BENCH_cache.json).
@@ -191,11 +191,10 @@ HammerResult RunLegacyHammer(int threads, int rounds, int width, int buckets,
 /// (every pull a Γ hit) and release them. The bucket count is kept small
 /// relative to the pull width so batching has runs to amortize: one task's
 /// frontier re-locks the same buckets many times on the per-vertex path.
-HammerResult RunHammer(bool batched, bool use_spinlock, int threads,
-                       int rounds, int width, int buckets, int vertices) {
+HammerResult RunHammer(bool batched, int threads, int rounds, int width,
+                       int buckets, int vertices) {
   Cache cache(buckets, /*capacity=*/4 * vertices, /*alpha=*/0.2,
-              /*counter_delta=*/16, nullptr, /*use_z_table=*/true,
-              use_spinlock);
+              /*counter_delta=*/16);
   Prepopulate(&cache, vertices);
 
   std::atomic<bool> go{false};
@@ -370,21 +369,19 @@ int Main(int argc, char** argv) {
     const char* label;
     bool legacy;
     bool batched;
-    bool spinlock;
   };
   double legacy_ps = 0.0, unbatched_ps = 0.0, batched_ps = 0.0;
-  for (const Mode mode : {Mode{"legacy", true, false, false},
-                          Mode{"unbatched", false, false, false},
-                          Mode{"batched", false, true, false},
-                          Mode{"batched_spinlock", false, true, true}}) {
+  for (const Mode mode : {Mode{"legacy", true, false},
+                          Mode{"unbatched", false, false},
+                          Mode{"batched", false, true}}) {
     // Best-of-N: one scheduler hiccup can swamp a run this short.
     HammerResult r;
     for (int rep = 0; rep < kReps; ++rep) {
       HammerResult again =
           mode.legacy
               ? RunLegacyHammer(kThreads, rounds, kWidth, kBuckets, kVertices)
-              : RunHammer(mode.batched, mode.spinlock, kThreads, rounds,
-                          kWidth, kBuckets, kVertices);
+              : RunHammer(mode.batched, kThreads, rounds, kWidth, kBuckets,
+                          kVertices);
       if (rep == 0 || again.elapsed_s < r.elapsed_s) r = again;
     }
     const double pulls_per_s = r.pulls / r.elapsed_s;

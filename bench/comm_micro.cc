@@ -194,8 +194,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
 /// rank 0 hosts the requester endpoint, rank 1 the responder. Ports are
 /// reserved by binding ephemeral listeners first (both held open until both
 /// ports are known), and the two Start() calls handshake concurrently.
-std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair(
-    bool scatter_gather = true) {
+std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair() {
   int ports[2];
   int fds[2];
   for (int i = 0; i < 2; ++i) {
@@ -222,7 +221,6 @@ std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair(
     opts.rank = r;
     opts.num_workers = 2;
     opts.hosts = hosts;
-    opts.scatter_gather = scatter_gather;
     hubs[r] = std::make_unique<CommHub>(
         3, std::make_unique<net::TcpTransport>(opts));
   }
@@ -351,14 +349,12 @@ int Main(int argc, char** argv) {
   std::printf("pooled/legacy speedup: %.2fx\n\n", speedup);
   json.AddRow("pull_roundtrip/speedup")->numbers["speedup"] = speedup;
 
-  // tcp-loopback rows: the same pooled ping-pong, but across two CommHubs
+  // tcp-loopback row: the same pooled ping-pong, but across two CommHubs
   // joined by TcpTransport — real frames (header + CRC), socket syscalls,
   // and the IO thread in the path. Puts a number on what the in-process
-  // backend's shared-memory shortcut is worth. The `tcp_nosg` ablation
-  // disables scatter-gather: payloads are flattened into one copy and sent
-  // one frame per syscall, which is what the pre-sendmsg data plane did.
-  for (const bool sg : {true, false}) {
-    auto [req_hub, resp_hub] = MakeTcpPair(sg);
+  // backend's shared-memory shortcut is worth.
+  {
+    auto [req_hub, resp_hub] = MakeTcpPair();
     PullResult r = RunPullRoundTrips(req_hub.get(), resp_hub.get(),
                                      /*pooled=*/true, rounds, batch, hot,
                                      degree);
@@ -371,12 +367,11 @@ int Main(int argc, char** argv) {
     GT_CHECK_EQ(r.checksum, checksums[1]);  // the wire must not alter bytes
     const double rps = rounds / r.elapsed_s;
     const double mbps = r.response_bytes / 1048576.0 / r.elapsed_s;
-    const char* label = sg ? "tcp" : "tcp_nosg";
     std::printf("%-8s %8.3f s %12.0f %12.1f %12" PRId64 "   (checksum %" PRIu64
                 ")\n",
-                label, r.elapsed_s, rps, mbps, r.cache_hits, r.checksum);
-    if (sg) std::printf("tcp/inproc pooled ratio: %.2fx\n", pooled_rps / rps);
-    auto* row = json.AddRow(std::string("pull_roundtrip/") + label);
+                "tcp", r.elapsed_s, rps, mbps, r.cache_hits, r.checksum);
+    std::printf("tcp/inproc pooled ratio: %.2fx\n", pooled_rps / rps);
+    auto* row = json.AddRow("pull_roundtrip/tcp");
     row->numbers["elapsed_s"] = r.elapsed_s;
     row->numbers["roundtrips_per_s"] = rps;
     row->numbers["response_mb_per_s"] = mbps;
@@ -394,9 +389,9 @@ int Main(int argc, char** argv) {
     }
     row->numbers["sendmsg_frames_per_call"] = calls > 0 ? frames / calls : 0.0;
     row->numbers["sendmsg_bytes_per_call"] = calls > 0 ? bytes / calls : 0.0;
-    std::printf("%s sendmsg coalescing: %.2f frames/call, %.0f bytes/call\n%s",
-                label, calls > 0 ? frames / calls : 0.0,
-                calls > 0 ? bytes / calls : 0.0, sg ? "" : "\n");
+    std::printf("tcp sendmsg coalescing: %.2f frames/call, %.0f bytes/call\n",
+                calls > 0 ? frames / calls : 0.0,
+                calls > 0 ? bytes / calls : 0.0);
   }
 
   // CRC throughput rows: the four integrity-check implementations over the

@@ -1,6 +1,6 @@
-// Microbenchmark for the cache-topology layout pass (JobConfig::layout +
-// comper_pinning): hub-last renumbering and comper/core pinning, on vs off,
-// over hub-skew / power-law generators and two kernels (TC and MCF).
+// Microbenchmark for the cache-topology layout pass (JobConfig::layout):
+// hub-last renumbering on vs off, over hub-skew / power-law generators and
+// two kernels (TC and MCF).
 //
 // Why hub-last (degree-ascending, hubs at the *highest* IDs): under the Γ_>
 // trimmed orientation a task rooted at v only keeps neighbors with larger
@@ -22,7 +22,7 @@
 //    stand-in at the Table V(a) cache operating point — the end-to-end case
 //    where the bounded candidate sets matter most.
 //
-// The binary exits non-zero unless all variants of a workload produce the
+// The binary exits non-zero unless both variants of a workload produce the
 // same count (renumbering must be semantics-preserving).
 //
 // Usage: layout_micro [--json PATH]   (writes BENCH_layout.json rows)
@@ -36,34 +36,6 @@
 #include "graph/generator.h"
 
 namespace gthinker::bench {
-namespace {
-
-struct Variant {
-  const char* label;
-  bool reorder;
-  bool pinning;
-};
-
-constexpr Variant kVariants[] = {
-    {"reorder-off", false, false},
-    {"reorder-on", true, false},
-    {"pin-on", false, true},
-    {"reorder+pin", true, true},
-};
-
-// Compers that actually landed on a CPU: comper.pinned_cpu{comper=i} >= 0.
-// (The gauge snapshot key is "name{labels}"; match by prefix.)
-int PinnedCompers(const JobStats& stats) {
-  int pinned = 0;
-  for (const auto& snap : stats.metrics) {
-    for (const auto& [key, value] : snap.gauges) {
-      if (key.rfind("comper.pinned_cpu", 0) == 0 && value >= 0) ++pinned;
-    }
-  }
-  return pinned;
-}
-
-}  // namespace
 
 int Main(int argc, char** argv) {
   struct Workload {
@@ -104,61 +76,46 @@ int Main(int argc, char** argv) {
   doc.bench = "layout_micro";
   doc.EchoConfig(base);
 
-  std::printf("layout_micro: hub-last renumbering x comper pinning\n");
-  std::printf("%-22s %-14s %10s %12s %10s %14s\n", "workload", "config",
-              "elapsed", "cache_hit", "pinned", "count");
+  std::printf("layout_micro: hub-last renumbering\n");
+  std::printf("%-22s %-14s %10s %12s %14s\n", "workload", "config",
+              "elapsed", "cache_hit", "count");
 
   bool all_match = true;
   for (const Workload& w : workloads) {
-    double elapsed[4] = {0, 0, 0, 0};
-    uint64_t values[4] = {0, 0, 0, 0};
-    for (size_t i = 0; i < 4; ++i) {
+    double elapsed[2] = {0, 0};
+    uint64_t values[2] = {0, 0};
+    for (const bool reorder : {false, true}) {
       JobConfig config = base;
       config.cache_capacity = w.cache_capacity;
       config.comm.net.bandwidth_mbps = w.bandwidth_mbps;
-      config.layout.reorder = kVariants[i].reorder;
-      config.comper_pinning = kVariants[i].pinning;
+      config.layout.reorder = reorder;
       const RunOutcome o = w.mcf ? RunGthinkerMcf(w.graph, config)
                                  : RunGthinkerTc(w.graph, config);
-      elapsed[i] = o.elapsed_s;
-      values[i] = o.value;
+      elapsed[reorder] = o.elapsed_s;
+      values[reorder] = o.value;
 
-      BenchJson::Row* row = doc.AddRow(w.name + "/" + kVariants[i].label);
+      const char* label = reorder ? "reorder-on" : "reorder-off";
+      BenchJson::Row* row = doc.AddRow(w.name + "/" + label);
       FillRow(row, o);
-      row->numbers["reorder"] = kVariants[i].reorder ? 1.0 : 0.0;
-      row->numbers["pinning"] = kVariants[i].pinning ? 1.0 : 0.0;
-      row->numbers["pinned_compers"] =
-          static_cast<double>(PinnedCompers(o.stats));
+      row->numbers["reorder"] = reorder ? 1.0 : 0.0;
       row->numbers["cache_evictions"] =
           static_cast<double>(o.stats.cache_evictions);
       row->numbers["bytes_sent"] = static_cast<double>(o.stats.bytes_sent);
 
-      std::printf("%-22s %-14s %9.2fs %12.3f %10d %14llu\n", w.name.c_str(),
-                  kVariants[i].label, o.elapsed_s, o.stats.CacheHitRate(),
-                  PinnedCompers(o.stats),
+      std::printf("%-22s %-14s %9.2fs %12.3f %14llu\n", w.name.c_str(),
+                  label, o.elapsed_s, o.stats.CacheHitRate(),
                   static_cast<unsigned long long>(o.value));
     }
-    for (size_t i = 1; i < 4; ++i) all_match &= values[i] == values[0];
+    const bool match = values[1] == values[0];
+    all_match &= match;
 
     BenchJson::Row* summary = doc.AddRow(w.name + "/summary");
     summary->numbers["speedup_reorder"] =
         elapsed[1] > 0 ? elapsed[0] / elapsed[1] : 0.0;
-    summary->numbers["speedup_pin"] =
-        elapsed[2] > 0 ? elapsed[0] / elapsed[2] : 0.0;
-    summary->numbers["speedup_reorder_pin"] =
-        elapsed[3] > 0 ? elapsed[0] / elapsed[3] : 0.0;
-    summary->numbers["results_match"] =
-        (values[1] == values[0] && values[2] == values[0] &&
-         values[3] == values[0])
-            ? 1.0
-            : 0.0;
-    std::printf("%s: reorder %.2fx, pin %.2fx, reorder+pin %.2fx "
-                "(counts %s)\n",
-                w.name.c_str(),
+    summary->numbers["results_match"] = match ? 1.0 : 0.0;
+    std::printf("%s: reorder %.2fx (counts %s)\n", w.name.c_str(),
                 elapsed[1] > 0 ? elapsed[0] / elapsed[1] : 0.0,
-                elapsed[2] > 0 ? elapsed[0] / elapsed[2] : 0.0,
-                elapsed[3] > 0 ? elapsed[0] / elapsed[3] : 0.0,
-                values[1] == values[0] ? "identical" : "MISMATCH");
+                match ? "identical" : "MISMATCH");
   }
 
   const Status st = doc.WriteTo(JsonPathArg(argc, argv));

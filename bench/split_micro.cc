@@ -9,12 +9,12 @@
 // purpose: the trimmed orientation assigns each clique to its minimum
 // member, so that is where the skew lands.
 //
-// Rows compare the same job with splitting disabled vs armed (compute
-// budget + steal-aware donor splitting). The headline metric is the p99 of
-// per-iteration compute latency (comper.compute_iter_us merged across all
-// workers/compers): the budget slices each straggler into ~budget-sized
-// range children, so the p99 collapses from "whole straggler" to "one
-// slice" while the total clique count stays bit-identical.
+// Rows compare the same job with splitting off (the default config) vs
+// armed (compute budget + steal-aware donor splitting). The headline metric
+// is the p99 of per-iteration compute latency (comper.compute_iter_us
+// merged across all workers/compers): the budget slices each straggler into
+// ~budget-sized range children, so the p99 collapses from "whole straggler"
+// to "one slice" while the total clique count stays bit-identical.
 //
 // Usage: split_micro [--json PATH]   (writes BENCH_split.json rows)
 
@@ -115,11 +115,10 @@ RunOutcome RunKClique(const Graph& graph, JobConfig config) {
 int Main(int argc, char** argv) {
   const Graph graph = MakeHubSkewGraph(/*seed=*/20260807);
 
-  JobConfig off = DefaultConfig();
-  off.task_split_enabled = false;
+  // Split-off is the default config: every split trigger defaults to 0.
+  const JobConfig off = DefaultConfig();
 
   JobConfig on = DefaultConfig();
-  on.task_split_enabled = true;
   on.task_time_budget_us = 5000;      // cap any one Compute call at ~5 ms
   on.task_split_max_candidates = 0;   // budget-driven only; no blind pre-split
   on.task_split_fanout = 4;

@@ -70,8 +70,8 @@ bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
     return false;
   }
   // Splitting disarmed: a full-default-range task runs the original kernel
-  // (the task_split_enabled=false ablation stays bit-identical to the
-  // pre-split code path); a partial range — a steal-split child — runs its
+  // (with the triggers at their default 0 the job runs the unsplit code path
+  // bit-identically); a partial range — a steal-split child — runs its
   // slice of the range kernel to completion.
   uint64_t count;
   if (ctx.begin == 0 && ctx.end == SplitCtx::kUnbounded) {

@@ -86,8 +86,8 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
     return false;
   }
   // Splitting disarmed: a full-default-range task runs the original kernel
-  // (the task_split_enabled=false ablation stays identical to the pre-split
-  // code path); a partial range — a steal-split child — runs its slice.
+  // (with the triggers at their default 0 the job runs the unsplit code
+  // path); a partial range — a steal-split child — runs its slice.
   std::vector<VertexId> found;
   if (ctx.begin == 0 && ctx.end == SplitCtx::kUnbounded) {
     found = LargestQuasiCliqueFromRoot(cg, /*root=*/0, gamma_, min_size_);

@@ -196,9 +196,6 @@ class Cluster {
         job.labels = &reordered_labels;
       }
       job.graph = &reordered_graph;
-      job.config.layout.cache_segment_shift = DeriveCacheSegmentShift(
-          reordered_graph, job.config.layout.llc_segment_bytes,
-          job.config.cache_num_buckets);
     }
     const JobConfig& config = job.config;
 
@@ -392,10 +389,6 @@ class Cluster {
                          ? 1.0 - static_cast<double>(s.comper_idle_rounds) /
                                      static_cast<double>(s.comper_rounds)
                          : 0.0);
-            w.Key("pinned_cpus");
-            w.BeginArray();
-            for (int cpu : s.pinned_cpus) w.Int(cpu);
-            w.EndArray();
             w.EndObject();
           }
           w.EndArray();
@@ -489,6 +482,17 @@ class Cluster {
           hub.Send(std::move(mb));
         }
       };
+      // Reports, acks and barriers name their worker in the payload, and the
+      // master indexes per-worker state by that name. The transport ties
+      // mb.src_worker to the link a batch arrived on, so a payload naming
+      // any other worker is a protocol violation, never an index.
+      auto check_sender = [&](int32_t worker_id, const MessageBatch& mb) {
+        GT_CHECK(worker_id >= 0 && worker_id < num_workers &&
+                 worker_id == mb.src_worker)
+            << "master: " << MsgTypeName(mb.type) << " from endpoint "
+            << mb.src_worker << " names worker " << worker_id
+            << "; expected the sender itself, in [0, " << num_workers << ")";
+      };
 
       while (!terminate) {
         MessageBatch mb;
@@ -497,6 +501,7 @@ class Cluster {
             case MsgType::kProgressReport: {
               ProgressReport report;
               GT_CHECK_OK(report.Decode(mb.payload));
+              check_sender(report.worker_id, mb);
               MergeInto(&global, report.agg_delta);
               if (pending_ckpt_acks > 0 && !ckpt_acked[report.worker_id]) {
                 MergeInto(&ckpt_global, report.agg_delta);
@@ -508,6 +513,7 @@ class Cluster {
             case MsgType::kCheckpointAck: {
               CheckpointAck ack;
               GT_CHECK_OK(ack.Decode(mb.payload));
+              check_sender(ack.worker_id, mb);
               MergeInto(&global, ack.agg_delta);
               if (ack.epoch == active_ckpt_epoch && pending_ckpt_acks > 0 &&
                   !ckpt_acked[ack.worker_id]) {
@@ -660,6 +666,7 @@ class Cluster {
         if (mb.type == MsgType::kProgressReport) {
           ProgressReport report;
           GT_CHECK_OK(report.Decode(mb.payload));
+          check_sender(report.worker_id, mb);
           MergeInto(&global, report.agg_delta);
           if (report.final_report != 0 &&
               final_reports[report.worker_id].final_report == 0) {
@@ -669,10 +676,12 @@ class Cluster {
         } else if (mb.type == MsgType::kCheckpointAck) {
           CheckpointAck ack;
           GT_CHECK_OK(ack.Decode(mb.payload));
+          check_sender(ack.worker_id, mb);
           MergeInto(&global, ack.agg_delta);
         } else if (mb.type == MsgType::kDrainBarrier) {
           int32_t worker_id = -1;
           GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
+          check_sender(worker_id, mb);
           if (!barrier_seen[worker_id]) {
             barrier_seen[worker_id] = true;
             if (++barriers == num_workers) {

@@ -45,7 +45,7 @@ class Comper {
 
     // ---- big-task decomposition services ----
     /// True when the engine wants Compute() to consider splitting at all
-    /// (task_split_enabled plus at least one trigger knob armed).
+    /// (task_time_budget_us or task_split_max_candidates armed).
     virtual bool SplitArmed() const { return false; }
     /// True when `candidates` top-level candidates exceed the configured
     /// task_split_max_candidates threshold — split before mining.

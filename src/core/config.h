@@ -116,11 +116,6 @@ struct JobConfig {
   /// ABLATION ONLY (bench/ablation_ztable): disable the Z-table; GC then
   /// scans whole Γ-tables under the bucket lock to find evictable entries.
   bool cache_use_z_table = true;
-  /// Guard T_cache buckets with a test-and-test-and-set spinlock instead of
-  /// std::mutex. OP1–OP3 critical sections are a handful of hash operations,
-  /// so spinning beats a futex round-trip when compers don't oversubscribe
-  /// the cores by much; keep the default (mutex) when they do.
-  bool cache_spinlock = false;
 
   // ---- task management (paper §V-B) ----
   /// C: task-batch size; Q_task refills when |Q_task| <= C, back to 2C.
@@ -131,10 +126,8 @@ struct JobConfig {
   int inflight_task_cap = 8 * 150;
 
   // ---- big-task decomposition (codesign follow-up, PAPERS.md) ----
-  /// Master switch for task splitting. Off reproduces the pre-split engine
-  /// exactly (the ablation baseline for bench/split_micro): no budget checks,
-  /// no steal-aware splitting, bit-identical results and schedules.
-  bool task_split_enabled = true;
+  // Splitting is armed only by the three triggers below; with all of them
+  // at their default 0 the engine runs the unsplit schedule exactly.
   /// Per-iteration compute budget in microseconds (0 = off). When a
   /// Compute() call overruns it, the app's yield hook fires and the task is
   /// handed back to the scheduler as split children (divide-and-conquer
@@ -146,7 +139,7 @@ struct JobConfig {
   int64_t task_split_max_candidates = 0;
   /// Fan-out of one Split() call: the parent narrows to the first shard and
   /// emits fanout-1 new children (so the ledger registers fanout-1
-  /// creations). Must be >= 2 when splitting is enabled.
+  /// creations). Must be >= 2.
   int task_split_fanout = 4;
   /// Steal-aware donation (0 = off): when a donor pops a pending task whose
   /// SplitWeight() is at least this many candidates, it splits the task in
@@ -165,25 +158,8 @@ struct JobConfig {
     /// original IDs before they reach the caller; counts are bit-identical
     /// with the knob on or off.
     bool reorder = false;
-    /// Target bytes of cached adjacency data per renumbered-ID segment for
-    /// the VertexCache bucket router. With reorder on, consecutive new IDs
-    /// whose rows together span roughly this many bytes share one bucket
-    /// (route = Mix64(id >> shift) & mask), so a hot segment stays within
-    /// one bucket's lock and the LLC. Sized to a slice of the last-level
-    /// cache; default 2 MiB.
-    int64_t llc_segment_bytes = 2ll << 20;
-    /// Derived by the Cluster driver from llc_segment_bytes and the loaded
-    /// graph's average row size — not user-set (Validate rejects values
-    /// outside [0, 30]). 0 = plain per-ID Mix64 routing, bit-identical to
-    /// the unsegmented router.
-    int cache_segment_shift = 0;
   };
   LayoutConfig layout;
-  /// Pin comper threads to cores (pthread_setaffinity_np), assigning global
-  /// comper slots to CPUs in NUMA-node-major order so a worker's compers
-  /// share a node with the T_cache buckets they hammer. Per-comper pin
-  /// status lands in the obs registry (comper.pinned_cpu) and /status.json.
-  bool comper_pinning = false;
 
   // ---- communication (grouped; see CommConfig above) ----
   CommConfig comm;
@@ -261,12 +237,6 @@ struct JobConfig {
   // ---- durability ----
   /// Directory for task spill files; empty = fresh temp dir per job.
   std::string spill_root;
-  /// Spill writes/reads go through a per-worker writer/prefetcher thread
-  /// (storage/async_spill.h): queue overflow hands the batch off instead of
-  /// blocking the comper, and the next L_file refill is staged in memory
-  /// ahead of demand. Off reproduces the synchronous spill path exactly
-  /// (the ablation baseline for bench/cache_micro).
-  bool spill_async = true;
   /// Checkpoint period (0 = off) and target directory (MiniDfs root).
   int64_t checkpoint_interval_us = 0;
   std::string checkpoint_dir;
@@ -323,18 +293,8 @@ struct JobConfig {
     if (task_split_steal_weight < 0) {
       return Status::InvalidArgument("task_split_steal_weight must be >= 0");
     }
-    if (task_split_enabled && task_split_fanout < 2) {
-      return Status::InvalidArgument(
-          "task_split_fanout must be >= 2 when task_split_enabled");
-    }
-    if (layout.llc_segment_bytes <= 0) {
-      return Status::InvalidArgument(
-          "layout.llc_segment_bytes must be positive");
-    }
-    if (layout.cache_segment_shift < 0 || layout.cache_segment_shift > 30) {
-      return Status::InvalidArgument(
-          "layout.cache_segment_shift out of [0, 30] (derived by "
-          "Cluster::Run; do not set by hand)");
+    if (task_split_fanout < 2) {
+      return Status::InvalidArgument("task_split_fanout must be >= 2");
     }
     if (comm.request_batch_size <= 0) {
       return Status::InvalidArgument("request_batch_size must be positive");

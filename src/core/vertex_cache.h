@@ -16,7 +16,6 @@
 #include "util/logging.h"
 #include "util/mem_tracker.h"
 #include "util/serializer.h"
-#include "util/spinlock.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -90,7 +89,7 @@ class VertexCache {
     /// Completed EvictUpTo passes (each scans up to every bucket once).
     std::atomic<int64_t> gc_passes{0};
     /// Bucket-lock acquisitions that found the lock already held (the
-    /// try_lock fast path failed and the caller had to block/spin).
+    /// try_lock fast path failed and the caller had to block).
     std::atomic<int64_t> lock_contention{0};
     GroupStats groups[kNumBucketGroups];
   };
@@ -100,31 +99,17 @@ class VertexCache {
   /// α, `counter_delta` = δ, `mem` (optional) tracks cached-value bytes.
   /// `use_z_table = false` is the ablation: GC scans the whole Γ-table for
   /// unlocked entries instead of chasing the Z-list (bench/ablation_ztable).
-  /// `use_spinlock = true` guards buckets with a test-and-test-and-set
-  /// spinlock instead of std::mutex (JobConfig::cache_spinlock) — a win when
-  /// critical sections are as short as OP1–OP3 and compers outnumber cores
-  /// only modestly.
-  /// `segment_shift > 0` routes by renumbered-ID segment instead of per ID:
-  /// the router hashes `v >> segment_shift`, so 2^shift consecutive IDs (one
-  /// LLC-sized slice of a hub-last layout, JobConfig::layout) share one
-  /// bucket — one lock and one resident region for a hot segment. 0 keeps
-  /// the original per-ID Mix64 routing bit-identically.
   VertexCache(int num_buckets, int64_t capacity, double alpha,
               int counter_delta, MemTracker* mem = nullptr,
-              bool use_z_table = true, bool use_spinlock = false,
-              int segment_shift = 0)
+              bool use_z_table = true)
       : buckets_(RoundUpPow2(num_buckets)),
         capacity_(capacity),
         alpha_(alpha),
         counter_delta_(counter_delta),
         use_z_table_(use_z_table),
-        use_spinlock_(use_spinlock),
-        segment_shift_(segment_shift),
         mem_(mem) {
     GT_CHECK_GT(num_buckets, 0);
     GT_CHECK_GT(capacity, 0);
-    GT_CHECK_GE(segment_shift, 0);
-    GT_CHECK_LE(segment_shift, 30);
     // Power-of-two invariant: the router masks instead of dividing.
     GT_CHECK_EQ(buckets_.size() & (buckets_.size() - 1), 0u);
     bucket_mask_ = buckets_.size() - 1;
@@ -486,7 +471,6 @@ class VertexCache {
   };
   struct Bucket {
     mutable std::mutex mutex;
-    mutable SpinLock spin;
     std::unordered_map<VertexId, GammaEntry> gamma;
     std::unordered_map<VertexId, RequestEntry> rtable;
     /// Intrusive FIFO of zero-locked Γ entries: head = oldest idle (evicted
@@ -495,42 +479,26 @@ class VertexCache {
     GammaEntry* z_tail = nullptr;
   };
 
-  /// RAII bucket guard dispatching on the cache-wide lock flavor. The
-  /// try_lock-first acquisition feeds the lock_contention counter without
-  /// adding an atomic RMW to the uncontended path.
+  /// RAII bucket-mutex guard. The try_lock-first acquisition feeds the
+  /// lock_contention counter without adding an atomic RMW to the
+  /// uncontended path.
   class BucketLock {
    public:
     BucketLock(const VertexCache* cache, const Bucket& bucket)
-        : bucket_(bucket), spin_(cache->use_spinlock_) {
-      if (spin_) {
-        if (!bucket_.spin.try_lock()) {
-          cache->stats_.lock_contention.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          bucket_.spin.lock();
-        }
-      } else {
-        if (!bucket_.mutex.try_lock()) {
-          cache->stats_.lock_contention.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          bucket_.mutex.lock();
-        }
+        : bucket_(bucket) {
+      if (!bucket_.mutex.try_lock()) {
+        cache->stats_.lock_contention.fetch_add(1, std::memory_order_relaxed);
+        bucket_.mutex.lock();
       }
     }
 
-    ~BucketLock() {
-      if (spin_) {
-        bucket_.spin.unlock();
-      } else {
-        bucket_.mutex.unlock();
-      }
-    }
+    ~BucketLock() { bucket_.mutex.unlock(); }
 
     BucketLock(const BucketLock&) = delete;
     BucketLock& operator=(const BucketLock&) = delete;
 
    private:
     const Bucket& bucket_;
-    const bool spin_;
   };
 
   // ---- intrusive Z-list splices (bucket lock held) ----
@@ -645,9 +613,7 @@ class VertexCache {
   Bucket& BucketFor(VertexId v) { return buckets_[BucketIndexFor(v)]; }
 
   size_t BucketIndexFor(VertexId v) const {
-    // segment_shift_ = 0 routes per ID; > 0 routes per renumbered-ID
-    // segment so a hot LLC-sized run of hub rows shares one bucket.
-    return Mix64(static_cast<uint64_t>(v) >> segment_shift_) & bucket_mask_;
+    return Mix64(static_cast<uint64_t>(v)) & bucket_mask_;
   }
 
   /// Folds bucket index into one of kNumBucketGroups contiguous ranges
@@ -679,8 +645,6 @@ class VertexCache {
   const double alpha_;
   const int counter_delta_;
   const bool use_z_table_;
-  const bool use_spinlock_;
-  const int segment_shift_ = 0;
   MemTracker* mem_;
   std::atomic<int64_t> s_cache_{0};
   size_t next_evict_bucket_ = 0;

@@ -23,7 +23,6 @@
 #include "core/pull_coalescer.h"
 #include "core/response_cache.h"
 #include "core/vertex_cache.h"
-#include "graph/layout.h"
 #include "net/comm_hub.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -65,8 +64,7 @@ class Worker {
         spill_dir_(std::move(spill_dir)),
         cache_(config.cache_num_buckets, config.cache_capacity,
                config.cache_overflow_alpha, config.cache_counter_delta,
-               &mem_, config.cache_use_z_table, config.cache_spinlock,
-               config.layout.cache_segment_shift),
+               &mem_, config.cache_use_z_table),
         coalescer_(config.num_workers, config.comm.request_batch_size,
                    config.comm.request_flush_bytes),
         resp_cache_(config.comm.response_cache_bytes,
@@ -78,36 +76,31 @@ class Worker {
     }
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
     steal_rtt_us_ = metrics_.GetHistogram("steal.rtt_us");
-    spill_write_us_ = metrics_.GetHistogram("spill.write_us");
-    spill_read_us_ = metrics_.GetHistogram("spill.read_us");
-    spill_write_bytes_ = metrics_.GetCounter("spill.write_bytes");
-    spill_read_bytes_ = metrics_.GetCounter("spill.read_bytes");
+    obs::Histogram* spill_write_us = metrics_.GetHistogram("spill.write_us");
+    obs::Histogram* spill_read_us = metrics_.GetHistogram("spill.read_us");
+    obs::Counter* spill_write_bytes = metrics_.GetCounter("spill.write_bytes");
+    obs::Counter* spill_read_bytes = metrics_.GetCounter("spill.read_bytes");
     refill_spill_tasks_ = metrics_.GetCounter("refill.from_spill_tasks");
     refill_spawn_tasks_ = metrics_.GetCounter("refill.from_spawn_tasks");
     split_count_ = metrics_.GetCounter("split.count");
     split_children_ = metrics_.GetCounter("split.children");
     split_depth_us_ = metrics_.GetHistogram("split.depth");
     phase_steal_us_ = metrics_.GetCounter("phase.steal_us");
-    if (config_.spill_async) {
-      spill_io_ = std::make_unique<AsyncSpillIo>(&l_file_);
-      // Disk timings land in the same histograms the synchronous path
-      // records into, so spill.write_us / read_us stay comparable across
-      // the spill_async ablation.
-      spill_io_->SetWriteObserver([this](int64_t us, int64_t bytes) {
-        spill_write_us_->Record(us);
-        spill_write_bytes_->Add(bytes);
-      });
-      spill_io_->SetReadObserver([this](int64_t us, int64_t bytes) {
-        spill_read_us_->Record(us);
-        spill_read_bytes_->Add(bytes);
-      });
-      spill_io_->Start();
-    }
+    // Disk timings of the spill writer/prefetcher thread.
+    spill_io_.SetWriteObserver(
+        [spill_write_us, spill_write_bytes](int64_t us, int64_t bytes) {
+          spill_write_us->Record(us);
+          spill_write_bytes->Add(bytes);
+        });
+    spill_io_.SetReadObserver(
+        [spill_read_us, spill_read_bytes](int64_t us, int64_t bytes) {
+          spill_read_us->Record(us);
+          spill_read_bytes->Add(bytes);
+        });
+    spill_io_.Start();
     for (int i = 0; i < config_.compers_per_worker; ++i) {
       engines_.push_back(std::make_unique<ComperEngine>(this, i, factory()));
     }
-    pinned_cpus_ = std::vector<std::atomic<int>>(engines_.size());
-    for (auto& p : pinned_cpus_) p.store(-1, std::memory_order_relaxed);
     steal_comper_ = factory();
     steal_runtime_ = std::make_unique<StealRuntime>(this);
     steal_comper_->BindRuntime(steal_runtime_.get());
@@ -157,7 +150,7 @@ class Worker {
     std::vector<std::string> batch;
     auto flush_batch = [this, &batch]() -> Status {
       const int64_t count = static_cast<int64_t>(batch.size());
-      const std::string path = SpillWrite(std::move(batch));
+      const std::string path = spill_io_.Submit(spill_dir_, std::move(batch));
       batch.clear();
       live_tasks_.fetch_add(count);
       tasks_restored_.fetch_add(count, std::memory_order_relaxed);
@@ -189,21 +182,8 @@ class Worker {
     compers_running_.store(static_cast<int>(engines_.size()),
                            std::memory_order_release);
     compers_spawning_.store(static_cast<int>(engines_.size()));
-    for (size_t i = 0; i < engines_.size(); ++i) {
-      threads_.emplace_back([this, e = engines_[i].get(), i] {
-        if (config_.comper_pinning) {
-          // Global comper slot -> NUMA-node-major CPU: worker w's compers
-          // land on consecutive CPUs of one node before spilling to the
-          // next, so they share the LLC slice their T_cache segments live
-          // in. -1 records a failed/unsupported pin (gauge + /status.json).
-          static const std::vector<int> cpu_order = NumaMajorCpuOrder();
-          const int slot =
-              id_ * config_.compers_per_worker + static_cast<int>(i);
-          pinned_cpus_[i].store(PinCurrentThreadToSlot(slot, cpu_order),
-                                std::memory_order_relaxed);
-        }
-        e->Loop();
-      });
+    for (auto& engine : engines_) {
+      threads_.emplace_back([e = engine.get()] { e->Loop(); });
     }
     threads_.emplace_back([this] { CommLoop(); });
     threads_.emplace_back([this] { GcLoop(); });
@@ -216,7 +196,7 @@ class Worker {
     threads_.clear();
     // After the compers and comm thread exit nothing can submit spill work;
     // drain whatever is still queued and retire the writer thread.
-    if (spill_io_ != nullptr) spill_io_->Stop();
+    spill_io_.Stop();
   }
 
   /// True once the final progress report has been sent (job over).
@@ -271,8 +251,7 @@ class Worker {
     // ---- big-task decomposition services (comper thread only) ----
     bool SplitArmed() const override {
       const JobConfig& c = worker_->config_;
-      return c.task_split_enabled &&
-             (c.task_time_budget_us > 0 || c.task_split_max_candidates > 0);
+      return c.task_time_budget_us > 0 || c.task_split_max_candidates > 0;
     }
     bool OverSizeThreshold(uint64_t candidates) const override {
       const int64_t threshold = worker_->config_.task_split_max_candidates;
@@ -444,7 +423,7 @@ class Worker {
         if (auto file = worker_->l_file_.TryPopFront()) {
           Timer spill_timer;
           std::vector<std::string> records;
-          GT_CHECK_OK(worker_->SpillFetch(file->path, &records));
+          GT_CHECK_OK(worker_->spill_io_.Fetch(file->path, &records));
           GT_CHECK_EQ(static_cast<int64_t>(records.size()), file->records)
               << "spill file " << file->path << " record count drifted";
           for (const std::string& rec : records) {
@@ -517,7 +496,8 @@ class Worker {
           // Keep original queue order inside the file.
           records[batch - 1 - i] = ser.Release();
         }
-        const std::string path = worker_->SpillWrite(std::move(records));
+        const std::string path =
+            worker_->spill_io_.Submit(worker_->spill_dir_, std::move(records));
         worker_->l_file_.PushBack(path, static_cast<int64_t>(batch));
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
@@ -762,37 +742,6 @@ class Worker {
 
   bool IsLocal(VertexId v) const {
     return OwnerOf(v, config_.num_workers) == id_;
-  }
-
-  /// Writes one spill batch and returns its path. With spill_async the
-  /// records are handed to the writer thread and the call returns as soon as
-  /// the path is reserved (the path is immediately valid for SpillFetch and
-  /// L_file); otherwise this is the original blocking write.
-  std::string SpillWrite(std::vector<std::string> records) {
-    if (spill_io_ != nullptr) {
-      return spill_io_->Submit(spill_dir_, std::move(records));
-    }
-    std::string path;
-    int64_t bytes = 0;
-    Timer write_timer;
-    GT_CHECK_OK(SpillFile::WriteBatch(spill_dir_, records, &path, &bytes));
-    spill_write_us_->Record(write_timer.ElapsedMicros());
-    spill_write_bytes_->Add(bytes);
-    return path;
-  }
-
-  /// Reads one spill batch back and removes it (memory-served batches never
-  /// hit disk; disk files are deleted). Counterpart of SpillWrite for
-  /// Refill and DonateTasks.
-  Status SpillFetch(const std::string& path,
-                    std::vector<std::string>* records) {
-    if (spill_io_ != nullptr) return spill_io_->Fetch(path, records);
-    int64_t bytes = 0;
-    Timer read_timer;
-    GT_RETURN_IF_ERROR(SpillFile::ReadBatchAndDelete(path, records, &bytes));
-    spill_read_us_->Record(read_timer.ElapsedMicros());
-    spill_read_bytes_->Add(bytes);
-    return Status::Ok();
   }
 
   /// Task-lifecycle ledger entry points. live_tasks_ is the single source of
@@ -1152,7 +1101,8 @@ class Worker {
           tasks_received_.fetch_add(static_cast<int64_t>(records.size()),
                                     std::memory_order_relaxed);
           const int64_t count = static_cast<int64_t>(records.size());
-          const std::string path = SpillWrite(std::move(records));
+          const std::string path =
+              spill_io_.Submit(spill_dir_, std::move(records));
           l_file_.PushBack(path, count);
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
           Flight(obs::FlightKind::kStealReceive, -1, count, mb.src_worker);
@@ -1163,6 +1113,10 @@ class Worker {
         int32_t dst = -1;
         int64_t order_t_us = 0;
         GT_CHECK_OK(DecodeStealOrder(mb.payload, &dst, &order_t_us));
+        GT_CHECK(dst >= 0 && dst < config_.num_workers && dst != id_)
+            << "worker " << id_ << ": steal order from endpoint "
+            << mb.src_worker << " names thief " << dst << ", outside [0, "
+            << config_.num_workers << ") or this worker";
         // Donation packing happens on the comm thread; its cost shows up as
         // the worker row's steal phase, not in any comper's loop.
         Timer steal_timer;
@@ -1217,7 +1171,7 @@ class Worker {
   void DonateTasks(int dst, int64_t order_t_us) {
     std::vector<std::string> records;
     if (auto file = l_file_.TryPopBack()) {
-      GT_CHECK_OK(SpillFetch(file->path, &records));
+      GT_CHECK_OK(spill_io_.Fetch(file->path, &records));
       GT_CHECK_EQ(static_cast<int64_t>(records.size()), file->records)
           << "spill file " << file->path << " record count drifted";
       tasks_disk_donated_.fetch_add(file->records, std::memory_order_relaxed);
@@ -1234,7 +1188,7 @@ class Worker {
         steal_runtime_->SetSink(nullptr);
       }
     }
-    if (config_.task_split_enabled && config_.task_split_steal_weight > 0) {
+    if (config_.task_split_steal_weight > 0) {
       MaybeSplitDonation(&records);
     }
     if (records.empty()) return;
@@ -1303,7 +1257,7 @@ class Worker {
     }
     if (!keep.empty()) {
       const auto kept = static_cast<int64_t>(keep.size());
-      const std::string path = SpillWrite(std::move(keep));
+      const std::string path = spill_io_.Submit(spill_dir_, std::move(keep));
       l_file_.PushBack(path, kept);
       // The parents hit disk like any spilled batch; counting them keeps
       // spilled/loaded symmetric when the refill path reloads them.
@@ -1416,7 +1370,7 @@ class Worker {
     // without popping them, so every batch the async writer still holds must
     // land first. (The kTaskBatch quiesce already ran master-side, and the
     // compers are parked, so nothing new can be submitted meanwhile.)
-    if (spill_io_ != nullptr) spill_io_->Flush();
+    spill_io_.Flush();
     // Spilled files are checkpointed by content (they stay on local disk for
     // the continuing run, which a failure would wipe).
     for (const FileList::Entry& entry : l_file_.Snapshot()) {
@@ -1509,7 +1463,7 @@ class Worker {
     return depth;
   }
   int64_t SampleSpillQueueDepth() const {
-    return spill_io_ != nullptr ? spill_io_->QueueDepth() : 0;
+    return spill_io_.QueueDepth();
   }
 
   /// Point-in-time progress of this worker for the live status server.
@@ -1531,8 +1485,6 @@ class Worker {
     int64_t stolen_batches = 0;
     int64_t splits = 0;
     int64_t peak_mem_bytes = 0;
-    /// Per-comper pinned CPU IDs (-1 = unpinned); see comper_pinning.
-    std::vector<int> pinned_cpus;
   };
 
   LiveStatus SampleLiveStatus() const {
@@ -1555,10 +1507,6 @@ class Worker {
     s.stolen_batches = stolen_batches_.load(std::memory_order_relaxed);
     s.splits = split_count_->value();
     s.peak_mem_bytes = mem_.peak();
-    s.pinned_cpus.reserve(pinned_cpus_.size());
-    for (const auto& p : pinned_cpus_) {
-      s.pinned_cpus.push_back(p.load(std::memory_order_relaxed));
-    }
     return s;
   }
 
@@ -1602,27 +1550,19 @@ class Worker {
     set("spill.batches", spilled_batches_.load(std::memory_order_relaxed));
     set("steal.batches_received",
         stolen_batches_.load(std::memory_order_relaxed));
-    if (spill_io_ != nullptr) {
-      const auto& ss = spill_io_->stats();
-      set("spill.mem_hits", ss.mem_hits.load(std::memory_order_relaxed));
-      set("spill.prefetch_hits",
-          ss.prefetch_hits.load(std::memory_order_relaxed));
-      set("spill.prefetch_reads",
-          ss.prefetch_reads.load(std::memory_order_relaxed));
-      // Peak writer-queue depth over the run (the live value is also on the
-      // master sampler's spill_queue_depth series).
-      metrics_.GetGauge("spill.queue_depth")
-          ->Set(ss.peak_queue_depth.load(std::memory_order_relaxed));
-    }
+    const auto& ss = spill_io_.stats();
+    set("spill.mem_hits", ss.mem_hits.load(std::memory_order_relaxed));
+    set("spill.prefetch_hits",
+        ss.prefetch_hits.load(std::memory_order_relaxed));
+    set("spill.prefetch_reads",
+        ss.prefetch_reads.load(std::memory_order_relaxed));
+    // Peak writer-queue depth over the run (the live value is also on the
+    // master sampler's spill_queue_depth series).
+    metrics_.GetGauge("spill.queue_depth")
+        ->Set(ss.peak_queue_depth.load(std::memory_order_relaxed));
     for (const auto& engine : engines_) {
       metrics_.GetGauge("comper.idle_rounds")->Add(engine->IdleRounds());
       metrics_.GetGauge("comper.rounds")->Add(engine->Rounds());
-    }
-    // Per-comper pin status (JobConfig::comper_pinning): the CPU the comper
-    // thread was pinned to, -1 = unpinned (knob off, or the pin failed).
-    for (size_t i = 0; i < pinned_cpus_.size(); ++i) {
-      metrics_.GetGauge("comper.pinned_cpu", "comper=" + std::to_string(i))
-          ->Set(pinned_cpus_[i].load(std::memory_order_relaxed));
     }
   }
 
@@ -1645,21 +1585,12 @@ class Worker {
   MemTracker mem_;
   VertexCache<VertexT> cache_;  // T_cache
   FileList l_file_;             // L_file
-  /// Spill writer/prefetcher thread (JobConfig::spill_async); null in the
-  /// synchronous ablation. Declared after l_file_ (it holds a pointer to it)
-  /// and constructed in the ctor body once the obs histograms exist.
-  std::unique_ptr<AsyncSpillIo> spill_io_;
   AggregatorState<ComperT> agg_;
 
   std::vector<std::unique_ptr<ComperEngine>> engines_;
   std::unique_ptr<ComperT> steal_comper_;
   std::unique_ptr<StealRuntime> steal_runtime_;
   std::mutex steal_mutex_;
-
-  /// Per-comper pinned CPU (-1 = unpinned); written once by each comper
-  /// thread on startup when comper_pinning is on, read by the sampler and
-  /// FinalizeObs.
-  std::vector<std::atomic<int>> pinned_cpus_;
 
   /// Per-destination pull batching + in-window dedup (compers add, comm
   /// thread flushes).
@@ -1678,10 +1609,6 @@ class Worker {
   std::atomic<uint64_t> span_seq_{0};
   obs::Histogram* task_wait_us_ = nullptr;
   obs::Histogram* steal_rtt_us_ = nullptr;
-  obs::Histogram* spill_write_us_ = nullptr;
-  obs::Histogram* spill_read_us_ = nullptr;
-  obs::Counter* spill_write_bytes_ = nullptr;
-  obs::Counter* spill_read_bytes_ = nullptr;
   obs::Counter* refill_spill_tasks_ = nullptr;
   obs::Counter* refill_spawn_tasks_ = nullptr;
   obs::Counter* split_count_ = nullptr;
@@ -1691,6 +1618,11 @@ class Worker {
   obs::Counter* phase_steal_us_ = nullptr;
   /// Job flight recorder (owned by the cluster); null until wired.
   obs::FlightRecorder* flight_ = nullptr;
+
+  /// Spill writer/prefetcher thread: every spill write and read goes
+  /// through it. Declared after l_file_ and metrics_, which its thread
+  /// uses; started in the ctor body once its observers are installed.
+  AsyncSpillIo spill_io_{&l_file_};
 
   // output collection
   static constexpr size_t kOutputFlushRecords = 4096;

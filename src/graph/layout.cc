@@ -1,70 +1,11 @@
 #include "graph/layout.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
-#include <string>
-#include <thread>
 
 #include "util/logging.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace gthinker {
-namespace {
-
-/// Approximate per-entry overhead of a cached vertex beyond its adjacency
-/// payload (hash-map node, Vertex struct, AdjList header). Only used to
-/// size segments, so a rough constant is fine.
-constexpr double kCacheEntryOverheadBytes = 64.0;
-
-/// Parses a sysfs cpulist string ("0-3,8,10-11") into CPU IDs. Returns
-/// false on malformed input.
-bool ParseCpuList(const std::string& text, std::vector<int>* out) {
-  size_t i = 0;
-  while (i < text.size()) {
-    if (!std::isdigit(static_cast<unsigned char>(text[i]))) return false;
-    size_t end = 0;
-    int lo = std::stoi(text.substr(i), &end);
-    i += end;
-    int hi = lo;
-    if (i < text.size() && text[i] == '-') {
-      ++i;
-      if (i >= text.size() ||
-          !std::isdigit(static_cast<unsigned char>(text[i]))) {
-        return false;
-      }
-      hi = std::stoi(text.substr(i), &end);
-      i += end;
-    }
-    if (hi < lo) return false;
-    for (int cpu = lo; cpu <= hi; ++cpu) out->push_back(cpu);
-    if (i < text.size()) {
-      if (text[i] != ',') return false;
-      ++i;
-    }
-  }
-  return true;
-}
-
-bool ReadSmallFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char buf[4096];
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  out->assign(buf);
-  while (!out->empty() && (out->back() == '\n' || out->back() == ' ')) {
-    out->pop_back();
-  }
-  return true;
-}
-
-}  // namespace
 
 VertexLayout VertexLayout::Identity(VertexId n) {
   VertexLayout layout;
@@ -110,72 +51,6 @@ std::vector<Label> VertexLayout::ApplyLabels(
   std::vector<Label> out(labels.size());
   for (VertexId v = 0; v < labels.size(); ++v) out[ToNew(v)] = labels[v];
   return out;
-}
-
-int DeriveCacheSegmentShift(const Graph& g, int64_t llc_segment_bytes,
-                            int num_buckets) {
-  if (llc_segment_bytes <= 0 || g.NumVertices() == 0) return 0;
-  const double avg_row_bytes =
-      g.AvgDegree() * sizeof(VertexId) + kCacheEntryOverheadBytes;
-  const double seg_vertices =
-      static_cast<double>(llc_segment_bytes) / avg_row_bytes;
-  int shift = 0;
-  while (shift < 20 && (2.0 * (1u << shift)) <= seg_vertices) ++shift;
-  // Keep enough distinct segments to spread across the buckets, otherwise a
-  // small graph would collapse into a handful of them.
-  const int64_t min_segments = 4ll * std::max(num_buckets, 1);
-  while (shift > 0 &&
-         (static_cast<int64_t>(g.NumVertices()) >> shift) < min_segments) {
-    --shift;
-  }
-  return shift;
-}
-
-std::vector<int> NumaMajorCpuOrder() {
-  std::vector<int> order;
-#if defined(__linux__)
-  for (int node = 0; node < 1024; ++node) {
-    std::string text;
-    if (!ReadSmallFile("/sys/devices/system/node/node" +
-                           std::to_string(node) + "/cpulist",
-                       &text)) {
-      break;
-    }
-    if (!text.empty() && !ParseCpuList(text, &order)) {
-      order.clear();
-      break;
-    }
-  }
-#endif
-  if (order.empty()) {
-    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-  }
-  return order;
-}
-
-int PinCurrentThreadToCpu(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return -1;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    return -1;
-  }
-  return cpu;
-#else
-  (void)cpu;
-  return -1;
-#endif
-}
-
-int PinCurrentThreadToSlot(int global_slot,
-                           const std::vector<int>& cpu_order) {
-  if (cpu_order.empty() || global_slot < 0) return -1;
-  return PinCurrentThreadToCpu(
-      cpu_order[static_cast<size_t>(global_slot) % cpu_order.size()]);
 }
 
 }  // namespace gthinker

@@ -13,8 +13,7 @@ namespace gthinker {
 ///
 /// The hub-last policy renumbers vertices degree-ascending (ties broken by
 /// original ID) so the hot hub adjacency rows land contiguously at the
-/// HIGHEST IDs: contiguous in memory, contiguous in the renumbered-ID
-/// segments the VertexCache routes by. Under the Γ_> trimmed orientation
+/// HIGHEST IDs, contiguous in memory. Under the Γ_> trimmed orientation
 /// (keep neighbors with larger IDs) this turns every edge into a
 /// low-degree -> high-degree arc — the classic degeneracy orientation:
 ///
@@ -64,28 +63,6 @@ class VertexLayout {
   std::vector<VertexId> to_new_;
   std::vector<VertexId> to_old_;
 };
-
-/// Derives the VertexCache bucket-router segment shift for a renumbered
-/// graph: consecutive new IDs whose adjacency rows together span roughly
-/// llc_segment_bytes share one cache bucket (route = Mix64(id >> shift)).
-/// Returns 0 (plain Mix64 routing, bit-identical to the unsegmented router)
-/// when the graph is too small for at least a few segments per bucket.
-int DeriveCacheSegmentShift(const Graph& g, int64_t llc_segment_bytes,
-                            int num_buckets);
-
-/// Online CPU IDs in NUMA-node-major order (all of node0, then node1, ...),
-/// read from /sys/devices/system/node/node*/cpulist. Falls back to a linear
-/// 0..hardware_concurrency-1 order when sysfs is unavailable.
-std::vector<int> NumaMajorCpuOrder();
-
-/// Pins the calling thread to one CPU. Returns the CPU on success, -1 when
-/// pinning is unsupported or rejected by the kernel.
-int PinCurrentThreadToCpu(int cpu);
-
-/// Pins the calling thread to cpu_order[slot % cpu_order.size()]: global
-/// comper slot -> NUMA-node-major CPU assignment. Returns the chosen CPU on
-/// success, -1 on failure or an empty order.
-int PinCurrentThreadToSlot(int global_slot, const std::vector<int>& cpu_order);
 
 }  // namespace gthinker
 

@@ -57,19 +57,6 @@ bool SplitHostPort(const std::string& entry, std::string* host, int* port) {
   return true;
 }
 
-/// Copies a fragmented payload into one contiguous pooled slab (the legacy
-/// per-frame copy, kept for the scatter_gather=false ablation path).
-Payload FlattenPayload(const Payload& p) {
-  if (p.empty()) return Payload();
-  SlabRef slab(BufferPool::Global().Acquire(p.size()));
-  char* dst = slab.data();
-  for (const Payload::Fragment& f : p.fragments()) {
-    std::memcpy(dst, f.data, f.len);
-    dst += f.len;
-  }
-  return Payload::FromSlab(std::move(slab), p.size());
-}
-
 constexpr int kIoPollMs = 50;  // fallback poll cadence (stop flag, backoff)
 constexpr int64_t kStopFlushMs = 5000;  // bounded best-effort flush in Stop()
 /// iovec budget per sendmsg(): bounds per-call setup cost while still
@@ -296,13 +283,9 @@ TcpTransport::OutFrame TcpTransport::EncodeDataFrame(MessageBatch batch,
   OutFrame out;
   out.kind = FrameKind::kData;
   EncodeFrameHeader(h, out.header.data());
-  if (options_.scatter_gather) {
-    // Zero-copy: the sendq keeps the fragment chain (and its slabs) alive
-    // until the frame is written; sendmsg gathers header + fragments.
-    out.payload = std::move(batch.payload);
-  } else {
-    out.payload = FlattenPayload(batch.payload);
-  }
+  // Zero-copy: the sendq keeps the fragment chain (and its slabs) alive
+  // until the frame is written; sendmsg gathers header + fragments.
+  out.payload = std::move(batch.payload);
   return out;
 }
 
@@ -608,7 +591,6 @@ bool TcpTransport::WritePeer(int q) {
         skip = 0;
       }
       if (niov >= kMaxIovPerSendmsg) break;
-      if (!options_.scatter_gather) break;  // one frame per syscall
     }
     msghdr msg{};
     msg.msg_iov = iov;
@@ -695,6 +677,12 @@ bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
     }
     case FrameKind::kData: {
       if (h.msg_type >= kNumMsgTypes) return false;
+      // A rank speaks only for its own endpoints: its worker, plus the
+      // master on rank 0. Anything else is a forged source that would let
+      // the frame reach code indexing per-worker state by src.
+      if (h.src != q && !(q == 0 && h.src == options_.num_workers)) {
+        return false;
+      }
       if (!IsLocalEndpoint(h.dst)) {
         frames_dropped_.fetch_add(1, std::memory_order_relaxed);
         return true;  // misrouted, but the stream itself is intact

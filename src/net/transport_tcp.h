@@ -40,11 +40,6 @@ struct TcpTransportOptions {
   /// q % io_threads (thread 0 additionally owns the listen socket and
   /// handshaking accepted connections). 1 = the classic single poll loop.
   int io_threads = 1;
-  /// Coalesce queued frames into one sendmsg() with scatter-gather iovecs,
-  /// keeping payload fragment chains alive in the sendq (zero-copy). Off =
-  /// flatten each frame into a contiguous buffer at enqueue and emit one
-  /// frame per syscall — the legacy data plane, kept as a bench ablation.
-  bool scatter_gather = true;
   /// SO_SNDBUF override for peer sockets (0 = OS default). Tests use a tiny
   /// value to force short writes that split frames across syscalls.
   int sndbuf_bytes = 0;
@@ -180,6 +175,8 @@ class TcpTransport final : public Transport {
   bool ParseRx(int q);
   bool VerifyFrameCrc(const Peer& peer, const FrameHeader& h,
                       const char* payload);
+  /// Applies one verified frame from peer rank q; false = protocol
+  /// violation (unknown type, forged DATA source), which drops the link.
   bool HandleFrame(int q, const FrameHeader& h, const char* payload);
   void DropPeer(int q, bool reconnect);
   OutFrame EncodeDataFrame(MessageBatch batch, bool crc32c) const;

@@ -5,8 +5,9 @@
 
 namespace gthinker {
 
-/// Tiny test-and-test-and-set spinlock for very short critical sections
-/// (vertex-cache bucket counters). Satisfies Lockable so it works with
+/// Tiny test-and-test-and-set spinlock for very short critical sections:
+/// each shard of obs::ShardedRing (the flight recorder's event ring) guards
+/// a few stores with one. Satisfies Lockable so it works with
 /// std::lock_guard.
 class SpinLock {
  public:

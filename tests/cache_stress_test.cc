@@ -1,8 +1,8 @@
 // Multithreaded stress for the T_cache hot path (batched OP1/OP3, intrusive
-// Z-list, spinlock mode) and the async spill pipeline. Runs under the
-// GT_SANITIZE=thread CI job: TSan must see no races between concurrent
-// RequestBatch/ReleaseBatch/InsertResponse/EvictUpTo, and the conservation
-// checks below must hold exactly.
+// Z-list and its full-scan ablation) and the async spill pipeline. Runs
+// under the GT_SANITIZE=thread CI job: TSan must see no races between
+// concurrent RequestBatch/ReleaseBatch/InsertResponse/EvictUpTo, and the
+// conservation checks below must hold exactly.
 
 #include <gtest/gtest.h>
 
@@ -37,9 +37,9 @@ VertexT MakeVertex(VertexId id) {
 /// threads, with a GC thread evicting concurrently. Afterwards ExactSize()
 /// must match the committed insert/evict counters and CheckInvariants()
 /// must find no entry in both Γ and R and a consistent Z-list.
-void RunStress(bool use_spinlock, bool use_z_table) {
+void RunStress(bool use_z_table) {
   Cache cache(/*buckets=*/32, /*capacity=*/300, /*alpha=*/0.2, /*delta=*/5,
-              nullptr, use_z_table, use_spinlock);
+              nullptr, use_z_table);
   constexpr int kThreads = 4;
   constexpr int kVertices = 150;
   constexpr int kRounds = 1500;
@@ -191,9 +191,8 @@ void RunStress(bool use_spinlock, bool use_z_table) {
   EXPECT_EQ(cache.ApproxSize(), 0);
 }
 
-TEST(CacheStress, MutexZList) { RunStress(false, true); }
-TEST(CacheStress, SpinlockZList) { RunStress(true, true); }
-TEST(CacheStress, MutexFullScan) { RunStress(false, false); }
+TEST(CacheStress, MutexZList) { RunStress(true); }
+TEST(CacheStress, MutexFullScan) { RunStress(false); }
 
 /// Async spill pipeline stress: a producer submits batches and a consumer
 /// fetches them back through every path (pending mem-hit, in-flight wait,
@@ -259,8 +258,8 @@ TEST(CacheStress, AsyncSpillRoundTrips) {
   RemoveTree(dir);
 }
 
-/// spill_async=false ablation parity at the storage layer: a batch drained
-/// to disk by the async writer is byte-identical to a synchronous write.
+/// Pins the on-disk spill format that checkpoints read: a batch drained to
+/// disk by the async writer is byte-identical to SpillFile::WriteBatch.
 TEST(CacheStress, AsyncWriterMatchesSyncFormat) {
   const std::string dir = MakeTempDir("async_spill_format");
   std::vector<std::string> records = {"alpha", "bravo", std::string(1000, 'x'),

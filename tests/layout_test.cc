@@ -3,8 +3,8 @@
 // of the mining apps are differentially identical to unreordered ones (counts
 // and clique sizes, with the ledger conserved), including under aggressive
 // splitting and across a 2-process TCP RunDistributed; results that carry
-// vertex IDs come back in ORIGINAL ids; and the layout/pinning knobs obey
-// their Validate rules.
+// vertex IDs come back in ORIGINAL ids; and the layout knob obeys its
+// Validate rules.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/kclique_app.h"
@@ -113,60 +112,18 @@ TEST(VertexLayoutTest, ApplyLabelsFollowsThePermutation) {
   }
 }
 
-TEST(VertexLayoutTest, SegmentShiftDerivation) {
-  Graph g = Generator::PowerLaw(20000, 10.0, 2.3, 31);
-  // Tiny segments -> shift 0 (per-ID routing). Huge segments on a small
-  // graph -> also 0 (not enough segments per bucket). In between, the shift
-  // grows monotonically with the segment size.
-  EXPECT_EQ(DeriveCacheSegmentShift(g, 1, 64), 0);
-  int prev = 0;
-  for (int64_t seg = 4 << 10; seg <= (4 << 20); seg *= 4) {
-    const int shift = DeriveCacheSegmentShift(g, seg, 64);
-    EXPECT_GE(shift, 0);
-    EXPECT_LE(shift, 20);
-    if (shift != 0) {
-      EXPECT_GE(shift, prev);
-    }
-    prev = shift;
-  }
-  // Empty graph: always the legacy router.
-  EXPECT_EQ(DeriveCacheSegmentShift(Graph(), 2 << 20, 64), 0);
-}
-
-TEST(VertexLayoutTest, PinningHelpersAreSafe) {
-  const std::vector<int> order = NumaMajorCpuOrder();
-  ASSERT_FALSE(order.empty());
-  // Pin inside a scratch thread: affinity is per-thread, and the gtest main
-  // thread must stay unpinned for the rest of the binary.
-  int cpu = -2;
-  std::thread pin([&] { cpu = PinCurrentThreadToSlot(0, order); });
-  pin.join();
-#if defined(__linux__)
-  EXPECT_EQ(cpu, order[0]);
-#else
-  EXPECT_EQ(cpu, -1);
-#endif
-  EXPECT_EQ(PinCurrentThreadToSlot(3, {}), -1);
-}
-
 // ---------------------------------------------------------------------------
 // Config validation.
 // ---------------------------------------------------------------------------
 
+// The layout section has one knob, a bool: reorder on validates, and it
+// does not mask a bad knob elsewhere in the config.
 TEST(LayoutConfig, ValidationRejectsBadKnobs) {
   JobConfig config;
-  config.layout.llc_segment_bytes = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = JobConfig();
-  config.layout.llc_segment_bytes = -4096;
-  EXPECT_FALSE(config.Validate().ok());
-  config = JobConfig();
-  config.layout.cache_segment_shift = 31;  // derived knob, not user-set
-  EXPECT_FALSE(config.Validate().ok());
-  config = JobConfig();
   config.layout.reorder = true;
-  config.comper_pinning = true;
   EXPECT_TRUE(config.Validate().ok());
+  config.cache_num_buckets = 0;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 // ---------------------------------------------------------------------------

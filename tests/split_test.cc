@@ -253,30 +253,6 @@ TEST(SplitDifferential, QuasiCliqueMaxSizeIdentical) {
   EXPECT_EQ(split_result.result.size(), base_result.result.size());
 }
 
-// The task_split_enabled=false ablation must not just match results — with
-// the trigger knobs set but the master switch off, the schedule is the
-// pre-split one: no split ever fires and the spawn count equals baseline.
-TEST(SplitDifferential, DisabledSwitchIsExactAblation) {
-  Graph g = Generator::PowerLaw(250, 10.0, 2.4, 961);
-  auto base = RunCountJob<MaximalCliqueComper>(
-      &g, [] { return std::make_unique<MaximalCliqueComper>(); }, nullptr,
-      /*split=*/false);
-
-  Job<MaximalCliqueComper> job;
-  job.config.num_workers = 3;
-  job.config.compers_per_worker = 2;
-  job.config.task_split_enabled = false;
-  job.config.task_split_max_candidates = 6;  // armed but masterswitch off
-  job.config.task_time_budget_us = 50;
-  job.graph = &g;
-  job.comper_factory = [] { return std::make_unique<MaximalCliqueComper>(); };
-  auto ablation = Cluster<MaximalCliqueComper>::Run(job);
-
-  EXPECT_EQ(ablation.result, base.result);
-  EXPECT_EQ(ablation.stats.tasks_spawned, base.stats.tasks_spawned);
-  EXPECT_EQ(SumCounter(ablation.stats, "split.count"), 0);
-}
-
 TEST(SplitConfig, ValidationRejectsBadKnobs) {
   JobConfig config;
   config.task_time_budget_us = -1;
@@ -288,10 +264,8 @@ TEST(SplitConfig, ValidationRejectsBadKnobs) {
   config.task_split_steal_weight = -1;
   EXPECT_FALSE(config.Validate().ok());
   config = JobConfig();
-  config.task_split_fanout = 1;
+  config.task_split_fanout = 1;  // a 1-way split cannot make progress
   EXPECT_FALSE(config.Validate().ok());
-  config.task_split_enabled = false;  // fanout irrelevant when disabled
-  EXPECT_TRUE(config.Validate().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -123,12 +123,11 @@ class InProcBackend : public Backend {
 };
 
 /// Per-rank option overrides applied on top of the defaults (io threads,
-/// socket buffer sizing, backpressure cap, scatter-gather ablation).
+/// socket buffer sizing, backpressure cap).
 struct TcpTuning {
   int io_threads = 1;
   int sndbuf_bytes = 0;
   int64_t send_buffer_max_bytes = 4 << 20;
-  bool scatter_gather = true;
 };
 
 class TcpBackend : public Backend {
@@ -147,7 +146,6 @@ class TcpBackend : public Backend {
       opts.io_threads = tuning.io_threads;
       opts.sndbuf_bytes = tuning.sndbuf_bytes;
       opts.send_buffer_max_bytes = tuning.send_buffer_max_bytes;
-      opts.scatter_gather = tuning.scatter_gather;
       auto transport = std::make_unique<net::TcpTransport>(opts);
       hubs_.push_back(
           std::make_unique<CommHub>(num_workers + 1, std::move(transport)));
@@ -399,6 +397,39 @@ TEST(TransportTcp, CorruptDataFrameDropsConnection) {
   EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.frames_corrupt",
                              1));
   ::close(fd);
+  ExpectRoundTrip(backend, 1, 0);
+  ExpectRoundTrip(backend, 0, 1);
+}
+
+TEST(TransportTcp, ForgedSourceDataFrameDropsConnection) {
+  TcpBackend backend(2);
+  // A valid HELLO as rank 1, then a CRC-valid DATA frame that claims to come
+  // from endpoint 5: rank 1 may only speak for worker 1. Delivered, it
+  // would reach master code that indexes per-worker state by the source.
+  const int fd = RawConnect(backend.port(0));
+  net::FrameHeader hello;
+  hello.kind = net::FrameKind::kHello;
+  hello.src = 1;
+  std::string bytes(net::kFrameHeaderSize, '\0');
+  net::EncodeFrameHeader(hello, bytes.data());
+  const std::string payload = "forged";
+  net::FrameHeader data;
+  data.kind = net::FrameKind::kData;
+  data.msg_type = static_cast<uint8_t>(MsgType::kVertexRequest);
+  data.src = 5;
+  data.dst = 0;
+  data.payload_len = static_cast<uint32_t>(payload.size());
+  data.crc32 = net::Crc32(payload.data(), payload.size());
+  std::string frame(net::kFrameHeaderSize, '\0');
+  net::EncodeFrameHeader(data, frame.data());
+  bytes += frame;
+  bytes += payload;
+  RawSendAll(fd, bytes);
+  EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.frames_corrupt",
+                             1));
+  ::close(fd);
+  // Never delivered: the next batch rank 0 receives is rank 1's real one.
+  EXPECT_EQ(backend.HubFor(0).InboxDepth(0), 0);
   ExpectRoundTrip(backend, 1, 0);
   ExpectRoundTrip(backend, 0, 1);
 }

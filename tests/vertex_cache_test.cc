@@ -394,24 +394,6 @@ TEST(VertexCache, ZListEvictsInReleaseOrder) {
   EXPECT_EQ(cache.Request(2, 9, &ctr2, &out), RR::kNewRequest);  // gone
 }
 
-TEST(VertexCache, SpinlockModeBehavesIdentically) {
-  Cache cache(16, 100, 0.2, 1, nullptr, /*use_z_table=*/true,
-              /*use_spinlock=*/true);
-  SCacheCounter ctr;
-  const VertexT* out = nullptr;
-  const std::vector<VertexId> pulls = {1, 2, 3, 1};
-  std::vector<VertexId> new_requests;
-  EXPECT_EQ(cache.RequestBatch(pulls.data(), pulls.size(), 5, &ctr,
-                               &new_requests),
-            0);
-  EXPECT_EQ(new_requests.size(), 3u);
-  for (VertexId v : new_requests) cache.InsertResponse(MakeVertex(v));
-  cache.ReleaseBatch(pulls.data(), pulls.size());
-  cache.CheckInvariants();
-  EXPECT_EQ(cache.EvictUpTo(10), 3);
-  EXPECT_EQ(cache.ExactSize(), 0);
-}
-
 TEST(VertexCache, FullScanEvictionEquivalentToZTable) {
   // The ablation path (no Z-table) must evict exactly the unlocked entries.
   MemTracker mem;

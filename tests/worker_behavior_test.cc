@@ -214,30 +214,37 @@ TEST(WorkerBehavior, DeepDecompositionCountsLeaves) {
   // 4 roots (ids 0,16,32,48), each expanding 3^5 leaves.
   EXPECT_EQ(result.result, 4u * 243u);
   EXPECT_GT(result.stats.spilled_batches, 0);
+  // Every task that went through the spill writer came back and finished.
+  EXPECT_EQ(result.stats.tasks_spawned, result.stats.tasks_finished);
 }
 
 TEST(WorkerBehavior, SpillAsyncAblationIsEquivalent) {
-  // The same spill-heavy job must produce identical results and conserve
-  // tasks with the async writer/prefetcher on (default) and off (the
-  // synchronous ablation path).
-  for (const bool spill_async : {true, false}) {
+  // The async spill writer/prefetcher is the only spill path, so the
+  // ablation is against not spilling at all: a queue large enough to hold
+  // the whole task tree must give the same count and conserve tasks.
+  struct Shape {
+    int batch;
+    bool spills;
+  };
+  for (const Shape shape : {Shape{8, true}, Shape{1024, false}}) {
     Graph g(64);
     g.Finalize();
     Job<DeepDecomposeComper> job;
     job.config.num_workers = 2;
     job.config.compers_per_worker = 2;
-    job.config.task_batch_size = 8;  // force heavy spilling
-    job.config.spill_async = spill_async;
+    job.config.task_batch_size = shape.batch;
+    job.config.inflight_task_cap = 8 * shape.batch;
     job.graph = &g;
     job.comper_factory = [] {
       return std::make_unique<DeepDecomposeComper>(5, 3);
     };
     auto result = Cluster<DeepDecomposeComper>::Run(job);
-    EXPECT_EQ(result.result, 4u * 243u) << "spill_async=" << spill_async;
-    EXPECT_GT(result.stats.spilled_batches, 0)
-        << "spill_async=" << spill_async;
+    EXPECT_EQ(result.result, 4u * 243u) << "batch=" << shape.batch;
+    // 4 * (1 + 3 + ... + 243) = 1456 tasks fit in one 3 * 1024 queue.
+    EXPECT_EQ(result.stats.spilled_batches > 0, shape.spills)
+        << "batch=" << shape.batch;
     EXPECT_EQ(result.stats.tasks_spawned, result.stats.tasks_finished)
-        << "spill_async=" << spill_async;
+        << "batch=" << shape.batch;
   }
 }
 
