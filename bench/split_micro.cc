@@ -10,7 +10,7 @@
 // member, so that is where the skew lands.
 //
 // Rows compare the same job with splitting off (the default config) vs
-// armed (compute budget + steal-aware donor splitting). The headline metric
+// armed (a per-iteration compute budget). The headline metric
 // is the p99 of per-iteration compute latency (comper.compute_iter_us
 // merged across all workers/compers): the budget slices each straggler into
 // ~budget-sized range children, so the p99 collapses from "whole straggler"
@@ -115,14 +115,11 @@ RunOutcome RunKClique(const Graph& graph, JobConfig config) {
 int Main(int argc, char** argv) {
   const Graph graph = MakeHubSkewGraph(/*seed=*/20260807);
 
-  // Split-off is the default config: every split trigger defaults to 0.
+  // Split-off is the default config: the compute budget defaults to 0.
   const JobConfig off = DefaultConfig();
 
   JobConfig on = DefaultConfig();
-  on.task_time_budget_us = 5000;      // cap any one Compute call at ~5 ms
-  on.task_split_max_candidates = 0;   // budget-driven only; no blind pre-split
-  on.task_split_fanout = 4;
-  on.task_split_steal_weight = 32;    // donors split fat tasks before shipping
+  on.task_time_budget_us = 5000;  // cap any one Compute call at ~5 ms
 
   BenchJson doc;
   doc.bench = "split_micro";

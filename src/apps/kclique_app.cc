@@ -22,12 +22,6 @@ void KCliqueComper::TaskSpawn(const VertexT& v) {
   AddTask(std::move(task));
 }
 
-uint64_t KCliqueComper::CandidateCount(const TaskT& task) {
-  // The trimmer already restricted the root's list to Γ_>(root).
-  const VertexT* root = task.subgraph().GetVertex(task.context().root);
-  return root == nullptr ? 0 : static_cast<uint64_t>(root->value.size());
-}
-
 bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   // Merge the pulled Γ_> lists; CompactFromSubgraph drops adjacency entries
   // pointing outside {root} ∪ Γ_>(root), which is exactly the ext-trimming
@@ -52,13 +46,6 @@ bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const uint64_t candidates = LargerIdNeighbors(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   if (SplitArmed()) {
-    if (end > ctx.begin + 1 && OverSizeThreshold(end - ctx.begin)) {
-      // Oversized before mining even starts: pin the range and hand the
-      // task back for an immediate split.
-      ctx.end = end;
-      RequestSplit();
-      return true;
-    }
     uint64_t next = end;
     const uint64_t count = CountCliquesFromRootRange(
         cg, /*root=*/0, k_, ctx.begin, end,
@@ -82,18 +69,9 @@ bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   return false;
 }
 
-bool KCliqueComper::Split(TaskT* task, int fanout,
+bool KCliqueComper::Split(TaskT* task,
                           std::vector<std::unique_ptr<TaskT>>* children) {
-  if (!SplitTaskReady(*task)) return false;
-  return SplitByCandidateRange(task, fanout, children,
-                               [task] { return CandidateCount(*task); });
-}
-
-uint64_t KCliqueComper::SplitWeight(const TaskT& task) const {
-  if (!SplitTaskReady(task)) return 0;
-  const SplitCtx& ctx = task.context();
-  const uint64_t end = std::min(ctx.end, CandidateCount(task));
-  return end > ctx.begin ? end - ctx.begin : 0;
+  return SplitByCandidateRange(task, children);
 }
 
 }  // namespace gthinker

@@ -24,7 +24,7 @@ using KCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 /// Pair with the Γ_> trimmer (TrimToGreater): pulled adjacency lists then
 /// carry only larger-ID neighbors, which is all the recursion reads.
 ///
-/// Decomposable (Split/SplitWeight): the context's candidate range covers
+/// Decomposable (Split): the context's candidate range covers
 /// Γ_>(v) ascending; top-level branches are partitioned by the smallest
 /// non-root member, so shard counts sum bit-identically to the unsplit
 /// count.
@@ -34,17 +34,13 @@ class KCliqueComper : public Comper<KCliqueTask, uint64_t> {
 
   void TaskSpawn(const VertexT& v) override;
   bool Compute(TaskT* task, const Frontier& frontier) override;
-  bool Split(TaskT* task, int fanout,
+  bool Split(TaskT* task,
              std::vector<std::unique_ptr<TaskT>>* children) override;
-  uint64_t SplitWeight(const TaskT& task) const override;
 
   static AggT AggZero() { return 0; }
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
 
  private:
-  /// |Γ_>(root)|, read straight off the (trimmed) root adjacency list.
-  static uint64_t CandidateCount(const TaskT& task);
-
   const int k_;
 };
 

@@ -19,7 +19,7 @@
 //
 // IntersectAdaptive is the single entry point call sites use: it picks
 // gallop past a size-ratio threshold and merge otherwise; the bitset path
-// is chosen structurally (HitBitsWorthwhile / kernel_bitset_max_vertices)
+// is chosen structurally (HitBitsWorthwhile / KernelBitsetMaxVertices())
 // because it needs a reusable build to pay off. The plain loops below are
 // written so the compiler's autovectorizer handles the AND/popcount and
 // membership-count bodies; no intrinsics beyond popcount/ctz are needed.

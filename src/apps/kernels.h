@@ -69,15 +69,15 @@ CompactGraph CompactFromGraph(const Graph& g);
 // BitMatrix, candidate sets as words — when the compact graph has at most
 // KernelBitsetMaxVertices() vertices. Above the threshold they fall back to
 // the CSR sorted-list path, which computes identical results. The threshold
-// caps the O(n²/8)-byte matrix a task may allocate;
-// JobConfig::kernel_bitset_max_vertices wires it per job.
+// caps the O(n²/8)-byte matrix a task may allocate.
 // ---------------------------------------------------------------------------
 
 /// Current threshold (process-global; default 2048 ≈ a 512 KB matrix).
 int KernelBitsetMaxVertices();
 
 /// Sets the threshold; 0 disables the bitset kernels entirely. Values < 0
-/// clamp to 0. Cluster::Run calls this with the job's configured value.
+/// clamp to 0. A test and bench hook: it forces one kernel path so the two
+/// can be compared; jobs never change it.
 void SetKernelBitsetMaxVertices(int n);
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ using CliqueTask = Task<AdjList, CliqueContext>;
 /// vertices are decomposed into one child task per subgraph vertex;
 /// small-enough subgraphs run the serial branch-and-bound kernel with the
 /// aggregator's current best |S_max| as the pruning bound. Below the
-/// kernel_bitset_max_vertices threshold the kernel runs in BBMC bitset form
+/// KernelBitsetMaxVertices() threshold the kernel runs in BBMC bitset form
 /// (see apps/kernels.h); τ and that threshold interact — split tasks are by
 /// construction small enough for the bitset path when τ is under it.
 class MaxCliqueComper : public Comper<CliqueTask, std::vector<VertexId>> {

@@ -19,14 +19,6 @@ void MaximalCliqueComper::TaskSpawn(const VertexT& v) {
   AddTask(std::move(task));
 }
 
-uint64_t MaximalCliqueComper::CandidateCount(const TaskT& task) {
-  const VertexT* root = task.subgraph().GetVertex(task.context().root);
-  if (root == nullptr) return 0;
-  const AdjList& adj = root->value;
-  return static_cast<uint64_t>(
-      adj.end() - std::upper_bound(adj.begin(), adj.end(), root->id));
-}
-
 bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   for (const VertexT* u : frontier) {
     if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
@@ -47,13 +39,6 @@ bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const uint64_t candidates = LargerIdNeighbors(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   if (SplitArmed()) {
-    if (end > ctx.begin + 1 && OverSizeThreshold(end - ctx.begin)) {
-      // Oversized before mining even starts: pin the range and hand the
-      // task back for an immediate split.
-      ctx.end = end;
-      RequestSplit();
-      return true;
-    }
     uint64_t next = end;
     const uint64_t count = CountMaximalCliquesFromRootRange(
         cg, /*root=*/0, ctx.begin, end,
@@ -71,7 +56,7 @@ bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   }
   // Splitting disarmed: a full-default-range task runs the original kernel
   // (with the triggers at their default 0 the job runs the unsplit code path
-  // bit-identically); a partial range — a steal-split child — runs its
+  // bit-identically); a partial range — a split child — runs its
   // slice of the range kernel to completion.
   uint64_t count;
   if (ctx.begin == 0 && ctx.end == SplitCtx::kUnbounded) {
@@ -85,18 +70,9 @@ bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   return false;
 }
 
-bool MaximalCliqueComper::Split(TaskT* task, int fanout,
+bool MaximalCliqueComper::Split(TaskT* task,
                                 std::vector<std::unique_ptr<TaskT>>* children) {
-  if (!SplitTaskReady(*task)) return false;
-  return SplitByCandidateRange(task, fanout, children,
-                               [task] { return CandidateCount(*task); });
-}
-
-uint64_t MaximalCliqueComper::SplitWeight(const TaskT& task) const {
-  if (!SplitTaskReady(task)) return 0;
-  const SplitCtx& ctx = task.context();
-  const uint64_t end = std::min(ctx.end, CandidateCount(task));
-  return end > ctx.begin ? end - ctx.begin : 0;
+  return SplitByCandidateRange(task, children);
 }
 
 }  // namespace gthinker

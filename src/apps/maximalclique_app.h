@@ -22,26 +22,19 @@ using MaximalCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 /// sets (apps/kernels.h dense/sparse switch); the count is identical either
 /// way.
 ///
-/// Decomposable (Split/SplitWeight): a task's context carries the range of
-/// top-level candidates (v's larger-ID neighbors, ascending) it owns, so an
-/// oversized or over-budget task splits into children whose counts sum,
-/// bit-identically, to the unsplit count.
+/// Decomposable (Split): a task's context carries the range of top-level
+/// candidates (v's larger-ID neighbors, ascending) it owns, so an
+/// over-budget task splits into children whose counts sum, bit-identically,
+/// to the unsplit count.
 class MaximalCliqueComper : public Comper<MaximalCliqueTask, uint64_t> {
  public:
   void TaskSpawn(const VertexT& v) override;
   bool Compute(TaskT* task, const Frontier& frontier) override;
-  bool Split(TaskT* task, int fanout,
+  bool Split(TaskT* task,
              std::vector<std::unique_ptr<TaskT>>* children) override;
-  uint64_t SplitWeight(const TaskT& task) const override;
 
   static AggT AggZero() { return 0; }
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
-
- private:
-  /// Top-level candidate count (larger-ID neighbors of the root), computable
-  /// from the root's adjacency list alone — no CompactGraph build, so the
-  /// steal path can afford it on the comm thread.
-  static uint64_t CandidateCount(const TaskT& task);
 };
 
 }  // namespace gthinker

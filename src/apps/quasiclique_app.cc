@@ -17,15 +17,6 @@ void QuasiCliqueComper::TaskSpawn(const VertexT& v) {
   AddTask(std::move(task));
 }
 
-uint64_t QuasiCliqueComper::CandidateCount(const TaskT& task) {
-  const VertexId root = task.context().root;
-  uint64_t count = 0;
-  for (const auto& v : task.subgraph().vertices()) {
-    if (v.id > root) ++count;
-  }
-  return count;
-}
-
 bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   for (const VertexT* u : frontier) {
     if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
@@ -62,13 +53,6 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const uint64_t candidates = LargerIdVertices(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   if (SplitArmed()) {
-    if (end > ctx.begin + 1 && OverSizeThreshold(end - ctx.begin)) {
-      // Oversized before mining even starts: pin the range and hand the
-      // task back for an immediate split.
-      ctx.end = end;
-      RequestSplit();
-      return true;
-    }
     uint64_t next = end;
     std::vector<VertexId> found = LargestQuasiCliqueFromRootRange(
         cg, /*root=*/0, gamma_, min_size_,
@@ -87,7 +71,7 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   }
   // Splitting disarmed: a full-default-range task runs the original kernel
   // (with the triggers at their default 0 the job runs the unsplit code
-  // path); a partial range — a steal-split child — runs its slice.
+  // path); a partial range — a split child — runs its slice.
   std::vector<VertexId> found;
   if (ctx.begin == 0 && ctx.end == SplitCtx::kUnbounded) {
     found = LargestQuasiCliqueFromRoot(cg, /*root=*/0, gamma_, min_size_);
@@ -102,18 +86,9 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   return false;
 }
 
-bool QuasiCliqueComper::Split(TaskT* task, int fanout,
+bool QuasiCliqueComper::Split(TaskT* task,
                               std::vector<std::unique_ptr<TaskT>>* children) {
-  if (!SplitTaskReady(*task)) return false;
-  return SplitByCandidateRange(task, fanout, children,
-                               [task] { return CandidateCount(*task); });
-}
-
-uint64_t QuasiCliqueComper::SplitWeight(const TaskT& task) const {
-  if (!SplitTaskReady(task)) return 0;
-  const SplitCtx& ctx = task.context();
-  const uint64_t end = std::min(ctx.end, CandidateCount(task));
-  return end > ctx.begin ? end - ctx.begin : 0;
+  return SplitByCandidateRange(task, children);
 }
 
 }  // namespace gthinker

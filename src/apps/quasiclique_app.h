@@ -25,7 +25,7 @@ using QuasiCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 /// Do NOT pair this comper with the Γ_> trimmer: 2-hop reachability may pass
 /// through intermediate vertices of any ID.
 ///
-/// Decomposable (Split/SplitWeight): the candidate range covers the
+/// Decomposable (Split): the candidate range covers the
 /// larger-ID subgraph vertices ascending (branches keyed by the first
 /// chosen member). Shards prune against the shared aggregator best, and the
 /// max size over any shard partition equals the unsplit result's size.
@@ -38,9 +38,8 @@ class QuasiCliqueComper
 
   void TaskSpawn(const VertexT& v) override;
   bool Compute(TaskT* task, const Frontier& frontier) override;
-  bool Split(TaskT* task, int fanout,
+  bool Split(TaskT* task,
              std::vector<std::unique_ptr<TaskT>>* children) override;
-  uint64_t SplitWeight(const TaskT& task) const override;
 
   static AggT AggZero() { return {}; }
   static AggT AggMerge(const AggT& a, const AggT& b) {
@@ -49,9 +48,6 @@ class QuasiCliqueComper
   }
 
  private:
-  /// Larger-ID member candidates currently in the subgraph.
-  static uint64_t CandidateCount(const TaskT& task);
-
   const double gamma_;
   const size_t min_size_;
 };

@@ -8,18 +8,23 @@
 
 #include "core/codec.h"
 #include "graph/types.h"
+#include "util/logging.h"
 #include "util/serializer.h"
 #include "util/status.h"
 
 namespace gthinker {
 
+/// Children per engine-side split: the parent narrows to the first shard
+/// and kSplitFanout-1 new tasks own the rest.
+inline constexpr int kSplitFanout = 4;
+
 /// Shared task context of the decomposable mining apps: the root vertex plus
 /// the half-open top-level candidate range [begin, end) this task owns, in
 /// ascending-original-ID position order (the stable order the range kernels
 /// in apps/kernels.h iterate). `end == kUnbounded` means "every candidate";
-/// it is pinned to the real candidate count the first time the task splits
-/// or yields on its compute budget, so ranges stay meaningful across
-/// serialization, spills and steals.
+/// it is pinned to the real candidate count the first time the task yields
+/// on its compute budget, so ranges stay meaningful across serialization,
+/// spills and steals.
 struct SplitCtx {
   static constexpr uint64_t kUnbounded = ~uint64_t{0};
 
@@ -42,31 +47,25 @@ struct Codec<SplitCtx> : CodecBase<SplitCtx> {
   }
 };
 
-/// True when a task can be decomposed right now: its Γ slice is fully pulled
-/// and merged, so children can carry copies of it and never need a re-pull
-/// round-trip. A task still waiting on pulls must travel (or split) whole.
-template <typename TaskT>
-bool SplitTaskReady(const TaskT& task) {
-  return task.pulls().empty() && task.subgraph().NumVertices() > 1;
-}
-
 /// Shared Split() skeleton of the range-decomposable apps: narrows `task` in
 /// place to the first shard of its candidate range and appends up to
-/// fanout-1 new children owning the later shards, each with a full copy of
-/// the parent's subgraph and the parent's generation + 1. `candidate_count`
-/// is only invoked when the range was never pinned (a steal-path split of a
-/// task that never started mining). Returns false — leaving the task
-/// untouched — when fewer than two candidates remain.
-template <typename TaskT, typename CandidateCountFn>
-bool SplitByCandidateRange(TaskT* task, int fanout,
-                           std::vector<std::unique_ptr<TaskT>>* children,
-                           CandidateCountFn&& candidate_count) {
+/// kSplitFanout-1 new children owning the later shards, each with a full
+/// copy of the parent's subgraph and the parent's generation + 1. Only a
+/// budget overrun requests a split, and the overrun already pinned the
+/// range. Returns false — leaving the task untouched — when fewer than two
+/// candidates remain.
+template <typename TaskT>
+bool SplitByCandidateRange(TaskT* task,
+                           std::vector<std::unique_ptr<TaskT>>* children) {
   SplitCtx& ctx = task->context();
-  if (ctx.end == SplitCtx::kUnbounded) ctx.end = candidate_count();
+  // The overrun happens while mining, after every pull has been merged, so
+  // the children's subgraph copies never need a re-pull round-trip.
+  GT_CHECK(ctx.end != SplitCtx::kUnbounded && task->pulls().empty())
+      << "split of a task that never yielded on its budget";
   if (ctx.end <= ctx.begin) return false;
   const uint64_t remaining = ctx.end - ctx.begin;
   const uint64_t shards =
-      std::min<uint64_t>(static_cast<uint64_t>(fanout), remaining);
+      std::min<uint64_t>(static_cast<uint64_t>(kSplitFanout), remaining);
   if (shards < 2) return false;
   const uint64_t size = remaining / shards;
   const uint64_t rem = remaining % shards;

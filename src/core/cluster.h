@@ -33,10 +33,6 @@
 
 namespace gthinker {
 
-/// Declared here (not via apps/kernels.h — core does not include apps
-/// headers); defined in apps/kernels.cc, which every job binary links.
-void SetKernelBitsetMaxVertices(int n);
-
 /// Builds a Worker's vertex value from the in-memory input graph. Overloads
 /// cover the shipped value types; apps with custom values add their own.
 inline void BuildVertexValue(const Graph& graph,
@@ -166,9 +162,6 @@ class Cluster {
   /// `rank`: worker `rank`, plus the master on rank 0).
   static RunResult<ComperT> Drive(Job<ComperT> job, int rank) {
     GT_CHECK_OK(job.config.Validate());
-    // Kernels are free functions without a config handle; the dense/sparse
-    // switch is process-global (apps/kernels.h).
-    SetKernelBitsetMaxVertices(job.config.kernel_bitset_max_vertices);
     GT_CHECK(job.comper_factory != nullptr);
     GT_CHECK(job.graph != nullptr || job.dfs != nullptr)
         << "job needs an input graph";
@@ -218,11 +211,7 @@ class Cluster {
       topts.rank = rank;
       topts.num_workers = num_workers;
       topts.hosts = config.comm.hosts;
-      topts.send_buffer_max_bytes = config.comm.tcp_send_buffer_max_bytes;
       topts.connect_timeout_ms = config.comm.tcp_connect_timeout_ms;
-      topts.backoff_initial_ms = config.comm.tcp_backoff_initial_ms;
-      topts.backoff_max_ms = config.comm.tcp_backoff_max_ms;
-      topts.io_threads = config.comm.tcp_io_threads;
       hub_owner = std::make_unique<CommHub>(
           num_workers + 1,
           std::make_unique<net::TcpTransport>(std::move(topts)));

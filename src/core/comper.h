@@ -33,8 +33,11 @@ class Comper {
   using Frontier = std::vector<const VertexT*>;
 
   /// Runtime services implemented by the worker engine. The split services
-  /// default to "splitting disarmed" so auxiliary runtimes (steal
-  /// serialization sinks, test harnesses) need not implement them.
+  /// serve the one engine split trigger, the per-iteration compute budget
+  /// (JobConfig::task_time_budget_us): an app polls the budget between
+  /// top-level candidates and, on overrun, asks for the rest of its range to
+  /// be split. They default to "splitting disarmed" so auxiliary runtimes
+  /// (steal serialization sinks, test harnesses) need not implement them.
   class Runtime {
    public:
     virtual ~Runtime() = default;
@@ -45,13 +48,8 @@ class Comper {
 
     // ---- big-task decomposition services ----
     /// True when the engine wants Compute() to consider splitting at all
-    /// (task_time_budget_us or task_split_max_candidates armed).
+    /// (task_time_budget_us armed).
     virtual bool SplitArmed() const { return false; }
-    /// True when `candidates` top-level candidates exceed the configured
-    /// task_split_max_candidates threshold — split before mining.
-    virtual bool OverSizeThreshold(uint64_t /*candidates*/) const {
-      return false;
-    }
     /// True once the current Compute() call has overrun
     /// task_time_budget_us; apps poll it between top-level candidates.
     virtual bool IterationBudgetExceeded() const { return false; }
@@ -87,24 +85,18 @@ class Comper {
   virtual bool Compute(TaskT* task, const Frontier& frontier) = 0;
 
   /// Optional UDF (codesign follow-up): divide-and-conquer decomposition of
-  /// an oversized task. Narrow `task` in place to its first candidate shard
-  /// and append up to fanout-1 NEW child tasks to `children`, each carrying
-  /// a copy of the already-pulled Γ slice it needs (children must not need a
-  /// re-pull round-trip for data the parent already holds). Return false
-  /// (the default) when this task cannot be split further — the engine then
+  /// a task whose Compute() overran its budget and called RequestSplit().
+  /// Narrow `task` in place to its first candidate shard and append NEW
+  /// child tasks owning the rest to `children`, each carrying a copy of the
+  /// already-pulled Γ slice it needs (children must not need a re-pull
+  /// round-trip for data the parent already holds). Return false (the
+  /// default) when this task cannot be split further — the engine then
   /// requeues it whole. The engine registers each child as a task creation
   /// in the conservation ledger: a split of 1 into k counts k-1 creations.
-  virtual bool Split(TaskT* /*task*/, int /*fanout*/,
+  virtual bool Split(TaskT* /*task*/,
                      std::vector<std::unique_ptr<TaskT>>* /*children*/) {
     return false;
   }
-
-  /// Optional UDF: how many top-level candidates remain in `task`, or 0 when
-  /// the task is not splittable right now (e.g. its Γ is not pulled yet, so
-  /// splitting would multiply pull round-trips). Drives steal-aware donation:
-  /// a donor splits a pending task whose weight exceeds
-  /// task_split_steal_weight before shipping it.
-  virtual uint64_t SplitWeight(const TaskT& /*task*/) const { return 0; }
 
   // Default aggregator algebra (apps using aggregation shadow these).
   static AggT AggZero() { return AggT{}; }
@@ -142,9 +134,6 @@ class Comper {
   // runtime (baselines drive compers directly): they report "disarmed".
   bool SplitArmed() const {
     return runtime_ != nullptr && runtime_->SplitArmed();
-  }
-  bool OverSizeThreshold(uint64_t candidates) const {
-    return runtime_ != nullptr && runtime_->OverSizeThreshold(candidates);
   }
   bool IterationBudgetExceeded() const {
     return runtime_ != nullptr && runtime_->IterationBudgetExceeded();

@@ -61,18 +61,9 @@ struct CommConfig {
   /// share the JobConfig, so no per-connection negotiation is needed.
   WireEncoding wire_encoding = WireEncoding::kRaw;
 
-  // ---- tcp backend tuning (net/transport_tcp.h) ----
-  /// Per-peer buffered-send cap; Send() blocks (backpressure) above it.
-  int64_t tcp_send_buffer_max_bytes = 4 << 20;
-  /// Start() fails if the full-mesh handshake is not done within this.
+  /// transport=tcp: Start() fails if the full-mesh handshake is not done
+  /// within this (net/transport_tcp.h).
   int64_t tcp_connect_timeout_ms = 10'000;
-  /// Reconnect backoff window on transient socket errors.
-  int64_t tcp_backoff_initial_ms = 50;
-  int64_t tcp_backoff_max_ms = 1'000;
-  /// IO threads driving the peer sockets (peer rank q -> thread q % n).
-  /// 1 = the classic single poll loop; raise on many-peer clusters so one
-  /// hot link cannot serialize the others.
-  int tcp_io_threads = 1;
 
   /// Fills `hosts` from `hostfile` (no-op when hosts is already set).
   Status LoadHostfile() {
@@ -126,25 +117,11 @@ struct JobConfig {
   int inflight_task_cap = 8 * 150;
 
   // ---- big-task decomposition (codesign follow-up, PAPERS.md) ----
-  // Splitting is armed only by the three triggers below; with all of them
-  // at their default 0 the engine runs the unsplit schedule exactly.
-  /// Per-iteration compute budget in microseconds (0 = off). When a
-  /// Compute() call overruns it, the app's yield hook fires and the task is
-  /// handed back to the scheduler as split children (divide-and-conquer
-  /// timeout re-spawn).
+  /// Per-iteration compute budget in microseconds (0 = off, the unsplit
+  /// schedule exactly). When a Compute() call overruns it, the app's yield
+  /// hook fires and the task is handed back to the scheduler as split
+  /// children (divide-and-conquer timeout re-spawn).
   int64_t task_time_budget_us = 0;
-  /// Candidate-set size threshold (0 = off): a task whose top-level
-  /// candidate range is at least this large is split *before* mining, so one
-  /// hub task never monopolizes a comper for a full budget period first.
-  int64_t task_split_max_candidates = 0;
-  /// Fan-out of one Split() call: the parent narrows to the first shard and
-  /// emits fanout-1 new children (so the ledger registers fanout-1
-  /// creations). Must be >= 2.
-  int task_split_fanout = 4;
-  /// Steal-aware donation (0 = off): when a donor pops a pending task whose
-  /// SplitWeight() is at least this many candidates, it splits the task in
-  /// two and ships the halves (with their pulled Γ) instead of one monster.
-  int64_t task_split_steal_weight = 0;
 
   // ---- graph layout & placement (DESIGN.md "Graph layout & placement") ----
   struct LayoutConfig {
@@ -163,16 +140,6 @@ struct JobConfig {
 
   // ---- communication (grouped; see CommConfig above) ----
   CommConfig comm;
-
-  // ---- compute kernels (apps/kernels.h dense/sparse switch) ----
-  /// Largest compact-graph vertex count for which the serial mining kernels
-  /// run in bitset row form (BBMC coloring, bitset Bron–Kerbosch P/X,
-  /// word-parallel k-clique); bigger task subgraphs fall back to the CSR
-  /// sorted-list path with identical results. Caps the O(n²/8)-byte
-  /// adjacency matrix a task may allocate (default 2048 ≈ 512 KB); 0
-  /// disables the bitset kernels. The Cluster driver installs the value
-  /// process-wide via SetKernelBitsetMaxVertices().
-  int kernel_bitset_max_vertices = 2048;
 
   // ---- scheduling / control ----
   /// Period of worker progress reports to the master (drives aggregator sync,
@@ -286,16 +253,6 @@ struct JobConfig {
     if (task_time_budget_us < 0) {
       return Status::InvalidArgument("task_time_budget_us must be >= 0");
     }
-    if (task_split_max_candidates < 0) {
-      return Status::InvalidArgument(
-          "task_split_max_candidates must be >= 0");
-    }
-    if (task_split_steal_weight < 0) {
-      return Status::InvalidArgument("task_split_steal_weight must be >= 0");
-    }
-    if (task_split_fanout < 2) {
-      return Status::InvalidArgument("task_split_fanout must be >= 2");
-    }
     if (comm.request_batch_size <= 0) {
       return Status::InvalidArgument("request_batch_size must be positive");
     }
@@ -308,10 +265,6 @@ struct JobConfig {
     }
     if (comm.poll_us <= 0) {
       return Status::InvalidArgument("comm poll_us must be positive");
-    }
-    if (kernel_bitset_max_vertices < 0) {
-      return Status::InvalidArgument(
-          "kernel_bitset_max_vertices must be >= 0");
     }
     if (comm.net.latency_us < 0 || comm.net.bandwidth_mbps < 0.0) {
       return Status::InvalidArgument("net parameters must be non-negative");
@@ -336,19 +289,9 @@ struct JobConfig {
             "checkpointing is not supported under transport=tcp (the "
             "quiesce relies on cluster-global in-flight counts)");
       }
-      if (comm.tcp_send_buffer_max_bytes < 4096) {
+      if (comm.tcp_connect_timeout_ms <= 0) {
         return Status::InvalidArgument(
-            "tcp_send_buffer_max_bytes must be >= 4096");
-      }
-      if (comm.tcp_connect_timeout_ms <= 0 ||
-          comm.tcp_backoff_initial_ms <= 0 ||
-          comm.tcp_backoff_max_ms < comm.tcp_backoff_initial_ms) {
-        return Status::InvalidArgument(
-            "tcp timeout/backoff knobs must be positive, with "
-            "tcp_backoff_max_ms >= tcp_backoff_initial_ms");
-      }
-      if (comm.tcp_io_threads < 1 || comm.tcp_io_threads > 64) {
-        return Status::InvalidArgument("tcp_io_threads out of [1, 64]");
+            "tcp_connect_timeout_ms must be positive");
       }
     }
     if (comm.wire_encoding != WireEncoding::kRaw &&

@@ -250,12 +250,7 @@ class Worker {
 
     // ---- big-task decomposition services (comper thread only) ----
     bool SplitArmed() const override {
-      const JobConfig& c = worker_->config_;
-      return c.task_time_budget_us > 0 || c.task_split_max_candidates > 0;
-    }
-    bool OverSizeThreshold(uint64_t candidates) const override {
-      const int64_t threshold = worker_->config_.task_split_max_candidates;
-      return threshold > 0 && candidates >= static_cast<uint64_t>(threshold);
+      return worker_->config_.task_time_budget_us > 0;
     }
     bool IterationBudgetExceeded() const override {
       const int64_t budget = worker_->config_.task_time_budget_us;
@@ -626,8 +621,7 @@ class Worker {
     /// Q_task directly. A refusing Split() leaves the task whole.
     void TrySplit(TaskT* parent) {
       split_scratch_.clear();
-      const int fanout = worker_->config_.task_split_fanout;
-      if (!user_->Split(parent, fanout, &split_scratch_) ||
+      if (!user_->Split(parent, &split_scratch_) ||
           split_scratch_.empty()) {
         split_scratch_.clear();
         return;
@@ -1188,9 +1182,6 @@ class Worker {
         steal_runtime_->SetSink(nullptr);
       }
     }
-    if (config_.task_split_steal_weight > 0) {
-      MaybeSplitDonation(&records);
-    }
     if (records.empty()) return;
     MessageBatch mb;
     mb.src_worker = id_;
@@ -1207,63 +1198,6 @@ class Worker {
     live_tasks_.fetch_sub(static_cast<int64_t>(records.size()));
     Flight(obs::FlightKind::kStealDonate, -1,
            static_cast<int64_t>(records.size()), dst);
-  }
-
-  /// Steal-aware donation splitting (comm thread): a donation record whose
-  /// SplitWeight() reaches task_split_steal_weight is decomposed fanout-2
-  /// before shipping — the narrowed parent is banked back into L_file and
-  /// only the child half travels, so donor and thief each get roughly half
-  /// the candidate space. SplitWeight() returns 0 for tasks whose Γ is not
-  /// pulled yet, so splitting here never multiplies pull round-trips: a
-  /// split child carries its slice of the parent's already-pulled subgraph.
-  /// Ledger: each child is a new creation (OnTaskSpawned); the parent was
-  /// already live and stays live at home.
-  void MaybeSplitDonation(std::vector<std::string>* records) {
-    const auto threshold =
-        static_cast<uint64_t>(config_.task_split_steal_weight);
-    std::vector<std::string> ship;
-    std::vector<std::string> keep;
-    ship.reserve(records->size());
-    std::lock_guard<std::mutex> lock(steal_mutex_);
-    for (std::string& rec : *records) {
-      auto task = std::make_unique<TaskT>();
-      Deserializer des(rec);
-      if (!task->Deserialize(des).ok() ||
-          steal_comper_->SplitWeight(*task) < threshold) {
-        ship.push_back(std::move(rec));
-        continue;
-      }
-      std::vector<std::unique_ptr<TaskT>> children;
-      if (!steal_comper_->Split(task.get(), /*fanout=*/2, &children) ||
-          children.empty()) {
-        ship.push_back(std::move(rec));
-        continue;
-      }
-      split_count_->Add(1);
-      split_children_->Add(static_cast<int64_t>(children.size()));
-      split_depth_us_->Record(task->split_depth());
-      Flight(obs::FlightKind::kSplit, -1,
-             static_cast<int64_t>(children.size()),
-             static_cast<int64_t>(task->split_depth()));
-      Serializer parent_ser;
-      task->Serialize(parent_ser);
-      keep.push_back(parent_ser.Release());
-      for (auto& child : children) {
-        OnTaskSpawned();
-        Serializer child_ser;
-        child->Serialize(child_ser);
-        ship.push_back(child_ser.Release());
-      }
-    }
-    if (!keep.empty()) {
-      const auto kept = static_cast<int64_t>(keep.size());
-      const std::string path = spill_io_.Submit(spill_dir_, std::move(keep));
-      l_file_.PushBack(path, kept);
-      // The parents hit disk like any spilled batch; counting them keeps
-      // spilled/loaded symmetric when the refill path reloads them.
-      tasks_spilled_.fetch_add(kept, std::memory_order_relaxed);
-    }
-    *records = std::move(ship);
   }
 
   void SendProgress(bool final_report) {

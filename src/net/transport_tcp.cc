@@ -70,7 +70,6 @@ constexpr size_t kRecvChunk = 64 * 1024;
 TcpTransport::TcpTransport(TcpTransportOptions options)
     : options_(std::move(options)),
       num_endpoints_(options_.num_workers + 1),
-      io_thread_count_(std::max(1, std::min(options_.io_threads, 64))),
       peers_(static_cast<size_t>(options_.num_workers)) {
   GT_CHECK_GT(options_.num_workers, 0);
   GT_CHECK_GE(options_.rank, 0);
@@ -81,11 +80,6 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
   inboxes_.resize(num_endpoints_);
   for (int e : local_endpoints_) {
     inboxes_[e] = std::make_unique<ConcurrentQueue<MessageBatch>>();
-  }
-  owned_.resize(io_thread_count_);
-  for (int q = 0; q < options_.num_workers; ++q) {
-    if (q == options_.rank) continue;
-    owned_[ThreadOf(q)].push_back(q);
   }
 }
 
@@ -131,37 +125,25 @@ Status TcpTransport::Start() {
     ::close(fd);
     return Status::IoError("getsockname: " + err);
   }
-  std::vector<int> wake_r(io_thread_count_, -1);
-  std::vector<int> wake_w(io_thread_count_, -1);
-  for (int t = 0; t < io_thread_count_; ++t) {
-    int pipefd[2];
-    if (::pipe(pipefd) != 0) {
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      for (int u = 0; u < t; ++u) {
-        ::close(wake_r[u]);
-        ::close(wake_w[u]);
-      }
-      return Status::IoError("pipe: " + err);
-    }
-    SetNonBlocking(pipefd[0]);
-    SetNonBlocking(pipefd[1]);
-    wake_r[t] = pipefd[0];
-    wake_w[t] = pipefd[1];
+  int pipefd[2];
+  if (::pipe(pipefd) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    return Status::IoError("pipe: " + err);
   }
+  SetNonBlocking(pipefd[0]);
+  SetNonBlocking(pipefd[1]);
   SetNonBlocking(fd);
 
   std::unique_lock<std::mutex> lock(mu_);
   listen_fd_ = fd;
   port_ = static_cast<int>(ntohs(addr.sin_port));
-  wake_r_ = std::move(wake_r);
-  wake_w_ = std::move(wake_w);
+  wake_r_ = pipefd[0];
+  wake_w_ = pipefd[1];
   running_.store(true, std::memory_order_relaxed);
   stop_.store(false, std::memory_order_relaxed);
   MarkPollsetDirtyLocked();
-  for (int t = 0; t < io_thread_count_; ++t) {
-    io_threads_.emplace_back(&TcpTransport::IoLoop, this, t);
-  }
+  io_thread_ = std::thread(&TcpTransport::IoLoop, this);
 
   // Block until the full mesh has exchanged HELLOs (or a sticky error /
   // timeout). Peers that are slow to start are covered by reconnect backoff.
@@ -204,16 +186,13 @@ void TcpTransport::Stop() {
   stop_.store(true, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    WakeAllLocked();
+    WakeLocked();
   }
   for (Peer& p : peers_) {
     std::lock_guard<std::mutex> slock(p.send_mu);
     p.send_cv.notify_all();
   }
-  for (std::thread& th : io_threads_) {
-    if (th.joinable()) th.join();
-  }
-  io_threads_.clear();
+  if (io_thread_.joinable()) io_thread_.join();
   std::lock_guard<std::mutex> lock(mu_);
   for (Peer& p : peers_) {
     {
@@ -233,9 +212,6 @@ void TcpTransport::Stop() {
     }
     if (p.fd >= 0) ::close(p.fd);
     p.fd = -1;
-    if (p.adopt_fd >= 0) ::close(p.adopt_fd);
-    p.adopt_fd = -1;
-    p.adopt_rx.clear();
     p.rx_slab.Reset();
     p.rx_len = p.rx_off = 0;
   }
@@ -245,26 +221,18 @@ void TcpTransport::Stop() {
   pending_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
-  for (int& fd : wake_r_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-  for (int& fd : wake_w_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
+  for (int* fd : {&wake_r_, &wake_w_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
   running_.store(false, std::memory_order_relaxed);
 }
 
-void TcpTransport::WakeThreadLocked(int t) {
-  if (t < static_cast<int>(wake_w_.size()) && wake_w_[t] >= 0) {
+void TcpTransport::WakeLocked() {
+  if (wake_w_ >= 0) {
     const char b = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_w_[t], &b, 1);
+    [[maybe_unused]] ssize_t n = ::write(wake_w_, &b, 1);
   }
-}
-
-void TcpTransport::WakeAllLocked() {
-  for (int t = 0; t < io_thread_count_; ++t) WakeThreadLocked(t);
 }
 
 TcpTransport::OutFrame TcpTransport::EncodeDataFrame(MessageBatch batch,
@@ -361,9 +329,9 @@ void TcpTransport::Send(MessageBatch batch) {
   }
   if (was_empty) {
     // Only the empty->nonempty transition needs a wakeup: once nonempty, the
-    // owning IO thread either has a wake pending or POLLOUT armed.
+    // IO thread either has a wake pending or POLLOUT armed.
     std::lock_guard<std::mutex> lock(mu_);
-    WakeThreadLocked(ThreadOf(dst_rank));
+    WakeLocked();
   }
 }
 
@@ -439,7 +407,7 @@ void TcpTransport::EnqueueFlushLocked(uint8_t round) {
     EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kFlush, round),
                        /*front=*/false);
   }
-  WakeAllLocked();
+  WakeLocked();
 }
 
 bool TcpTransport::AllHelloLocked() const {
@@ -510,22 +478,17 @@ void TcpTransport::ScheduleReconnectLocked(int q) {
   peer.reconnect_at_ms = SteadyNowMs() + peer.backoff_ms;
 }
 
-void TcpTransport::InstallAdoptedLocked(int q) {
+void TcpTransport::AdoptLocked(int q, int fd, const std::string& rx) {
   Peer& peer = peers_[q];
   if (peer.fd >= 0) ::close(peer.fd);  // replaced by the peer's reconnect
-  peer.fd = peer.adopt_fd;
-  peer.adopt_fd = -1;
+  peer.fd = fd;
   peer.connecting = false;
   // Seed the receive buffer with whatever followed the HELLO.
-  peer.rx_slab = SlabRef(BufferPool::Global().Acquire(
-      std::max(kRecvChunk, peer.adopt_rx.size())));
-  if (!peer.adopt_rx.empty()) {
-    std::memcpy(peer.rx_slab.data(), peer.adopt_rx.data(),
-                peer.adopt_rx.size());
-  }
-  peer.rx_len = peer.adopt_rx.size();
+  peer.rx_slab =
+      SlabRef(BufferPool::Global().Acquire(std::max(kRecvChunk, rx.size())));
+  if (!rx.empty()) std::memcpy(peer.rx_slab.data(), rx.data(), rx.size());
+  peer.rx_len = rx.size();
   peer.rx_off = 0;
-  peer.adopt_rx.clear();
   {
     std::lock_guard<std::mutex> slock(peer.send_mu);
     peer.front_off = 0;
@@ -809,70 +772,56 @@ bool TcpTransport::ReadPeer(int q) {
   }
 }
 
-void TcpTransport::IoLoop(int t) {
+void TcpTransport::IoLoop() {
   std::vector<pollfd> pfds;
   // owners[i]: -1 listen, -2 wake pipe, q >= 0 peer rank, -(3+i) pending_[i]
   std::vector<int> owners;
   uint64_t seen_version = 0;  // pollset_version_ starts at 1: build on entry
-  std::vector<int> installed;
+  // Accepted connections whose HELLO arrived this round, by peer rank
+  // (rxbuf holds the bytes read past the HELLO); each becomes its peer's
+  // live link once the round's events are handled.
+  std::vector<Pending> adopted(peers_.size());
   while (true) {
     int timeout_ms = kIoPollMs;
-    installed.clear();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_.load(std::memory_order_relaxed)) break;
       const int64_t now_ms = SteadyNowMs();
-      for (int q : owned_[t]) {
+      // This rank dials every lower rank; higher ranks dial us.
+      for (int q = 0; q < options_.rank; ++q) {
         Peer& peer = peers_[q];
-        if (peer.adopt_fd >= 0) {
-          InstallAdoptedLocked(q);
-          installed.push_back(q);
+        if (peer.fd >= 0) continue;
+        if (now_ms >= peer.reconnect_at_ms) {
+          const Status s = ConnectPeerLocked(q);
+          if (!s.ok()) ScheduleReconnectLocked(q);
         }
-        // Only the lower rank dials; the higher rank waits for an accept.
-        if (peer.fd < 0 && q < options_.rank) {
-          if (now_ms >= peer.reconnect_at_ms) {
-            const Status s = ConnectPeerLocked(q);
-            if (!s.ok()) ScheduleReconnectLocked(q);
-          }
-          if (peer.fd < 0) {
-            timeout_ms = static_cast<int>(std::min<int64_t>(
-                timeout_ms,
-                std::max<int64_t>(1, peer.reconnect_at_ms - now_ms)));
-          }
+        if (peer.fd < 0) {
+          timeout_ms = static_cast<int>(std::min<int64_t>(
+              timeout_ms, std::max<int64_t>(1, peer.reconnect_at_ms - now_ms)));
         }
       }
       if (seen_version != pollset_version_) {
-        // The fd set changed (connect, drop, accept, adoption): rebuild this
-        // thread's cached pollset. Steady-state iterations skip this and
-        // only refresh the event masks in place below.
+        // The fd set changed (connect, drop, accept, adoption): rebuild the
+        // cached pollset. Steady-state iterations skip this and only refresh
+        // the event masks in place below.
         seen_version = pollset_version_;
         poll_rebuilds_.fetch_add(1, std::memory_order_relaxed);
         pfds.clear();
         owners.clear();
-        pfds.push_back({wake_r_[t], POLLIN, 0});
+        pfds.push_back({wake_r_, POLLIN, 0});
         owners.push_back(-2);
-        if (t == 0) {
-          pfds.push_back({listen_fd_, POLLIN, 0});
-          owners.push_back(-1);
-          for (size_t i = 0; i < pending_.size(); ++i) {
-            pfds.push_back({pending_[i].fd, POLLIN, 0});
-            owners.push_back(-3 - static_cast<int>(i));
-          }
+        pfds.push_back({listen_fd_, POLLIN, 0});
+        owners.push_back(-1);
+        for (size_t i = 0; i < pending_.size(); ++i) {
+          pfds.push_back({pending_[i].fd, POLLIN, 0});
+          owners.push_back(-3 - static_cast<int>(i));
         }
-        for (int q : owned_[t]) {
-          if (peers_[q].fd >= 0) {
+        for (int q = 0; q < options_.num_workers; ++q) {
+          if (q != options_.rank && peers_[q].fd >= 0) {
             pfds.push_back({peers_[q].fd, POLLIN, 0});
             owners.push_back(q);
           }
         }
-      }
-    }
-    // Service freshly adopted connections outside mu_ (socket IO never runs
-    // under the global lock): parse bytes that arrived with the HELLO and
-    // flush the reply.
-    for (int q : installed) {
-      if (!ParseRx(q) || !WritePeer(q)) {
-        DropPeer(q, /*reconnect=*/false);
       }
     }
     for (size_t i = 0; i < pfds.size(); ++i) {
@@ -899,7 +848,7 @@ void TcpTransport::IoLoop(int t) {
       const int owner = owners[i];
       if (owner == -2) {
         char drain[256];
-        while (::read(wake_r_[t], drain, sizeof(drain)) > 0) {
+        while (::read(wake_r_, drain, sizeof(drain)) > 0) {
         }
         continue;
       }
@@ -917,7 +866,7 @@ void TcpTransport::IoLoop(int t) {
         continue;
       }
       if (owner <= -3) {
-        // Accepted connection awaiting its HELLO (thread 0 only).
+        // Accepted connection awaiting its HELLO.
         const size_t idx = static_cast<size_t>(-3 - owner);
         std::lock_guard<std::mutex> lock(mu_);
         if (idx >= pending_.size()) continue;
@@ -937,18 +886,16 @@ void TcpTransport::IoLoop(int t) {
               hello_rejected_.fetch_add(1, std::memory_order_relaxed);
               drop = true;
             } else {
-              // Adopt: this connection becomes the live link to rank h.src.
-              // The owning IO thread installs the fd at its next iteration
-              // (it alone touches peer sockets), so hand it over and wake it.
+              // Adopt: this connection becomes the live link to rank h.src
+              // at the end of the round.
+              Pending& a = adopted[h.src];
+              if (a.fd >= 0) ::close(a.fd);  // superseded
+              a = Pending{c.fd, c.rxbuf.substr(kFrameHeaderSize)};
               Peer& peer = peers_[h.src];
-              if (peer.adopt_fd >= 0) ::close(peer.adopt_fd);  // superseded
-              peer.adopt_fd = c.fd;
-              peer.adopt_rx = c.rxbuf.substr(kFrameHeaderSize);
               peer.hello_ok = true;
               peer.crc32c.store((h.msg_type & kFeatureCrc32C) != 0,
                                 std::memory_order_relaxed);
               cv_start_.notify_all();
-              WakeThreadLocked(ThreadOf(h.src));
               c.fd = -1;  // ownership transferred
               dead_pending.push_back(static_cast<int>(idx));
               continue;
@@ -965,7 +912,7 @@ void TcpTransport::IoLoop(int t) {
         }
         continue;
       }
-      // Peer socket (owned by this thread).
+      // Peer socket.
       const int q = owner;
       Peer& peer = peers_[q];
       if (peer.fd != pfds[i].fd) continue;  // replaced this iteration
@@ -1003,13 +950,30 @@ void TcpTransport::IoLoop(int t) {
         continue;
       }
     }
-    if (!dead_pending.empty()) {
+    if (dead_pending.empty()) continue;  // every adoption retires a pending
+    {
       std::lock_guard<std::mutex> lock(mu_);
       std::sort(dead_pending.begin(), dead_pending.end());
       for (auto it = dead_pending.rbegin(); it != dead_pending.rend(); ++it) {
         pending_.erase(pending_.begin() + *it);
       }
+      for (size_t q = 0; q < adopted.size(); ++q) {
+        if (adopted[q].fd >= 0) {
+          AdoptLocked(static_cast<int>(q), adopted[q].fd, adopted[q].rxbuf);
+        }
+      }
       MarkPollsetDirtyLocked();
+    }
+    // Service freshly adopted connections outside mu_ (socket IO never runs
+    // under the global lock): parse bytes that arrived with the HELLO and
+    // flush the reply.
+    for (size_t q = 0; q < adopted.size(); ++q) {
+      if (adopted[q].fd < 0) continue;
+      adopted[q] = Pending();
+      const int rank = static_cast<int>(q);
+      if (!ParseRx(rank) || !WritePeer(rank)) {
+        DropPeer(rank, /*reconnect=*/false);
+      }
     }
   }
   // Unblock anyone still waiting at teardown.
@@ -1017,9 +981,9 @@ void TcpTransport::IoLoop(int t) {
     std::lock_guard<std::mutex> lock(mu_);
     cv_start_.notify_all();
   }
-  for (int q : owned_[t]) {
-    std::lock_guard<std::mutex> slock(peers_[q].send_mu);
-    peers_[q].send_cv.notify_all();
+  for (Peer& peer : peers_) {
+    std::lock_guard<std::mutex> slock(peer.send_mu);
+    peer.send_cv.notify_all();
   }
 }
 

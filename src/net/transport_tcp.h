@@ -36,10 +36,6 @@ struct TcpTransportOptions {
   /// Reconnect backoff window on transient socket errors.
   int64_t backoff_initial_ms = 50;
   int64_t backoff_max_ms = 1'000;
-  /// IO threads driving the peer sockets; peer rank q is serviced by thread
-  /// q % io_threads (thread 0 additionally owns the listen socket and
-  /// handshaking accepted connections). 1 = the classic single poll loop.
-  int io_threads = 1;
   /// SO_SNDBUF override for peer sockets (0 = OS default). Tests use a tiny
   /// value to force short writes that split frames across syscalls.
   int sndbuf_bytes = 0;
@@ -49,22 +45,23 @@ struct TcpTransportOptions {
 /// master endpoint) and keeps one bidirectional TCP connection per peer rank
 /// (rank r connects to every q < r and accepts from every q > r; a HELLO
 /// frame negotiates the protocol version — and feature bits such as CRC-32C
-/// checksums — both ways). One or more IO threads drive poll(2); each peer
-/// socket belongs to exactly one thread. Writes gather the per-peer send
-/// queue of framed messages (header + live Payload fragment chain, no copy)
-/// into a single sendmsg() per syscall; reads land in pooled BufferPool
-/// slabs and complete DATA payloads are handed to the inboxes as zero-copy
-/// views into those slabs. Send() applies backpressure above
-/// send_buffer_max_bytes; transient connection errors reconnect with
-/// exponential backoff and resend from the last frame boundary.
+/// checksums — both ways). One IO thread drives poll(2) over the listen
+/// socket, the accepted connections awaiting their HELLO and every peer
+/// socket. Writes gather the per-peer send queue of framed messages
+/// (header + live Payload fragment chain, no copy) into a single sendmsg()
+/// per syscall; reads land in pooled BufferPool slabs and complete DATA
+/// payloads are handed to the inboxes as zero-copy views into those slabs.
+/// Send() applies backpressure above send_buffer_max_bytes; transient
+/// connection errors reconnect with exponential backoff and resend from the
+/// last frame boundary.
 ///
 /// Locking (DESIGN.md "Transport layer", data plane):
-///   - mu_ guards connection lifecycle (hello/adoption state, pending
+///   - mu_ guards connection lifecycle (hello state, pending
 ///     handshakes, drain flags, pollset version). Critical sections are
 ///     short: no socket IO happens under mu_.
 ///   - each Peer's send_mu guards its send queue, so Send() to one peer
-///     never contends with the poll loops or with sends to other peers.
-///   - receive-side state is confined to the peer's owning IO thread.
+///     never contends with the poll loop or with sends to other peers.
+///   - socket and receive-side state is confined to the IO thread.
 ///
 /// In-flight accounting across sockets: a process cannot see its peers'
 /// counters, so quiescence is certified by a two-round FLUSH marker
@@ -110,13 +107,11 @@ class TcpTransport final : public Transport {
   };
 
   struct Peer {
-    // -- connection state: confined to the owning IO thread after Start(),
-    //    except the mu_-guarded fields noted below --
+    // -- connection state: confined to the IO thread after Start(), except
+    //    the mu_-guarded fields noted below --
     int fd = -1;
     bool connecting = false;  // nonblocking connect() awaiting POLLOUT
     bool hello_ok = false;    // mu_: valid HELLO received on the live conn
-    int adopt_fd = -1;        // mu_: accepted fd awaiting owner installation
-    std::string adopt_rx;     // mu_: bytes read past the adopted HELLO
     /// Peer advertised kFeatureCrc32C in its HELLO: emit CRC-32C to it and
     /// accept CRC-32C from it (with an IEEE fallback for frames it encoded
     /// before it saw our HELLO).
@@ -159,15 +154,15 @@ class TcpTransport final : public Transport {
     return endpoint >= 0 && endpoint <= options_.num_workers &&
            EndpointRank(endpoint) == options_.rank;
   }
-  int ThreadOf(int q) const { return q % io_thread_count_; }
 
-  void IoLoop(int t);
-  void WakeThreadLocked(int t);
-  void WakeAllLocked();
+  void IoLoop();
+  void WakeLocked();
   void MarkPollsetDirtyLocked() { ++pollset_version_; }
   Status ConnectPeerLocked(int q);     // begins a nonblocking connect
   void ScheduleReconnectLocked(int q);
-  void InstallAdoptedLocked(int q);    // owner takes over an accepted fd
+  /// Makes accepted `fd` the live link to rank q (closing any older one) and
+  /// seeds its receive buffer with `rx`, the bytes read past the HELLO.
+  void AdoptLocked(int q, int fd, const std::string& rx);
   bool WritePeer(int q);               // false = connection died
   bool ReadPeer(int q);                // false = connection died
   void EnsureRxSpace(Peer& peer);
@@ -188,20 +183,18 @@ class TcpTransport final : public Transport {
 
   const TcpTransportOptions options_;
   const int num_endpoints_;
-  const int io_thread_count_;
   std::vector<int> local_endpoints_;
-  std::vector<std::vector<int>> owned_;  // peer ranks per IO thread
   std::vector<std::unique_ptr<ConcurrentQueue<MessageBatch>>> inboxes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_start_;  // handshake completion
   std::vector<Peer> peers_;           // indexed by rank; self slot unused
   std::vector<Pending> pending_;
-  Status start_error_;       // sticky fatal from an IO thread (bad version)
+  Status start_error_;       // sticky fatal from the IO thread (bad version)
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
-  /// Bumped (under mu_) whenever the set of pollable fds changes; IO threads
-  /// rebuild their cached pollsets only when their seen version lags.
+  /// Bumped (under mu_) whenever the set of pollable fds changes; the IO
+  /// thread rebuilds its cached pollset only when its seen version lags.
   uint64_t pollset_version_ = 1;
   int drained_endpoints_ = 0;  // bitmask over local_endpoints_ order
   bool flush1_sent_ = false;
@@ -218,10 +211,10 @@ class TcpTransport final : public Transport {
   std::atomic<int64_t> sendmsg_bytes_{0};
 
   int listen_fd_ = -1;
-  std::vector<int> wake_r_;  // one self-pipe per IO thread
-  std::vector<int> wake_w_;
+  int wake_r_ = -1;  // self-pipe that interrupts the IO thread's poll
+  int wake_w_ = -1;
   int port_ = 0;
-  std::vector<std::thread> io_threads_;
+  std::thread io_thread_;
 };
 
 }  // namespace gthinker::net

@@ -112,14 +112,6 @@ TEST(ConfigValidate, RejectsBadPeriodsAndPaths) {
   EXPECT_TRUE(c.Validate().ok());
 }
 
-TEST(ConfigValidate, RejectsBadKernelThreshold) {
-  JobConfig c;
-  c.kernel_bitset_max_vertices = -1;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c.kernel_bitset_max_vertices = 0;  // 0 legitimately disables the bitset path
-  EXPECT_TRUE(c.Validate().ok());
-}
-
 TEST(ConfigValidate, AcceptsAggressiveButLegalValues) {
   JobConfig c;
   c.num_workers = 16;

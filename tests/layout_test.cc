@@ -137,11 +137,9 @@ Job<ComperT> CountJob(Graph* g, std::function<std::unique_ptr<ComperT>()> make,
   job.config.num_workers = 3;
   job.config.compers_per_worker = 2;
   job.config.layout.reorder = reorder;
-  if (split) {
-    job.config.task_split_max_candidates = 6;
-    job.config.task_time_budget_us = 50;
-    job.config.task_split_fanout = 3;
-  }
+  // A 1 µs budget: every task mining more than one top-level candidate
+  // overruns it, so the split run always splits.
+  if (split) job.config.task_time_budget_us = 1;
   job.graph = g;
   job.comper_factory = std::move(make);
   return job;

@@ -175,10 +175,14 @@ TEST(RangeKernels, QuasiCliqueShardMaxMatchesWhole) {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed differential: aggressive splitting (tiny size threshold AND
-// tiny compute budget) must reproduce the unsplit counts bit-identically,
-// while actually exercising Task::Split (split.count > 0).
+// Distributed differential: aggressive splitting (a 1 µs compute budget, so
+// every task with two or more candidates left after its first one splits)
+// must reproduce the unsplit counts bit-identically, while actually
+// exercising Task::Split (split.count > 0).
 // ---------------------------------------------------------------------------
+
+/// Budget that every task mining more than one top-level candidate overruns.
+constexpr int64_t kTinyBudgetUs = 1;
 
 template <typename ComperT>
 RunResult<ComperT> RunCountJob(
@@ -187,11 +191,7 @@ RunResult<ComperT> RunCountJob(
   Job<ComperT> job;
   job.config.num_workers = 3;
   job.config.compers_per_worker = 2;
-  if (split) {
-    job.config.task_split_max_candidates = 6;
-    job.config.task_time_budget_us = 50;
-    job.config.task_split_fanout = 3;
-  }
+  if (split) job.config.task_time_budget_us = kTinyBudgetUs;
   job.graph = g;
   job.comper_factory = std::move(make);
   job.trimmer = trimmer;
@@ -242,8 +242,7 @@ TEST(SplitDifferential, QuasiCliqueMaxSizeIdentical) {
   Job<QuasiCliqueComper> split;
   split.config.num_workers = 2;
   split.config.compers_per_worker = 2;
-  split.config.task_split_max_candidates = 8;
-  split.config.task_time_budget_us = 100;
+  split.config.task_time_budget_us = kTinyBudgetUs;
   split.graph = &g;
   split.comper_factory = [] {
     return std::make_unique<QuasiCliqueComper>(0.6, 3);
@@ -256,15 +255,6 @@ TEST(SplitDifferential, QuasiCliqueMaxSizeIdentical) {
 TEST(SplitConfig, ValidationRejectsBadKnobs) {
   JobConfig config;
   config.task_time_budget_us = -1;
-  EXPECT_FALSE(config.Validate().ok());
-  config = JobConfig();
-  config.task_split_max_candidates = -5;
-  EXPECT_FALSE(config.Validate().ok());
-  config = JobConfig();
-  config.task_split_steal_weight = -1;
-  EXPECT_FALSE(config.Validate().ok());
-  config = JobConfig();
-  config.task_split_fanout = 1;  // a 1-way split cannot make progress
   EXPECT_FALSE(config.Validate().ok());
 }
 
@@ -281,8 +271,6 @@ TEST(SplitTermination, TimeoutExitStaysAccountedWithSplittingArmed) {
   job.config.enable_stealing = true;
   job.config.time_budget_s = 0.05;
   job.config.task_time_budget_us = 200;
-  job.config.task_split_max_candidates = 16;
-  job.config.task_split_steal_weight = 8;
   job.config.comm.net.latency_us = 300;
   job.config.comm.net.bandwidth_mbps = 2.0;
   job.config.cache_capacity = 256;
@@ -304,10 +292,9 @@ TEST(SplitTermination, TimeoutExitStaysAccountedWithSplittingArmed) {
 
 // ---------------------------------------------------------------------------
 // Conservation stress: splits racing steals and spills. Small batches and a
-// tight queue force spill churn, stealing ships batches between workers, the
-// steal-weight knob splits donations on the comm thread while compers split
-// on budget/threshold — and the ledger must balance every round with the
-// result still bit-identical.
+// tight queue force spill churn, stealing ships batches between workers
+// while compers split on their budget — and the ledger must balance every
+// round with the result still bit-identical.
 // ---------------------------------------------------------------------------
 
 TEST(SplitConservation, SplitsRacingStealsAndSpills) {
@@ -322,10 +309,7 @@ TEST(SplitConservation, SplitsRacingStealsAndSpills) {
     job.config.enable_stealing = true;
     job.config.task_batch_size = 4;  // force refill/spill churn
     job.config.inflight_task_cap = 32;
-    job.config.task_time_budget_us = 30;
-    job.config.task_split_max_candidates = 5;
-    job.config.task_split_fanout = 4;
-    job.config.task_split_steal_weight = 5;
+    job.config.task_time_budget_us = kTinyBudgetUs;
     job.config.progress_interval_us = 500;
     job.graph = &g;
     job.comper_factory = [] {

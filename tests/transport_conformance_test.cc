@@ -122,10 +122,9 @@ class InProcBackend : public Backend {
   CommHub hub_;
 };
 
-/// Per-rank option overrides applied on top of the defaults (io threads,
-/// socket buffer sizing, backpressure cap).
+/// Per-rank option overrides applied on top of the defaults (socket buffer
+/// sizing, backpressure cap).
 struct TcpTuning {
-  int io_threads = 1;
   int sndbuf_bytes = 0;
   int64_t send_buffer_max_bytes = 4 << 20;
 };
@@ -143,7 +142,6 @@ class TcpBackend : public Backend {
       opts.num_workers = num_workers;
       opts.hosts = hosts;
       opts.connect_timeout_ms = 10'000;
-      opts.io_threads = tuning.io_threads;
       opts.sndbuf_bytes = tuning.sndbuf_bytes;
       opts.send_buffer_max_bytes = tuning.send_buffer_max_bytes;
       auto transport = std::make_unique<net::TcpTransport>(opts);
@@ -191,13 +189,6 @@ class TcpBackend : public Backend {
 std::unique_ptr<Backend> MakeBackend(const std::string& which,
                                      int num_workers) {
   if (which == "tcp") return std::make_unique<TcpBackend>(num_workers);
-  if (which == "tcp-mt") {
-    // Sharded IO threads: peers split across 3 poll loops. The contract must
-    // be indistinguishable from the single-loop transport.
-    TcpTuning tuning;
-    tuning.io_threads = 3;
-    return std::make_unique<TcpBackend>(num_workers, tuning);
-  }
   return std::make_unique<InProcBackend>(num_workers);
 }
 
@@ -299,7 +290,7 @@ TEST_P(TransportConformance, DeliveryStamping) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
-                         ::testing::Values("inproc", "tcp", "tcp-mt"));
+                         ::testing::Values("inproc", "tcp"));
 
 // ---------------------------------------------------------------------------
 // In-process-only: simulated latency still delays delivery through the
