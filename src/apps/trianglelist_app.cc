@@ -1,5 +1,7 @@
 #include "apps/trianglelist_app.h"
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 #include "util/serializer.h"
@@ -43,7 +45,13 @@ bool TriangleListComper::Compute(TaskT* task, const Frontier& frontier) {
       } else if (root_gt[i] > u_gt[j]) {
         ++j;
       } else {
-        Output(EncodeTriangle({task->context(), u->id, root_gt[i]}));
+        // Records speak the caller's IDs: map each corner back and re-sort,
+        // since the load-time layout need not preserve ID order.
+        std::array<VertexId, 3> t = {OriginalId(task->context()),
+                                     OriginalId(u->id),
+                                     OriginalId(root_gt[i])};
+        std::sort(t.begin(), t.end());
+        Output(EncodeTriangle({t[0], t[1], t[2]}));
         ++count;
         ++i;
         ++j;

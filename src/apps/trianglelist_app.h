@@ -34,8 +34,9 @@ using TriangleListTask = Task<AdjList, /*ContextT=*/VertexId>;
 
 /// Triangle *listing* (paper §I lists it among the target problems): same
 /// task structure as TriangleComper, but every triangle (v,u,w) with
-/// v < u < w is emitted once through Comper::Output in addition to being
-/// counted. Pair with the Γ_> trimmer and a Job::output_dir.
+/// v < u < w, in the caller's vertex IDs (Comper::OriginalId), is emitted
+/// once through Comper::Output in addition to being counted. Pair with the
+/// Γ_> trimmer and a Job::output_dir.
 class TriangleListComper : public Comper<TriangleListTask, uint64_t> {
  public:
   void TaskSpawn(const VertexT& v) override;

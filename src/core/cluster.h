@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -33,22 +34,24 @@
 
 namespace gthinker {
 
-/// Builds a Worker's vertex value from the in-memory input graph. Overloads
-/// cover the shipped value types; apps with custom values add their own.
-inline void BuildVertexValue(const Graph& graph,
-                             const std::vector<Label>* /*labels*/, VertexId v,
-                             AdjList* out) {
-  *out = graph.Neighbors(v);
+/// Builds a Worker's vertex value for vertex `v` from its input row: `row`
+/// holds v's neighbors, sorted, in the IDs the job speaks; `labels` is
+/// indexed by the caller's IDs, reached through `layout`. Overloads cover the
+/// shipped value types; apps with custom values add their own.
+inline void BuildVertexValue(VertexId /*v*/, AdjList row,
+                             const std::vector<Label>* /*labels*/,
+                             const VertexLayout& /*layout*/, AdjList* out) {
+  *out = std::move(row);
 }
-inline void BuildVertexValue(const Graph& graph,
-                             const std::vector<Label>* labels, VertexId v,
-                             LabeledAdj* out) {
+inline void BuildVertexValue(VertexId v, AdjList row,
+                             const std::vector<Label>* labels,
+                             const VertexLayout& layout, LabeledAdj* out) {
   GT_CHECK(labels != nullptr) << "LabeledAdj vertices need Job::labels";
-  out->label = (*labels)[v];
+  out->label = (*labels)[layout.ToOld(v)];
   out->adj.clear();
-  out->adj.reserve(graph.Neighbors(v).size());
-  for (VertexId u : graph.Neighbors(v)) {
-    out->adj.push_back(LabeledNbr{u, (*labels)[u]});
+  out->adj.reserve(row.size());
+  for (VertexId u : row) {
+    out->adj.push_back(LabeledNbr{u, (*labels)[layout.ToOld(u)]});
   }
 }
 
@@ -117,6 +120,43 @@ inline void MapResultToOriginalIds(std::vector<VertexId>* result,
   std::sort(result->begin(), result->end());
 }
 
+/// The master's record of one committed checkpoint (ckpt/<epoch>/meta): the
+/// global aggregate, plus what a resume must match. Task contexts and pulls
+/// in a checkpoint are vertex IDs, valid only in the ID space they were
+/// taken in, so the meta records whether the workers spoke hub-last IDs.
+template <typename AggT>
+struct CheckpointMeta {
+  uint64_t epoch = 0;
+  int32_t num_workers = 0;
+  AggT global{};
+  bool hub_last = false;
+
+  std::string Encode() const {
+    Serializer ser;
+    ser.Write(epoch);
+    ser.Write(num_workers);
+    Codec<AggT>::Encode(ser, global);
+    ser.Write<uint8_t>(hub_last ? 1 : 0);
+    return ser.Release();
+  }
+
+  /// Total: the flag comes last, so a meta written before it existed (or a
+  /// truncated one) fails with Corruption rather than decoding shifted bytes.
+  Status Decode(const std::string& blob) {
+    Deserializer des(blob);
+    GT_RETURN_IF_ERROR(des.Read(&epoch));
+    GT_RETURN_IF_ERROR(des.Read(&num_workers));
+    GT_RETURN_IF_ERROR(Codec<AggT>::Decode(des, &global));
+    uint8_t flag = 0;
+    GT_RETURN_IF_ERROR(des.Read(&flag));
+    if (flag > 1 || !des.AtEnd()) {
+      return Status::Corruption("checkpoint meta: bad layout flag or trailer");
+    }
+    hub_last = flag == 1;
+    return Status::Ok();
+  }
+};
+
 /// The job driver. Owns the hub and the local workers, and plays the master
 /// role (paper §V-B): receives progress reports, synchronizes the
 /// aggregator, plans work stealing, coordinates checkpoints, and detects
@@ -169,26 +209,19 @@ class Cluster {
       GT_CHECK(job.checkpoint_dfs != nullptr);
     }
 
-    // Hub-last layout (JobConfig::layout): renumber once before any worker
-    // exists. Everything downstream — OwnerOf placement, T_cache routing,
-    // the wire — speaks new IDs; the map is kept to translate the final
-    // aggregate back to original IDs. HubLast is deterministic, so every
-    // TCP rank computes the identical map from the shared input graph.
+    // Load-time layout (JobConfig::layout): LoadInput installs an in-memory
+    // input through this map, hub-last when layout.reorder is on and the
+    // identity (the paper's ID order) when it is off; no second graph is
+    // built. Everything downstream — OwnerOf placement, T_cache routing, the
+    // wire — speaks the new IDs; the map translates Output records
+    // (Comper::OriginalId) and the final aggregate back. HubLast is
+    // graph-determined, so every TCP rank derives the same map from the
+    // shared input. DFS inputs keep the IDs in their part files.
+    const bool hub_last = HubLastIds(job);
     VertexLayout layout;
-    Graph reordered_graph;
-    std::vector<Label> reordered_labels;
-    if (job.config.layout.reorder) {
-      GT_CHECK(job.graph != nullptr)
-          << "layout.reorder needs an in-memory input graph (DFS inputs "
-             "pre-apply a layout via GraphIo::LoadAdjacency / "
-             "WritePartitionedAdjacency overloads)";
-      layout = VertexLayout::HubLast(*job.graph);
-      reordered_graph = layout.Apply(*job.graph);
-      if (job.labels != nullptr) {
-        reordered_labels = layout.ApplyLabels(*job.labels);
-        job.labels = &reordered_labels;
-      }
-      job.graph = &reordered_graph;
+    if (job.graph != nullptr) {
+      layout = hub_last ? VertexLayout::HubLast(*job.graph)
+                        : VertexLayout::Identity(job.graph->NumVertices());
     }
     const JobConfig& config = job.config;
 
@@ -243,9 +276,10 @@ class Cluster {
       workers.back()->SetFlightRecorder(&flight);
       workers.back()->SetCheckpointDfs(job.checkpoint_dfs);  // may be null
       workers.back()->SetOutputDir(job.output_dir);  // empty = no output
+      if (hub_last) workers.back()->SetLayout(&layout);
     }
 
-    LoadInput(job, first_local, &workers);
+    LoadInput(job, layout, first_local, &workers);
 
     AggT global = ComperT::AggZero();
     uint64_t next_ckpt_epoch = 1;
@@ -509,8 +543,8 @@ class Cluster {
                 MergeInto(&ckpt_global, ack.agg_delta);
                 ckpt_acked[ack.worker_id] = true;
                 if (--pending_ckpt_acks == 0) {
-                  CommitCheckpointMeta(job, active_ckpt_epoch, ckpt_global,
-                                       num_workers);
+                  CommitCheckpointMeta(job, {active_ckpt_epoch, num_workers,
+                                             ckpt_global, hub_last});
                   ++stats.checkpoints;
                 }
               }
@@ -815,7 +849,7 @@ class Cluster {
       }
     }
 
-    if (!layout.empty()) MapResultToOriginalIds(&global, layout);
+    if (hub_last) MapResultToOriginalIds(&global, layout);
     out.result = std::move(global);
     return out;
   }
@@ -827,12 +861,22 @@ class Cluster {
     *target = ComperT::AggMerge(*target, delta);
   }
 
+  /// True when the workers speak hub-last IDs: layout.reorder applies to
+  /// in-memory inputs only (DFS part files carry whatever IDs they were
+  /// written with; see GraphIo::LoadAdjacencyHubLast and the layout overload
+  /// of WritePartitionedAdjacency).
+  static bool HubLastIds(const Job<ComperT>& job) {
+    return job.config.layout.reorder && job.graph != nullptr;
+  }
+
   /// Installs every vertex whose hash owner is a local worker; `workers`
   /// holds worker IDs [first_local, first_local + workers->size()). A TCP
   /// rank walks the same shared input but materializes only its own slice,
   /// so per-rank memory stays O(|V|/p) for the vertex table (the read-only
   /// input graph itself is shared copy-on-write when the launcher forks).
-  static void LoadInput(const Job<ComperT>& job, int first_local,
+  /// An in-memory input is relabeled through `layout` on the way in.
+  static void LoadInput(const Job<ComperT>& job, const VertexLayout& layout,
+                        int first_local,
                         std::vector<std::unique_ptr<WorkerT>>* workers) {
     const int num_workers = job.config.num_workers;
     const int num_local = static_cast<int>(workers->size());
@@ -841,14 +885,27 @@ class Cluster {
       return i >= 0 && i < num_local ? (*workers)[i].get() : nullptr;
     };
     if (job.graph != nullptr) {
+      // One scatter pass fills a sorted row for every local vertex (new
+      // IDs), then each row moves into its owner's table.
       const Graph& g = *job.graph;
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        WorkerT* owner = local_owner(v);
-        if (owner == nullptr) continue;
+      const VertexId n = g.NumVertices();
+      constexpr VertexId kNotLocal = std::numeric_limits<VertexId>::max();
+      std::vector<VertexId> slot(n, kNotLocal);
+      VertexId num_rows = 0;
+      for (VertexId x = 0; x < n; ++x) {
+        if (local_owner(x) != nullptr) slot[x] = num_rows++;
+      }
+      std::vector<AdjList> rows(num_rows);
+      layout.ScatterRows(g, [&slot, &rows](VertexId x) -> AdjList* {
+        return slot[x] != kNotLocal ? &rows[slot[x]] : nullptr;
+      });
+      for (VertexId x = 0; x < n; ++x) {
+        if (slot[x] == kNotLocal) continue;
         VertexT vertex;
-        vertex.id = v;
-        BuildVertexValue(g, job.labels, v, &vertex.value);
-        owner->AddLocalVertex(std::move(vertex));
+        vertex.id = x;
+        BuildVertexValue(x, std::move(rows[slot[x]]), job.labels, layout,
+                         &vertex.value);
+        local_owner(x)->AddLocalVertex(std::move(vertex));
       }
     } else {
       // Adjacency-format part files on the DFS; the driver parses lines and
@@ -888,30 +945,30 @@ class Cluster {
         "DFS loading supports AdjList vertex values only");
   }
 
-  static void CommitCheckpointMeta(const Job<ComperT>& job, uint64_t epoch,
-                                   const AggT& global, int num_workers) {
-    Serializer ser;
-    ser.Write(epoch);
-    ser.Write<int32_t>(num_workers);
-    Codec<AggT>::Encode(ser, global);
+  static void CommitCheckpointMeta(const Job<ComperT>& job,
+                                   const CheckpointMeta<AggT>& meta) {
     GT_CHECK_OK(job.checkpoint_dfs->Put(
-        "ckpt/" + std::to_string(epoch) + "/meta", ser.Release()));
+        "ckpt/" + std::to_string(meta.epoch) + "/meta", meta.Encode()));
   }
 
   static AggT Restore(const Job<ComperT>& job,
                       std::vector<std::unique_ptr<WorkerT>>* workers) {
     const std::string prefix = "ckpt/" + std::to_string(job.resume_epoch);
-    std::string meta;
-    GT_CHECK_OK(job.checkpoint_dfs->Get(prefix + "/meta", &meta));
-    Deserializer des(meta);
-    uint64_t epoch = 0;
-    int32_t nw = 0;
-    GT_CHECK_OK(des.Read(&epoch));
-    GT_CHECK_OK(des.Read(&nw));
-    GT_CHECK_EQ(nw, job.config.num_workers)
+    std::string meta_blob;
+    GT_CHECK_OK(job.checkpoint_dfs->Get(prefix + "/meta", &meta_blob));
+    CheckpointMeta<AggT> meta;
+    const Status decoded = meta.Decode(meta_blob);
+    GT_CHECK(decoded.ok()) << prefix << "/meta: " << decoded.ToString();
+    GT_CHECK_EQ(meta.num_workers, job.config.num_workers)
         << "checkpoint taken with a different worker count";
-    AggT global{};
-    GT_CHECK_OK(Codec<AggT>::Decode(des, &global));
+    const auto ids = [](bool h) {
+      return h ? "hub-last IDs (layout.reorder on, in-memory input)"
+               : "input IDs (layout.reorder off, or a DFS input)";
+    };
+    GT_CHECK(meta.hub_last == HubLastIds(job))
+        << "checkpoint " << prefix << " was taken in " << ids(meta.hub_last)
+        << " but this job runs in " << ids(HubLastIds(job));
+    AggT global = std::move(meta.global);
     for (int w = 0; w < job.config.num_workers; ++w) {
       std::string blob;
       GT_CHECK_OK(

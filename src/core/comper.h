@@ -45,6 +45,9 @@ class Comper {
     virtual void Aggregate(const AggT& delta) = 0;
     virtual AggT CurrentAgg() const = 0;
     virtual void Output(std::string record) = 0;
+    /// Maps a vertex ID the job speaks back to the caller's input ID
+    /// (identity unless the job loaded its graph in hub-last order).
+    virtual VertexId OriginalId(VertexId v) const { return v; }
 
     // ---- big-task decomposition services ----
     /// True when the engine wants Compute() to consider splitting at all
@@ -125,6 +128,13 @@ class Comper {
   void Output(std::string record) {
     GT_CHECK(runtime_ != nullptr);
     runtime_->Output(std::move(record));
+  }
+
+  /// The caller's input ID of vertex `v`. Vertex IDs inside a job follow
+  /// the load-time layout (JobConfig::layout); an app that writes vertex IDs
+  /// through Output maps them back with this. Identity without a runtime.
+  VertexId OriginalId(VertexId v) const {
+    return runtime_ != nullptr ? runtime_->OriginalId(v) : v;
   }
 
   void BindRuntime(Runtime* runtime) { runtime_ = runtime; }

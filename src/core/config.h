@@ -126,15 +126,17 @@ struct JobConfig {
   // ---- graph layout & placement (DESIGN.md "Graph layout & placement") ----
   struct LayoutConfig {
     /// Hub-last (degree-ascending, ties by original ID ascending) vertex
-    /// renumbering, applied once at load time. Under the Γ_> orientation
-    /// this is the classic degeneracy ordering: every task's candidate set
-    /// is bounded by the core number instead of the max degree, and a hub's
-    /// trimmed row keeps only its higher-degree peers, so the
-    /// constantly-pulled rows are tiny and stay cache-resident. Hub rows
-    /// land contiguous at the highest IDs. App results are mapped back to
-    /// original IDs before they reach the caller; counts are bit-identical
-    /// with the knob on or off.
-    bool reorder = false;
+    /// renumbering of an in-memory input, applied while Cluster::LoadInput
+    /// installs the rows. Under the Γ_> orientation this is the classic
+    /// degeneracy ordering: every task's candidate set is bounded by the
+    /// core number instead of the max degree, and a hub's trimmed row keeps
+    /// only its higher-degree peers, so the constantly-pulled rows are tiny
+    /// and stay cache-resident. Hub rows land contiguous at the highest IDs.
+    /// App results and Output records are mapped back to original IDs
+    /// before they reach the caller; counts are bit-identical with the knob
+    /// on or off. Off is the paper's ID-order ablation. DFS inputs ignore
+    /// it: their part files carry their own IDs.
+    bool reorder = true;
   };
   LayoutConfig layout;
 

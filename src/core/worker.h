@@ -23,6 +23,7 @@
 #include "core/pull_coalescer.h"
 #include "core/response_cache.h"
 #include "core/vertex_cache.h"
+#include "graph/layout.h"
 #include "net/comm_hub.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -246,6 +247,9 @@ class Worker {
     AggT CurrentAgg() const override { return worker_->agg_.CurrentView(); }
     void Output(std::string record) override {
       worker_->WriteOutput(std::move(record));
+    }
+    VertexId OriginalId(VertexId v) const override {
+      return worker_->OriginalId(v);
     }
 
     // ---- big-task decomposition services (comper thread only) ----
@@ -719,6 +723,9 @@ class Worker {
     AggT CurrentAgg() const override { return worker_->agg_.CurrentView(); }
     void Output(std::string record) override {
       worker_->WriteOutput(std::move(record));
+    }
+    VertexId OriginalId(VertexId v) const override {
+      return worker_->OriginalId(v);
     }
     void SetSink(std::vector<std::string>* sink) { sink_ = sink; }
 
@@ -1378,6 +1385,14 @@ class Worker {
   /// Enables Comper::Output, writing record batches under `dir`.
   void SetOutputDir(std::string dir) { output_dir_ = std::move(dir); }
 
+  /// Wires the job's load-time layout (set by the cluster before Start; null
+  /// when vertex IDs are the caller's own), so compers can report original
+  /// IDs through Comper::OriginalId.
+  void SetLayout(const VertexLayout* layout) { layout_ = layout; }
+  VertexId OriginalId(VertexId v) const {
+    return layout_ != nullptr ? layout_->ToOld(v) : v;
+  }
+
   int64_t RecordsOutput() const {
     return records_output_.load(std::memory_order_relaxed);
   }
@@ -1534,6 +1549,7 @@ class Worker {
   ResponseCache<VertexT> resp_cache_;
 
   MiniDfs* checkpoint_dfs_ = nullptr;
+  const VertexLayout* layout_ = nullptr;  // null: IDs are the caller's
 
   // observability (docs/OBSERVABILITY.md). The histogram/counter pointers
   // are registered once in the constructor; recording through them is

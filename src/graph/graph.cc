@@ -1,10 +1,17 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace gthinker {
+
+Graph::Graph(std::vector<AdjList> sorted_rows)
+    : adj_(std::move(sorted_rows)), finalized_(true) {
+  for (const AdjList& list : adj_) num_edges_ += list.size();
+  num_edges_ /= 2;
+}
 
 void Graph::AddEdge(VertexId u, VertexId v) {
   if (u == v) return;

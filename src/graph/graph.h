@@ -18,6 +18,9 @@ class Graph {
  public:
   Graph() = default;
   explicit Graph(VertexId num_vertices) : adj_(num_vertices) {}
+  /// Adopts finalized rows: each sorted, duplicate- and self-loop-free, and
+  /// symmetric (u in rows[v] iff v in rows[u]).
+  explicit Graph(std::vector<AdjList> sorted_rows);
 
   Graph(const Graph&) = default;
   Graph& operator=(const Graph&) = default;

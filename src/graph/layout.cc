@@ -1,7 +1,7 @@
 #include "graph/layout.h"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -18,31 +18,28 @@ VertexLayout VertexLayout::Identity(VertexId n) {
 
 VertexLayout VertexLayout::HubLast(const Graph& g) {
   const VertexId n = g.NumVertices();
+  // Counting sort by degree: next[d] is the first free new ID of degree d.
+  // Placing vertices in ascending original ID keeps each degree class in ID
+  // order, the tie-break that makes the map total.
+  std::vector<VertexId> next(n > 0 ? g.MaxDegree() + 2 : 1, 0);
+  for (VertexId v = 0; v < n; ++v) ++next[g.Degree(v) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
   VertexLayout layout;
-  layout.to_old_.resize(n);
-  std::iota(layout.to_old_.begin(), layout.to_old_.end(), 0);
-  // Degree-ascending with original-ID tie-break: total and graph-determined,
-  // so every rank of a distributed run derives the identical map.
-  std::sort(layout.to_old_.begin(), layout.to_old_.end(),
-            [&g](VertexId a, VertexId b) {
-              const size_t da = g.Degree(a), db = g.Degree(b);
-              return da != db ? da < db : a < b;
-            });
   layout.to_new_.resize(n);
-  for (VertexId i = 0; i < n; ++i) layout.to_new_[layout.to_old_[i]] = i;
+  layout.to_old_.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexId x = next[g.Degree(v)]++;
+    layout.to_new_[v] = x;
+    layout.to_old_[x] = v;
+  }
   return layout;
 }
 
 Graph VertexLayout::Apply(const Graph& g) const {
   GT_CHECK_EQ(g.NumVertices(), NumVertices());
-  Graph out(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (VertexId u : g.Neighbors(v)) {
-      if (v < u) out.AddEdge(ToNew(v), ToNew(u));
-    }
-  }
-  out.Finalize();
-  return out;
+  std::vector<AdjList> rows(g.NumVertices());
+  ScatterRows(g, [&rows](VertexId x) { return &rows[x]; });
+  return Graph(std::move(rows));
 }
 
 std::vector<Label> VertexLayout::ApplyLabels(

@@ -30,7 +30,8 @@ namespace gthinker {
 /// rejected: it hands every hub its entire neighborhood as candidates,
 /// blowing up kernel work 2-3x on the Table V(a) MCF workload.
 ///
-/// The map is applied once at load time; everything downstream (tasks,
+/// The map is applied once at load time, by the row scatter below (inside
+/// Cluster::LoadInput for an in-memory job); everything downstream (tasks,
 /// cache, wire format) speaks new IDs, and results are mapped back to
 /// original IDs before they reach the caller.
 class VertexLayout {
@@ -40,7 +41,9 @@ class VertexLayout {
   /// The identity layout over n vertices (ToNew(v) == v).
   static VertexLayout Identity(VertexId n);
 
-  /// Hub-last layout: degree-ascending, ties by original ID ascending.
+  /// Hub-last layout: degree-ascending, ties by original ID ascending. A
+  /// counting sort by degree, stable in original ID, so the map is
+  /// graph-determined and every rank of a distributed run derives it alike.
   static VertexLayout HubLast(const Graph& g);
 
   /// True for a default-constructed (no-op) layout.
@@ -52,6 +55,23 @@ class VertexLayout {
 
   VertexId ToNew(VertexId old_id) const { return to_new_[old_id]; }
   VertexId ToOld(VertexId new_id) const { return to_old_[new_id]; }
+
+  /// The one relabel routine: for every new ID x with `row_of(x)` non-null,
+  /// fills *row_of(x) (empty on entry) with the new IDs of ToOld(x)'s
+  /// neighbors in g. It walks new IDs y ascending and appends each to its
+  /// neighbors' rows, so every row comes out sorted with no per-row sort.
+  template <typename RowOf>
+  void ScatterRows(const Graph& g, RowOf row_of) const {
+    const VertexId n = NumVertices();
+    for (VertexId x = 0; x < n; ++x) {
+      if (AdjList* row = row_of(x)) row->reserve(g.Degree(ToOld(x)));
+    }
+    for (VertexId y = 0; y < n; ++y) {
+      for (VertexId u : g.Neighbors(ToOld(y))) {
+        if (AdjList* row = row_of(ToNew(u))) row->push_back(y);
+      }
+    }
+  }
 
   /// Rebuilds g under the new numbering (finalized: sorted, deduped rows).
   Graph Apply(const Graph& g) const;

@@ -22,8 +22,8 @@ class GraphIo {
   /// Layout-aware load: reads the file, computes the hub-last renumbering
   /// (graph/layout.h), and returns the graph already renumbered plus the
   /// old<->new map so the caller can translate results back to file IDs.
-  /// This is the DFS-side counterpart of Cluster::Run's in-memory layout
-  /// pass (JobConfig::layout.reorder).
+  /// This is the DFS-side counterpart of the in-memory layout pass in
+  /// Cluster::LoadInput (JobConfig::layout.reorder).
   static Status LoadAdjacencyHubLast(const std::string& path, Graph* out,
                                       VertexLayout* layout);
 

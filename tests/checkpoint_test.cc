@@ -11,6 +11,7 @@
 #include "core/cluster.h"
 #include "graph/generator.h"
 #include "storage/mini_dfs.h"
+#include "util/serializer.h"
 
 namespace gthinker {
 namespace {
@@ -199,6 +200,74 @@ TEST(Checkpoint, ResumeFreshFromEpochWorksForMaxClique) {
     EXPECT_EQ(result.result.size(), truth);
   }
   RemoveTree(dir);
+}
+
+// The layout flag comes last in ckpt/<epoch>/meta, so a meta written before
+// it existed, a truncated one, or one with trailing bytes fails to decode
+// with a Status instead of decoding shifted bytes.
+TEST(Checkpoint, MetaDecodeIsTotalAndNeedsTheLayoutFlag) {
+  const CheckpointMeta<uint64_t> meta{7, 3, 42, true};
+  const std::string blob = meta.Encode();
+  CheckpointMeta<uint64_t> back;
+  ASSERT_TRUE(back.Decode(blob).ok());
+  EXPECT_EQ(back.epoch, 7u);
+  EXPECT_EQ(back.num_workers, 3);
+  EXPECT_EQ(back.global, 42u);
+  EXPECT_TRUE(back.hub_last);
+
+  Serializer pre_flag;  // epoch, worker count, aggregate: the old layout
+  pre_flag.Write<uint64_t>(7);
+  pre_flag.Write<int32_t>(3);
+  pre_flag.Write<uint64_t>(42);
+  EXPECT_FALSE(back.Decode(pre_flag.Release()).ok());
+  for (size_t n = 0; n < blob.size(); ++n) {
+    EXPECT_FALSE(back.Decode(blob.substr(0, n)).ok()) << "prefix " << n;
+  }
+  std::string bad_flag = blob;
+  bad_flag.back() = 2;
+  EXPECT_FALSE(back.Decode(bad_flag).ok());
+  EXPECT_FALSE(back.Decode(blob + "x").ok());
+}
+
+// Task contexts and pulls in a checkpoint are vertex IDs of the ID space it
+// was taken in. Resuming it with the other layout setting is refused with a
+// message naming both settings; the same setting resumes to the right answer.
+TEST(CheckpointDeathTest, ResumeInAnotherIdSpaceIsRefused) {
+  Graph g = Generator::PowerLaw(600, 10.0, 2.4, 95);
+  const uint64_t truth = CountTrianglesSerial(g);
+  for (const bool taken_hub_last : {true, false}) {
+    const std::string dir = MakeTempDir("ckpt");
+    MiniDfs dfs(dir);
+    Job<TriangleComper> job;
+    job.config.num_workers = 2;
+    job.config.compers_per_worker = 1;
+    job.config.enable_stealing = false;
+    job.config.layout.reorder = taken_hub_last;
+    job.config.flight_dump_dir = dir + "/flight";
+    // Wire latency keeps the job alive across several checkpoint periods.
+    job.config.checkpoint_interval_us = 2'000;
+    job.config.comm.net.latency_us = 300;
+    job.graph = &g;
+    job.checkpoint_dfs = &dfs;
+    job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+    job.trimmer = TrimToGreater;
+    const auto first = Cluster<TriangleComper>::Run(job);
+    ASSERT_EQ(first.result, truth);
+    ASSERT_GT(first.stats.checkpoints, 0);
+
+    job.config.checkpoint_interval_us = 0;
+    job.resume_epoch = 1;
+    job.config.layout.reorder = !taken_hub_last;
+    EXPECT_DEATH(Cluster<TriangleComper>::Run(job),
+                 taken_hub_last
+                     ? "was taken in hub-last IDs.*but this job runs in "
+                       "input IDs"
+                     : "was taken in input IDs.*but this job runs in "
+                       "hub-last IDs");
+    job.config.layout.reorder = taken_hub_last;
+    EXPECT_EQ(Cluster<TriangleComper>::Run(job).result, truth);
+    RemoveTree(dir);
+  }
 }
 
 }  // namespace

@@ -113,6 +113,9 @@ TEST(KCliqueApp, NoZTableAblationStillCorrect) {
   job.config.compers_per_worker = 2;
   job.config.cache_capacity = 64;       // keep GC busy
   job.config.cache_use_z_table = false;  // ablation path
+  // ID order: its wide hub rows are what overflow the 64-entry cache; under
+  // the hub-last layout the pulled rows are tiny and nothing is evicted.
+  job.config.layout.reorder = false;
   job.graph = &g;
   job.comper_factory = [] { return std::make_unique<KCliqueComper>(4); };
   job.trimmer = TrimToGreater;

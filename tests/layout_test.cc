@@ -1,10 +1,12 @@
 // Cache-topology layout tests: the hub-last renumbering is a bijection that
-// preserves the degree multiset and sorts degrees ascending; reordered runs
+// preserves the degree multiset and sorts degrees ascending (the counting
+// sort reproduces the comparator order exactly); the rows a job installs
+// equal VertexLayout::Apply's, in-process and per TCP rank; reordered runs
 // of the mining apps are differentially identical to unreordered ones (counts
 // and clique sizes, with the ledger conserved), including under aggressive
-// splitting and across a 2-process TCP RunDistributed; results that carry
-// vertex IDs come back in ORIGINAL ids; and the layout knob obeys its
-// Validate rules.
+// splitting and across a 2-process TCP RunDistributed; DFS inputs run in
+// their own IDs at the default config; results that carry vertex IDs come
+// back in ORIGINAL ids; and the layout knob obeys its Validate rules.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "graph/generator.h"
 #include "graph/layout.h"
 #include "storage/mini_dfs.h"
+#include "storage/partitioned_graph.h"
 
 #if defined(__linux__)
 #include "free_ports.h"
@@ -61,12 +65,18 @@ TEST(VertexLayoutTest, HubLastIsDegreeSortedBijection) {
       seen[nv] = true;
     }
 
-    // Apply preserves each vertex's degree (row moves, content relabels).
+    // Apply preserves each vertex's degree (row moves, content relabels),
+    // and its scatter leaves every row strictly increasing.
     const Graph r = g.NumVertices() > 0 ? layout.Apply(g) : Graph();
     ASSERT_EQ(r.NumVertices(), n);
     ASSERT_EQ(r.NumEdges(), g.NumEdges());
     for (VertexId v = 0; v < n; ++v) {
       EXPECT_EQ(r.Degree(layout.ToNew(v)), g.Degree(v)) << "v=" << v;
+      const AdjList& row = r.Neighbors(v);
+      EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                     std::greater_equal<VertexId>()) ==
+                  row.end())
+          << "row " << v << " not strictly increasing";
     }
 
     // Hub-last: degrees are non-decreasing in the new numbering (hubs at the
@@ -88,6 +98,36 @@ TEST(VertexLayoutTest, HubLastIsDegreeSortedBijection) {
                                        layout.ToNew(u)))
             << "edge " << v << "-" << u << " lost";
       }
+    }
+  }
+}
+
+// The counting sort must reproduce the comparator order it replaced
+// (degree ascending, ties by original ID) exactly, or a TCP rank built from
+// another revision would disagree on placement. Sparse random graphs have a
+// handful of distinct degrees, so almost every vertex sits in a tie.
+TEST(VertexLayoutTest, CountingSortHubLastEqualsComparatorOrder) {
+  const Graph graphs[] = {
+      Generator::ErdosRenyi(2000, 3000, 31),
+      Generator::ErdosRenyi(700, 700, 32),
+      Generator::Rmat(11, 9000, 33),
+      Generator::HubSkewed(1500, 6, 200, 2.5, 34),
+      Graph(40),  // all isolated: one degree class
+      Graph(),
+  };
+  for (const Graph& g : graphs) {
+    const VertexId n = g.NumVertices();
+    std::vector<VertexId> expected(n);
+    for (VertexId v = 0; v < n; ++v) expected[v] = v;
+    std::sort(expected.begin(), expected.end(), [&g](VertexId a, VertexId b) {
+      const size_t da = g.Degree(a), db = g.Degree(b);
+      return da != db ? da < db : a < b;
+    });
+    const VertexLayout layout = VertexLayout::HubLast(g);
+    ASSERT_EQ(layout.NumVertices(), n);
+    for (VertexId x = 0; x < n; ++x) {
+      ASSERT_EQ(layout.ToOld(x), expected[x]) << "new id " << x;
+      ASSERT_EQ(layout.ToNew(expected[x]), x);
     }
   }
 }
@@ -228,6 +268,116 @@ TEST(LayoutDifferential, MaxCliqueResultSpeaksOriginalIds) {
 }
 
 // ---------------------------------------------------------------------------
+// The rows LoadInput installs are exactly layout.Apply(g)'s rows (and, for
+// LabeledAdj, its labels read through the original IDs): each spawned vertex
+// checks its own value against the reference and aggregates 1 on a match,
+// so the job's result is the number of vertices that loaded correctly.
+// ---------------------------------------------------------------------------
+
+struct LoadedRows {
+  Graph graph;                // layout.Apply(g)
+  std::vector<Label> labels;  // layout.ApplyLabels(labels); empty: unlabeled
+};
+
+bool RowMatches(const Vertex<AdjList>& v, const LoadedRows& ref) {
+  return v.value == ref.graph.Neighbors(v.id);
+}
+bool RowMatches(const Vertex<LabeledAdj>& v, const LoadedRows& ref) {
+  const AdjList& row = ref.graph.Neighbors(v.id);
+  if (v.value.label != ref.labels[v.id] || v.value.adj.size() != row.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (!(v.value.adj[i] == LabeledNbr{row[i], ref.labels[row[i]]})) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename ValueT>
+class RowCheckComper : public Comper<Task<ValueT, VertexId>, uint64_t> {
+ public:
+  using VertexT = Vertex<ValueT>;
+  using TaskT = Task<ValueT, VertexId>;
+  using Frontier = typename Comper<TaskT, uint64_t>::Frontier;
+
+  explicit RowCheckComper(const LoadedRows* ref) : ref_(ref) {}
+  void TaskSpawn(const VertexT& v) override {
+    this->Aggregate(RowMatches(v, *ref_) ? 1 : 0);
+  }
+  bool Compute(TaskT*, const Frontier&) override { return false; }
+
+  static uint64_t AggZero() { return 0; }
+  static uint64_t AggMerge(uint64_t a, uint64_t b) { return a + b; }
+
+ private:
+  const LoadedRows* ref_;
+};
+
+template <typename ValueT>
+Job<RowCheckComper<ValueT>> RowCheckJob(const Graph& g,
+                                        const std::vector<Label>* labels,
+                                        const LoadedRows* ref) {
+  Job<RowCheckComper<ValueT>> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 1;
+  job.config.time_budget_s = 120.0;  // a hung rank must not hang the test
+  job.graph = &g;
+  job.labels = labels;
+  job.comper_factory = [ref] {
+    return std::make_unique<RowCheckComper<ValueT>>(ref);
+  };
+  return job;
+}
+
+TEST(LayoutLoad, InstalledRowsEqualApplyInProcess) {
+  const Graph g = Generator::HubSkewed(900, 8, 150, 2.5, 36);
+  const std::vector<Label> labels = Generator::RandomLabels(900, 4, 37);
+  const VertexLayout layout = VertexLayout::HubLast(g);
+  const LoadedRows ref{layout.Apply(g), layout.ApplyLabels(labels)};
+  EXPECT_EQ(Cluster<RowCheckComper<AdjList>>::Run(
+                RowCheckJob<AdjList>(g, nullptr, &ref))
+                .result,
+            g.NumVertices());
+  EXPECT_EQ(Cluster<RowCheckComper<LabeledAdj>>::Run(
+                RowCheckJob<LabeledAdj>(g, &labels, &ref))
+                .result,
+            g.NumVertices());
+}
+
+// ---------------------------------------------------------------------------
+// DFS inputs carry their own IDs: at the default config (layout on) a DFS
+// job loads the part files as written, plain or pre-laid-out hub-last, and
+// counts the same as the in-memory job.
+// ---------------------------------------------------------------------------
+
+TEST(LayoutDfs, DefaultConfigDfsJobMatchesInMemory) {
+  const Graph g = Generator::HubSkewed(700, 8, 100, 2.5, 38);
+  const std::string dir = MakeTempDir("layout_dfs");
+  MiniDfs dfs(dir);
+  ASSERT_TRUE(WritePartitionedAdjacency(g, &dfs, "plain", 3).ok());
+  ASSERT_TRUE(WritePartitionedAdjacency(g, &dfs, "hublast", 3,
+                                        VertexLayout::HubLast(g))
+                  .ok());
+  Job<TriangleComper> job;  // default config: layout.reorder on
+  job.config.num_workers = 3;
+  job.config.compers_per_worker = 2;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  const uint64_t in_memory = Cluster<TriangleComper>::Run(job).result;
+  EXPECT_EQ(in_memory, CountTrianglesSerial(g));
+  for (const char* input : {"plain", "hublast"}) {
+    job.graph = nullptr;
+    job.dfs = &dfs;
+    job.dfs_graph_dir = input;
+    EXPECT_EQ(Cluster<TriangleComper>::Run(job).result, in_memory) << input;
+  }
+  RemoveTree(dir);
+}
+
+// ---------------------------------------------------------------------------
 // TCP 2-process differential: rank 1 in a forked child, rank 0 in-process;
 // the distributed reordered count must equal the plain in-process count.
 // Fork happens between tests when no threads are live, so this is safe under
@@ -284,6 +434,44 @@ TEST(LayoutDistributed, TcpTwoProcessReorderMatchesInProcess) {
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   EXPECT_EQ(got, expected);
   RemoveTree(dir);
+}
+
+// One TCP rank installs only its hash-owned slice, through the same scatter:
+// the rows both ranks install (rank 1 in a forked child) must equal Apply's.
+template <typename ValueT>
+void ExpectTcpSlicesEqualApply(const Graph& g,
+                               const std::vector<Label>* labels,
+                               const LoadedRows& ref) {
+  const std::string dir = MakeTempDir("layout_rows_tcp");
+  auto job = RowCheckJob<ValueT>(g, labels, &ref);
+  job.config.comm.transport = CommConfig::Transport::kTcp;
+  job.config.comm.hostfile = dir + "/hosts";
+  {
+    std::ofstream out(job.config.comm.hostfile);
+    for (int port : PickFreePorts(2)) out << "127.0.0.1:" << port << "\n";
+  }
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    Cluster<RowCheckComper<ValueT>>::RunDistributed(job, 1);
+    ::_exit(0);
+  }
+  const uint64_t matched =
+      Cluster<RowCheckComper<ValueT>>::RunDistributed(job, 0).result;
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(matched, g.NumVertices());
+  RemoveTree(dir);
+}
+
+TEST(LayoutLoad, InstalledRowsEqualApplyPerTcpRank) {
+  const Graph g = Generator::HubSkewed(600, 6, 90, 2.5, 39);
+  const std::vector<Label> labels = Generator::RandomLabels(600, 4, 40);
+  const VertexLayout layout = VertexLayout::HubLast(g);
+  const LoadedRows ref{layout.Apply(g), layout.ApplyLabels(labels)};
+  ExpectTcpSlicesEqualApply<AdjList>(g, nullptr, ref);
+  ExpectTcpSlicesEqualApply<LabeledAdj>(g, &labels, ref);
 }
 
 #endif  // __linux__

@@ -83,6 +83,24 @@ TEST(Output, ListingSurvivesSpillsAndStealing) {
   EXPECT_EQ(RunListing(g, config, &stats), truth);
 }
 
+// Records are written in the caller's IDs whatever the load-time layout:
+// the hub-last listing (the default) equals the ID-order listing record for
+// record, on a graph where renumbering reorders most triangles' corners.
+TEST(Output, ListingIdenticalWithLayoutOnAndOff) {
+  Graph g = Generator::HubSkewed(300, 6, 80, 2.5, 503);
+  JobConfig config;
+  config.num_workers = 3;
+  config.compers_per_worker = 2;
+  ASSERT_TRUE(config.layout.reorder);
+  JobStats stats;
+  const auto on = RunListing(g, config, &stats);
+  config.layout.reorder = false;
+  const auto off = RunListing(g, config, &stats);
+  ASSERT_FALSE(off.empty());
+  EXPECT_EQ(on, off);
+  EXPECT_EQ(on, BruteTriangleList(g));
+}
+
 TEST(Output, EmptyWhenNoTriangles) {
   Graph g;
   g.AddEdge(0, 1);

@@ -10,6 +10,7 @@
 
 #include "core/cluster.h"
 #include "graph/generator.h"
+#include "graph/layout.h"
 
 namespace gthinker {
 namespace {
@@ -57,12 +58,15 @@ TEST(WorkerBehavior, FrontierMatchesPullOrderAndValues) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     if (!g.Neighbors(v).empty()) ++tasks_with_pulls;
   }
+  // Compers see vertex IDs and rows in the load-time layout (hub-last by
+  // default), so the truth is the graph the engine actually loads.
+  const Graph loaded = VertexLayout::HubLast(g).Apply(g);
   Job<FrontierOrderComper> job;
   job.config.num_workers = 3;
   job.config.compers_per_worker = 2;
   job.graph = &g;
-  job.comper_factory = [&g] {
-    return std::make_unique<FrontierOrderComper>(&g);
+  job.comper_factory = [&loaded] {
+    return std::make_unique<FrontierOrderComper>(&loaded);
   };
   auto result = Cluster<FrontierOrderComper>::Run(job);
   // Every task must have validated its whole frontier.
