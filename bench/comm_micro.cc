@@ -394,9 +394,9 @@ int Main(int argc, char** argv) {
                 calls > 0 ? bytes / calls : 0.0);
   }
 
-  // CRC throughput rows: the four integrity-check implementations over the
-  // same 1 MiB buffer. `bytewise` is the reference table walk the transport
-  // used before slicing-by-8; `crc32c_hw` only appears on SSE4.2 hosts.
+  // CRC throughput rows: the frame checksum's two implementations over the
+  // same 1 MiB buffer. `crc32c_sw` is the slicing-by-8 fallback;
+  // `crc32c_hw` only appears on SSE4.2 hosts.
   {
     std::vector<char> buf(1 << 20);
     uint64_t seed = 0x9E3779B97F4A7C15ULL;
@@ -410,8 +410,6 @@ int Main(int argc, char** argv) {
       bool available;
     };
     const CrcVariant variants[] = {
-        {"crc/bytewise", &net::Crc32Reference, true},
-        {"crc/sliced_ieee", &net::Crc32, true},
         {"crc/crc32c_sw", &net::Crc32CSoftware, true},
         {"crc/crc32c_hw", &net::Crc32C, net::HasHardwareCrc32C()},
     };

@@ -2,18 +2,16 @@
 // stand-ins, with tunable cluster shape:
 //
 //   ./maximum_clique [dataset] [workers] [compers] [tau]
-//                    [--report <json>] [--trace <json>] [--sample-ms <n>]
-//                    [--status-port <p>]
+//                    [--report <json>] [--trace <json>] [--status-port <p>]
 //
 // e.g.  ./maximum_clique orkut 4 2 400 --report run.json --trace trace.json
 //
 // --report writes the obs::JobReport JSON (metrics, histograms, derived
-// ratios, sampled time-series); --trace enables span tracing and writes a
-// Chrome trace-event file loadable in Perfetto / chrome://tracing;
-// --sample-ms sets the gauge sampling period (defaults to 50 when a report
-// is requested, otherwise off); --status-port serves /metrics (Prometheus),
-// /status.json, and /healthz on 127.0.0.1:<p> while the job runs (-1 picks
-// an ephemeral port, printed at startup).
+// ratios, per-worker gauge time-series sampled at every progress report);
+// --trace enables span tracing and writes a Chrome trace-event file loadable
+// in Perfetto / chrome://tracing; --status-port serves /metrics
+// (Prometheus), /status.json, and /healthz on 127.0.0.1:<p> while the job
+// runs (-1 picks an ephemeral port, printed at startup).
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +32,6 @@ int main(int argc, char** argv) {
   // original positional interface keeps working unchanged.
   std::string report_path;
   std::string trace_path;
-  int64_t sample_ms = -1;
   int status_port = 0;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
@@ -42,8 +39,6 @@ int main(int argc, char** argv) {
       report_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sample-ms") == 0 && i + 1 < argc) {
-      sample_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--status-port") == 0 && i + 1 < argc) {
       status_port = std::atoi(argv[++i]);
     } else {
@@ -69,11 +64,6 @@ int main(int argc, char** argv) {
   job.config.report_path = report_path;
   job.config.trace_path = trace_path;
   job.config.enable_span_tracing = !trace_path.empty();
-  if (sample_ms >= 0) {
-    job.config.metrics_sample_ms = sample_ms;
-  } else if (!report_path.empty()) {
-    job.config.metrics_sample_ms = 50;  // sampling on by default with a report
-  }
   job.config.status_port = status_port;
   job.graph = &graph;
   job.comper_factory = [tau] {

@@ -2,11 +2,11 @@
 #define GTHINKER_CORE_CLUSTER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -24,7 +24,6 @@
 #include "net/comm_hub.h"
 #include "net/transport_tcp.h"
 #include "obs/flight_recorder.h"
-#include "obs/json.h"
 #include "obs/phase_profile.h"
 #include "obs/sampler.h"
 #include "obs/status_server.h"
@@ -185,7 +184,7 @@ class Cluster {
   /// hosts the master. The aggregate and the cluster-wide counters are
   /// authoritative on rank 0 only (final drained deltas only ever reach the
   /// master); other ranks return ComperT::AggZero() plus their own worker's
-  /// metrics, spans and phase profile.
+  /// metrics, spans and phase profile, and no time-series.
   static RunResult<ComperT> RunDistributed(Job<ComperT> job, int rank) {
     job.config.comm.transport = CommConfig::Transport::kTcp;
     GT_CHECK_OK(job.config.comm.LoadHostfile());
@@ -290,166 +289,52 @@ class Cluster {
 
     for (auto& worker : workers) worker->Start();
 
-    // Gauge sampler (JobConfig::metrics_sample_ms): polls each local
-    // worker's relaxed-atomic probes plus its inbox backlog into bounded
-    // time-series (obs::kWorkerSampledGauges); joined before teardown.
-    constexpr size_t kNumSeries = obs::kNumWorkerSampledGauges;
-    std::vector<obs::BoundedSeries> sampled;  // kNumSeries per local worker
-    std::atomic<bool> sampler_stop{false};
-    std::thread sampler;
-    if (config.metrics_sample_ms > 0) {
-      for (int i = 0; i < num_local; ++i) {
-        for (const char* gauge : obs::kWorkerSampledGauges) {
-          sampled.emplace_back(gauge, first_local + i);
-        }
-      }
-      sampler = std::thread([&] {
-        while (!sampler_stop.load(std::memory_order_acquire)) {
-          const int64_t t = hub.NowUs();
-          for (int i = 0; i < num_local; ++i) {
-            // Probe order must match obs::kWorkerSampledGauges.
-            const int64_t values[kNumSeries] = {
-                workers[i]->SampleCacheSize(),
-                workers[i]->SampleLiveTasks(),
-                workers[i]->SampleQueueDepth(),
-                workers[i]->SampleDiskTasks(),
-                hub.InboxDepth(first_local + i),
-                workers[i]->SampleSpillQueueDepth(),
-            };
-            for (size_t s = 0; s < kNumSeries; ++s) {
-              sampled[i * kNumSeries + s].Append(t, values[s]);
-            }
-          }
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(config.metrics_sample_ms));
-        }
-      });
-    }
-
     RunResult<ComperT> out;
     JobStats& stats = out.stats;
     Timer wall;
 
+    // The latest progress report from every worker (agg_delta cleared): the
+    // one record of per-worker state. Only the master thread writes it,
+    // under latest_mu, and reads it unlocked; status-server scrapes copy it
+    // out under the lock.
+    std::vector<ProgressReport> latest(num_workers);
+    std::mutex latest_mu;
+    auto latest_copy = [&] {
+      std::lock_guard<std::mutex> lock(latest_mu);
+      return latest;
+    };
+    // Each report's gauges (obs::kWorkerSampledGauges), one series per
+    // worker and gauge, stamped with the hub clock as the master decodes it.
+    constexpr size_t kNumSeries = obs::kNumWorkerSampledGauges;
+    std::vector<obs::BoundedSeries> series;
+    if (hosts_master) {
+      for (int w = 0; w < num_workers; ++w) {
+        for (const char* gauge : obs::kWorkerSampledGauges) {
+          series.emplace_back(gauge, w);
+        }
+      }
+    }
+
     // Live status endpoint (knob `status_port`; 0 = off, -1 = ephemeral),
-    // served by the master's process over its local workers from atomic
-    // probes and frozen snapshots; stopped before the workers are destroyed.
+    // served by the master's process: the status document and the `job`
+    // metrics scope cover every worker from `latest`, the registries are
+    // this process's. Stopped before the workers are destroyed.
     obs::StatusServer status_server(
-        [&]() {
+        [&] {
           std::vector<obs::MetricsSnapshot> snaps;
           snaps.reserve(workers.size() + 2);
           for (auto& worker : workers) {
             snaps.push_back(worker->MetricsSnapshot());
           }
           snaps.push_back(hub.MetricsSnapshot());
-          // Synthesized job scope: the same cheap probes the gauge sampler
-          // polls, exported live so dashboards get queue/cache/task depth
-          // without deriving them from per-worker internals.
-          obs::MetricsSnapshot job;
-          job.scope = "job";
-          job.gauges.emplace_back("uptime_us", wall.ElapsedMicros());
-          for (int i = 0; i < num_local; ++i) {
-            const auto s = workers[i]->SampleLiveStatus();
-            const int w = first_local + i;
-            const std::string l = "{worker=" + std::to_string(w) + "}";
-            job.gauges.emplace_back("tasks_live" + l, s.live_tasks);
-            job.gauges.emplace_back("queue_depth" + l, s.queue_depth);
-            job.gauges.emplace_back("disk_tasks" + l, s.disk_tasks);
-            job.gauges.emplace_back("cache_size" + l, s.cache_size);
-            job.gauges.emplace_back("inbox_depth" + l, hub.InboxDepth(w));
-          }
-          snaps.push_back(std::move(job));
+          snaps.push_back(
+              JobScopeMetrics(latest_copy(), wall.ElapsedMicros()));
           return snaps;
         },
-        [&]() {
-          obs::JsonWriter w;
-          w.BeginObject();
-          w.Key("job");
-          w.String("gthinker");
-          w.Key("uptime_s");
-          w.Double(wall.ElapsedSeconds());
-          w.Key("num_workers");
-          w.Int(num_workers);
-          w.Key("transport");
-          w.String(hub.TransportName());
-          int64_t live = 0, pending = 0, disk = 0, cache_entries = 0;
-          int64_t hits = 0, requests = 0;
-          int64_t spawned = 0, finished = 0, spilled = 0, stolen = 0;
-          int64_t splits = 0;
-          w.Key("workers");
-          w.BeginArray();
-          for (int i = 0; i < num_local; ++i) {
-            const auto s = workers[i]->SampleLiveStatus();
-            live += s.live_tasks;
-            pending += s.queue_depth;
-            disk += s.disk_tasks;
-            cache_entries += s.cache_size;
-            hits += s.cache_hits;
-            requests += s.cache_requests;
-            spawned += s.tasks_spawned;
-            finished += s.tasks_finished;
-            spilled += s.spilled_batches;
-            stolen += s.stolen_batches;
-            splits += s.splits;
-            w.BeginObject();
-            w.Key("worker");
-            w.Int(first_local + i);
-            w.Key("tasks_live");
-            w.Int(s.live_tasks);
-            w.Key("queue_depth");
-            w.Int(s.queue_depth);
-            w.Key("disk_tasks");
-            w.Int(s.disk_tasks);
-            w.Key("spill_queue_depth");
-            w.Int(s.spill_queue_depth);
-            w.Key("cache_size");
-            w.Int(s.cache_size);
-            w.Key("inbox_depth");
-            w.Int(hub.InboxDepth(first_local + i));
-            w.Key("peak_mem_bytes");
-            w.Int(s.peak_mem_bytes);
-            w.Key("comper_utilization");
-            w.Double(s.comper_rounds > 0
-                         ? 1.0 - static_cast<double>(s.comper_idle_rounds) /
-                                     static_cast<double>(s.comper_rounds)
-                         : 0.0);
-            w.EndObject();
-          }
-          w.EndArray();
-          w.Key("tasks");
-          w.BeginObject();
-          w.Key("live");
-          w.Int(live);
-          w.Key("pending");
-          w.Int(pending);
-          w.Key("spilled");
-          w.Int(disk);
-          w.EndObject();
-          w.Key("cache");
-          w.BeginObject();
-          w.Key("entries");
-          w.Int(cache_entries);
-          w.Key("hit_rate");
-          w.Double(requests > 0 ? static_cast<double>(hits) /
-                                      static_cast<double>(requests)
-                                : 0.0);
-          w.EndObject();
-          w.Key("activity");
-          w.BeginObject();
-          w.Key("tasks_spawned");
-          w.Int(spawned);
-          w.Key("tasks_finished");
-          w.Int(finished);
-          w.Key("spilled_batches");
-          w.Int(spilled);
-          w.Key("stolen_batches");
-          w.Int(stolen);
-          w.Key("splits");
-          w.Int(splits);
-          w.Key("steal_orders");
-          w.Int(hub.SentCount(MsgType::kStealOrder));
-          w.EndObject();
-          w.EndObject();
-          return w.Take();
+        [&] {
+          return StatusJson(latest_copy(), wall.ElapsedSeconds(),
+                            hub.TransportName(),
+                            hub.SentCount(MsgType::kStealOrder));
         });
     if (hosts_master && config.status_port != 0) {
       const Status bound = status_server.Start(config.status_port);
@@ -464,10 +349,8 @@ class Cluster {
     }
 
     // The master: snapshots, termination, steals, checkpoints, drain.
-    std::vector<ProgressReport> final_reports(num_workers);
     if (hosts_master) {
       Timer ckpt_timer;
-      std::vector<ProgressReport> latest(num_workers);
       std::vector<bool> fresh(num_workers, false);
 
       // A snapshot is quiet when every worker is idle, the data-message
@@ -516,23 +399,35 @@ class Cluster {
             << mb.src_worker << " names worker " << worker_id
             << "; expected the sender itself, in [0, " << num_workers << ")";
       };
+      // Every report: merge its aggregate delta, append its gauges to its
+      // worker's series and publish it in `latest`. Returns the worker.
+      auto take_report = [&](const MessageBatch& mb) {
+        ProgressReport report;
+        GT_CHECK_OK(report.Decode(mb.payload));
+        const int32_t w = report.worker_id;
+        check_sender(w, mb);
+        MergeInto(&global, report.agg_delta);
+        if (pending_ckpt_acks > 0 && !ckpt_acked[w]) {
+          MergeInto(&ckpt_global, report.agg_delta);
+        }
+        report.agg_delta.clear();
+        const int64_t t = hub.NowUs();
+        const auto gauges = SampledGauges(report);
+        for (size_t g = 0; g < kNumSeries; ++g) {
+          series[w * kNumSeries + g].Append(t, gauges[g]);
+        }
+        std::lock_guard<std::mutex> lock(latest_mu);
+        latest[w] = std::move(report);
+        return w;
+      };
 
       while (!terminate) {
         MessageBatch mb;
         if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
           switch (mb.type) {
-            case MsgType::kProgressReport: {
-              ProgressReport report;
-              GT_CHECK_OK(report.Decode(mb.payload));
-              check_sender(report.worker_id, mb);
-              MergeInto(&global, report.agg_delta);
-              if (pending_ckpt_acks > 0 && !ckpt_acked[report.worker_id]) {
-                MergeInto(&ckpt_global, report.agg_delta);
-              }
-              latest[report.worker_id] = report;
-              fresh[report.worker_id] = true;
+            case MsgType::kProgressReport:
+              fresh[take_report(mb)] = true;
               break;
-            }
             case MsgType::kCheckpointAck: {
               CheckpointAck ack;
               GT_CHECK_OK(ack.Decode(mb.payload));
@@ -661,7 +556,7 @@ class Cluster {
       std::vector<int64_t> last_heard_us(num_workers, wall.ElapsedMicros());
       while (finals < num_workers) {
         for (int w = 0; w < num_workers; ++w) {
-          if (final_reports[w].final_report != 0 ||
+          if (latest[w].final_report != 0 ||
               wall.ElapsedMicros() - last_heard_us[w] <=
                   3 * config.drain_timeout_us) {
             continue;
@@ -669,7 +564,7 @@ class Cluster {
           std::string no_barrier, no_final;
           for (int v = 0; v < num_workers; ++v) {
             if (!barrier_seen[v]) no_barrier += " " + std::to_string(v);
-            if (final_reports[v].final_report == 0) {
+            if (latest[v].final_report == 0) {
               no_final += " " + std::to_string(v);
             }
           }
@@ -687,15 +582,8 @@ class Cluster {
           last_heard_us[mb.src_worker] = wall.ElapsedMicros();
         }
         if (mb.type == MsgType::kProgressReport) {
-          ProgressReport report;
-          GT_CHECK_OK(report.Decode(mb.payload));
-          check_sender(report.worker_id, mb);
-          MergeInto(&global, report.agg_delta);
-          if (report.final_report != 0 &&
-              final_reports[report.worker_id].final_report == 0) {
-            final_reports[report.worker_id] = report;
-            ++finals;
-          }
+          // A worker's final report is the last one it sends.
+          if (latest[take_report(mb)].final_report != 0) ++finals;
         } else if (mb.type == MsgType::kCheckpointAck) {
           CheckpointAck ack;
           GT_CHECK_OK(ack.Decode(mb.payload));
@@ -725,20 +613,16 @@ class Cluster {
     // comm threads exit once the drain proved the wire empty.
     for (auto& worker : workers) worker->Join();
 
-    if (sampler.joinable()) {
-      sampler_stop.store(true, std::memory_order_release);
-      sampler.join();
-      for (obs::BoundedSeries& series : sampled) {
-        stats.timeseries.push_back(series.Take());
-      }
-    }
-
     stats.elapsed_s = wall.ElapsedSeconds();
     if (hosts_master) {
-      for (const ProgressReport& r : final_reports) {
-        stats.tasks_spawned += r.tasks_spawned;
+      for (obs::BoundedSeries& s : series) {
+        stats.timeseries.push_back(s.Take());
+      }
+      // Every entry of `latest` is now its worker's final report.
+      for (const ProgressReport& r : latest) {
+        stats.tasks_spawned += r.ledger.spawned;
         stats.task_iterations += r.task_iterations;
-        stats.tasks_finished += r.tasks_finished;
+        stats.tasks_finished += r.ledger.finished;
         stats.spilled_batches += r.spilled_batches;
         stats.stolen_batches += r.stolen_batches;
         stats.vertex_requests += r.vertex_requests;
@@ -750,6 +634,8 @@ class Cluster {
         stats.ledger.Accumulate(r.ledger);
         stats.tasks_live_at_exit += r.tasks_live;
         stats.drained_messages += r.drained_messages;
+        stats.splits += r.splits;
+        stats.split_children += r.split_children;
       }
 
       // Task-conservation verdict. The final reports follow every worker's
@@ -800,12 +686,9 @@ class Cluster {
     }
     stats.metrics.push_back(hub.MetricsSnapshot());
 
-    // Split/lineage roll-up across the per-worker registries (how much
-    // splitting actually happened; an absent counter reads -1).
+    // Split depth is a per-process histogram: the deepest split this
+    // process's workers made.
     for (const obs::MetricsSnapshot& snap : stats.metrics) {
-      stats.splits += std::max<int64_t>(0, snap.CounterValue("split.count"));
-      stats.split_children +=
-          std::max<int64_t>(0, snap.CounterValue("split.children"));
       if (const obs::HistogramSnapshot* depth =
               snap.FindHistogram("split.depth")) {
         stats.split_depth_max = std::max(stats.split_depth_max, depth->max);
@@ -831,9 +714,7 @@ class Cluster {
     // Phase-attribution profile: where every comper's wall time went, from
     // the disjoint loop timers, plus the straggler table mined from execute
     // spans (empty unless span tracing was on).
-    if (config.enable_phase_profile) {
-      stats.phases = obs::BuildPhaseProfile(stats.metrics, stats.spans);
-    }
+    stats.phases = obs::BuildPhaseProfile(stats.metrics, stats.spans);
 
     status_server.Stop();
     workers.clear();

@@ -167,10 +167,6 @@ struct JobConfig {
   bool refill_spawn_first = false;
 
   // ---- observability (docs/OBSERVABILITY.md) ----
-  /// Period of the master's gauge sampler (0 = off): every metrics_sample_ms
-  /// it snapshots per-worker cache occupancy, live tasks, queue depth, inbox
-  /// backlog and disk-resident tasks into JobStats::timeseries.
-  int64_t metrics_sample_ms = 0;
   /// Record per-task lifecycle spans (spawn/pending/ready/execute/finish
   /// with task IDs) into per-worker rings, merged into JobStats::spans and
   /// exportable as a Chrome trace (obs::WriteChromeTrace / trace_path).
@@ -185,9 +181,11 @@ struct JobConfig {
   /// Live status server (obs/status_server.h): 0 = off, > 0 = bind that
   /// port on 127.0.0.1, -1 = ephemeral port (tests; discover via
   /// JobStats::status_port or obs::StatusServer::Current()). Serves
-  /// /metrics (Prometheus), /status.json and /healthz over the local
-  /// workers for the duration of the job, from the process hosting the
-  /// master (the Cluster::Run process, or rank 0 of RunDistributed).
+  /// /metrics (Prometheus), /status.json and /healthz for the duration of
+  /// the job, from the process hosting the master (the Cluster::Run
+  /// process, or rank 0 of RunDistributed). The status and the `job` metrics
+  /// scope cover every worker, from their latest progress reports; the
+  /// per-worker registries on /metrics are this process's own.
   int status_port = 0;
   /// Capacity (events per job) of the always-on flight recorder ring
   /// (obs/flight_recorder.h); 0 disables it. Recent scheduler transitions
@@ -197,11 +195,6 @@ struct JobConfig {
   /// Directory for flight-recorder crash dumps; empty = the
   /// GT_FLIGHT_DUMP_DIR environment variable, else stderr.
   std::string flight_dump_dir;
-  /// Record per-comper phase timers (compute / pull-wait / queue-wait /
-  /// spill / steal) and emit the post-run phase-attribution profile
-  /// (JobStats::phases, report "phases" section). Costs one clock read per
-  /// idle round; on by default.
-  bool enable_phase_profile = true;
 
   // ---- durability ----
   /// Directory for task spill files; empty = fresh temp dir per job.
@@ -312,9 +305,6 @@ struct JobConfig {
     if (drain_timeout_us <= 0) {
       return Status::InvalidArgument("drain_timeout_us must be positive");
     }
-    if (metrics_sample_ms < 0) {
-      return Status::InvalidArgument("metrics_sample_ms must be >= 0");
-    }
     if (status_port < -1 || status_port > 65535) {
       return Status::InvalidArgument("status_port out of [-1, 65535]");
     }
@@ -358,8 +348,9 @@ struct JobStats {
   /// kStealOrder batches the master issued, for StealEfficiency().
   int64_t steal_orders = 0;
 
-  // Big-task decomposition activity, summed over workers (PR 6 counters
-  // split.count / split.children; max depth from the split.depth histogram).
+  // Big-task decomposition activity. splits / split_children are summed
+  // over every worker's final progress report (cluster-wide on the master);
+  // split_depth_max is the max of this process's split.depth histograms.
   int64_t splits = 0;
   int64_t split_children = 0;
   int64_t split_depth_max = 0;
@@ -390,13 +381,15 @@ struct JobStats {
   /// Per-scope metric snapshots: one per worker ("worker<i>") plus the hub
   /// ("hub"). Always populated (recording is lock-free counters).
   std::vector<obs::MetricsSnapshot> metrics;
-  /// Sampled gauge time-series (only when metrics_sample_ms > 0).
+  /// Per-worker gauge time-series (obs::kWorkerSampledGauges for every
+  /// worker in the cluster), one point per progress report the master
+  /// decoded, on the hub clock. Filled where the master runs only.
   std::vector<obs::TimeSeries> timeseries;
   /// Per-task lifecycle spans merged over workers, hub-clock-ordered (only
   /// when enable_span_tracing); span_events_total counts all recorded.
   std::vector<obs::SpanEvent> spans;
   int64_t span_events_total = 0;
-  /// Post-run phase-attribution profile (only when enable_phase_profile):
+  /// Post-run phase-attribution profile of this process's workers:
   /// per-worker / per-comper compute vs. wait decomposition plus straggler
   /// table; also serialized as the report's "phases" section.
   obs::PhaseProfile phases;

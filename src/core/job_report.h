@@ -1,10 +1,15 @@
 #ifndef GTHINKER_CORE_JOB_REPORT_H_
 #define GTHINKER_CORE_JOB_REPORT_H_
 
+#include <array>
 #include <string>
+#include <vector>
 
 #include "core/config.h"
+#include "core/protocol.h"
+#include "obs/json.h"
 #include "obs/report.h"
+#include "obs/sampler.h"
 #include "obs/span_trace.h"
 #include "util/status.h"
 
@@ -104,6 +109,128 @@ inline obs::JobReport MakeJobReport(const std::string& job_name,
   report.series = stats.timeseries;
   report.phases = stats.phases;
   return report;
+}
+
+/// One report's values of obs::kWorkerSampledGauges, in that order.
+inline std::array<int64_t, obs::kNumWorkerSampledGauges> SampledGauges(
+    const ProgressReport& r) {
+  return {r.cache_size,    r.tasks_live,  r.queue_depth,
+          r.tasks_on_disk, r.inbox_depth, r.spill_queue_depth};
+}
+
+/// The `job` scope of the live /metrics endpoint: uptime plus each worker's
+/// queue, cache and task depth from its latest progress report (`reports`
+/// is indexed by worker ID).
+inline obs::MetricsSnapshot JobScopeMetrics(
+    const std::vector<ProgressReport>& reports, int64_t uptime_us) {
+  obs::MetricsSnapshot job;
+  job.scope = "job";
+  job.gauges.emplace_back("uptime_us", uptime_us);
+  for (size_t w = 0; w < reports.size(); ++w) {
+    const ProgressReport& r = reports[w];
+    const std::string l = "{worker=" + std::to_string(w) + "}";
+    job.gauges.emplace_back("tasks_live" + l, r.tasks_live);
+    job.gauges.emplace_back("queue_depth" + l, r.queue_depth);
+    job.gauges.emplace_back("disk_tasks" + l, r.tasks_on_disk);
+    job.gauges.emplace_back("cache_size" + l, r.cache_size);
+    job.gauges.emplace_back("inbox_depth" + l, r.inbox_depth);
+  }
+  return job;
+}
+
+/// The live /status.json document, rendered from every worker's latest
+/// progress report (`reports` is indexed by worker ID; a worker that has
+/// not reported yet reads as zeros).
+inline std::string StatusJson(const std::vector<ProgressReport>& reports,
+                              double uptime_s, const std::string& transport,
+                              int64_t steal_orders) {
+  obs::JsonWriter w;
+  w.BeginObject();
+  w.Key("job");
+  w.String("gthinker");
+  w.Key("uptime_s");
+  w.Double(uptime_s);
+  w.Key("num_workers");
+  w.Int(static_cast<int64_t>(reports.size()));
+  w.Key("transport");
+  w.String(transport);
+  ProgressReport sum;  // the cluster-wide totals
+  w.Key("workers");
+  w.BeginArray();
+  for (size_t i = 0; i < reports.size(); ++i) {
+    const ProgressReport& r = reports[i];
+    sum.tasks_live += r.tasks_live;
+    sum.queue_depth += r.queue_depth;
+    sum.tasks_on_disk += r.tasks_on_disk;
+    sum.cache_size += r.cache_size;
+    sum.cache_hits += r.cache_hits;
+    sum.cache_requests += r.cache_requests;
+    sum.ledger.spawned += r.ledger.spawned;
+    sum.ledger.finished += r.ledger.finished;
+    sum.spilled_batches += r.spilled_batches;
+    sum.stolen_batches += r.stolen_batches;
+    sum.splits += r.splits;
+    w.BeginObject();
+    w.Key("worker");
+    w.Int(static_cast<int64_t>(i));
+    w.Key("tasks_live");
+    w.Int(r.tasks_live);
+    w.Key("queue_depth");
+    w.Int(r.queue_depth);
+    w.Key("disk_tasks");
+    w.Int(r.tasks_on_disk);
+    w.Key("spill_queue_depth");
+    w.Int(r.spill_queue_depth);
+    w.Key("cache_size");
+    w.Int(r.cache_size);
+    w.Key("inbox_depth");
+    w.Int(r.inbox_depth);
+    w.Key("peak_mem_bytes");
+    w.Int(r.peak_mem_bytes);
+    w.Key("comper_utilization");
+    w.Double(r.comper_rounds > 0
+                 ? 1.0 - static_cast<double>(r.comper_idle_rounds) /
+                             static_cast<double>(r.comper_rounds)
+                 : 0.0);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("tasks");
+  w.BeginObject();
+  w.Key("live");
+  w.Int(sum.tasks_live);
+  w.Key("pending");
+  w.Int(sum.queue_depth);
+  w.Key("spilled");
+  w.Int(sum.tasks_on_disk);
+  w.EndObject();
+  w.Key("cache");
+  w.BeginObject();
+  w.Key("entries");
+  w.Int(sum.cache_size);
+  w.Key("hit_rate");
+  w.Double(sum.cache_requests > 0
+               ? static_cast<double>(sum.cache_hits) /
+                     static_cast<double>(sum.cache_requests)
+               : 0.0);
+  w.EndObject();
+  w.Key("activity");
+  w.BeginObject();
+  w.Key("tasks_spawned");
+  w.Int(sum.ledger.spawned);
+  w.Key("tasks_finished");
+  w.Int(sum.ledger.finished);
+  w.Key("spilled_batches");
+  w.Int(sum.spilled_batches);
+  w.Key("stolen_batches");
+  w.Int(sum.stolen_batches);
+  w.Key("splits");
+  w.Int(sum.splits);
+  w.Key("steal_orders");
+  w.Int(steal_orders);
+  w.EndObject();
+  w.EndObject();
+  return w.Take();
 }
 
 /// Writes the run's observability artifacts per config: the JSON report to

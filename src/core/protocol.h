@@ -20,7 +20,15 @@ namespace gthinker {
 /// zero-copy as a single-fragment Payload (TakePayload); decoders read the
 /// incoming Payload through a flat view — zero-copy for the flat payloads
 /// every encoder here produces. Every decoder is bounds-checked end to end:
-/// truncated or corrupted payloads yield Status::Corruption, never a crash.
+/// truncated or corrupted payloads yield Status::Corruption, never a crash,
+/// and so does a message followed by stray bytes (ExpectEnd).
+
+/// Ok when `des` consumed the whole message `what`, Corruption otherwise.
+inline Status ExpectEnd(const Deserializer& des, const char* what) {
+  return des.AtEnd() ? Status::Ok()
+                     : Status::Corruption(std::string(what) +
+                                          ": trailing bytes");
+}
 
 /// Task-conservation ledger (one per worker, summed by the master). Every
 /// counter is cumulative and monotonic; each task-lifecycle transition
@@ -97,8 +105,11 @@ struct TaskLedger {
 /// kProgressReport: worker -> master, every progress interval. Carries the
 /// idle/remaining state driving stealing + termination, monotonic data-batch
 /// counters for the message-balance check, the task-conservation ledger, a
-/// stats snapshot, and the committed aggregator delta (opaque bytes; master
-/// deserializes by AggT).
+/// stats snapshot, the worker's live gauges, and the committed aggregator
+/// delta (opaque bytes; master deserializes by AggT). It is the one record
+/// of per-worker state: the master's termination and steal planning, the
+/// job's final counters, the sampled time-series and the live status
+/// endpoints all read it.
 struct ProgressReport {
   int32_t worker_id = 0;
   uint8_t final_report = 0;
@@ -107,9 +118,7 @@ struct ProgressReport {
   int64_t data_sent = 0;
   int64_t data_processed = 0;
 
-  int64_t tasks_spawned = 0;
   int64_t task_iterations = 0;
-  int64_t tasks_finished = 0;
   int64_t spilled_batches = 0;
   int64_t stolen_batches = 0;
   int64_t vertex_requests = 0;
@@ -133,6 +142,17 @@ struct ProgressReport {
   /// these used to be silently dropped when the comm loop exited.
   int64_t drained_messages = 0;
 
+  // Point-in-time gauges: tasks in the compers' Q_task queues, Γ-table
+  // entries, batches waiting for the spill writer, batches in the worker's
+  // own hub inbox.
+  int64_t queue_depth = 0;
+  int64_t cache_size = 0;
+  int64_t spill_queue_depth = 0;
+  int64_t inbox_depth = 0;
+  /// Task-split decisions and the children they produced (cumulative).
+  int64_t splits = 0;
+  int64_t split_children = 0;
+
   std::string agg_delta;
 
   Payload Encode() const {
@@ -143,9 +163,7 @@ struct ProgressReport {
     ser.Write(remaining_estimate);
     ser.Write(data_sent);
     ser.Write(data_processed);
-    ser.Write(tasks_spawned);
     ser.Write(task_iterations);
-    ser.Write(tasks_finished);
     ser.Write(spilled_batches);
     ser.Write(stolen_batches);
     ser.Write(vertex_requests);
@@ -159,6 +177,12 @@ struct ProgressReport {
     ser.Write(tasks_live);
     ser.Write(tasks_on_disk);
     ser.Write(drained_messages);
+    ser.Write(queue_depth);
+    ser.Write(cache_size);
+    ser.Write(spill_queue_depth);
+    ser.Write(inbox_depth);
+    ser.Write(splits);
+    ser.Write(split_children);
     ser.WriteString(agg_delta);
     return TakePayload(ser);
   }
@@ -172,9 +196,7 @@ struct ProgressReport {
     GT_RETURN_IF_ERROR(des.Read(&remaining_estimate));
     GT_RETURN_IF_ERROR(des.Read(&data_sent));
     GT_RETURN_IF_ERROR(des.Read(&data_processed));
-    GT_RETURN_IF_ERROR(des.Read(&tasks_spawned));
     GT_RETURN_IF_ERROR(des.Read(&task_iterations));
-    GT_RETURN_IF_ERROR(des.Read(&tasks_finished));
     GT_RETURN_IF_ERROR(des.Read(&spilled_batches));
     GT_RETURN_IF_ERROR(des.Read(&stolen_batches));
     GT_RETURN_IF_ERROR(des.Read(&vertex_requests));
@@ -188,7 +210,14 @@ struct ProgressReport {
     GT_RETURN_IF_ERROR(des.Read(&tasks_live));
     GT_RETURN_IF_ERROR(des.Read(&tasks_on_disk));
     GT_RETURN_IF_ERROR(des.Read(&drained_messages));
-    return des.ReadString(&agg_delta);
+    GT_RETURN_IF_ERROR(des.Read(&queue_depth));
+    GT_RETURN_IF_ERROR(des.Read(&cache_size));
+    GT_RETURN_IF_ERROR(des.Read(&spill_queue_depth));
+    GT_RETURN_IF_ERROR(des.Read(&inbox_depth));
+    GT_RETURN_IF_ERROR(des.Read(&splits));
+    GT_RETURN_IF_ERROR(des.Read(&split_children));
+    GT_RETURN_IF_ERROR(des.ReadString(&agg_delta));
+    return ExpectEnd(des, "progress report");
   }
 };
 
@@ -204,7 +233,8 @@ inline Status DecodeVertexRequest(const Payload& payload,
                                   std::vector<VertexId>* ids) {
   PayloadView view(payload);
   Deserializer des(view.data(), view.size());
-  return des.ReadVector(ids);
+  GT_RETURN_IF_ERROR(des.ReadVector(ids));
+  return ExpectEnd(des, "vertex request");
 }
 
 /// kTaskBatch / checkpoint task lists: a batch of opaque serialized tasks.
@@ -266,7 +296,7 @@ inline Status DecodeTaskBatch(const Payload& payload,
     GT_RETURN_IF_ERROR(des.ReadString(&r));
     records->push_back(std::move(r));
   }
-  return Status::Ok();
+  return ExpectEnd(des, "task batch");
 }
 
 /// kStealOrder payload: the worker that should receive the donated batch,
@@ -284,7 +314,8 @@ inline Status DecodeStealOrder(const Payload& payload, int32_t* dst_worker,
   PayloadView view(payload);
   Deserializer des(view.data(), view.size());
   GT_RETURN_IF_ERROR(des.Read(dst_worker));
-  return des.Read(order_t_us);
+  GT_RETURN_IF_ERROR(des.Read(order_t_us));
+  return ExpectEnd(des, "steal order");
 }
 
 /// kDrainBarrier payload (worker -> master direction): the quiesced worker.
@@ -299,7 +330,8 @@ inline Payload EncodeDrainBarrier(int32_t worker_id) {
 inline Status DecodeDrainBarrier(const Payload& payload, int32_t* worker_id) {
   PayloadView view(payload);
   Deserializer des(view.data(), view.size());
-  return des.Read(worker_id);
+  GT_RETURN_IF_ERROR(des.Read(worker_id));
+  return ExpectEnd(des, "drain barrier");
 }
 
 /// kCheckpointRequest payload: the checkpoint epoch.
@@ -314,7 +346,8 @@ struct CheckpointRequest {
   Status Decode(const Payload& payload) {
     PayloadView view(payload);
     Deserializer des(view.data(), view.size());
-    return des.Read(&epoch);
+    GT_RETURN_IF_ERROR(des.Read(&epoch));
+    return ExpectEnd(des, "checkpoint request");
   }
 };
 
@@ -336,7 +369,8 @@ struct CheckpointAck {
     Deserializer des(view.data(), view.size());
     GT_RETURN_IF_ERROR(des.Read(&worker_id));
     GT_RETURN_IF_ERROR(des.Read(&epoch));
-    return des.ReadString(&agg_delta);
+    GT_RETURN_IF_ERROR(des.ReadString(&agg_delta));
+    return ExpectEnd(des, "checkpoint ack");
   }
 };
 

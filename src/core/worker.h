@@ -219,19 +219,16 @@ class Worker {
     ComperEngine(Worker* worker, int index, std::unique_ptr<ComperT> user)
         : worker_(worker), index_(index), user_(std::move(user)) {
       user_->BindRuntime(this);
-      compute_us_ = worker_->metrics_.GetHistogram(
-          "comper.compute_iter_us", "comper=" + std::to_string(index));
-      if (worker_->config_.enable_phase_profile) {
-        const std::string label = "comper=" + std::to_string(index);
-        phase_compute_ = worker_->metrics_.GetCounter("phase.compute_us",
-                                                      label);
-        phase_pull_wait_ =
-            worker_->metrics_.GetCounter("phase.pull_wait_us", label);
-        phase_queue_wait_ =
-            worker_->metrics_.GetCounter("phase.queue_wait_us", label);
-        phase_spill_ = worker_->metrics_.GetCounter("phase.spill_us", label);
-        phase_loop_ = worker_->metrics_.GetCounter("phase.loop_us", label);
-      }
+      const std::string label = "comper=" + std::to_string(index);
+      compute_us_ =
+          worker_->metrics_.GetHistogram("comper.compute_iter_us", label);
+      phase_compute_ = worker_->metrics_.GetCounter("phase.compute_us", label);
+      phase_pull_wait_ =
+          worker_->metrics_.GetCounter("phase.pull_wait_us", label);
+      phase_queue_wait_ =
+          worker_->metrics_.GetCounter("phase.queue_wait_us", label);
+      phase_spill_ = worker_->metrics_.GetCounter("phase.spill_us", label);
+      phase_loop_ = worker_->metrics_.GetCounter("phase.loop_us", label);
     }
 
     // ---- Comper<>::Runtime ----
@@ -265,19 +262,16 @@ class Worker {
     /// Mining-thread body: each round runs push() then (gates permitting)
     /// pop() (paper §V-B "Algorithm of a Comper").
     void Loop() {
-      const bool phases = phase_loop_ != nullptr;
       Timer loop_timer;
       Timer wait_timer;
       while (!worker_->stop_compers_.load(std::memory_order_acquire)) {
-        if (phases && worker_->pause_.load(std::memory_order_acquire)) {
+        if (worker_->pause_.load(std::memory_order_acquire)) {
           // Checkpoint park: accounted as queue-wait (nothing runnable by
           // decree, not for lack of work, but it is still non-compute wall
           // time of this comper).
           wait_timer.Restart();
           worker_->MaybePark();
           phase_queue_wait_->Add(wait_timer.ElapsedMicros());
-        } else {
-          worker_->MaybePark();
         }
         rounds_.fetch_add(1, std::memory_order_relaxed);
         bool did = Push();
@@ -286,20 +280,16 @@ class Worker {
           // A round that processed nothing = CPU idle time, the quantity
           // G-thinker's design minimizes (paper §I). Reported per job.
           idle_rounds_.fetch_add(1, std::memory_order_relaxed);
-          if (phases) {
-            // Idle with tasks parked in T_task = waiting on remote pulls;
-            // idle with nothing in flight = starved queue (imbalance/drain).
-            wait_timer.Restart();
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-            (t_size_.load(std::memory_order_relaxed) > 0 ? phase_pull_wait_
-                                                         : phase_queue_wait_)
-                ->Add(wait_timer.ElapsedMicros());
-          } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          }
+          // Idle with tasks parked in T_task = waiting on remote pulls;
+          // idle with nothing in flight = starved queue (imbalance/drain).
+          wait_timer.Restart();
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          (t_size_.load(std::memory_order_relaxed) > 0 ? phase_pull_wait_
+                                                       : phase_queue_wait_)
+              ->Add(wait_timer.ElapsedMicros());
         }
       }
-      if (phases) phase_loop_->Add(loop_timer.ElapsedMicros());
+      phase_loop_->Add(loop_timer.ElapsedMicros());
       worker_->cache_.FlushCounter(&counter_);
       // Tells the comm thread's shutdown drain that this mining thread can
       // no longer originate vertex requests or donations.
@@ -443,9 +433,7 @@ class Worker {
               static_cast<int64_t>(records.size()), std::memory_order_relaxed);
           worker_->refill_spill_tasks_->Add(
               static_cast<int64_t>(records.size()));
-          if (phase_spill_ != nullptr) {
-            phase_spill_->Add(spill_timer.ElapsedMicros());
-          }
+          phase_spill_->Add(spill_timer.ElapsedMicros());
           worker_->Flight(obs::FlightKind::kSpillLoad, index_,
                           static_cast<int64_t>(records.size()));
           continue;
@@ -501,9 +489,7 @@ class Worker {
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
                                           std::memory_order_relaxed);
-        if (phase_spill_ != nullptr) {
-          phase_spill_->Add(spill_timer.ElapsedMicros());
-        }
+        phase_spill_->Add(spill_timer.ElapsedMicros());
         worker_->Flight(obs::FlightKind::kSpillWrite, index_,
                         static_cast<int64_t>(batch));
       }
@@ -595,7 +581,7 @@ class Worker {
       const bool more = user_->Compute(task.get(), frontier);
       const int64_t compute_us = compute_timer.ElapsedMicros();
       compute_us_->Record(compute_us);
-      if (phase_compute_ != nullptr) phase_compute_->Add(compute_us);
+      phase_compute_->Add(compute_us);
       if (worker_->spans_ != nullptr) {
         // Stamp the slice at its start so the viewer draws [start, start+dur].
         worker_->Span(task->span_id(), index_, obs::SpanPhase::kExecute,
@@ -689,8 +675,8 @@ class Worker {
     std::atomic<int64_t> idle_rounds_{0};
     std::atomic<int64_t> rounds_{0};
     obs::Histogram* compute_us_ = nullptr;  // owned by worker_->metrics_
-    // Phase-attribution counters (obs/phase_profile.h); null when
-    // enable_phase_profile is off. Disjoint by construction: every loop
+    // Phase-attribution counters (obs/phase_profile.h), owned by
+    // worker_->metrics_. Disjoint by construction: every loop
     // microsecond lands in at most one of compute/pull_wait/queue_wait/
     // spill, and phase.loop_us (recorded once at exit) is the total their
     // sum is reconciled against.
@@ -1122,9 +1108,7 @@ class Worker {
         // the worker row's steal phase, not in any comper's loop.
         Timer steal_timer;
         DonateTasks(dst, order_t_us);
-        if (config_.enable_phase_profile) {
-          phase_steal_us_->Add(steal_timer.ElapsedMicros());
-        }
+        phase_steal_us_->Add(steal_timer.ElapsedMicros());
         break;
       }
       case MsgType::kAggregatorSync: {
@@ -1229,9 +1213,7 @@ class Worker {
     report.idle = (SpawnDone() && live_tasks_.load() == 0) ? 1 : 0;
     report.data_sent = data_sent_.load(std::memory_order_acquire);
     report.data_processed = data_processed_.load(std::memory_order_acquire);
-    report.tasks_spawned = tasks_spawned_.load(std::memory_order_relaxed);
     report.task_iterations = task_iterations_.load(std::memory_order_relaxed);
-    report.tasks_finished = tasks_finished_.load(std::memory_order_relaxed);
     report.spilled_batches = spilled_batches_.load(std::memory_order_relaxed);
     report.stolen_batches = stolen_batches_.load(std::memory_order_relaxed);
     report.vertex_requests =
@@ -1266,6 +1248,12 @@ class Worker {
            report.tasks_live);
     report.drained_messages =
         drained_messages_.load(std::memory_order_relaxed);
+    report.queue_depth = static_cast<int64_t>(queued);
+    report.cache_size = cache_.ApproxSize();
+    report.spill_queue_depth = spill_io_.QueueDepth();
+    report.inbox_depth = hub_->InboxDepth(id_);
+    report.splits = split_count_->value();
+    report.split_children = split_children_->value();
     {
       Serializer ser;
       Codec<AggT>::Encode(ser, agg_.TakeLocal());
@@ -1399,65 +1387,6 @@ class Worker {
 
   /// Span ring (null when span tracing is disabled).
   const obs::SpanRing* spans() const { return spans_.get(); }
-
-  // ---- sampler probes (master thread; each is one relaxed read) ----
-  int64_t SampleCacheSize() const { return cache_.ApproxSize(); }
-  int64_t SampleLiveTasks() const { return live_tasks_.load(); }
-  int64_t SampleDiskTasks() const { return l_file_.TotalRecords(); }
-  int64_t SampleQueueDepth() const {
-    int64_t depth = 0;
-    for (const auto& engine : engines_) {
-      depth += static_cast<int64_t>(engine->QueueSize());
-    }
-    return depth;
-  }
-  int64_t SampleSpillQueueDepth() const {
-    return spill_io_.QueueDepth();
-  }
-
-  /// Point-in-time progress of this worker for the live status server.
-  /// Every field is one (or a few) relaxed atomic reads — safe to call from
-  /// the serving thread at any moment during the run.
-  struct LiveStatus {
-    int64_t live_tasks = 0;
-    int64_t queue_depth = 0;
-    int64_t disk_tasks = 0;
-    int64_t spill_queue_depth = 0;
-    int64_t cache_size = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_requests = 0;
-    int64_t comper_idle_rounds = 0;
-    int64_t comper_rounds = 0;
-    int64_t tasks_spawned = 0;
-    int64_t tasks_finished = 0;
-    int64_t spilled_batches = 0;
-    int64_t stolen_batches = 0;
-    int64_t splits = 0;
-    int64_t peak_mem_bytes = 0;
-  };
-
-  LiveStatus SampleLiveStatus() const {
-    LiveStatus s;
-    s.live_tasks = SampleLiveTasks();
-    s.queue_depth = SampleQueueDepth();
-    s.disk_tasks = SampleDiskTasks();
-    s.spill_queue_depth = SampleSpillQueueDepth();
-    s.cache_size = SampleCacheSize();
-    s.cache_hits = cache_.stats().hits.load(std::memory_order_relaxed);
-    s.cache_requests =
-        cache_.stats().requests.load(std::memory_order_relaxed);
-    for (const auto& engine : engines_) {
-      s.comper_idle_rounds += engine->IdleRounds();
-      s.comper_rounds += engine->Rounds();
-    }
-    s.tasks_spawned = tasks_spawned_.load(std::memory_order_relaxed);
-    s.tasks_finished = tasks_finished_.load(std::memory_order_relaxed);
-    s.spilled_batches = spilled_batches_.load(std::memory_order_relaxed);
-    s.stolen_batches = stolen_batches_.load(std::memory_order_relaxed);
-    s.splits = split_count_->value();
-    s.peak_mem_bytes = mem_.peak();
-    return s;
-  }
 
   /// Folds the cache's internal counters (kept as plain atomics on the hot
   /// path, not registry metrics) into the registry so one snapshot carries

@@ -1,7 +1,6 @@
 #ifndef GTHINKER_NET_FRAME_H_
 #define GTHINKER_NET_FRAME_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -25,27 +24,25 @@ namespace gthinker::net {
 //        6     1  kind         FrameKind (HELLO / DATA / FLUSH)
 //        7     1  msg_type     DATA: MsgType of the carried batch
 //                              FLUSH: drain round (1 or 2)
-//                              HELLO: feature bitmask (kFeatureCrc32C, ...)
+//                              HELLO: 0 (reserved)
 //        8     4  src          DATA: source endpoint; HELLO/FLUSH: source
 //                              process rank (i32)
 //       12     4  dst          DATA: destination endpoint; else 0 (i32)
 //       16     4  payload_len  bytes of payload following the header (u32)
-//       20     4  crc32        checksum of the payload bytes (0 when empty):
-//                              CRC-32 (IEEE), or CRC-32C once both sides
-//                              advertised kFeatureCrc32C in their HELLOs
+//       20     4  crc32        CRC-32C of the payload bytes (0 when empty)
 //   ------  ----
 //       24        header size; payload_len payload bytes follow
 //
-// The version is negotiated at handshake: both sides open with a HELLO frame
+// The version is checked at handshake: both sides open with a HELLO frame
 // and a mismatch is a clean, reported failure — never a garbage decode of an
-// incompatible stream. The HELLO's msg_type byte doubles as a feature
-// bitmask (pre-feature builds always sent 0, so absence of a bit is the
-// compatible default). DATA payloads are the Codec<T>-encoded MessageBatch
-// bodies; the per-frame CRC catches wire corruption before any decoder runs.
+// incompatible stream. Every rank runs the same build, so there is nothing
+// else to negotiate. DATA payloads are the Codec<T>-encoded MessageBatch
+// bodies; the per-frame CRC-32C catches wire corruption before any decoder
+// runs.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kFrameMagic = 0x47544E46;  // "GTNF"
-inline constexpr uint16_t kProtocolVersion = 1;
+inline constexpr uint16_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 24;
 /// Sanity cap on a single frame's payload; anything larger is treated as a
 /// corrupt stream (a real batch never approaches this).
@@ -67,14 +64,6 @@ struct FrameHeader {
   uint32_t payload_len = 0;
   uint32_t crc32 = 0;
 };
-
-/// HELLO feature bits (carried in the HELLO frame's msg_type byte).
-/// A peer that advertises kFeatureCrc32C accepts — and, once it has seen the
-/// bit from the other side, emits — CRC-32C (Castagnoli) frame checksums,
-/// which have a hardware instruction on SSE4.2 x86. Frames already encoded
-/// before the sender saw the peer's HELLO still carry CRC-32 (IEEE), so a
-/// CRC32C-capable receiver verifies against both before declaring corruption.
-inline constexpr uint8_t kFeatureCrc32C = 0x01;
 
 namespace crc_internal {
 
@@ -126,11 +115,6 @@ inline uint32_t Slice8(const SliceTables& s, const unsigned char* p, size_t len,
   return crc;
 }
 
-inline const SliceTables& Ieee() {
-  static const SliceTables s = MakeSliceTables(0xEDB88320u);
-  return s;
-}
-
 inline const SliceTables& Castagnoli() {
   static const SliceTables s = MakeSliceTables(0x82F63B78u);
   return s;
@@ -157,38 +141,6 @@ __attribute__((target("sse4.2"))) inline uint32_t Crc32CHardwareImpl(
 
 }  // namespace crc_internal
 
-/// Reference CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the
-/// original bytewise table walk, kept verbatim as the differential-test
-/// oracle for the sliced implementation below. Chainable via `seed`.
-inline uint32_t Crc32Reference(const void* data, size_t len, uint32_t seed = 0) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = ~seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
-/// CRC-32 (IEEE 802.3), slicing-by-8. Bit-identical to Crc32Reference.
-/// Chainable: pass the previous return value as `seed` to continue a
-/// computation over scattered fragments.
-inline uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0) {
-  return ~crc_internal::Slice8(crc_internal::Ieee(),
-                               static_cast<const unsigned char*>(data), len,
-                               ~seed);
-}
-
 /// CRC-32C (Castagnoli) software path, slicing-by-8. Exposed separately so
 /// tests can differential-check the hardware path on machines that have it.
 inline uint32_t Crc32CSoftware(const void* data, size_t len,
@@ -210,8 +162,8 @@ inline bool HasHardwareCrc32C() {
 
 /// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78): hardware
 /// `crc32` instruction when the CPU has SSE4.2, slicing-by-8 otherwise.
-/// Chainable like Crc32. This is the checksum used on links where both
-/// sides advertised kFeatureCrc32C.
+/// Chainable: pass the previous return value as `seed` to continue a
+/// computation over scattered fragments. The checksum of every frame.
 inline uint32_t Crc32C(const void* data, size_t len, uint32_t seed = 0) {
 #if defined(GTHINKER_CRC32C_X86)
   if (HasHardwareCrc32C()) {

@@ -235,8 +235,8 @@ void TcpTransport::WakeLocked() {
   }
 }
 
-TcpTransport::OutFrame TcpTransport::EncodeDataFrame(MessageBatch batch,
-                                                     bool crc32c) const {
+TcpTransport::OutFrame TcpTransport::EncodeDataFrame(
+    MessageBatch batch) const {
   FrameHeader h;
   h.kind = FrameKind::kData;
   h.msg_type = static_cast<uint8_t>(batch.type);
@@ -245,7 +245,7 @@ TcpTransport::OutFrame TcpTransport::EncodeDataFrame(MessageBatch batch,
   h.payload_len = static_cast<uint32_t>(batch.payload.size());
   uint32_t crc = 0;
   for (const Payload::Fragment& f : batch.payload.fragments()) {
-    crc = crc32c ? Crc32C(f.data, f.len, crc) : Crc32(f.data, f.len, crc);
+    crc = Crc32C(f.data, f.len, crc);
   }
   h.crc32 = crc;
   OutFrame out;
@@ -305,8 +305,7 @@ void TcpTransport::Send(MessageBatch batch) {
   }
   GT_CHECK(running_.load(std::memory_order_relaxed));
   Peer& peer = peers_[dst_rank];
-  OutFrame frame = EncodeDataFrame(
-      std::move(batch), peer.crc32c.load(std::memory_order_relaxed));
+  OutFrame frame = EncodeDataFrame(std::move(batch));
   bool was_empty = false;
   {
     std::unique_lock<std::mutex> lock(peer.send_mu);
@@ -452,7 +451,7 @@ Status TcpTransport::ConnectPeerLocked(int q) {
       std::lock_guard<std::mutex> slock(peer.send_mu);
       peer.front_off = 0;
       EnqueueFrameLocked(peer,
-                         EncodeControlFrame(FrameKind::kHello, kFeatureCrc32C),
+                         EncodeControlFrame(FrameKind::kHello, 0),
                          /*front=*/true);
     }
     MarkPollsetDirtyLocked();
@@ -493,7 +492,7 @@ void TcpTransport::AdoptLocked(int q, int fd, const std::string& rx) {
     std::lock_guard<std::mutex> slock(peer.send_mu);
     peer.front_off = 0;
     EnqueueFrameLocked(peer,
-                       EncodeControlFrame(FrameKind::kHello, kFeatureCrc32C),
+                       EncodeControlFrame(FrameKind::kHello, 0),
                        /*front=*/true);
   }
   MarkPollsetDirtyLocked();
@@ -596,21 +595,6 @@ bool TcpTransport::WritePeer(int q) {
   return true;
 }
 
-bool TcpTransport::VerifyFrameCrc(const Peer& peer, const FrameHeader& h,
-                                  const char* payload) {
-  if (peer.crc32c.load(std::memory_order_relaxed)) {
-    if (Crc32C(payload, h.payload_len) == h.crc32) return true;
-    // Frames the peer encoded before it saw our HELLO still carry CRC-32
-    // (IEEE) — the negotiation window, not corruption.
-    if (Crc32(payload, h.payload_len) == h.crc32) {
-      crc_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  return Crc32(payload, h.payload_len) == h.crc32;
-}
-
 bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
                                const char* payload) {
   switch (h.kind) {
@@ -621,8 +605,6 @@ bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
       std::lock_guard<std::mutex> lock(mu_);
       Peer& peer = peers_[q];
       peer.hello_ok = true;
-      peer.crc32c.store((h.msg_type & kFeatureCrc32C) != 0,
-                        std::memory_order_relaxed);
       cv_start_.notify_all();
       return true;
     }
@@ -700,7 +682,7 @@ bool TcpTransport::ParseRx(int q) {
     }
     if (peer.rx_len - peer.rx_off - kFrameHeaderSize < h.payload_len) break;
     const char* payload = base + kFrameHeaderSize;
-    if (h.payload_len > 0 && !VerifyFrameCrc(peer, h, payload)) {
+    if (h.payload_len > 0 && Crc32C(payload, h.payload_len) != h.crc32) {
       frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -893,8 +875,6 @@ void TcpTransport::IoLoop() {
               a = Pending{c.fd, c.rxbuf.substr(kFrameHeaderSize)};
               Peer& peer = peers_[h.src];
               peer.hello_ok = true;
-              peer.crc32c.store((h.msg_type & kFeatureCrc32C) != 0,
-                                std::memory_order_relaxed);
               cv_start_.notify_all();
               c.fd = -1;  // ownership transferred
               dead_pending.push_back(static_cast<int>(idx));
@@ -926,7 +906,7 @@ void TcpTransport::IoLoop() {
           continue;
         }
         peer.connecting = false;
-        EnqueueControl(q, FrameKind::kHello, kFeatureCrc32C, /*front=*/true);
+        EnqueueControl(q, FrameKind::kHello, 0, /*front=*/true);
       }
       if (rev & (POLLERR | POLLHUP | POLLNVAL)) {
         // Read out anything still buffered before declaring the link dead.
@@ -995,8 +975,6 @@ void TcpTransport::AppendMetrics(obs::MetricsSnapshot* snap) const {
                               hello_rejected_.load(relaxed));
   snap->counters.emplace_back("transport.frames_dropped",
                               frames_dropped_.load(relaxed));
-  snap->counters.emplace_back("transport.crc_fallbacks",
-                              crc_fallbacks_.load(relaxed));
   snap->counters.emplace_back("transport.batches_abandoned",
                               batches_abandoned_.load(relaxed));
   snap->counters.emplace_back("transport.poll_rebuilds",

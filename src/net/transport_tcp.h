@@ -44,8 +44,8 @@ struct TcpTransportOptions {
 /// Socket backend: each process hosts one worker rank (rank 0 also hosts the
 /// master endpoint) and keeps one bidirectional TCP connection per peer rank
 /// (rank r connects to every q < r and accepts from every q > r; a HELLO
-/// frame negotiates the protocol version — and feature bits such as CRC-32C
-/// checksums — both ways). One IO thread drives poll(2) over the listen
+/// frame checks the protocol version both ways, and every frame carries a
+/// CRC-32C of its payload). One IO thread drives poll(2) over the listen
 /// socket, the accepted connections awaiting their HELLO and every peer
 /// socket. Writes gather the per-peer send queue of framed messages
 /// (header + live Payload fragment chain, no copy) into a single sendmsg()
@@ -112,10 +112,6 @@ class TcpTransport final : public Transport {
     int fd = -1;
     bool connecting = false;  // nonblocking connect() awaiting POLLOUT
     bool hello_ok = false;    // mu_: valid HELLO received on the live conn
-    /// Peer advertised kFeatureCrc32C in its HELLO: emit CRC-32C to it and
-    /// accept CRC-32C from it (with an IEEE fallback for frames it encoded
-    /// before it saw our HELLO).
-    std::atomic<bool> crc32c{false};
     SlabRef rx_slab;    // pooled receive buffer (DATA payloads are views)
     size_t rx_len = 0;  // filled prefix of rx_slab
     size_t rx_off = 0;  // parsed prefix of rx_slab
@@ -168,13 +164,11 @@ class TcpTransport final : public Transport {
   void EnsureRxSpace(Peer& peer);
   /// Parses complete frames out of the peer's rx slab; false = corrupt.
   bool ParseRx(int q);
-  bool VerifyFrameCrc(const Peer& peer, const FrameHeader& h,
-                      const char* payload);
   /// Applies one verified frame from peer rank q; false = protocol
   /// violation (unknown type, forged DATA source), which drops the link.
   bool HandleFrame(int q, const FrameHeader& h, const char* payload);
   void DropPeer(int q, bool reconnect);
-  OutFrame EncodeDataFrame(MessageBatch batch, bool crc32c) const;
+  OutFrame EncodeDataFrame(MessageBatch batch) const;
   OutFrame EncodeControlFrame(FrameKind kind, uint8_t msg_type) const;
   void EnqueueFrameLocked(Peer& peer, OutFrame frame, bool front);
   void EnqueueControl(int q, FrameKind kind, uint8_t msg_type, bool front);
@@ -203,7 +197,6 @@ class TcpTransport final : public Transport {
   std::atomic<int64_t> frames_corrupt_{0};
   std::atomic<int64_t> hello_rejected_{0};
   std::atomic<int64_t> frames_dropped_{0};  // DATA for a non-local endpoint
-  std::atomic<int64_t> crc_fallbacks_{0};   // CRC32C link, IEEE frame
   std::atomic<int64_t> batches_abandoned_{0};  // DATA dropped by teardown
   std::atomic<int64_t> poll_rebuilds_{0};      // pollset reconstructions
   std::atomic<int64_t> sendmsg_calls_{0};

@@ -203,8 +203,8 @@ inline int WorkerFromScope(const std::string& scope) {
 /// Aggregates the per-comper phase counters (recorded by the comper loops,
 /// see Worker::ComperEngine) and worker-level steal timing into the
 /// breakdown, and mines span events for the straggler table. Rows appear
-/// only for scopes that actually recorded phase counters, so the profile is
-/// empty when `enable_phase_profile` was off.
+/// only for scopes that carry phase counters (worker registries do; the
+/// hub's does not).
 inline PhaseProfile BuildPhaseProfile(
     const std::vector<MetricsSnapshot>& metrics,
     const std::vector<SpanEvent>& spans, size_t top_k = 8) {

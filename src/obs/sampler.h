@@ -8,11 +8,12 @@
 
 namespace gthinker::obs {
 
-/// Gauge names the cluster's sampler thread probes per worker, in probe
-/// order. This is the single source of truth for the sampled set: the
-/// cluster indexes its series buffers by position here, and tests derive
-/// the expected `timeseries` count (workers x this) from its size instead
-/// of hardcoding it.
+/// Gauge names the master samples from every worker's progress reports,
+/// one point per report. This is the single source of truth for the
+/// sampled set: the cluster indexes its series buffers by position here
+/// (SampledGauges in core/job_report.h reads a report in this order), and
+/// tests derive the expected `timeseries` count (workers x this) from its
+/// size instead of hardcoding it.
 inline constexpr const char* kWorkerSampledGauges[] = {
     "cache_size",  "live_tasks",  "queue_depth",
     "disk_tasks",  "inbox_depth", "spill_queue_depth",
@@ -35,8 +36,8 @@ struct TimeSeries {
 /// series is decimated — every other retained point is dropped and the
 /// effective stride doubles — so a run of any length keeps full temporal
 /// coverage at degrading resolution instead of truncating its tail. Single
-/// writer (the sampler thread); readers take the finished series after the
-/// sampler stops.
+/// writer (the master thread); readers take the finished series after the
+/// job ends.
 class BoundedSeries {
  public:
   BoundedSeries(std::string name, int worker, size_t max_points = 2048)

@@ -103,9 +103,6 @@ TEST(ConfigValidate, RejectsBadPeriodsAndPaths) {
   c.drain_timeout_us = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
   c = JobConfig{};
-  c.metrics_sample_ms = -5;
-  EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c = JobConfig{};
   c.trace_path = "/tmp/trace.json";  // requires span tracing on
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
   c.enable_span_tracing = true;

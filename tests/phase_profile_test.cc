@@ -176,19 +176,5 @@ TEST(PhaseProfileE2E, RealRunAccountsForComperWallTime) {
   }
 }
 
-TEST(PhaseProfileE2E, DisabledKnobYieldsEmptyProfile) {
-  static Graph g = Generator::ErdosRenyi(100, 400, 551);
-  Job<TriangleComper> job;
-  job.config.num_workers = 2;
-  job.config.compers_per_worker = 1;
-  job.config.enable_phase_profile = false;
-  job.graph = &g;
-  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
-  job.trimmer = TrimToGreater;
-  auto result = Cluster<TriangleComper>::Run(job);
-  EXPECT_TRUE(result.stats.phases.empty());
-  EXPECT_EQ(result.stats.Summary().find("phase profile"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gthinker

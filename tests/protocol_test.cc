@@ -1,6 +1,7 @@
 // Round-trip and robustness tests for every wire payload in core/protocol.h.
-// Corrupted or truncated payloads must come back as Status::Corruption —
-// decoders never crash, over-read, or allocate implausible amounts.
+// Corrupted, truncated or over-long payloads must come back as
+// Status::Corruption — decoders never crash, over-read, allocate implausible
+// amounts, or ignore trailing bytes.
 
 #include "core/protocol.h"
 
@@ -24,6 +25,11 @@ Payload Truncate(const Payload& p, size_t n) {
   return Payload(std::move(bytes));
 }
 
+// Rebuilds a payload with one stray byte appended after the message.
+Payload Extend(const Payload& p) {
+  return Payload(p.ToString() + '\x5a');
+}
+
 ProgressReport MakeReport() {
   ProgressReport r;
   r.worker_id = 3;
@@ -32,9 +38,7 @@ ProgressReport MakeReport() {
   r.remaining_estimate = 42;
   r.data_sent = 100;
   r.data_processed = 99;
-  r.tasks_spawned = 7;
   r.task_iterations = 21;
-  r.tasks_finished = 6;
   r.spilled_batches = 2;
   r.stolen_batches = 1;
   r.vertex_requests = 55;
@@ -57,6 +61,12 @@ ProgressReport MakeReport() {
   r.tasks_live = 2;
   r.tasks_on_disk = 1;
   r.drained_messages = 5;
+  r.queue_depth = 11;
+  r.cache_size = 12;
+  r.spill_queue_depth = 13;
+  r.inbox_depth = 14;
+  r.splits = 15;
+  r.split_children = 16;
   r.agg_delta = std::string("\x00\x01\x02opaque", 9);
   return r;
 }
@@ -72,9 +82,7 @@ TEST(ProtocolTest, ProgressReportRoundTrip) {
   EXPECT_EQ(got.remaining_estimate, r.remaining_estimate);
   EXPECT_EQ(got.data_sent, r.data_sent);
   EXPECT_EQ(got.data_processed, r.data_processed);
-  EXPECT_EQ(got.tasks_spawned, r.tasks_spawned);
   EXPECT_EQ(got.task_iterations, r.task_iterations);
-  EXPECT_EQ(got.tasks_finished, r.tasks_finished);
   EXPECT_EQ(got.spilled_batches, r.spilled_batches);
   EXPECT_EQ(got.stolen_batches, r.stolen_batches);
   EXPECT_EQ(got.vertex_requests, r.vertex_requests);
@@ -97,6 +105,12 @@ TEST(ProtocolTest, ProgressReportRoundTrip) {
   EXPECT_EQ(got.tasks_live, r.tasks_live);
   EXPECT_EQ(got.tasks_on_disk, r.tasks_on_disk);
   EXPECT_EQ(got.drained_messages, r.drained_messages);
+  EXPECT_EQ(got.queue_depth, r.queue_depth);
+  EXPECT_EQ(got.cache_size, r.cache_size);
+  EXPECT_EQ(got.spill_queue_depth, r.spill_queue_depth);
+  EXPECT_EQ(got.inbox_depth, r.inbox_depth);
+  EXPECT_EQ(got.splits, r.splits);
+  EXPECT_EQ(got.split_children, r.split_children);
   EXPECT_EQ(got.agg_delta, r.agg_delta);
 }
 
@@ -257,6 +271,64 @@ TEST(ProtocolTest, DecodersAcceptFragmentedPayloads) {
   std::vector<VertexId> got;
   ASSERT_TRUE(DecodeVertexRequest(split, &got).ok());
   EXPECT_EQ(got, (std::vector<VertexId>{10, 20, 30}));
+}
+
+// Every control decoder is total: a valid encoding plus one stray byte is
+// Corruption, and so is the same encoding cut short by one byte.
+TEST(ProtocolTest, ProgressReportRejectsTrailingAndTruncatedBytes) {
+  const Payload wire = MakeReport().Encode();
+  ProgressReport got;
+  EXPECT_TRUE(got.Decode(Extend(wire)).IsCorruption());
+  EXPECT_TRUE(got.Decode(Truncate(wire, 1)).IsCorruption());
+}
+
+TEST(ProtocolTest, CheckpointRequestRejectsTrailingAndTruncatedBytes) {
+  CheckpointRequest req;
+  req.epoch = 9;
+  const Payload wire = req.Encode();
+  CheckpointRequest got;
+  EXPECT_TRUE(got.Decode(Extend(wire)).IsCorruption());
+  EXPECT_TRUE(got.Decode(Truncate(wire, 1)).IsCorruption());
+}
+
+TEST(ProtocolTest, CheckpointAckRejectsTrailingAndTruncatedBytes) {
+  CheckpointAck ack;
+  ack.worker_id = 2;
+  ack.epoch = 5;
+  ack.agg_delta = "delta";
+  const Payload wire = ack.Encode();
+  CheckpointAck got;
+  EXPECT_TRUE(got.Decode(Extend(wire)).IsCorruption());
+  EXPECT_TRUE(got.Decode(Truncate(wire, 1)).IsCorruption());
+}
+
+TEST(ProtocolTest, StealOrderRejectsTrailingAndTruncatedBytes) {
+  const Payload wire = EncodeStealOrder(1, 77);
+  int32_t dst = -1;
+  int64_t t_us = 0;
+  EXPECT_TRUE(DecodeStealOrder(Extend(wire), &dst, &t_us).IsCorruption());
+  EXPECT_TRUE(DecodeStealOrder(Truncate(wire, 1), &dst, &t_us).IsCorruption());
+}
+
+TEST(ProtocolTest, DrainBarrierRejectsTrailingAndTruncatedBytes) {
+  const Payload wire = EncodeDrainBarrier(3);
+  int32_t id = -1;
+  EXPECT_TRUE(DecodeDrainBarrier(Extend(wire), &id).IsCorruption());
+  EXPECT_TRUE(DecodeDrainBarrier(Truncate(wire, 1), &id).IsCorruption());
+}
+
+TEST(ProtocolTest, VertexRequestRejectsTrailingAndTruncatedBytes) {
+  const Payload wire = EncodeVertexRequest({4, 5, 6});
+  std::vector<VertexId> ids;
+  EXPECT_TRUE(DecodeVertexRequest(Extend(wire), &ids).IsCorruption());
+  EXPECT_TRUE(DecodeVertexRequest(Truncate(wire, 1), &ids).IsCorruption());
+}
+
+TEST(ProtocolTest, TaskBatchRejectsTrailingAndTruncatedBytes) {
+  const Payload wire = EncodeTaskBatch({"x", "yz"}, 8);
+  std::vector<std::string> records;
+  EXPECT_TRUE(DecodeTaskBatch(Extend(wire), &records).IsCorruption());
+  EXPECT_TRUE(DecodeTaskBatch(Truncate(wire, 1), &records).IsCorruption());
 }
 
 TEST(ProtocolTest, TaskIdPacksComperAndSequence) {

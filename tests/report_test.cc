@@ -1,7 +1,8 @@
 // End-to-end tests for the run-report and span-trace artifacts: a real job
 // with observability enabled must produce a valid JSON report (per-worker
-// cache hit rates, non-zero latency histograms, sampled time-series) and a
-// well-formed Chrome trace; JobReport must round-trip through its own JSON.
+// cache hit rates, non-zero latency histograms, per-worker time-series
+// sampled from the progress reports) and a well-formed Chrome trace;
+// JobReport must round-trip through its own JSON.
 
 #include "core/job_report.h"
 
@@ -34,7 +35,6 @@ RunResult<MaxCliqueComper> RunObservedMaxClique(const std::string& report_path,
   Job<MaxCliqueComper> job;
   job.config.num_workers = 2;
   job.config.compers_per_worker = 2;
-  job.config.metrics_sample_ms = 1;
   job.config.enable_span_tracing = !trace_path.empty();
   job.config.report_path = report_path;
   job.config.trace_path = trace_path;
@@ -78,7 +78,7 @@ TEST(JobReportE2E, ObservedRunProducesFullReportAndTrace) {
   // ---- sampled time-series ----
   ASSERT_FALSE(result.stats.timeseries.empty());
   // One series per sampled gauge per worker; the expected count is derived
-  // from the sampler's own gauge list, not hardcoded.
+  // from the sampled gauge list, not hardcoded.
   const size_t expected_series = 2 * obs::kNumWorkerSampledGauges;
   EXPECT_EQ(result.stats.timeseries.size(), expected_series);
   bool any_points = false;
@@ -181,10 +181,17 @@ TEST(JobReportE2E, ObservabilityOffByDefault) {
   auto result = Cluster<TriangleComper>::Run(job);
   // Metrics are always collected (cheap relaxed atomics)...
   EXPECT_FALSE(result.stats.metrics.empty());
-  // ...but spans and sampled series need their knobs.
+  // ...and so are the gauge series, one per worker and gauge, from the
+  // progress reports the master decodes anyway...
+  ASSERT_EQ(result.stats.timeseries.size(), 2 * obs::kNumWorkerSampledGauges);
+  for (const obs::TimeSeries& ts : result.stats.timeseries) {
+    EXPECT_GE(ts.worker, 0) << ts.name;
+    EXPECT_LT(ts.worker, 2) << ts.name;
+    EXPECT_FALSE(ts.points.empty()) << ts.name << " worker " << ts.worker;
+  }
+  // ...but spans need their knob.
   EXPECT_TRUE(result.stats.spans.empty());
   EXPECT_EQ(result.stats.span_events_total, 0);
-  EXPECT_TRUE(result.stats.timeseries.empty());
 }
 
 TEST(JobReport, RoundTripsScalarsThroughJson) {

@@ -4,11 +4,7 @@
 
 #include "obs/status_server.h"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -20,56 +16,13 @@
 #include "apps/triangle_app.h"  // TrimToGreater
 #include "core/cluster.h"
 #include "graph/generator.h"
+#include "http_get.h"
 #include "net/http_server.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
 
 namespace gthinker {
 namespace {
-
-struct HttpReply {
-  int status = -1;
-  std::string body;
-};
-
-// Minimal blocking HTTP/1.0 client, enough to scrape a local endpoint.
-HttpReply HttpGet(int port, const std::string& path) {
-  HttpReply reply;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return reply;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return reply;
-  }
-  const std::string req =
-      "GET " + path + " HTTP/1.0\r\nConnection: close\r\n\r\n";
-  size_t sent = 0;
-  while (sent < req.size()) {
-    const ssize_t n = ::send(fd, req.data() + sent, req.size() - sent, 0);
-    if (n <= 0) {
-      ::close(fd);
-      return reply;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string raw;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    raw.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (raw.rfind("HTTP/1.0 ", 0) == 0 && raw.size() > 12) {
-    reply.status = std::atoi(raw.c_str() + 9);
-  }
-  const size_t split = raw.find("\r\n\r\n");
-  if (split != std::string::npos) reply.body = raw.substr(split + 4);
-  return reply;
-}
 
 TEST(HttpServer, ServesRoutesAndProtocolErrors) {
   net::HttpServer server;
@@ -245,6 +198,80 @@ TEST(Prometheus, RenderAndLintCoverMetricShapes) {
 
   // The lint actually rejects malformed text.
   EXPECT_FALSE(obs::PrometheusLint("not{a=metric\n").ok());
+}
+
+// The live surfaces are pure functions of the per-worker progress reports:
+// every worker gets a row and a labeled gauge, and the totals sum them.
+TEST(StatusJson, RendersEveryWorkerFromReports) {
+  std::vector<ProgressReport> reports(3);
+  for (int w = 0; w < 3; ++w) {
+    ProgressReport& r = reports[w];
+    r.worker_id = w;
+    r.tasks_live = 10 * (w + 1);
+    r.queue_depth = w + 1;
+    r.tasks_on_disk = 2 * w;
+    r.spill_queue_depth = w;
+    r.cache_size = 100 + w;
+    r.inbox_depth = 3;
+    r.cache_hits = 30;
+    r.cache_requests = 40;
+    r.comper_idle_rounds = 1;
+    r.comper_rounds = 4;
+    r.ledger.spawned = 7;
+    r.ledger.finished = 5;
+    r.splits = w;
+  }
+  // Worker 2 has not reported yet: all zeros, still listed.
+  reports[2] = ProgressReport{};
+
+  obs::JsonValue root;
+  ASSERT_TRUE(
+      obs::JsonParse(StatusJson(reports, 1.5, "tcp", 4), &root).ok());
+  EXPECT_EQ(root.Find("num_workers")->number, 3.0);
+  EXPECT_EQ(root.Find("transport")->string, "tcp");
+  const obs::JsonValue* workers = root.Find("workers");
+  ASSERT_TRUE(workers->IsArray());
+  ASSERT_EQ(workers->array.size(), 3u);
+  for (int w = 0; w < 3; ++w) {
+    EXPECT_EQ(workers->array[w].Find("worker")->number, w);
+  }
+  const obs::JsonValue& w1 = workers->array[1];
+  EXPECT_EQ(w1.Find("tasks_live")->number, 20.0);
+  EXPECT_EQ(w1.Find("queue_depth")->number, 2.0);
+  EXPECT_EQ(w1.Find("disk_tasks")->number, 2.0);
+  EXPECT_EQ(w1.Find("spill_queue_depth")->number, 1.0);
+  EXPECT_EQ(w1.Find("cache_size")->number, 101.0);
+  EXPECT_EQ(w1.Find("inbox_depth")->number, 3.0);
+  EXPECT_DOUBLE_EQ(w1.Find("comper_utilization")->number, 0.75);
+  EXPECT_EQ(workers->array[2].Find("tasks_live")->number, 0.0);
+
+  EXPECT_EQ(root.Find("tasks")->Find("live")->number, 30.0);
+  EXPECT_EQ(root.Find("tasks")->Find("pending")->number, 3.0);
+  EXPECT_EQ(root.Find("cache")->Find("entries")->number, 201.0);
+  EXPECT_DOUBLE_EQ(root.Find("cache")->Find("hit_rate")->number, 0.75);
+  const obs::JsonValue* activity = root.Find("activity");
+  EXPECT_EQ(activity->Find("tasks_spawned")->number, 14.0);
+  EXPECT_EQ(activity->Find("tasks_finished")->number, 10.0);
+  EXPECT_EQ(activity->Find("splits")->number, 1.0);
+  EXPECT_EQ(activity->Find("steal_orders")->number, 4.0);
+
+  const obs::MetricsSnapshot job = JobScopeMetrics(reports, 250);
+  EXPECT_EQ(job.scope, "job");
+  auto gauge = [&job](const std::string& name) -> int64_t {
+    for (const auto& [n, v] : job.gauges) {
+      if (n == name) return v;
+    }
+    return -1;
+  };
+  EXPECT_EQ(gauge("uptime_us"), 250);
+  EXPECT_EQ(gauge("tasks_live{worker=1}"), 20);
+  EXPECT_EQ(gauge("cache_size{worker=0}"), 100);
+  EXPECT_EQ(gauge("disk_tasks{worker=2}"), 0);
+  const std::string prom = obs::RenderPrometheus({job});
+  EXPECT_NE(prom.find("gthinker_tasks_live{scope=\"job\",worker=\"1\"} 20"),
+            std::string::npos)
+      << prom;
+  EXPECT_TRUE(obs::PrometheusLint(prom).ok());
 }
 
 }  // namespace

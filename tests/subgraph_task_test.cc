@@ -152,7 +152,6 @@ TEST(Protocol, ProgressReportRoundtrip) {
   r.remaining_estimate = 42;
   r.data_sent = 100;
   r.data_processed = 99;
-  r.tasks_spawned = 7;
   r.peak_mem_bytes = 1 << 20;
   r.ledger.spawned = 7;
   r.ledger.restored = 2;
@@ -175,7 +174,6 @@ TEST(Protocol, ProgressReportRoundtrip) {
   EXPECT_EQ(back.remaining_estimate, 42);
   EXPECT_EQ(back.data_sent, 100);
   EXPECT_EQ(back.data_processed, 99);
-  EXPECT_EQ(back.tasks_spawned, 7);
   EXPECT_EQ(back.peak_mem_bytes, 1 << 20);
   EXPECT_EQ(back.ledger.spawned, 7);
   EXPECT_EQ(back.ledger.restored, 2);

@@ -410,7 +410,7 @@ TEST(TransportTcp, ForgedSourceDataFrameDropsConnection) {
   data.src = 5;
   data.dst = 0;
   data.payload_len = static_cast<uint32_t>(payload.size());
-  data.crc32 = net::Crc32(payload.data(), payload.size());
+  data.crc32 = net::Crc32C(payload.data(), payload.size());
   std::string frame(net::kFrameHeaderSize, '\0');
   net::EncodeFrameHeader(data, frame.data());
   bytes += frame;

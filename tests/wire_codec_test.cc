@@ -1,8 +1,8 @@
-// Compact wire codec (core/wire_codec.h) and fast frame checksums
+// Compact wire codec (core/wire_codec.h) and the frame checksum
 // (net/frame.h): varint/zigzag/delta primitives, WireCodec round trips and
-// raw/varint equivalence, differential tests of the slicing-by-8 CRC against
-// the bytewise reference, hardware-vs-software CRC-32C, and an end-to-end
-// job proving comm.wire_encoding=varint is result-identical to raw.
+// raw/varint equivalence, the CRC-32C check value, hardware-vs-software
+// CRC-32C and fragment chaining, and an end-to-end job proving
+// comm.wire_encoding=varint is result-identical to raw.
 
 #include <gtest/gtest.h>
 
@@ -209,27 +209,13 @@ TEST(WireCodecTest, LabeledVertexRoundTripsInBothEncodings) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC differentials: the sliced IEEE implementation against the bytewise
-// reference, the hardware CRC-32C against its software fallback, and
-// chaining over fragments against one flat pass.
+// CRC-32C, the frame checksum: the check value, the hardware path against
+// its software fallback, and chaining over fragments against one flat pass.
 // ---------------------------------------------------------------------------
 
-TEST(Crc, SlicedMatchesReferenceOnRandomInputs) {
-  std::mt19937 rng(31337);
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t len = rng() % 512;  // covers tails mod 8 and the empty case
-    std::string data(len, '\0');
-    for (auto& c : data) c = static_cast<char>(rng());
-    EXPECT_EQ(net::Crc32(data.data(), data.size()),
-              net::Crc32Reference(data.data(), data.size()))
-        << "len=" << len;
-  }
-}
-
 TEST(Crc, KnownAnswerVectors) {
-  // The classic check value: CRC-32("123456789") and CRC-32C("123456789").
+  // The classic check value: CRC-32C("123456789").
   const char* s = "123456789";
-  EXPECT_EQ(net::Crc32(s, 9), 0xCBF43926u);
   EXPECT_EQ(net::Crc32CSoftware(s, 9), 0xE3069283u);
   EXPECT_EQ(net::Crc32C(s, 9), 0xE3069283u);
 }
@@ -256,16 +242,14 @@ TEST(Crc, ChainingOverFragmentsMatchesFlatPass) {
   for (int trial = 0; trial < 50; ++trial) {
     // Split into random fragments and chain — the exact shape of the
     // scatter-gather send path computing a frame CRC over a Payload chain.
-    uint32_t ieee = 0, c32c = 0;
+    uint32_t c32c = 0;
     size_t off = 0;
     while (off < data.size()) {
       const size_t chunk = std::min<size_t>(1 + rng() % 700,
                                             data.size() - off);
-      ieee = net::Crc32(data.data() + off, chunk, ieee);
       c32c = net::Crc32C(data.data() + off, chunk, c32c);
       off += chunk;
     }
-    EXPECT_EQ(ieee, net::Crc32(data.data(), data.size()));
     EXPECT_EQ(c32c, net::Crc32C(data.data(), data.size()));
   }
 }
