@@ -45,27 +45,21 @@ bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   GT_CHECK_EQ(cg.ids[0], ctx.root);
   const uint64_t candidates = LargerIdNeighbors(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
-  if (SplitArmed()) {
-    uint64_t next = end;
-    const uint64_t count = CountCliquesFromRootRange(
-        cg, /*root=*/0, k_, ctx.begin, end,
-        [this] { return IterationBudgetExceeded(); }, &next);
-    if (count > 0) Aggregate(count);
-    if (next < end) {
-      // Budget overrun: bank the partial count, narrow to the unprocessed
-      // suffix and ask the engine to split it across new tasks.
-      ctx.begin = next;
-      ctx.end = end;
-      RequestSplit();
-      return true;
-    }
-    return false;
-  }
-  uint64_t next = 0;
-  const uint64_t count =
-      CountCliquesFromRootRange(cg, /*root=*/0, k_, ctx.begin, end,
-                                /*yield=*/nullptr, &next);
+  // IterationBudgetExceeded() is false when task_time_budget_us is 0, so
+  // the unbudgeted job counts the whole range in one call.
+  uint64_t next = end;
+  const uint64_t count = CountCliquesFromRootRange(
+      cg, /*root=*/0, k_, ctx.begin, end,
+      [this] { return IterationBudgetExceeded(); }, &next);
   if (count > 0) Aggregate(count);
+  if (next < end) {
+    // Budget overrun: bank the partial count, narrow to the unprocessed
+    // suffix and ask the engine to split it across new tasks.
+    ctx.begin = next;
+    ctx.end = end;
+    RequestSplit();
+    return true;
+  }
   return false;
 }
 

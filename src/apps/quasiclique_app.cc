@@ -52,37 +52,24 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   GT_CHECK_EQ(cg.ids[0], ctx.root);
   const uint64_t candidates = LargerIdVertices(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
-  if (SplitArmed()) {
-    uint64_t next = end;
-    std::vector<VertexId> found = LargestQuasiCliqueFromRootRange(
-        cg, /*root=*/0, gamma_, min_size_,
-        /*lower_bound=*/CurrentAgg().size(), ctx.begin, end,
-        [this] { return IterationBudgetExceeded(); }, &next);
-    if (found.size() > CurrentAgg().size()) Aggregate(found);
-    if (next < end) {
-      // Budget overrun: bank the best so far, narrow to the unprocessed
-      // suffix and ask the engine to split it across new tasks.
-      ctx.begin = next;
-      ctx.end = end;
-      RequestSplit();
-      return true;
-    }
-    return false;
-  }
-  // Splitting disarmed: a full-default-range task runs the original kernel
-  // (with the triggers at their default 0 the job runs the unsplit code
-  // path); a partial range — a split child — runs its slice.
-  std::vector<VertexId> found;
-  if (ctx.begin == 0 && ctx.end == SplitCtx::kUnbounded) {
-    found = LargestQuasiCliqueFromRoot(cg, /*root=*/0, gamma_, min_size_);
-  } else {
-    uint64_t next = 0;
-    found = LargestQuasiCliqueFromRootRange(
-        cg, /*root=*/0, gamma_, min_size_,
-        /*lower_bound=*/CurrentAgg().size(), ctx.begin, end,
-        /*yield=*/nullptr, &next);
-  }
+  // Seed the search with the best size found so far, cluster-wide, so a
+  // root cannot re-find anything no larger. IterationBudgetExceeded() is
+  // false when task_time_budget_us is 0, so the unbudgeted job runs the
+  // whole range in one call.
+  uint64_t next = end;
+  std::vector<VertexId> found = LargestQuasiCliqueFromRootRange(
+      cg, /*root=*/0, gamma_, min_size_,
+      /*lower_bound=*/CurrentAgg().size(), ctx.begin, end,
+      [this] { return IterationBudgetExceeded(); }, &next);
   if (found.size() > CurrentAgg().size()) Aggregate(found);
+  if (next < end) {
+    // Budget overrun: bank the best so far, narrow to the unprocessed
+    // suffix and ask the engine to split it across new tasks.
+    ctx.begin = next;
+    ctx.end = end;
+    RequestSplit();
+    return true;
+  }
   return false;
 }
 

@@ -251,12 +251,17 @@ class Cluster {
     CommHub& hub = *hub_owner;
     GT_CHECK_OK(hub.Start());
 
-    // Flight recorder (knob `flight_recorder_events`; 0 disables): declared
-    // before the workers so it outlives every thread recording into it;
-    // dumped on a fatal check, SIGTERM/SIGINT, or a time-budget exit.
+    // The job's one event ring: declared before the workers so it outlives
+    // every thread recording into it; its tail is dumped on a fatal check,
+    // SIGTERM/SIGINT, or a time-budget exit. Span tracing adds room for
+    // every local worker's per-task events.
     obs::FlightRecorder::SetDumpDir(config.flight_dump_dir);
     obs::FlightRecorder::InstallCrashHandlers();
-    obs::FlightRecorder flight(config.flight_recorder_events);
+    obs::FlightRecorder recorder(
+        obs::kFlightEvents +
+        (config.enable_span_tracing
+             ? obs::kTraceEventsPerWorker * static_cast<size_t>(num_local)
+             : 0));
 
     if (!job.output_dir.empty()) {
       std::error_code ec;
@@ -272,7 +277,7 @@ class Cluster {
       GT_CHECK(!ec);
       workers.push_back(std::make_unique<WorkerT>(
           w, config, &hub, job.comper_factory, job.trimmer, spill_dir));
-      workers.back()->SetFlightRecorder(&flight);
+      workers.back()->SetRecorder(&recorder);
       workers.back()->SetCheckpointDfs(job.checkpoint_dfs);  // may be null
       workers.back()->SetOutputDir(job.output_dir);  // empty = no output
       if (hub_last) workers.back()->SetLayout(&layout);
@@ -500,9 +505,10 @@ class Cluster {
           // A budget exit is a diagnosis moment: dump the recent event
           // history so the state that failed to converge is inspectable
           // post-mortem.
-          flight.Record(obs::FlightKind::kTimeout, /*worker=*/-1,
-                        /*comper=*/-1,
-                        static_cast<int64_t>(wall.ElapsedSeconds()));
+          recorder.Record(
+              {.t_us = hub.NowUs(),
+               .kind = obs::EventKind::kTimeout,
+               .a = static_cast<int64_t>(wall.ElapsedSeconds())});
           obs::FlightRecorder::WriteCrashDump("timeout");
         }
 
@@ -569,8 +575,10 @@ class Cluster {
             }
           }
           // The fatal hook writes the crash dump, this event included.
-          flight.Record(obs::FlightKind::kDrain, /*worker=*/-1, /*comper=*/-1,
-                        /*phase=*/5, /*missing=*/num_workers - finals);
+          recorder.Record({.t_us = hub.NowUs(),
+                           .kind = obs::EventKind::kDrain,
+                           .a = 5,  // phase: master drain stalled
+                           .b = num_workers - finals});
           LOG_FATAL << "master: drain stalled; worker " << w << " silent for "
                     << 3 * config.drain_timeout_us
                     << " us; no drain barrier from worker(s)" << no_barrier
@@ -696,15 +704,11 @@ class Cluster {
     }
 
     if (config.enable_span_tracing) {
-      for (auto& worker : workers) {
-        const obs::SpanRing* ring = worker->spans();  // non-null: tracing on
-        stats.span_events_total += ring->total();
-        for (const obs::SpanEvent& e : ring->Snapshot()) {
-          stats.spans.push_back(e);
-        }
-      }
+      stats.span_events_total = recorder.total();
+      stats.spans = recorder.Snapshot();
       // Hub-clock timestamps share one epoch across the process's workers,
-      // so a global sort gives true ordering.
+      // so a sort by time gives true ordering (execute slices are stamped
+      // at their start, after events recorded later).
       std::sort(stats.spans.begin(), stats.spans.end(),
                 [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
                   return a.t_us < b.t_us;

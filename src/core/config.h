@@ -167,9 +167,10 @@ struct JobConfig {
   bool refill_spawn_first = false;
 
   // ---- observability (docs/OBSERVABILITY.md) ----
-  /// Record per-task lifecycle spans (spawn/pending/ready/execute/finish
-  /// with task IDs) into per-worker rings, merged into JobStats::spans and
-  /// exportable as a Chrome trace (obs::WriteChromeTrace / trace_path).
+  /// Record per-task lifecycle events (spawn/pending/ready/execute/finish/
+  /// loaded with span ids) in the job's event ring, next to the always-on
+  /// batch-level events; the ring then lands in JobStats::spans and exports
+  /// as a Chrome trace (obs::WriteChromeTrace / trace_path).
   bool enable_span_tracing = false;
   /// When non-empty, the process hosting the master (the Cluster::Run
   /// process, or rank 0 of Cluster::RunDistributed) writes the JSON run
@@ -187,12 +188,9 @@ struct JobConfig {
   /// scope cover every worker, from their latest progress reports; the
   /// per-worker registries on /metrics are this process's own.
   int status_port = 0;
-  /// Capacity (events per job) of the always-on flight recorder ring
-  /// (obs/flight_recorder.h); 0 disables it. Recent scheduler transitions
-  /// are dumped to JSON on fatal ledger violations, timeout exits and
-  /// SIGTERM/SIGINT.
-  int64_t flight_recorder_events = 4096;
-  /// Directory for flight-recorder crash dumps; empty = the
+  /// Directory for flight-recorder crash dumps (the newest events of the
+  /// job's event ring, obs/flight_recorder.h, written on fatal ledger
+  /// violations, timeout exits and SIGTERM/SIGINT); empty = the
   /// GT_FLIGHT_DUMP_DIR environment variable, else stderr.
   std::string flight_dump_dir;
 
@@ -308,9 +306,6 @@ struct JobConfig {
     if (status_port < -1 || status_port > 65535) {
       return Status::InvalidArgument("status_port out of [-1, 65535]");
     }
-    if (flight_recorder_events < 0) {
-      return Status::InvalidArgument("flight_recorder_events must be >= 0");
-    }
     if (!trace_path.empty() && !enable_span_tracing) {
       return Status::InvalidArgument(
           "trace_path needs enable_span_tracing");
@@ -385,8 +380,9 @@ struct JobStats {
   /// worker in the cluster), one point per progress report the master
   /// decoded, on the hub clock. Filled where the master runs only.
   std::vector<obs::TimeSeries> timeseries;
-  /// Per-task lifecycle spans merged over workers, hub-clock-ordered (only
-  /// when enable_span_tracing); span_events_total counts all recorded.
+  /// This process's event ring, hub-clock-ordered: per-task spans plus the
+  /// batch-level events (only when enable_span_tracing); span_events_total
+  /// counts all recorded.
   std::vector<obs::SpanEvent> spans;
   int64_t span_events_total = 0;
   /// Post-run phase-attribution profile of this process's workers:

@@ -72,9 +72,6 @@ class Worker {
                     config.comm.wire_encoding),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
-    if (config_.enable_span_tracing) {
-      spans_ = std::make_unique<obs::SpanRing>(1 << 16);
-    }
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
     steal_rtt_us_ = metrics_.GetHistogram("steal.rtt_us");
     obs::Histogram* spill_write_us = metrics_.GetHistogram("spill.write_us");
@@ -234,9 +231,9 @@ class Worker {
     // ---- Comper<>::Runtime ----
     void AddTask(std::unique_ptr<TaskT> task) override {
       worker_->OnTaskSpawned();
-      if (worker_->spans_ != nullptr) {
+      if (worker_->config_.enable_span_tracing) {
         task->set_span_id(worker_->NextSpanId());
-        worker_->Span(task->span_id(), index_, obs::SpanPhase::kSpawn);
+        TaskEvent(obs::EventKind::kSpawn, task->span_id());
       }
       AddToQueue(std::move(task));
     }
@@ -315,7 +312,7 @@ class Worker {
       }
       if (ready != nullptr) {
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
-        worker_->Span(ready->span_id(), index_, obs::SpanPhase::kReady);
+        TaskEvent(obs::EventKind::kReady, ready->span_id());
         // Push to B_task *before* shrinking the T_task mirror: a reader that
         // sees the smaller t_size_ then also sees the task in B_task, so the
         // task is never invisible to both.
@@ -419,11 +416,11 @@ class Worker {
             auto task = std::make_unique<TaskT>();
             Deserializer des(rec);
             GT_CHECK_OK(task->Deserialize(des));
-            if (worker_->spans_ != nullptr) {
+            if (worker_->config_.enable_span_tracing) {
               // Fresh span: the disk round-trip (or a steal) broke the old
               // lifecycle, so the reloaded task starts a new one here.
               task->set_span_id(worker_->NextSpanId());
-              worker_->Span(task->span_id(), index_, obs::SpanPhase::kLoaded);
+              TaskEvent(obs::EventKind::kLoaded, task->span_id());
             }
             worker_->mem_.Consume(task->MemoryBytes());
             q_.push_back(std::move(task));
@@ -434,8 +431,9 @@ class Worker {
           worker_->refill_spill_tasks_->Add(
               static_cast<int64_t>(records.size()));
           phase_spill_->Add(spill_timer.ElapsedMicros());
-          worker_->Flight(obs::FlightKind::kSpillLoad, index_,
-                          static_cast<int64_t>(records.size()));
+          worker_->RecordEvent(
+              index_, {.kind = obs::EventKind::kSpillLoad,
+                       .a = static_cast<int64_t>(records.size())});
           continue;
         }
         if (worker_->config_.refill_spawn_first) break;
@@ -459,8 +457,9 @@ class Worker {
         user_->TaskSpawn(worker_->local_.at(v));  // UDF; calls AddTask
       }
       worker_->refill_spawn_tasks_->Add(static_cast<int64_t>(to_spawn.size()));
-      worker_->Flight(obs::FlightKind::kSpawnBatch, index_,
-                      static_cast<int64_t>(to_spawn.size()));
+      worker_->RecordEvent(
+          index_, {.kind = obs::EventKind::kSpawnBatch,
+                   .a = static_cast<int64_t>(to_spawn.size())});
       return true;
     }
 
@@ -490,8 +489,8 @@ class Worker {
         worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
                                           std::memory_order_relaxed);
         phase_spill_->Add(spill_timer.ElapsedMicros());
-        worker_->Flight(obs::FlightKind::kSpillWrite, index_,
-                        static_cast<int64_t>(batch));
+        worker_->RecordEvent(index_, {.kind = obs::EventKind::kSpillWrite,
+                                      .a = static_cast<int64_t>(batch)});
       }
       q_.push_back(std::move(task));
       q_size_.store(q_.size(), std::memory_order_release);
@@ -509,7 +508,7 @@ class Worker {
         return;
       }
       const uint64_t tid = MakeTaskId(index_, seq_++);
-      worker_->Span(task->span_id(), index_, obs::SpanPhase::kPending);
+      TaskEvent(obs::EventKind::kPending, task->span_id());
       const int64_t pending_at_us = worker_->hub_->NowUs();
       TaskT* raw = task.get();
       {
@@ -550,7 +549,7 @@ class Worker {
       if (ready != nullptr) {
         // The responses raced in while we were still registering pulls.
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
-        worker_->Span(ready->span_id(), index_, obs::SpanPhase::kReady);
+        TaskEvent(obs::EventKind::kReady, ready->span_id());
         worker_->mem_.Release(ready->MemoryBytes());
         ExecuteIteration(std::move(ready));
       }
@@ -582,10 +581,13 @@ class Worker {
       const int64_t compute_us = compute_timer.ElapsedMicros();
       compute_us_->Record(compute_us);
       phase_compute_->Add(compute_us);
-      if (worker_->spans_ != nullptr) {
+      if (worker_->config_.enable_span_tracing) {
         // Stamp the slice at its start so the viewer draws [start, start+dur].
-        worker_->Span(task->span_id(), index_, obs::SpanPhase::kExecute,
-                      compute_us, worker_->hub_->NowUs() - compute_us);
+        worker_->RecordEvent(index_,
+                             {.t_us = worker_->hub_->NowUs() - compute_us,
+                              .dur_us = compute_us,
+                              .id = task->span_id(),
+                              .kind = obs::EventKind::kExecute});
       }
       task->BumpIteration();
       worker_->mem_.Release(task->MemoryBytes());
@@ -599,7 +601,7 @@ class Worker {
         AddToQueue(std::move(task));
       } else {
         worker_->OnTaskFinished();
-        worker_->Span(task->span_id(), index_, obs::SpanPhase::kFinish);
+        TaskEvent(obs::EventKind::kFinish, task->span_id());
       }
     }
 
@@ -621,23 +623,28 @@ class Worker {
           static_cast<int64_t>(split_scratch_.size()));
       // Split() bumps the generation; parent and children now share it.
       worker_->split_depth_us_->Record(parent->split_depth());
-      worker_->Flight(obs::FlightKind::kSplit, index_,
-                      static_cast<int64_t>(split_scratch_.size()),
-                      static_cast<int64_t>(parent->split_depth()));
-      if (worker_->spans_ != nullptr) {
-        worker_->Span(parent->span_id(), index_, obs::SpanPhase::kSplit);
-      }
+      worker_->RecordEvent(index_,
+                           {.id = parent->span_id(),
+                            .kind = obs::EventKind::kSplit,
+                            .a = static_cast<int64_t>(split_scratch_.size()),
+                            .b = static_cast<int64_t>(parent->split_depth())});
       for (auto& child : split_scratch_) {
         worker_->OnTaskSpawned();
-        if (worker_->spans_ != nullptr) {
+        if (worker_->config_.enable_span_tracing) {
           child->set_span_id(worker_->NextSpanId());
-          worker_->Span(child->span_id(), index_, obs::SpanPhase::kSpawn,
-                        /*dur_us=*/0, /*t_us=*/-1,
-                        /*parent_task_id=*/parent->span_id());
+          worker_->RecordEvent(index_, {.id = child->span_id(),
+                                        .parent = parent->span_id(),
+                                        .kind = obs::EventKind::kSpawn});
         }
         AddToQueue(std::move(child));
       }
       split_scratch_.clear();
+    }
+
+    /// Per-task transition of span `id` on this comper (recorded only under
+    /// enable_span_tracing).
+    void TaskEvent(obs::EventKind kind, uint64_t id) {
+      worker_->RecordEvent(index_, {.id = id, .kind = kind});
     }
 
     /// Filters a pull list down to the remote vertices, into the reused
@@ -748,29 +755,20 @@ class Worker {
     live_tasks_.fetch_sub(1);
   }
 
-  /// Span-trace event (no-op unless enable_span_tracing). `t_us` < 0 means
-  /// "now"; kExecute passes the slice start instead.
-  void Span(uint64_t task_id, int comper, obs::SpanPhase phase,
-            int64_t dur_us = 0, int64_t t_us = -1,
-            uint64_t parent_task_id = 0) {
-    if (spans_ == nullptr) return;
-    obs::SpanEvent e;
-    e.t_us = t_us >= 0 ? t_us : hub_->NowUs();
-    e.dur_us = dur_us;
-    e.task_id = task_id;
-    e.parent_task_id = parent_task_id;
+  /// Records one scheduler transition in the job's event ring, stamped with
+  /// this worker's id, `comper` (-1 for worker-level events) and, when t_us
+  /// is 0, the hub clock's now (kExecute passes its slice start instead).
+  /// Per-task kinds record only under enable_span_tracing. No-op until the
+  /// cluster wires a recorder.
+  void RecordEvent(int comper, obs::SpanEvent e) {
+    if (recorder_ == nullptr ||
+        (obs::IsTaskKind(e.kind) && !config_.enable_span_tracing)) {
+      return;
+    }
+    if (e.t_us == 0) e.t_us = hub_->NowUs();
     e.worker = static_cast<int16_t>(id_);
     e.comper = static_cast<int16_t>(comper);
-    e.phase = phase;
-    spans_->Record(e);
-  }
-
-  /// Flight-recorder event (no-op until the cluster wires a recorder).
-  /// Hub-clock timestamps so flight events interleave correctly with spans.
-  void Flight(obs::FlightKind kind, int comper, int64_t a = 0, int64_t b = 0) {
-    if (flight_ != nullptr) {
-      flight_->Record(kind, id_, comper, a, b, hub_->NowUs());
-    }
+    recorder_->Record(e);
   }
 
   /// Globally-unique span identity: worker in the high 16 bits, a local
@@ -940,7 +938,8 @@ class Worker {
   /// of evaporating in a dropped inbox (the old behavior on the
   /// time_budget_s timeout path).
   void DrainAndReport() {
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/0);  // quiescing compers
+    // a = drain phase: quiescing compers
+    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 0});
     const int64_t heartbeat_us =
         std::min(config_.progress_interval_us, config_.drain_timeout_us);
     Timer heartbeat_timer;
@@ -952,7 +951,7 @@ class Worker {
       }
     }
     FlushAllRequests();
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/1);  // barrier sent
+    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 1});  // barrier
     MessageBatch barrier;
     barrier.src_worker = id_;
     barrier.dst_worker = master_id_;
@@ -982,7 +981,8 @@ class Worker {
         break;
       }
     }
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/deadline_hit ? 3 : 2);
+    RecordEvent(-1,
+                {.kind = obs::EventKind::kDrain, .a = deadline_hit ? 3 : 2});
     if (deadline_hit) {
       // Pathological peer (should not happen): empty what we can reach so
       // the loss is *accounted* — tasks in abandoned batches move to the
@@ -1011,7 +1011,7 @@ class Worker {
       }
     }
     if (!output_dir_.empty()) FinalFlushOutput();
-    Flight(obs::FlightKind::kDrain, -1, /*phase=*/4);  // final report
+    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 4});  // final
     SendProgress(/*final_report=*/true);
     final_sent_.store(true, std::memory_order_release);
   }
@@ -1092,7 +1092,9 @@ class Worker {
               spill_io_.Submit(spill_dir_, std::move(records));
           l_file_.PushBack(path, count);
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
-          Flight(obs::FlightKind::kStealReceive, -1, count, mb.src_worker);
+          RecordEvent(-1, {.kind = obs::EventKind::kStealReceive,
+                           .a = count,
+                           .b = mb.src_worker});
         }
         break;
       }
@@ -1131,7 +1133,7 @@ class Worker {
         break;
       }
       case MsgType::kTerminate: {
-        Flight(obs::FlightKind::kTerminate, -1);
+        RecordEvent(-1, {.kind = obs::EventKind::kTerminate});
         stop_compers_.store(true, std::memory_order_release);
         break;
       }
@@ -1187,8 +1189,9 @@ class Worker {
     tasks_donated_.fetch_add(static_cast<int64_t>(records.size()),
                              std::memory_order_relaxed);
     live_tasks_.fetch_sub(static_cast<int64_t>(records.size()));
-    Flight(obs::FlightKind::kStealDonate, -1,
-           static_cast<int64_t>(records.size()), dst);
+    RecordEvent(-1, {.kind = obs::EventKind::kStealDonate,
+                     .a = static_cast<int64_t>(records.size()),
+                     .b = dst});
   }
 
   void SendProgress(bool final_report) {
@@ -1244,8 +1247,9 @@ class Worker {
     report.tasks_on_disk = l_file_.TotalRecords();
     // Ledger delta at progress cadence: a crash dump shows the conservation
     // trajectory (expected vs observed live) right up to the violation.
-    Flight(obs::FlightKind::kLedger, -1, report.ledger.ExpectedLive(),
-           report.tasks_live);
+    RecordEvent(-1, {.kind = obs::EventKind::kLedger,
+                     .a = report.ledger.ExpectedLive(),
+                     .b = report.tasks_live});
     report.drained_messages =
         drained_messages_.load(std::memory_order_relaxed);
     report.queue_depth = static_cast<int64_t>(queued);
@@ -1320,7 +1324,8 @@ class Worker {
     const std::string key = "ckpt/" + std::to_string(epoch) + "/worker_" +
                             std::to_string(id_);
     GT_CHECK_OK(checkpoint_dfs_->Put(key, ser.Release()));
-    Flight(obs::FlightKind::kCheckpoint, -1, static_cast<int64_t>(epoch));
+    RecordEvent(-1, {.kind = obs::EventKind::kCheckpoint,
+                     .a = static_cast<int64_t>(epoch)});
     // Cut the aggregator delta for the ack while the compers are still
     // parked: everything committed so far is pre-snapshot by quiescence.
     // Releasing first opened a race where a resumed comper finished a task
@@ -1364,11 +1369,9 @@ class Worker {
   /// Wires the DFS used for checkpoints (set by the cluster before Start).
   void SetCheckpointDfs(MiniDfs* dfs) { checkpoint_dfs_ = dfs; }
 
-  /// Wires the job's flight recorder (set by the cluster before Start; the
+  /// Wires the job's event ring (set by the cluster before Start; the
   /// recorder must outlive the worker's threads).
-  void SetFlightRecorder(obs::FlightRecorder* recorder) {
-    flight_ = recorder;
-  }
+  void SetRecorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
   /// Enables Comper::Output, writing record batches under `dir`.
   void SetOutputDir(std::string dir) { output_dir_ = std::move(dir); }
@@ -1384,9 +1387,6 @@ class Worker {
   int64_t RecordsOutput() const {
     return records_output_.load(std::memory_order_relaxed);
   }
-
-  /// Span ring (null when span tracing is disabled).
-  const obs::SpanRing* spans() const { return spans_.get(); }
 
   /// Folds the cache's internal counters (kept as plain atomics on the hot
   /// path, not registry metrics) into the registry so one snapshot carries
@@ -1484,7 +1484,6 @@ class Worker {
   // are registered once in the constructor; recording through them is
   // lock-free.
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::SpanRing> spans_;  // JobConfig::enable_span_tracing
   std::atomic<uint64_t> span_seq_{0};
   obs::Histogram* task_wait_us_ = nullptr;
   obs::Histogram* steal_rtt_us_ = nullptr;
@@ -1495,8 +1494,8 @@ class Worker {
   obs::Histogram* split_depth_us_ = nullptr;  // records generation, not time
   /// Comm-thread donation-packing time (worker row of the phase profile).
   obs::Counter* phase_steal_us_ = nullptr;
-  /// Job flight recorder (owned by the cluster); null until wired.
-  obs::FlightRecorder* flight_ = nullptr;
+  /// The job's event ring (owned by the cluster); null until wired.
+  obs::FlightRecorder* recorder_ = nullptr;
 
   /// Spill writer/prefetcher thread: every spill write and read goes
   /// through it. Declared after l_file_ and metrics_, which its thread

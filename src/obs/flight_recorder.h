@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -16,126 +15,55 @@
 
 #include "obs/json.h"
 #include "obs/sharded_ring.h"
+#include "obs/span_trace.h"
 #include "util/logging.h"
 
 namespace gthinker::obs {
 
-/// Kinds of scheduler/state-machine transitions the flight recorder keeps.
-/// Events are batch-granularity on purpose: one record per spawn batch,
-/// spill file, steal shipment, split, progress report or drain phase keeps
-/// the always-on overhead negligible while still reconstructing the last
-/// seconds before a crash.
-enum class FlightKind : uint8_t {
-  kSpawnBatch = 0,    // a = tasks spawned in the batch
-  kSplit = 1,         // a = children produced, b = child split depth
-  kSpillWrite = 2,    // a = tasks written to one spill file
-  kSpillLoad = 3,     // a = tasks loaded back from one spill file
-  kStealDonate = 4,   // a = tasks donated, b = destination worker
-  kStealReceive = 5,  // a = tasks received, b = source worker
-  kLedger = 6,        // a = ExpectedLive(), b = live tasks (progress cadence)
-  kDrain = 7,         // a = drain phase: 0-4 worker DrainAndReport; 5 master
-                      // drain stalled, b = final reports missing
-  kCheckpoint = 8,    // a = checkpoint epoch
-  kTimeout = 9,       // master hit the time budget; a = elapsed seconds
-  kTerminate = 10,    // worker saw kTerminate
-};
+/// Ring capacity: the batch-level history every job keeps, plus the
+/// per-task spans of each local worker when span tracing is on.
+inline constexpr size_t kFlightEvents = 4096;
+inline constexpr size_t kTraceEventsPerWorker = size_t{1} << 16;
 
-inline const char* FlightKindName(FlightKind kind) {
-  switch (kind) {
-    case FlightKind::kSpawnBatch:
-      return "spawn_batch";
-    case FlightKind::kSplit:
-      return "split";
-    case FlightKind::kSpillWrite:
-      return "spill_write";
-    case FlightKind::kSpillLoad:
-      return "spill_load";
-    case FlightKind::kStealDonate:
-      return "steal_donate";
-    case FlightKind::kStealReceive:
-      return "steal_receive";
-    case FlightKind::kLedger:
-      return "ledger";
-    case FlightKind::kDrain:
-      return "drain";
-    case FlightKind::kCheckpoint:
-      return "checkpoint";
-    case FlightKind::kTimeout:
-      return "timeout";
-    case FlightKind::kTerminate:
-      return "terminate";
-  }
-  return "unknown";
-}
-
-/// One recorded transition. Timestamps use the hub clock when the caller has
-/// one (workers do), so flight events line up with span traces; otherwise a
-/// process-steady fallback clock.
-struct FlightEvent {
-  int64_t t_us = 0;
-  int32_t worker = -1;
-  int32_t comper = -1;
-  FlightKind kind = FlightKind::kSpawnBatch;
-  int64_t a = 0;
-  int64_t b = 0;
-};
-
-/// Fallback event clock: microseconds since the first call in this process.
-inline int64_t FlightNowUs() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
-/// Always-on bounded ring of recent scheduler transitions, one per job,
+/// The job's one event ring: every scheduler transition its workers and
+/// master record (obs/span_trace.h). Always on; JobStats::spans is a
+/// snapshot of it when span tracing is on, and its newest kFlightEvents are
 /// dumped to JSON when something goes fatally wrong (ledger violation,
 /// timeout exit, SIGTERM/SIGINT). Construction registers the recorder in a
 /// process-global registry so the crash paths — which cannot reach the job's
 /// stack — can find every live job's recorder; destruction unregisters.
 ///
 /// Recording cost is one relaxed fetch_add plus a sharded spinlock push
-/// (see ShardedRing); events are batch-granularity, so a healthy run records
-/// a few hundred events per second per worker at most.
+/// (see ShardedRing); without tracing, events are batch-granularity, so a
+/// healthy run records a few hundred events per second per worker at most.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity)
-      : enabled_(capacity > 0), ring_(capacity == 0 ? 1 : capacity) {
-    if (enabled_) Register(this);
+  /// 64 shards: one ring takes the recording threads of every local worker,
+  /// which per-worker rings of 16 shards each used to spread out.
+  explicit FlightRecorder(size_t capacity) : ring_(capacity, /*shards=*/64) {
+    Register(this);
   }
 
-  ~FlightRecorder() {
-    if (enabled_) Unregister(this);
-  }
+  ~FlightRecorder() { Unregister(this); }
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  bool enabled() const { return enabled_; }
-
-  void Record(FlightKind kind, int worker, int comper, int64_t a = 0,
-              int64_t b = 0, int64_t t_us = -1) {
-    if (!enabled_) return;
-    FlightEvent e;
-    e.t_us = t_us >= 0 ? t_us : FlightNowUs();
-    e.worker = worker;
-    e.comper = comper;
-    e.kind = kind;
-    e.a = a;
-    e.b = b;
-    ring_.Record(e);
-  }
+  void Record(const SpanEvent& e) { ring_.Record(e); }
 
   /// Total events ever recorded (including overwritten ones).
   int64_t total() const { return ring_.total(); }
 
   /// Retained events, oldest first.
-  std::vector<FlightEvent> Snapshot() const { return ring_.Snapshot(); }
+  std::vector<SpanEvent> Snapshot() const { return ring_.Snapshot(); }
 
-  /// Writes this recorder's state as one JSON object value.
+  /// Writes the newest kFlightEvents events as one JSON object value.
   void WriteJson(JsonWriter* w) const {
-    const std::vector<FlightEvent> events = ring_.Snapshot();
+    std::vector<SpanEvent> events = ring_.Snapshot();
+    if (events.size() > kFlightEvents) {
+      events.erase(events.begin(),
+                   events.end() - static_cast<ptrdiff_t>(kFlightEvents));
+    }
     w->BeginObject();
     w->Key("recorded_total");
     w->Int(ring_.total());
@@ -143,24 +71,7 @@ class FlightRecorder {
     w->Int(static_cast<int64_t>(events.size()));
     w->Key("events");
     w->BeginArray();
-    for (const FlightEvent& e : events) {
-      w->BeginObject();
-      w->Key("t_us");
-      w->Int(e.t_us);
-      w->Key("kind");
-      w->String(FlightKindName(e.kind));
-      w->Key("worker");
-      w->Int(e.worker);
-      if (e.comper >= 0) {
-        w->Key("comper");
-        w->Int(e.comper);
-      }
-      w->Key("a");
-      w->Int(e.a);
-      w->Key("b");
-      w->Int(e.b);
-      w->EndObject();
-    }
+    for (const SpanEvent& e : events) WriteEventJson(w, e);
     w->EndArray();
     w->EndObject();
   }
@@ -241,7 +152,7 @@ class FlightRecorder {
   /// handlers that dump all live recorders before the process dies. The
   /// signal path re-raises with the default disposition after dumping, so
   /// exit codes are unchanged. Idempotent; called by the Cluster job driver
-  /// (Run and RunDistributed) when the recorder is enabled. (The handlers allocate and lock — not strictly
+  /// (Run and RunDistributed). (The handlers allocate and lock — not strictly
   /// async-signal-safe, a documented best-effort trade for a dependency-free
   /// dump on the way out.)
   static void InstallCrashHandlers() {
@@ -291,8 +202,7 @@ class FlightRecorder {
     return dir;
   }
 
-  const bool enabled_;
-  ShardedRing<FlightEvent> ring_;
+  ShardedRing<SpanEvent> ring_;
 };
 
 }  // namespace gthinker::obs

@@ -279,15 +279,15 @@ inline PhaseProfile BuildPhaseProfile(
   };
   std::unordered_map<uint64_t, TaskAgg> by_task;
   for (const SpanEvent& e : spans) {
-    if (e.task_id == 0) continue;
-    if (e.phase == SpanPhase::kExecute) {
-      TaskAgg& agg = by_task[e.task_id];
+    if (e.id == 0) continue;
+    if (e.kind == EventKind::kExecute) {
+      TaskAgg& agg = by_task[e.id];
       agg.compute_us += e.dur_us;
       ++agg.iterations;
       agg.worker = e.worker;
       agg.comper = e.comper;
-    } else if (e.parent_task_id != 0 && e.phase == SpanPhase::kSpawn) {
-      by_task[e.task_id].parent = e.parent_task_id;
+    } else if (e.parent != 0 && e.kind == EventKind::kSpawn) {
+      by_task[e.id].parent = e.parent;
     }
   }
   std::vector<Straggler> all;

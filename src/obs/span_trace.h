@@ -3,73 +3,113 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/sharded_ring.h"
 #include "util/status.h"
 
 namespace gthinker::obs {
 
-/// Per-task lifecycle phases (paper Fig. 7 state machine): a healthy task
-/// reads spawn -> (pending -> ready)* -> execute* -> finish; loaded marks a
-/// task re-entering memory from a spill file (it gets a fresh span id — the
-/// disk round-trip intentionally breaks the span, mirroring how the task
-/// left the worker's live state).
-enum class SpanPhase : uint8_t {
-  kSpawn = 0,
+/// Every scheduler transition the job records (paper Fig. 7 state machine),
+/// in one ring (obs/flight_recorder.h). Per-task kinds come first: a healthy
+/// task reads spawn -> (pending -> ready)* -> execute* -> finish, and loaded
+/// marks a task re-entering memory from a spill file under a fresh span id
+/// (the disk round-trip breaks the span, as the task left the worker's live
+/// state). They are recorded only under JobConfig::enable_span_tracing.
+/// Batch kinds are one record per spawn batch, spill file, steal shipment,
+/// split, progress report or drain phase, and are always recorded.
+enum class EventKind : uint8_t {
+  kSpawn = 0,    // parent = span id of the split parent (0 = none)
   kPending = 1,
   kReady = 2,
-  kExecute = 3,  // carries dur_us: one compute() iteration
+  kExecute = 3,  // dur_us = one compute() iteration; t_us = its start
   kFinish = 4,
   kLoaded = 5,
-  kSplit = 6,  // task decomposed; children link back via parent_task_id
+  kSpawnBatch = 6,    // a = tasks spawned in the batch
+  kSplit = 7,         // a = children, b = child split depth; id = parent span
+  kSpillWrite = 8,    // a = tasks written to one spill file
+  kSpillLoad = 9,     // a = tasks loaded back from one spill file
+  kStealDonate = 10,  // a = tasks donated, b = destination worker
+  kStealReceive = 11,  // a = tasks received, b = source worker
+  kLedger = 12,       // a = ExpectedLive(), b = live tasks (progress cadence)
+  kDrain = 13,        // a = drain phase: 0-4 worker DrainAndReport; 5 master
+                      // drain stalled, b = final reports missing
+  kCheckpoint = 14,   // a = checkpoint epoch
+  kTimeout = 15,      // master hit the time budget; a = elapsed seconds
+  kTerminate = 16,    // worker saw kTerminate
 };
 
-inline const char* SpanPhaseName(SpanPhase phase) {
-  switch (phase) {
-    case SpanPhase::kSpawn:
-      return "spawn";
-    case SpanPhase::kPending:
-      return "pending";
-    case SpanPhase::kReady:
-      return "ready";
-    case SpanPhase::kExecute:
-      return "execute";
-    case SpanPhase::kFinish:
-      return "finish";
-    case SpanPhase::kLoaded:
-      return "loaded";
-    case SpanPhase::kSplit:
-      return "split";
-  }
-  return "unknown";
+/// True for the per-task kinds that only span tracing records.
+constexpr bool IsTaskKind(EventKind kind) { return kind <= EventKind::kLoaded; }
+
+inline const char* EventKindName(EventKind kind) {
+  static constexpr const char* kNames[] = {
+      "spawn",       "pending",      "ready",         "execute",
+      "finish",      "loaded",       "spawn_batch",   "split",
+      "spill_write", "spill_load",   "steal_donate",  "steal_receive",
+      "ledger",      "drain",        "checkpoint",    "timeout",
+      "terminate"};
+  const size_t i = static_cast<size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
-/// One span-trace event. Timestamps come from the hub clock, so events from
-/// different workers share an epoch and interleave correctly in a viewer.
+/// One recorded transition. Timestamps come from the hub clock, so events
+/// from different workers share an epoch and interleave correctly.
 struct SpanEvent {
   int64_t t_us = 0;
   int64_t dur_us = 0;  // only kExecute carries a duration
-  uint64_t task_id = 0;
-  /// Span id of the task this one was split from (0 = not a split child):
-  /// the kSpawn of a split child and the kSplit of the parent both carry it,
-  /// so a trace viewer can stitch the decomposition tree.
-  uint64_t parent_task_id = 0;
-  int16_t worker = 0;
-  int16_t comper = 0;  // -1 for worker-level events
-  SpanPhase phase = SpanPhase::kSpawn;
+  /// Task span id (0 when tracing is off, and for batch kinds but kSplit).
+  uint64_t id = 0;
+  /// Span id of the task this one was split from (0 = not a split child), so
+  /// a trace viewer can stitch the decomposition tree.
+  uint64_t parent = 0;
+  int16_t worker = -1;  // -1 for the master
+  int16_t comper = -1;  // -1 for worker-level events
+  EventKind kind = EventKind::kSpawn;
+  int64_t a = 0;
+  int64_t b = 0;
 };
 
-/// Per-worker bounded span store; recording contends only within the
-/// recording thread's shard.
-using SpanRing = ShardedRing<SpanEvent>;
+/// Writes one event as a JSON object: {t_us, kind, worker, comper, a, b},
+/// with comper only when >= 0 and id, parent and dur_us only when non-zero.
+inline void WriteEventJson(JsonWriter* w, const SpanEvent& e) {
+  w->BeginObject();
+  w->Key("t_us");
+  w->Int(e.t_us);
+  w->Key("kind");
+  w->String(EventKindName(e.kind));
+  w->Key("worker");
+  w->Int(e.worker);
+  if (e.comper >= 0) {
+    w->Key("comper");
+    w->Int(e.comper);
+  }
+  w->Key("a");
+  w->Int(e.a);
+  w->Key("b");
+  w->Int(e.b);
+  if (e.id != 0) {
+    w->Key("id");
+    w->UInt(e.id);
+  }
+  if (e.parent != 0) {
+    w->Key("parent");
+    w->UInt(e.parent);
+  }
+  if (e.dur_us != 0) {
+    w->Key("dur_us");
+    w->Int(e.dur_us);
+  }
+  w->EndObject();
+}
 
-/// Serializes span events as Chrome trace-event JSON ("JSON object format"),
+/// Renders events as Chrome trace-event JSON ("JSON object format"),
 /// loadable in Perfetto / chrome://tracing: workers map to processes,
-/// compers to threads; execute phases are complete ("X") slices with real
-/// durations, the other phases instant ("i") marks. Timestamps are already
+/// compers to threads; execute events are complete ("X") slices with real
+/// durations, every other kind an instant ("i") mark on the same timeline.
+/// Args carry the span ids and a batch kind's a/b. Timestamps are already
 /// microseconds, the unit the format expects.
 inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
                                    int num_workers = 0) {
@@ -97,20 +137,21 @@ inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
     w.EndObject();
   }
   for (const SpanEvent& e : events) {
+    const bool slice = e.kind == EventKind::kExecute;
     w.BeginObject();
     w.Key("name");
-    w.String(SpanPhaseName(e.phase));
+    w.String(EventKindName(e.kind));
     w.Key("cat");
-    w.String("task");
+    w.String(IsTaskKind(e.kind) ? "task" : "batch");
     w.Key("ph");
-    w.String(e.phase == SpanPhase::kExecute ? "X" : "i");
-    if (e.phase != SpanPhase::kExecute) {
+    w.String(slice ? "X" : "i");
+    if (!slice) {
       w.Key("s");  // instant-event scope: thread
       w.String("t");
     }
     w.Key("ts");
     w.Int(e.t_us);
-    if (e.phase == SpanPhase::kExecute) {
+    if (slice) {
       w.Key("dur");
       w.Int(e.dur_us);
     }
@@ -121,11 +162,19 @@ inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
     w.Int(e.comper >= 0 ? e.comper : 999);
     w.Key("args");
     w.BeginObject();
-    w.Key("task");
-    w.UInt(e.task_id);
-    if (e.parent_task_id != 0) {
+    if (e.id != 0) {
+      w.Key("id");
+      w.UInt(e.id);
+    }
+    if (e.parent != 0) {
       w.Key("parent");
-      w.UInt(e.parent_task_id);
+      w.UInt(e.parent);
+    }
+    if (!IsTaskKind(e.kind)) {
+      w.Key("a");
+      w.Int(e.a);
+      w.Key("b");
+      w.Int(e.b);
     }
     w.EndObject();
     w.EndObject();

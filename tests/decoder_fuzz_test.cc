@@ -1,0 +1,210 @@
+// Deterministic mutation fuzzing of the decoders that read bytes from another
+// process or from disk: the TCP frame header, the progress report (with its
+// task ledger), the task batch and the checkpoint meta. Each starts from a
+// valid encoding and is fed every single-bit flip, seeded multi-bit flips,
+// every truncation and inflated length fields. Every input must come back as
+// a Status (or a decode that re-encodes to exactly the input bytes): never a
+// crash, an over-read or an implausible allocation. The ASan and UBSan CI
+// lanes run this binary like every other test.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/cluster.h"  // CheckpointMeta
+#include "core/protocol.h"
+#include "net/frame.h"
+#include "net/payload.h"
+
+namespace gthinker {
+namespace {
+
+/// Decodes `bytes`; returns the re-encoding on success, or the Status.
+using DecodeFn = std::function<Status(const std::string& bytes,
+                                      std::string* reencoded)>;
+
+void ExpectStatusOrExactDecode(const DecodeFn& decode,
+                               const std::string& bytes,
+                               const std::string& what) {
+  std::string reencoded;
+  const Status s = decode(bytes, &reencoded);
+  if (s.ok()) {
+    EXPECT_EQ(reencoded, bytes) << what << ": decoded a different message";
+  } else {
+    EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+  }
+}
+
+/// Runs every mutation class over `valid`. `length_fields` are byte offsets
+/// of u64 length/count fields; inflating any of them must fail.
+void FuzzDecoder(const DecodeFn& decode, const std::string& valid,
+                 const std::vector<size_t>& length_fields, uint64_t seed) {
+  std::string reencoded;
+  ASSERT_TRUE(decode(valid, &reencoded).ok());
+  ASSERT_EQ(reencoded, valid);
+
+  // Every single-bit flip.
+  for (size_t bit = 0; bit < valid.size() * 8; ++bit) {
+    std::string m = valid;
+    m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    ExpectStatusOrExactDecode(decode, m, "flip bit " + std::to_string(bit));
+  }
+  // Seeded multi-bit flips, 2 to 16 per input.
+  std::mt19937_64 rng(seed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string m = valid;
+    const int flips = 2 + static_cast<int>(rng() % 15);
+    for (int f = 0; f < flips; ++f) {
+      const size_t bit = rng() % (m.size() * 8);
+      m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    }
+    ExpectStatusOrExactDecode(decode, m, "trial " + std::to_string(trial));
+  }
+  // Every truncation: a prefix of a message is never a message.
+  for (size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(decode(valid.substr(0, len), &reencoded).ok())
+        << "prefix of " << len << " bytes decoded";
+  }
+  // Inflated length fields: each points past the end of the input.
+  for (size_t offset : length_fields) {
+    ASSERT_LE(offset + sizeof(uint64_t), valid.size());
+    for (uint64_t inflated :
+         {uint64_t{valid.size()}, uint64_t{1} << 32, uint64_t{1} << 62,
+          uint64_t{1} << 63, std::numeric_limits<uint64_t>::max()}) {
+      std::string m = valid;
+      std::memcpy(&m[offset], &inflated, sizeof(inflated));
+      EXPECT_FALSE(decode(m, &reencoded).ok())
+          << "length field at " << offset << " = " << inflated;
+    }
+  }
+}
+
+ProgressReport MakeReport() {
+  ProgressReport r;
+  r.worker_id = 2;
+  r.idle = 1;
+  r.remaining_estimate = 17;
+  r.data_sent = 1234;
+  r.data_processed = 1200;
+  r.task_iterations = 99;
+  r.cache_requests = 500;
+  r.comper_rounds = 77;
+  r.ledger.spawned = 40;
+  r.ledger.restored = 3;
+  r.ledger.finished = 30;
+  r.ledger.spilled = 8;
+  r.ledger.loaded = 6;
+  r.ledger.donated = 5;
+  r.ledger.received = 4;
+  r.ledger.checkpointed = 2;
+  r.ledger.dropped = 1;
+  r.ledger.disk_donated = 2;
+  r.tasks_live = 11;
+  r.queue_depth = 9;
+  r.splits = 3;
+  r.split_children = 6;
+  r.agg_delta = std::string("\x01\x02\x03\x04\x05\x06\x07\x08", 8);
+  return r;
+}
+
+TEST(DecoderFuzz, ProgressReport) {
+  const std::string valid = MakeReport().Encode().ToString();
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    ProgressReport r;
+    GT_RETURN_IF_ERROR(r.Decode(Payload(bytes)));
+    *out = r.Encode().ToString();
+    return Status::Ok();
+  };
+  // The only length field is agg_delta's, in front of its 8 bytes.
+  FuzzDecoder(decode, valid, {valid.size() - 16}, /*seed=*/1);
+}
+
+TEST(DecoderFuzz, TaskBatch) {
+  const std::vector<std::string> records = {"alpha", "", "gamma-record"};
+  const std::string valid =
+      EncodeTaskBatch(records, /*steal_order_t_us=*/424242).ToString();
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    std::vector<std::string> decoded;
+    int64_t t_us = 0;
+    GT_RETURN_IF_ERROR(DecodeTaskBatch(Payload(bytes), &decoded, &t_us));
+    *out = EncodeTaskBatch(decoded, t_us).ToString();
+    return Status::Ok();
+  };
+  // Layout: i64 t_us | u64 count | (u64 len, bytes)*.
+  const size_t count_at = 8;
+  const size_t first_len_at = 16;
+  const size_t third_len_at = first_len_at + 8 + 5 + 8;
+  FuzzDecoder(decode, valid, {count_at, first_len_at, third_len_at},
+              /*seed=*/2);
+}
+
+TEST(DecoderFuzz, CheckpointMeta) {
+  CheckpointMeta<AdjList> meta;
+  meta.epoch = 7;
+  meta.num_workers = 3;
+  meta.global = {4, 8, 15, 16, 23, 42};
+  meta.hub_last = true;
+  const std::string valid = meta.Encode();
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    CheckpointMeta<AdjList> m;
+    GT_RETURN_IF_ERROR(m.Decode(bytes));
+    *out = m.Encode();
+    return Status::Ok();
+  };
+  // Layout: u64 epoch | i32 workers | u64 clique size, ids | u8 flag.
+  FuzzDecoder(decode, valid, {/*clique size=*/12}, /*seed=*/3);
+}
+
+// The frame header decoder reads a fixed 24-byte window, and the receive
+// loop calls it only once a whole header has arrived; a decoded header must
+// be one the encoder could have written, and the payload CRC-32C must catch
+// every corrupted payload bit before any message decoder runs.
+TEST(DecoderFuzz, FrameHeader) {
+  net::FrameHeader h;
+  h.kind = net::FrameKind::kData;
+  h.msg_type = 5;
+  h.src = 1;
+  h.dst = 2;
+  const std::string payload = MakeReport().Encode().ToString();
+  h.payload_len = static_cast<uint32_t>(payload.size());
+  h.crc32 = net::Crc32C(payload.data(), payload.size());
+  std::string valid(net::kFrameHeaderSize, '\0');
+  net::EncodeFrameHeader(h, valid.data());
+
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    net::FrameHeader d;
+    if (bytes.size() < net::kFrameHeaderSize) {
+      return Status::Corruption("short frame header");  // receive loop waits
+    }
+    if (!net::DecodeFrameHeader(bytes.data(), &d)) {
+      return Status::Corruption("frame header");
+    }
+    out->assign(net::kFrameHeaderSize, '\0');
+    net::EncodeFrameHeader(d, out->data());
+    return Status::Ok();
+  };
+  // The header has no u64 length field; its u32 payload length follows.
+  FuzzDecoder(decode, valid, /*length_fields=*/{}, /*seed=*/4);
+  std::string reencoded;
+  // Inflated payload length (u32 at offset 16): past the frame cap.
+  for (uint32_t inflated :
+       {net::kMaxFramePayload + 1, std::numeric_limits<uint32_t>::max()}) {
+    std::string m = valid;
+    std::memcpy(&m[16], &inflated, sizeof(inflated));
+    EXPECT_FALSE(decode(m, &reencoded).ok()) << "payload_len " << inflated;
+  }
+  for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::string m = payload;
+    m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_NE(net::Crc32C(m.data(), m.size()), h.crc32) << "bit " << bit;
+  }
+}
+
+}  // namespace
+}  // namespace gthinker

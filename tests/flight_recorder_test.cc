@@ -1,4 +1,4 @@
-// Flight-recorder tests: the bounded event ring must retain the newest
+// Flight-recorder tests: the job's bounded event ring must retain the newest
 // transitions, serialize to valid JSON, and — the part that matters in
 // production — dump that JSON to disk when the process dies on a fatal
 // check, exactly the path a task-ledger violation takes.
@@ -10,12 +10,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/maxclique_app.h"
+#include "apps/kernels.h"
 #include "apps/triangle_app.h"  // TrimToGreater
 #include "core/cluster.h"
 #include "graph/generator.h"
@@ -34,13 +37,13 @@ std::string ReadFile(const std::string& path) {
 
 TEST(FlightRecorder, RecordsAndSerializes) {
   obs::FlightRecorder rec(64);
-  ASSERT_TRUE(rec.enabled());
-  rec.Record(obs::FlightKind::kSpawnBatch, /*worker=*/0, /*comper=*/1,
-             /*a=*/32);
-  rec.Record(obs::FlightKind::kSplit, 0, 1, /*a=*/4, /*b=*/2);
-  rec.Record(obs::FlightKind::kLedger, 1, -1, /*a=*/10, /*b=*/10);
+  rec.Record({.worker = 0, .comper = 1, .kind = obs::EventKind::kSpawnBatch,
+              .a = 32});
+  rec.Record({.id = 7, .worker = 0, .comper = 1,
+              .kind = obs::EventKind::kSplit, .a = 4, .b = 2});
+  rec.Record({.worker = 1, .kind = obs::EventKind::kLedger, .a = 10, .b = 10});
   EXPECT_EQ(rec.total(), 3);
-  const std::vector<obs::FlightEvent> events = rec.Snapshot();
+  const std::vector<obs::SpanEvent> events = rec.Snapshot();
   ASSERT_EQ(events.size(), 3u);
 
   const std::string json = rec.DumpJson();
@@ -54,23 +57,19 @@ TEST(FlightRecorder, RecordsAndSerializes) {
   EXPECT_EQ(arr->array[0].Find("kind")->string, "spawn_batch");
   EXPECT_EQ(arr->array[1].Find("kind")->string, "split");
   EXPECT_EQ(arr->array[1].Find("a")->number, 4.0);
-}
-
-TEST(FlightRecorder, ZeroCapacityDisables) {
-  obs::FlightRecorder rec(0);
-  EXPECT_FALSE(rec.enabled());
-  rec.Record(obs::FlightKind::kTerminate, 0, -1);
-  EXPECT_EQ(rec.total(), 0);
-  EXPECT_TRUE(rec.Snapshot().empty());
+  // The split names its parent's span; events without a span carry no id.
+  EXPECT_EQ(arr->array[1].Find("id")->number, 7.0);
+  EXPECT_EQ(arr->array[0].Find("id"), nullptr);
+  EXPECT_EQ(arr->array[2].Find("comper"), nullptr);
 }
 
 TEST(FlightRecorder, BoundedRetentionKeepsNewest) {
   obs::FlightRecorder rec(16);
   for (int i = 0; i < 200; ++i) {
-    rec.Record(obs::FlightKind::kSpawnBatch, 0, -1, /*a=*/i);
+    rec.Record({.worker = 0, .kind = obs::EventKind::kSpawnBatch, .a = i});
   }
   EXPECT_EQ(rec.total(), 200);
-  const std::vector<obs::FlightEvent> events = rec.Snapshot();
+  const std::vector<obs::SpanEvent> events = rec.Snapshot();
   ASSERT_LE(events.size(), 16u);
   ASSERT_FALSE(events.empty());
   // The retained window ends at the newest event.
@@ -83,7 +82,7 @@ TEST(FlightRecorder, WriteCrashDumpWritesParseableFile) {
   std::filesystem::create_directories(dir);
   obs::FlightRecorder::SetDumpDir(dir);
   obs::FlightRecorder rec(32);
-  rec.Record(obs::FlightKind::kDrain, 0, -1, /*a=*/2);
+  rec.Record({.worker = 0, .kind = obs::EventKind::kDrain, .a = 2});
   ASSERT_TRUE(obs::FlightRecorder::WriteCrashDump("unit-test"));
   obs::FlightRecorder::SetDumpDir("");
 
@@ -114,8 +113,10 @@ TEST(FlightRecorderDeathTest, FatalCheckDumpsRecorder) {
         obs::FlightRecorder::SetDumpDir(dir);
         obs::FlightRecorder::InstallCrashHandlers();
         obs::FlightRecorder rec(64);
-        rec.Record(obs::FlightKind::kSpawnBatch, 0, 0, /*a=*/8);
-        rec.Record(obs::FlightKind::kLedger, 0, -1, /*a=*/5, /*b=*/4);
+        rec.Record({.worker = 0, .comper = 0,
+                    .kind = obs::EventKind::kSpawnBatch, .a = 8});
+        rec.Record(
+            {.worker = 0, .kind = obs::EventKind::kLedger, .a = 5, .b = 4});
         const int64_t expected_live = 5;
         const int64_t live = 4;
         GT_CHECK_EQ(expected_live, live) << "task-conservation violation";
@@ -141,24 +142,54 @@ TEST(FlightRecorderDeathTest, FatalCheckDumpsRecorder) {
   EXPECT_EQ(events->array[1].Find("kind")->string, "ledger");
 }
 
-// A healthy end-to-end run populates the recorder with real transitions
-// (spawn batches at minimum, plus the drain phases every worker logs on the
-// way out) — verified indirectly: a dump taken right after the run's
-// recorder was torn down contains no recorders, while a dump during the
-// run's lifetime would. Here we just assert the job runs cleanly with the
-// recorder at its default capacity and that disabling it is honored.
-TEST(FlightRecorderE2E, JobRunsWithRecorderOnAndOff) {
+// A crash dump is the tail of the ring: a ring sized for span tracing still
+// dumps only the newest kFlightEvents events.
+TEST(FlightRecorder, DumpIsTheNewestTail) {
+  const int64_t n = static_cast<int64_t>(obs::kFlightEvents) + 50;
+  obs::FlightRecorder rec(obs::kFlightEvents + obs::kTraceEventsPerWorker);
+  for (int64_t i = 0; i < n; ++i) {
+    rec.Record({.worker = 0, .kind = obs::EventKind::kSpawnBatch, .a = i});
+  }
+  EXPECT_EQ(static_cast<int64_t>(rec.Snapshot().size()), n);
+  obs::JsonValue root;
+  ASSERT_TRUE(obs::JsonParse(rec.DumpJson(), &root).ok());
+  EXPECT_EQ(root.Find("recorded_total")->number, static_cast<double>(n));
+  EXPECT_EQ(root.Find("retained")->number,
+            static_cast<double>(obs::kFlightEvents));
+  const obs::JsonValue* events = root.Find("events");
+  ASSERT_EQ(events->array.size(), obs::kFlightEvents);
+  EXPECT_EQ(events->array.front().Find("a")->number, 50.0);
+  EXPECT_EQ(events->array.back().Find("a")->number,
+            static_cast<double>(n - 1));
+}
+
+// A healthy end-to-end run records its batch-level transitions in the same
+// ring as the per-task spans: a traced job's snapshot carries every worker's
+// spawn batches, ledger reports, terminate and drain phases, on the hub
+// clock next to the task events.
+TEST(FlightRecorderE2E, JobRecordsBatchTransitions) {
   static Graph g = Generator::ErdosRenyi(120, 500, 771);
-  for (const int64_t capacity : {int64_t{4096}, int64_t{0}}) {
-    Job<TriangleComper> job;
-    job.config.num_workers = 2;
-    job.config.compers_per_worker = 1;
-    job.config.flight_recorder_events = capacity;
-    job.graph = &g;
-    job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
-    job.trimmer = TrimToGreater;
-    auto result = Cluster<TriangleComper>::Run(job);
-    EXPECT_GT(result.result, 0u) << "capacity=" << capacity;
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 1;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
+
+  std::map<std::pair<int, obs::EventKind>, int> counts;
+  for (const obs::SpanEvent& e : result.stats.spans) {
+    ++counts[{e.worker, e.kind}];
+  }
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_GT((counts[{w, obs::EventKind::kSpawnBatch}]), 0) << "worker " << w;
+    EXPECT_GT((counts[{w, obs::EventKind::kLedger}]), 0) << "worker " << w;
+    EXPECT_EQ((counts[{w, obs::EventKind::kTerminate}]), 1) << "worker " << w;
+    // Drain phases 0, 1, 2 (or 3) and 4.
+    EXPECT_EQ((counts[{w, obs::EventKind::kDrain}]), 4) << "worker " << w;
+    EXPECT_GT((counts[{w, obs::EventKind::kExecute}]), 0) << "worker " << w;
   }
 }
 

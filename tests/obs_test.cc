@@ -280,9 +280,9 @@ TEST(Json, ParserRejectsMalformed) {
 
 TEST(Json, ChromeTraceShapeIsValid) {
   std::vector<SpanEvent> events;
-  events.push_back({100, 0, 42, 0, 0, 0, SpanPhase::kSpawn});
-  events.push_back({150, 50, 42, 0, 0, 1, SpanPhase::kExecute});
-  events.push_back({210, 0, 42, 0, 0, -1, SpanPhase::kFinish});
+  events.push_back({100, 0, 42, 0, 0, 0, EventKind::kSpawn});
+  events.push_back({150, 50, 42, 0, 0, 1, EventKind::kExecute});
+  events.push_back({210, 0, 42, 0, 0, -1, EventKind::kFinish});
   const std::string text = ChromeTraceJson(events, /*num_workers=*/2);
   ASSERT_TRUE(JsonValid(text)) << text;
   JsonValue root;

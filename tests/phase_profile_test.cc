@@ -81,8 +81,8 @@ TEST(PhaseProfile, StragglerTableRanksByComputeWithLineage) {
   std::vector<obs::SpanEvent> spans;
   auto exec = [&](uint64_t task, int64_t dur) {
     obs::SpanEvent e;
-    e.phase = obs::SpanPhase::kExecute;
-    e.task_id = task;
+    e.kind = obs::EventKind::kExecute;
+    e.id = task;
     e.dur_us = dur;
     e.worker = 0;
     e.comper = 0;
@@ -92,9 +92,9 @@ TEST(PhaseProfile, StragglerTableRanksByComputeWithLineage) {
   exec(11, 900);
   exec(11, 50);  // second iteration of the same task accumulates
   obs::SpanEvent spawn;
-  spawn.phase = obs::SpanPhase::kSpawn;
-  spawn.task_id = 11;
-  spawn.parent_task_id = 10;
+  spawn.kind = obs::EventKind::kSpawn;
+  spawn.id = 11;
+  spawn.parent = 10;
   spans.push_back(spawn);
 
   const obs::PhaseProfile profile =

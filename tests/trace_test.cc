@@ -1,14 +1,17 @@
-// Task-lifecycle invariants of a real job, read off the per-task spans
-// (JobConfig::enable_span_tracing).
+// Task-lifecycle invariants of a real job, read off the job's event ring
+// (JobConfig::enable_span_tracing), and its Chrome trace rendering.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "apps/triangle_app.h"
 #include "core/cluster.h"
 #include "graph/generator.h"
+#include "obs/json.h"
 #include "obs/span_trace.h"
 
 namespace gthinker {
@@ -27,21 +30,66 @@ TEST(Trace, JobProducesCoherentLifecycle) {
 
   const std::vector<obs::SpanEvent>& spans = result.stats.spans;
   ASSERT_FALSE(spans.empty());
-  // The rings are far from full on this job, so nothing was overwritten.
+  // The ring is far from full on this job, so nothing was overwritten.
   EXPECT_EQ(result.stats.span_events_total,
             static_cast<int64_t>(spans.size()));
-  std::map<obs::SpanPhase, int64_t> counts;
-  for (const obs::SpanEvent& e : spans) ++counts[e.phase];
+  std::map<obs::EventKind, int64_t> counts;
+  for (const obs::SpanEvent& e : spans) ++counts[e.kind];
   // Every TC task runs exactly one iteration and finishes.
-  EXPECT_GT(counts[obs::SpanPhase::kSpawn], 0);
-  EXPECT_GT(counts[obs::SpanPhase::kExecute], 0);
-  EXPECT_EQ(counts[obs::SpanPhase::kExecute], counts[obs::SpanPhase::kFinish]);
+  EXPECT_GT(counts[obs::EventKind::kSpawn], 0);
+  EXPECT_GT(counts[obs::EventKind::kExecute], 0);
+  EXPECT_EQ(counts[obs::EventKind::kExecute], counts[obs::EventKind::kFinish]);
   // Every task that went pending must have become ready.
-  EXPECT_EQ(counts[obs::SpanPhase::kPending], counts[obs::SpanPhase::kReady]);
+  EXPECT_EQ(counts[obs::EventKind::kPending], counts[obs::EventKind::kReady]);
   // Timestamps are sorted by the collector.
   for (size_t i = 1; i < spans.size(); ++i) {
     EXPECT_LE(spans[i - 1].t_us, spans[i].t_us);
   }
+}
+
+// Every edge joins multiples of 3, so one worker owns all the work, spills
+// it and donates it to the starving workers (as in termination_test). The
+// Chrome trace of that job draws the spill and steal marks on the task
+// slices' timeline.
+TEST(Trace, ChromeTraceShowsSpillAndStealNextToTaskSlices) {
+  const Graph base = Generator::ErdosRenyi(3000, 200000, 74);
+  Graph g(3 * base.NumVertices());
+  for (VertexId u = 0; u < base.NumVertices(); ++u) {
+    for (VertexId v : base.GreaterNeighbors(u)) g.AddEdge(3 * u, 3 * v);
+  }
+  g.Finalize();
+  Job<TriangleComper> job;
+  job.config.num_workers = 3;
+  job.config.compers_per_worker = 1;
+  job.config.enable_stealing = true;
+  job.config.task_batch_size = 4;
+  job.config.task_queue_capacity_batches = 2;
+  job.config.inflight_task_cap = 8;
+  job.config.progress_interval_us = 500;  // plan steals early and often
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+  ASSERT_GT(result.stats.spilled_batches, 0);
+  ASSERT_GT(result.stats.stolen_batches, 0);
+  EXPECT_EQ(result.stats.span_events_total,
+            static_cast<int64_t>(result.stats.spans.size()));
+
+  const std::string text =
+      obs::ChromeTraceJson(result.stats.spans, job.config.num_workers);
+  obs::JsonValue root;
+  ASSERT_TRUE(obs::JsonParse(text, &root).ok());
+  std::map<std::string, int64_t> slices, marks;
+  for (const obs::JsonValue& e : root.Find("traceEvents")->array) {
+    const std::string ph = e.Find("ph")->string;
+    if (ph == "M") continue;
+    ++(ph == "X" ? slices : marks)[e.Find("name")->string];
+  }
+  EXPECT_GT(slices["execute"], 0);
+  EXPECT_GT(marks["spill_write"], 0);
+  EXPECT_GT(marks["steal_donate"], 0);
+  EXPECT_GT(marks["steal_receive"], 0);
 }
 
 TEST(Trace, DisabledByDefault) {
