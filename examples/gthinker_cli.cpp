@@ -1,10 +1,10 @@
 // gthinker_cli: run any shipped mining application on any dataset stand-in
 // (or a graph file) from the command line.
 //
-//   gthinker_cli --app=tc|tc-bundled|mcf|maxcliques|kclique|gm|qc
+//   gthinker_cli --app=tc|mcf|maxcliques|kclique|gm|qc
 //                [--dataset=youtube|skitter|orkut|btc|friendster]
 //                [--graph=/path/to/graph.adj] [--scale=0.35]
-//                [--workers=4] [--compers=2] [--tau=400] [--bundle=16]
+//                [--workers=4] [--compers=2] [--tau=400]
 //                [--gamma=0.6] [--min-size=4] [--labels=4] [--seed=7]
 //                [--latency-us=0] [--bandwidth-mbps=0] [--verify]
 
@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "apps/bundled_triangle_app.h"
 #include "apps/kclique_app.h"
 #include "apps/kernels.h"
 #include "apps/match_app.h"
@@ -125,27 +124,6 @@ int main(int argc, char** argv) {
                   truth == result.result ? "OK" : "MISMATCH");
       return truth == result.result ? 0 : 2;
     }
-  } else if (app == "tc-bundled") {
-    const size_t bundle =
-        std::strtoul(FlagOr(flags, "bundle", "16").c_str(), nullptr, 10);
-    Job<BundledTriangleComper> job;
-    job.config = config;
-    job.graph = &graph;
-    job.comper_factory = [bundle] {
-      return std::make_unique<BundledTriangleComper>(bundle);
-    };
-    job.trimmer = TrimToGreater;
-    auto result = Cluster<BundledTriangleComper>::Run(job);
-    std::printf("triangles (bundle=%zu): %llu\n", bundle,
-                static_cast<unsigned long long>(result.result));
-    PrintStats(result.stats);
-    if (verify) {
-      const uint64_t truth = CountTrianglesSerial(graph);
-      std::printf("verify: serial=%llu %s\n",
-                  static_cast<unsigned long long>(truth),
-                  truth == result.result ? "OK" : "MISMATCH");
-      return truth == result.result ? 0 : 2;
-    }
   } else if (app == "mcf") {
     const size_t tau =
         std::strtoul(FlagOr(flags, "tau", "400").c_str(), nullptr, 10);
@@ -244,8 +222,7 @@ int main(int argc, char** argv) {
     PrintStats(result.stats);
   } else {
     std::fprintf(stderr,
-                 "unknown --app=%s (tc, tc-bundled, mcf, maxcliques, kclique, "
-                 "gm, qc)\n",
+                 "unknown --app=%s (tc, mcf, maxcliques, kclique, gm, qc)\n",
                  app.c_str());
     return 1;
   }

@@ -14,14 +14,16 @@ namespace gthinker {
 /// (paper §IV (7)); responses then only carry trimmed lists.
 void TrimToGreater(Vertex<AdjList>& v);
 
-using TriangleTask = Task<AdjList, /*ContextT=*/VertexId>;
+using TriangleTask = Task<AdjList, RootBundle>;
 
-/// Triangle counting (TC): one task per vertex v pulls Γ_>(v) and counts
+/// Triangle counting (TC): root v pulls itself and Γ_>(v) and counts
 /// |Γ_>(v) ∩ Γ_>(u)| for every u ∈ Γ_>(v); per-task counts are summed by the
-/// aggregator. Each triangle v<u<w is counted exactly once, by v's task.
+/// aggregator. Each triangle v<u<w is counted exactly once, by root v.
+/// Roots are bundled (core/root_bundle.h): one task runs a whole spawn
+/// batch of roots, since one root is too little work to carry a task.
 /// The intersections run through the adaptive toolkit (apps/kernel_simd.h):
-/// one Γ_>(v) membership bitmap amortized over the frontier when worthwhile,
-/// merge/gallop otherwise.
+/// one Γ_>(v) membership bitmap amortized over v's candidates when
+/// worthwhile, merge/gallop otherwise.
 class TriangleComper : public Comper<TriangleTask, uint64_t> {
  public:
   void TaskSpawn(const VertexT& v) override;

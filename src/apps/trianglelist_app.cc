@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 
 #include "util/serializer.h"
 
@@ -25,39 +24,36 @@ Status DecodeTriangle(const std::string& record, Triangle* t) {
 
 void TriangleListComper::TaskSpawn(const VertexT& v) {
   if (v.value.size() < 2) return;
-  auto task = std::make_unique<TaskT>();
-  task->context() = v.id;
-  task->subgraph().AddVertex(v);
-  for (VertexId u : v.value) task->Pull(u);
-  AddTask(std::move(task));
+  AddRoot(v.id, v.value);
 }
 
 bool TriangleListComper::Compute(TaskT* task, const Frontier& frontier) {
-  const VertexT* root = task->subgraph().GetVertex(task->context());
-  const AdjList& root_gt = root->value;
   uint64_t count = 0;
-  for (const VertexT* u : frontier) {
-    const AdjList& u_gt = u->value;
-    size_t i = 0, j = 0;
-    while (i < root_gt.size() && j < u_gt.size()) {
-      if (root_gt[i] < u_gt[j]) {
-        ++i;
-      } else if (root_gt[i] > u_gt[j]) {
-        ++j;
-      } else {
-        // Records speak the caller's IDs: map each corner back and re-sort,
-        // since the load-time layout need not preserve ID order.
-        std::array<VertexId, 3> t = {OriginalId(task->context()),
-                                     OriginalId(u->id),
-                                     OriginalId(root_gt[i])};
-        std::sort(t.begin(), t.end());
-        Output(EncodeTriangle({t[0], t[1], t[2]}));
-        ++count;
-        ++i;
-        ++j;
+  auto list_root = [&](const VertexT& root, const Frontier& candidates) {
+    const AdjList& root_gt = root.value;
+    for (const VertexT* u : candidates) {
+      const AdjList& u_gt = u->value;
+      size_t i = 0, j = 0;
+      while (i < root_gt.size() && j < u_gt.size()) {
+        if (root_gt[i] < u_gt[j]) {
+          ++i;
+        } else if (root_gt[i] > u_gt[j]) {
+          ++j;
+        } else {
+          // Records speak the caller's IDs: map each corner back and
+          // re-sort, since the load-time layout need not preserve ID order.
+          std::array<VertexId, 3> t = {OriginalId(root.id), OriginalId(u->id),
+                                       OriginalId(root_gt[i])};
+          std::sort(t.begin(), t.end());
+          Output(EncodeTriangle({t[0], t[1], t[2]}));
+          ++count;
+          ++i;
+          ++j;
+        }
       }
     }
-  }
+  };
+  ForEachRoot(task->context(), frontier, list_root);
   if (count > 0) Aggregate(count);
   return false;
 }

@@ -30,10 +30,10 @@ inline bool operator<(const Triangle& a, const Triangle& b) {
 std::string EncodeTriangle(const Triangle& t);
 Status DecodeTriangle(const std::string& record, Triangle* t);
 
-using TriangleListTask = Task<AdjList, /*ContextT=*/VertexId>;
+using TriangleListTask = Task<AdjList, RootBundle>;
 
 /// Triangle *listing* (paper §I lists it among the target problems): same
-/// task structure as TriangleComper, but every triangle (v,u,w) with
+/// bundled task structure as TriangleComper, but every triangle (v,u,w) with
 /// v < u < w, in the caller's vertex IDs (Comper::OriginalId), is emitted
 /// once through Comper::Output in addition to being counted. Pair with the
 /// Γ_> trimmer and a Job::output_dir.

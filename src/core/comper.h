@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/root_bundle.h"
 #include "core/task.h"
 #include "core/vertex.h"
 #include "util/logging.h"
@@ -21,9 +22,9 @@ namespace gthinker {
 ///     static AggT AggMerge(AggT a, AggT b) { return a + b; }
 ///   };
 ///
-/// The runtime services (AddTask, Aggregate, CurrentAgg) are wired in by the
-/// worker engine before any UDF runs. One Comper instance is driven by one
-/// mining thread, so UDFs need no internal synchronization.
+/// The runtime services (AddTask, AddRoot, Aggregate, CurrentAgg) are wired
+/// in by the worker engine before any UDF runs. One Comper instance is driven
+/// by one mining thread, so UDFs need no internal synchronization.
 template <typename TaskT_, typename AggT_>
 class Comper {
  public:
@@ -59,18 +60,28 @@ class Comper {
     /// Tells the engine the task Compute() is returning from should be
     /// split (via the app's Split() UDF) instead of plainly requeued.
     virtual void RequestSplit() {}
+
+    // ---- root bundling (core/root_bundle.h) ----
+    void AddRoot(VertexId root, const std::vector<VertexId>& pulls) {
+      bundle_.Add(root, pulls);
+    }
+    /// Closes the open bundle, if AddRoot filled it, into one AddTask. The
+    /// worker calls it after every spawn batch, the engine's and the steal
+    /// donation's alike, so no bundle spans two batches.
+    void CloseRootBundle() {
+      if constexpr (kBundlesRoots<TaskT>) {
+        if (!bundle_.empty()) AddTask(bundle_.template Close<TaskT>());
+      }
+    }
+
+   private:
+    RootBundleBuilder bundle_;
   };
 
   virtual ~Comper() = default;
 
   /// UDF (i): spawn task(s) from a local vertex; call AddTask for each.
   virtual void TaskSpawn(const VertexT& v) = 0;
-
-  /// Optional UDF: called once per comper after the local vertex table is
-  /// exhausted, so spawners that batch state across TaskSpawn calls (e.g.
-  /// task bundling of low-degree vertices, the paper's §VI future-work
-  /// optimization) can emit their final partial task.
-  virtual void SpawnFlush() {}
 
   /// UDF (ii): run one iteration of `task`. `frontier[i]` is the vertex the
   /// task pulled as pulls()[i] in its previous iteration (empty on a task
@@ -109,6 +120,17 @@ class Comper {
   void AddTask(std::unique_ptr<TaskT> task) {
     GT_CHECK(runtime_ != nullptr);
     runtime_->AddTask(std::move(task));
+  }
+
+  /// From TaskSpawn of a bundling app (TaskT = Task<V, RootBundle>): adds
+  /// `root` and the vertices it pulls to the open root bundle instead of
+  /// building a task. The runtime turns each spawn batch's roots into one
+  /// task, and Compute reads them back through ForEachRoot.
+  void AddRoot(VertexId root, const std::vector<VertexId>& pulls) {
+    static_assert(kBundlesRoots<TaskT>,
+                  "AddRoot needs a Task<V, RootBundle> comper");
+    GT_CHECK(runtime_ != nullptr);
+    runtime_->AddRoot(root, pulls);
   }
 
   /// Merges a delta into the worker-local aggregator.

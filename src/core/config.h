@@ -109,11 +109,11 @@ struct JobConfig {
   bool cache_use_z_table = true;
 
   // ---- task management (paper §V-B) ----
-  /// C: task-batch size; Q_task refills when |Q_task| <= C, back to 2C.
+  /// C: task-batch and root-bundle size; Q_task refills at <= C, to 2C.
   int task_batch_size = 150;
-  /// Q_task capacity in batches (paper: 3 => 3C tasks).
+  /// Q_task capacity in batches (paper: 3 => 3C tasks, counted in roots).
   int task_queue_capacity_batches = 3;
-  /// D: cap on |T_task| + |B_task| per comper (paper default 8·C).
+  /// D: cap on |T_task| + |B_task| roots per comper (paper default 8·C).
   int inflight_task_cap = 8 * 150;
 
   // ---- big-task decomposition (codesign follow-up, PAPERS.md) ----

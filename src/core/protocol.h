@@ -42,7 +42,7 @@ inline Status ExpectEnd(const Deserializer& des, const char* what) {
 /// master verifies the global sum at termination and aborts on any leak —
 /// a violated ledger means a task was silently lost or double-counted.
 struct TaskLedger {
-  int64_t spawned = 0;       // created by TaskSpawn/Compute/SpawnFlush
+  int64_t spawned = 0;       // AddTask, Split or a closed root bundle
   int64_t restored = 0;      // re-queued from a checkpoint blob
   int64_t finished = 0;      // Compute returned false
   int64_t spilled = 0;       // serialized to a local spill file

@@ -106,7 +106,12 @@ class Task {
     GT_RETURN_IF_ERROR(des.Read(&split_depth_));
     GT_RETURN_IF_ERROR(des.ReadVector(&pulls_));
     GT_RETURN_IF_ERROR(subgraph_.Deserialize(des));
-    return Codec<ContextT>::Decode(des, &context_);
+    GT_RETURN_IF_ERROR(Codec<ContextT>::Decode(des, &context_));
+    // A context that indexes the pull list (RootBundle) checks it here.
+    if constexpr (requires { Codec<ContextT>::CheckPulls(context_, 0); }) {
+      return Codec<ContextT>::CheckPulls(context_, pulls_.size());
+    }
+    return Status::Ok();
   }
 
  private:

@@ -321,12 +321,9 @@ class Worker {
       }
     }
 
+    /// Q_task's weight in roots (core/root_bundle.h TaskWeight).
     size_t QueueSize() const {
       return q_size_.load(std::memory_order_relaxed);
-    }
-
-    size_t InflightSize() const {
-      return t_size_.load(std::memory_order_relaxed) + b_task_.Size();
     }
 
     int64_t IdleRounds() const {
@@ -371,29 +368,38 @@ class Worker {
     bool Push() {
       auto ready = b_task_.TryPop();
       if (!ready.has_value()) return false;
+      inflight_roots_ -= TaskWeight(**ready);
       // The task was tracked while pending; ExecuteIteration re-tracks it.
       worker_->mem_.Release((*ready)->MemoryBytes());
       ExecuteIteration(std::move(*ready));
       return true;
     }
 
-    /// pop() gates (paper: cache not overflowed, |T_task|+|B_task| <= D).
+    /// pop() gates (paper: cache not overflowed, |T_task|+|B_task| <= D,
+    /// counted in roots like the Q_task bounds).
     bool CanPop() const {
       return !worker_->cache_.Overflowed() &&
-             InflightSize() <=
+             inflight_roots_ <=
                  static_cast<size_t>(worker_->config_.inflight_task_cap);
     }
 
     /// pop(): refill if low, then take the head task and resolve its pulls.
     bool Pop() {
       const size_t batch = worker_->config_.task_batch_size;
-      if (q_.size() <= batch) Refill();
+      if (q_weight_ <= batch) Refill();
       if (q_.empty()) return false;
       std::unique_ptr<TaskT> task = std::move(q_.front());
       q_.pop_front();
-      q_size_.store(q_.size(), std::memory_order_release);
+      SetQueueWeight(q_weight_ - TaskWeight(*task));
       Resolve(std::move(task));
       return true;
+    }
+
+    /// Q_task's bounds count roots (TaskWeight), so one-root apps see plain
+    /// task counts.
+    void SetQueueWeight(size_t weight) {
+      q_weight_ = weight;
+      q_size_.store(weight, std::memory_order_release);
     }
 
     /// Refills Q_task up to 2C from (1) spilled task files, then (2) fresh
@@ -404,7 +410,7 @@ class Worker {
     /// refill_spawn_first ablation inverts it.
     void Refill() {
       const size_t target = 2 * worker_->config_.task_batch_size;
-      while (q_.size() < target) {
+      while (q_weight_ < target) {
         if (worker_->config_.refill_spawn_first && SpawnBatch()) continue;
         if (auto file = worker_->l_file_.TryPopFront()) {
           Timer spill_timer;
@@ -423,9 +429,10 @@ class Worker {
               TaskEvent(obs::EventKind::kLoaded, task->span_id());
             }
             worker_->mem_.Consume(task->MemoryBytes());
+            q_weight_ += TaskWeight(*task);
             q_.push_back(std::move(task));
           }
-          q_size_.store(q_.size(), std::memory_order_release);
+          SetQueueWeight(q_weight_);
           worker_->tasks_loaded_.fetch_add(
               static_cast<int64_t>(records.size()), std::memory_order_relaxed);
           worker_->refill_spill_tasks_->Add(
@@ -442,20 +449,21 @@ class Worker {
     }
 
     /// Spawns one batch of new tasks from T_local; false when exhausted.
+    /// A bundling app's batch becomes one root-bundle task.
     bool SpawnBatch() {
-      if (spawn_flushed_) return false;
+      if (spawn_exhausted_) return false;
       std::vector<VertexId> to_spawn;
       worker_->ClaimSpawnBatch(worker_->config_.task_batch_size, &to_spawn);
       if (to_spawn.empty()) {
-        spawn_flushed_ = true;
-        user_->SpawnFlush();  // emit any partially-bundled task
+        spawn_exhausted_ = true;
         // Every task this comper spawned is live by now (see SpawnDone).
         worker_->compers_spawning_.fetch_sub(1);
         return false;
       }
       for (VertexId v : to_spawn) {
-        user_->TaskSpawn(worker_->local_.at(v));  // UDF; calls AddTask
+        user_->TaskSpawn(worker_->local_.at(v));  // UDF; AddTask or AddRoot
       }
+      this->CloseRootBundle();
       worker_->refill_spawn_tasks_->Add(static_cast<int64_t>(to_spawn.size()));
       worker_->RecordEvent(
           index_, {.kind = obs::EventKind::kSpawnBatch,
@@ -463,37 +471,43 @@ class Worker {
       return true;
     }
 
-    /// Appends to Q_task; when full (3C), the C tasks at the tail are spilled
-    /// to one file so that `task` can be appended (paper §V-B (1)).
+    /// Appends to Q_task; when `task` would overfill it (3C roots), the
+    /// tasks at the tail weighing C roots are spilled to one file first
+    /// (paper §V-B (1)).
     void AddToQueue(std::unique_ptr<TaskT> task) {
       worker_->mem_.Consume(task->MemoryBytes());
       const size_t batch = worker_->config_.task_batch_size;
       const size_t cap =
           batch * worker_->config_.task_queue_capacity_batches;
-      if (q_.size() >= cap) {
+      const size_t weight = TaskWeight(*task);
+      if (!q_.empty() && q_weight_ + weight > cap) {
         Timer spill_timer;
-        std::vector<std::string> records(batch);
-        for (size_t i = 0; i < batch; ++i) {
+        std::vector<std::string> records;
+        size_t spilled = 0;
+        while (spilled < batch && !q_.empty()) {
           std::unique_ptr<TaskT> victim = std::move(q_.back());
           q_.pop_back();
+          spilled += TaskWeight(*victim);
           worker_->mem_.Release(victim->MemoryBytes());
           Serializer ser;
           victim->Serialize(ser);
-          // Keep original queue order inside the file.
-          records[batch - 1 - i] = ser.Release();
+          records.push_back(ser.Release());
         }
+        // Keep original queue order inside the file.
+        std::reverse(records.begin(), records.end());
+        const auto count = static_cast<int64_t>(records.size());
         const std::string path =
             worker_->spill_io_.Submit(worker_->spill_dir_, std::move(records));
-        worker_->l_file_.PushBack(path, static_cast<int64_t>(batch));
+        worker_->l_file_.PushBack(path, count);
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
-        worker_->tasks_spilled_.fetch_add(static_cast<int64_t>(batch),
-                                          std::memory_order_relaxed);
+        worker_->tasks_spilled_.fetch_add(count, std::memory_order_relaxed);
         phase_spill_->Add(spill_timer.ElapsedMicros());
-        worker_->RecordEvent(index_, {.kind = obs::EventKind::kSpillWrite,
-                                      .a = static_cast<int64_t>(batch)});
+        worker_->RecordEvent(index_,
+                             {.kind = obs::EventKind::kSpillWrite, .a = count});
+        q_weight_ -= spilled;
       }
       q_.push_back(std::move(task));
-      q_size_.store(q_.size(), std::memory_order_release);
+      SetQueueWeight(q_weight_ + weight);
     }
 
     /// Resolves P(t): local pulls read T_local directly; remote pulls go
@@ -511,6 +525,7 @@ class Worker {
       TaskEvent(obs::EventKind::kPending, task->span_id());
       const int64_t pending_at_us = worker_->hub_->NowUs();
       TaskT* raw = task.get();
+      inflight_roots_ += TaskWeight(*task);
       {
         std::lock_guard<std::mutex> lock(t_mutex_);
         t_task_.emplace(tid, Pending{std::move(task), 0, -1, pending_at_us});
@@ -550,6 +565,7 @@ class Worker {
         // The responses raced in while we were still registering pulls.
         worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
         TaskEvent(obs::EventKind::kReady, ready->span_id());
+        inflight_roots_ -= TaskWeight(*ready);
         worker_->mem_.Release(ready->MemoryBytes());
         ExecuteIteration(std::move(ready));
       }
@@ -672,13 +688,15 @@ class Worker {
     std::vector<std::unique_ptr<TaskT>> split_scratch_;
 
     std::deque<std::unique_ptr<TaskT>> q_;  // Q_task: comper thread only
+    size_t q_weight_ = 0;                   // Q_task's roots: comper thread
     std::atomic<size_t> q_size_{0};         // mirror for cross-thread reads
     ConcurrentQueue<std::unique_ptr<TaskT>> b_task_;
     std::mutex t_mutex_;
     std::unordered_map<uint64_t, Pending> t_task_;
     std::atomic<size_t> t_size_{0};
+    size_t inflight_roots_ = 0;  // roots in T_task + B_task: comper thread
     uint64_t seq_ = 0;
-    bool spawn_flushed_ = false;
+    bool spawn_exhausted_ = false;
     std::atomic<int64_t> idle_rounds_{0};
     std::atomic<int64_t> rounds_{0};
     obs::Histogram* compute_us_ = nullptr;  // owned by worker_->metrics_
@@ -832,9 +850,9 @@ class Worker {
 
   /// True once every comper has found the spawn order exhausted and flushed.
   /// Exhaustion alone is not enough: a comper's last claimed batch is in no
-  /// queue and not yet live until its TaskSpawn calls (and SpawnFlush)
-  /// return, so an idle report in that window would let the master end the
-  /// job with work unspawned. The comm thread's own steal-spawns cannot
+  /// queue and not yet live until its TaskSpawn calls (and the bundle
+  /// close) return, so an idle report in that window would let the master
+  /// end the job with work unspawned. The comm thread's own steal-spawns cannot
   /// interleave with its progress reports, so they need no count.
   bool SpawnDone() const { return compers_spawning_.load() == 0; }
 
@@ -1169,9 +1187,8 @@ class Worker {
         std::lock_guard<std::mutex> lock(steal_mutex_);
         steal_runtime_->SetSink(&records);
         for (VertexId v : to_spawn) steal_comper_->TaskSpawn(local_.at(v));
-        // Close any partial bundle per donation batch so no spawned state
-        // is ever stranded in the steal comper.
-        steal_comper_->SpawnFlush();
+        // A bundling app donates the batch as one root-bundle task.
+        steal_runtime_->CloseRootBundle();
         steal_runtime_->SetSink(nullptr);
       }
     }

@@ -1,6 +1,7 @@
 // Deterministic mutation fuzzing of the decoders that read bytes from another
 // process or from disk: the TCP frame header, the progress report (with its
-// task ledger), the task batch and the checkpoint meta. Each starts from a
+// task ledger), the task batch, a spilled root-bundle task record and the
+// checkpoint meta. Each starts from a
 // valid encoding and is fed every single-bit flip, seeded multi-bit flips,
 // every truncation and inflated length fields. Every input must come back as
 // a Status (or a decode that re-encodes to exactly the input bytes): never a
@@ -15,10 +16,13 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.h"  // CheckpointMeta
 #include "core/protocol.h"
+#include "core/root_bundle.h"
+#include "core/task.h"
 #include "net/frame.h"
 #include "net/payload.h"
 
@@ -159,6 +163,67 @@ TEST(DecoderFuzz, CheckpointMeta) {
   };
   // Layout: u64 epoch | i32 workers | u64 clique size, ids | u8 flag.
   FuzzDecoder(decode, valid, {/*clique size=*/12}, /*seed=*/3);
+}
+
+using BundleTask = Task<AdjList, RootBundle>;
+
+/// A root-bundle task record as Q_task spills it: roots 3 and 5, with
+/// candidates {5, 7} and {7, 9}, deduplicated into pulls {3, 5, 7, 9}.
+std::string BundleTaskRecord() {
+  RootBundleBuilder builder;
+  builder.Add(3, {5, 7});
+  builder.Add(5, {7, 9});
+  Serializer ser;
+  builder.Close<BundleTask>()->Serialize(ser);
+  return ser.Release();
+}
+
+Status DecodeBundleTask(const std::string& bytes, std::string* out) {
+  BundleTask task;
+  Deserializer des(bytes);
+  GT_RETURN_IF_ERROR(task.Deserialize(des));
+  if (!des.AtEnd()) return Status::Corruption("trailing bytes");
+  Serializer ser;
+  task.Serialize(ser);
+  *out = ser.Release();
+  return Status::Ok();
+}
+
+// Layout: u32 iteration | u32 split depth | u64 n, n pull ids | u64 subgraph
+// size | u64 n, n ends | u64 n, n slots.
+constexpr size_t kPullsAt = 8;
+constexpr size_t kSubgraphAt = 32;
+constexpr size_t kEndsAt = 40;
+constexpr size_t kSlotsAt = 56;
+
+TEST(DecoderFuzz, SpilledRootBundleTask) {
+  const std::string valid = BundleTaskRecord();
+  ASSERT_EQ(valid.size(), kSlotsAt + 8 + 6 * sizeof(uint32_t));
+  FuzzDecoder(DecodeBundleTask, valid,
+              {kPullsAt, kSubgraphAt, kEndsAt, kSlotsAt}, /*seed=*/5);
+}
+
+TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
+  const std::string valid = BundleTaskRecord();
+  std::string out;
+  ASSERT_TRUE(DecodeBundleTask(valid, &out).ok());
+  auto with_u32 = [&valid](size_t at, uint32_t value) {
+    std::string m = valid;
+    std::memcpy(&m[at], &value, sizeof(value));
+    return m;
+  };
+  const size_t ends = kEndsAt + 8;
+  const size_t slots = kSlotsAt + 8;
+  for (const auto& [what, bytes] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"offsets not monotone", with_u32(ends, 6)},
+           {"empty root range", with_u32(ends, 0)},
+           {"offsets end short of the slots", with_u32(ends + 4, 5)},
+           {"slot outside the pull list", with_u32(slots + 8, 4)},
+           {"huge slot", with_u32(slots, 0xffffffffu)}}) {
+    const Status s = DecodeBundleTask(bytes, &out);
+    EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+  }
 }
 
 // The frame header decoder reads a fixed 24-byte window, and the receive

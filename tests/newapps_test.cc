@@ -1,5 +1,5 @@
-// Tests for the maximal-clique-enumeration app and the bundled-TC app
-// (the paper's future-work task-bundling optimization).
+// Tests for the maximal-clique-enumeration app and root-bundled TC (the
+// paper's future-work task-bundling optimization, done in the engine).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "apps/bundled_triangle_app.h"
 #include "apps/kernels.h"
 #include "apps/maximalclique_app.h"
 #include "apps/triangle_app.h"
@@ -105,47 +104,41 @@ TEST(MaximalClique, HandlesIsolatedVertices) {
   EXPECT_EQ(result.result, 5u);  // {0,1} plus four singletons
 }
 
-class BundleSizeTest : public ::testing::TestWithParam<size_t> {};
+/// Runs TriangleComper with spawn batches (and so root bundles) of C roots.
+RunResult<TriangleComper> RunTc(const Graph& g, JobConfig config) {
+  Job<TriangleComper> job;
+  job.config = config;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  return Cluster<TriangleComper>::Run(job);
+}
+
+class BundleSizeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BundleSizeTest, BundledTcMatchesUnbundled) {
   Graph g = Generator::PowerLaw(500, 6.0, 2.5, 102);
-  const uint64_t truth = CountTrianglesSerial(g);
-  Job<BundledTriangleComper> job;
-  job.config.num_workers = 3;
-  job.config.compers_per_worker = 2;
-  job.graph = &g;
-  const size_t bundle = GetParam();
-  job.comper_factory = [bundle] {
-    return std::make_unique<BundledTriangleComper>(bundle);
-  };
-  job.trimmer = TrimToGreater;
-  auto result = Cluster<BundledTriangleComper>::Run(job);
-  EXPECT_EQ(result.result, truth);
+  JobConfig config;
+  config.num_workers = 3;
+  config.compers_per_worker = 2;
+  config.task_batch_size = GetParam();
+  auto result = RunTc(g, config);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
 }
 
-// Bundle sizes chosen to not divide vertex counts, exercising SpawnFlush.
+// C = 1 is one root per task; the others do not divide the vertex counts,
+// so every comper closes a partial last bundle.
 INSTANTIATE_TEST_SUITE_P(Bundles, BundleSizeTest,
                          ::testing::Values(1, 3, 7, 16, 1000));
 
 TEST(BundledTc, FewerTasksThanUnbundled) {
   Graph g = Generator::PowerLaw(600, 6.0, 2.5, 103);
-  Job<BundledTriangleComper> bundled;
-  bundled.config.num_workers = 2;
-  bundled.config.compers_per_worker = 1;
-  bundled.graph = &g;
-  bundled.comper_factory = [] {
-    return std::make_unique<BundledTriangleComper>(8);
-  };
-  bundled.trimmer = TrimToGreater;
-  auto b = Cluster<BundledTriangleComper>::Run(bundled);
-
-  Job<TriangleComper> plain;
-  plain.config.num_workers = 2;
-  plain.config.compers_per_worker = 1;
-  plain.graph = &g;
-  plain.comper_factory = [] { return std::make_unique<TriangleComper>(); };
-  plain.trimmer = TrimToGreater;
-  auto p = Cluster<TriangleComper>::Run(plain);
+  JobConfig config;
+  config.num_workers = 2;
+  config.compers_per_worker = 1;
+  auto b = RunTc(g, config);  // default C
+  config.task_batch_size = 1;
+  auto p = RunTc(g, config);
 
   EXPECT_EQ(b.result, p.result);
   EXPECT_LT(b.stats.tasks_finished, p.stats.tasks_finished / 4);
@@ -153,36 +146,24 @@ TEST(BundledTc, FewerTasksThanUnbundled) {
 
 TEST(BundledTc, SurvivesSpillsAndTinyQueues) {
   Graph g = Generator::PowerLaw(500, 8.0, 2.4, 104);
-  const uint64_t truth = CountTrianglesSerial(g);
-  Job<BundledTriangleComper> job;
-  job.config.num_workers = 2;
-  job.config.compers_per_worker = 2;
-  job.config.task_batch_size = 4;  // force spill/refill of bundled tasks
-  job.config.inflight_task_cap = 32;
-  job.graph = &g;
-  job.comper_factory = [] {
-    return std::make_unique<BundledTriangleComper>(8);
-  };
-  job.trimmer = TrimToGreater;
-  auto result = Cluster<BundledTriangleComper>::Run(job);
-  EXPECT_EQ(result.result, truth);
+  JobConfig config;
+  config.num_workers = 2;
+  config.compers_per_worker = 2;
+  config.task_batch_size = 4;  // force spill/refill of bundled tasks
+  config.inflight_task_cap = 32;
+  auto result = RunTc(g, config);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
 }
 
 TEST(BundledTc, WorksWithStealingOnSkew) {
   Graph g = Generator::HubSkewed(400, 5, 100, 2.0, 105);
-  const uint64_t truth = CountTrianglesSerial(g);
-  Job<BundledTriangleComper> job;
-  job.config.num_workers = 4;
-  job.config.compers_per_worker = 1;
-  job.config.enable_stealing = true;
-  job.config.task_batch_size = 8;
-  job.graph = &g;
-  job.comper_factory = [] {
-    return std::make_unique<BundledTriangleComper>(4);
-  };
-  job.trimmer = TrimToGreater;
-  auto result = Cluster<BundledTriangleComper>::Run(job);
-  EXPECT_EQ(result.result, truth);
+  JobConfig config;
+  config.num_workers = 4;
+  config.compers_per_worker = 1;
+  config.enable_stealing = true;
+  config.task_batch_size = 4;
+  auto result = RunTc(g, config);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Deep framework-semantics tests using purpose-built test compers: frontier
 // ordering, duplicate pulls, multi-iteration tasks, deep decomposition, and
-// spawn-flush behavior.
+// root bundling.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/cluster.h"
@@ -252,42 +255,86 @@ TEST(WorkerBehavior, SpillAsyncAblationIsEquivalent) {
   }
 }
 
-/// Emits one task per SpawnFlush only (TaskSpawn just counts), verifying the
-/// flush hook runs exactly once per comper.
-class FlushOnlyComper : public Comper<Task<AdjList, uint32_t>, uint64_t> {
+/// Bundles every local vertex as a root and records each bundle's roots
+/// (in-process runs only: the record is process-global). Roots whose vertex
+/// has neighbors nap in Compute, so the worker owning them stays busy long
+/// enough for the others to steal its unspawned roots.
+class RecordBundlesComper : public Comper<Task<AdjList, RootBundle>, uint64_t> {
  public:
-  void TaskSpawn(const VertexT&) override { ++seen_; }
+  static std::mutex mu;
+  static std::vector<std::vector<VertexId>> bundles;
 
-  void SpawnFlush() override {
-    auto task = std::make_unique<TaskT>();
-    task->context() = seen_;
-    AddTask(std::move(task));
-  }
+  void TaskSpawn(const VertexT& v) override { AddRoot(v.id, v.value); }
 
-  bool Compute(TaskT* task, const Frontier&) override {
-    Aggregate(task->context());
+  bool Compute(TaskT* task, const Frontier& frontier) override {
+    std::vector<VertexId> roots;
+    uint64_t edges = 0;
+    ForEachRoot(task->context(), frontier,
+                [&](const VertexT& root, const Frontier& candidates) {
+                  roots.push_back(root.id);
+                  EXPECT_EQ(candidates.size(), root.value.size());
+                  for (size_t i = 0; i < candidates.size(); ++i) {
+                    EXPECT_EQ(candidates[i]->id, root.value[i]);
+                  }
+                  edges += root.value.size();
+                });
+    if (edges > 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard<std::mutex> lock(mu);
+    bundles.push_back(std::move(roots));
     return false;
   }
 
   static AggT AggZero() { return 0; }
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
-
- private:
-  uint32_t seen_ = 0;
 };
 
-TEST(WorkerBehavior, SpawnFlushSeesEveryVertexExactlyOnce) {
-  Graph g(500);
+std::mutex RecordBundlesComper::mu;
+std::vector<std::vector<VertexId>> RecordBundlesComper::bundles;
+
+TEST(WorkerBehavior, RootBundlesCoverEveryVertexOncePerSpawnBatch) {
+  // Only multiples of 3 have edges, so worker 0 of 3 owns all the napping
+  // roots and the idle workers steal spawn batches from it.
+  constexpr int kWorkers = 3;
+  constexpr int kBatch = 4;
+  const Graph base = Generator::ErdosRenyi(600, 2400, 406);
+  Graph g(kWorkers * base.NumVertices());
+  for (VertexId u = 0; u < base.NumVertices(); ++u) {
+    for (VertexId v : base.GreaterNeighbors(u)) g.AddEdge(3 * u, 3 * v);
+  }
   g.Finalize();
-  Job<FlushOnlyComper> job;
-  job.config.num_workers = 2;
-  job.config.compers_per_worker = 3;
-  job.config.enable_stealing = false;
+  RecordBundlesComper::bundles.clear();
+  Job<RecordBundlesComper> job;
+  job.config.num_workers = kWorkers;
+  job.config.compers_per_worker = 2;
+  job.config.enable_stealing = true;
+  job.config.task_batch_size = kBatch;
+  job.config.progress_interval_us = 500;  // plan steals early and often
+  job.config.layout.reorder = false;  // keep roots in input IDs
   job.graph = &g;
-  job.comper_factory = [] { return std::make_unique<FlushOnlyComper>(); };
-  auto result = Cluster<FlushOnlyComper>::Run(job);
-  // Flush tasks carry per-comper counts; their sum is all 500 vertices.
-  EXPECT_EQ(result.result, 500u);
+  job.comper_factory = [] { return std::make_unique<RecordBundlesComper>(); };
+  auto result = Cluster<RecordBundlesComper>::Run(job);
+  ASSERT_GT(result.stats.stolen_batches, 0);
+  EXPECT_EQ(result.stats.ledger.disk_donated, 0);  // donations were spawns
+
+  // A spawn batch is C consecutive roots of one worker's sorted vertices:
+  // with v % kWorkers owning v, root v sits at v / kWorkers in that order.
+  std::vector<int> seen(g.NumVertices(), 0);
+  for (const std::vector<VertexId>& roots : RecordBundlesComper::bundles) {
+    ASSERT_FALSE(roots.empty());
+    EXPECT_LE(roots.size(), static_cast<size_t>(kBatch));
+    const VertexId first = roots.front();
+    for (VertexId v : roots) {
+      ++seen[v];
+      EXPECT_EQ(v % kWorkers, first % kWorkers) << "bundle spans workers";
+      EXPECT_EQ(v / kWorkers / kBatch, first / kWorkers / kBatch)
+          << "bundle spans two spawn batches";
+    }
+  }
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    EXPECT_EQ(seen[v], 1) << "vertex " << v;
+  }
+  EXPECT_EQ(result.stats.tasks_spawned,
+            static_cast<int64_t>(RecordBundlesComper::bundles.size()));
 }
 
 }  // namespace
