@@ -96,7 +96,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
   PullResult result;
 
   std::thread responder([&] {
-    ResponseCache<VertexT> cache(pooled ? (4 << 20) : 0, enc);
+    ResponseCache<VertexT> cache(pooled ? kResponseCacheBytes : 0, enc);
     Serializer ser;
     std::vector<VertexId> ids;
     for (int r = 0; r < rounds; ++r) {
@@ -277,7 +277,7 @@ DedupResult RunDedupNaive(int demands, int64_t max_ids) {
 DedupResult RunDedupCoalesced(int demands, int64_t max_ids) {
   DedupResult out;
   DemandStream stream;
-  PullCoalescer coalescer(2, max_ids, /*flush_bytes=*/1 << 20);
+  PullCoalescer coalescer(2, max_ids);
   std::vector<VertexId> batch;
   auto send = [&] {
     out.request_bytes += static_cast<int64_t>(EncodeVertexRequest(batch).size());

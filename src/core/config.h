@@ -36,17 +36,9 @@ struct CommConfig {
   /// Parsed hostfile (or set programmatically); size must equal num_workers.
   std::vector<std::string> hosts;
 
-  /// Vertex IDs per request batch appended to the sending module.
+  /// Vertex IDs per request batch appended to the sending module: the pull
+  /// coalescer flushes a destination at this many open IDs.
   int request_batch_size = 256;
-  /// Byte budget per open request batch: the pull coalescer flushes a
-  /// destination when its encoded kVertexRequest (u64 count + 4 bytes/ID)
-  /// reaches this, even below request_batch_size — keeps request payloads
-  /// inside one pooled slab class and bounds latency under wide fan-out.
-  int64_t request_flush_bytes = 2048;
-  /// Byte cap for the responder-side Γ-sharing cache (memoized serialized
-  /// vertex records; core/response_cache.h). 0 disables memoization; on
-  /// overflow the cache resets wholesale and rebuilds from the hot set.
-  int64_t response_cache_bytes = 4 << 20;
   /// Receive-wait slice while request batches are open (the comm thread
   /// otherwise waits event-driven up to the progress cadence).
   int64_t poll_us = 200;
@@ -248,13 +240,6 @@ struct JobConfig {
     }
     if (comm.request_batch_size <= 0) {
       return Status::InvalidArgument("request_batch_size must be positive");
-    }
-    if (comm.request_flush_bytes < 16) {
-      // Must fit at least the u64 count header plus one VertexId.
-      return Status::InvalidArgument("request_flush_bytes must be >= 16");
-    }
-    if (comm.response_cache_bytes < 0) {
-      return Status::InvalidArgument("response_cache_bytes must be >= 0");
     }
     if (comm.poll_us <= 0) {
       return Status::InvalidArgument("comm poll_us must be positive");

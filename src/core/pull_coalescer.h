@@ -14,7 +14,7 @@ namespace gthinker {
 /// Per-destination vertex-pull batching with in-window deduplication.
 ///
 /// Paper §V-C batches pull requests per destination worker to amortize the
-/// per-message cost; this refines that with two changes on the send side:
+/// per-message cost; this refines that with two rules on the send side:
 ///
 ///   1. Dedup: many concurrent tasks on one worker often want the same hot
 ///      vertex (a high-degree hub reached through different seeds). While an
@@ -22,21 +22,19 @@ namespace gthinker {
 ///      re-adds are dropped — the single eventual kVertexResponse record
 ///      satisfies every waiting task through the VertexCache's R-table,
 ///      which already keeps one waiter list per requested vertex.
-///   2. Byte-budget flush: a batch flushes when it reaches `max_ids` OR when
-///      its encoded size (u64 count header + 4 bytes per VertexId) reaches
-///      `flush_bytes`, so request batches stay inside one pooled slab class
-///      and latency stays bounded under very wide fan-out.
+///   2. Flush: a destination's batch is sent when it reaches `max_ids`
+///      (comm.request_batch_size) IDs, or on the comm thread's next Flush()
+///      (its receive wait shrinks to comm.poll_us while IDs are open), so a
+///      partial batch waits at most one poll slice.
 ///
 /// Thread model: compers call Add() concurrently; the comm thread calls
-/// Flush()/FlushAll() on idle ticks. Each destination has its own mutex, so
-/// pulls to different workers never contend.
+/// Flush() for every destination after each receive wait. Each destination
+/// has its own mutex, so pulls to different workers never contend.
 class PullCoalescer {
  public:
-  /// `max_ids` / `flush_bytes`: flush thresholds (either triggers).
-  PullCoalescer(int num_workers, int64_t max_ids, int64_t flush_bytes)
-      : buffers_(num_workers),
-        max_ids_(max_ids < 1 ? 1 : max_ids),
-        flush_bytes_(flush_bytes < 16 ? 16 : flush_bytes) {}
+  /// `max_ids`: open IDs per destination that trigger a flush.
+  PullCoalescer(int num_workers, int64_t max_ids)
+      : buffers_(num_workers), max_ids_(max_ids < 1 ? 1 : max_ids) {}
 
   /// Queues `id` for destination `dst`. Returns true and fills *batch when
   /// the add tripped a flush threshold (the caller sends the batch);
@@ -51,8 +49,7 @@ class PullCoalescer {
     }
     buf.ids.push_back(id);
     open_ids_.fetch_add(1, std::memory_order_relaxed);
-    if (static_cast<int64_t>(buf.ids.size()) >= max_ids_ ||
-        EncodedBytes(buf.ids.size()) >= flush_bytes_) {
+    if (static_cast<int64_t>(buf.ids.size()) >= max_ids_) {
       TakeLocked(buf, batch);
       return true;
     }
@@ -82,12 +79,6 @@ class PullCoalescer {
     return open_ids_.load(std::memory_order_relaxed) > 0;
   }
 
-  /// Encoded size of a request batch (EncodeVertexRequest framing).
-  static int64_t EncodedBytes(size_t num_ids) {
-    return static_cast<int64_t>(sizeof(uint64_t) +
-                                num_ids * sizeof(VertexId));
-  }
-
  private:
   struct Buffer {
     std::mutex mutex;
@@ -105,7 +96,6 @@ class PullCoalescer {
 
   std::vector<Buffer> buffers_;
   const int64_t max_ids_;
-  const int64_t flush_bytes_;
   std::atomic<int64_t> deduped_{0};
   std::atomic<int64_t> open_ids_{0};  // IDs across all open windows
 };

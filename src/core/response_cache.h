@@ -14,6 +14,9 @@
 
 namespace gthinker {
 
+/// A worker's ResponseCache byte cap.
+inline constexpr int64_t kResponseCacheBytes = 4 << 20;
+
 /// Responder-side Γ-sharing: memoizes a local vertex's serialized
 /// kVertexResponse record as a single-fragment pooled Payload, so a hot
 /// vertex (requested by many workers, or repeatedly after cache eviction)
@@ -29,11 +32,12 @@ namespace gthinker {
 /// copies it hands out are safe to ship cross-thread — fragment refcounts
 /// are atomic.
 ///
-/// `byte_limit` caps the memoized bytes; on overflow the whole table is
-/// dropped (resets()++) and memoization restarts — trivially correct, and a
-/// full reset is fine because the working set under a mining workload is a
-/// small hot core. A limit of 0 disables memoization (records are still
-/// built through here, just not retained).
+/// `byte_limit` caps the memoized bytes (a worker passes
+/// kResponseCacheBytes); on overflow the whole table is dropped (resets()++)
+/// and memoization restarts — trivially correct, and a full reset is fine
+/// because the working set under a mining workload is a small hot core. A
+/// limit of 0 disables memoization (records are still built through here,
+/// just not retained).
 template <typename VertexT>
 class ResponseCache {
  public:

@@ -58,13 +58,22 @@ inline void PutVarint64(Serializer& ser, uint64_t v) {
   ser.Write<uint8_t>(static_cast<uint8_t>(v));
 }
 
+/// Accepts only the canonical form PutVarint64 writes, so every decoded
+/// value has exactly one encoding: no trailing zero group, and nothing past
+/// bit 63.
 inline Status GetVarint64(Deserializer& des, uint64_t* out) {
   uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     uint8_t b = 0;
     GT_RETURN_IF_ERROR(des.Read(&b));
+    if (shift == 63 && b > 1) {
+      return Status::Corruption("varint: continuation past 64 bits");
+    }
     v |= static_cast<uint64_t>(b & 0x7F) << shift;
     if ((b & 0x80) == 0) {
+      if (b == 0 && shift > 0) {
+        return Status::Corruption("varint: overlong encoding");
+      }
       *out = v;
       return Status::Ok();
     }
@@ -83,6 +92,18 @@ inline int64_t ZigZagDecode(uint64_t v) {
 }
 
 // ---- group encoding for ID lists ----
+
+/// The ID `prev` + ZigZagDecode(`zigzag`), or Corruption when it falls
+/// outside [0, kInvalidVertex]; checked before the add, which could
+/// otherwise overflow on a hostile delta.
+inline Status ApplyIdDelta(int64_t prev, uint64_t zigzag, int64_t* id) {
+  const int64_t delta = ZigZagDecode(zigzag);
+  if (delta < -prev || delta > static_cast<int64_t>(kInvalidVertex) - prev) {
+    return Status::Corruption("id delta outside VertexId range");
+  }
+  *id = prev + delta;
+  return Status::Ok();
+}
 
 /// varint count, then one zigzag-varint delta per ID (first delta is against
 /// 0). Sorted duplicate-free lists — the AdjList invariant — produce strictly
@@ -110,11 +131,9 @@ inline Status DecodeIdListDelta(Deserializer& des, std::vector<VertexId>* out) {
   int64_t prev = 0;
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t z = 0;
+    int64_t id = 0;
     GT_RETURN_IF_ERROR(GetVarint64(des, &z));
-    const int64_t id = prev + ZigZagDecode(z);
-    if (id < 0 || id > static_cast<int64_t>(kInvalidVertex)) {
-      return Status::Corruption("id list: delta outside VertexId range");
-    }
+    GT_RETURN_IF_ERROR(ApplyIdDelta(prev, z, &id));
     out->push_back(static_cast<VertexId>(id));
     prev = id;
   }
@@ -195,12 +214,12 @@ struct WireCodec<Vertex<LabeledAdj>> {
     int64_t prev = 0;
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t z = 0, label = 0;
+      int64_t id = 0;
       GT_RETURN_IF_ERROR(GetVarint64(des, &z));
       GT_RETURN_IF_ERROR(GetVarint64(des, &label));
-      const int64_t id = prev + ZigZagDecode(z);
-      if (id < 0 || id > static_cast<int64_t>(kInvalidVertex) ||
-          label > std::numeric_limits<Label>::max()) {
-        return Status::Corruption("labeled adj: value out of range");
+      GT_RETURN_IF_ERROR(ApplyIdDelta(prev, z, &id));
+      if (label > std::numeric_limits<Label>::max()) {
+        return Status::Corruption("labeled adj: label out of range");
       }
       v->value.adj.push_back(LabeledNbr{static_cast<VertexId>(id),
                                         static_cast<Label>(label)});

@@ -66,10 +66,8 @@ class Worker {
         cache_(config.cache_num_buckets, config.cache_capacity,
                config.cache_overflow_alpha, config.cache_counter_delta,
                &mem_, config.cache_use_z_table),
-        coalescer_(config.num_workers, config.comm.request_batch_size,
-                   config.comm.request_flush_bytes),
-        resp_cache_(config.comm.response_cache_bytes,
-                    config.comm.wire_encoding),
+        coalescer_(config.num_workers, config.comm.request_batch_size),
+        resp_cache_(kResponseCacheBytes, config.comm.wire_encoding),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
@@ -860,7 +858,7 @@ class Worker {
   /// per destination to combat round-trip time). The coalescer additionally
   /// drops IDs already in flight within the open window — safe because the
   /// VertexCache's R-table fans one response record out to every waiting
-  /// task — and flushes on a byte budget as well as the count threshold.
+  /// task — and flushes a destination at comm.request_batch_size IDs.
   void EnqueueVertexRequest(VertexId v) {
     const int dst = OwnerOf(v, config_.num_workers);
     GT_CHECK_NE(dst, id_) << "local vertex routed to the cache";

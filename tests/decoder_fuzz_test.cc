@@ -1,10 +1,11 @@
 // Deterministic mutation fuzzing of the decoders that read bytes from another
 // process or from disk: the TCP frame header, the progress report (with its
-// task ledger), the task batch, a spilled root-bundle task record and the
-// checkpoint meta. Each starts from a
-// valid encoding and is fed every single-bit flip, seeded multi-bit flips,
-// every truncation and inflated length fields. Every input must come back as
-// a Status (or a decode that re-encodes to exactly the input bytes): never a
+// task ledger), the task batch, the pull path's vertex request and response
+// records (plain and labeled adjacency, in both wire encodings), a spilled
+// root-bundle task record and the checkpoint meta. Each starts from a valid
+// encoding and is fed every single-bit flip, seeded multi-bit flips, every
+// truncation and inflated length fields. Every input must come back as a
+// Status (or a decode that re-encodes to exactly the input bytes): never a
 // crash, an over-read or an implausible allocation. The ASan and UBSan CI
 // lanes run this binary like every other test.
 
@@ -23,6 +24,8 @@
 #include "core/protocol.h"
 #include "core/root_bundle.h"
 #include "core/task.h"
+#include "core/vertex.h"
+#include "core/wire_codec.h"
 #include "net/frame.h"
 #include "net/payload.h"
 
@@ -146,6 +149,72 @@ TEST(DecoderFuzz, TaskBatch) {
   const size_t third_len_at = first_len_at + 8 + 5 + 8;
   FuzzDecoder(decode, valid, {count_at, first_len_at, third_len_at},
               /*seed=*/2);
+}
+
+TEST(DecoderFuzz, VertexRequest) {
+  const std::string valid = EncodeVertexRequest({3, 17, 4096, 9}).ToString();
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    std::vector<VertexId> ids;
+    GT_RETURN_IF_ERROR(DecodeVertexRequest(Payload(bytes), &ids));
+    *out = EncodeVertexRequest(ids).ToString();
+    return Status::Ok();
+  };
+  // Layout: u64 count | VertexId[count].
+  FuzzDecoder(decode, valid, {/*count=*/0}, /*seed=*/6);
+}
+
+/// One kVertexResponse record, decoded the way the requester's
+/// VertexCache::InsertResponseSpan decodes it (WireCodec<VertexT> in the
+/// job's comm.wire_encoding). Records sit back to back in a response, so an
+/// exact decode consumes every byte.
+template <typename VertexT>
+DecodeFn ResponseRecordDecoder(WireEncoding enc) {
+  return [enc](const std::string& bytes, std::string* out) {
+    VertexT v;
+    Deserializer des(bytes);
+    GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(enc, des, &v));
+    if (!des.AtEnd()) return Status::Corruption("trailing bytes");
+    Serializer ser;
+    WireCodec<VertexT>::Encode(enc, ser, v);
+    *out = ser.Release();
+    return Status::Ok();
+  };
+}
+
+template <typename VertexT>
+std::string EncodeResponseRecord(WireEncoding enc, const VertexT& v) {
+  Serializer ser;
+  WireCodec<VertexT>::Encode(enc, ser, v);
+  return ser.Release();
+}
+
+// The varint forms carry their counts as varints, so they have no u64
+// length field to inflate; IdListDelta.RejectsCountPastEnd covers that.
+TEST(DecoderFuzz, AdjVertexResponseRecord) {
+  Vertex<AdjList> v;
+  v.id = 42;
+  v.value = {43, 57, 1000, 65536, 4'000'000'000u};
+  // Raw layout: u32 id | u64 count | VertexId[count].
+  FuzzDecoder(ResponseRecordDecoder<Vertex<AdjList>>(WireEncoding::kRaw),
+              EncodeResponseRecord(WireEncoding::kRaw, v), {/*count=*/4},
+              /*seed=*/7);
+  FuzzDecoder(ResponseRecordDecoder<Vertex<AdjList>>(WireEncoding::kVarint),
+              EncodeResponseRecord(WireEncoding::kVarint, v), {},
+              /*seed=*/8);
+}
+
+TEST(DecoderFuzz, LabeledVertexResponseRecord) {
+  Vertex<LabeledAdj> v;
+  v.id = 11;
+  v.value.label = 3;
+  v.value.adj = {{12, 1}, {40, 0}, {99, 300}, {4'000'000'000u, 7}};
+  // Raw layout: u32 id | u16 label | u64 count | LabeledNbr[count].
+  FuzzDecoder(ResponseRecordDecoder<Vertex<LabeledAdj>>(WireEncoding::kRaw),
+              EncodeResponseRecord(WireEncoding::kRaw, v), {/*count=*/6},
+              /*seed=*/9);
+  FuzzDecoder(
+      ResponseRecordDecoder<Vertex<LabeledAdj>>(WireEncoding::kVarint),
+      EncodeResponseRecord(WireEncoding::kVarint, v), {}, /*seed=*/10);
 }
 
 TEST(DecoderFuzz, CheckpointMeta) {

@@ -1,8 +1,6 @@
-// Compact wire codec (core/wire_codec.h) and the frame checksum
-// (net/frame.h): varint/zigzag/delta primitives, WireCodec round trips and
-// raw/varint equivalence, the CRC-32C check value, hardware-vs-software
-// CRC-32C and fragment chaining, and an end-to-end job proving
-// comm.wire_encoding=varint is result-identical to raw.
+// Compact wire codec (core/wire_codec.h): varint/zigzag/delta primitives,
+// WireCodec round trips and raw/varint equivalence, and an end-to-end job
+// proving comm.wire_encoding=varint is result-identical to raw.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +19,6 @@
 #include "core/vertex.h"
 #include "core/wire_codec.h"
 #include "graph/generator.h"
-#include "net/frame.h"
 #include "util/serializer.h"
 
 namespace gthinker {
@@ -66,6 +63,25 @@ TEST(Varint, RejectsContinuationPast64Bits) {
   Deserializer des(overlong.data(), overlong.size());
   uint64_t v = 0;
   EXPECT_FALSE(GetVarint64(des, &v).ok());
+}
+
+TEST(Varint, RejectsOverlongEncodings) {
+  // 0 padded with a continuation group, and a 64-bit value whose tenth byte
+  // carries bits past bit 63: both would decode, but PutVarint64 never
+  // writes them, so accepting them would give one value two encodings.
+  for (const std::string& bad :
+       {std::string("\x80\x00", 2),
+        std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x03", 10)}) {
+    Deserializer des(bad.data(), bad.size());
+    uint64_t v = 0;
+    EXPECT_TRUE(GetVarint64(des, &v).IsCorruption());
+  }
+  Serializer ser;
+  PutVarint64(ser, std::numeric_limits<uint64_t>::max());
+  Deserializer des(ser.data(), ser.size());
+  uint64_t v = 0;
+  ASSERT_TRUE(GetVarint64(des, &v).ok());
+  EXPECT_EQ(v, std::numeric_limits<uint64_t>::max());
 }
 
 TEST(Varint, RejectsTruncation) {
@@ -140,6 +156,18 @@ TEST(IdListDelta, RejectsDeltaOutsideVertexIdRange) {
   EXPECT_FALSE(DecodeIdListDelta(des, &got).ok());
 }
 
+TEST(IdListDelta, RejectsDeltaThatWouldOverflow) {
+  // A hostile delta near INT64_MAX after a positive ID: the range check
+  // must reject it before prev + delta overflows.
+  Serializer ser;
+  PutVarint64(ser, 2);
+  PutVarint64(ser, ZigZagEncode(5));
+  PutVarint64(ser, ZigZagEncode(std::numeric_limits<int64_t>::max()));
+  Deserializer des(ser.data(), ser.size());
+  std::vector<VertexId> got;
+  EXPECT_TRUE(DecodeIdListDelta(des, &got).IsCorruption());
+}
+
 // ---------------------------------------------------------------------------
 // WireCodec round trips and cross-encoding equality
 // ---------------------------------------------------------------------------
@@ -205,52 +233,6 @@ TEST(WireCodecTest, LabeledVertexRoundTripsInBothEncodings) {
         EXPECT_EQ(got.value.adj[i].label, v.value.adj[i].label);
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32C, the frame checksum: the check value, the hardware path against
-// its software fallback, and chaining over fragments against one flat pass.
-// ---------------------------------------------------------------------------
-
-TEST(Crc, KnownAnswerVectors) {
-  // The classic check value: CRC-32C("123456789").
-  const char* s = "123456789";
-  EXPECT_EQ(net::Crc32CSoftware(s, 9), 0xE3069283u);
-  EXPECT_EQ(net::Crc32C(s, 9), 0xE3069283u);
-}
-
-TEST(Crc, HardwareCrc32CMatchesSoftware) {
-  if (!net::HasHardwareCrc32C()) {
-    GTEST_SKIP() << "no SSE4.2 on this machine";
-  }
-  std::mt19937 rng(17);
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t len = rng() % 512;
-    std::string data(len, '\0');
-    for (auto& c : data) c = static_cast<char>(rng());
-    EXPECT_EQ(net::Crc32C(data.data(), data.size()),
-              net::Crc32CSoftware(data.data(), data.size()))
-        << "len=" << len;
-  }
-}
-
-TEST(Crc, ChainingOverFragmentsMatchesFlatPass) {
-  std::mt19937 rng(5150);
-  std::string data(4096, '\0');
-  for (auto& c : data) c = static_cast<char>(rng());
-  for (int trial = 0; trial < 50; ++trial) {
-    // Split into random fragments and chain — the exact shape of the
-    // scatter-gather send path computing a frame CRC over a Payload chain.
-    uint32_t c32c = 0;
-    size_t off = 0;
-    while (off < data.size()) {
-      const size_t chunk = std::min<size_t>(1 + rng() % 700,
-                                            data.size() - off);
-      c32c = net::Crc32C(data.data() + off, chunk, c32c);
-      off += chunk;
-    }
-    EXPECT_EQ(c32c, net::Crc32C(data.data(), data.size()));
   }
 }
 
