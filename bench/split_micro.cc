@@ -1,4 +1,5 @@
-// Straggler microbenchmark for big-task decomposition (Task::Split).
+// Straggler microbenchmark for big-task decomposition: KCliqueComper with a
+// compute budget adds its range children with AddTask.
 //
 // Hub-skewed workload: a handful of hub vertices at the lowest IDs are each
 // adjacent to the whole of a shared dense pool, so under the Γ_> orientation
@@ -10,7 +11,8 @@
 // member, so that is where the skew lands.
 //
 // Rows compare the same job, in ID order (layout.reorder off), with
-// splitting off (the default) vs armed (a per-iteration compute budget). The headline metric
+// splitting off (budget 0, the default) vs armed (a per-Compute budget of
+// 5 ms passed to KCliqueComper's constructor). The headline metric
 // is the p99 of per-iteration compute latency (comper.compute_iter_us
 // merged across all workers/compers): the budget slices each straggler into
 // ~budget-sized range children, so the p99 collapses from "whole straggler"
@@ -84,21 +86,14 @@ obs::HistogramSnapshot MergedComputeHist(const JobStats& stats) {
   return merged;
 }
 
-int64_t SumCounter(const JobStats& stats, const std::string& name) {
-  int64_t total = 0;
-  for (const auto& snap : stats.metrics) {
-    for (const auto& [n, v] : snap.counters) {
-      if (n == name) total += v;
-    }
-  }
-  return total;
-}
-
-RunOutcome RunKClique(const Graph& graph, JobConfig config) {
+RunOutcome RunKClique(const Graph& graph, const JobConfig& config,
+                      int64_t budget_us) {
   Job<KCliqueComper> job;
   job.config = config;
   job.graph = &graph;
-  job.comper_factory = [] { return std::make_unique<KCliqueComper>(kCliqueK); };
+  job.comper_factory = [budget_us] {
+    return std::make_unique<KCliqueComper>(kCliqueK, budget_us);
+  };
   job.trimmer = TrimToGreater;
   auto result = Cluster<KCliqueComper>::Run(job);
   RunOutcome out;
@@ -115,34 +110,32 @@ RunOutcome RunKClique(const Graph& graph, JobConfig config) {
 int Main(int argc, char** argv) {
   const Graph graph = MakeHubSkewGraph(/*seed=*/20260807);
 
-  // Split-off is the default config (the compute budget defaults to 0) in
-  // the paper's ID order: the hub-last layout would renumber the hubs to the
-  // highest IDs and dissolve the stragglers this bench is about.
-  JobConfig off = DefaultConfig();
-  off.layout.reorder = false;
-
-  JobConfig on = off;
-  on.task_time_budget_us = 5000;  // cap any one Compute call at ~5 ms
+  // Both rows run the default config in the paper's ID order: the hub-last
+  // layout would renumber the hubs to the highest IDs and dissolve the
+  // stragglers this bench is about.
+  JobConfig config = DefaultConfig();
+  config.layout.reorder = false;
 
   BenchJson doc;
   doc.bench = "split_micro";
-  doc.EchoConfig(on);
+  doc.EchoConfig(config);
 
   struct Variant {
     const char* label;
-    JobConfig config;
+    int64_t budget_us;
   };
-  const Variant variants[] = {{"split-off", off}, {"split-on", on}};
+  // split-on caps any one Compute call at ~5 ms.
+  const Variant variants[] = {{"split-off", 0}, {"split-on", 5000}};
 
   std::printf("split_micro: hub-skew straggler decomposition (%d-clique)\n",
               kCliqueK);
   std::printf("%-10s %10s %12s %12s %12s %8s %12s\n", "config", "elapsed",
-              "p50(us)", "p99(us)", "max(us)", "splits", "cliques");
+              "p50(us)", "p99(us)", "max(us)", "tasks", "cliques");
 
   double p99[2] = {0, 0};
   uint64_t values[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
-    const RunOutcome o = RunKClique(graph, variants[i].config);
+    const RunOutcome o = RunKClique(graph, config, variants[i].budget_us);
     const obs::HistogramSnapshot hist = MergedComputeHist(o.stats);
     p99[i] = hist.Percentile(0.99);
     values[i] = o.value;
@@ -152,10 +145,6 @@ int Main(int argc, char** argv) {
     row->numbers["compute_p50_us"] = hist.Percentile(0.50);
     row->numbers["compute_p99_us"] = p99[i];
     row->numbers["compute_max_us"] = static_cast<double>(hist.max);
-    row->numbers["split_count"] =
-        static_cast<double>(SumCounter(o.stats, "split.count"));
-    row->numbers["split_children"] =
-        static_cast<double>(SumCounter(o.stats, "split.children"));
     row->numbers["tasks_spawned"] =
         static_cast<double>(o.stats.ledger.spawned);
     row->numbers["tasks_finished"] =
@@ -164,7 +153,7 @@ int Main(int argc, char** argv) {
     std::printf("%-10s %9.2fs %12.1f %12.1f %12lld %8lld %12llu\n",
                 variants[i].label, o.elapsed_s, hist.Percentile(0.50), p99[i],
                 static_cast<long long>(hist.max),
-                static_cast<long long>(SumCounter(o.stats, "split.count")),
+                static_cast<long long>(o.stats.ledger.spawned),
                 static_cast<unsigned long long>(o.value));
   }
 

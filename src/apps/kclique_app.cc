@@ -1,6 +1,7 @@
 #include "apps/kclique_app.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "util/logging.h"
@@ -23,6 +24,7 @@ void KCliqueComper::TaskSpawn(const VertexT& v) {
 }
 
 bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
+  const std::function<bool()> over_budget = budget_.Start();
   // Merge the pulled Γ_> lists; CompactFromSubgraph drops adjacency entries
   // pointing outside {root} ∪ Γ_>(root), which is exactly the ext-trimming
   // the old throwaway-subgraph construction did by hand. Pulls arrive in
@@ -45,27 +47,20 @@ bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   GT_CHECK_EQ(cg.ids[0], ctx.root);
   const uint64_t candidates = LargerIdNeighbors(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
-  // IterationBudgetExceeded() is false when task_time_budget_us is 0, so
-  // the unbudgeted job counts the whole range in one call.
+  // Unbudgeted, the kernel counts the whole range in one call.
   uint64_t next = end;
   const uint64_t count = CountCliquesFromRootRange(
-      cg, /*root=*/0, k_, ctx.begin, end,
-      [this] { return IterationBudgetExceeded(); }, &next);
+      cg, /*root=*/0, k_, ctx.begin, end, over_budget, &next);
   if (count > 0) Aggregate(count);
   if (next < end) {
     // Budget overrun: bank the partial count, narrow to the unprocessed
-    // suffix and ask the engine to split it across new tasks.
+    // suffix and hand its later shards to new tasks.
     ctx.begin = next;
     ctx.end = end;
-    RequestSplit();
+    for (auto& child : SplitByCandidateRange(task)) AddTask(std::move(child));
     return true;
   }
   return false;
-}
-
-bool KCliqueComper::Split(TaskT* task,
-                          std::vector<std::unique_ptr<TaskT>>* children) {
-  return SplitByCandidateRange(task, children);
 }
 
 }  // namespace gthinker

@@ -2,8 +2,6 @@
 #define GTHINKER_APPS_KCLIQUE_APP_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "apps/kernels.h"
 #include "apps/split_context.h"
@@ -24,24 +22,25 @@ using KCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 /// Pair with the Γ_> trimmer (TrimToGreater): pulled adjacency lists then
 /// carry only larger-ID neighbors, which is all the recursion reads.
 ///
-/// Decomposable (Split): the context's candidate range covers
-/// Γ_>(v) ascending; top-level branches are partitioned by the smallest
-/// non-root member, so shard counts sum bit-identically to the unsplit
-/// count.
+/// Decomposable: the context's candidate range covers Γ_>(v) ascending;
+/// top-level branches are partitioned by the smallest non-root member, so
+/// shard counts sum bit-identically to the unsplit count. A Compute() call
+/// that overruns `budget_us` (0 = never) adds the rest of its range as
+/// children (apps/split_context.h).
 class KCliqueComper : public Comper<KCliqueTask, uint64_t> {
  public:
-  explicit KCliqueComper(int k) : k_(k) {}
+  explicit KCliqueComper(int k, int64_t budget_us = 0)
+      : k_(k), budget_(budget_us) {}
 
   void TaskSpawn(const VertexT& v) override;
   bool Compute(TaskT* task, const Frontier& frontier) override;
-  bool Split(TaskT* task,
-             std::vector<std::unique_ptr<TaskT>>* children) override;
 
   static AggT AggZero() { return 0; }
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
 
  private:
   const int k_;
+  ComputeBudget budget_;
 };
 
 }  // namespace gthinker

@@ -2,8 +2,6 @@
 #define GTHINKER_APPS_MAXIMALCLIQUE_APP_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "apps/kernels.h"
 #include "apps/split_context.h"
@@ -22,19 +20,23 @@ using MaximalCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 /// sets (apps/kernels.h dense/sparse switch); the count is identical either
 /// way.
 ///
-/// Decomposable (Split): a task's context carries the range of top-level
-/// candidates (v's larger-ID neighbors, ascending) it owns, so an
-/// over-budget task splits into children whose counts sum, bit-identically,
-/// to the unsplit count.
+/// Decomposable: a task's context carries the range of top-level
+/// candidates (v's larger-ID neighbors, ascending) it owns, so a Compute()
+/// call that overruns `budget_us` (0 = never) adds the rest of its range as
+/// children (apps/split_context.h) whose counts sum, bit-identically, to the
+/// unsplit count.
 class MaximalCliqueComper : public Comper<MaximalCliqueTask, uint64_t> {
  public:
+  explicit MaximalCliqueComper(int64_t budget_us = 0) : budget_(budget_us) {}
+
   void TaskSpawn(const VertexT& v) override;
   bool Compute(TaskT* task, const Frontier& frontier) override;
-  bool Split(TaskT* task,
-             std::vector<std::unique_ptr<TaskT>>* children) override;
 
   static AggT AggZero() { return 0; }
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
+
+ private:
+  ComputeBudget budget_;
 };
 
 }  // namespace gthinker

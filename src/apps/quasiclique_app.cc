@@ -1,6 +1,7 @@
 #include "apps/quasiclique_app.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <unordered_set>
 
@@ -18,6 +19,7 @@ void QuasiCliqueComper::TaskSpawn(const VertexT& v) {
 }
 
 bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
+  const std::function<bool()> over_budget = budget_.Start();
   for (const VertexT* u : frontier) {
     if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
   }
@@ -53,29 +55,22 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const uint64_t candidates = LargerIdVertices(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   // Seed the search with the best size found so far, cluster-wide, so a
-  // root cannot re-find anything no larger. IterationBudgetExceeded() is
-  // false when task_time_budget_us is 0, so the unbudgeted job runs the
-  // whole range in one call.
+  // root cannot re-find anything no larger. Unbudgeted, the kernel runs
+  // the whole range in one call.
   uint64_t next = end;
   std::vector<VertexId> found = LargestQuasiCliqueFromRootRange(
       cg, /*root=*/0, gamma_, min_size_,
-      /*lower_bound=*/CurrentAgg().size(), ctx.begin, end,
-      [this] { return IterationBudgetExceeded(); }, &next);
+      /*lower_bound=*/CurrentAgg().size(), ctx.begin, end, over_budget, &next);
   if (found.size() > CurrentAgg().size()) Aggregate(found);
   if (next < end) {
     // Budget overrun: bank the best so far, narrow to the unprocessed
-    // suffix and ask the engine to split it across new tasks.
+    // suffix and hand its later shards to new tasks.
     ctx.begin = next;
     ctx.end = end;
-    RequestSplit();
+    for (auto& child : SplitByCandidateRange(task)) AddTask(std::move(child));
     return true;
   }
   return false;
-}
-
-bool QuasiCliqueComper::Split(TaskT* task,
-                              std::vector<std::unique_ptr<TaskT>>* children) {
-  return SplitByCandidateRange(task, children);
 }
 
 }  // namespace gthinker

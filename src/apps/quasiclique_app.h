@@ -2,7 +2,7 @@
 #define GTHINKER_APPS_QUASICLIQUE_APP_H_
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "apps/kernels.h"
@@ -25,21 +25,21 @@ using QuasiCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 /// Do NOT pair this comper with the Γ_> trimmer: 2-hop reachability may pass
 /// through intermediate vertices of any ID.
 ///
-/// Decomposable (Split): the candidate range covers the
-/// larger-ID subgraph vertices ascending (branches keyed by the first
-/// chosen member). Shards prune against the shared aggregator best, and the
-/// max size over any shard partition equals the unsplit result's size.
-/// Splitting only triggers once the 2-hop pull phase is complete.
+/// Decomposable: the candidate range covers the larger-ID subgraph vertices
+/// ascending (branches keyed by the first chosen member). A Compute() call
+/// that overruns `budget_us` (0 = never) adds the rest of its range as
+/// children (apps/split_context.h). Shards prune against the shared
+/// aggregator best, and the max size over any shard partition equals the
+/// unsplit result's size. Splitting only triggers once the 2-hop pull phase
+/// is complete.
 class QuasiCliqueComper
     : public Comper<QuasiCliqueTask, std::vector<VertexId>> {
  public:
-  QuasiCliqueComper(double gamma, size_t min_size)
-      : gamma_(gamma), min_size_(min_size) {}
+  QuasiCliqueComper(double gamma, size_t min_size, int64_t budget_us = 0)
+      : gamma_(gamma), min_size_(min_size), budget_(budget_us) {}
 
   void TaskSpawn(const VertexT& v) override;
   bool Compute(TaskT* task, const Frontier& frontier) override;
-  bool Split(TaskT* task,
-             std::vector<std::unique_ptr<TaskT>>* children) override;
 
   static AggT AggZero() { return {}; }
   static AggT AggMerge(const AggT& a, const AggT& b) {
@@ -50,6 +50,7 @@ class QuasiCliqueComper
  private:
   const double gamma_;
   const size_t min_size_;
+  ComputeBudget budget_;
 };
 
 }  // namespace gthinker

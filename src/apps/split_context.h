@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,11 +12,12 @@
 #include "util/logging.h"
 #include "util/serializer.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace gthinker {
 
-/// Children per engine-side split: the parent narrows to the first shard
-/// and kSplitFanout-1 new tasks own the rest.
+/// Shards per split: the parent narrows to the first shard and
+/// kSplitFanout-1 new tasks own the rest.
 inline constexpr int kSplitFanout = 4;
 
 /// Shared task context of the decomposable mining apps: the root vertex plus
@@ -47,26 +49,52 @@ struct Codec<SplitCtx> : CodecBase<SplitCtx> {
   }
 };
 
-/// Shared Split() skeleton of the range-decomposable apps: narrows `task` in
-/// place to the first shard of its candidate range and appends up to
-/// kSplitFanout-1 new children owning the later shards, each with a full
-/// copy of the parent's subgraph and the parent's generation + 1. Only a
-/// budget overrun requests a split, and the overrun already pinned the
-/// range. Returns false — leaving the task untouched — when fewer than two
-/// candidates remain.
+/// Per-Compute time budget of the range-decomposable apps (codesign
+/// follow-up, PAPERS.md: time-delayed task decomposition). 0 = never split.
+/// Each comper owns one, and Compute() restarts it on entry.
+class ComputeBudget {
+ public:
+  explicit ComputeBudget(int64_t budget_us) : budget_us_(budget_us) {
+    GT_CHECK_GE(budget_us, 0) << "compute budget must be >= 0 us";
+  }
+
+  bool armed() const { return budget_us_ > 0; }
+
+  /// Starts one Compute() call's clock and returns the range kernels' yield
+  /// hook (apps/kernels.h): true once the call has overrun the budget. Null
+  /// when unarmed, so the kernel runs its range to completion.
+  std::function<bool()> Start() {
+    if (!armed()) return nullptr;
+    timer_.Restart();
+    return [this] { return timer_.ElapsedMicros() >= budget_us_; };
+  }
+
+ private:
+  const int64_t budget_us_;
+  Timer timer_;
+};
+
+/// Shared split skeleton of the range-decomposable apps, run from Compute()
+/// after a budget overrun narrowed the task's range to its unmined suffix:
+/// narrows `task` in place to the first shard of that range and returns up
+/// to kSplitFanout-1 new children owning the later shards, each with a full
+/// copy of the parent's subgraph. The app passes each child to AddTask and
+/// returns true, so the narrowed parent requeues behind them. Returns no
+/// children — leaving the task untouched — when fewer than two candidates
+/// remain.
 template <typename TaskT>
-bool SplitByCandidateRange(TaskT* task,
-                           std::vector<std::unique_ptr<TaskT>>* children) {
+std::vector<std::unique_ptr<TaskT>> SplitByCandidateRange(TaskT* task) {
+  std::vector<std::unique_ptr<TaskT>> children;
   SplitCtx& ctx = task->context();
   // The overrun happens while mining, after every pull has been merged, so
   // the children's subgraph copies never need a re-pull round-trip.
   GT_CHECK(ctx.end != SplitCtx::kUnbounded && task->pulls().empty())
       << "split of a task that never yielded on its budget";
-  if (ctx.end <= ctx.begin) return false;
+  if (ctx.end <= ctx.begin) return children;
   const uint64_t remaining = ctx.end - ctx.begin;
   const uint64_t shards =
       std::min<uint64_t>(static_cast<uint64_t>(kSplitFanout), remaining);
-  if (shards < 2) return false;
+  if (shards < 2) return children;
   const uint64_t size = remaining / shards;
   const uint64_t rem = remaining % shards;
   // Shard i owns [begin + i*size + min(i, rem), ...): the first `rem`
@@ -75,7 +103,6 @@ bool SplitByCandidateRange(TaskT* task,
     return ctx.begin + i * size + std::min(i, rem);
   };
   const uint64_t parent_end = ctx.end;
-  const uint32_t depth = task->split_depth() + 1;
   for (uint64_t i = 1; i < shards; ++i) {
     auto child = std::make_unique<TaskT>();
     child->subgraph() = task->subgraph();
@@ -86,12 +113,10 @@ bool SplitByCandidateRange(TaskT* task,
     child->context().root = ctx.root;
     child->context().begin = shard_begin(i);
     child->context().end = i + 1 < shards ? shard_begin(i + 1) : parent_end;
-    child->set_split_depth(depth);
-    children->push_back(std::move(child));
+    children.push_back(std::move(child));
   }
   ctx.end = shard_begin(1);
-  task->set_split_depth(depth);
-  return true;
+  return children;
 }
 
 }  // namespace gthinker

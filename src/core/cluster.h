@@ -642,8 +642,6 @@ class Cluster {
         stats.ledger.Accumulate(r.ledger);
         stats.tasks_live_at_exit += r.tasks_live;
         stats.drained_messages += r.drained_messages;
-        stats.splits += r.splits;
-        stats.split_children += r.split_children;
       }
 
       // Task-conservation verdict. The final reports follow every worker's
@@ -693,15 +691,6 @@ class Cluster {
       stats.records_output += worker->RecordsOutput();
     }
     stats.metrics.push_back(hub.MetricsSnapshot());
-
-    // Split depth is a per-process histogram: the deepest split this
-    // process's workers made.
-    for (const obs::MetricsSnapshot& snap : stats.metrics) {
-      if (const obs::HistogramSnapshot* depth =
-              snap.FindHistogram("split.depth")) {
-        stats.split_depth_max = std::max(stats.split_depth_max, depth->max);
-      }
-    }
 
     if (config.enable_span_tracing) {
       stats.span_events_total = recorder.total();

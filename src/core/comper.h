@@ -33,12 +33,7 @@ class Comper {
   using VertexT = typename TaskT::VertexT;
   using Frontier = std::vector<const VertexT*>;
 
-  /// Runtime services implemented by the worker engine. The split services
-  /// serve the one engine split trigger, the per-iteration compute budget
-  /// (JobConfig::task_time_budget_us): an app polls the budget between
-  /// top-level candidates and, on overrun, asks for the rest of its range to
-  /// be split. They default to "splitting disarmed" so auxiliary runtimes
-  /// (steal serialization sinks, test harnesses) need not implement them.
+  /// Runtime services implemented by the worker engine.
   class Runtime {
    public:
     virtual ~Runtime() = default;
@@ -49,17 +44,6 @@ class Comper {
     /// Maps a vertex ID the job speaks back to the caller's input ID
     /// (identity unless the job loaded its graph in hub-last order).
     virtual VertexId OriginalId(VertexId v) const { return v; }
-
-    // ---- big-task decomposition services ----
-    /// True when the engine wants Compute() to consider splitting at all
-    /// (task_time_budget_us armed).
-    virtual bool SplitArmed() const { return false; }
-    /// True once the current Compute() call has overrun
-    /// task_time_budget_us; apps poll it between top-level candidates.
-    virtual bool IterationBudgetExceeded() const { return false; }
-    /// Tells the engine the task Compute() is returning from should be
-    /// split (via the app's Split() UDF) instead of plainly requeued.
-    virtual void RequestSplit() {}
 
     // ---- root bundling (core/root_bundle.h) ----
     void AddRoot(VertexId root, const std::vector<VertexId>& pulls) {
@@ -98,25 +82,15 @@ class Comper {
   /// one per pulled vertex (DESIGN.md §4 "T_cache internals").
   virtual bool Compute(TaskT* task, const Frontier& frontier) = 0;
 
-  /// Optional UDF (codesign follow-up): divide-and-conquer decomposition of
-  /// a task whose Compute() overran its budget and called RequestSplit().
-  /// Narrow `task` in place to its first candidate shard and append NEW
-  /// child tasks owning the rest to `children`, each carrying a copy of the
-  /// already-pulled Γ slice it needs (children must not need a re-pull
-  /// round-trip for data the parent already holds). Return false (the
-  /// default) when this task cannot be split further — the engine then
-  /// requeues it whole. The engine registers each child as a task creation
-  /// in the conservation ledger: a split of 1 into k counts k-1 creations.
-  virtual bool Split(TaskT* /*task*/,
-                     std::vector<std::unique_ptr<TaskT>>* /*children*/) {
-    return false;
-  }
-
   // Default aggregator algebra (apps using aggregation shadow these).
   static AggT AggZero() { return AggT{}; }
   static AggT AggMerge(const AggT& a, const AggT& /*b*/) { return a; }
 
-  /// Adds a task to this comper's Q_task (usable from both UDFs).
+  /// Adds a task to this comper's Q_task (usable from both UDFs). A task
+  /// added from Compute — e.g. a child carrying part of an over-budget
+  /// task's work (apps/split_context.h) — is one more creation in the
+  /// conservation ledger, exactly like a spawned one; under span tracing
+  /// its spawn event names the running task's span as its parent.
   void AddTask(std::unique_ptr<TaskT> task) {
     GT_CHECK(runtime_ != nullptr);
     runtime_->AddTask(std::move(task));
@@ -160,19 +134,6 @@ class Comper {
   }
 
   void BindRuntime(Runtime* runtime) { runtime_ = runtime; }
-
- protected:
-  // Split-service forwarders for app Compute() bodies. Safe without a bound
-  // runtime (baselines drive compers directly): they report "disarmed".
-  bool SplitArmed() const {
-    return runtime_ != nullptr && runtime_->SplitArmed();
-  }
-  bool IterationBudgetExceeded() const {
-    return runtime_ != nullptr && runtime_->IterationBudgetExceeded();
-  }
-  void RequestSplit() {
-    if (runtime_ != nullptr) runtime_->RequestSplit();
-  }
 
  private:
   Runtime* runtime_ = nullptr;

@@ -108,13 +108,6 @@ struct JobConfig {
   /// D: cap on |T_task| + |B_task| roots per comper (paper default 8·C).
   int inflight_task_cap = 8 * 150;
 
-  // ---- big-task decomposition (codesign follow-up, PAPERS.md) ----
-  /// Per-iteration compute budget in microseconds (0 = off, the unsplit
-  /// schedule exactly). When a Compute() call overruns it, the app's yield
-  /// hook fires and the task is handed back to the scheduler as split
-  /// children (divide-and-conquer timeout re-spawn).
-  int64_t task_time_budget_us = 0;
-
   // ---- graph layout & placement (DESIGN.md "Graph layout & placement") ----
   struct LayoutConfig {
     /// Hub-last (degree-ascending, ties by original ID ascending) vertex
@@ -189,9 +182,8 @@ struct JobConfig {
   // ---- durability ----
   /// Directory for task spill files; empty = fresh temp dir per job.
   std::string spill_root;
-  /// Checkpoint period (0 = off) and target directory (MiniDfs root).
+  /// Checkpoint period (0 = off); checkpoints go to Job::checkpoint_dfs.
   int64_t checkpoint_interval_us = 0;
-  std::string checkpoint_dir;
 
   // ---- limits ----
   /// Wall-clock budget in seconds; 0 = unlimited. When exceeded the master
@@ -234,9 +226,6 @@ struct JobConfig {
     if (inflight_task_cap < task_batch_size) {
       return Status::InvalidArgument(
           "inflight_task_cap must be >= task_batch_size");
-    }
-    if (task_time_budget_us < 0) {
-      return Status::InvalidArgument("task_time_budget_us must be >= 0");
     }
     if (comm.request_batch_size <= 0) {
       return Status::InvalidArgument("request_batch_size must be positive");
@@ -327,13 +316,6 @@ struct JobStats {
   int64_t cache_requests = 0;
   /// kStealOrder batches the master issued, for StealEfficiency().
   int64_t steal_orders = 0;
-
-  // Big-task decomposition activity. splits / split_children are summed
-  // over every worker's final progress report (cluster-wide on the master);
-  // split_depth_max is the max of this process's split.depth histograms.
-  int64_t splits = 0;
-  int64_t split_children = 0;
-  int64_t split_depth_max = 0;
 
   // Wire totals from the hub.
   int64_t batches_sent = 0;
@@ -464,12 +446,7 @@ inline std::string JobStats::Summary() const {
                 static_cast<long long>(max_peak_mem_bytes),
                 static_cast<long long>(records_output));
   s += line;
-  std::snprintf(line, sizeof(line),
-                "splits: %lld (%lld children, max depth %lld); live at exit: "
-                "%lld\n",
-                static_cast<long long>(splits),
-                static_cast<long long>(split_children),
-                static_cast<long long>(split_depth_max),
+  std::snprintf(line, sizeof(line), "live at exit: %lld\n",
                 static_cast<long long>(tasks_live_at_exit));
   s += line;
   if (!phases.empty()) s += phases.HumanTable();

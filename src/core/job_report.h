@@ -55,9 +55,6 @@ inline obs::JobReport MakeJobReport(const std::string& job_name,
   report.ints["max_peak_mem_bytes"] = stats.max_peak_mem_bytes;
   report.ints["drained_messages"] = stats.drained_messages;
   report.ints["span_events_total"] = stats.span_events_total;
-  report.ints["splits"] = stats.splits;
-  report.ints["split_children"] = stats.split_children;
-  report.ints["split_depth_max"] = stats.split_depth_max;
   report.ints["tasks_live_at_exit"] = stats.tasks_live_at_exit;
   report.ints["status_port"] = stats.status_port;
   // Data batches a socket transport had to drop at teardown (sent but never
@@ -81,11 +78,6 @@ inline obs::JobReport MakeJobReport(const std::string& job_name,
   cluster["cache_hit_rate"] = stats.CacheHitRate();
   cluster["steal_efficiency"] = stats.StealEfficiency();
   cluster["comper_utilization"] = stats.ComperUtilization();
-  if (stats.splits > 0) {
-    // Average fan-out of a split: children produced per split decision.
-    cluster["split_fanout"] = static_cast<double>(stats.split_children) /
-                              static_cast<double>(stats.splits);
-  }
   report.derived.emplace_back("cluster", std::move(cluster));
   // Per-worker health ratios from each worker's own registry snapshot:
   // cache hit rate, plus bucket-lock contention per cache op (how often the
@@ -169,7 +161,6 @@ inline std::string StatusJson(const std::vector<ProgressReport>& reports,
     sum.ledger.finished += r.ledger.finished;
     sum.spilled_batches += r.spilled_batches;
     sum.stolen_batches += r.stolen_batches;
-    sum.splits += r.splits;
     w.BeginObject();
     w.Key("worker");
     w.Int(static_cast<int64_t>(i));
@@ -224,8 +215,6 @@ inline std::string StatusJson(const std::vector<ProgressReport>& reports,
   w.Int(sum.spilled_batches);
   w.Key("stolen_batches");
   w.Int(sum.stolen_batches);
-  w.Key("splits");
-  w.Int(sum.splits);
   w.Key("steal_orders");
   w.Int(steal_orders);
   w.EndObject();

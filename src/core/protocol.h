@@ -42,7 +42,7 @@ inline Status ExpectEnd(const Deserializer& des, const char* what) {
 /// master verifies the global sum at termination and aborts on any leak —
 /// a violated ledger means a task was silently lost or double-counted.
 struct TaskLedger {
-  int64_t spawned = 0;       // AddTask, Split or a closed root bundle
+  int64_t spawned = 0;       // AddTask or a closed root bundle
   int64_t restored = 0;      // re-queued from a checkpoint blob
   int64_t finished = 0;      // Compute returned false
   int64_t spilled = 0;       // serialized to a local spill file
@@ -149,9 +149,6 @@ struct ProgressReport {
   int64_t cache_size = 0;
   int64_t spill_queue_depth = 0;
   int64_t inbox_depth = 0;
-  /// Task-split decisions and the children they produced (cumulative).
-  int64_t splits = 0;
-  int64_t split_children = 0;
 
   std::string agg_delta;
 
@@ -181,8 +178,6 @@ struct ProgressReport {
     ser.Write(cache_size);
     ser.Write(spill_queue_depth);
     ser.Write(inbox_depth);
-    ser.Write(splits);
-    ser.Write(split_children);
     ser.WriteString(agg_delta);
     return TakePayload(ser);
   }
@@ -214,8 +209,6 @@ struct ProgressReport {
     GT_RETURN_IF_ERROR(des.Read(&cache_size));
     GT_RETURN_IF_ERROR(des.Read(&spill_queue_depth));
     GT_RETURN_IF_ERROR(des.Read(&inbox_depth));
-    GT_RETURN_IF_ERROR(des.Read(&splits));
-    GT_RETURN_IF_ERROR(des.Read(&split_children));
     GT_RETURN_IF_ERROR(des.ReadString(&agg_delta));
     return ExpectEnd(des, "progress report");
   }

@@ -63,12 +63,6 @@ class Task {
   uint32_t iteration() const { return iteration_; }
   void BumpIteration() { ++iteration_; }
 
-  /// How many Split() generations produced this task (0 = never split).
-  /// Serialized: a split child keeps its depth across spills and steals so
-  /// the obs `split.depth` histogram sees the true decomposition tree depth.
-  uint32_t split_depth() const { return split_depth_; }
-  void set_split_depth(uint32_t depth) { split_depth_ = depth; }
-
   /// Span-trace identity (core/protocol.h MakeTaskId). Transient: NOT
   /// serialized — a task reloaded from spill or received from a steal gets a
   /// fresh id at its new home, starting a new span there.
@@ -76,12 +70,12 @@ class Task {
   void set_span_id(uint64_t id) { span_id_ = id; }
 
   /// App-owned scratch cached across a task's budgeted re-entries (e.g. the
-  /// CompactGraph a split-armed app rebuilds each Compute call). Transient
+  /// CompactGraph a budgeted app rebuilds each Compute call). Transient
   /// like span_id_: NOT serialized, reset on Deserialize, and excluded from
   /// MemoryBytes (so the paired Consume/Release accounting stays balanced
   /// across spills) — its footprint is bounded by the already-tracked
   /// subgraph. Apps must invalidate (set to nullptr) whenever the subgraph
-  /// changes, i.e. on a non-empty frontier merge. Split children may share
+  /// changes, i.e. on a non-empty frontier merge. Range children may share
   /// the parent's pointer: their subgraph is a copy of the parent's.
   const std::shared_ptr<void>& scratch() const { return scratch_; }
   void set_scratch(std::shared_ptr<void> s) { scratch_ = std::move(s); }
@@ -94,7 +88,6 @@ class Task {
 
   void Serialize(Serializer& ser) const {
     ser.Write(iteration_);
-    ser.Write(split_depth_);
     ser.WriteVector(pulls_);
     subgraph_.Serialize(ser);
     Codec<ContextT>::Encode(ser, context_);
@@ -103,7 +96,6 @@ class Task {
   Status Deserialize(Deserializer& des) {
     scratch_.reset();
     GT_RETURN_IF_ERROR(des.Read(&iteration_));
-    GT_RETURN_IF_ERROR(des.Read(&split_depth_));
     GT_RETURN_IF_ERROR(des.ReadVector(&pulls_));
     GT_RETURN_IF_ERROR(subgraph_.Deserialize(des));
     GT_RETURN_IF_ERROR(Codec<ContextT>::Decode(des, &context_));
@@ -119,7 +111,6 @@ class Task {
   ContextT context_{};
   std::vector<VertexId> pulls_;
   uint32_t iteration_ = 0;
-  uint32_t split_depth_ = 0;
   uint64_t span_id_ = 0;
   std::shared_ptr<void> scratch_;
 };

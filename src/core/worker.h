@@ -78,9 +78,6 @@ class Worker {
     obs::Counter* spill_read_bytes = metrics_.GetCounter("spill.read_bytes");
     refill_spill_tasks_ = metrics_.GetCounter("refill.from_spill_tasks");
     refill_spawn_tasks_ = metrics_.GetCounter("refill.from_spawn_tasks");
-    split_count_ = metrics_.GetCounter("split.count");
-    split_children_ = metrics_.GetCounter("split.children");
-    split_depth_us_ = metrics_.GetHistogram("split.depth");
     phase_steal_us_ = metrics_.GetCounter("phase.steal_us");
     // Disk timings of the spill writer/prefetcher thread.
     spill_io_.SetWriteObserver(
@@ -231,7 +228,9 @@ class Worker {
       worker_->OnTaskSpawned();
       if (worker_->config_.enable_span_tracing) {
         task->set_span_id(worker_->NextSpanId());
-        TaskEvent(obs::EventKind::kSpawn, task->span_id());
+        worker_->RecordEvent(index_, {.id = task->span_id(),
+                                      .parent = running_span_,
+                                      .kind = obs::EventKind::kSpawn});
       }
       AddToQueue(std::move(task));
     }
@@ -243,16 +242,6 @@ class Worker {
     VertexId OriginalId(VertexId v) const override {
       return worker_->OriginalId(v);
     }
-
-    // ---- big-task decomposition services (comper thread only) ----
-    bool SplitArmed() const override {
-      return worker_->config_.task_time_budget_us > 0;
-    }
-    bool IterationBudgetExceeded() const override {
-      const int64_t budget = worker_->config_.task_time_budget_us;
-      return budget > 0 && iter_timer_.ElapsedMicros() >= budget;
-    }
-    void RequestSplit() override { split_requested_ = true; }
 
     /// Mining-thread body: each round runs push() then (gates permitting)
     /// pop() (paper §V-B "Algorithm of a Comper").
@@ -588,11 +577,11 @@ class Worker {
           frontier.push_back(worker_->cache_.GetLocked(v));
         }
       }
-      split_requested_ = false;
-      iter_timer_.Restart();
+      running_span_ = task->span_id();
       Timer compute_timer;
       const bool more = user_->Compute(task.get(), frontier);
       const int64_t compute_us = compute_timer.ElapsedMicros();
+      running_span_ = 0;
       compute_us_->Record(compute_us);
       phase_compute_->Add(compute_us);
       if (worker_->config_.enable_span_tracing) {
@@ -611,48 +600,11 @@ class Worker {
                                    remote_scratch_.size());
       worker_->task_iterations_.fetch_add(1, std::memory_order_relaxed);
       if (more) {
-        if (split_requested_) TrySplit(task.get());
         AddToQueue(std::move(task));
       } else {
         worker_->OnTaskFinished();
         TaskEvent(obs::EventKind::kFinish, task->span_id());
       }
-    }
-
-    /// Runs the app's Split() UDF on a task that asked to be decomposed:
-    /// the parent is narrowed in place (the caller requeues it — no new
-    /// ledger entry) and each emitted child registers as one task creation,
-    /// so a split of 1 into k accounts exactly k-1 creations. Children
-    /// inherit the parent's pulled Γ inside their subgraph copies and enter
-    /// Q_task directly. A refusing Split() leaves the task whole.
-    void TrySplit(TaskT* parent) {
-      split_scratch_.clear();
-      if (!user_->Split(parent, &split_scratch_) ||
-          split_scratch_.empty()) {
-        split_scratch_.clear();
-        return;
-      }
-      worker_->split_count_->Add(1);
-      worker_->split_children_->Add(
-          static_cast<int64_t>(split_scratch_.size()));
-      // Split() bumps the generation; parent and children now share it.
-      worker_->split_depth_us_->Record(parent->split_depth());
-      worker_->RecordEvent(index_,
-                           {.id = parent->span_id(),
-                            .kind = obs::EventKind::kSplit,
-                            .a = static_cast<int64_t>(split_scratch_.size()),
-                            .b = static_cast<int64_t>(parent->split_depth())});
-      for (auto& child : split_scratch_) {
-        worker_->OnTaskSpawned();
-        if (worker_->config_.enable_span_tracing) {
-          child->set_span_id(worker_->NextSpanId());
-          worker_->RecordEvent(index_, {.id = child->span_id(),
-                                        .parent = parent->span_id(),
-                                        .kind = obs::EventKind::kSpawn});
-        }
-        AddToQueue(std::move(child));
-      }
-      split_scratch_.clear();
     }
 
     /// Per-task transition of span `id` on this comper (recorded only under
@@ -679,11 +631,9 @@ class Worker {
     std::vector<VertexId> remote_scratch_;       // comper thread only
     std::vector<VertexId> new_request_scratch_;  // comper thread only
 
-    // Split plumbing: all comper-thread-confined. iter_timer_ restarts at
-    // each Compute() call; the app polls IterationBudgetExceeded against it.
-    Timer iter_timer_;
-    bool split_requested_ = false;
-    std::vector<std::unique_ptr<TaskT>> split_scratch_;
+    // Span of the task whose Compute() is running (0 outside Compute): the
+    // parent a task added from Compute records. Comper thread only.
+    uint64_t running_span_ = 0;
 
     std::deque<std::unique_ptr<TaskT>> q_;  // Q_task: comper thread only
     size_t q_weight_ = 0;                   // Q_task's roots: comper thread
@@ -788,7 +738,8 @@ class Worker {
   }
 
   /// Globally-unique span identity: worker in the high 16 bits, a local
-  /// sequence below (mirrors MakeTaskId's packing).
+  /// sequence from 1 below (mirrors MakeTaskId's packing). Never 0, which
+  /// events and `parent` links read as "no span".
   uint64_t NextSpanId() {
     return (static_cast<uint64_t>(id_) << 48) |
            span_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -1271,8 +1222,6 @@ class Worker {
     report.cache_size = cache_.ApproxSize();
     report.spill_queue_depth = spill_io_.QueueDepth();
     report.inbox_depth = hub_->InboxDepth(id_);
-    report.splits = split_count_->value();
-    report.split_children = split_children_->value();
     {
       Serializer ser;
       Codec<AggT>::Encode(ser, agg_.TakeLocal());
@@ -1499,14 +1448,11 @@ class Worker {
   // are registered once in the constructor; recording through them is
   // lock-free.
   obs::MetricsRegistry metrics_;
-  std::atomic<uint64_t> span_seq_{0};
+  std::atomic<uint64_t> span_seq_{1};
   obs::Histogram* task_wait_us_ = nullptr;
   obs::Histogram* steal_rtt_us_ = nullptr;
   obs::Counter* refill_spill_tasks_ = nullptr;
   obs::Counter* refill_spawn_tasks_ = nullptr;
-  obs::Counter* split_count_ = nullptr;
-  obs::Counter* split_children_ = nullptr;
-  obs::Histogram* split_depth_us_ = nullptr;  // records generation, not time
   /// Comm-thread donation-packing time (worker row of the phase profile).
   obs::Counter* phase_steal_us_ = nullptr;
   /// The job's event ring (owned by the cluster); null until wired.

@@ -51,11 +51,11 @@ struct PhaseBreakdown {
 };
 
 /// One row of the straggler table: a task that monopolized compute, with its
-/// split lineage so oversized tasks that were (or weren't) decomposed are
-/// visible.
+/// lineage (the task whose Compute added it) so oversized tasks that were
+/// (or weren't) decomposed are visible.
 struct Straggler {
   uint64_t task_id = 0;
-  uint64_t parent_task_id = 0;  // 0 = not a split child
+  uint64_t parent_task_id = 0;  // 0 = not added from a Compute
   int worker = -1;
   int comper = -1;
   int64_t compute_us = 0;
@@ -268,8 +268,8 @@ inline PhaseProfile BuildPhaseProfile(
                                           : a.comper < b.comper;
             });
 
-  // Straggler table: per-task compute from execute spans, split lineage from
-  // spawn/split parent links. Requires span tracing; empty otherwise.
+  // Straggler table: per-task compute from execute spans, lineage from the
+  // spawn events' parent links. Requires span tracing; empty otherwise.
   struct TaskAgg {
     int64_t compute_us = 0;
     int64_t iterations = 0;

@@ -19,26 +19,26 @@ namespace gthinker::obs {
 /// (the disk round-trip breaks the span, as the task left the worker's live
 /// state). They are recorded only under JobConfig::enable_span_tracing.
 /// Batch kinds are one record per spawn batch, spill file, steal shipment,
-/// split, progress report or drain phase, and are always recorded.
+/// progress report or drain phase, and are always recorded.
 enum class EventKind : uint8_t {
-  kSpawn = 0,    // parent = span id of the split parent (0 = none)
+  kSpawn = 0,    // parent = span of the task whose Compute added it (0 =
+                 // spawned by TaskSpawn or a root bundle)
   kPending = 1,
   kReady = 2,
   kExecute = 3,  // dur_us = one compute() iteration; t_us = its start
   kFinish = 4,
   kLoaded = 5,
   kSpawnBatch = 6,    // a = tasks spawned in the batch
-  kSplit = 7,         // a = children, b = child split depth; id = parent span
-  kSpillWrite = 8,    // a = tasks written to one spill file
-  kSpillLoad = 9,     // a = tasks loaded back from one spill file
-  kStealDonate = 10,  // a = tasks donated, b = destination worker
-  kStealReceive = 11,  // a = tasks received, b = source worker
-  kLedger = 12,       // a = ExpectedLive(), b = live tasks (progress cadence)
-  kDrain = 13,        // a = drain phase: 0-4 worker DrainAndReport; 5 master
+  kSpillWrite = 7,    // a = tasks written to one spill file
+  kSpillLoad = 8,     // a = tasks loaded back from one spill file
+  kStealDonate = 9,   // a = tasks donated, b = destination worker
+  kStealReceive = 10,  // a = tasks received, b = source worker
+  kLedger = 11,       // a = ExpectedLive(), b = live tasks (progress cadence)
+  kDrain = 12,        // a = drain phase: 0-4 worker DrainAndReport; 5 master
                       // drain stalled, b = final reports missing
-  kCheckpoint = 14,   // a = checkpoint epoch
-  kTimeout = 15,      // master hit the time budget; a = elapsed seconds
-  kTerminate = 16,    // worker saw kTerminate
+  kCheckpoint = 13,   // a = checkpoint epoch
+  kTimeout = 14,      // master hit the time budget; a = elapsed seconds
+  kTerminate = 15,    // worker saw kTerminate
 };
 
 /// True for the per-task kinds that only span tracing records.
@@ -47,10 +47,9 @@ constexpr bool IsTaskKind(EventKind kind) { return kind <= EventKind::kLoaded; }
 inline const char* EventKindName(EventKind kind) {
   static constexpr const char* kNames[] = {
       "spawn",       "pending",      "ready",         "execute",
-      "finish",      "loaded",       "spawn_batch",   "split",
-      "spill_write", "spill_load",   "steal_donate",  "steal_receive",
-      "ledger",      "drain",        "checkpoint",    "timeout",
-      "terminate"};
+      "finish",      "loaded",       "spawn_batch",   "spill_write",
+      "spill_load",  "steal_donate", "steal_receive", "ledger",
+      "drain",       "checkpoint",   "timeout",       "terminate"};
   const size_t i = static_cast<size_t>(kind);
   return i < std::size(kNames) ? kNames[i] : "unknown";
 }
@@ -60,10 +59,10 @@ inline const char* EventKindName(EventKind kind) {
 struct SpanEvent {
   int64_t t_us = 0;
   int64_t dur_us = 0;  // only kExecute carries a duration
-  /// Task span id (0 when tracing is off, and for batch kinds but kSplit).
+  /// Task span id (0 when tracing is off, and for batch kinds).
   uint64_t id = 0;
-  /// Span id of the task this one was split from (0 = not a split child), so
-  /// a trace viewer can stitch the decomposition tree.
+  /// On kSpawn: span id of the task whose Compute added this one (0 = none),
+  /// so a trace viewer can stitch the decomposition tree.
   uint64_t parent = 0;
   int16_t worker = -1;  // -1 for the master
   int16_t comper = -1;  // -1 for worker-level events

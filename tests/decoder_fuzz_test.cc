@@ -114,8 +114,6 @@ ProgressReport MakeReport() {
   r.ledger.disk_donated = 2;
   r.tasks_live = 11;
   r.queue_depth = 9;
-  r.splits = 3;
-  r.split_children = 6;
   r.agg_delta = std::string("\x01\x02\x03\x04\x05\x06\x07\x08", 8);
   return r;
 }
@@ -258,12 +256,12 @@ Status DecodeBundleTask(const std::string& bytes, std::string* out) {
   return Status::Ok();
 }
 
-// Layout: u32 iteration | u32 split depth | u64 n, n pull ids | u64 subgraph
-// size | u64 n, n ends | u64 n, n slots.
-constexpr size_t kPullsAt = 8;
-constexpr size_t kSubgraphAt = 32;
-constexpr size_t kEndsAt = 40;
-constexpr size_t kSlotsAt = 56;
+// Layout: u32 iteration | u64 n, n pull ids | u64 subgraph size | u64 n,
+// n ends | u64 n, n slots.
+constexpr size_t kPullsAt = 4;
+constexpr size_t kSubgraphAt = 28;
+constexpr size_t kEndsAt = 36;
+constexpr size_t kSlotsAt = 52;
 
 TEST(DecoderFuzz, SpilledRootBundleTask) {
   const std::string valid = BundleTaskRecord();

@@ -3,9 +3,10 @@
 // return the answer in-process Cluster::Run returns for the aggregator-pruned
 // maximum clique, labeled triangle and diamond matching (LabeledAdj values
 // on the wire), and a 3-rank triangle count batched small enough to spill
-// and steal across processes. Every rank must come back with its own phase
-// profile. Rank 0's live endpoints, time-series and split roll-up must cover
-// every rank, from the progress reports. A rank killed mid-job must make
+// and steal across processes, and a budgeted maximal-clique count whose
+// tasks split into range children on both ranks. Every rank must come back
+// with its own phase profile. Rank 0's live endpoints and time-series must
+// cover every rank, from the progress reports. A rank killed mid-job must make
 // rank 0 fail loudly within a bound instead of hanging. Forks happen between
 // jobs, when no job threads are live, so the suite is safe under TSan as
 // well.
@@ -56,48 +57,29 @@ JobConfig TcpConfig(JobConfig base, int procs) {
   return base;
 }
 
-/// This process's split.count: the sum over its own worker registries.
-int64_t LocalSplits(const JobStats& stats) {
-  int64_t splits = 0;
-  for (const obs::MetricsSnapshot& snap : stats.metrics) {
-    splits += std::max<int64_t>(0, snap.CounterValue("split.count"));
-  }
-  return splits;
-}
-
 /// Runs alongside rank 0 on its own thread, started after the forks;
 /// `done` turns true once rank 0 has returned.
 using Rank0Probe = std::function<void(const std::atomic<bool>& done)>;
 
 /// Runs `job` on its TCP cluster: ranks 1.. in forked children, rank 0
 /// here. A child exits 0 only if its rank returned a non-empty phase
-/// profile and no time-series (only the master samples), and passes its
-/// split.count back through a pipe; `rank_splits`, when given, receives
-/// every rank's, rank 0's first. Returns rank 0's result.
+/// profile and no time-series (only the master samples). Returns rank 0's
+/// result.
 template <typename ComperT>
 RunResult<ComperT> RunTcpCluster(const Job<ComperT>& job,
-                                 std::vector<int64_t>* rank_splits = nullptr,
                                  const Rank0Probe& probe = nullptr) {
   std::vector<pid_t> pids;
-  std::vector<int> split_fds;
   for (int r = 1; r < job.config.num_workers; ++r) {
-    int fds[2];
-    GT_CHECK_EQ(::pipe(fds), 0);
     const pid_t pid = ::fork();
     GT_CHECK_GE(pid, 0);
     if (pid == 0) {
       ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the test binary
-      ::close(fds[0]);
       const RunResult<ComperT> rank = Cluster<ComperT>::RunDistributed(job, r);
-      const int64_t splits = LocalSplits(rank.stats);
       const bool ok =
-          ::write(fds[1], &splits, sizeof(splits)) == sizeof(splits) &&
           !rank.stats.phases.empty() && rank.stats.timeseries.empty();
       ::_exit(ok ? 0 : 3);
     }
-    ::close(fds[1]);
     pids.push_back(pid);
-    split_fds.push_back(fds[0]);
   }
   std::atomic<bool> done{false};
   std::thread prober;
@@ -105,14 +87,7 @@ RunResult<ComperT> RunTcpCluster(const Job<ComperT>& job,
   RunResult<ComperT> rank0 = Cluster<ComperT>::RunDistributed(job, 0);
   done.store(true, std::memory_order_release);
   if (prober.joinable()) prober.join();
-  if (rank_splits != nullptr) rank_splits->assign(1, LocalSplits(rank0.stats));
   for (size_t i = 0; i < pids.size(); ++i) {
-    int64_t splits = -1;
-    EXPECT_EQ(::read(split_fds[i], &splits, sizeof(splits)),
-              static_cast<ssize_t>(sizeof(splits)))
-        << "rank " << i + 1 << " sent no split count";
-    ::close(split_fds[i]);
-    if (rank_splits != nullptr) rank_splits->push_back(splits);
     int status = 0;
     EXPECT_EQ(::waitpid(pids[i], &status, 0), pids[i]);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
@@ -201,28 +176,29 @@ TEST(DistributedDifferential, ThreeRankTriangleSpillsAndStealsAcrossProcesses) {
   EXPECT_GT(got.stats.stolen_batches, 0);
 }
 
-TEST(DistributedObservability, SplitRollUpSumsEveryRank) {
-  // A 1 us compute budget splits every maximal-clique task that has more
-  // than one candidate left after its first.
+TEST(DistributedDifferential, SplittingMaximalCliqueMatchesInProcess) {
   Graph g = Generator::PowerLaw(300, 10.0, 2.3, 931);
   Job<MaximalCliqueComper> job;
   job.config.num_workers = 2;
   job.config.compers_per_worker = 2;
-  job.config.task_time_budget_us = 1;
   job.graph = &g;
   job.comper_factory = [] { return std::make_unique<MaximalCliqueComper>(); };
+  const RunResult<MaximalCliqueComper> unbudgeted =
+      Cluster<MaximalCliqueComper>::Run(job);
+
+  // A 1 us compute budget splits every maximal-clique task that has more
+  // than one candidate left after its first.
+  job.comper_factory = [] {
+    return std::make_unique<MaximalCliqueComper>(/*budget_us=*/1);
+  };
   const uint64_t expected = Cluster<MaximalCliqueComper>::Run(job).result;
+  EXPECT_EQ(expected, unbudgeted.result);
 
   job.config = TcpConfig(job.config, 2);
-  std::vector<int64_t> rank_splits;
-  const RunResult<MaximalCliqueComper> got = RunTcpCluster(job, &rank_splits);
+  const RunResult<MaximalCliqueComper> got = RunTcpCluster(job);
   EXPECT_EQ(got.result, expected);
-  ASSERT_EQ(rank_splits.size(), 2u);
-  const int64_t sum = rank_splits[0] + rank_splits[1];
-  EXPECT_GT(sum, 0);
-  EXPECT_EQ(got.stats.splits, sum)
-      << "rank 0: " << rank_splits[0] << ", rank 1: " << rank_splits[1];
-  EXPECT_GE(got.stats.split_children, got.stats.splits);  // >= 1 child each
+  // The cluster-wide ledger counts the range children of both ranks.
+  EXPECT_GT(got.stats.tasks_spawned, unbudgeted.stats.tasks_spawned);
 }
 
 TEST(DistributedObservability, RankZeroLiveSurfacesCoverEveryRank) {
@@ -241,7 +217,7 @@ TEST(DistributedObservability, RankZeroLiveSurfacesCoverEveryRank) {
   std::string status_body;
   int scrapes = 0;
   const RunResult<MaxCliqueComper> got = RunTcpCluster(
-      job, nullptr, [&](const std::atomic<bool>& done) {
+      job, [&](const std::atomic<bool>& done) {
         while (!done.load(std::memory_order_acquire)) {
           const obs::StatusServer* server = obs::StatusServer::Current();
           if (server == nullptr) {

@@ -39,8 +39,8 @@ TEST(FlightRecorder, RecordsAndSerializes) {
   obs::FlightRecorder rec(64);
   rec.Record({.worker = 0, .comper = 1, .kind = obs::EventKind::kSpawnBatch,
               .a = 32});
-  rec.Record({.id = 7, .worker = 0, .comper = 1,
-              .kind = obs::EventKind::kSplit, .a = 4, .b = 2});
+  rec.Record({.id = 7, .parent = 3, .worker = 0, .comper = 1,
+              .kind = obs::EventKind::kSpawn});
   rec.Record({.worker = 1, .kind = obs::EventKind::kLedger, .a = 10, .b = 10});
   EXPECT_EQ(rec.total(), 3);
   const std::vector<obs::SpanEvent> events = rec.Snapshot();
@@ -55,11 +55,13 @@ TEST(FlightRecorder, RecordsAndSerializes) {
   ASSERT_TRUE(arr->IsArray());
   ASSERT_EQ(arr->array.size(), 3u);
   EXPECT_EQ(arr->array[0].Find("kind")->string, "spawn_batch");
-  EXPECT_EQ(arr->array[1].Find("kind")->string, "split");
-  EXPECT_EQ(arr->array[1].Find("a")->number, 4.0);
-  // The split names its parent's span; events without a span carry no id.
+  EXPECT_EQ(arr->array[1].Find("kind")->string, "spawn");
+  // The spawn names its span and the span of the task that added it;
+  // events without a span carry no id and no parent.
   EXPECT_EQ(arr->array[1].Find("id")->number, 7.0);
+  EXPECT_EQ(arr->array[1].Find("parent")->number, 3.0);
   EXPECT_EQ(arr->array[0].Find("id"), nullptr);
+  EXPECT_EQ(arr->array[0].Find("parent"), nullptr);
   EXPECT_EQ(arr->array[2].Find("comper"), nullptr);
 }
 

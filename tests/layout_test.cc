@@ -170,16 +170,17 @@ TEST(LayoutConfig, ValidationRejectsBadKnobs) {
 // Differential: every app must produce identical answers with reorder on.
 // ---------------------------------------------------------------------------
 
+// A 1 µs compute budget: every task mining more than one top-level
+// candidate overruns it, so a budgeted app's run always splits.
+constexpr int64_t kSplitBudgetUs = 1;
+
 template <typename ComperT>
 Job<ComperT> CountJob(Graph* g, std::function<std::unique_ptr<ComperT>()> make,
-                      bool reorder, bool split) {
+                      bool reorder) {
   Job<ComperT> job;
   job.config.num_workers = 3;
   job.config.compers_per_worker = 2;
   job.config.layout.reorder = reorder;
-  // A 1 µs budget: every task mining more than one top-level candidate
-  // overruns it, so the split run always splits.
-  if (split) job.config.task_time_budget_us = 1;
   job.graph = g;
   job.comper_factory = std::move(make);
   return job;
@@ -190,11 +191,11 @@ TEST(LayoutDifferential, TriangleCountBitIdentical) {
     Graph g = Generator::HubSkewed(800, 10, 120, 2.5, seed);
     auto base = CountJob<TriangleComper>(
         &g, [] { return std::make_unique<TriangleComper>(); },
-        /*reorder=*/false, /*split=*/false);
+        /*reorder=*/false);
     base.trimmer = TrimToGreater;
     auto on = CountJob<TriangleComper>(
         &g, [] { return std::make_unique<TriangleComper>(); },
-        /*reorder=*/true, /*split=*/false);
+        /*reorder=*/true);
     on.trimmer = TrimToGreater;
     auto base_run = Cluster<TriangleComper>::Run(base);
     auto on_run = Cluster<TriangleComper>::Run(on);
@@ -208,17 +209,25 @@ TEST(LayoutDifferential, MaximalCliqueCountBitIdenticalIncludingSplits) {
   Graph g = Generator::PowerLaw(300, 10.0, 2.3, 43);
   auto base = Cluster<MaximalCliqueComper>::Run(CountJob<MaximalCliqueComper>(
       &g, [] { return std::make_unique<MaximalCliqueComper>(); },
-      /*reorder=*/false, /*split=*/false));
+      /*reorder=*/false));
   for (bool split : {false, true}) {
+    const int64_t budget_us = split ? kSplitBudgetUs : 0;
     auto on = Cluster<MaximalCliqueComper>::Run(CountJob<MaximalCliqueComper>(
-        &g, [] { return std::make_unique<MaximalCliqueComper>(); },
-        /*reorder=*/true, split));
+        &g,
+        [budget_us] {
+          return std::make_unique<MaximalCliqueComper>(budget_us);
+        },
+        /*reorder=*/true));
     EXPECT_EQ(on.result, base.result) << "split=" << split;
     EXPECT_EQ(on.stats.tasks_lost, 0) << "split=" << split;
     EXPECT_EQ(on.stats.tasks_live_at_exit, 0) << "split=" << split;
     EXPECT_EQ(on.stats.ledger.spawned + on.stats.ledger.restored,
               on.stats.ledger.finished)
         << "split=" << split;
+    // The budgeted run added range children on top of the one-per-root set.
+    if (split) {
+      EXPECT_GT(on.stats.tasks_spawned, base.stats.tasks_spawned);
+    }
   }
 }
 
@@ -227,8 +236,8 @@ TEST(LayoutDifferential, KCliqueCountBitIdentical) {
   for (int k : {3, 4}) {
     const uint64_t truth = CountKCliquesSerial(g, k);
     auto job = CountJob<KCliqueComper>(
-        &g, [k] { return std::make_unique<KCliqueComper>(k); },
-        /*reorder=*/true, /*split=*/true);
+        &g, [k] { return std::make_unique<KCliqueComper>(k, kSplitBudgetUs); },
+        /*reorder=*/true);
     job.trimmer = TrimToGreater;
     auto on = Cluster<KCliqueComper>::Run(job);
     EXPECT_EQ(on.result, truth) << "k=" << k;

@@ -65,8 +65,6 @@ ProgressReport MakeReport() {
   r.cache_size = 12;
   r.spill_queue_depth = 13;
   r.inbox_depth = 14;
-  r.splits = 15;
-  r.split_children = 16;
   r.agg_delta = std::string("\x00\x01\x02opaque", 9);
   return r;
 }
@@ -109,8 +107,6 @@ TEST(ProtocolTest, ProgressReportRoundTrip) {
   EXPECT_EQ(got.cache_size, r.cache_size);
   EXPECT_EQ(got.spill_queue_depth, r.spill_queue_depth);
   EXPECT_EQ(got.inbox_depth, r.inbox_depth);
-  EXPECT_EQ(got.splits, r.splits);
-  EXPECT_EQ(got.split_children, r.split_children);
   EXPECT_EQ(got.agg_delta, r.agg_delta);
 }
 

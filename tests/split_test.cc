@@ -1,7 +1,8 @@
-// Big-task decomposition tests: range kernels partition exactly, split runs
-// produce bit-identical counts to unsplit runs, the TakePulls post-move
-// state is pinned, timeout exits stay accounted with splitting armed, and
-// the conservation ledger balances while splits race steals and spills.
+// Big-task decomposition tests: range kernels partition exactly, runs of a
+// budgeted app (which adds its range children with AddTask) produce
+// bit-identical counts to unbudgeted runs, the TakePulls post-move state is
+// pinned, timeout exits stay accounted with splitting armed, and the
+// conservation ledger balances while splits race steals and spills.
 
 #include <gtest/gtest.h>
 
@@ -21,18 +22,6 @@
 
 namespace gthinker {
 namespace {
-
-int64_t SumCounter(const JobStats& stats, const std::string& name) {
-  // CounterValue returns -1 for scopes that never registered the counter
-  // (e.g. the hub snapshot), so sum matching entries directly.
-  int64_t total = 0;
-  for (const auto& snapshot : stats.metrics) {
-    for (const auto& [n, v] : snapshot.counters) {
-      if (n == name) total += v;
-    }
-  }
-  return total;
-}
 
 // ---------------------------------------------------------------------------
 // Satellite 1: TakePulls leaves an explicitly empty, reusable pull set.
@@ -183,40 +172,44 @@ TEST(RangeKernels, QuasiCliqueShardMaxMatchesWhole) {
 // ---------------------------------------------------------------------------
 // Distributed differential: aggressive splitting (a 1 µs compute budget, so
 // every task with two or more candidates left after its first one splits)
-// must reproduce the unsplit counts bit-identically, while actually
-// exercising Task::Split (split.count > 0).
+// must reproduce the unsplit counts bit-identically, while actually adding
+// range children (more tasks spawned than the unbudgeted run).
 // ---------------------------------------------------------------------------
 
 /// Budget that every task mining more than one top-level candidate overruns.
 constexpr int64_t kTinyBudgetUs = 1;
 
+/// Runs one job on 3 workers x 2 compers; `make(budget_us)` builds a comper
+/// with budget kTinyBudgetUs when `split`, else 0.
 template <typename ComperT>
 RunResult<ComperT> RunCountJob(
-    Graph* g, std::function<std::unique_ptr<ComperT>()> make,
+    Graph* g, std::function<std::unique_ptr<ComperT>(int64_t)> make,
     std::function<void(Vertex<AdjList>&)> trimmer, bool split) {
   Job<ComperT> job;
   job.config.num_workers = 3;
   job.config.compers_per_worker = 2;
-  if (split) job.config.task_time_budget_us = kTinyBudgetUs;
   job.graph = g;
-  job.comper_factory = std::move(make);
+  const int64_t budget_us = split ? kTinyBudgetUs : 0;
+  job.comper_factory = [make, budget_us] { return make(budget_us); };
   job.trimmer = trimmer;
   return Cluster<ComperT>::Run(job);
+}
+
+std::unique_ptr<MaximalCliqueComper> MakeMaximalClique(int64_t budget_us) {
+  return std::make_unique<MaximalCliqueComper>(budget_us);
 }
 
 TEST(SplitDifferential, MaximalCliqueCountsBitIdentical) {
   for (uint64_t seed : {931, 932, 933}) {
     Graph g = Generator::PowerLaw(300, 10.0, 2.3, seed);
-    auto base = RunCountJob<MaximalCliqueComper>(
-        &g, [] { return std::make_unique<MaximalCliqueComper>(); }, nullptr,
-        /*split=*/false);
-    auto split = RunCountJob<MaximalCliqueComper>(
-        &g, [] { return std::make_unique<MaximalCliqueComper>(); }, nullptr,
-        /*split=*/true);
+    auto base = RunCountJob<MaximalCliqueComper>(&g, MakeMaximalClique,
+                                                 nullptr, /*split=*/false);
+    auto split = RunCountJob<MaximalCliqueComper>(&g, MakeMaximalClique,
+                                                  nullptr, /*split=*/true);
     EXPECT_EQ(split.result, base.result) << "seed=" << seed;
-    EXPECT_GT(SumCounter(split.stats, "split.count"), 0) << "seed=" << seed;
-    // Every split child is a ledger creation on top of the base spawn set.
-    EXPECT_GT(split.stats.tasks_spawned, base.stats.tasks_spawned);
+    // Every range child is a ledger creation on top of the base spawn set.
+    EXPECT_GT(split.stats.tasks_spawned, base.stats.tasks_spawned)
+        << "seed=" << seed;
     EXPECT_EQ(split.stats.tasks_lost, 0);
     EXPECT_EQ(split.stats.tasks_live_at_exit, 0);
   }
@@ -226,42 +219,40 @@ TEST(SplitDifferential, KCliqueCountsBitIdentical) {
   Graph g = Generator::PowerLaw(260, 11.0, 2.3, 941);
   for (int k : {3, 4}) {
     const uint64_t truth = CountKCliquesSerial(g, k);
-    auto split = RunCountJob<KCliqueComper>(
-        &g, [k] { return std::make_unique<KCliqueComper>(k); }, TrimToGreater,
-        /*split=*/true);
+    const auto make = [k](int64_t budget_us) {
+      return std::make_unique<KCliqueComper>(k, budget_us);
+    };
+    auto base = RunCountJob<KCliqueComper>(&g, make, TrimToGreater,
+                                           /*split=*/false);
+    auto split = RunCountJob<KCliqueComper>(&g, make, TrimToGreater,
+                                            /*split=*/true);
     EXPECT_EQ(split.result, truth) << "k=" << k;
-    EXPECT_GT(SumCounter(split.stats, "split.count"), 0) << "k=" << k;
+    EXPECT_GT(split.stats.tasks_spawned, base.stats.tasks_spawned)
+        << "k=" << k;
+    EXPECT_EQ(split.stats.tasks_lost, 0) << "k=" << k;
   }
 }
 
 TEST(SplitDifferential, QuasiCliqueMaxSizeIdentical) {
   Graph g = Generator::ErdosRenyi(48, 200, 951);
-  Job<QuasiCliqueComper> base;
-  base.config.num_workers = 2;
-  base.config.compers_per_worker = 2;
-  base.graph = &g;
-  base.comper_factory = [] {
-    return std::make_unique<QuasiCliqueComper>(0.6, 3);
+  const auto make = [](int64_t budget_us) {
+    return std::make_unique<QuasiCliqueComper>(0.6, 3, budget_us);
   };
-  auto base_result = Cluster<QuasiCliqueComper>::Run(base);
-
-  Job<QuasiCliqueComper> split;
-  split.config.num_workers = 2;
-  split.config.compers_per_worker = 2;
-  split.config.task_time_budget_us = kTinyBudgetUs;
-  split.graph = &g;
-  split.comper_factory = [] {
-    return std::make_unique<QuasiCliqueComper>(0.6, 3);
-  };
-  auto split_result = Cluster<QuasiCliqueComper>::Run(split);
-
-  EXPECT_EQ(split_result.result.size(), base_result.result.size());
+  auto base = RunCountJob<QuasiCliqueComper>(&g, make, nullptr,
+                                             /*split=*/false);
+  auto split = RunCountJob<QuasiCliqueComper>(&g, make, nullptr,
+                                              /*split=*/true);
+  EXPECT_EQ(split.result.size(), base.result.size());
+  EXPECT_GT(split.stats.tasks_spawned, base.stats.tasks_spawned);
+  EXPECT_EQ(split.stats.tasks_lost, 0);
 }
 
-TEST(SplitConfig, ValidationRejectsBadKnobs) {
-  JobConfig config;
-  config.task_time_budget_us = -1;
-  EXPECT_FALSE(config.Validate().ok());
+TEST(SplitBudget, NegativeBudgetIsRejected) {
+  // The budget is a constructor argument of each range-decomposable app;
+  // a negative one fails at construction, before any job starts.
+  EXPECT_DEATH(MaximalCliqueComper(-1), "compute budget");
+  EXPECT_DEATH(KCliqueComper(3, -1), "compute budget");
+  EXPECT_DEATH(QuasiCliqueComper(0.6, 3, -1), "compute budget");
 }
 
 // ---------------------------------------------------------------------------
@@ -276,13 +267,14 @@ TEST(SplitTermination, TimeoutExitStaysAccountedWithSplittingArmed) {
   job.config.compers_per_worker = 1;
   job.config.enable_stealing = true;
   job.config.time_budget_s = 0.05;
-  job.config.task_time_budget_us = 200;
   job.config.comm.net.latency_us = 300;
   job.config.comm.net.bandwidth_mbps = 2.0;
   job.config.cache_capacity = 256;
   job.config.cache_num_buckets = 32;
   job.graph = &g;
-  job.comper_factory = [] { return std::make_unique<MaximalCliqueComper>(); };
+  job.comper_factory = [] {
+    return std::make_unique<MaximalCliqueComper>(/*budget_us=*/200);
+  };
   auto result = Cluster<MaximalCliqueComper>::Run(job);
 
   const JobStats& stats = result.stats;
@@ -305,9 +297,8 @@ TEST(SplitTermination, TimeoutExitStaysAccountedWithSplittingArmed) {
 
 TEST(SplitConservation, SplitsRacingStealsAndSpills) {
   Graph g = Generator::PowerLaw(400, 12.0, 2.4, 981);
-  auto base = RunCountJob<MaximalCliqueComper>(
-      &g, [] { return std::make_unique<MaximalCliqueComper>(); }, nullptr,
-      /*split=*/false);
+  auto base = RunCountJob<MaximalCliqueComper>(&g, MakeMaximalClique, nullptr,
+                                               /*split=*/false);
   for (int round = 0; round < 4; ++round) {
     Job<MaximalCliqueComper> job;
     job.config.num_workers = 4;
@@ -315,12 +306,9 @@ TEST(SplitConservation, SplitsRacingStealsAndSpills) {
     job.config.enable_stealing = true;
     job.config.task_batch_size = 4;  // force refill/spill churn
     job.config.inflight_task_cap = 32;
-    job.config.task_time_budget_us = kTinyBudgetUs;
     job.config.progress_interval_us = 500;
     job.graph = &g;
-    job.comper_factory = [] {
-      return std::make_unique<MaximalCliqueComper>();
-    };
+    job.comper_factory = [] { return MakeMaximalClique(kTinyBudgetUs); };
     auto result = Cluster<MaximalCliqueComper>::Run(job);
     ASSERT_EQ(result.result, base.result) << "round=" << round;
 
@@ -328,7 +316,7 @@ TEST(SplitConservation, SplitsRacingStealsAndSpills) {
     ASSERT_FALSE(stats.timed_out);
     EXPECT_EQ(stats.tasks_lost, 0) << "round=" << round;
     EXPECT_EQ(stats.tasks_live_at_exit, 0) << "round=" << round;
-    // Conservation under splitting: spawned (incl. every split child)
+    // Conservation under splitting: spawned (incl. every range child)
     // plus restored equals finished — a split of 1 into k that leaked or
     // double-counted any child breaks this exactly.
     EXPECT_EQ(stats.ledger.spawned + stats.ledger.restored,
@@ -336,7 +324,8 @@ TEST(SplitConservation, SplitsRacingStealsAndSpills) {
         << "round=" << round;
     EXPECT_EQ(stats.ledger.donated, stats.ledger.received);
     EXPECT_EQ(stats.ledger.dropped, 0);
-    EXPECT_GT(SumCounter(stats, "split.count"), 0) << "round=" << round;
+    EXPECT_GT(stats.tasks_spawned, base.stats.tasks_spawned)
+        << "round=" << round;
   }
 }
 

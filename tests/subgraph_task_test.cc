@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "apps/maxclique_app.h"
 #include "core/protocol.h"
 #include "core/subgraph.h"
@@ -106,6 +110,29 @@ TEST(Task, SerializationRoundtripWithContext) {
   EXPECT_EQ(back.pulls(), (std::vector<VertexId>{5, 6}));
   EXPECT_EQ(back.iteration(), 1u);
   EXPECT_EQ(back.subgraph().GetVertex(4)->value, (AdjList{5, 6}));
+}
+
+TEST(Task, RecordStartsWithIterationThenPulls) {
+  // Wire protocol v3 layout of a task record: u32 iteration | u64 n, n pull
+  // ids | subgraph | context. Nothing sits between the iteration and the
+  // pull list.
+  Task<AdjList, CliqueContext> t;
+  t.Pull(9);
+  t.BumpIteration();
+  t.BumpIteration();
+  Serializer ser;
+  t.Serialize(ser);
+  const std::string bytes = ser.Release();
+  ASSERT_GE(bytes.size(), 4 + 8 + sizeof(VertexId));
+  uint32_t iteration = 0;
+  uint64_t pulls = 0;
+  VertexId first = 0;
+  std::memcpy(&iteration, bytes.data(), sizeof(iteration));
+  std::memcpy(&pulls, bytes.data() + 4, sizeof(pulls));
+  std::memcpy(&first, bytes.data() + 12, sizeof(first));
+  EXPECT_EQ(iteration, 2u);
+  EXPECT_EQ(pulls, 1u);
+  EXPECT_EQ(first, 9u);
 }
 
 TEST(Task, LabeledVertexSerialization) {

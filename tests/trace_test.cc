@@ -1,13 +1,18 @@
 // Task-lifecycle invariants of a real job, read off the job's event ring
-// (JobConfig::enable_span_tracing), and its Chrome trace rendering.
+// (JobConfig::enable_span_tracing), the lineage of tasks added from Compute,
+// and the Chrome trace rendering.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "apps/kclique_app.h"
+#include "apps/kernels.h"
 #include "apps/triangle_app.h"
 #include "core/cluster.h"
 #include "graph/generator.h"
@@ -90,6 +95,74 @@ TEST(Trace, ChromeTraceShowsSpillAndStealNextToTaskSlices) {
   EXPECT_GT(marks["spill_write"], 0);
   EXPECT_GT(marks["steal_donate"], 0);
   EXPECT_GT(marks["steal_receive"], 0);
+}
+
+// Three hubs (IDs 0-2) each see the whole pool, and the pool is a perfect
+// matching, so in ID order with the Γ_> trim only the hubs root a 3-clique
+// task: every other task in the job is a range child that a budgeted
+// Compute added. Each spawn of a child names the span of the task whose
+// Compute added it, that task executed, and the straggler table (the top
+// tasks by compute, at most 3 of them roots) carries the lineage.
+TEST(Trace, TasksAddedFromComputeNameTheirParent) {
+  constexpr VertexId kHubs = 3;
+  constexpr VertexId kPool = 600;
+  Graph g(kHubs + kPool);
+  for (VertexId h = 0; h < kHubs; ++h) {
+    for (VertexId p = kHubs; p < kHubs + kPool; ++p) g.AddEdge(h, p);
+  }
+  for (VertexId p = kHubs; p < kHubs + kPool; p += 2) g.AddEdge(p, p + 1);
+  g.Finalize();
+  Job<KCliqueComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.layout.reorder = false;  // keep the hubs at the lowest IDs
+  // No spill and no steal: a task that crosses either starts a fresh span
+  // at its new home (`loaded`), with no spawn event to carry a parent.
+  job.config.enable_stealing = false;
+  job.config.task_batch_size = 1000;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] {
+    return std::make_unique<KCliqueComper>(3, /*budget_us=*/1);
+  };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<KCliqueComper>::Run(job);
+  EXPECT_EQ(result.result, CountKCliquesSerial(g, 3));
+  ASSERT_EQ(result.stats.spilled_batches, 0);
+
+  const std::vector<obs::SpanEvent>& spans = result.stats.spans;
+  ASSERT_EQ(result.stats.span_events_total,
+            static_cast<int64_t>(spans.size()));
+  std::set<uint64_t> executed;
+  for (const obs::SpanEvent& e : spans) {
+    if (e.kind == obs::EventKind::kExecute) executed.insert(e.id);
+  }
+  int64_t roots = 0;
+  int64_t children = 0;
+  for (const obs::SpanEvent& e : spans) {
+    if (e.kind != obs::EventKind::kSpawn) continue;
+    if (e.parent == 0) {
+      ++roots;
+      continue;
+    }
+    ++children;
+    EXPECT_TRUE(executed.count(e.parent)) << "parent " << e.parent;
+    EXPECT_NE(e.parent, e.id);
+  }
+  EXPECT_EQ(roots, kHubs);
+  EXPECT_GT(children, 0);
+  EXPECT_EQ(roots + children, result.stats.tasks_spawned);
+
+  const std::vector<obs::Straggler>& stragglers =
+      result.stats.phases.stragglers;
+  ASSERT_GT(stragglers.size(), kHubs);
+  int64_t with_parent = 0;
+  for (const obs::Straggler& s : stragglers) {
+    if (s.parent_task_id == 0) continue;
+    ++with_parent;
+    EXPECT_TRUE(executed.count(s.parent_task_id)) << "task " << s.task_id;
+  }
+  EXPECT_GE(with_parent, static_cast<int64_t>(stragglers.size() - kHubs));
 }
 
 TEST(Trace, DisabledByDefault) {
