@@ -243,7 +243,6 @@ class Cluster {
       topts.rank = rank;
       topts.num_workers = num_workers;
       topts.hosts = config.comm.hosts;
-      topts.connect_timeout_ms = config.comm.tcp_connect_timeout_ms;
       hub_owner = std::make_unique<CommHub>(
           num_workers + 1,
           std::make_unique<net::TcpTransport>(std::move(topts)));

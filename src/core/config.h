@@ -53,10 +53,6 @@ struct CommConfig {
   /// share the JobConfig, so no per-connection negotiation is needed.
   WireEncoding wire_encoding = WireEncoding::kRaw;
 
-  /// transport=tcp: Start() fails if the full-mesh handshake is not done
-  /// within this (net/transport_tcp.h).
-  int64_t tcp_connect_timeout_ms = 10'000;
-
   /// Fills `hosts` from `hostfile` (no-op when hosts is already set).
   Status LoadHostfile() {
     if (!hosts.empty() || hostfile.empty()) return Status::Ok();
@@ -255,10 +251,6 @@ struct JobConfig {
         return Status::InvalidArgument(
             "checkpointing is not supported under transport=tcp (the "
             "quiesce relies on cluster-global in-flight counts)");
-      }
-      if (comm.tcp_connect_timeout_ms <= 0) {
-        return Status::InvalidArgument(
-            "tcp_connect_timeout_ms must be positive");
       }
     }
     if (comm.wire_encoding != WireEncoding::kRaw &&

@@ -57,7 +57,7 @@ bool SplitHostPort(const std::string& entry, std::string* host, int* port) {
   return true;
 }
 
-constexpr int kIoPollMs = 50;  // fallback poll cadence (stop flag, backoff)
+constexpr int kIoPollMs = 50;  // fallback poll cadence (stop flag)
 constexpr int64_t kStopFlushMs = 5000;  // bounded best-effort flush in Stop()
 /// iovec budget per sendmsg(): bounds per-call setup cost while still
 /// coalescing tens of frames (well under the kernel's UIO_MAXIOV of 1024).
@@ -84,6 +84,9 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
 }
 
 TcpTransport::~TcpTransport() { Stop(); }
+
+/// Start() fails if the full-mesh handshake is not done within this.
+constexpr int64_t kHandshakeTimeoutMs = 10'000;
 
 Status TcpTransport::Start() {
   {
@@ -146,9 +149,9 @@ Status TcpTransport::Start() {
   io_thread_ = std::thread(&TcpTransport::IoLoop, this);
 
   // Block until the full mesh has exchanged HELLOs (or a sticky error /
-  // timeout). Peers that are slow to start are covered by reconnect backoff.
+  // timeout). A peer that is not listening yet is redialed by the IO thread.
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.connect_timeout_ms);
+                        std::chrono::milliseconds(kHandshakeTimeoutMs);
   cv_start_.wait_until(lock, deadline, [&] {
     return !start_error_.ok() || AllHelloLocked();
   });
@@ -162,7 +165,7 @@ Status TcpTransport::Start() {
     lock.unlock();
     Stop();
     return Status::IoError("tcp transport: handshake timeout after " +
-                           std::to_string(options_.connect_timeout_ms) + "ms");
+                           std::to_string(kHandshakeTimeoutMs) + "ms");
   }
   return Status::Ok();
 }
@@ -196,19 +199,8 @@ void TcpTransport::Stop() {
   std::lock_guard<std::mutex> lock(mu_);
   for (Peer& p : peers_) {
     {
-      // Anything still queued was accepted by Send() but never hit the wire:
-      // count the data frames so the final report can audit drained vs
-      // abandoned instead of losing them silently.
       std::lock_guard<std::mutex> slock(p.send_mu);
-      for (const OutFrame& f : p.sendq) {
-        if (f.kind == FrameKind::kData) {
-          batches_abandoned_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      p.sendq.clear();
-      p.front_off = 0;
-      p.queued_bytes.store(0, std::memory_order_relaxed);
-      p.queued_frames.store(0, std::memory_order_relaxed);
+      AbandonSendQueueLocked(p);
     }
     if (p.fd >= 0) ::close(p.fd);
     p.fd = -1;
@@ -226,6 +218,21 @@ void TcpTransport::Stop() {
     *fd = -1;
   }
   running_.store(false, std::memory_order_relaxed);
+}
+
+void TcpTransport::AbandonSendQueueLocked(Peer& peer) {
+  // Anything still queued was accepted by Send() but never hit the wire:
+  // count the data frames so the final report can audit drained vs
+  // abandoned instead of losing them silently.
+  for (const OutFrame& f : peer.sendq) {
+    if (f.kind == FrameKind::kData) {
+      batches_abandoned_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  peer.sendq.clear();
+  peer.front_off = 0;
+  peer.queued_bytes.store(0, std::memory_order_relaxed);
+  peer.queued_frames.store(0, std::memory_order_relaxed);
 }
 
 void TcpTransport::WakeLocked() {
@@ -270,27 +277,22 @@ TcpTransport::OutFrame TcpTransport::EncodeControlFrame(
   return out;
 }
 
-void TcpTransport::EnqueueFrameLocked(Peer& peer, OutFrame frame, bool front) {
+void TcpTransport::EnqueueFrameLocked(Peer& peer, OutFrame frame) {
   peer.queued_bytes.fetch_add(static_cast<int64_t>(frame.size()),
                               std::memory_order_relaxed);
   peer.queued_frames.fetch_add(1, std::memory_order_relaxed);
-  if (front) {
-    GT_CHECK_EQ(static_cast<int64_t>(peer.front_off), 0);
-    peer.sendq.push_front(std::move(frame));
-  } else {
-    peer.sendq.push_back(std::move(frame));
-  }
+  peer.sendq.push_back(std::move(frame));
 }
 
-void TcpTransport::EnqueueControl(int q, FrameKind kind, uint8_t msg_type,
-                                  bool front) {
-  OutFrame frame = EncodeControlFrame(kind, msg_type);
+void TcpTransport::EnqueueHello(int q) {
+  OutFrame frame = EncodeControlFrame(FrameKind::kHello, 0);
   Peer& peer = peers_[q];
   std::lock_guard<std::mutex> lock(peer.send_mu);
-  EnqueueFrameLocked(peer, std::move(frame), front);
+  EnqueueFrameLocked(peer, std::move(frame));
 }
 
 void TcpTransport::Send(MessageBatch batch) {
+  FailIfLinkLost();
   const int dst_rank = EndpointRank(batch.dst_worker);
   GT_CHECK_GE(batch.dst_worker, 0);
   GT_CHECK_LT(batch.dst_worker, num_endpoints_);
@@ -314,9 +316,14 @@ void TcpTransport::Send(MessageBatch batch) {
       peer.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
       peer.send_cv.wait(lock, [&] {
         return stop_.load(std::memory_order_relaxed) ||
+               link_lost_.load(std::memory_order_relaxed) ||
                peer.queued_bytes.load(std::memory_order_relaxed) <
                    options_.send_buffer_max_bytes;
       });
+      if (link_lost_.load(std::memory_order_acquire)) {
+        lock.unlock();
+        FailIfLinkLost();
+      }
       if (stop_.load(std::memory_order_relaxed)) {
         // Teardown: the batch is abandoned with the run — but audited.
         batches_abandoned_.fetch_add(1, std::memory_order_relaxed);
@@ -324,7 +331,7 @@ void TcpTransport::Send(MessageBatch batch) {
       }
     }
     was_empty = peer.sendq.empty();
-    EnqueueFrameLocked(peer, std::move(frame), /*front=*/false);
+    EnqueueFrameLocked(peer, std::move(frame));
   }
   if (was_empty) {
     // Only the empty->nonempty transition needs a wakeup: once nonempty, the
@@ -337,9 +344,13 @@ void TcpTransport::Send(MessageBatch batch) {
 bool TcpTransport::Receive(int endpoint, int64_t timeout_us,
                            MessageBatch* out) {
   GT_CHECK(IsLocalEndpoint(endpoint));
+  FailIfLinkLost();
   auto popped =
       inboxes_[endpoint]->PopFor(std::chrono::microseconds(timeout_us));
-  if (!popped.has_value()) return false;
+  if (!popped.has_value()) {
+    FailIfLinkLost();
+    return false;
+  }
   *out = std::move(*popped);
   return true;
 }
@@ -365,6 +376,8 @@ void TcpTransport::BeginDrain(int endpoint) {
 }
 
 int64_t TcpTransport::DrainPending(int64_t unprocessed) {
+  // A lost peer's drain markers can never arrive.
+  FailIfLinkLost();
   int64_t pending = 0;
   std::lock_guard<std::mutex> lock(mu_);
   int64_t inbox = 0;
@@ -403,8 +416,7 @@ void TcpTransport::EnqueueFlushLocked(uint8_t round) {
     if (q == options_.rank) continue;
     Peer& peer = peers_[q];
     std::lock_guard<std::mutex> slock(peer.send_mu);
-    EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kFlush, round),
-                       /*front=*/false);
+    EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kFlush, round));
   }
   WakeLocked();
 }
@@ -417,106 +429,117 @@ bool TcpTransport::AllHelloLocked() const {
   return true;
 }
 
-Status TcpTransport::ConnectPeerLocked(int q) {
+/// Interval between start-up dials of a peer that is not listening yet.
+constexpr int64_t kRedialMs = 2;
+
+void TcpTransport::DialLocked(int q) {
+  Peer& peer = peers_[q];
+  peer.redial_at_ms = SteadyNowMs() + kRedialMs;  // if this attempt fails
   std::string host;
   int port = 0;
-  if (!SplitHostPort(options_.hosts[q], &host, &port)) {
-    return Status::InvalidArgument("bad hostfile entry: " + options_.hosts[q]);
-  }
   addrinfo hints;
   std::memset(&hints, 0, sizeof(hints));
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* res = nullptr;
-  const std::string port_str = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), port_str.c_str(), &hints, &res) != 0 ||
-      res == nullptr) {
-    return Status::IoError("getaddrinfo " + host);
+  int fd = -1;
+  if (SplitHostPort(options_.hosts[q], &host, &port) &&
+      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
+                    &res) == 0 &&
+      res != nullptr) {
+    fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
   }
-  const int fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-  if (fd < 0) {
-    ::freeaddrinfo(res);
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  SetNonBlocking(fd);
-  SetNoDelay(fd);
-  SetSndbuf(fd, options_.sndbuf_bytes);
-  const int rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
-  ::freeaddrinfo(res);
-  Peer& peer = peers_[q];
-  if (rc == 0) {
-    peer.fd = fd;
-    peer.connecting = false;
-    {
-      std::lock_guard<std::mutex> slock(peer.send_mu);
-      peer.front_off = 0;
-      EnqueueFrameLocked(peer,
-                         EncodeControlFrame(FrameKind::kHello, 0),
-                         /*front=*/true);
+  if (fd >= 0) {
+    SetNonBlocking(fd);
+    SetNoDelay(fd);
+    SetSndbuf(fd, options_.sndbuf_bytes);
+    // Typically ECONNREFUSED while the peer is not listening yet.
+    if (::connect(fd, res->ai_addr, res->ai_addrlen) != 0 &&
+        errno != EINPROGRESS) {
+      ::close(fd);
+      fd = -1;
     }
-    MarkPollsetDirtyLocked();
-  } else if (errno == EINPROGRESS) {
-    peer.fd = fd;
-    peer.connecting = true;
-    MarkPollsetDirtyLocked();
-  } else {
-    ::close(fd);
-    return Status::IoError("connect " + options_.hosts[q] + ": " +
-                           std::strerror(errno));
   }
-  return Status::Ok();
-}
-
-void TcpTransport::ScheduleReconnectLocked(int q) {
-  Peer& peer = peers_[q];
-  peer.reconnects.fetch_add(1, std::memory_order_relaxed);
-  peer.backoff_ms = peer.backoff_ms == 0
-                        ? options_.backoff_initial_ms
-                        : std::min(peer.backoff_ms * 2,
-                                   options_.backoff_max_ms);
-  peer.reconnect_at_ms = SteadyNowMs() + peer.backoff_ms;
+  if (res != nullptr) ::freeaddrinfo(res);
+  if (fd < 0) {
+    peer.reconnects.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // POLLOUT reports the connect's outcome, and the HELLO goes out then.
+  peer.fd = fd;
+  peer.connecting = true;
+  MarkPollsetDirtyLocked();
 }
 
 void TcpTransport::AdoptLocked(int q, int fd, const std::string& rx) {
   Peer& peer = peers_[q];
-  if (peer.fd >= 0) ::close(peer.fd);  // replaced by the peer's reconnect
   peer.fd = fd;
-  peer.connecting = false;
+  peer.hello_ok = true;
+  cv_start_.notify_all();
   // Seed the receive buffer with whatever followed the HELLO.
   peer.rx_slab =
       SlabRef(BufferPool::Global().Acquire(std::max(kRecvChunk, rx.size())));
   if (!rx.empty()) std::memcpy(peer.rx_slab.data(), rx.data(), rx.size());
   peer.rx_len = rx.size();
   peer.rx_off = 0;
-  {
-    std::lock_guard<std::mutex> slock(peer.send_mu);
-    peer.front_off = 0;
-    EnqueueFrameLocked(peer,
-                       EncodeControlFrame(FrameKind::kHello, 0),
-                       /*front=*/true);
-  }
+  EnqueueHello(q);
   MarkPollsetDirtyLocked();
 }
 
-void TcpTransport::DropPeer(int q, bool reconnect) {
+void TcpTransport::DropPeer(int q, const std::string& why) {
   Peer& peer = peers_[q];
   if (peer.fd >= 0) ::close(peer.fd);
   peer.fd = -1;
   peer.connecting = false;
   peer.rx_slab.Reset();
   peer.rx_len = peer.rx_off = 0;
+  bool orderly;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    peer.hello_ok = false;
     MarkPollsetDirtyLocked();
-    if (reconnect) ScheduleReconnectLocked(q);
+    orderly = peer.flush2_rx;
+    // A start-up dial that failed: the dial loop retries it.
+    if (!peer.hello_ok) peer.reconnects.fetch_add(1, std::memory_order_relaxed);
   }
-  // Resend from the last frame boundary: frames are only popped once fully
-  // written, so resetting the partial-write offset is lossless (the receiver
-  // may see a truncated frame tail from the dead connection; it resyncs on
-  // the fresh connection's HELLO).
-  std::lock_guard<std::mutex> slock(peer.send_mu);
-  peer.front_off = 0;
+  {
+    // Nothing queued can reach the peer any more (before the handshake the
+    // queue holds only our HELLO, which the redial sends afresh).
+    std::lock_guard<std::mutex> slock(peer.send_mu);
+    AbandonSendQueueLocked(peer);
+  }
+  if (!orderly) RecordLoss(q, why + " before its drain marker");
+}
+
+void TcpTransport::RecordLoss(int q, const std::string& why) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_.load(std::memory_order_relaxed) || !peers_[q].hello_ok ||
+        !peers_[q].lost.empty()) {
+      return;
+    }
+    peers_[q].lost = why;
+    link_lost_.store(true, std::memory_order_release);
+  }
+  // Wake senders blocked on backpressure so they fail instead of waiting.
+  for (Peer& p : peers_) {
+    std::lock_guard<std::mutex> slock(p.send_mu);
+    p.send_cv.notify_all();
+  }
+}
+
+void TcpTransport::FailIfLinkLost() const {
+  if (!link_lost_.load(std::memory_order_acquire)) return;
+  std::string lost;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int q = 0; q < options_.num_workers; ++q) {
+      if (peers_[q].lost.empty()) continue;
+      lost += (lost.empty() ? ": link to rank " : "; link to rank ") +
+              std::to_string(q) + " lost (" + peers_[q].lost + ")";
+    }
+  }
+  LOG_FATAL << "tcp rank " << options_.rank << lost
+            << "; the job cannot complete without it";
 }
 
 bool TcpTransport::WritePeer(int q) {
@@ -562,6 +585,9 @@ bool TcpTransport::WritePeer(int q) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
         return true;
       }
+      const std::string err = std::strerror(errno);
+      lock.unlock();
+      DropPeer(q, "send failed: " + err);
       return false;
     }
     sendmsg_calls_.fetch_add(1, std::memory_order_relaxed);
@@ -595,18 +621,20 @@ bool TcpTransport::WritePeer(int q) {
   return true;
 }
 
-bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
-                               const char* payload) {
+const char* TcpTransport::HandleFrame(int q, const FrameHeader& h,
+                                      const char* payload) {
   switch (h.kind) {
     case FrameKind::kHello: {
       // Version was already vetted by the caller. On the dialing side this
-      // is the acceptor's reply completing the handshake; accepted
+      // is the acceptor's reply completing the handshake (a socket that
+      // connected to itself hears its own rank and is redialed); accepted
       // connections were attached to their peer slot before parsing.
+      if (h.src != q) return "HELLO from the wrong rank";
       std::lock_guard<std::mutex> lock(mu_);
       Peer& peer = peers_[q];
       peer.hello_ok = true;
       cv_start_.notify_all();
-      return true;
+      return nullptr;
     }
     case FrameKind::kFlush: {
       std::lock_guard<std::mutex> lock(mu_);
@@ -616,21 +644,21 @@ bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
       } else if (h.msg_type == 2) {
         peer.flush2_rx = true;
       } else {
-        return false;
+        return "unknown drain marker round";
       }
-      return true;
+      return nullptr;
     }
     case FrameKind::kData: {
-      if (h.msg_type >= kNumMsgTypes) return false;
+      if (h.msg_type >= kNumMsgTypes) return "unknown message type";
       // A rank speaks only for its own endpoints: its worker, plus the
       // master on rank 0. Anything else is a forged source that would let
       // the frame reach code indexing per-worker state by src.
       if (h.src != q && !(q == 0 && h.src == options_.num_workers)) {
-        return false;
+        return "forged source endpoint";
       }
       if (!IsLocalEndpoint(h.dst)) {
         frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-        return true;  // misrouted, but the stream itself is intact
+        return nullptr;  // misrouted, but the stream itself is intact
       }
       Peer& peer = peers_[q];
       MessageBatch batch;
@@ -646,9 +674,16 @@ bool TcpTransport::HandleFrame(int q, const FrameHeader& h,
       batch.deliver_at_us = 0;
       batch.sent_at_us = 0;
       inboxes_[h.dst]->Push(std::move(batch));
-      return true;
+      return nullptr;
     }
   }
+  return "unknown frame kind";
+}
+
+bool TcpTransport::RejectFrame(int q, const std::string& why) {
+  // Loss first: whoever sees the counter move also sees the link lost.
+  RecordLoss(q, "corrupt frame: " + why);
+  frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -657,38 +692,30 @@ bool TcpTransport::ParseRx(int q) {
   while (peer.rx_len - peer.rx_off >= kFrameHeaderSize) {
     const char* base = peer.rx_slab.data() + peer.rx_off;
     FrameHeader h;
-    if (!DecodeFrameHeader(base, &h)) {
-      frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    if (!DecodeFrameHeader(base, &h)) return RejectFrame(q, "bad header");
     if (h.version != kProtocolVersion) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (q < options_.rank) {
-        // We initiated this connection: a version mismatch is a
-        // configuration error, reported as a clean Start() failure.
-        if (start_error_.ok()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!peer.hello_ok && start_error_.ok()) {
+          // Only a dialed link awaits its HELLO here (accepted ones were
+          // vetted before adoption): the acceptor speaks another version, a
+          // configuration error reported as a clean Start() failure.
           start_error_ = Status::InvalidArgument(
               "protocol version mismatch: peer rank " + std::to_string(q) +
               " speaks v" + std::to_string(h.version) + ", this build v" +
               std::to_string(kProtocolVersion));
+          cv_start_.notify_all();
         }
-        cv_start_.notify_all();
-      } else {
-        // Accepted side: reject the stray/incompatible connection without
-        // taking the job down.
-        hello_rejected_.fetch_add(1, std::memory_order_relaxed);
       }
-      return false;
+      return RejectFrame(q, "wrong protocol version");
     }
     if (peer.rx_len - peer.rx_off - kFrameHeaderSize < h.payload_len) break;
     const char* payload = base + kFrameHeaderSize;
     if (h.payload_len > 0 && Crc32C(payload, h.payload_len) != h.crc32) {
-      frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+      return RejectFrame(q, "CRC mismatch");
     }
-    if (!HandleFrame(q, h, payload)) {
-      frames_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+    if (const char* violation = HandleFrame(q, h, payload)) {
+      return RejectFrame(q, violation);
     }
     peer.frames_received.fetch_add(1, std::memory_order_relaxed);
     peer.rx_off += kFrameHeaderSize + h.payload_len;
@@ -744,12 +771,17 @@ bool TcpTransport::ReadPeer(int q) {
     if (n > 0) {
       peer.bytes_received.fetch_add(n, std::memory_order_relaxed);
       peer.rx_len += static_cast<size_t>(n);
-      if (!ParseRx(q)) return false;
+      if (!ParseRx(q)) {
+        DropPeer(q, "corrupt frame");
+        return false;
+      }
       if (static_cast<size_t>(n) < space) return true;
       continue;
     }
-    if (n == 0) return false;  // orderly EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return true;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      return true;
+    }
+    DropPeer(q, n == 0 ? "connection closed" : std::strerror(errno));
     return false;
   }
 }
@@ -759,27 +791,21 @@ void TcpTransport::IoLoop() {
   // owners[i]: -1 listen, -2 wake pipe, q >= 0 peer rank, -(3+i) pending_[i]
   std::vector<int> owners;
   uint64_t seen_version = 0;  // pollset_version_ starts at 1: build on entry
-  // Accepted connections whose HELLO arrived this round, by peer rank
-  // (rxbuf holds the bytes read past the HELLO); each becomes its peer's
-  // live link once the round's events are handled.
-  std::vector<Pending> adopted(peers_.size());
   while (true) {
     int timeout_ms = kIoPollMs;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_.load(std::memory_order_relaxed)) break;
       const int64_t now_ms = SteadyNowMs();
-      // This rank dials every lower rank; higher ranks dial us.
+      // This rank dials every lower rank; higher ranks dial us. Only a link
+      // that has not completed its handshake is (re)dialed.
       for (int q = 0; q < options_.rank; ++q) {
         Peer& peer = peers_[q];
-        if (peer.fd >= 0) continue;
-        if (now_ms >= peer.reconnect_at_ms) {
-          const Status s = ConnectPeerLocked(q);
-          if (!s.ok()) ScheduleReconnectLocked(q);
-        }
+        if (peer.fd >= 0 || peer.hello_ok || !start_error_.ok()) continue;
+        if (now_ms >= peer.redial_at_ms) DialLocked(q);
         if (peer.fd < 0) {
           timeout_ms = static_cast<int>(std::min<int64_t>(
-              timeout_ms, std::max<int64_t>(1, peer.reconnect_at_ms - now_ms)));
+              timeout_ms, std::max<int64_t>(1, peer.redial_at_ms - now_ms)));
         }
       }
       if (seen_version != pollset_version_) {
@@ -850,7 +876,7 @@ void TcpTransport::IoLoop() {
       if (owner <= -3) {
         // Accepted connection awaiting its HELLO.
         const size_t idx = static_cast<size_t>(-3 - owner);
-        std::lock_guard<std::mutex> lock(mu_);
+        std::unique_lock<std::mutex> lock(mu_);
         if (idx >= pending_.size()) continue;
         Pending& c = pending_[idx];
         if (c.fd != pfds[i].fd) continue;
@@ -861,23 +887,27 @@ void TcpTransport::IoLoop() {
           c.rxbuf.append(buf, static_cast<size_t>(n));
           if (c.rxbuf.size() >= kFrameHeaderSize) {
             FrameHeader h;
+            // A HELLO for a rank whose link is already up is rejected:
+            // links are never replaced.
             if (!DecodeFrameHeader(c.rxbuf.data(), &h) ||
                 h.kind != FrameKind::kHello ||
                 h.version != kProtocolVersion || h.src <= options_.rank ||
-                h.src >= options_.num_workers) {
+                h.src >= options_.num_workers || peers_[h.src].hello_ok) {
               hello_rejected_.fetch_add(1, std::memory_order_relaxed);
               drop = true;
             } else {
-              // Adopt: this connection becomes the live link to rank h.src
-              // at the end of the round.
-              Pending& a = adopted[h.src];
-              if (a.fd >= 0) ::close(a.fd);  // superseded
-              a = Pending{c.fd, c.rxbuf.substr(kFrameHeaderSize)};
-              Peer& peer = peers_[h.src];
-              peer.hello_ok = true;
-              cv_start_.notify_all();
+              AdoptLocked(h.src, c.fd, c.rxbuf.substr(kFrameHeaderSize));
               c.fd = -1;  // ownership transferred
               dead_pending.push_back(static_cast<int>(idx));
+              lock.unlock();
+              // Service the fresh link outside mu_ (socket IO never runs
+              // under the global lock): parse bytes that arrived with the
+              // HELLO and flush the reply.
+              if (!ParseRx(h.src)) {
+                DropPeer(h.src, "corrupt frame");
+              } else {
+                WritePeer(h.src);
+              }
               continue;
             }
           }
@@ -895,75 +925,38 @@ void TcpTransport::IoLoop() {
       // Peer socket.
       const int q = owner;
       Peer& peer = peers_[q];
-      if (peer.fd != pfds[i].fd) continue;  // replaced this iteration
+      if (peer.fd != pfds[i].fd) continue;  // dropped this iteration
       const short rev = pfds[i].revents;
       if (peer.connecting && (rev & (POLLOUT | POLLERR | POLLHUP))) {
         int err = 0;
         socklen_t elen = sizeof(err);
         ::getsockopt(peer.fd, SOL_SOCKET, SO_ERROR, &err, &elen);
         if (err != 0) {
-          DropPeer(q, /*reconnect=*/true);
+          DropPeer(q, std::strerror(err));
           continue;
         }
         peer.connecting = false;
-        EnqueueControl(q, FrameKind::kHello, 0, /*front=*/true);
+        EnqueueHello(q);
       }
       if (rev & (POLLERR | POLLHUP | POLLNVAL)) {
-        // Read out anything still buffered before declaring the link dead.
-        ReadPeer(q);
-        if (peer.fd >= 0) DropPeer(q, q < options_.rank);
+        // Read out anything still buffered (a round-2 drain marker makes
+        // the close orderly) before declaring the link dead.
+        if (ReadPeer(q)) DropPeer(q, "connection hung up");
         continue;
       }
-      if ((rev & POLLIN) && !ReadPeer(q)) {
-        bool fatal;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          fatal = !start_error_.ok();
-        }
-        DropPeer(q, /*reconnect=*/q < options_.rank && !fatal);
-        continue;
-      }
+      if ((rev & POLLIN) && !ReadPeer(q)) continue;
       if (!peer.connecting &&
-          peer.queued_frames.load(std::memory_order_relaxed) > 0 &&
-          !WritePeer(q)) {
-        DropPeer(q, q < options_.rank);
-        continue;
+          peer.queued_frames.load(std::memory_order_relaxed) > 0) {
+        WritePeer(q);
       }
     }
-    if (dead_pending.empty()) continue;  // every adoption retires a pending
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      std::sort(dead_pending.begin(), dead_pending.end());
-      for (auto it = dead_pending.rbegin(); it != dead_pending.rend(); ++it) {
-        pending_.erase(pending_.begin() + *it);
-      }
-      for (size_t q = 0; q < adopted.size(); ++q) {
-        if (adopted[q].fd >= 0) {
-          AdoptLocked(static_cast<int>(q), adopted[q].fd, adopted[q].rxbuf);
-        }
-      }
-      MarkPollsetDirtyLocked();
-    }
-    // Service freshly adopted connections outside mu_ (socket IO never runs
-    // under the global lock): parse bytes that arrived with the HELLO and
-    // flush the reply.
-    for (size_t q = 0; q < adopted.size(); ++q) {
-      if (adopted[q].fd < 0) continue;
-      adopted[q] = Pending();
-      const int rank = static_cast<int>(q);
-      if (!ParseRx(rank) || !WritePeer(rank)) {
-        DropPeer(rank, /*reconnect=*/false);
-      }
-    }
-  }
-  // Unblock anyone still waiting at teardown.
-  {
+    if (dead_pending.empty()) continue;
     std::lock_guard<std::mutex> lock(mu_);
-    cv_start_.notify_all();
-  }
-  for (Peer& peer : peers_) {
-    std::lock_guard<std::mutex> slock(peer.send_mu);
-    peer.send_cv.notify_all();
+    std::sort(dead_pending.begin(), dead_pending.end());
+    for (auto it = dead_pending.rbegin(); it != dead_pending.rend(); ++it) {
+      pending_.erase(pending_.begin() + *it);
+    }
+    MarkPollsetDirtyLocked();
   }
 }
 

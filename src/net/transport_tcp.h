@@ -31,11 +31,6 @@ struct TcpTransportOptions {
   std::vector<std::string> hosts;
   /// Per-peer buffered-send cap; Send() blocks (backpressure) above it.
   int64_t send_buffer_max_bytes = 4 << 20;
-  /// Start() fails if the full-mesh handshake is not done within this.
-  int64_t connect_timeout_ms = 10'000;
-  /// Reconnect backoff window on transient socket errors.
-  int64_t backoff_initial_ms = 50;
-  int64_t backoff_max_ms = 1'000;
   /// SO_SNDBUF override for peer sockets (0 = OS default). Tests use a tiny
   /// value to force short writes that split frames across syscalls.
   int sndbuf_bytes = 0;
@@ -51,9 +46,12 @@ struct TcpTransportOptions {
 /// (header + live Payload fragment chain, no copy) into a single sendmsg()
 /// per syscall; reads land in pooled BufferPool slabs and complete DATA
 /// payloads are handed to the inboxes as zero-copy views into those slabs.
-/// Send() applies backpressure above send_buffer_max_bytes; transient
-/// connection errors reconnect with exponential backoff and resend from the
-/// last frame boundary.
+/// Send() applies backpressure above send_buffer_max_bytes. A link lives
+/// for the whole job: Start() redials a peer that is not listening yet, but
+/// a handshaken link is never redialed or replaced. If it closes before the
+/// peer's round-2 drain marker (and before our Stop()), or carries a corrupt
+/// or forged frame, the process's next Send/Receive/DrainPending dies naming
+/// the peer.
 ///
 /// Locking (DESIGN.md "Transport layer", data plane):
 ///   - mu_ guards connection lifecycle (hello state, pending
@@ -111,14 +109,14 @@ class TcpTransport final : public Transport {
     //    the mu_-guarded fields noted below --
     int fd = -1;
     bool connecting = false;  // nonblocking connect() awaiting POLLOUT
-    bool hello_ok = false;    // mu_: valid HELLO received on the live conn
+    bool hello_ok = false;    // mu_: handshake done; never redialed after
     SlabRef rx_slab;    // pooled receive buffer (DATA payloads are views)
     size_t rx_len = 0;  // filled prefix of rx_slab
     size_t rx_off = 0;  // parsed prefix of rx_slab
-    int64_t backoff_ms = 0;
-    int64_t reconnect_at_ms = 0;  // steady-clock ms of next connect attempt
-    bool flush1_rx = false;       // mu_: drain markers from this peer
-    bool flush2_rx = false;       // mu_
+    int64_t redial_at_ms = 0;  // mu_: steady-clock ms of the next start-up dial
+    bool flush1_rx = false;    // mu_: drain markers from this peer
+    bool flush2_rx = false;    // mu_
+    std::string lost;          // mu_: why the link was lost (empty = not lost)
     // -- send plane: guarded by send_mu --
     std::mutex send_mu;
     std::condition_variable send_cv;  // backpressure waiters
@@ -134,7 +132,7 @@ class TcpTransport final : public Transport {
     std::atomic<int64_t> bytes_received{0};
     std::atomic<int64_t> flushes{0};  // send queue drained to empty
     std::atomic<int64_t> backpressure_waits{0};
-    std::atomic<int64_t> reconnects{0};
+    std::atomic<int64_t> reconnects{0};  // start-up redials
   };
 
   /// An accepted connection whose peer rank is unknown until its HELLO.
@@ -154,24 +152,33 @@ class TcpTransport final : public Transport {
   void IoLoop();
   void WakeLocked();
   void MarkPollsetDirtyLocked() { ++pollset_version_; }
-  Status ConnectPeerLocked(int q);     // begins a nonblocking connect
-  void ScheduleReconnectLocked(int q);
-  /// Makes accepted `fd` the live link to rank q (closing any older one) and
-  /// seeds its receive buffer with `rx`, the bytes read past the HELLO.
+  void DialLocked(int q);  // begins a nonblocking connect to rank q
+  /// Makes accepted `fd`, whose HELLO named rank q, the link to q and seeds
+  /// its receive buffer with `rx`, the bytes read past the HELLO.
   void AdoptLocked(int q, int fd, const std::string& rx);
-  bool WritePeer(int q);               // false = connection died
-  bool ReadPeer(int q);                // false = connection died
+  bool WritePeer(int q);  // false = link died (and was dropped)
+  bool ReadPeer(int q);   // false = link died (and was dropped)
   void EnsureRxSpace(Peer& peer);
   /// Parses complete frames out of the peer's rx slab; false = corrupt.
   bool ParseRx(int q);
-  /// Applies one verified frame from peer rank q; false = protocol
-  /// violation (unknown type, forged DATA source), which drops the link.
-  bool HandleFrame(int q, const FrameHeader& h, const char* payload);
-  void DropPeer(int q, bool reconnect);
+  /// Applies one verified frame from peer rank q. Returns the protocol
+  /// violation (unknown type, forged DATA source), or nullptr.
+  const char* HandleFrame(int q, const FrameHeader& h, const char* payload);
+  /// Counts a corrupt frame from rank q and loses the link; returns false.
+  bool RejectFrame(int q, const std::string& why);
+  /// Closes the link to rank q and discards its send queue; the close of a
+  /// handshaken link is a loss unless the peer's round-2 marker preceded it.
+  void DropPeer(int q, const std::string& why);
+  /// Marks the handshaken link to rank q lost (first reason wins; not once
+  /// Stop() began) and wakes blocked senders.
+  void RecordLoss(int q, const std::string& why);
+  /// Dies naming every lost peer, if any link is lost.
+  void FailIfLinkLost() const;
+  void AbandonSendQueueLocked(Peer& peer);  // requires peer.send_mu
   OutFrame EncodeDataFrame(MessageBatch batch) const;
   OutFrame EncodeControlFrame(FrameKind kind, uint8_t msg_type) const;
-  void EnqueueFrameLocked(Peer& peer, OutFrame frame, bool front);
-  void EnqueueControl(int q, FrameKind kind, uint8_t msg_type, bool front);
+  void EnqueueFrameLocked(Peer& peer, OutFrame frame);
+  void EnqueueHello(int q);
   void EnqueueFlushLocked(uint8_t round);
   bool AllHelloLocked() const;
 
@@ -184,7 +191,8 @@ class TcpTransport final : public Transport {
   std::condition_variable cv_start_;  // handshake completion
   std::vector<Peer> peers_;           // indexed by rank; self slot unused
   std::vector<Pending> pending_;
-  Status start_error_;       // sticky fatal from the IO thread (bad version)
+  Status start_error_;       // sticky Start() failure (bad version)
+  std::atomic<bool> link_lost_{false};  // some peer's `lost` is set
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   /// Bumped (under mu_) whenever the set of pollable fds changes; the IO

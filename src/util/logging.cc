@@ -12,8 +12,9 @@ namespace {
 
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
 std::atomic<FatalHook> g_fatal_hook{nullptr};
-std::atomic<bool> g_fatal_hook_fired{false};
 std::mutex g_log_mutex;
+std::mutex g_fatal_mutex;  // taken by the first fatal, held until abort
+thread_local bool t_in_fatal_hook = false;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -65,8 +66,11 @@ LogMessage::~LogMessage() {
     std::fflush(stderr);
   }
   if (level_ == LogLevel::kFatal) {
-    // One shot: a fatal raised while the hook itself runs must not recurse.
-    if (!g_fatal_hook_fired.exchange(true, std::memory_order_acq_rel)) {
+    // One shot: a fatal raised while the hook itself runs must not recurse,
+    // and one raised on another thread must not abort before the hook ends.
+    if (!t_in_fatal_hook) {
+      g_fatal_mutex.lock();
+      t_in_fatal_hook = true;
       if (FatalHook hook = g_fatal_hook.load(std::memory_order_acquire)) {
         hook(line.c_str());
       }

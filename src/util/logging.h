@@ -22,7 +22,8 @@ LogLevel GetLogLevel();
 /// Called with the formatted log line just before a kFatal message aborts
 /// the process; gives subsystems (e.g. the flight recorder) one chance to
 /// dump diagnostic state. The hook runs at most once per process — nested
-/// fatals inside the hook skip straight to abort. nullptr clears it.
+/// fatals inside the hook skip straight to abort, and a fatal on another
+/// thread waits until the hook is done. nullptr clears it.
 using FatalHook = void (*)(const char* message);
 void SetFatalHook(FatalHook hook);
 

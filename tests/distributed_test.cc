@@ -7,9 +7,10 @@
 // tasks split into range children on both ranks. Every rank must come back
 // with its own phase profile. Rank 0's live endpoints and time-series must
 // cover every rank, from the progress reports. A rank killed mid-job must make
-// rank 0 fail loudly within a bound instead of hanging. Forks happen between
-// jobs, when no job threads are live, so the suite is safe under TSan as
-// well.
+// every surviving rank fail loudly, naming it, instead of hanging; a stopped
+// rank, whose sockets stay open, must trip the master's silence bound. Forks
+// happen between jobs, when no job threads are live, so the suite is safe
+// under TSan as well.
 
 #include <gtest/gtest.h>
 
@@ -269,16 +270,136 @@ TEST(DistributedObservability, RankZeroLiveSurfacesCoverEveryRank) {
 class KillSelfComper : public TriangleComper {
  public:
   bool Compute(TaskT*, const Frontier&) override {
-    // Give rank 0 time to finish its side of the handshake, so it is the
-    // drain — not Start() — that observes the death.
+    // Give every rank time to finish its side of the handshake, so it is the
+    // running job — not Start() — that observes the death.
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     ::raise(SIGKILL);
     return false;
   }
 };
 
+/// Triangle comper that stops its own process from its first Compute(): a
+/// wedged rank whose sockets stay open.
+class StopSelfComper : public TriangleComper {
+ public:
+  bool Compute(TaskT*, const Frontier&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ::raise(SIGSTOP);
+    return false;
+  }
+};
+
+/// How one surviving rank of a failure run ended.
+struct SurvivorExit {
+  bool exited = false;  // reaped before the hang deadline
+  int status = 0;
+  double after_victim_s = -1.0;  // exit time minus the victim's death time
+  std::string log;               // its stderr
+};
+
+/// Forks a `config.num_workers`-rank triangle job, every rank a child, in
+/// which rank `victim` runs `VictimComper`. Each survivor's stderr goes to
+/// `dir`. Waits up to 60 s for every survivor to exit (ample for sanitizer
+/// builds, but a hang is a failure), then SIGKILLs whatever is left.
+template <typename VictimComper>
+std::vector<SurvivorExit> RunFailureCluster(const JobConfig& config,
+                                            int victim,
+                                            const std::string& dir) {
+  static Graph g = Generator::ErdosRenyi(300, 3000, 75);
+  const int procs = config.num_workers;
+  std::vector<pid_t> pids;
+  for (int r = 0; r < procs; ++r) {
+    const pid_t pid = ::fork();
+    GT_CHECK_GE(pid, 0);
+    if (pid == 0) {
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (r != victim) {
+        const std::string log = dir + "/rank" + std::to_string(r) + ".stderr";
+        if (std::freopen(log.c_str(), "w", stderr) == nullptr) ::_exit(4);
+      }
+      Job<TriangleComper> job;
+      job.config = config;
+      job.graph = &g;
+      job.comper_factory = [r, victim]() -> std::unique_ptr<TriangleComper> {
+        if (r == victim) return std::make_unique<VictimComper>();
+        return std::make_unique<TriangleComper>();
+      };
+      job.trimmer = TrimToGreater;
+      Cluster<TriangleComper>::RunDistributed(job, r);
+      ::_exit(0);  // a survivor must never get here
+    }
+    pids.push_back(pid);
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  auto seconds = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  std::vector<SurvivorExit> exits(procs);
+  std::vector<double> exit_s(procs, -1.0);
+  int survivors_left = procs - 1;
+  while (survivors_left > 0 && seconds() < 60.0) {
+    const double now_s = seconds();  // one stamp per polling round
+    for (int r = 0; r < procs; ++r) {
+      if (exit_s[r] >= 0.0) continue;
+      int status = 0;
+      if (::waitpid(pids[r], &status, WNOHANG) != pids[r]) continue;
+      exit_s[r] = now_s;
+      exits[r].exited = true;
+      exits[r].status = status;
+      if (r != victim) --survivors_left;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (int r = 0; r < procs; ++r) {
+    if (exit_s[r] >= 0.0) continue;
+    ::kill(pids[r], SIGKILL);
+    ::waitpid(pids[r], nullptr, 0);
+  }
+  for (int r = 0; r < procs; ++r) {
+    if (r == victim) continue;
+    if (exits[r].exited && exit_s[victim] >= 0.0) {
+      exits[r].after_victim_s = exit_s[r] - exit_s[victim];
+    }
+    std::ifstream in(dir + "/rank" + std::to_string(r) + ".stderr");
+    std::stringstream log;
+    log << in.rdbuf();
+    exits[r].log = log.str();
+  }
+  return exits;
+}
+
+/// True if `log` has a crash-dump line whose reason contains `reason`.
+bool DumpedFor(const std::string& log, const std::string& reason) {
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("wrote crash dump") != std::string::npos &&
+        line.find(reason) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// A lost link is fatal on every survivor: it exits nonzero, names the dead
+/// rank, and dumps the flight recorder, within `bound_s` of the death.
+void ExpectFailedNaming(const SurvivorExit& e, int rank, int dead,
+                        double bound_s) {
+  const std::string lost = "link to rank " + std::to_string(dead) + " lost";
+  ASSERT_TRUE(e.exited) << "rank " << rank << " hung after rank " << dead
+                        << " died\n"
+                        << e.log;
+  EXPECT_FALSE(WIFEXITED(e.status) && WEXITSTATUS(e.status) == 0)
+      << "rank " << rank << " returned an answer without rank " << dead;
+  EXPECT_GE(e.after_victim_s, 0.0);
+  EXPECT_LT(e.after_victim_s, bound_s) << "rank " << rank;
+  EXPECT_NE(e.log.find(lost), std::string::npos) << e.log;
+  EXPECT_TRUE(DumpedFor(e.log, lost)) << e.log;
+}
+
 TEST(DistributedFailure, KilledRankFailsRankZeroWithinBound) {
-  Graph g = Generator::ErdosRenyi(300, 3000, 75);
   JobConfig config;
   config.compers_per_worker = 1;
   config = TcpConfig(config, 2);
@@ -286,67 +407,51 @@ TEST(DistributedFailure, KilledRankFailsRankZeroWithinBound) {
   config.drain_timeout_us = 500'000;
   const std::string dir = MakeTempDir("killed_rank");
   config.flight_dump_dir = dir;
-  const std::string rank0_log = dir + "/rank0.stderr";
+  const std::vector<SurvivorExit> exits =
+      RunFailureCluster<KillSelfComper>(config, /*victim=*/1, dir);
+  // Rank 0 dies on the lost link, well inside the master's silence bound
+  // (3 x drain_timeout_us) that used to be the first to notice.
+  ExpectFailedNaming(exits[0], 0, 1, 3 * 0.5);
+  EXPECT_EQ(exits[0].log.find("drain stalled"), std::string::npos)
+      << exits[0].log;
+  RemoveTree(dir);
+}
 
-  std::vector<pid_t> pids;
-  for (int r = 0; r < 2; ++r) {
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-      if (r == 0) {
-        std::FILE* log = std::freopen(rank0_log.c_str(), "w", stderr);
-        if (log == nullptr) ::_exit(4);
-      }
-      Job<TriangleComper> job;
-      job.config = config;
-      job.graph = &g;
-      job.comper_factory = [r]() -> std::unique_ptr<TriangleComper> {
-        if (r == 1) return std::make_unique<KillSelfComper>();
-        return std::make_unique<TriangleComper>();
-      };
-      job.trimmer = TrimToGreater;
-      Cluster<TriangleComper>::RunDistributed(job, r);
-      ::_exit(0);  // rank 0 must never get here
-    }
-    pids.push_back(pid);
-  }
+TEST(DistributedFailure, KilledRankFailsEverySurvivor) {
+  JobConfig config;
+  config.compers_per_worker = 1;
+  config = TcpConfig(config, 3);
+  config.time_budget_s = 0.0;  // only the lost links can end this job
+  const std::string dir = MakeTempDir("killed_rank3");
+  config.flight_dump_dir = dir;
+  const std::vector<SurvivorExit> exits =
+      RunFailureCluster<KillSelfComper>(config, /*victim=*/2, dir);
+  for (int r = 0; r < 2; ++r) ExpectFailedNaming(exits[r], r, 2, 10.0);
+  RemoveTree(dir);
+}
 
-  // Rank 0 needs ~1 s of budget plus 0.5 s of drain deadline; allow ample
-  // slack for sanitizer builds, but a hang is a failure.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  int status = 0;
-  pid_t done = 0;
-  while ((done = ::waitpid(pids[0], &status, WNOHANG)) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (done == 0) {
-    ::kill(pids[0], SIGKILL);
-    ::waitpid(pids[0], nullptr, 0);
-  }
-  ::kill(pids[1], SIGKILL);  // already dead by its own hand, unless it hung
-  ::waitpid(pids[1], nullptr, 0);
-  ASSERT_EQ(done, pids[0]) << "rank 0 hung after rank 1 died";
-  EXPECT_FALSE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+TEST(DistributedFailure, StoppedRankTripsDrainSilenceBound) {
+  // A stopped rank keeps its sockets open, so no link is lost: the master's
+  // silence bound is what must notice it.
+  JobConfig config;
+  config.compers_per_worker = 1;
+  config = TcpConfig(config, 2);
+  config.time_budget_s = 1.0;
+  config.drain_timeout_us = 500'000;
+  const std::string dir = MakeTempDir("stopped_rank");
+  config.flight_dump_dir = dir;
+  const std::vector<SurvivorExit> exits =
+      RunFailureCluster<StopSelfComper>(config, /*victim=*/1, dir);
+  const SurvivorExit& rank0 = exits[0];
+  ASSERT_TRUE(rank0.exited) << "rank 0 hung on a stopped rank 1\n"
+                            << rank0.log;
+  EXPECT_FALSE(WIFEXITED(rank0.status) && WEXITSTATUS(rank0.status) == 0)
       << "rank 0 returned an answer without rank 1";
-
-  std::ifstream in(rank0_log);
-  std::stringstream log;
-  log << in.rdbuf();
-  EXPECT_NE(log.str().find("no drain barrier from worker(s) 1"),
+  EXPECT_NE(rank0.log.find("no drain barrier from worker(s) 1"),
             std::string::npos)
-      << log.str();
+      << rank0.log;
   // The stall itself left a crash dump, not just the earlier budget exit.
-  bool stall_dumped = false;
-  std::istringstream lines(log.str());
-  for (std::string line; std::getline(lines, line);) {
-    stall_dumped = stall_dumped ||
-                   (line.find("wrote crash dump") != std::string::npos &&
-                    line.find("drain stalled") != std::string::npos);
-  }
-  EXPECT_TRUE(stall_dumped) << log.str();
+  EXPECT_TRUE(DumpedFor(rank0.log, "drain stalled")) << rank0.log;
   RemoveTree(dir);
 }
 

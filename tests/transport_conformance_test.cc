@@ -2,8 +2,9 @@
 // same contract to CommHub — per-link FIFO, InFlightCount that reaches zero
 // exactly when the wire is provably empty after a drain announcement, and
 // well-defined delivery stamping. The TCP backend additionally must reject
-// malformed streams (bad magic, wrong protocol version, CRC mismatch)
-// without taking the cluster down.
+// stray connections (bad magic, wrong protocol version, a second HELLO for a
+// live rank) without taking the cluster down, and must never deliver a
+// corrupt or forged frame: that loses the link, which is fatal.
 //
 // The TCP rows run a real multi-rank cluster inside one test process: one
 // TcpTransport + CommHub pair per rank, full mesh over 127.0.0.1.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -54,16 +56,24 @@ std::vector<int> PickFreePorts(int n) {
   return ports;
 }
 
+/// Connects to a localhost port, retrying for a few seconds while nothing
+/// listens there yet.
 int RawConnect(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  GT_CHECK_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<uint16_t>(port));
-  GT_CHECK_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  return fd;
+  Timer t;
+  while (true) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    GT_CHECK_GE(fd, 0);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    GT_CHECK_LT(t.ElapsedSeconds(), 5.0) << "nothing listens on " << port;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 void RawSendAll(int fd, const std::string& bytes) {
@@ -73,6 +83,22 @@ void RawSendAll(int fd, const std::string& bytes) {
     ASSERT_GT(n, 0);
     off += static_cast<size_t>(n);
   }
+}
+
+/// `h` with `payload` appended, as it goes on the wire (the caller sets the
+/// CRC, so a test can forge it).
+std::string EncodeFrame(net::FrameHeader h, const std::string& payload = "") {
+  h.payload_len = static_cast<uint32_t>(payload.size());
+  std::string bytes(net::kFrameHeaderSize, '\0');
+  net::EncodeFrameHeader(h, bytes.data());
+  return bytes + payload;
+}
+
+net::FrameHeader Hello(int rank) {
+  net::FrameHeader h;
+  h.kind = net::FrameKind::kHello;
+  h.src = rank;
+  return h;
 }
 
 MessageBatch Make(int src, int dst, MsgType type, const std::string& payload) {
@@ -129,24 +155,26 @@ struct TcpTuning {
   int64_t send_buffer_max_bytes = 4 << 20;
 };
 
+/// Rank `rank`'s hub of a loopback cluster with one rank per port.
+std::unique_ptr<CommHub> MakeTcpHub(int rank, const std::vector<int>& ports,
+                                    TcpTuning tuning = TcpTuning()) {
+  net::TcpTransportOptions opts;
+  opts.rank = rank;
+  opts.num_workers = static_cast<int>(ports.size());
+  for (int p : ports) opts.hosts.push_back("127.0.0.1:" + std::to_string(p));
+  opts.sndbuf_bytes = tuning.sndbuf_bytes;
+  opts.send_buffer_max_bytes = tuning.send_buffer_max_bytes;
+  return std::make_unique<CommHub>(
+      opts.num_workers + 1, std::make_unique<net::TcpTransport>(opts));
+}
+
 class TcpBackend : public Backend {
  public:
   explicit TcpBackend(int num_workers, TcpTuning tuning = TcpTuning())
       : num_workers_(num_workers) {
     ports_ = PickFreePorts(num_workers);
-    std::vector<std::string> hosts;
-    for (int p : ports_) hosts.push_back("127.0.0.1:" + std::to_string(p));
     for (int r = 0; r < num_workers; ++r) {
-      net::TcpTransportOptions opts;
-      opts.rank = r;
-      opts.num_workers = num_workers;
-      opts.hosts = hosts;
-      opts.connect_timeout_ms = 10'000;
-      opts.sndbuf_bytes = tuning.sndbuf_bytes;
-      opts.send_buffer_max_bytes = tuning.send_buffer_max_bytes;
-      auto transport = std::make_unique<net::TcpTransport>(opts);
-      hubs_.push_back(
-          std::make_unique<CommHub>(num_workers + 1, std::move(transport)));
+      hubs_.push_back(MakeTcpHub(r, ports_, tuning));
     }
     // Start() blocks until the full mesh handshook, so all ranks must start
     // concurrently — exactly what the per-process launcher does for real.
@@ -309,9 +337,11 @@ TEST(TransportInProc, SimulatedLatencyDelaysDelivery) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP-only stream-hardening tests. Each injects bytes through a raw socket
-// into a live 2-rank cluster and asserts (a) the offense is counted, (b) the
-// cluster still routes traffic afterwards.
+// TCP-only stream-hardening tests. A stray connection (garbage, a wrong
+// version, a second HELLO for a live rank) is counted and rejected, and the
+// cluster still routes traffic afterwards. A corrupt or forged frame on a
+// live link is counted and never delivered, and the link is lost for good:
+// the next Receive dies naming the peer.
 // ---------------------------------------------------------------------------
 
 bool WaitForCounter(CommHub& hub, const std::string& name, int64_t at_least,
@@ -333,6 +363,32 @@ void ExpectRoundTrip(Backend& backend, int from, int to) {
   backend.HubFor(to).MarkProcessed(got.type);
 }
 
+/// Rank 0 of a 2-rank cluster whose rank 1 the test plays over a raw socket
+/// from its first byte: rank 0's Start() completes on the raw HELLO.
+class LoneRankZero {
+ public:
+  LoneRankZero() {
+    const std::vector<int> ports = PickFreePorts(2);
+    hub_ = MakeTcpHub(0, ports);
+    Status started;
+    std::thread starter([&] { started = hub_->Start(); });
+    fd_ = RawConnect(ports[0]);
+    RawSendAll(fd_, EncodeFrame(Hello(1)));
+    starter.join();
+    GT_CHECK_OK(started);
+  }
+  ~LoneRankZero() {
+    hub_.reset();  // our own Stop() first: the close that follows is orderly
+    ::close(fd_);
+  }
+  CommHub& hub() { return *hub_; }
+  int fd() const { return fd_; }
+
+ private:
+  std::unique_ptr<CommHub> hub_;
+  int fd_ = -1;
+};
+
 TEST(TransportTcp, GarbageConnectionRejected) {
   TcpBackend backend(2);
   const int fd = RawConnect(backend.port(0));
@@ -348,81 +404,103 @@ TEST(TransportTcp, GarbageConnectionRejected) {
 TEST(TransportTcp, WrongVersionHelloRejected) {
   TcpBackend backend(2);
   const int fd = RawConnect(backend.port(0));
-  net::FrameHeader h;
-  h.kind = net::FrameKind::kHello;
+  net::FrameHeader h = Hello(1);
   h.version = net::kProtocolVersion + 1;
-  h.src = 1;
-  std::string frame(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(h, frame.data());
-  RawSendAll(fd, frame);
+  RawSendAll(fd, EncodeFrame(h));
   EXPECT_TRUE(
       WaitForCounter(backend.HubFor(0), "transport.hello_rejected", 1));
   ::close(fd);
   ExpectRoundTrip(backend, 1, 0);
 }
 
-TEST(TransportTcp, CorruptDataFrameDropsConnection) {
+TEST(TransportTcp, SecondHelloForLiveRankIsRejected) {
   TcpBackend backend(2);
-  // A valid HELLO claiming to be rank 1 hijacks rank 1's slot on rank 0...
+  // A valid HELLO as rank 1 while rank 1's link is up: links are never
+  // replaced, so it is rejected and the live link keeps working.
   const int fd = RawConnect(backend.port(0));
-  net::FrameHeader hello;
-  hello.kind = net::FrameKind::kHello;
-  hello.src = 1;
-  std::string bytes(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(hello, bytes.data());
-  // ...then a DATA frame whose CRC does not match its payload.
+  RawSendAll(fd, EncodeFrame(Hello(1)));
+  EXPECT_TRUE(
+      WaitForCounter(backend.HubFor(0), "transport.hello_rejected", 1));
+  ::close(fd);
+  ExpectRoundTrip(backend, 0, 1);
+  ExpectRoundTrip(backend, 1, 0);
+}
+
+TEST(TransportTcp, CorruptDataFrameDropsConnection) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  LoneRankZero rank0;
+  // A DATA frame whose CRC does not match its payload.
   net::FrameHeader data;
   data.kind = net::FrameKind::kData;
   data.msg_type = static_cast<uint8_t>(MsgType::kVertexRequest);
   data.src = 1;
   data.dst = 0;
-  data.payload_len = 4;
   data.crc32 = 0xDEADBEEF;  // wrong for "abcd"
-  std::string frame(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(data, frame.data());
-  bytes += frame;
-  bytes += "abcd";
-  RawSendAll(fd, bytes);
-  // Rank 0 must count the corruption and drop the stream; rank 1 redials
-  // (its side went dead when the slot was hijacked) and the link recovers.
-  EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.frames_corrupt",
-                             1));
-  ::close(fd);
-  ExpectRoundTrip(backend, 1, 0);
-  ExpectRoundTrip(backend, 0, 1);
+  RawSendAll(rank0.fd(), EncodeFrame(data, "abcd"));
+  // Rank 0 counts the corruption and never delivers the frame...
+  EXPECT_TRUE(WaitForCounter(rank0.hub(), "transport.frames_corrupt", 1));
+  EXPECT_EQ(rank0.hub().InboxDepth(0), 0);
+  // ...and the link is gone for good: the next Receive dies naming rank 1.
+  MessageBatch got;
+  EXPECT_DEATH(rank0.hub().Receive(0, 100'000, &got),
+               "link to rank 1 lost .corrupt frame: CRC mismatch");
 }
 
 TEST(TransportTcp, ForgedSourceDataFrameDropsConnection) {
-  TcpBackend backend(2);
-  // A valid HELLO as rank 1, then a CRC-valid DATA frame that claims to come
-  // from endpoint 5: rank 1 may only speak for worker 1. Delivered, it
-  // would reach master code that indexes per-worker state by the source.
-  const int fd = RawConnect(backend.port(0));
-  net::FrameHeader hello;
-  hello.kind = net::FrameKind::kHello;
-  hello.src = 1;
-  std::string bytes(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(hello, bytes.data());
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  LoneRankZero rank0;
+  // A CRC-valid DATA frame that claims to come from endpoint 5: rank 1 may
+  // only speak for worker 1. Delivered, it would reach master code that
+  // indexes per-worker state by the source.
   const std::string payload = "forged";
   net::FrameHeader data;
   data.kind = net::FrameKind::kData;
   data.msg_type = static_cast<uint8_t>(MsgType::kVertexRequest);
   data.src = 5;
   data.dst = 0;
-  data.payload_len = static_cast<uint32_t>(payload.size());
   data.crc32 = net::Crc32C(payload.data(), payload.size());
-  std::string frame(net::kFrameHeaderSize, '\0');
-  net::EncodeFrameHeader(data, frame.data());
-  bytes += frame;
-  bytes += payload;
-  RawSendAll(fd, bytes);
-  EXPECT_TRUE(WaitForCounter(backend.HubFor(0), "transport.frames_corrupt",
-                             1));
-  ::close(fd);
-  // Never delivered: the next batch rank 0 receives is rank 1's real one.
-  EXPECT_EQ(backend.HubFor(0).InboxDepth(0), 0);
-  ExpectRoundTrip(backend, 1, 0);
-  ExpectRoundTrip(backend, 0, 1);
+  RawSendAll(rank0.fd(), EncodeFrame(data, payload));
+  EXPECT_TRUE(WaitForCounter(rank0.hub(), "transport.frames_corrupt", 1));
+  EXPECT_EQ(rank0.hub().InboxDepth(0), 0);
+  MessageBatch got;
+  EXPECT_DEATH(rank0.hub().Receive(0, 100'000, &got),
+               "link to rank 1 lost .corrupt frame: forged source");
+}
+
+// ---------------------------------------------------------------------------
+// Start-up redial: rank 1 starts about 100 ms before rank 0 listens, so its
+// first dials are refused. Start() redials at a fixed short interval inside
+// its handshake window, and both sides come up.
+// ---------------------------------------------------------------------------
+TEST(TransportTcp, LateListenerIsRedialedWithinStart) {
+  const std::vector<int> ports = PickFreePorts(2);
+  std::vector<std::unique_ptr<CommHub>> hubs;
+  for (int r = 0; r < 2; ++r) hubs.push_back(MakeTcpHub(r, ports));
+  Timer t;
+  Status started1;
+  double up1_s = 0.0;
+  std::thread dialer([&] {
+    started1 = hubs[1]->Start();
+    up1_s = t.ElapsedSeconds();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double listen_s = t.ElapsedSeconds();
+  const Status started0 = hubs[0]->Start();
+  dialer.join();
+  ASSERT_TRUE(started0.ok()) << started0.ToString();
+  ASSERT_TRUE(started1.ok()) << started1.ToString();
+  EXPECT_GE(CounterValue(hubs[1]->MetricsSnapshot(),
+                         "transport.reconnects{peer=0}"),
+            1);
+  const double gap_ms = (up1_s - listen_s) * 1e3;
+  RecordProperty("redial_gap_us", static_cast<int>(gap_ms * 1e3));
+  std::printf("rank 1 up %.2f ms after rank 0 began listening\n", gap_ms);
+  EXPECT_LT(gap_ms, 2000.0);  // loose: sanitizer builds run slow
+  hubs[0]->Send(Make(0, 1, MsgType::kVertexRequest, "up"));
+  MessageBatch got;
+  ASSERT_TRUE(hubs[1]->Receive(1, 5'000'000, &got));
+  EXPECT_EQ(got.payload.ToString(), "up");
+  hubs[1]->MarkProcessed(got.type);
 }
 
 // ---------------------------------------------------------------------------
