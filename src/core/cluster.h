@@ -425,13 +425,75 @@ class Cluster {
         return w;
       };
 
-      while (!terminate) {
+      // One loop runs the job and its drain. Until kTerminate it forms
+      // snapshots, plans steals, coordinates checkpoints and checks the
+      // budget. Then comes the two-phase drain (lossless shutdown): each
+      // worker, on kTerminate, stops its compers, flushes its request
+      // buffers and sends a kDrainBarrier; once all N arrive nobody can
+      // originate new traffic, so the master echoes an (empty) kDrainBarrier
+      // releasing the workers to pump the wire dry. They send their final
+      // report only after CommHub::InFlightCount() proves nothing is queued,
+      // in transit, or in a handler that could still send.
+      //
+      // One silence bound covers the whole job: workers heartbeat with
+      // progress reports until their drain begins (also while a comper
+      // finishes an uninterruptible Compute() after kTerminate), so one that
+      // owes its final report and stays silent for drain_timeout_us (a dead
+      // or wedged rank) fails the job: returning without it would be a
+      // partial answer.
+      int barriers = 0;
+      int finals = 0;
+      std::vector<bool> barrier_seen(num_workers, false);
+      std::vector<int64_t> last_heard_us(num_workers, wall.ElapsedMicros());
+      while (finals < num_workers) {
+        const int64_t now_us = wall.ElapsedMicros();
+        for (int w = 0; w < num_workers; ++w) {
+          // A pending checkpoint ack means the worker's comm thread is busy
+          // parking its compers, which may sit in a long Compute().
+          if (latest[w].final_report != 0 ||
+              (pending_ckpt_acks > 0 && !ckpt_acked[w]) ||
+              now_us - last_heard_us[w] <= config.drain_timeout_us) {
+            continue;
+          }
+          std::string missing;
+          if (terminate) {
+            std::string no_barrier, no_final;
+            for (int v = 0; v < num_workers; ++v) {
+              if (!barrier_seen[v]) no_barrier += " " + std::to_string(v);
+              if (latest[v].final_report == 0) {
+                no_final += " " + std::to_string(v);
+              }
+            }
+            missing = "; no drain barrier from worker(s)" + no_barrier +
+                      "; no final report from worker(s)" + no_final;
+          }
+          // The fatal hook writes the crash dump, this event included.
+          recorder.Record({.t_us = hub.NowUs(),
+                           .kind = obs::EventKind::kDrain,
+                           .a = 5,  // phase: master silence bound tripped
+                           .b = num_workers - finals});
+          LOG_FATAL << "master: worker " << w << " silent for "
+                    << config.drain_timeout_us << " us "
+                    << (terminate ? "after" : "before") << " kTerminate"
+                    << missing;
+        }
+
         MessageBatch mb;
-        if (hub.Receive(master_id, config.comm.poll_us, &mb)) {
+        if (hub.Receive(master_id, config.progress_interval_us, &mb)) {
+          if (mb.src_worker >= 0 && mb.src_worker < num_workers) {
+            last_heard_us[mb.src_worker] = wall.ElapsedMicros();
+          }
           switch (mb.type) {
-            case MsgType::kProgressReport:
-              fresh[take_report(mb)] = true;
+            case MsgType::kProgressReport: {
+              // A worker's final report is the last one it sends.
+              const int w = take_report(mb);
+              if (latest[w].final_report != 0) {
+                ++finals;
+              } else {
+                fresh[w] = true;
+              }
               break;
+            }
             case MsgType::kCheckpointAck: {
               CheckpointAck ack;
               GT_CHECK_OK(ack.Decode(mb.payload));
@@ -441,10 +503,28 @@ class Cluster {
                   !ckpt_acked[ack.worker_id]) {
                 MergeInto(&ckpt_global, ack.agg_delta);
                 ckpt_acked[ack.worker_id] = true;
-                if (--pending_ckpt_acks == 0) {
+                // A checkpoint still pending at kTerminate never commits.
+                if (--pending_ckpt_acks == 0 && !terminate) {
                   CommitCheckpointMeta(job, {active_ckpt_epoch, num_workers,
                                              ckpt_global, hub_last});
                   ++stats.checkpoints;
+                }
+              }
+              break;
+            }
+            case MsgType::kDrainBarrier: {
+              int32_t worker_id = -1;
+              GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
+              check_sender(worker_id, mb);
+              GT_CHECK(terminate) << "master: drain barrier from worker "
+                                  << worker_id << " before kTerminate";
+              if (!barrier_seen[worker_id]) {
+                barrier_seen[worker_id] = true;
+                if (++barriers == num_workers) {
+                  broadcast(MsgType::kDrainBarrier, "");
+                  // The master originates nothing further; on tcp this lets
+                  // the transport start its cluster-wide FLUSH marker rounds.
+                  hub.BeginDrain(master_id);
                 }
               }
               break;
@@ -455,6 +535,7 @@ class Cluster {
           }
           hub.MarkProcessed(mb.type);
         }
+        if (terminate) continue;
 
         // A global snapshot forms once every worker reported since the last.
         if (std::all_of(fresh.begin(), fresh.end(), [](bool b) { return b; })) {
@@ -539,81 +620,8 @@ class Cluster {
           broadcast(MsgType::kCheckpointRequest, req.Encode());
           ckpt_timer.Restart();
         }
-      }
 
-      broadcast(MsgType::kTerminate, "");
-
-      // Two-phase drain (lossless shutdown). Each worker, on kTerminate,
-      // stops its compers, flushes its request buffers, and sends a
-      // kDrainBarrier; once all N arrive nobody can originate new traffic,
-      // so the master echoes an (empty) kDrainBarrier releasing the workers
-      // to pump the wire dry — they send their final report only after
-      // CommHub::InFlightCount() proves nothing is queued, in transit, or in
-      // a handler that could still send. The wait bounds silence, not
-      // progress: a worker keeps reporting while a comper finishes an
-      // uninterruptible Compute(), then needs at most 2x drain_timeout_us
-      // (drain deadline plus grace window) for its final report. One that
-      // owes its report and stays silent for 3x (a dead or wedged rank)
-      // fails the job: returning without it would be a partial answer.
-      int barriers = 0;
-      int finals = 0;
-      std::vector<bool> barrier_seen(num_workers, false);
-      std::vector<int64_t> last_heard_us(num_workers, wall.ElapsedMicros());
-      while (finals < num_workers) {
-        for (int w = 0; w < num_workers; ++w) {
-          if (latest[w].final_report != 0 ||
-              wall.ElapsedMicros() - last_heard_us[w] <=
-                  3 * config.drain_timeout_us) {
-            continue;
-          }
-          std::string no_barrier, no_final;
-          for (int v = 0; v < num_workers; ++v) {
-            if (!barrier_seen[v]) no_barrier += " " + std::to_string(v);
-            if (latest[v].final_report == 0) {
-              no_final += " " + std::to_string(v);
-            }
-          }
-          // The fatal hook writes the crash dump, this event included.
-          recorder.Record({.t_us = hub.NowUs(),
-                           .kind = obs::EventKind::kDrain,
-                           .a = 5,  // phase: master drain stalled
-                           .b = num_workers - finals});
-          LOG_FATAL << "master: drain stalled; worker " << w << " silent for "
-                    << 3 * config.drain_timeout_us
-                    << " us; no drain barrier from worker(s)" << no_barrier
-                    << "; no final report from worker(s)" << no_final;
-        }
-        MessageBatch mb;
-        if (!hub.Receive(master_id, /*timeout_us=*/10'000, &mb)) continue;
-        if (mb.src_worker >= 0 && mb.src_worker < num_workers) {
-          last_heard_us[mb.src_worker] = wall.ElapsedMicros();
-        }
-        if (mb.type == MsgType::kProgressReport) {
-          // A worker's final report is the last one it sends.
-          if (latest[take_report(mb)].final_report != 0) ++finals;
-        } else if (mb.type == MsgType::kCheckpointAck) {
-          CheckpointAck ack;
-          GT_CHECK_OK(ack.Decode(mb.payload));
-          check_sender(ack.worker_id, mb);
-          MergeInto(&global, ack.agg_delta);
-        } else if (mb.type == MsgType::kDrainBarrier) {
-          int32_t worker_id = -1;
-          GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
-          check_sender(worker_id, mb);
-          if (!barrier_seen[worker_id]) {
-            barrier_seen[worker_id] = true;
-            if (++barriers == num_workers) {
-              broadcast(MsgType::kDrainBarrier, "");
-              // The master originates nothing further; on tcp this lets the
-              // transport start its cluster-wide FLUSH marker rounds.
-              hub.BeginDrain(master_id);
-            }
-          }
-        } else {
-          LOG_FATAL << "master: unexpected drain-phase message type "
-                    << static_cast<int>(mb.type);
-        }
-        hub.MarkProcessed(mb.type);
+        if (terminate) broadcast(MsgType::kTerminate, "");
       }
     }
     // Off the master, the workers follow the master's broadcasts; their
@@ -654,24 +662,24 @@ class Cluster {
           << " received=" << stats.ledger.received
           << " finished=" << stats.ledger.finished
           << " donated=" << stats.ledger.donated
-          << " dropped=" << stats.ledger.dropped
           << " live_at_exit=" << stats.tasks_live_at_exit;
     }
 
-    // Clean completion also means nothing was left behind: no live task
-    // (counted on the master) and a provably empty wire, which under tcp
-    // each process certifies for its own transport after the FLUSH rounds.
-    if (!stats.timed_out && stats.ledger.dropped == 0) {
+    // Clean completion also means no live task is left behind (counted on
+    // the master). Every run, timed out or not, ends with a provably empty
+    // wire, which under tcp each process certifies for its own transport
+    // after the FLUSH rounds.
+    if (!stats.timed_out) {
       GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
           << "clean termination left live tasks behind";
-      Timer drain_wait;
-      while (hub.InFlightCount() != 0 &&
-             drain_wait.ElapsedMicros() < config.drain_timeout_us) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      GT_CHECK_EQ(hub.InFlightCount(), 0)
-          << "clean termination left undrained messages on the wire";
     }
+    Timer drain_wait;
+    while (hub.InFlightCount() != 0 &&
+           drain_wait.ElapsedMicros() < config.drain_timeout_us) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    GT_CHECK_EQ(hub.InFlightCount(), 0)
+        << "the drain left undrained messages on the wire";
     stats.batches_sent = hub.TotalBatchesSent();
     stats.bytes_sent = hub.TotalBytesSent();
     stats.steal_orders = hub.SentCount(MsgType::kStealOrder);

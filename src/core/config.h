@@ -39,9 +39,6 @@ struct CommConfig {
   /// Vertex IDs per request batch appended to the sending module: the pull
   /// coalescer flushes a destination at this many open IDs.
   int request_batch_size = 256;
-  /// Receive-wait slice while request batches are open (the comm thread
-  /// otherwise waits event-driven up to the progress cadence).
-  int64_t poll_us = 200;
   /// Simulated interconnect for transport=inproc (0/0 = instantaneous);
   /// rejected under tcp, where the wire is real.
   NetConfig net;
@@ -128,19 +125,14 @@ struct JobConfig {
   /// Period of worker progress reports to the master (drives aggregator sync,
   /// stealing and termination detection; paper syncs aggregator at 1s).
   int64_t progress_interval_us = 2'000;
-  /// GC wake-up period.
-  int64_t gc_interval_us = 1'000;
   bool enable_stealing = true;
-  /// Shutdown-drain safety deadline: after observing kTerminate and
-  /// quiescing its compers, a worker keeps servicing the wire until it is
-  /// provably empty (CommHub::InFlightCount()==0). This bounds that wait
-  /// against a pathologically wedged peer; anything still undelivered at the
-  /// deadline is counted in TaskLedger::dropped rather than silently lost.
-  /// It bounds the master's drain wait too, by silence rather than
-  /// progress: a worker still waiting for a long Compute() keeps reporting,
-  /// but one that owes its final report and sends nothing for 3x this long
-  /// (a dead or wedged rank) fails the job, naming the silent workers,
-  /// instead of hanging or returning a partial answer.
+  /// The master's silence bound, for the whole job: a worker that still owes
+  /// its final report and sends nothing for this long (a dead or wedged
+  /// rank) fails the job, naming it, instead of hanging or returning a
+  /// partial answer. Progress reports are the heartbeat; a worker keeps
+  /// sending them until its drain begins, also while a comper finishes a
+  /// long Compute() after kTerminate. A worker owing a checkpoint ack is
+  /// exempt while its comm thread parks its compers.
   int64_t drain_timeout_us = 10'000'000;
   /// ABLATION ONLY (bench/ablation_refill): invert the refill priority to
   /// spawn-new-tasks-first instead of the paper's spilled-files-first rule,
@@ -226,9 +218,6 @@ struct JobConfig {
     if (comm.request_batch_size <= 0) {
       return Status::InvalidArgument("request_batch_size must be positive");
     }
-    if (comm.poll_us <= 0) {
-      return Status::InvalidArgument("comm poll_us must be positive");
-    }
     if (comm.net.latency_us < 0 || comm.net.bandwidth_mbps < 0.0) {
       return Status::InvalidArgument("net parameters must be non-negative");
     }
@@ -260,14 +249,13 @@ struct JobConfig {
     if (progress_interval_us <= 0) {
       return Status::InvalidArgument("progress_interval_us must be positive");
     }
-    if (gc_interval_us <= 0) {
-      return Status::InvalidArgument("gc_interval_us must be positive");
-    }
     if (time_budget_s < 0.0 || checkpoint_interval_us < 0) {
       return Status::InvalidArgument("budgets must be non-negative");
     }
-    if (drain_timeout_us <= 0) {
-      return Status::InvalidArgument("drain_timeout_us must be positive");
+    if (drain_timeout_us <= progress_interval_us) {
+      // Progress reports are the heartbeat the silence bound listens for.
+      return Status::InvalidArgument(
+          "drain_timeout_us must exceed progress_interval_us");
     }
     if (status_port < -1 || status_port > 65535) {
       return Status::InvalidArgument("status_port out of [-1, 65535]");

@@ -34,8 +34,7 @@ inline Status ExpectEnd(const Deserializer& des, const char* what) {
 /// counter is cumulative and monotonic; each task-lifecycle transition
 /// increments exactly one of them, so at any quiescent point the invariant
 ///
-///   spawned + restored + received ==
-///       finished + donated + dropped + live
+///   spawned + restored + received == finished + donated + live
 ///
 /// must hold, where `live` is the worker's current task population (in
 /// queues, pending tables, in a comper's hands, or in spill files). The
@@ -50,11 +49,9 @@ struct TaskLedger {
   int64_t donated = 0;       // serialized into an outgoing kTaskBatch
   int64_t received = 0;      // decoded from an incoming kTaskBatch
   int64_t checkpointed = 0;  // serialized into a checkpoint snapshot
-  int64_t dropped = 0;       // lost at shutdown (non-zero only on the
-                             // drain-deadline path; always accounted)
   int64_t disk_donated = 0;  // taken from L_file to fill a donation
-  // L_file flow: spilled, received (minus dropped) and restored tasks enter
-  // it; loaded and disk_donated tasks leave it. So at a clean exit
+  // L_file flow: spilled, received and restored tasks enter it; loaded and
+  // disk_donated tasks leave it. So at a clean exit
   // spilled + received + restored == loaded + disk_donated.
 
   void Accumulate(const TaskLedger& other) {
@@ -66,13 +63,12 @@ struct TaskLedger {
     donated += other.donated;
     received += other.received;
     checkpointed += other.checkpointed;
-    dropped += other.dropped;
     disk_donated += other.disk_donated;
   }
 
   /// Tasks this ledger says must still be alive somewhere.
   int64_t ExpectedLive() const {
-    return spawned + restored + received - finished - donated - dropped;
+    return spawned + restored + received - finished - donated;
   }
 
   void EncodeTo(Serializer* ser) const {
@@ -84,7 +80,6 @@ struct TaskLedger {
     ser->Write(donated);
     ser->Write(received);
     ser->Write(checkpointed);
-    ser->Write(dropped);
     ser->Write(disk_donated);
   }
 
@@ -97,7 +92,6 @@ struct TaskLedger {
     GT_RETURN_IF_ERROR(des->Read(&donated));
     GT_RETURN_IF_ERROR(des->Read(&received));
     GT_RETURN_IF_ERROR(des->Read(&checkpointed));
-    GT_RETURN_IF_ERROR(des->Read(&dropped));
     return des->Read(&disk_donated);
   }
 };
@@ -230,36 +224,9 @@ inline Status DecodeVertexRequest(const Payload& payload,
   return ExpectEnd(des, "vertex request");
 }
 
-/// kTaskBatch / checkpoint task lists: a batch of opaque serialized tasks.
-inline Payload EncodeRecordBatch(const std::vector<std::string>& records) {
-  Serializer ser;
-  ser.Write<uint64_t>(records.size());
-  for (const std::string& r : records) ser.WriteString(r);
-  return TakePayload(ser);
-}
-
-inline Status DecodeRecordBatch(const Payload& payload,
-                                std::vector<std::string>* records) {
-  PayloadView view(payload);
-  Deserializer des(view.data(), view.size());
-  uint64_t n = 0;
-  GT_RETURN_IF_ERROR(des.Read(&n));
-  if (n > des.remaining()) {
-    return Status::Corruption("record batch count implausible");
-  }
-  records->clear();
-  records->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string r;
-    GT_RETURN_IF_ERROR(des.ReadString(&r));
-    records->push_back(std::move(r));
-  }
-  return Status::Ok();
-}
-
 /// kTaskBatch payload: the record batch plus the hub-clock instant of the
-/// kStealOrder that caused it (0 for drain-deadline flushes), so the
-/// recipient can measure the full steal round-trip order->batch-arrival.
+/// kStealOrder that caused it, so the recipient can measure the full steal
+/// round-trip order->batch-arrival.
 inline Payload EncodeTaskBatch(const std::vector<std::string>& records,
                                int64_t steal_order_t_us = 0) {
   Serializer ser;

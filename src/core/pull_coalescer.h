@@ -24,8 +24,8 @@ namespace gthinker {
 ///      which already keeps one waiter list per requested vertex.
 ///   2. Flush: a destination's batch is sent when it reaches `max_ids`
 ///      (comm.request_batch_size) IDs, or on the comm thread's next Flush()
-///      (its receive wait shrinks to comm.poll_us while IDs are open), so a
-///      partial batch waits at most one poll slice.
+///      (its receive wait shrinks to Worker::kCommPollUs while IDs are
+///      open), so a partial batch waits at most one poll slice.
 ///
 /// Thread model: compers call Add() concurrently; the comm thread calls
 /// Flush() for every destination after each receive wait. Each destination

@@ -845,6 +845,8 @@ class Worker {
   /// housekeeping latency: a comper may open a request window right after
   /// HasPending() read false, and the progress cadence must be met.
   static constexpr int64_t kMaxCommIdleWaitUs = 1000;
+  /// Receive-wait slice while request batches are open, and in the drain.
+  static constexpr int64_t kCommPollUs = 200;
 
   void CommLoop() {
     Timer progress_timer;
@@ -856,7 +858,7 @@ class Worker {
       if (coalescer_.HasPending()) {
         // Open request batches flush on the short comm cadence so
         // sub-threshold pulls are not delayed by an idle-length wait.
-        wait_us = std::min(wait_us, config_.comm.poll_us);
+        wait_us = std::min(wait_us, kCommPollUs);
       }
       MessageBatch mb;
       if (hub_->Receive(id_, wait_us, &mb)) {
@@ -875,108 +877,70 @@ class Worker {
     DrainAndReport();
   }
 
-  /// Receives and fully handles one message if available; counts it toward
-  /// the drain tally. Used only after kTerminate was observed.
-  bool PumpOneDrainMessage() {
-    MessageBatch mb;
-    if (!hub_->Receive(id_, config_.comm.poll_us, &mb)) return false;
-    drained_messages_.fetch_add(1, std::memory_order_relaxed);
-    HandleMessage(mb);
-    hub_->MarkProcessed(mb.type);
-    return true;
-  }
-
-  /// Two-phase lossless shutdown (paper §V-B termination, hardened).
+  /// Two-phase lossless shutdown (paper §V-B termination, hardened): one
+  /// pump loop that keeps servicing the wire — answering pull requests,
+  /// accepting responses and late donated batches — through three one-shot
+  /// steps.
   ///
-  /// Phase 1 (local quiesce): the compers were told to stop popping; wait
-  /// until their threads actually exit — a comper mid-iteration may still
-  /// issue vertex pulls — then flush the per-destination request buffers so
-  /// nothing is stranded in them, and report the quiesce to the master with
-  /// a kDrainBarrier. A Compute() call cannot be interrupted, so this wait
-  /// is unbounded; non-final progress reports keep flowing meanwhile so the
-  /// master can tell a worker that is busy from one that is gone.
+  /// 1. Local quiesce: the compers were told to stop popping. Once their
+  ///    threads have exited (a comper mid-iteration may still issue vertex
+  ///    pulls, and a Compute() call cannot be interrupted, so this wait is
+  ///    unbounded), flush the per-destination request buffers so nothing is
+  ///    stranded in them and report the quiesce with a kDrainBarrier.
+  /// 2. Release: the master echoes the barrier once every worker quiesced,
+  ///    so no new traffic can originate anywhere; announce it to the
+  ///    transport with BeginDrain.
+  /// 3. Wire drain: stop once CommHub::InFlightCount()==0 proves nothing is
+  ///    queued, in transit, or in a handler that could still send. Only then
+  ///    is the final report sent, so every task batch has been banked in
+  ///    L_file and counted by the ledger.
   ///
-  /// Phase 2 (wire drain): once the master echoes the barrier (= every
-  /// worker is quiesced, so no *new* traffic can originate anywhere), keep
-  /// servicing the wire — answering pull requests, accepting responses and
-  /// late donated batches — until CommHub::InFlightCount()==0 proves the
-  /// wire empty. Only then is the final report sent, so every in-flight
-  /// task batch has been banked in L_file and counted by the ledger instead
-  /// of evaporating in a dropped inbox (the old behavior on the
-  /// time_budget_s timeout path).
+  /// Until BeginDrain, non-final progress reports keep flowing as the
+  /// heartbeat behind the master's silence bound (drain_timeout_us); after
+  /// it, a socket transport allows no spontaneous traffic. The worker has
+  /// no deadline of its own: the master's bound ends a job whose drain
+  /// cannot finish.
   void DrainAndReport() {
     // a = drain phase: quiescing compers
     RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 0});
-    const int64_t heartbeat_us =
-        std::min(config_.progress_interval_us, config_.drain_timeout_us);
     Timer heartbeat_timer;
-    while (compers_running_.load(std::memory_order_acquire) > 0) {
-      PumpOneDrainMessage();  // keep the wire moving while compers wind down
-      if (heartbeat_timer.ElapsedMicros() >= heartbeat_us) {
+    bool barrier_sent = false;
+    bool draining = false;
+    while (true) {
+      MessageBatch mb;
+      if (hub_->Receive(id_, kCommPollUs, &mb)) {
+        drained_messages_.fetch_add(1, std::memory_order_relaxed);
+        HandleMessage(mb);
+        hub_->MarkProcessed(mb.type);
+      }
+      if (!barrier_sent &&
+          compers_running_.load(std::memory_order_acquire) == 0) {
+        FlushAllRequests();
+        RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 1});  // barrier
+        MessageBatch barrier;
+        barrier.src_worker = id_;
+        barrier.dst_worker = master_id_;
+        barrier.type = MsgType::kDrainBarrier;
+        barrier.payload = EncodeDrainBarrier(static_cast<int32_t>(id_));
+        hub_->Send(std::move(barrier));
+        barrier_sent = true;
+      }
+      if (!draining && drain_release_.load(std::memory_order_acquire)) {
+        // This worker will originate nothing further (only answer what
+        // still arrives). Socket backends use the announcement to run their
+        // cluster-wide drain-marker protocol; in-process it is a no-op.
+        hub_->BeginDrain(id_);
+        draining = true;
+      }
+      if (draining) {
+        if (hub_->InFlightCount() == 0) break;
+      } else if (heartbeat_timer.ElapsedMicros() >=
+                 config_.progress_interval_us) {
         SendProgress(/*final_report=*/false);
         heartbeat_timer.Restart();
       }
     }
-    FlushAllRequests();
-    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 1});  // barrier
-    MessageBatch barrier;
-    barrier.src_worker = id_;
-    barrier.dst_worker = master_id_;
-    barrier.type = MsgType::kDrainBarrier;
-    barrier.payload = EncodeDrainBarrier(static_cast<int32_t>(id_));
-    hub_->Send(std::move(barrier));
-
-    Timer drain_timer;
-    bool deadline_hit = false;
-    while (!drain_release_.load(std::memory_order_acquire)) {
-      PumpOneDrainMessage();
-      if (drain_timer.ElapsedMicros() > config_.drain_timeout_us) {
-        deadline_hit = true;
-        break;
-      }
-    }
-    // The release means every endpoint is quiesced: this worker will
-    // originate nothing further (only answer what still arrives). Socket
-    // backends use the announcement to run their cluster-wide drain-marker
-    // protocol; in-process it is a no-op.
-    hub_->BeginDrain(id_);
-    while (!deadline_hit) {
-      if (PumpOneDrainMessage()) continue;
-      if (hub_->InFlightCount() == 0) break;
-      if (drain_timer.ElapsedMicros() > config_.drain_timeout_us) {
-        deadline_hit = true;
-        break;
-      }
-    }
-    RecordEvent(-1,
-                {.kind = obs::EventKind::kDrain, .a = deadline_hit ? 3 : 2});
-    if (deadline_hit) {
-      // Pathological peer (should not happen): empty what we can reach so
-      // the loss is *accounted* — tasks in abandoned batches move to the
-      // dropped column instead of silently unbalancing the ledger. A
-      // zero-timeout Receive loop here used to exit on the first momentarily
-      // empty poll (and busy-spun against a slow sender otherwise); instead,
-      // poll with the normal comm timeout inside one bounded grace window so
-      // in-transit batches still land and get counted.
-      Timer grace_timer;
-      MessageBatch mb;
-      while (grace_timer.ElapsedMicros() <= config_.drain_timeout_us) {
-        if (!hub_->Receive(id_, config_.comm.poll_us, &mb)) {
-          if (hub_->InFlightCount() == 0) break;
-          continue;
-        }
-        if (mb.type == MsgType::kTaskBatch) {
-          std::vector<std::string> records;
-          GT_CHECK_OK(DecodeTaskBatch(mb.payload, &records));
-          tasks_received_.fetch_add(static_cast<int64_t>(records.size()),
-                                    std::memory_order_relaxed);
-          tasks_dropped_.fetch_add(static_cast<int64_t>(records.size()),
-                                   std::memory_order_relaxed);
-        }
-        drained_messages_.fetch_add(1, std::memory_order_relaxed);
-        hub_->MarkProcessed(mb.type);
-      }
-    }
+    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 2});  // wire empty
     if (!output_dir_.empty()) FinalFlushOutput();
     RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 4});  // final
     SendProgress(/*final_report=*/true);
@@ -1206,7 +1170,6 @@ class Worker {
     report.ledger.received = tasks_received_.load(std::memory_order_relaxed);
     report.ledger.checkpointed =
         tasks_checkpointed_.load(std::memory_order_relaxed);
-    report.ledger.dropped = tasks_dropped_.load(std::memory_order_relaxed);
     report.ledger.disk_donated =
         tasks_disk_donated_.load(std::memory_order_relaxed);
     report.tasks_live = live_tasks_.load();
@@ -1318,14 +1281,16 @@ class Worker {
   // GC thread (paper §V-A): lazy eviction when T_cache overflows.
   // ---------------------------------------------------------------------
 
+  /// GC wake-up period.
+  static constexpr int64_t kGcIntervalUs = 1000;
+
   void GcLoop() {
     while (!stop_compers_.load(std::memory_order_acquire)) {
       if (cache_.Overflowed()) {
         const int64_t excess = cache_.ExcessOverCapacity();
         if (excess > 0) cache_.EvictUpTo(excess);
       }
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.gc_interval_us));
+      std::this_thread::sleep_for(std::chrono::microseconds(kGcIntervalUs));
     }
   }
 
@@ -1503,7 +1468,6 @@ class Worker {
   std::atomic<int64_t> tasks_donated_{0};
   std::atomic<int64_t> tasks_received_{0};
   std::atomic<int64_t> tasks_checkpointed_{0};
-  std::atomic<int64_t> tasks_dropped_{0};
   std::atomic<int64_t> tasks_disk_donated_{0};
   std::atomic<int64_t> drained_messages_{0};
 };

@@ -42,7 +42,7 @@ namespace gthinker::net {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kFrameMagic = 0x47544E46;  // "GTNF"
-inline constexpr uint16_t kProtocolVersion = 3;
+inline constexpr uint16_t kProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderSize = 24;
 /// Sanity cap on a single frame's payload; anything larger is treated as a
 /// corrupt stream (a real batch never approaches this).

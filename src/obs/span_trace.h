@@ -34,8 +34,10 @@ enum class EventKind : uint8_t {
   kStealDonate = 9,   // a = tasks donated, b = destination worker
   kStealReceive = 10,  // a = tasks received, b = source worker
   kLedger = 11,       // a = ExpectedLive(), b = live tasks (progress cadence)
-  kDrain = 12,        // a = drain phase: 0-4 worker DrainAndReport; 5 master
-                      // drain stalled, b = final reports missing
+  kDrain = 12,        // a = phase: worker DrainAndReport 0 quiescing,
+                      // 1 barrier sent, 2 wire drained, 4 final report (3
+                      // is unused); 5 master silence bound tripped, b =
+                      // final reports missing
   kCheckpoint = 13,   // a = checkpoint epoch
   kTimeout = 14,      // master hit the time budget; a = elapsed seconds
   kTerminate = 15,    // worker saw kTerminate

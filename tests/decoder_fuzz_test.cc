@@ -110,7 +110,6 @@ ProgressReport MakeReport() {
   r.ledger.donated = 5;
   r.ledger.received = 4;
   r.ledger.checkpointed = 2;
-  r.ledger.dropped = 1;
   r.ledger.disk_donated = 2;
   r.tasks_live = 11;
   r.queue_depth = 9;

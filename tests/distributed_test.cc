@@ -293,6 +293,7 @@ class StopSelfComper : public TriangleComper {
 struct SurvivorExit {
   bool exited = false;  // reaped before the hang deadline
   int status = 0;
+  double exit_s = -1.0;          // reap time since the ranks were forked
   double after_victim_s = -1.0;  // exit time minus the victim's death time
   std::string log;               // its stderr
 };
@@ -338,15 +339,14 @@ std::vector<SurvivorExit> RunFailureCluster(const JobConfig& config,
         .count();
   };
   std::vector<SurvivorExit> exits(procs);
-  std::vector<double> exit_s(procs, -1.0);
   int survivors_left = procs - 1;
   while (survivors_left > 0 && seconds() < 60.0) {
     const double now_s = seconds();  // one stamp per polling round
     for (int r = 0; r < procs; ++r) {
-      if (exit_s[r] >= 0.0) continue;
+      if (exits[r].exited) continue;
       int status = 0;
       if (::waitpid(pids[r], &status, WNOHANG) != pids[r]) continue;
-      exit_s[r] = now_s;
+      exits[r].exit_s = now_s;
       exits[r].exited = true;
       exits[r].status = status;
       if (r != victim) --survivors_left;
@@ -354,14 +354,14 @@ std::vector<SurvivorExit> RunFailureCluster(const JobConfig& config,
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   for (int r = 0; r < procs; ++r) {
-    if (exit_s[r] >= 0.0) continue;
+    if (exits[r].exited) continue;
     ::kill(pids[r], SIGKILL);
     ::waitpid(pids[r], nullptr, 0);
   }
   for (int r = 0; r < procs; ++r) {
     if (r == victim) continue;
-    if (exits[r].exited && exit_s[victim] >= 0.0) {
-      exits[r].after_victim_s = exit_s[r] - exit_s[victim];
+    if (exits[r].exited && exits[victim].exited) {
+      exits[r].after_victim_s = exits[r].exit_s - exits[victim].exit_s;
     }
     std::ifstream in(dir + "/rank" + std::to_string(r) + ".stderr");
     std::stringstream log;
@@ -430,9 +430,20 @@ TEST(DistributedFailure, KilledRankFailsEverySurvivor) {
   RemoveTree(dir);
 }
 
+/// A stopped rank keeps its sockets open, so no link is lost: the master's
+/// silence bound is what must notice it. Rank 0 fails, names the silent
+/// worker and dumps the flight recorder, whether or not kTerminate went out.
+void ExpectSilenceFailure(const SurvivorExit& rank0) {
+  ASSERT_TRUE(rank0.exited) << "rank 0 hung on a stopped rank 1\n"
+                            << rank0.log;
+  EXPECT_FALSE(WIFEXITED(rank0.status) && WEXITSTATUS(rank0.status) == 0)
+      << "rank 0 returned an answer without rank 1";
+  const std::string diagnosis = "master: worker 1 silent for 500000 us";
+  EXPECT_NE(rank0.log.find(diagnosis), std::string::npos) << rank0.log;
+  EXPECT_TRUE(DumpedFor(rank0.log, diagnosis)) << rank0.log;
+}
+
 TEST(DistributedFailure, StoppedRankTripsDrainSilenceBound) {
-  // A stopped rank keeps its sockets open, so no link is lost: the master's
-  // silence bound is what must notice it.
   JobConfig config;
   config.compers_per_worker = 1;
   config = TcpConfig(config, 2);
@@ -442,16 +453,26 @@ TEST(DistributedFailure, StoppedRankTripsDrainSilenceBound) {
   config.flight_dump_dir = dir;
   const std::vector<SurvivorExit> exits =
       RunFailureCluster<StopSelfComper>(config, /*victim=*/1, dir);
-  const SurvivorExit& rank0 = exits[0];
-  ASSERT_TRUE(rank0.exited) << "rank 0 hung on a stopped rank 1\n"
-                            << rank0.log;
-  EXPECT_FALSE(WIFEXITED(rank0.status) && WEXITSTATUS(rank0.status) == 0)
-      << "rank 0 returned an answer without rank 1";
-  EXPECT_NE(rank0.log.find("no drain barrier from worker(s) 1"),
-            std::string::npos)
-      << rank0.log;
-  // The stall itself left a crash dump, not just the earlier budget exit.
-  EXPECT_TRUE(DumpedFor(rank0.log, "drain stalled")) << rank0.log;
+  ExpectSilenceFailure(exits[0]);
+  RemoveTree(dir);
+}
+
+TEST(DistributedFailure, StoppedRankFailsRankZeroWithoutBudget) {
+  JobConfig config;
+  config.compers_per_worker = 1;
+  config = TcpConfig(config, 2);
+  config.time_budget_s = 0.0;  // only the silence bound can end this job
+  config.drain_timeout_us = 500'000;
+  const std::string dir = MakeTempDir("stopped_rank_no_budget");
+  config.flight_dump_dir = dir;
+  const std::vector<SurvivorExit> exits =
+      RunFailureCluster<StopSelfComper>(config, /*victim=*/1, dir);
+  ExpectSilenceFailure(exits[0]);
+  // Rank 1 stops ~0.2 s into its first Compute(); 0.5 s of silence later
+  // rank 0 must be gone, before any kTerminate.
+  EXPECT_LT(exits[0].exit_s, 3.0);
+  EXPECT_NE(exits[0].log.find("before kTerminate"), std::string::npos)
+      << exits[0].log;
   RemoveTree(dir);
 }
 

@@ -189,7 +189,7 @@ TEST(FlightRecorderE2E, JobRecordsBatchTransitions) {
     EXPECT_GT((counts[{w, obs::EventKind::kSpawnBatch}]), 0) << "worker " << w;
     EXPECT_GT((counts[{w, obs::EventKind::kLedger}]), 0) << "worker " << w;
     EXPECT_EQ((counts[{w, obs::EventKind::kTerminate}]), 1) << "worker " << w;
-    // Drain phases 0, 1, 2 (or 3) and 4.
+    // Drain phases 0, 1, 2 and 4.
     EXPECT_EQ((counts[{w, obs::EventKind::kDrain}]), 4) << "worker " << w;
     EXPECT_GT((counts[{w, obs::EventKind::kExecute}]), 0) << "worker " << w;
   }

@@ -56,7 +56,6 @@ ProgressReport MakeReport() {
   r.ledger.donated = 1;
   r.ledger.received = 1;
   r.ledger.checkpointed = 4;
-  r.ledger.dropped = 0;
   r.ledger.disk_donated = 3;
   r.tasks_live = 2;
   r.tasks_on_disk = 1;
@@ -98,7 +97,6 @@ TEST(ProtocolTest, ProgressReportRoundTrip) {
   EXPECT_EQ(got.ledger.donated, r.ledger.donated);
   EXPECT_EQ(got.ledger.received, r.ledger.received);
   EXPECT_EQ(got.ledger.checkpointed, r.ledger.checkpointed);
-  EXPECT_EQ(got.ledger.dropped, r.ledger.dropped);
   EXPECT_EQ(got.ledger.disk_donated, r.ledger.disk_donated);
   EXPECT_EQ(got.tasks_live, r.tasks_live);
   EXPECT_EQ(got.tasks_on_disk, r.tasks_on_disk);
@@ -142,27 +140,6 @@ TEST(ProtocolTest, VertexRequestTruncatedAndGarbageCount) {
   EXPECT_TRUE(DecodeVertexRequest(TakePayload(ser), &got).IsCorruption());
   // Empty wire: not even the count fits.
   EXPECT_TRUE(DecodeVertexRequest(Payload(), &got).IsCorruption());
-}
-
-TEST(ProtocolTest, RecordBatchRoundTrip) {
-  const std::vector<std::string> records = {
-      "", "one", std::string("\x00\x01", 2), std::string(300, 'r')};
-  Payload wire = EncodeRecordBatch(records);
-  std::vector<std::string> got;
-  ASSERT_TRUE(DecodeRecordBatch(wire, &got).ok());
-  EXPECT_EQ(got, records);
-}
-
-TEST(ProtocolTest, RecordBatchTruncatedAndImplausibleCount) {
-  Payload wire = EncodeRecordBatch({"alpha", "beta"});
-  std::vector<std::string> got;
-  for (size_t cut : {size_t{1}, size_t{6}, wire.size() - 1}) {
-    EXPECT_TRUE(DecodeRecordBatch(Truncate(wire, cut), &got).IsCorruption())
-        << "cut=" << cut;
-  }
-  Serializer ser;
-  ser.Write<uint64_t>(uint64_t{1} << 60);  // count >> remaining bytes
-  EXPECT_TRUE(DecodeRecordBatch(TakePayload(ser), &got).IsCorruption());
 }
 
 TEST(ProtocolTest, TaskBatchRoundTripWithTimestamp) {

@@ -188,7 +188,6 @@ TEST(Protocol, ProgressReportRoundtrip) {
   r.ledger.donated = 1;
   r.ledger.received = 4;
   r.ledger.checkpointed = 6;
-  r.ledger.dropped = 1;
   r.tasks_live = 6;
   r.tasks_on_disk = 2;
   r.drained_messages = 9;
@@ -210,8 +209,7 @@ TEST(Protocol, ProgressReportRoundtrip) {
   EXPECT_EQ(back.ledger.donated, 1);
   EXPECT_EQ(back.ledger.received, 4);
   EXPECT_EQ(back.ledger.checkpointed, 6);
-  EXPECT_EQ(back.ledger.dropped, 1);
-  EXPECT_EQ(back.ledger.ExpectedLive(), 6);
+  EXPECT_EQ(back.ledger.ExpectedLive(), 7);
   EXPECT_EQ(back.tasks_live, 6);
   EXPECT_EQ(back.tasks_on_disk, 2);
   EXPECT_EQ(back.drained_messages, 9);
@@ -229,13 +227,6 @@ TEST(Protocol, VertexRequestRoundtrip) {
   std::vector<VertexId> back;
   ASSERT_TRUE(DecodeVertexRequest(EncodeVertexRequest(ids), &back).ok());
   EXPECT_EQ(back, ids);
-}
-
-TEST(Protocol, RecordBatchRoundtrip) {
-  std::vector<std::string> records = {"a", "", "ccc"};
-  std::vector<std::string> back;
-  ASSERT_TRUE(DecodeRecordBatch(EncodeRecordBatch(records), &back).ok());
-  EXPECT_EQ(back, records);
 }
 
 TEST(Protocol, StealOrderRoundtrip) {
@@ -267,8 +258,6 @@ TEST(Protocol, CheckpointMessagesRoundtrip) {
 TEST(Protocol, DecodeGarbageFails) {
   ProgressReport r;
   EXPECT_FALSE(r.Decode("xx").ok());
-  std::vector<std::string> recs;
-  EXPECT_FALSE(DecodeRecordBatch("y", &recs).ok());
 }
 
 }  // namespace
