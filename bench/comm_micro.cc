@@ -7,15 +7,10 @@
 //           into a Serializer and copied out into an owning string
 //           (Serializer::Release), and the responder re-serializes every
 //           requested vertex from scratch on every request.
-//   pooled: the zero-copy path — requests hand their slab to the wire
-//           (TakePayload), the responder Γ-shares memoized response records
-//           through ResponseCache (hot vertices are encoded once and
-//           refcount-shared across batches), and the receiver decodes
-//           through PayloadCursor without flattening.
-//
-// A second experiment replays a duplicate-heavy pull-demand stream through
-// naive per-destination batching vs the PullCoalescer, reporting the
-// kVertexRequest byte reduction from in-flight dedup.
+//   pooled: the worker's handlers verbatim — requests hand their slab to
+//           the wire (TakePayload), the responder encodes the whole
+//           response into one slab (EncodeVertexResponse), and the
+//           requester decodes it in place (DecodeVertexResponse).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -37,8 +32,6 @@
 #include "bench_util.h"
 #include "core/codec.h"
 #include "core/protocol.h"
-#include "core/pull_coalescer.h"
-#include "core/response_cache.h"
 #include "core/vertex.h"
 #include "core/wire_codec.h"
 #include "net/comm_hub.h"
@@ -63,7 +56,6 @@ struct PullResult {
   int64_t response_bytes = 0;
   int64_t request_bytes = 0;
   uint64_t checksum = 0;  // defeats dead-code elimination
-  int64_t cache_hits = 0;
 };
 
 /// The responder's T_local: `hot` vertices of the given degree.
@@ -96,9 +88,9 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
   PullResult result;
 
   std::thread responder([&] {
-    ResponseCache<VertexT> cache(pooled ? kResponseCacheBytes : 0, enc);
     Serializer ser;
     std::vector<VertexId> ids;
+    std::vector<const VertexT*> vertices;
     for (int r = 0; r < rounds; ++r) {
       MessageBatch mb;
       while (!rhub.Receive(kResponder, 1'000'000, &mb)) {
@@ -109,13 +101,10 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
       resp.dst_worker = kRequester;
       resp.type = MsgType::kVertexResponse;
       if (pooled) {
-        // Zero-copy: u64-count header slab + one Γ-shared fragment per
-        // record (the worker's kVertexRequest handler, verbatim).
-        ser.Write<uint64_t>(ids.size());
-        resp.payload = TakePayload(ser);
-        for (VertexId id : ids) {
-          resp.payload.Append(cache.Get(table.at(id)));
-        }
+        // The worker's kVertexRequest handler, verbatim.
+        vertices.clear();
+        for (VertexId id : ids) vertices.push_back(&table.at(id));
+        resp.payload = EncodeVertexResponse(enc, vertices);
       } else {
         // Legacy: re-encode every record, then copy the buffer out into an
         // owning string (what `std::string payload` used to cost).
@@ -128,13 +117,13 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
       rhub.Send(std::move(resp));
       rhub.MarkProcessed(MsgType::kVertexRequest);
     }
-    result.cache_hits = cache.hits();
   });
 
   Timer wall;
   std::vector<VertexId> want;
   want.reserve(batch);
   Serializer req_ser;
+  std::vector<VertexT> got;
   for (int r = 0; r < rounds; ++r) {
     want.clear();
     for (int b = 0; b < batch; ++b) {
@@ -160,18 +149,8 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
     }
     result.response_bytes += static_cast<int64_t>(resp.payload.size());
     if (pooled) {
-      PayloadCursor cur(resp.payload);
-      uint64_t n = 0;
-      GT_CHECK_OK(cur.Read(&n));
-      for (uint64_t i = 0; i < n; ++i) {
-        size_t len = 0;
-        const char* data = cur.ContiguousBytes(&len);
-        Deserializer des(data, len);
-        VertexT v;
-        GT_CHECK_OK(WireCodec<VertexT>::Decode(enc, des, &v));
-        GT_CHECK_OK(cur.Skip(des.position()));
-        result.checksum += v.id + v.value.size();
-      }
+      GT_CHECK_OK(DecodeVertexResponse(resp.payload, enc, &got));
+      for (const VertexT& v : got) result.checksum += v.id + v.value.size();
     } else {
       PayloadView view(resp.payload);
       Deserializer des(view.data(), view.size());
@@ -234,64 +213,6 @@ std::pair<std::unique_ptr<CommHub>, std::unique_ptr<CommHub>> MakeTcpPair() {
   return {std::move(hubs[0]), std::move(hubs[1])};
 }
 
-struct DedupResult {
-  int64_t request_bytes = 0;
-  int64_t batches = 0;
-  int64_t ids_sent = 0;
-  int64_t deduped = 0;
-};
-
-/// Deterministic duplicate-heavy demand stream: half the pulls hit a shared
-/// 64-vertex hot core (tasks re-pulling the dense center of a mining
-/// frontier), half are one-off cold vertices the coalescer cannot dedup.
-struct DemandStream {
-  uint64_t state = 42;
-  VertexId next_cold = 1'000'000;
-  VertexId Next() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const uint64_t r = state >> 33;
-    if ((r & 1) == 0) return static_cast<VertexId>(r % 64);
-    return next_cold++;
-  }
-};
-
-DedupResult RunDedupNaive(int demands, int64_t max_ids) {
-  DedupResult out;
-  DemandStream stream;
-  std::vector<VertexId> buffer;
-  auto flush = [&] {
-    if (buffer.empty()) return;
-    out.request_bytes += static_cast<int64_t>(EncodeVertexRequest(buffer).size());
-    out.ids_sent += static_cast<int64_t>(buffer.size());
-    out.batches++;
-    buffer.clear();
-  };
-  for (int i = 0; i < demands; ++i) {
-    buffer.push_back(stream.Next());
-    if (static_cast<int64_t>(buffer.size()) >= max_ids) flush();
-  }
-  flush();
-  return out;
-}
-
-DedupResult RunDedupCoalesced(int demands, int64_t max_ids) {
-  DedupResult out;
-  DemandStream stream;
-  PullCoalescer coalescer(2, max_ids);
-  std::vector<VertexId> batch;
-  auto send = [&] {
-    out.request_bytes += static_cast<int64_t>(EncodeVertexRequest(batch).size());
-    out.ids_sent += static_cast<int64_t>(batch.size());
-    out.batches++;
-  };
-  for (int i = 0; i < demands; ++i) {
-    if (coalescer.Add(kResponder, stream.Next(), &batch)) send();
-  }
-  if (coalescer.Flush(kResponder, &batch)) send();
-  out.deduped = coalescer.deduped();
-  return out;
-}
-
 int Main(int argc, char** argv) {
   int rounds = 500;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -300,8 +221,6 @@ int Main(int argc, char** argv) {
   const int batch = 128;
   const int hot = 256;
   const int degree = 2048;
-  const int demands = 200'000;
-  const int64_t max_ids = 256;
 
   BenchJson json;
   json.bench = "comm_micro";
@@ -309,8 +228,8 @@ int Main(int argc, char** argv) {
   std::printf("comm_micro: pull round-trip, %d rounds x %d ids "
               "(hot=%d, degree=%d)\n",
               rounds, batch, hot, degree);
-  std::printf("%-8s %10s %12s %12s %12s\n", "mode", "time", "roundtrips/s",
-              "resp MB/s", "cache hits");
+  std::printf("%-8s %10s %12s %12s\n", "mode", "time", "roundtrips/s",
+              "resp MB/s");
 
   double legacy_rps = 0.0, pooled_rps = 0.0;
   uint64_t checksums[2] = {0, 0};
@@ -331,16 +250,14 @@ int Main(int argc, char** argv) {
     (pooled ? pooled_rps : legacy_rps) = rps;
     checksums[pooled ? 1 : 0] = r.checksum;
     const char* mode = pooled ? "pooled" : "legacy";
-    std::printf("%-8s %8.3f s %12.0f %12.1f %12" PRId64 "   (checksum %" PRIu64
-                ")\n",
-                mode, r.elapsed_s, rps, mbps, r.cache_hits, r.checksum);
+    std::printf("%-8s %8.3f s %12.0f %12.1f   (checksum %" PRIu64 ")\n",
+                mode, r.elapsed_s, rps, mbps, r.checksum);
     auto* row = json.AddRow(std::string("pull_roundtrip/") + mode);
     row->numbers["elapsed_s"] = r.elapsed_s;
     row->numbers["roundtrips_per_s"] = rps;
     row->numbers["response_mb_per_s"] = mbps;
     row->numbers["request_bytes"] = static_cast<double>(r.request_bytes);
     row->numbers["response_bytes"] = static_cast<double>(r.response_bytes);
-    row->numbers["cache_hits"] = static_cast<double>(r.cache_hits);
   }
   // Both modes decode identical vertex streams; a mismatch means the
   // zero-copy path corrupted bytes somewhere between encode and decode.
@@ -367,9 +284,8 @@ int Main(int argc, char** argv) {
     GT_CHECK_EQ(r.checksum, checksums[1]);  // the wire must not alter bytes
     const double rps = rounds / r.elapsed_s;
     const double mbps = r.response_bytes / 1048576.0 / r.elapsed_s;
-    std::printf("%-8s %8.3f s %12.0f %12.1f %12" PRId64 "   (checksum %" PRIu64
-                ")\n",
-                "tcp", r.elapsed_s, rps, mbps, r.cache_hits, r.checksum);
+    std::printf("%-8s %8.3f s %12.0f %12.1f   (checksum %" PRIu64 ")\n",
+                "tcp", r.elapsed_s, rps, mbps, r.checksum);
     std::printf("tcp/inproc pooled ratio: %.2fx\n", pooled_rps / rps);
     auto* row = json.AddRow("pull_roundtrip/tcp");
     row->numbers["elapsed_s"] = r.elapsed_s;
@@ -377,7 +293,6 @@ int Main(int argc, char** argv) {
     row->numbers["response_mb_per_s"] = mbps;
     row->numbers["request_bytes"] = static_cast<double>(r.request_bytes);
     row->numbers["response_bytes"] = static_cast<double>(r.response_bytes);
-    row->numbers["cache_hits"] = static_cast<double>(r.cache_hits);
     // Syscall-coalescing observability: how many frames and bytes each
     // sendmsg carried, summed over both hubs and all best-of-3 reps.
     double calls = 0, frames = 0, bytes = 0;
@@ -437,8 +352,8 @@ int Main(int argc, char** argv) {
 
   // Wire-encoding ablation: the pooled ping-pong with the response records
   // serialized raw (fixed-width, bit-identical to Codec) vs delta+varint
-  // adjacency groups. `bytes_ratio` mirrors dedup/summary: varint response
-  // bytes over raw response bytes — the wire-byte reduction the
+  // adjacency groups. `bytes_ratio` is varint response bytes over raw
+  // response bytes — the wire-byte reduction the
   // comm.wire_encoding=varint knob buys on this degree-2048 table.
   {
     std::printf("\nwire encoding ablation (pooled, %d rounds):\n", rounds);
@@ -474,30 +389,6 @@ int Main(int argc, char** argv) {
     std::printf("  varint/raw wire bytes: %.4f\n\n", enc_ratio);
     json.AddRow("encoding/summary")->numbers["bytes_ratio"] = enc_ratio;
   }
-
-  std::printf("request dedup: %d demands, flush window %" PRId64 " ids\n",
-              demands, max_ids);
-  const DedupResult naive = RunDedupNaive(demands, max_ids);
-  const DedupResult coal = RunDedupCoalesced(demands, max_ids);
-  const double byte_ratio =
-      static_cast<double>(coal.request_bytes) / naive.request_bytes;
-  std::printf("  naive:     %8" PRId64 " bytes  %6" PRId64 " batches  %8" PRId64
-              " ids\n",
-              naive.request_bytes, naive.batches, naive.ids_sent);
-  std::printf("  coalesced: %8" PRId64 " bytes  %6" PRId64 " batches  %8" PRId64
-              " ids  (%" PRId64 " deduped, %.1f%% of naive bytes)\n",
-              coal.request_bytes, coal.batches, coal.ids_sent, coal.deduped,
-              100.0 * byte_ratio);
-  for (const auto& [label, r] :
-       {std::pair<const char*, const DedupResult&>{"dedup/naive", naive},
-        {"dedup/coalesced", coal}}) {
-    auto* row = json.AddRow(label);
-    row->numbers["kvertexrequest_bytes"] = static_cast<double>(r.request_bytes);
-    row->numbers["batches"] = static_cast<double>(r.batches);
-    row->numbers["ids_sent"] = static_cast<double>(r.ids_sent);
-    row->numbers["deduped"] = static_cast<double>(r.deduped);
-  }
-  json.AddRow("dedup/summary")->numbers["bytes_ratio"] = byte_ratio;
 
   const Status s = json.WriteTo(JsonPathArg(argc, argv));
   if (!s.ok()) {

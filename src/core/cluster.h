@@ -380,8 +380,8 @@ class Cluster {
       std::vector<bool> ckpt_acked(num_workers, false);
       bool terminate = false;
 
-      // Broadcasting a Payload is cheap by design: each copy bumps fragment
-      // refcounts, so all N workers share the sender's one encoded buffer.
+      // Broadcasting a Payload is cheap by design: each copy bumps the
+      // buffer's refcount, so all N workers share the sender's one encoding.
       auto broadcast = [&](MsgType type, const Payload& payload) {
         for (int w = 0; w < num_workers; ++w) {
           MessageBatch mb;

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/wire_codec.h"
 #include "graph/types.h"
 #include "net/payload.h"
 #include "util/serializer.h"
@@ -17,9 +19,8 @@ namespace gthinker {
 /// simulated wire carries exactly what a socket deployment would.
 ///
 /// Encoders write into a pooled Serializer slab and hand the bytes off
-/// zero-copy as a single-fragment Payload (TakePayload); decoders read the
-/// incoming Payload through a flat view — zero-copy for the flat payloads
-/// every encoder here produces. Every decoder is bounds-checked end to end:
+/// zero-copy as a Payload (TakePayload); decoders read the incoming Payload
+/// in place through a PayloadView. Every decoder is bounds-checked end to end:
 /// truncated or corrupted payloads yield Status::Corruption, never a crash,
 /// and so does a message followed by stray bytes (ExpectEnd).
 
@@ -222,6 +223,42 @@ inline Status DecodeVertexRequest(const Payload& payload,
   Deserializer des(view.data(), view.size());
   GT_RETURN_IF_ERROR(des.ReadVector(ids));
   return ExpectEnd(des, "vertex request");
+}
+
+/// kVertexResponse payload: a u64 count, then each vertex through
+/// WireCodec<VertexT> in the job's comm.wire_encoding. The whole response
+/// is one slab; the R-table already merges concurrent pulls of a vertex, so
+/// nothing is memoized on the responder.
+template <typename VertexT>
+Payload EncodeVertexResponse(WireEncoding encoding,
+                             const std::vector<const VertexT*>& vertices) {
+  Serializer ser;
+  ser.Write<uint64_t>(vertices.size());
+  for (const VertexT* v : vertices) {
+    WireCodec<VertexT>::Encode(encoding, ser, *v);
+  }
+  return TakePayload(ser);
+}
+
+template <typename VertexT>
+Status DecodeVertexResponse(const Payload& payload, WireEncoding encoding,
+                            std::vector<VertexT>* vertices) {
+  PayloadView view(payload);
+  Deserializer des(view.data(), view.size());
+  uint64_t n = 0;
+  GT_RETURN_IF_ERROR(des.Read(&n));
+  // Every record takes at least one byte.
+  if (n > des.remaining()) {
+    return Status::Corruption("vertex response count implausible");
+  }
+  vertices->clear();
+  vertices->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    VertexT v;
+    GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(encoding, des, &v));
+    vertices->push_back(std::move(v));
+  }
+  return ExpectEnd(des, "vertex response");
 }
 
 /// kTaskBatch payload: the record batch plus the hub-clock instant of the

@@ -10,13 +10,10 @@
 
 #include "core/codec.h"
 #include "core/vertex.h"
-#include "core/wire_codec.h"
 #include "graph/types.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/mem_tracker.h"
-#include "util/serializer.h"
-#include "util/status.h"
 #include "util/timer.h"
 
 namespace gthinker {
@@ -247,24 +244,6 @@ class VertexCache {
       }
     }
     return waiting;
-  }
-
-  /// OP2, zero-copy variant: decodes one wire record (WireCodec<VertexT> in
-  /// the job's comm.wire_encoding format) straight from a wire-fragment span
-  /// (the R-table fills from the span; no intermediate flatten). *consumed
-  /// reports how many bytes the record occupied so the caller can advance
-  /// its cursor; *waiting receives the task IDs that were blocked on the
-  /// vertex. Corrupted/truncated records return Status::Corruption without
-  /// touching the tables.
-  Status InsertResponseSpan(WireEncoding encoding, const char* data,
-                            size_t size, size_t* consumed,
-                            std::vector<uint64_t>* waiting) {
-    VertexT vertex;
-    Deserializer des(data, size);
-    GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(encoding, des, &vertex));
-    *consumed = des.position();
-    *waiting = InsertResponse(std::move(vertex));
-    return Status::Ok();
   }
 
   /// Looks up a vertex the calling task already holds a lock on (used when a

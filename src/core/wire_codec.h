@@ -31,8 +31,7 @@ namespace gthinker {
 // of the link, and works identically on the in-process and TCP backends.
 // ---------------------------------------------------------------------------
 
-/// Which representation kVertexResponse records use on the wire (and inside
-/// the responder-side ResponseCache, whose resident bytes shrink with it).
+/// Which representation kVertexResponse records use on the wire.
 enum class WireEncoding : uint8_t {
   kRaw = 0,     // Codec<T> fixed-width (bit-identical legacy format)
   kVarint = 1,  // delta + varint group encoding for adjacency lists

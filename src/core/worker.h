@@ -21,7 +21,6 @@
 #include "core/config.h"
 #include "core/protocol.h"
 #include "core/pull_coalescer.h"
-#include "core/response_cache.h"
 #include "core/vertex_cache.h"
 #include "graph/layout.h"
 #include "net/comm_hub.h"
@@ -67,7 +66,6 @@ class Worker {
                config.cache_overflow_alpha, config.cache_counter_delta,
                &mem_, config.cache_use_z_table),
         coalescer_(config.num_workers, config.comm.request_batch_size),
-        resp_cache_(kResponseCacheBytes, config.comm.wire_encoding),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
@@ -806,10 +804,10 @@ class Worker {
   bool SpawnDone() const { return compers_spawning_.load() == 0; }
 
   /// Queues a vertex pull for batched sending (paper: requests are batched
-  /// per destination to combat round-trip time). The coalescer additionally
-  /// drops IDs already in flight within the open window — safe because the
-  /// VertexCache's R-table fans one response record out to every waiting
-  /// task — and flushes a destination at comm.request_batch_size IDs.
+  /// per destination to combat round-trip time). Only the first pull of a
+  /// vertex gets here: RequestBatch creates its R-table entry, and later
+  /// pulls join that entry's waiter list until the response lands. The
+  /// coalescer flushes a destination at comm.request_batch_size IDs.
   void EnqueueVertexRequest(VertexId v) {
     const int dst = OwnerOf(v, config_.num_workers);
     GT_CHECK_NE(dst, id_) << "local vertex routed to the cache";
@@ -953,19 +951,17 @@ class Worker {
         data_processed_.fetch_add(1, std::memory_order_relaxed);
         std::vector<VertexId> ids;
         GT_CHECK_OK(DecodeVertexRequest(mb.payload, &ids));
-        // Γ-sharing: each record rides as a refcounted fragment handed out
-        // by the response cache — a hot vertex is serialized once and its
-        // slab is shared by every concurrent response batch carrying it.
-        Serializer header;
-        header.Write<uint64_t>(ids.size());
-        MessageBatch resp;
-        resp.payload = TakePayload(header);
+        std::vector<const VertexT*> vertices;
+        vertices.reserve(ids.size());
         for (VertexId v : ids) {
           auto it = local_.find(v);
           GT_CHECK(it != local_.end())
               << "request for vertex " << v << " not owned by worker " << id_;
-          resp.payload.Append(resp_cache_.Get(it->second));
+          vertices.push_back(&it->second);
         }
+        MessageBatch resp;
+        resp.payload =
+            EncodeVertexResponse(config_.comm.wire_encoding, vertices);
         resp.src_worker = id_;
         resp.dst_worker = mb.src_worker;
         resp.type = MsgType::kVertexResponse;
@@ -975,23 +971,12 @@ class Worker {
       }
       case MsgType::kVertexResponse: {
         data_processed_.fetch_add(1, std::memory_order_relaxed);
-        PayloadCursor cur(mb.payload);
-        uint64_t n = 0;
-        GT_CHECK_OK(cur.Read(&n));
-        std::vector<uint64_t> waiting;
-        for (uint64_t i = 0; i < n; ++i) {
-          // Each record is contiguous by construction (the sender never
-          // splits one record across fragments), so the R-table fills
-          // straight from the wire fragment — no flatten, no copy.
-          size_t len = 0;
-          const char* data = cur.ContiguousBytes(&len);
-          size_t consumed = 0;
-          waiting.clear();
-          GT_CHECK_OK(cache_.InsertResponseSpan(config_.comm.wire_encoding,
-                                                data, len, &consumed,
-                                                &waiting));
-          GT_CHECK_OK(cur.Skip(consumed));
-          for (uint64_t tid : waiting) {
+        std::vector<VertexT> vertices;
+        GT_CHECK_OK(DecodeVertexResponse(mb.payload,
+                                         config_.comm.wire_encoding,
+                                         &vertices));
+        for (VertexT& v : vertices) {
+          for (uint64_t tid : cache_.InsertResponse(std::move(v))) {
             const int comper = ComperOfTaskId(tid);
             GT_CHECK_LT(comper, static_cast<int>(engines_.size()));
             engines_[comper]->OnVertexReady(tid);
@@ -1347,10 +1332,6 @@ class Worker {
       set("cache.group.evictions",
           group.evictions.load(std::memory_order_relaxed), label);
     }
-    set("request.deduped", coalescer_.deduped());
-    set("resp_cache.hits", resp_cache_.hits());
-    set("resp_cache.resets", resp_cache_.resets());
-    set("resp_cache.bytes", resp_cache_.bytes());
     set("tasks.spawned", tasks_spawned_.load(std::memory_order_relaxed));
     set("tasks.finished", tasks_finished_.load(std::memory_order_relaxed));
     set("tasks.iterations", task_iterations_.load(std::memory_order_relaxed));
@@ -1399,12 +1380,8 @@ class Worker {
   std::unique_ptr<StealRuntime> steal_runtime_;
   std::mutex steal_mutex_;
 
-  /// Per-destination pull batching + in-window dedup (compers add, comm
-  /// thread flushes).
+  /// Per-destination pull batching (compers add, comm thread flushes).
   PullCoalescer coalescer_;
-  /// Γ-sharing response memoization; comm-thread-confined (the only thread
-  /// that answers kVertexRequest), so it needs no lock.
-  ResponseCache<VertexT> resp_cache_;
 
   MiniDfs* checkpoint_dfs_ = nullptr;
   const VertexLayout* layout_ = nullptr;  // null: IDs are the caller's

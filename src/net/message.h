@@ -69,7 +69,7 @@ inline const char* MsgTypeName(MsgType type) {
   return "unknown";
 }
 
-/// One batch on the wire. The payload is a refcounted fragment chain
+/// One batch on the wire. The payload is one refcounted buffer
 /// (net/payload.h): it is built once by the sender and crosses the hub by
 /// handle, with zero intermediate byte copies.
 struct MessageBatch {

@@ -250,16 +250,12 @@ TcpTransport::OutFrame TcpTransport::EncodeDataFrame(
   h.src = batch.src_worker;
   h.dst = batch.dst_worker;
   h.payload_len = static_cast<uint32_t>(batch.payload.size());
-  uint32_t crc = 0;
-  for (const Payload::Fragment& f : batch.payload.fragments()) {
-    crc = Crc32C(f.data, f.len, crc);
-  }
-  h.crc32 = crc;
+  h.crc32 = Crc32C(batch.payload.data(), batch.payload.size());
   OutFrame out;
   out.kind = FrameKind::kData;
   EncodeFrameHeader(h, out.header.data());
-  // Zero-copy: the sendq keeps the fragment chain (and its slabs) alive
-  // until the frame is written; sendmsg gathers header + fragments.
+  // Zero-copy: the sendq keeps the payload (and its slab) alive until the
+  // frame is written; sendmsg gathers header + payload.
   out.payload = std::move(batch.payload);
   return out;
 }
@@ -548,13 +544,14 @@ bool TcpTransport::WritePeer(int q) {
   if (fd < 0) return true;
   std::unique_lock<std::mutex> lock(peer.send_mu);
   while (!peer.sendq.empty()) {
-    // Gather header + payload fragments across as many queued frames as the
-    // iovec budget allows: one syscall flushes a burst of small batches.
+    // Gather header + payload across as many queued frames as the iovec
+    // budget allows: one syscall flushes a burst of small batches. Only the
+    // front frame can be partly written.
     iovec iov[kMaxIovPerSendmsg];
     int niov = 0;
     size_t skip = peer.front_off;
     for (auto it = peer.sendq.begin();
-         it != peer.sendq.end() && niov < kMaxIovPerSendmsg; ++it) {
+         it != peer.sendq.end() && niov + 2 <= kMaxIovPerSendmsg; ++it) {
       const OutFrame& f = *it;
       if (skip < kFrameHeaderSize) {
         iov[niov].iov_base = const_cast<char*>(f.header.data()) + skip;
@@ -564,18 +561,12 @@ bool TcpTransport::WritePeer(int q) {
       } else {
         skip -= kFrameHeaderSize;
       }
-      for (const Payload::Fragment& frag : f.payload.fragments()) {
-        if (niov >= kMaxIovPerSendmsg) break;
-        if (skip >= frag.len) {
-          skip -= frag.len;
-          continue;
-        }
-        iov[niov].iov_base = const_cast<char*>(frag.data) + skip;
-        iov[niov].iov_len = frag.len - skip;
+      if (skip < f.payload.size()) {
+        iov[niov].iov_base = const_cast<char*>(f.payload.data()) + skip;
+        iov[niov].iov_len = f.payload.size() - skip;
         ++niov;
-        skip = 0;
       }
-      if (niov >= kMaxIovPerSendmsg) break;
+      skip = 0;
     }
     msghdr msg{};
     msg.msg_iov = iov;

@@ -43,7 +43,7 @@ struct TcpTransportOptions {
 /// CRC-32C of its payload). One IO thread drives poll(2) over the listen
 /// socket, the accepted connections awaiting their HELLO and every peer
 /// socket. Writes gather the per-peer send queue of framed messages
-/// (header + live Payload fragment chain, no copy) into a single sendmsg()
+/// (header + live Payload, no copy) into a single sendmsg()
 /// per syscall; reads land in pooled BufferPool slabs and complete DATA
 /// payloads are handed to the inboxes as zero-copy views into those slabs.
 /// Send() applies backpressure above send_buffer_max_bytes. A link lives
@@ -94,9 +94,9 @@ class TcpTransport final : public Transport {
 
  private:
   /// One framed message in a send queue: the encoded header plus the live
-  /// payload fragment chain. The fragments' slabs stay pinned (refcounted)
-  /// until the frame is fully written, so the bytes serialized by the sender
-  /// go to the socket without ever being copied into a frame buffer.
+  /// payload. Its slab stays pinned (refcounted) until the frame is fully
+  /// written, so the bytes serialized by the sender go to the socket without
+  /// ever being copied into a frame buffer.
   struct OutFrame {
     std::array<char, kFrameHeaderSize> header;
     Payload payload;

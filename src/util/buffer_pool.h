@@ -12,9 +12,9 @@ namespace gthinker {
 class BufferPool;
 
 /// A pooled, refcounted byte slab. Slabs are the unit of the zero-copy wire
-/// path: a Serializer encodes into one, a Payload fragment pins it with a
-/// reference, and the same physical bytes may sit in several in-flight
-/// message batches at once (responder-side Γ-sharing). The last reference
+/// path: a Serializer encodes into one, a Payload pins it with a reference,
+/// and the same physical bytes may sit in several in-flight message batches
+/// at once (a broadcast, or the TCP receive views). The last reference
 /// returns the slab to its pool instead of freeing it, so steady-state
 /// traffic stops allocating.
 struct Slab {
@@ -159,7 +159,7 @@ inline void Slab::Unref() {
 }
 
 /// Shared RAII handle to a Slab. Copy bumps the refcount (that is the whole
-/// zero-copy trick: sharing a fragment across N message batches is N pointer
+/// zero-copy trick: sharing a slab across N message batches is N pointer
 /// copies, not N byte copies); destruction releases it.
 class SlabRef {
  public:

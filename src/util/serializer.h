@@ -1,6 +1,7 @@
 #ifndef GTHINKER_UTIL_SERIALIZER_H_
 #define GTHINKER_UTIL_SERIALIZER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -87,10 +88,14 @@ class Serializer {
   void Clear() { size_ = 0; }
 
  private:
+  /// Grows geometrically: past the largest pool class a slab is sized to
+  /// exactly the request, so growing to `need` alone would copy the whole
+  /// prefix on every later write.
   void Reserve(size_t n) {
     const size_t need = size_ + n;
     if (need <= slab_.capacity()) return;
-    SlabRef bigger(BufferPool::Global().Acquire(need));
+    SlabRef bigger(
+        BufferPool::Global().Acquire(std::max(need, 2 * slab_.capacity())));
     if (size_ > 0) std::memcpy(bigger.data(), slab_.data(), size_);
     slab_ = std::move(bigger);
   }

@@ -1,6 +1,4 @@
-// Tests for the simulated interconnect and the two pull-path classes on
-// either side of it: the requester's PullCoalescer and the responder's
-// ResponseCache.
+// Tests for the simulated interconnect and the requester's PullCoalescer.
 
 #include "net/comm_hub.h"
 
@@ -10,11 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/codec.h"
 #include "core/pull_coalescer.h"
-#include "core/response_cache.h"
-#include "core/vertex.h"
-#include "util/serializer.h"
 
 namespace gthinker {
 namespace {
@@ -159,23 +153,11 @@ TEST(CommHub, ConcurrentSendersAllDelivered) {
 // PullCoalescer
 // ---------------------------------------------------------------------------
 
-TEST(PullCoalescer, DropsDuplicateWhileInOpenWindow) {
-  PullCoalescer coalescer(2, /*max_ids=*/8);
-  std::vector<VertexId> batch;
-  EXPECT_FALSE(coalescer.Add(1, 7, &batch));
-  EXPECT_FALSE(coalescer.Add(1, 9, &batch));
-  EXPECT_FALSE(coalescer.Add(1, 7, &batch));
-  EXPECT_EQ(coalescer.deduped(), 1);
-  ASSERT_TRUE(coalescer.Flush(1, &batch));
-  EXPECT_EQ(batch, (std::vector<VertexId>{7, 9}));
-}
-
 TEST(PullCoalescer, FlushesExactlyAtMaxIds) {
   PullCoalescer coalescer(2, /*max_ids=*/3);
   std::vector<VertexId> batch;
   EXPECT_FALSE(coalescer.Add(1, 10, &batch));
   EXPECT_FALSE(coalescer.Add(1, 11, &batch));
-  EXPECT_FALSE(coalescer.Add(1, 11, &batch));  // a duplicate does not count
   ASSERT_TRUE(coalescer.Add(1, 12, &batch));
   EXPECT_EQ(batch, (std::vector<VertexId>{10, 11, 12}));
   EXPECT_FALSE(coalescer.HasPending());
@@ -191,7 +173,6 @@ TEST(PullCoalescer, AcceptsSameIdAgainAfterFlush) {
   // The response may already be in the cache or evicted again: a new window
   // must re-request the vertex, not drop it as in flight.
   EXPECT_FALSE(coalescer.Add(0, 5, &batch));
-  EXPECT_EQ(coalescer.deduped(), 0);
   ASSERT_TRUE(coalescer.Flush(0, &batch));
   EXPECT_EQ(batch, std::vector<VertexId>{5});
 }
@@ -207,75 +188,6 @@ TEST(PullCoalescer, HasPendingTracksOpenIds) {
   EXPECT_TRUE(coalescer.HasPending());  // destination 2 is still open
   ASSERT_TRUE(coalescer.Flush(2, &batch));
   EXPECT_FALSE(coalescer.HasPending());
-}
-
-// ---------------------------------------------------------------------------
-// ResponseCache
-// ---------------------------------------------------------------------------
-
-using AdjVertex = Vertex<AdjList>;
-
-AdjVertex MakeVertex(VertexId id, int degree) {
-  AdjVertex v;
-  v.id = id;
-  for (int d = 0; d < degree; ++d) {
-    v.value.push_back(id + static_cast<VertexId>(d) + 1);
-  }
-  return v;
-}
-
-std::string CodecBytes(const AdjVertex& v) {
-  Serializer ser;
-  Codec<AdjVertex>::Encode(ser, v);
-  return ser.Release();
-}
-
-TEST(ResponseCache, HitReturnsTheMemoizedSlab) {
-  ResponseCache<AdjVertex> cache(kResponseCacheBytes);
-  const AdjVertex v = MakeVertex(3, 10);
-  const Payload first = cache.Get(v);
-  const Payload second = cache.Get(v);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(first, CodecBytes(v));
-  ASSERT_EQ(first.num_fragments(), 1u);
-  ASSERT_EQ(second.num_fragments(), 1u);
-  EXPECT_EQ(second.fragments()[0].data, first.fragments()[0].data);
-}
-
-TEST(ResponseCache, PassingTheByteCapResetsOnce) {
-  const AdjVertex a = MakeVertex(1, 10);
-  const AdjVertex b = MakeVertex(2, 10);
-  const AdjVertex c = MakeVertex(3, 10);
-  const int64_t record = static_cast<int64_t>(CodecBytes(a).size());
-  ResponseCache<AdjVertex> cache(/*byte_limit=*/2 * record + record / 2);
-  cache.Get(a);
-  cache.Get(b);
-  EXPECT_EQ(cache.resets(), 0);
-  EXPECT_EQ(cache.bytes(), 2 * record);
-  cache.Get(c);  // the third record passes the cap: the table restarts
-  EXPECT_EQ(cache.resets(), 1);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.bytes(), record);
-  EXPECT_EQ(cache.Get(c), CodecBytes(c));
-  EXPECT_EQ(cache.hits(), 1);
-  cache.Get(a);  // dropped by the reset, so a miss that refills the table
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.resets(), 1);
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-TEST(ResponseCache, ZeroByteLimitRetainsNothing) {
-  ResponseCache<AdjVertex> cache(/*byte_limit=*/0);
-  const AdjVertex v = MakeVertex(9, 4);
-  const Payload first = cache.Get(v);
-  const Payload second = cache.Get(v);
-  EXPECT_EQ(first, CodecBytes(v));
-  EXPECT_EQ(second, CodecBytes(v));
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0);
-  EXPECT_NE(second.fragments()[0].data, first.fragments()[0].data);
 }
 
 }  // namespace

@@ -160,10 +160,9 @@ TEST(DecoderFuzz, VertexRequest) {
   FuzzDecoder(decode, valid, {/*count=*/0}, /*seed=*/6);
 }
 
-/// One kVertexResponse record, decoded the way the requester's
-/// VertexCache::InsertResponseSpan decodes it (WireCodec<VertexT> in the
-/// job's comm.wire_encoding). Records sit back to back in a response, so an
-/// exact decode consumes every byte.
+/// One kVertexResponse record through WireCodec<VertexT> in the job's
+/// comm.wire_encoding, as DecodeVertexResponse reads each record. Here the
+/// record is the whole input, so an exact decode consumes every byte.
 template <typename VertexT>
 DecodeFn ResponseRecordDecoder(WireEncoding enc) {
   return [enc](const std::string& bytes, std::string* out) {
@@ -212,6 +211,54 @@ TEST(DecoderFuzz, LabeledVertexResponseRecord) {
   FuzzDecoder(
       ResponseRecordDecoder<Vertex<LabeledAdj>>(WireEncoding::kVarint),
       EncodeResponseRecord(WireEncoding::kVarint, v), {}, /*seed=*/10);
+}
+
+/// A whole kVertexResponse, decoded by DecodeVertexResponse.
+template <typename VertexT>
+DecodeFn ResponseDecoder(WireEncoding enc) {
+  return [enc](const std::string& bytes, std::string* out) {
+    std::vector<VertexT> vs;
+    GT_RETURN_IF_ERROR(DecodeVertexResponse(Payload(bytes), enc, &vs));
+    std::vector<const VertexT*> ptrs;
+    for (const VertexT& v : vs) ptrs.push_back(&v);
+    *out = EncodeVertexResponse(enc, ptrs).ToString();
+    return Status::Ok();
+  };
+}
+
+template <typename VertexT>
+void FuzzResponse(const std::vector<VertexT>& vs, size_t raw_first_count,
+                  uint64_t seed) {
+  std::vector<const VertexT*> ptrs;
+  for (const VertexT& v : vs) ptrs.push_back(&v);
+  // Layout: u64 count | record[count]; a raw record also carries a u64
+  // neighbor count at `raw_first_count` for the first record.
+  FuzzDecoder(ResponseDecoder<VertexT>(WireEncoding::kRaw),
+              EncodeVertexResponse(WireEncoding::kRaw, ptrs).ToString(),
+              {/*count=*/0, raw_first_count}, seed);
+  FuzzDecoder(ResponseDecoder<VertexT>(WireEncoding::kVarint),
+              EncodeVertexResponse(WireEncoding::kVarint, ptrs).ToString(),
+              {/*count=*/0}, seed + 1);
+}
+
+TEST(DecoderFuzz, VertexResponse) {
+  std::vector<Vertex<AdjList>> adj(2);
+  adj[0].id = 42;
+  adj[0].value = {43, 57, 1000, 4'000'000'000u};
+  adj[1].id = 7;
+  adj[1].value = {3, 8};
+  // 8 (count) + 4 (first record's id).
+  FuzzResponse(adj, /*raw_first_count=*/12, /*seed=*/11);
+
+  std::vector<Vertex<LabeledAdj>> labeled(2);
+  labeled[0].id = 11;
+  labeled[0].value.label = 3;
+  labeled[0].value.adj = {{12, 1}, {40, 0}, {4'000'000'000u, 7}};
+  labeled[1].id = 12;
+  labeled[1].value.label = 1;
+  labeled[1].value.adj = {{11, 3}};
+  // 8 (count) + 4 (first record's id) + 2 (its label).
+  FuzzResponse(labeled, /*raw_first_count=*/14, /*seed=*/13);
 }
 
 TEST(DecoderFuzz, CheckpointMeta) {

@@ -1,10 +1,8 @@
 // Tests for the zero-copy wire-path building blocks: BufferPool slab
-// recycling, refcounted Payload fragments, PayloadView flattening, and the
-// straddle-safe PayloadCursor.
+// recycling, the refcounted Payload and its PayloadView.
 
 #include "net/payload.h"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,7 +68,6 @@ TEST(PayloadTest, DefaultIsEmpty) {
   Payload p;
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(p.size(), 0u);
-  EXPECT_TRUE(p.IsFlat());
   EXPECT_EQ(p.ToString(), "");
 }
 
@@ -78,9 +75,8 @@ TEST(PayloadTest, AdoptsStringWithoutCopyOnPayloadCopy) {
   Payload p(std::string("hello world"));
   EXPECT_EQ(p.size(), 11u);
   EXPECT_TRUE(p == "hello world");
-  Payload q = p;  // fragment handle copy
-  ASSERT_EQ(q.num_fragments(), 1u);
-  EXPECT_EQ(q.fragments()[0].data, p.fragments()[0].data);  // same bytes
+  Payload q = p;  // handle copy
+  EXPECT_EQ(q.data(), p.data());  // same bytes
 }
 
 TEST(PayloadTest, CopyOfOwnsIndependentBytes) {
@@ -88,35 +84,6 @@ TEST(PayloadTest, CopyOfOwnsIndependentBytes) {
   Payload p = Payload::CopyOf(src.data(), src.size());
   src.assign(6, 'x');  // mutate the source after the copy
   EXPECT_TRUE(p == "abcdef");
-}
-
-TEST(PayloadTest, AppendSplicesFragments) {
-  Payload p(std::string("head-"));
-  p.Append(Payload(std::string("mid-")));
-  p.Append(Payload::CopyOf("tail", 4));
-  EXPECT_EQ(p.num_fragments(), 3u);
-  EXPECT_FALSE(p.IsFlat());
-  EXPECT_EQ(p.size(), 13u);
-  EXPECT_EQ(p.ToString(), "head-mid-tail");
-  EXPECT_TRUE(p == "head-mid-tail");
-  EXPECT_TRUE(p != "head-mid-tailX");
-}
-
-TEST(PayloadTest, AppendSharesSlabAcrossPayloads) {
-  const auto before = BufferPool::Global().stats();
-  Payload record = Payload::CopyOf("record", 6);
-  Payload a;
-  a.Append(record);  // copy: refcount bump
-  Payload b;
-  b.Append(record);
-  // Three payloads alias the same slab: only one slab outstanding.
-  EXPECT_EQ(BufferPool::Global().stats().outstanding, before.outstanding + 1);
-  EXPECT_EQ(a.fragments()[0].data, b.fragments()[0].data);
-  record = Payload();
-  a = Payload();
-  EXPECT_TRUE(b == "record");  // b alone keeps the bytes alive
-  b = Payload();
-  EXPECT_EQ(BufferPool::Global().stats().outstanding, before.outstanding);
 }
 
 TEST(PayloadTest, TakePayloadIsZeroCopyAndResetsSerializer) {
@@ -127,88 +94,15 @@ TEST(PayloadTest, TakePayloadIsZeroCopyAndResetsSerializer) {
   const char* bytes = ser.data();
   Payload p = TakePayload(ser);
   EXPECT_EQ(ser.size(), 0u);  // serializer reset for reuse
-  ASSERT_EQ(p.num_fragments(), 1u);
   EXPECT_EQ(p.size(), encoded);
-  EXPECT_EQ(p.fragments()[0].data, bytes);  // the very same slab bytes
+  EXPECT_EQ(p.data(), bytes);  // the very same slab bytes
 }
 
 TEST(PayloadViewTest, FlatPayloadIsZeroCopy) {
   Payload p = Payload::CopyOf("flat", 4);
   PayloadView view(p);
-  EXPECT_EQ(view.data(), p.fragments()[0].data);
+  EXPECT_EQ(view.data(), p.data());
   EXPECT_EQ(view.size(), 4u);
-}
-
-TEST(PayloadViewTest, FragmentedPayloadFlattens) {
-  Payload p(std::string("ab"));
-  p.Append(Payload(std::string("cd")));
-  PayloadView view(p);
-  EXPECT_EQ(std::string(view.data(), view.size()), "abcd");
-}
-
-TEST(PayloadCursorTest, ReadsAcrossFragmentBoundary) {
-  // A u32 split 2+2 across two fragments must still decode.
-  uint32_t value = 0x01020304;
-  char raw[4];
-  std::memcpy(raw, &value, 4);
-  Payload p = Payload::CopyOf(raw, 2);
-  p.Append(Payload::CopyOf(raw + 2, 2));
-  PayloadCursor cur(p);
-  uint32_t got = 0;
-  ASSERT_TRUE(cur.Read(&got).ok());
-  EXPECT_EQ(got, value);
-  EXPECT_TRUE(cur.AtEnd());
-}
-
-TEST(PayloadCursorTest, OverreadIsCorruptionNotCrash) {
-  Payload p = Payload::CopyOf("abc", 3);
-  PayloadCursor cur(p);
-  uint64_t big = 0;
-  Status s = cur.Read(&big);
-  EXPECT_TRUE(s.IsCorruption());
-  EXPECT_TRUE(cur.Skip(4).IsCorruption());
-  EXPECT_TRUE(cur.Skip(3).ok());
-  EXPECT_TRUE(cur.AtEnd());
-}
-
-TEST(PayloadCursorTest, ContiguousBytesWalksFragments) {
-  Payload p = Payload::CopyOf("first", 5);
-  p.Append(Payload::CopyOf("second", 6));
-  PayloadCursor cur(p);
-  size_t len = 0;
-  const char* d = cur.ContiguousBytes(&len);
-  ASSERT_EQ(len, 5u);
-  EXPECT_EQ(std::string(d, len), "first");
-  ASSERT_TRUE(cur.Skip(5).ok());
-  d = cur.ContiguousBytes(&len);
-  ASSERT_EQ(len, 6u);
-  EXPECT_EQ(std::string(d, len), "second");
-  ASSERT_TRUE(cur.Skip(6).ok());
-  d = cur.ContiguousBytes(&len);
-  EXPECT_EQ(len, 0u);
-  EXPECT_EQ(d, nullptr);
-}
-
-TEST(PayloadCursorTest, PartialFragmentConsumptionThenContiguous) {
-  // Mirror the kVertexResponse receive loop: read a header, then hand the
-  // rest of the fragment to a record decoder.
-  Serializer header;
-  header.Write<uint64_t>(2);
-  Payload p = TakePayload(header);
-  p.Append(Payload::CopyOf("rec1", 4));
-  p.Append(Payload::CopyOf("rec2", 4));
-  PayloadCursor cur(p);
-  uint64_t n = 0;
-  ASSERT_TRUE(cur.Read(&n).ok());
-  EXPECT_EQ(n, 2u);
-  for (uint64_t i = 0; i < n; ++i) {
-    size_t len = 0;
-    const char* d = cur.ContiguousBytes(&len);
-    ASSERT_EQ(len, 4u);
-    EXPECT_EQ(std::string(d, 3), "rec");
-    ASSERT_TRUE(cur.Skip(len).ok());
-  }
-  EXPECT_TRUE(cur.AtEnd());
 }
 
 TEST(SerializerSlabTest, ReleaseStillYieldsOwnedString) {

@@ -142,6 +142,58 @@ TEST(ProtocolTest, VertexRequestTruncatedAndGarbageCount) {
   EXPECT_TRUE(DecodeVertexRequest(Payload(), &got).IsCorruption());
 }
 
+std::vector<Vertex<AdjList>> ResponseVertices() {
+  std::vector<Vertex<AdjList>> vs(3);
+  vs[0].id = 5;
+  vs[0].value = {1, 2, 900};
+  vs[1].id = 0xfffffffeu;  // an empty adjacency list is legal
+  vs[2].id = 77;
+  vs[2].value = {76, 78};
+  return vs;
+}
+
+TEST(ProtocolTest, VertexResponseRoundTripInBothEncodings) {
+  const std::vector<Vertex<AdjList>> vs = ResponseVertices();
+  std::vector<const Vertex<AdjList>*> ptrs;
+  for (const auto& v : vs) ptrs.push_back(&v);
+  for (WireEncoding enc : {WireEncoding::kRaw, WireEncoding::kVarint}) {
+    const Payload wire = EncodeVertexResponse(enc, ptrs);
+    std::vector<Vertex<AdjList>> got;
+    ASSERT_TRUE(DecodeVertexResponse(wire, enc, &got).ok())
+        << WireEncodingName(enc);
+    ASSERT_EQ(got.size(), vs.size());
+    for (size_t i = 0; i < vs.size(); ++i) {
+      EXPECT_EQ(got[i].id, vs[i].id);
+      EXPECT_EQ(got[i].value, vs[i].value);
+    }
+  }
+  // The raw form is the Codec bytes behind a u64 count.
+  Serializer ser;
+  ser.Write<uint64_t>(vs.size());
+  for (const auto& v : vs) Codec<Vertex<AdjList>>::Encode(ser, v);
+  EXPECT_EQ(EncodeVertexResponse(WireEncoding::kRaw, ptrs), ser.Release());
+}
+
+TEST(ProtocolTest, VertexResponseRejectsBadCountAndTrailingBytes) {
+  const std::vector<Vertex<AdjList>> vs = ResponseVertices();
+  std::vector<const Vertex<AdjList>*> ptrs;
+  for (const auto& v : vs) ptrs.push_back(&v);
+  const Payload wire = EncodeVertexResponse(WireEncoding::kRaw, ptrs);
+  std::vector<Vertex<AdjList>> got;
+  EXPECT_TRUE(DecodeVertexResponse(Extend(wire), WireEncoding::kRaw, &got)
+                  .IsCorruption());
+  EXPECT_TRUE(DecodeVertexResponse(Truncate(wire, 1), WireEncoding::kRaw, &got)
+                  .IsCorruption());
+  // A count above the remaining bytes is rejected before any reservation.
+  Serializer ser;
+  ser.Write<uint64_t>(uint64_t{1} << 60);
+  ser.Write<uint64_t>(0);
+  EXPECT_TRUE(DecodeVertexResponse(TakePayload(ser), WireEncoding::kRaw, &got)
+                  .IsCorruption());
+  EXPECT_TRUE(
+      DecodeVertexResponse(Payload(), WireEncoding::kRaw, &got).IsCorruption());
+}
+
 TEST(ProtocolTest, TaskBatchRoundTripWithTimestamp) {
   const std::vector<std::string> records = {"t0", "t1", "t2"};
   Payload wire = EncodeTaskBatch(records, 123456);
@@ -230,20 +282,6 @@ TEST(ProtocolTest, CheckpointAckRoundTripAndTruncation) {
     EXPECT_TRUE(got.Decode(Truncate(wire, cut)).IsCorruption())
         << "cut=" << cut;
   }
-}
-
-TEST(ProtocolTest, DecodersAcceptFragmentedPayloads) {
-  // The wire may deliver a spliced multi-fragment payload (Γ-shared
-  // responses); decoders go through PayloadView and must still work.
-  Payload wire = EncodeVertexRequest({10, 20, 30});
-  const std::string bytes = wire.ToString();
-  Payload split = Payload::CopyOf(bytes.data(), bytes.size() / 2);
-  split.Append(Payload::CopyOf(bytes.data() + bytes.size() / 2,
-                               bytes.size() - bytes.size() / 2));
-  ASSERT_FALSE(split.IsFlat());
-  std::vector<VertexId> got;
-  ASSERT_TRUE(DecodeVertexRequest(split, &got).ok());
-  EXPECT_EQ(got, (std::vector<VertexId>{10, 20, 30}));
 }
 
 // Every control decoder is total: a valid encoding plus one stray byte is

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/buffer_pool.h"
 #include "util/random.h"
 
 namespace gthinker {
@@ -109,6 +110,27 @@ TEST(Serializer, ClearResets) {
   ser.WriteString("abc");
   ser.Clear();
   EXPECT_EQ(ser.size(), 0u);
+}
+
+// Checkpoint blobs, spill files and task batches build one big Serializer
+// from many small writes. Growth must stay geometric past the largest pool
+// class (1 MiB), or every write copies the whole prefix.
+TEST(Serializer, LargeBufferGrowsGeometrically) {
+  constexpr size_t kPiece = 8 << 10;
+  constexpr size_t kTotal = 16 << 20;
+  std::vector<char> piece(kPiece);
+  const int64_t before = BufferPool::Global().stats().acquires;
+  Serializer ser;
+  for (size_t off = 0; off < kTotal; off += kPiece) {
+    piece[0] = static_cast<char>(off / kPiece);
+    ser.WriteBytes(piece.data(), piece.size());
+  }
+  const int64_t acquires = BufferPool::Global().stats().acquires - before;
+  EXPECT_LE(acquires, 16);  // 8 KiB .. 16 MiB by doubling is 12
+  ASSERT_EQ(ser.size(), kTotal);
+  for (size_t off = 0; off < kTotal; off += kPiece) {
+    ASSERT_EQ(ser.data()[off], static_cast<char>(off / kPiece));
+  }
 }
 
 class SerializerFuzzTest : public ::testing::TestWithParam<uint64_t> {};

@@ -506,9 +506,8 @@ TEST(TransportTcp, LateListenerIsRedialedWithinStart) {
 // ---------------------------------------------------------------------------
 // Frame integrity across split writes: a tiny SO_SNDBUF forces sendmsg() to
 // return short counts, splitting frames (and the scatter-gather iovec runs)
-// at arbitrary byte boundaries. Every payload must still arrive intact and
-// in order, including multi-fragment payloads whose fragments straddle the
-// partial-write points.
+// at arbitrary byte boundaries, both in headers and in payloads. Every
+// payload must still arrive intact and in order.
 // ---------------------------------------------------------------------------
 TEST(TransportTcp, TinySndbufSplitsFramesLosslessly) {
   TcpTuning tuning;
@@ -523,11 +522,10 @@ TEST(TransportTcp, TinySndbufSplitsFramesLosslessly) {
     mb.src_worker = 0;
     mb.dst_worker = 1;
     mb.type = MsgType::kVertexRequest;
-    // Three fragments per payload: a pooled copy, a shared string, another
-    // pooled copy — the shapes the real pull path produces.
-    mb.payload = Payload::CopyOf(chunk_a.data(), chunk_a.size());
-    mb.payload.Append(Payload(std::string(1, static_cast<char>('a' + i % 26))));
-    mb.payload.Append(Payload::CopyOf(chunk_b.data(), chunk_b.size()));
+    // One pooled slab per payload, as every sender builds them.
+    const std::string body =
+        chunk_a + static_cast<char>('a' + i % 26) + chunk_b;
+    mb.payload = Payload::CopyOf(body.data(), body.size());
     backend.HubFor(0).Send(std::move(mb));
   }
   CommHub& receiver = backend.HubFor(1);
