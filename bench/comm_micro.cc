@@ -3,14 +3,16 @@
 // Two workers on an instantaneous CommHub play requester and responder for
 // the vertex-pull round trip, in two modes:
 //
-//   legacy: the pre-payload string path — every request/response is encoded
-//           into a Serializer and copied out into an owning string
-//           (Serializer::Release), and the responder re-serializes every
-//           requested vertex from scratch on every request.
-//   pooled: the worker's handlers verbatim — requests hand their slab to
-//           the wire (TakePayload), the responder encodes the whole
-//           response into one slab (EncodeVertexResponse), and the
-//           requester decodes it in place (DecodeVertexResponse).
+//   legacy: a hand-rolled loop — the responder encodes every requested
+//           vertex through Codec<VertexT> into a Serializer, and
+//           the requester decodes the records one by one.
+//   pooled: the worker's handler path verbatim — the responder encodes the
+//           whole response with EncodeVertexResponse and the requester
+//           decodes it in place with DecodeVertexResponse. The row keeps
+//           its name from when payloads lived in pooled slabs; every
+//           payload is now one shared string moved out of a Serializer.
+//
+// Requests are built the same way in both modes (one string per request).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -106,8 +108,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
         for (VertexId id : ids) vertices.push_back(&table.at(id));
         resp.payload = EncodeVertexResponse(enc, vertices);
       } else {
-        // Legacy: re-encode every record, then copy the buffer out into an
-        // owning string (what `std::string payload` used to cost).
+        // Legacy: encode every record through Codec<VertexT>.
         ser.Write<uint64_t>(ids.size());
         for (VertexId id : ids) {
           Codec<VertexT>::Encode(ser, table.at(id));
@@ -133,14 +134,8 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
     req.src_worker = kRequester;
     req.dst_worker = kResponder;
     req.type = MsgType::kVertexRequest;
-    if (pooled) {
-      req_ser.WriteVector(want);
-      req.payload = TakePayload(req_ser);
-    } else {
-      req_ser.WriteVector(want);
-      req.payload = Payload(req_ser.Release());
-      req_ser.Clear();
-    }
+    req_ser.WriteVector(want);
+    req.payload = Payload(req_ser.Release());
     result.request_bytes += static_cast<int64_t>(req.payload.size());
     hub.Send(std::move(req));
 
@@ -152,8 +147,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
       GT_CHECK_OK(DecodeVertexResponse(resp.payload, enc, &got));
       for (const VertexT& v : got) result.checksum += v.id + v.value.size();
     } else {
-      PayloadView view(resp.payload);
-      Deserializer des(view.data(), view.size());
+      Deserializer des(resp.payload.data(), resp.payload.size());
       uint64_t n = 0;
       GT_CHECK_OK(des.Read(&n));
       for (uint64_t i = 0; i < n; ++i) {

@@ -564,7 +564,7 @@ class Cluster {
 
           Serializer agg;
           Codec<AggT>::Encode(agg, global);
-          broadcast(MsgType::kAggregatorSync, TakePayload(agg));
+          broadcast(MsgType::kAggregatorSync, Payload(agg.Release()));
 
           if (snap.quiet && prev.quiet && prev.sent == snap.sent &&
               prev.processed == snap.processed && pending_ckpt_acks == 0 &&

@@ -18,9 +18,9 @@ namespace gthinker {
 /// explicit: every field that crosses workers is spelled out here, so the
 /// simulated wire carries exactly what a socket deployment would.
 ///
-/// Encoders write into a pooled Serializer slab and hand the bytes off
-/// zero-copy as a Payload (TakePayload); decoders read the incoming Payload
-/// in place through a PayloadView. Every decoder is bounds-checked end to end:
+/// Encoders move their Serializer's string into a Payload
+/// (`Payload(ser.Release())`, no copy); decoders read the incoming Payload's
+/// bytes in place. Every decoder is bounds-checked end to end:
 /// truncated or corrupted payloads yield Status::Corruption, never a crash,
 /// and so does a message followed by stray bytes (ExpectEnd).
 
@@ -174,12 +174,11 @@ struct ProgressReport {
     ser.Write(spill_queue_depth);
     ser.Write(inbox_depth);
     ser.WriteString(agg_delta);
-    return TakePayload(ser);
+    return Payload(ser.Release());
   }
 
   Status Decode(const Payload& payload) {
-    PayloadView view(payload);
-    Deserializer des(view.data(), view.size());
+    Deserializer des(payload.data(), payload.size());
     GT_RETURN_IF_ERROR(des.Read(&worker_id));
     GT_RETURN_IF_ERROR(des.Read(&final_report));
     GT_RETURN_IF_ERROR(des.Read(&idle));
@@ -214,20 +213,19 @@ struct ProgressReport {
 inline Payload EncodeVertexRequest(const std::vector<VertexId>& ids) {
   Serializer ser;
   ser.WriteVector(ids);
-  return TakePayload(ser);
+  return Payload(ser.Release());
 }
 
 inline Status DecodeVertexRequest(const Payload& payload,
                                   std::vector<VertexId>* ids) {
-  PayloadView view(payload);
-  Deserializer des(view.data(), view.size());
+  Deserializer des(payload.data(), payload.size());
   GT_RETURN_IF_ERROR(des.ReadVector(ids));
   return ExpectEnd(des, "vertex request");
 }
 
 /// kVertexResponse payload: a u64 count, then each vertex through
 /// WireCodec<VertexT> in the job's comm.wire_encoding. The whole response
-/// is one slab; the R-table already merges concurrent pulls of a vertex, so
+/// is one string; the R-table already merges concurrent pulls of a vertex, so
 /// nothing is memoized on the responder.
 template <typename VertexT>
 Payload EncodeVertexResponse(WireEncoding encoding,
@@ -237,14 +235,13 @@ Payload EncodeVertexResponse(WireEncoding encoding,
   for (const VertexT* v : vertices) {
     WireCodec<VertexT>::Encode(encoding, ser, *v);
   }
-  return TakePayload(ser);
+  return Payload(ser.Release());
 }
 
 template <typename VertexT>
 Status DecodeVertexResponse(const Payload& payload, WireEncoding encoding,
                             std::vector<VertexT>* vertices) {
-  PayloadView view(payload);
-  Deserializer des(view.data(), view.size());
+  Deserializer des(payload.data(), payload.size());
   uint64_t n = 0;
   GT_RETURN_IF_ERROR(des.Read(&n));
   // Every record takes at least one byte.
@@ -270,14 +267,13 @@ inline Payload EncodeTaskBatch(const std::vector<std::string>& records,
   ser.Write(steal_order_t_us);
   ser.Write<uint64_t>(records.size());
   for (const std::string& r : records) ser.WriteString(r);
-  return TakePayload(ser);
+  return Payload(ser.Release());
 }
 
 inline Status DecodeTaskBatch(const Payload& payload,
                               std::vector<std::string>* records,
                               int64_t* steal_order_t_us = nullptr) {
-  PayloadView view(payload);
-  Deserializer des(view.data(), view.size());
+  Deserializer des(payload.data(), payload.size());
   int64_t t_us = 0;
   GT_RETURN_IF_ERROR(des.Read(&t_us));
   if (steal_order_t_us != nullptr) *steal_order_t_us = t_us;
@@ -303,13 +299,12 @@ inline Payload EncodeStealOrder(int32_t dst_worker, int64_t order_t_us) {
   Serializer ser;
   ser.Write(dst_worker);
   ser.Write(order_t_us);
-  return TakePayload(ser);
+  return Payload(ser.Release());
 }
 
 inline Status DecodeStealOrder(const Payload& payload, int32_t* dst_worker,
                                int64_t* order_t_us) {
-  PayloadView view(payload);
-  Deserializer des(view.data(), view.size());
+  Deserializer des(payload.data(), payload.size());
   GT_RETURN_IF_ERROR(des.Read(dst_worker));
   GT_RETURN_IF_ERROR(des.Read(order_t_us));
   return ExpectEnd(des, "steal order");
@@ -321,12 +316,11 @@ inline Status DecodeStealOrder(const Payload& payload, int32_t* dst_worker,
 inline Payload EncodeDrainBarrier(int32_t worker_id) {
   Serializer ser;
   ser.Write(worker_id);
-  return TakePayload(ser);
+  return Payload(ser.Release());
 }
 
 inline Status DecodeDrainBarrier(const Payload& payload, int32_t* worker_id) {
-  PayloadView view(payload);
-  Deserializer des(view.data(), view.size());
+  Deserializer des(payload.data(), payload.size());
   GT_RETURN_IF_ERROR(des.Read(worker_id));
   return ExpectEnd(des, "drain barrier");
 }
@@ -338,11 +332,10 @@ struct CheckpointRequest {
   Payload Encode() const {
     Serializer ser;
     ser.Write(epoch);
-    return TakePayload(ser);
+    return Payload(ser.Release());
   }
   Status Decode(const Payload& payload) {
-    PayloadView view(payload);
-    Deserializer des(view.data(), view.size());
+    Deserializer des(payload.data(), payload.size());
     GT_RETURN_IF_ERROR(des.Read(&epoch));
     return ExpectEnd(des, "checkpoint request");
   }
@@ -359,11 +352,10 @@ struct CheckpointAck {
     ser.Write(worker_id);
     ser.Write(epoch);
     ser.WriteString(agg_delta);
-    return TakePayload(ser);
+    return Payload(ser.Release());
   }
   Status Decode(const Payload& payload) {
-    PayloadView view(payload);
-    Deserializer des(view.data(), view.size());
+    Deserializer des(payload.data(), payload.size());
     GT_RETURN_IF_ERROR(des.Read(&worker_id));
     GT_RETURN_IF_ERROR(des.Read(&epoch));
     GT_RETURN_IF_ERROR(des.ReadString(&agg_delta));

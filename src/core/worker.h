@@ -190,15 +190,7 @@ class Worker {
     spill_io_.Stop();
   }
 
-  /// True once the final progress report has been sent (job over).
-  bool Finished() const {
-    return final_sent_.load(std::memory_order_acquire);
-  }
-
   int64_t PeakMemBytes() const { return mem_.peak(); }
-  const VertexCache<VertexT>& cache() const { return cache_; }
-  AggregatorState<ComperT>& aggregator() { return agg_; }
-  size_t NumLocalVertices() const { return spawn_order_.size(); }
 
  private:
   // =======================================================================
@@ -942,7 +934,6 @@ class Worker {
     if (!output_dir_.empty()) FinalFlushOutput();
     RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 4});  // final
     SendProgress(/*final_report=*/true);
-    final_sent_.store(true, std::memory_order_release);
   }
 
   void HandleMessage(const MessageBatch& mb) {
@@ -1031,8 +1022,7 @@ class Worker {
       }
       case MsgType::kAggregatorSync: {
         AggT global{};
-        PayloadView view(mb.payload);
-        Deserializer des(view.data(), view.size());
+        Deserializer des(mb.payload.data(), mb.payload.size());
         GT_CHECK_OK(Codec<AggT>::Decode(des, &global));
         agg_.SetGlobal(std::move(global));
         break;
@@ -1082,7 +1072,6 @@ class Worker {
       std::vector<VertexId> to_spawn;
       ClaimSpawnBatch(config_.task_batch_size, &to_spawn);
       if (!to_spawn.empty()) {
-        std::lock_guard<std::mutex> lock(steal_mutex_);
         steal_runtime_->SetSink(&records);
         for (VertexId v : to_spawn) steal_comper_->TaskSpawn(local_.at(v));
         // A bundling app donates the batch as one root-bundle task.
@@ -1378,7 +1367,6 @@ class Worker {
   std::vector<std::unique_ptr<ComperEngine>> engines_;
   std::unique_ptr<ComperT> steal_comper_;
   std::unique_ptr<StealRuntime> steal_runtime_;
-  std::mutex steal_mutex_;
 
   /// Per-destination pull batching (compers add, comm thread flushes).
   PullCoalescer coalescer_;
@@ -1414,7 +1402,6 @@ class Worker {
 
   // control
   std::atomic<bool> stop_compers_{false};
-  std::atomic<bool> final_sent_{false};
   std::atomic<bool> drain_release_{false};
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};

@@ -19,7 +19,7 @@ int64_t SteadyNowUs() {
 }  // namespace
 
 CommHub::CommHub(int num_workers, NetConfig config)
-    : num_workers_(num_workers), config_(config), epoch_us_(SteadyNowUs()) {
+    : num_workers_(num_workers), epoch_us_(SteadyNowUs()) {
   GT_CHECK_GT(num_workers, 0);
   // Shared epoch: the transport stamps delivery times on the same clock the
   // hub measures with, so delivery_us histograms stay meaningful.
@@ -29,7 +29,6 @@ CommHub::CommHub(int num_workers, NetConfig config)
 
 CommHub::CommHub(int num_endpoints, std::unique_ptr<net::Transport> transport)
     : num_workers_(num_endpoints),
-      config_(),
       epoch_us_(SteadyNowUs()),
       transport_(std::move(transport)) {
   GT_CHECK_GT(num_endpoints, 0);

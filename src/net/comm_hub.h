@@ -45,7 +45,6 @@ class CommHub {
   ~CommHub();
 
   int num_workers() const { return num_workers_; }
-  const NetConfig& config() const { return config_; }
 
   /// Starts the transport (connection establishment / handshake for socket
   /// backends). Must succeed before the first Send on an external backend.
@@ -129,7 +128,6 @@ class CommHub {
 
  private:
   const int num_workers_;
-  const NetConfig config_;
   const int64_t epoch_us_;
   std::unique_ptr<net::Transport> transport_;
   std::atomic<int64_t> batches_sent_{0};

@@ -62,7 +62,7 @@ constexpr int64_t kStopFlushMs = 5000;  // bounded best-effort flush in Stop()
 /// iovec budget per sendmsg(): bounds per-call setup cost while still
 /// coalescing tens of frames (well under the kernel's UIO_MAXIOV of 1024).
 constexpr int kMaxIovPerSendmsg = 64;
-/// Receive slab granularity; oversized frames get a slab sized to the frame.
+/// Initial per-peer receive buffer; it doubles while one frame outgrows it.
 constexpr size_t kRecvChunk = 64 * 1024;
 
 }  // namespace
@@ -204,7 +204,7 @@ void TcpTransport::Stop() {
     }
     if (p.fd >= 0) ::close(p.fd);
     p.fd = -1;
-    p.rx_slab.Reset();
+    p.rx = std::string();
     p.rx_len = p.rx_off = 0;
   }
   for (Pending& c : pending_) {
@@ -254,8 +254,8 @@ TcpTransport::OutFrame TcpTransport::EncodeDataFrame(
   OutFrame out;
   out.kind = FrameKind::kData;
   EncodeFrameHeader(h, out.header.data());
-  // Zero-copy: the sendq keeps the payload (and its slab) alive until the
-  // frame is written; sendmsg gathers header + payload.
+  // Zero-copy: the sendq shares the payload's string until the frame is
+  // written; sendmsg gathers header + payload.
   out.payload = std::move(batch.payload);
   return out;
 }
@@ -473,10 +473,9 @@ void TcpTransport::AdoptLocked(int q, int fd, const std::string& rx) {
   peer.hello_ok = true;
   cv_start_.notify_all();
   // Seed the receive buffer with whatever followed the HELLO.
-  peer.rx_slab =
-      SlabRef(BufferPool::Global().Acquire(std::max(kRecvChunk, rx.size())));
-  if (!rx.empty()) std::memcpy(peer.rx_slab.data(), rx.data(), rx.size());
+  peer.rx = rx;
   peer.rx_len = rx.size();
+  peer.rx.resize(std::max(kRecvChunk, rx.size()));
   peer.rx_off = 0;
   EnqueueHello(q);
   MarkPollsetDirtyLocked();
@@ -487,7 +486,7 @@ void TcpTransport::DropPeer(int q, const std::string& why) {
   if (peer.fd >= 0) ::close(peer.fd);
   peer.fd = -1;
   peer.connecting = false;
-  peer.rx_slab.Reset();
+  peer.rx = std::string();
   peer.rx_len = peer.rx_off = 0;
   bool orderly;
   {
@@ -584,7 +583,7 @@ bool TcpTransport::WritePeer(int q) {
     sendmsg_calls_.fetch_add(1, std::memory_order_relaxed);
     sendmsg_bytes_.fetch_add(n, std::memory_order_relaxed);
     peer.bytes_sent.fetch_add(n, std::memory_order_relaxed);
-    // Pop fully-written frames (releasing their payload slabs) and leave the
+    // Pop fully-written frames (releasing their payloads) and leave the
     // partial tail as the new front offset.
     size_t advanced = peer.front_off + static_cast<size_t>(n);
     int64_t completed = 0;
@@ -651,15 +650,13 @@ const char* TcpTransport::HandleFrame(int q, const FrameHeader& h,
         frames_dropped_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;  // misrouted, but the stream itself is intact
       }
-      Peer& peer = peers_[q];
       MessageBatch batch;
       batch.src_worker = h.src;
       batch.dst_worker = h.dst;
       batch.type = static_cast<MsgType>(h.msg_type);
-      // Zero-copy: the batch pins the receive slab and reads the payload in
-      // place; the slab recycles when the last batch referencing it is done.
-      batch.payload =
-          Payload::FromSlabView(peer.rx_slab, payload, h.payload_len);
+      // The body leaves the receive buffer as its own string, so the buffer
+      // can be rewound while the batch is still being processed.
+      batch.payload = Payload(std::string(payload, h.payload_len));
       // No cross-process clock: remote batches deliver immediately and are
       // excluded from the delivery-latency histograms (sent_at_us == 0).
       batch.deliver_at_us = 0;
@@ -681,7 +678,7 @@ bool TcpTransport::RejectFrame(int q, const std::string& why) {
 bool TcpTransport::ParseRx(int q) {
   Peer& peer = peers_[q];
   while (peer.rx_len - peer.rx_off >= kFrameHeaderSize) {
-    const char* base = peer.rx_slab.data() + peer.rx_off;
+    const char* base = peer.rx.data() + peer.rx_off;
     FrameHeader h;
     if (!DecodeFrameHeader(base, &h)) return RejectFrame(q, "bad header");
     if (h.version != kProtocolVersion) {
@@ -715,49 +712,30 @@ bool TcpTransport::ParseRx(int q) {
 }
 
 void TcpTransport::EnsureRxSpace(Peer& peer) {
-  if (!peer.rx_slab) {
-    peer.rx_slab = SlabRef(BufferPool::Global().Acquire(kRecvChunk));
-    peer.rx_len = peer.rx_off = 0;
-    return;
-  }
   if (peer.rx_off == peer.rx_len) {
-    // Fully parsed. Rewind in place when no delivered payload still pins the
-    // slab; otherwise keep appending, switching slabs once this one fills.
-    if (peer.rx_slab.get()->refs.load(std::memory_order_acquire) == 1) {
-      peer.rx_len = peer.rx_off = 0;
-    } else if (peer.rx_len == peer.rx_slab.capacity()) {
-      peer.rx_slab = SlabRef(BufferPool::Global().Acquire(kRecvChunk));
-      peer.rx_len = peer.rx_off = 0;
-    }
+    peer.rx_len = peer.rx_off = 0;  // fully parsed: rewind
+    if (peer.rx.empty()) peer.rx.resize(kRecvChunk);
     return;
   }
-  if (peer.rx_len == peer.rx_slab.capacity()) {
-    // A partial frame reached the end of a full slab: move it into a slab
-    // big enough for the whole frame (known once the header is visible) so
-    // the frame completes without another relocation.
-    const size_t leftover = peer.rx_len - peer.rx_off;
-    size_t need = kRecvChunk;
-    if (leftover >= kFrameHeaderSize) {
-      FrameHeader h;
-      if (DecodeFrameHeader(peer.rx_slab.data() + peer.rx_off, &h)) {
-        need = std::max(need, kFrameHeaderSize + size_t{h.payload_len});
-      }
-    }
-    SlabRef bigger(
-        BufferPool::Global().Acquire(std::max(need, leftover + kRecvChunk)));
-    std::memcpy(bigger.data(), peer.rx_slab.data() + peer.rx_off, leftover);
-    peer.rx_slab = std::move(bigger);
-    peer.rx_len = leftover;
-    peer.rx_off = 0;
+  if (peer.rx_len < peer.rx.size()) return;
+  // A partial frame reached the end of the buffer: double the buffer when
+  // that frame alone fills it, else slide the frame to the front.
+  const size_t leftover = peer.rx_len - peer.rx_off;
+  if (leftover == peer.rx.size()) {
+    peer.rx.resize(2 * peer.rx.size());
+    return;
   }
+  std::memmove(peer.rx.data(), peer.rx.data() + peer.rx_off, leftover);
+  peer.rx_len = leftover;
+  peer.rx_off = 0;
 }
 
 bool TcpTransport::ReadPeer(int q) {
   Peer& peer = peers_[q];
   while (true) {
     EnsureRxSpace(peer);
-    char* dst = peer.rx_slab.data() + peer.rx_len;
-    const size_t space = peer.rx_slab.capacity() - peer.rx_len;
+    char* dst = peer.rx.data() + peer.rx_len;
+    const size_t space = peer.rx.size() - peer.rx_len;
     const ssize_t n = ::recv(peer.fd, dst, space, 0);
     if (n > 0) {
       peer.bytes_received.fetch_add(n, std::memory_order_relaxed);

@@ -16,7 +16,6 @@
 #include "net/message.h"
 #include "net/payload.h"
 #include "net/transport.h"
-#include "util/buffer_pool.h"
 #include "util/concurrent_queue.h"
 
 namespace gthinker::net {
@@ -44,8 +43,8 @@ struct TcpTransportOptions {
 /// socket, the accepted connections awaiting their HELLO and every peer
 /// socket. Writes gather the per-peer send queue of framed messages
 /// (header + live Payload, no copy) into a single sendmsg()
-/// per syscall; reads land in pooled BufferPool slabs and complete DATA
-/// payloads are handed to the inboxes as zero-copy views into those slabs.
+/// per syscall; reads land in one growable buffer per peer, and each
+/// complete DATA body is copied out into its own payload for the inboxes.
 /// Send() applies backpressure above send_buffer_max_bytes. A link lives
 /// for the whole job: Start() redials a peer that is not listening yet, but
 /// a handshaken link is never redialed or replaced. If it closes before the
@@ -94,7 +93,7 @@ class TcpTransport final : public Transport {
 
  private:
   /// One framed message in a send queue: the encoded header plus the live
-  /// payload. Its slab stays pinned (refcounted) until the frame is fully
+  /// payload. Its string stays shared (refcounted) until the frame is fully
   /// written, so the bytes serialized by the sender go to the socket without
   /// ever being copied into a frame buffer.
   struct OutFrame {
@@ -110,9 +109,9 @@ class TcpTransport final : public Transport {
     int fd = -1;
     bool connecting = false;  // nonblocking connect() awaiting POLLOUT
     bool hello_ok = false;    // mu_: handshake done; never redialed after
-    SlabRef rx_slab;    // pooled receive buffer (DATA payloads are views)
-    size_t rx_len = 0;  // filled prefix of rx_slab
-    size_t rx_off = 0;  // parsed prefix of rx_slab
+    std::string rx;     // receive buffer; its size() is its capacity
+    size_t rx_len = 0;  // filled prefix of rx
+    size_t rx_off = 0;  // parsed prefix of rx
     int64_t redial_at_ms = 0;  // mu_: steady-clock ms of the next start-up dial
     bool flush1_rx = false;    // mu_: drain markers from this peer
     bool flush2_rx = false;    // mu_
@@ -159,7 +158,7 @@ class TcpTransport final : public Transport {
   bool WritePeer(int q);  // false = link died (and was dropped)
   bool ReadPeer(int q);   // false = link died (and was dropped)
   void EnsureRxSpace(Peer& peer);
-  /// Parses complete frames out of the peer's rx slab; false = corrupt.
+  /// Parses complete frames out of the peer's rx buffer; false = corrupt.
   bool ParseRx(int q);
   /// Applies one verified frame from peer rank q. Returns the protocol
   /// violation (unknown type, forged DATA source), or nullptr.

@@ -59,13 +59,20 @@ Status SpillFile::ReadBatch(const std::string& path,
   if (!in) return Status::IoError("read spill " + path);
   if (bytes != nullptr) *bytes = static_cast<int64_t>(size);
 
+  const Status st = DecodeBatch(buf, records);
+  if (!st.ok()) return Status::Corruption(st.message() + ": " + path);
+  return Status::Ok();
+}
+
+Status SpillFile::DecodeBatch(const std::string& buf,
+                              std::vector<std::string>* records) {
   Deserializer des(buf);
   uint64_t count = 0;
   GT_RETURN_IF_ERROR(des.Read(&count));
   // Each record carries at least its u64 length prefix; a count that cannot
   // fit in the remaining bytes means a corrupt or foreign file.
   if (count > des.remaining() / sizeof(uint64_t)) {
-    return Status::Corruption("spill file record count implausible: " + path);
+    return Status::Corruption("spill batch record count implausible");
   }
   records->clear();
   records->reserve(count);
@@ -74,6 +81,8 @@ Status SpillFile::ReadBatch(const std::string& path,
     GT_RETURN_IF_ERROR(des.ReadString(&rec));
     records->push_back(std::move(rec));
   }
+  // A count lowered by corruption would otherwise drop records silently.
+  if (!des.AtEnd()) return Status::Corruption("spill batch: trailing bytes");
   return Status::Ok();
 }
 

@@ -45,6 +45,11 @@ class SpillFile {
   static Status ReadBatch(const std::string& path,
                           std::vector<std::string>* records,
                           int64_t* bytes = nullptr);
+
+  /// Decodes one batch's bytes (the file format above). Corruption when the
+  /// bytes are truncated or run past the last record.
+  static Status DecodeBatch(const std::string& buf,
+                            std::vector<std::string>* records);
 };
 
 }  // namespace gthinker

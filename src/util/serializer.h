@@ -1,7 +1,6 @@
 #ifndef GTHINKER_UTIL_SERIALIZER_H_
 #define GTHINKER_UTIL_SERIALIZER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -9,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/buffer_pool.h"
 #include "util/status.h"
 
 namespace gthinker {
@@ -21,32 +19,22 @@ namespace gthinker {
 /// Encoding: little-endian fixed width for integral/floating types, u64
 /// length prefix for strings and vectors.
 ///
-/// The encoder writes directly into a pooled Slab (util/buffer_pool.h), so a
-/// finished buffer can be handed to the wire zero-copy via TakeSlab() — the
-/// slab travels inside a net::Payload and is recycled when the last message
-/// batch referencing it is destroyed. Release() still yields an owning
-/// std::string (one copy) for paths that want plain bytes (spill files,
-/// checkpoint blobs, task records).
+/// The encoder appends to one std::string, and Release() moves it out: a
+/// message's bytes become a net::Payload (`Payload(ser.Release())`) without
+/// a copy, and spill files, checkpoint blobs and task records take the same
+/// string.
 class Serializer {
  public:
-  Serializer() = default;
-  Serializer(const Serializer&) = delete;  // two writers on one slab
-  Serializer& operator=(const Serializer&) = delete;
-  Serializer(Serializer&&) = default;
-  Serializer& operator=(Serializer&&) = default;
-
   template <typename T>
   void Write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Write requires a trivially copyable type");
-    Reserve(sizeof(T));
-    std::memcpy(slab_.data() + size_, &value, sizeof(T));
-    size_ += sizeof(T);
+    buf_.append(reinterpret_cast<const char*>(&value), sizeof(T));
   }
 
   void WriteString(const std::string& s) {
     Write<uint64_t>(s.size());
-    WriteBytes(s.data(), s.size());
+    buf_.append(s);
   }
 
   template <typename T>
@@ -58,50 +46,24 @@ class Serializer {
   }
 
   void WriteBytes(const void* data, size_t n) {
-    if (n == 0) return;
-    Reserve(n);
-    std::memcpy(slab_.data() + size_, data, n);
-    size_ += n;
+    buf_.append(static_cast<const char*>(data), n);
   }
 
-  /// Start of the encoded bytes (nullptr while empty). Pair with size().
-  const char* data() const { return slab_.data(); }
-  size_t size() const { return size_; }
+  /// Start of the encoded bytes. Pair with size().
+  const char* data() const { return buf_.data(); }
+  size_t size() const { return buf_.size(); }
 
-  /// Copies the encoded bytes into an owning string and resets the encoder
-  /// (the backing slab is kept for reuse).
+  /// Moves the encoded bytes out and resets the encoder.
   std::string Release() {
-    std::string out(slab_ ? slab_.data() : "", size_);
-    size_ = 0;
+    std::string out = std::move(buf_);
+    buf_.clear();
     return out;
   }
 
-  /// Zero-copy handoff: moves the backing slab (with the caller taking the
-  /// reference) and resets the encoder. *size receives the encoded length;
-  /// the returned ref is empty when nothing was written.
-  SlabRef TakeSlab(size_t* size) {
-    *size = size_;
-    size_ = 0;
-    return std::move(slab_);
-  }
-
-  void Clear() { size_ = 0; }
+  void Clear() { buf_.clear(); }
 
  private:
-  /// Grows geometrically: past the largest pool class a slab is sized to
-  /// exactly the request, so growing to `need` alone would copy the whole
-  /// prefix on every later write.
-  void Reserve(size_t n) {
-    const size_t need = size_ + n;
-    if (need <= slab_.capacity()) return;
-    SlabRef bigger(
-        BufferPool::Global().Acquire(std::max(need, 2 * slab_.capacity())));
-    if (size_ > 0) std::memcpy(bigger.data(), slab_.data(), size_);
-    slab_ = std::move(bigger);
-  }
-
-  SlabRef slab_;
-  size_t size_ = 0;
+  std::string buf_;
 };
 
 /// Sequential binary decoder over a byte buffer (not owned). All reads are

@@ -1,6 +1,6 @@
 // Deterministic mutation fuzzing of the decoders that read bytes from another
 // process or from disk: the TCP frame header, the progress report (with its
-// task ledger), the task batch, the pull path's vertex request and response
+// task ledger), the task batch, a spill batch, the pull path's vertex request and response
 // records (plain and labeled adjacency, in both wire encodings), a spilled
 // root-bundle task record and the checkpoint meta. Each starts from a valid
 // encoding and is fed every single-bit flip, seeded multi-bit flips, every
@@ -28,6 +28,7 @@
 #include "core/wire_codec.h"
 #include "net/frame.h"
 #include "net/payload.h"
+#include "storage/spill_file.h"
 
 namespace gthinker {
 namespace {
@@ -146,6 +147,27 @@ TEST(DecoderFuzz, TaskBatch) {
   const size_t third_len_at = first_len_at + 8 + 5 + 8;
   FuzzDecoder(decode, valid, {count_at, first_len_at, third_len_at},
               /*seed=*/2);
+}
+
+// Spill files and job output share one batch format, read back by
+// SpillFile::DecodeBatch.
+TEST(DecoderFuzz, SpillBatch) {
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    std::vector<std::string> records;
+    GT_RETURN_IF_ERROR(SpillFile::DecodeBatch(bytes, &records));
+    Serializer ser;
+    ser.Write<uint64_t>(records.size());
+    for (const std::string& r : records) ser.WriteString(r);
+    *out = ser.Release();
+    return Status::Ok();
+  };
+  Serializer ser;
+  ser.Write<uint64_t>(3);
+  for (const char* r : {"alpha", "", "gamma-record"}) ser.WriteString(r);
+  const std::string valid = ser.Release();
+  // Layout: u64 count | (u64 len, bytes)*.
+  FuzzDecoder(decode, valid, {/*count=*/0, /*first len=*/8, /*third len=*/29},
+              /*seed=*/15);
 }
 
 TEST(DecoderFuzz, VertexRequest) {

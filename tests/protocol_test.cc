@@ -137,7 +137,7 @@ TEST(ProtocolTest, VertexRequestTruncatedAndGarbageCount) {
   // before any allocation.
   Serializer ser;
   ser.Write<uint64_t>(uint64_t{1} << 60);
-  EXPECT_TRUE(DecodeVertexRequest(TakePayload(ser), &got).IsCorruption());
+  EXPECT_TRUE(DecodeVertexRequest(Payload(ser.Release()), &got).IsCorruption());
   // Empty wire: not even the count fits.
   EXPECT_TRUE(DecodeVertexRequest(Payload(), &got).IsCorruption());
 }
@@ -188,7 +188,7 @@ TEST(ProtocolTest, VertexResponseRejectsBadCountAndTrailingBytes) {
   Serializer ser;
   ser.Write<uint64_t>(uint64_t{1} << 60);
   ser.Write<uint64_t>(0);
-  EXPECT_TRUE(DecodeVertexResponse(TakePayload(ser), WireEncoding::kRaw, &got)
+  EXPECT_TRUE(DecodeVertexResponse(Payload(ser.Release()), WireEncoding::kRaw, &got)
                   .IsCorruption());
   EXPECT_TRUE(
       DecodeVertexResponse(Payload(), WireEncoding::kRaw, &got).IsCorruption());
@@ -234,7 +234,7 @@ TEST(ProtocolTest, StealOrderLegacyShortFormDecodes) {
   ser.Write<int32_t>(2);
   int32_t dst = -1;
   int64_t t_us = -1;
-  EXPECT_TRUE(DecodeStealOrder(TakePayload(ser), &dst, &t_us).IsCorruption());
+  EXPECT_TRUE(DecodeStealOrder(Payload(ser.Release()), &dst, &t_us).IsCorruption());
 }
 
 TEST(ProtocolTest, StealOrderTooShortIsCorruption) {
@@ -242,7 +242,7 @@ TEST(ProtocolTest, StealOrderTooShortIsCorruption) {
   ser.Write<int16_t>(1);  // not even the i32 fits
   int32_t dst = 0;
   int64_t t_us = 0;
-  EXPECT_TRUE(DecodeStealOrder(TakePayload(ser), &dst, &t_us).IsCorruption());
+  EXPECT_TRUE(DecodeStealOrder(Payload(ser.Release()), &dst, &t_us).IsCorruption());
   EXPECT_TRUE(DecodeStealOrder(Payload(), &dst, &t_us).IsCorruption());
 }
 

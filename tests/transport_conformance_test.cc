@@ -522,10 +522,7 @@ TEST(TransportTcp, TinySndbufSplitsFramesLosslessly) {
     mb.src_worker = 0;
     mb.dst_worker = 1;
     mb.type = MsgType::kVertexRequest;
-    // One pooled slab per payload, as every sender builds them.
-    const std::string body =
-        chunk_a + static_cast<char>('a' + i % 26) + chunk_b;
-    mb.payload = Payload::CopyOf(body.data(), body.size());
+    mb.payload = Payload(chunk_a + static_cast<char>('a' + i % 26) + chunk_b);
     backend.HubFor(0).Send(std::move(mb));
   }
   CommHub& receiver = backend.HubFor(1);
@@ -543,6 +540,39 @@ TEST(TransportTcp, TinySndbufSplitsFramesLosslessly) {
   // than a single gather would need (otherwise the test proves nothing).
   const auto snap = backend.HubFor(0).MetricsSnapshot();
   EXPECT_GT(CounterValue(snap, "transport.sendmsg_calls"), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Receive-buffer growth: the receiver starts with a 64 KiB buffer per peer,
+// so frames just under, just over and far over it must arrive intact and in
+// order, interleaved with tiny ones on the same link.
+// ---------------------------------------------------------------------------
+TEST(TransportTcp, FramesLargerThanTheReceiveBufferArriveIntact) {
+  TcpBackend backend(2);
+  const std::vector<size_t> sizes = {1, (64 << 10) - 1, (64 << 10) + 1,
+                                     3 << 20};
+  constexpr int kRounds = 3;
+  std::vector<std::string> sent;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t size : sizes) {
+      sent.emplace_back(size, static_cast<char>('a' + sent.size()));
+      MessageBatch mb;
+      mb.src_worker = 0;
+      mb.dst_worker = 1;
+      mb.type = MsgType::kVertexResponse;
+      mb.payload = Payload(sent.back());
+      backend.HubFor(0).Send(std::move(mb));
+    }
+  }
+  CommHub& receiver = backend.HubFor(1);
+  for (size_t i = 0; i < sent.size(); ++i) {
+    MessageBatch got;
+    ASSERT_TRUE(receiver.Receive(1, 5'000'000, &got)) << "at " << i;
+    EXPECT_TRUE(got.payload == sent[i])
+        << "at " << i << ": " << got.payload.size() << " bytes, expected "
+        << sent[i].size() << " bytes of '" << sent[i][0] << "'";
+    receiver.MarkProcessed(got.type);
+  }
 }
 
 // ---------------------------------------------------------------------------
