@@ -160,7 +160,9 @@ struct CheckpointMeta {
 /// role (paper §V-B): receives progress reports, synchronizes the
 /// aggregator, plans work stealing, coordinates checkpoints, and detects
 /// termination (all workers idle and the data-message flow balanced, stable
-/// across two consecutive global snapshots). Run and RunDistributed share
+/// across two consecutive global snapshots; the master asks for the reports
+/// that complete a snapshot instead of waiting a progress interval for
+/// them). Run and RunDistributed share
 /// one driver; they differ only in the transport under the hub and in which
 /// workers live in this process.
 template <typename ComperT>
@@ -224,9 +226,11 @@ class Cluster {
     }
     const JobConfig& config = job.config;
 
+    // Created by a worker's first spill batch (Worker::SubmitSpill), so a
+    // job that never spills makes no directory.
     std::string spill_root = config.spill_root;
     const bool own_spill_root = spill_root.empty();
-    if (own_spill_root) spill_root = MakeTempDir("spill");
+    if (own_spill_root) spill_root = TempDirPath("spill");
 
     const int num_workers = config.num_workers;
     const int master_id = num_workers;
@@ -271,9 +275,6 @@ class Cluster {
     workers.reserve(num_local);
     for (int w = first_local; w < first_local + num_local; ++w) {
       const std::string spill_dir = spill_root + "/w" + std::to_string(w);
-      std::error_code ec;
-      std::filesystem::create_directories(spill_dir, ec);
-      GT_CHECK(!ec);
       workers.push_back(std::make_unique<WorkerT>(
           w, config, &hub, job.comper_factory, job.trimmer, spill_dir));
       workers.back()->SetRecorder(&recorder);
@@ -441,6 +442,13 @@ class Cluster {
       // owes its final report and stays silent for drain_timeout_us (a dead
       // or wedged rank) fails the job: returning without it would be a
       // partial answer.
+      // Once every worker's latest report says idle, the master asks those
+      // that have not reported since the last snapshot for a report now
+      // (kReportRequest), and after a quiet snapshot it asks all of them for
+      // the confirming one. `asked` allows one request per worker until a
+      // report says busy or a snapshot is quiet, so requests never
+      // ping-pong with reports while, say, a stolen batch is on the wire.
+      bool asked = false;
       int barriers = 0;
       int finals = 0;
       std::vector<bool> barrier_seen(num_workers, false);
@@ -491,6 +499,7 @@ class Cluster {
                 ++finals;
               } else {
                 fresh[w] = true;
+                if (latest[w].idle == 0) asked = false;
               }
               break;
             }
@@ -574,8 +583,36 @@ class Cluster {
                      pending_ckpt_acks == 0) {
             PlanSteals(latest, config, master_id, &hub);
           }
+          if (snap.quiet) {
+            recorder.Record({.t_us = hub.NowUs(),
+                             .kind = obs::EventKind::kDetect,
+                             .a = 0,
+                             .b = sent});
+            asked = false;  // ask for the confirming snapshot
+          }
+          if (terminate) {
+            recorder.Record({.t_us = hub.NowUs(),
+                             .kind = obs::EventKind::kDetect,
+                             .a = 1,
+                             .b = sent});
+          }
           prev = std::move(snap);
           std::fill(fresh.begin(), fresh.end(), false);
+        }
+
+        if (!terminate && !asked && pending_ckpt_acks == 0 &&
+            !ckpt_quiescing &&
+            std::all_of(latest.begin(), latest.end(),
+                        [](const ProgressReport& r) { return r.idle != 0; })) {
+          for (int w = 0; w < num_workers; ++w) {
+            if (fresh[w]) continue;
+            MessageBatch mb;
+            mb.src_worker = master_id;
+            mb.dst_worker = w;
+            mb.type = MsgType::kReportRequest;
+            hub.Send(std::move(mb));
+          }
+          asked = true;
         }
 
         if (!terminate && config.time_budget_s > 0.0 &&

@@ -363,6 +363,42 @@ struct CheckpointAck {
   }
 };
 
+/// A worker's checkpoint blob (ckpt/<epoch>/worker_<id> on the DFS): the
+/// spawn cursor into the worker's sorted local vertices, then every live
+/// task record. Layout: u64 spawn_next | u64 count | count blobs.
+struct WorkerCheckpoint {
+  uint64_t spawn_next = 0;
+  std::vector<std::string> records;
+
+  std::string Encode() const {
+    Serializer ser;
+    ser.Write(spawn_next);
+    ser.Write<uint64_t>(records.size());
+    for (const std::string& r : records) ser.WriteString(r);
+    return ser.Release();
+  }
+
+  /// Total: rejects a count the remaining bytes cannot hold (before
+  /// reserving), a short record and trailing bytes.
+  Status Decode(const std::string& blob) {
+    Deserializer des(blob);
+    GT_RETURN_IF_ERROR(des.Read(&spawn_next));
+    uint64_t n = 0;
+    GT_RETURN_IF_ERROR(des.Read(&n));
+    if (n > des.remaining() / sizeof(uint64_t)) {
+      return Status::Corruption("worker checkpoint: record count implausible");
+    }
+    records.clear();
+    records.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      std::string r;
+      GT_RETURN_IF_ERROR(des.ReadString(&r));
+      records.push_back(std::move(r));
+    }
+    return ExpectEnd(des, "worker checkpoint");
+  }
+};
+
 /// 64-bit task IDs (paper §V-B): 16-bit comper index | 48-bit sequence.
 inline uint64_t MakeTaskId(int comper_index, uint64_t seq) {
   return (static_cast<uint64_t>(comper_index) << 48) |

@@ -14,9 +14,10 @@ namespace gthinker {
 ///
 /// Paper §V-C batches pull requests per destination worker to amortize the
 /// per-message cost. A destination's batch is sent when it reaches `max_ids`
-/// (comm.request_batch_size) IDs, or on the comm thread's next Flush() (its
-/// receive wait shrinks to Worker::kCommPollUs while IDs are open), so a
-/// partial batch waits at most one poll slice.
+/// (comm.request_batch_size) IDs, or on the comm thread's next Flush(): the
+/// Add that opens the first window wakes the comm thread, whose receive
+/// wait then shrinks to Worker::kCommPollUs while IDs are open, so a partial
+/// batch waits about one poll slice.
 ///
 /// There is no dedup here: the VertexCache's R-table already merges
 /// concurrent pulls of one vertex, so an ID reaches Add() at most once until
@@ -33,12 +34,16 @@ class PullCoalescer {
 
   /// Queues `id` for destination `dst`. Returns true and fills *batch when
   /// the add tripped a flush threshold (the caller sends the batch);
-  /// otherwise the ID rides along with a later flush.
-  bool Add(int dst, VertexId id, std::vector<VertexId>* batch) {
+  /// otherwise the ID rides along with a later flush. `opened`, if given, is
+  /// set when this ID found no window open at any destination (HasPending()
+  /// was false), so the caller can wake the flushing thread.
+  bool Add(int dst, VertexId id, std::vector<VertexId>* batch,
+           bool* opened = nullptr) {
     Buffer& buf = buffers_[dst];
     std::lock_guard<std::mutex> lock(buf.mutex);
     buf.ids.push_back(id);
-    open_ids_.fetch_add(1, std::memory_order_relaxed);
+    const int64_t before = open_ids_.fetch_add(1, std::memory_order_relaxed);
+    if (opened != nullptr) *opened = before == 0;
     if (static_cast<int64_t>(buf.ids.size()) >= max_ids_) {
       TakeLocked(buf, batch);
       return true;
@@ -60,8 +65,8 @@ class PullCoalescer {
 
   /// True while any destination has an open (sub-threshold) batch. Lets the
   /// comm thread wait event-driven when idle but keep the short flush
-  /// cadence while pulls are buffered. Racy by design: a concurrent Add may
-  /// land just after a false reading and waits at most one receive timeout.
+  /// cadence while pulls are buffered. Racy by design: an Add landing just
+  /// after a false reading reports `opened` and wakes the comm thread.
   bool HasPending() const {
     return open_ids_.load(std::memory_order_relaxed) > 0;
   }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -131,35 +132,29 @@ class Worker {
   /// tasks enter L_file as spill batches and re-pull into the cold cache,
   /// exactly as §V-B "Fault Tolerance" prescribes. Restored tasks enter the
   /// ledger as `restored` (and the live count), so the conservation
-  /// invariant holds across a resume.
+  /// invariant holds across a resume. The blob is decoded whole first, so a
+  /// corrupt one is rejected before any task is banked.
   Status RestoreFromCheckpoint(const std::string& blob) {
-    Deserializer des(blob);
-    uint64_t spawn_next = 0;
-    GT_RETURN_IF_ERROR(des.Read(&spawn_next));
-    uint64_t n = 0;
-    GT_RETURN_IF_ERROR(des.Read(&n));
-    std::vector<std::string> batch;
-    auto flush_batch = [this, &batch]() -> Status {
-      const int64_t count = static_cast<int64_t>(batch.size());
-      const std::string path = spill_io_.Submit(spill_dir_, std::move(batch));
-      batch.clear();
+    WorkerCheckpoint ckpt;
+    GT_RETURN_IF_ERROR(ckpt.Decode(blob));
+    if (ckpt.spawn_next > spawn_order_.size()) {
+      return Status::Corruption("worker checkpoint: spawn cursor past the " +
+                                std::to_string(spawn_order_.size()) +
+                                " local vertices");
+    }
+    const size_t batch = static_cast<size_t>(config_.task_batch_size);
+    for (size_t begin = 0; begin < ckpt.records.size(); begin += batch) {
+      const size_t end = std::min(begin + batch, ckpt.records.size());
+      std::vector<std::string> records(
+          std::make_move_iterator(ckpt.records.begin() + begin),
+          std::make_move_iterator(ckpt.records.begin() + end));
+      const auto count = static_cast<int64_t>(records.size());
+      const std::string path = SubmitSpill(std::move(records));
       live_tasks_.fetch_add(count);
       tasks_restored_.fetch_add(count, std::memory_order_relaxed);
       l_file_.PushBack(path, count);
-      return Status::Ok();
-    };
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string rec;
-      GT_RETURN_IF_ERROR(des.ReadString(&rec));
-      batch.push_back(std::move(rec));
-      if (batch.size() == static_cast<size_t>(config_.task_batch_size)) {
-        GT_RETURN_IF_ERROR(flush_batch());
-      }
     }
-    if (!batch.empty()) {
-      GT_RETURN_IF_ERROR(flush_batch());
-    }
-    next_spawn_.store(spawn_next, std::memory_order_relaxed);
+    next_spawn_.store(ckpt.spawn_next, std::memory_order_relaxed);
     return Status::Ok();
   }
 
@@ -266,8 +261,12 @@ class Worker {
       phase_loop_->Add(loop_timer.ElapsedMicros());
       worker_->cache_.FlushCounter(&counter_);
       // Tells the comm thread's shutdown drain that this mining thread can
-      // no longer originate vertex requests or donations.
-      worker_->compers_running_.fetch_sub(1, std::memory_order_acq_rel);
+      // no longer originate vertex requests or donations; the last one out
+      // wakes it, so the drain's quiesce step waits for no timeout.
+      if (worker_->compers_running_.fetch_sub(1, std::memory_order_acq_rel) ==
+          1) {
+        worker_->hub_->Wake(worker_->id_);
+      }
     }
 
     /// Called by the comm thread when Γ(v) lands for a task of this comper.
@@ -434,7 +433,9 @@ class Worker {
       if (to_spawn.empty()) {
         spawn_exhausted_ = true;
         // Every task this comper spawned is live by now (see SpawnDone).
-        worker_->compers_spawning_.fetch_sub(1);
+        if (worker_->compers_spawning_.fetch_sub(1) == 1) {
+          worker_->NotifyIfIdle();
+        }
         return false;
       }
       for (VertexId v : to_spawn) {
@@ -473,8 +474,7 @@ class Worker {
         // Keep original queue order inside the file.
         std::reverse(records.begin(), records.end());
         const auto count = static_cast<int64_t>(records.size());
-        const std::string path =
-            worker_->spill_io_.Submit(worker_->spill_dir_, std::move(records));
+        const std::string path = worker_->SubmitSpill(std::move(records));
         worker_->l_file_.PushBack(path, count);
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(count, std::memory_order_relaxed);
@@ -708,7 +708,32 @@ class Worker {
 
   void OnTaskFinished() {
     tasks_finished_.fetch_add(1, std::memory_order_relaxed);
-    live_tasks_.fetch_sub(1);
+    if (live_tasks_.fetch_sub(1) == 1) NotifyIfIdle();
+  }
+
+  /// Called right after a thread dropped live_tasks_ or compers_spawning_ to
+  /// zero. If the worker is now idle, owes the master a progress report and
+  /// wakes the comm thread to send it, so the master hears of the idleness
+  /// now rather than at the next progress tick. Both counters are seq_cst,
+  /// so of a comper finishing the last task and one finding the spawn order
+  /// exhausted at the same moment, at least one sees both at zero.
+  void NotifyIfIdle() {
+    if (!SpawnDone() || live_tasks_.load() != 0) return;
+    report_due_.store(true, std::memory_order_release);
+    hub_->Wake(id_);
+  }
+
+  /// Queues one spill batch (spill_io_.Submit). The worker's spill directory
+  /// is created by the first batch, so a job that never spills, steals or
+  /// restores touches no disk.
+  std::string SubmitSpill(std::vector<std::string> records) {
+    std::call_once(spill_dir_made_, [this] {
+      std::error_code ec;
+      std::filesystem::create_directories(spill_dir_, ec);
+      GT_CHECK(!ec) << "cannot create spill dir " << spill_dir_ << ": "
+                    << ec.message();
+    });
+    return spill_io_.Submit(spill_dir_, std::move(records));
   }
 
   /// Records one scheduler transition in the job's event ring, stamped with
@@ -804,7 +829,14 @@ class Worker {
     const int dst = OwnerOf(v, config_.num_workers);
     GT_CHECK_NE(dst, id_) << "local vertex routed to the cache";
     std::vector<VertexId> to_send;
-    if (coalescer_.Add(dst, v, &to_send)) SendVertexRequest(dst, to_send);
+    bool opened = false;
+    if (coalescer_.Add(dst, v, &to_send, &opened)) {
+      SendVertexRequest(dst, to_send);
+    } else if (opened) {
+      // The comm thread may be in a long wait: shorten it to a poll slice.
+      window_opened_.store(true, std::memory_order_release);
+      hub_->Wake(id_);
+    }
   }
 
   void FlushAllRequests() {
@@ -828,35 +860,41 @@ class Worker {
   // Communication thread.
   // ---------------------------------------------------------------------
 
-  /// Upper bound on one idle receive wait. Receive is event-driven — the
-  /// transport's readiness signal (the mailbox condition variable
-  /// in-process; the poll(2) IO thread feeding it under tcp) wakes this
-  /// thread the moment a batch lands — so the timeout exists only to bound
-  /// housekeeping latency: a comper may open a request window right after
-  /// HasPending() read false, and the progress cadence must be met.
-  static constexpr int64_t kMaxCommIdleWaitUs = 1000;
-  /// Receive-wait slice while request batches are open, and in the drain.
+  /// Receive-wait slice while request batches are open, and while the
+  /// drain polls for an empty wire.
   static constexpr int64_t kCommPollUs = 200;
 
+  /// Receive is event-driven: the transport's readiness signal (the mailbox
+  /// condition variable in-process; the poll(2) IO thread feeding it under
+  /// tcp) wakes this thread the moment a batch lands, and CommHub::Wake
+  /// wakes it for what happens outside the inbox — a comper opening a pull
+  /// window or turning the worker idle. So an idle wait lasts until the
+  /// next progress report is due.
   void CommLoop() {
     Timer progress_timer;
     while (true) {
-      int64_t wait_us = std::min<int64_t>(
-          config_.progress_interval_us - progress_timer.ElapsedMicros(),
-          kMaxCommIdleWaitUs);
-      if (wait_us < 1) wait_us = 1;
+      int64_t wait_us = std::max<int64_t>(
+          config_.progress_interval_us - progress_timer.ElapsedMicros(), 1);
       if (coalescer_.HasPending()) {
         // Open request batches flush on the short comm cadence so
         // sub-threshold pulls are not delayed by an idle-length wait.
         wait_us = std::min(wait_us, kCommPollUs);
       }
       MessageBatch mb;
-      if (hub_->Receive(id_, wait_us, &mb)) {
+      const bool got = hub_->Receive(id_, wait_us, &mb);
+      if (got) {
         HandleMessage(mb);
         hub_->MarkProcessed(mb.type);
       }
-      FlushAllRequests();
-      if (progress_timer.ElapsedMicros() >= config_.progress_interval_us) {
+      // A wake that announced a new pull window only shortens the wait: the
+      // window fills for one poll slice before it flushes.
+      if (!window_opened_.exchange(false, std::memory_order_acq_rel) || got) {
+        FlushAllRequests();
+      }
+      // Besides the cadence, a report goes out the moment the worker turns
+      // idle (NotifyIfIdle) and when the master asks (kReportRequest).
+      if (report_due_.exchange(false, std::memory_order_acq_rel) ||
+          progress_timer.ElapsedMicros() >= config_.progress_interval_us) {
         SendProgress(/*final_report=*/false);
         progress_timer.Restart();
       }
@@ -875,8 +913,9 @@ class Worker {
   /// 1. Local quiesce: the compers were told to stop popping. Once their
   ///    threads have exited (a comper mid-iteration may still issue vertex
   ///    pulls, and a Compute() call cannot be interrupted, so this wait is
-  ///    unbounded), flush the per-destination request buffers so nothing is
-  ///    stranded in them and report the quiesce with a kDrainBarrier.
+  ///    unbounded; the last one out wakes this thread), flush the
+  ///    per-destination request buffers so nothing is stranded in them and
+  ///    report the quiesce with a kDrainBarrier.
   /// 2. Release: the master echoes the barrier once every worker quiesced,
   ///    so no new traffic can originate anywhere; announce it to the
   ///    transport with BeginDrain.
@@ -897,8 +936,15 @@ class Worker {
     bool barrier_sent = false;
     bool draining = false;
     while (true) {
+      // Draining, the wire empties without a wake for this thread, so it
+      // polls; before that, every event it waits for wakes it.
+      const int64_t wait_us =
+          draining ? kCommPollUs
+                   : std::max<int64_t>(config_.progress_interval_us -
+                                           heartbeat_timer.ElapsedMicros(),
+                                       1);
       MessageBatch mb;
-      if (hub_->Receive(id_, kCommPollUs, &mb)) {
+      if (hub_->Receive(id_, wait_us, &mb)) {
         drained_messages_.fetch_add(1, std::memory_order_relaxed);
         HandleMessage(mb);
         hub_->MarkProcessed(mb.type);
@@ -995,8 +1041,7 @@ class Worker {
           tasks_received_.fetch_add(static_cast<int64_t>(records.size()),
                                     std::memory_order_relaxed);
           const int64_t count = static_cast<int64_t>(records.size());
-          const std::string path =
-              spill_io_.Submit(spill_dir_, std::move(records));
+          const std::string path = SubmitSpill(std::move(records));
           l_file_.PushBack(path, count);
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
           RecordEvent(-1, {.kind = obs::EventKind::kStealReceive,
@@ -1040,7 +1085,19 @@ class Worker {
       }
       case MsgType::kTerminate: {
         RecordEvent(-1, {.kind = obs::EventKind::kTerminate});
-        stop_compers_.store(true, std::memory_order_release);
+        {
+          // Under gc_mutex_, so the GC thread cannot miss the notify
+          // between its stop check and its wait.
+          std::lock_guard<std::mutex> lock(gc_mutex_);
+          stop_compers_.store(true, std::memory_order_release);
+        }
+        gc_cv_.notify_all();
+        break;
+      }
+      case MsgType::kReportRequest: {
+        // The master asks for a report now (it saw every worker idle, or a
+        // quiet snapshot it wants confirmed); CommLoop sends it.
+        report_due_.store(true, std::memory_order_release);
         break;
       }
       case MsgType::kDrainBarrier: {
@@ -1090,11 +1147,11 @@ class Worker {
     // The donated tasks have left this worker; the recipient counts them
     // back in (received) when the batch lands, and the wire interval is
     // visible to the master as donated - received.
-    tasks_donated_.fetch_add(static_cast<int64_t>(records.size()),
-                             std::memory_order_relaxed);
-    live_tasks_.fetch_sub(static_cast<int64_t>(records.size()));
+    const auto donated = static_cast<int64_t>(records.size());
+    tasks_donated_.fetch_add(donated, std::memory_order_relaxed);
+    if (live_tasks_.fetch_sub(donated) == donated) NotifyIfIdle();
     RecordEvent(-1, {.kind = obs::EventKind::kStealDonate,
-                     .a = static_cast<int64_t>(records.size()),
+                     .a = donated,
                      .b = dst});
   }
 
@@ -1218,13 +1275,12 @@ class Worker {
         << "worker " << id_ << " checkpoint missed live tasks";
     tasks_checkpointed_.fetch_add(static_cast<int64_t>(records.size()),
                                   std::memory_order_relaxed);
-    Serializer ser;
-    ser.Write<uint64_t>(next_spawn_.load(std::memory_order_relaxed));
-    ser.Write<uint64_t>(records.size());
-    for (const std::string& r : records) ser.WriteString(r);
+    WorkerCheckpoint ckpt;
+    ckpt.spawn_next = next_spawn_.load(std::memory_order_relaxed);
+    ckpt.records = std::move(records);
     const std::string key = "ckpt/" + std::to_string(epoch) + "/worker_" +
                             std::to_string(id_);
-    GT_CHECK_OK(checkpoint_dfs_->Put(key, ser.Release()));
+    GT_CHECK_OK(checkpoint_dfs_->Put(key, ckpt.Encode()));
     RecordEvent(-1, {.kind = obs::EventKind::kCheckpoint,
                      .a = static_cast<int64_t>(epoch)});
     // Cut the aggregator delta for the ack while the compers are still
@@ -1255,16 +1311,21 @@ class Worker {
   // GC thread (paper §V-A): lazy eviction when T_cache overflows.
   // ---------------------------------------------------------------------
 
-  /// GC wake-up period.
+  /// Period of the GC's overflow check. The stop wakes the GC at once.
   static constexpr int64_t kGcIntervalUs = 1000;
 
   void GcLoop() {
+    std::unique_lock<std::mutex> lock(gc_mutex_);
     while (!stop_compers_.load(std::memory_order_acquire)) {
+      lock.unlock();
       if (cache_.Overflowed()) {
         const int64_t excess = cache_.ExcessOverCapacity();
         if (excess > 0) cache_.EvictUpTo(excess);
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(kGcIntervalUs));
+      lock.lock();
+      gc_cv_.wait_for(lock, std::chrono::microseconds(kGcIntervalUs), [this] {
+        return stop_compers_.load(std::memory_order_acquire);
+      });
     }
   }
 
@@ -1402,6 +1463,15 @@ class Worker {
 
   // control
   std::atomic<bool> stop_compers_{false};
+  /// A progress report is owed now: the worker turned idle (NotifyIfIdle)
+  /// or the master sent kReportRequest. Consumed by CommLoop.
+  std::atomic<bool> report_due_{false};
+  /// A comper opened the first pull window and woke the comm thread.
+  std::atomic<bool> window_opened_{false};
+  /// The GC thread's wait; kTerminate notifies it.
+  std::mutex gc_mutex_;
+  std::condition_variable gc_cv_;
+  std::once_flag spill_dir_made_;
   std::atomic<bool> drain_release_{false};
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};

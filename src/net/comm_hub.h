@@ -62,6 +62,10 @@ class CommHub {
   /// on timeout.
   bool Receive(int worker, int64_t timeout_us, MessageBatch* out);
 
+  /// Ends a Receive blocked on local endpoint `worker` early, so its thread
+  /// looks at state that changed outside its inbox (net::Transport::Wake).
+  void Wake(int worker) { transport_->Wake(worker); }
+
   /// Acknowledges that a received batch has been *fully handled*, including
   /// any messages the handler sent in response. A batch counts toward
   /// InFlightCount() from Send until MarkProcessed, so InFlightCount()==0

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 
 #include "util/logging.h"
 
@@ -97,6 +98,26 @@ void HttpServer::Stop() {
   }
 }
 
+Status ParseRequestLine(const std::string& request, HttpRequestLine* out) {
+  const size_t line_end = request.find('\n');
+  if (line_end == std::string::npos) {
+    return Status::Corruption("http: no complete request line");
+  }
+  std::string_view line(request.data(), line_end);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const size_t sp1 = line.find(' ');
+  if (sp1 == 0 || sp1 == std::string_view::npos) {
+    return Status::Corruption("http: request line needs a method and target");
+  }
+  const size_t sp2 = line.find(' ', sp1 + 1);
+  std::string_view path = line.substr(
+      sp1 + 1, sp2 == std::string_view::npos ? line.npos : sp2 - sp1 - 1);
+  path = path.substr(0, path.find('?'));
+  out->method.assign(line.substr(0, sp1));
+  out->path.assign(path);
+  return Status::Ok();
+}
+
 void HttpServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     pollfd pfd;
@@ -138,26 +159,13 @@ void HttpServer::ServeConnection(int fd) {
 
   HttpResponse resp;
   bool head_only = false;
-  const size_t line_end = request.find('\n');
-  if (line_end == std::string::npos) {
+  HttpRequestLine line;
+  if (!ParseRequestLine(request, &line).ok()) {
     resp.status = 400;
     resp.body = "bad request\n";
   } else {
-    std::string method, path;
-    const size_t sp1 = request.find(' ');
-    if (sp1 != std::string::npos && sp1 < line_end) {
-      method = request.substr(0, sp1);
-      const size_t sp2 = request.find(' ', sp1 + 1);
-      const size_t path_end = (sp2 != std::string::npos && sp2 < line_end)
-                                  ? sp2
-                                  : line_end;
-      path = request.substr(sp1 + 1, path_end - sp1 - 1);
-    }
-    const size_t query = path.find('?');
-    if (query != std::string::npos) path.resize(query);
-    while (!path.empty() && (path.back() == '\r' || path.back() == '\n')) {
-      path.pop_back();
-    }
+    const std::string& method = line.method;
+    const std::string& path = line.path;
     head_only = method == "HEAD";
     if (method != "GET" && method != "HEAD") {
       resp.status = 405;

@@ -19,6 +19,18 @@ struct HttpResponse {
   std::string body;
 };
 
+/// The parts of an HTTP request line the server routes on.
+struct HttpRequestLine {
+  std::string method;  // "GET", "HEAD", ... (never empty)
+  std::string path;    // the target, query string stripped
+};
+
+/// Parses the request line at the head of `request` (bytes from a client,
+/// so anything): the method, then one space, then the target up to the next
+/// space or the line end; a trailing '\r' is dropped. Corruption when no
+/// complete line arrived or it has no method and target.
+Status ParseRequestLine(const std::string& request, HttpRequestLine* out);
+
 /// Minimal dependency-free HTTP/1.0 server for introspection endpoints:
 /// GET/HEAD only, one request per connection (`Connection: close`), exact
 /// path routing (query strings are stripped). Binds 127.0.0.1 — this is a

@@ -37,10 +37,11 @@ enum class MsgType : uint8_t {
   kCheckpointAck = 8,      // i32 worker_id + u64 epoch + agg-delta blob
   kDrainBarrier = 9,       // worker -> master: i32 worker_id;
                            // master -> all: empty payload (drain release)
+  kReportRequest = 10,     // master -> worker: empty payload ("report now")
 };
 
 /// Number of distinct MsgType values (for per-type wire accounting).
-inline constexpr int kNumMsgTypes = 10;
+inline constexpr int kNumMsgTypes = 11;
 
 /// Human-readable message-kind name (metrics labels, trace output).
 inline const char* MsgTypeName(MsgType type) {
@@ -65,6 +66,8 @@ inline const char* MsgTypeName(MsgType type) {
       return "checkpoint_ack";
     case MsgType::kDrainBarrier:
       return "drain_barrier";
+    case MsgType::kReportRequest:
+      return "report_request";
   }
   return "unknown";
 }

@@ -51,6 +51,13 @@ class Transport {
   /// to `timeout_us` real microseconds. Returns false on timeout.
   virtual bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) = 0;
 
+  /// Ends a Receive blocked on local endpoint `endpoint` early (it returns
+  /// false, or a batch if one landed meanwhile); a Wake with no Receive
+  /// blocked ends the next one at once. Any thread may call it: this is how
+  /// an endpoint's own threads tell its receiving thread that state outside
+  /// the inbox changed.
+  virtual void Wake(int endpoint) = 0;
+
   /// Current backlog of `endpoint`'s inbox (sampled gauge). Remote
   /// endpoints report 0 — a process cannot see a peer's queues.
   virtual int64_t InboxDepth(int endpoint) const = 0;

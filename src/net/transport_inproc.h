@@ -36,6 +36,7 @@ class InProcTransport final : public Transport {
   void Stop() override {}
   void Send(MessageBatch batch) override;
   bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) override;
+  void Wake(int endpoint) override { mailboxes_[endpoint]->Wake(); }
   int64_t InboxDepth(int endpoint) const override {
     return static_cast<int64_t>(mailboxes_[endpoint]->Size());
   }

@@ -351,6 +351,11 @@ bool TcpTransport::Receive(int endpoint, int64_t timeout_us,
   return true;
 }
 
+void TcpTransport::Wake(int endpoint) {
+  GT_CHECK(IsLocalEndpoint(endpoint));
+  inboxes_[endpoint]->Wake();
+}
+
 int64_t TcpTransport::InboxDepth(int endpoint) const {
   if (!IsLocalEndpoint(endpoint)) return 0;
   return static_cast<int64_t>(inboxes_[endpoint]->Size());

@@ -81,6 +81,7 @@ class TcpTransport final : public Transport {
   void Stop() override;
   void Send(MessageBatch batch) override;
   bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) override;
+  void Wake(int endpoint) override;
   int64_t InboxDepth(int endpoint) const override;
   bool CountsGlobally() const override { return false; }
   void BeginDrain(int endpoint) override;

@@ -122,14 +122,17 @@ class Histogram {
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
+  /// Safe while Record runs. The buckets are read one by one, so the
+  /// snapshot's count is their sum, not count_: a rendered +Inf bucket
+  /// (the count) then never reads below the cumulative bucket before it.
   HistogramSnapshot Snapshot() const {
     HistogramSnapshot snap;
-    snap.count = count_.load(std::memory_order_relaxed);
     snap.sum = sum_.load(std::memory_order_relaxed);
     snap.max = max_.load(std::memory_order_relaxed);
     snap.buckets.resize(kNumBuckets);
     for (int i = 0; i < kNumBuckets; ++i) {
       snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+      snap.count += snap.buckets[i];
     }
     return snap;
   }

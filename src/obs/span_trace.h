@@ -41,6 +41,10 @@ enum class EventKind : uint8_t {
   kCheckpoint = 13,   // a = checkpoint epoch
   kTimeout = 14,      // master hit the time budget; a = elapsed seconds
   kTerminate = 15,    // worker saw kTerminate
+  kDetect = 16,       // master's termination detection: a = 0 a quiet
+                      // snapshot formed, 1 kTerminate decided (budget
+                      // exits record kTimeout instead); b = the
+                      // snapshot's summed data messages sent
 };
 
 /// True for the per-task kinds that only span tracing records.
@@ -51,7 +55,8 @@ inline const char* EventKindName(EventKind kind) {
       "spawn",       "pending",      "ready",         "execute",
       "finish",      "loaded",       "spawn_batch",   "spill_write",
       "spill_load",  "steal_donate", "steal_receive", "ledger",
-      "drain",       "checkpoint",   "timeout",       "terminate"};
+      "drain",       "checkpoint",   "timeout",       "terminate",
+      "detect"};
   const size_t i = static_cast<size_t>(kind);
   return i < std::size(kNames) ? kNames[i] : "unknown";
 }

@@ -90,17 +90,21 @@ Status MiniDfs::Clear() {
   return Status::Ok();
 }
 
-std::string MakeTempDir(const std::string& tag) {
+std::string TempDirPath(const std::string& tag) {
   static std::atomic<uint64_t> counter{0};
   const uint64_t id = counter.fetch_add(1);
   const fs::path base = fs::temp_directory_path() / "gthinker";
-  const fs::path dir =
-      base / (tag + "_" + std::to_string(::getpid()) + "_" +
-              std::to_string(id));
+  return (base / (tag + "_" + std::to_string(::getpid()) + "_" +
+                  std::to_string(id)))
+      .string();
+}
+
+std::string MakeTempDir(const std::string& tag) {
+  const std::string dir = TempDirPath(tag);
   std::error_code ec;
   fs::create_directories(dir, ec);
-  GT_CHECK(!ec) << "cannot create temp dir " << dir.string();
-  return dir.string();
+  GT_CHECK(!ec) << "cannot create temp dir " << dir;
+  return dir;
 }
 
 void RemoveTree(const std::string& path) {

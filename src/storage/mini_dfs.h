@@ -44,8 +44,13 @@ class MiniDfs {
   std::string root_;
 };
 
+/// A unique temporary directory path under the system temp root, named
+/// with the given tag, not yet created: for a directory that may never be
+/// needed (a job's spill root is created by its first spill).
+std::string TempDirPath(const std::string& tag);
+
 /// Creates a unique fresh temporary directory under the system temp root,
-/// named with the given tag. Used by tests, spill dirs, and baselines.
+/// named with the given tag. Used by tests and baselines.
 std::string MakeTempDir(const std::string& tag);
 
 /// Recursively removes a directory tree (best-effort).

@@ -62,16 +62,28 @@ class ConcurrentQueue {
     return n;
   }
 
-  /// Blocking pop with a deadline; empty optional on timeout.
+  /// Blocking pop with a deadline; empty optional on timeout or when Wake()
+  /// ended the wait early.
   template <typename Rep, typename Period>
   std::optional<T> PopFor(std::chrono::duration<Rep, Period> timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout, [&] { return !items_.empty(); })) {
-      return std::nullopt;
-    }
+    cv_.wait_for(lock, timeout, [&] { return !items_.empty() || woken_; });
+    woken_ = false;
+    if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
+  }
+
+  /// Ends the current (or, if none is blocked, the next) PopFor wait early,
+  /// with or without an item: the consumer has state outside the queue to
+  /// look at. One wake covers every Wake() call made before it is consumed.
+  void Wake() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      woken_ = true;
+    }
+    cv_.notify_all();
   }
 
   /// Applies `fn` to every queued element (const access) under the lock.
@@ -93,6 +105,7 @@ class ConcurrentQueue {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<T> items_;
+  bool woken_ = false;  // a Wake() not yet consumed by PopFor
 };
 
 }  // namespace gthinker

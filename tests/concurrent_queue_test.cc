@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -67,6 +68,28 @@ TEST(ConcurrentQueue, PopForWakesOnPush) {
   producer.join();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 42);
+}
+
+// Wake() ends a blocked PopFor empty-handed long before its deadline; a Wake
+// with no waiter is kept for the next PopFor, and consumed by it.
+TEST(ConcurrentQueue, WakeEndsAPopForWait) {
+  ConcurrentQueue<int> q;
+  std::thread waker([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    q.Wake();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(q.PopFor(std::chrono::seconds(30)).has_value());
+  waker.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+
+  q.Wake();
+  EXPECT_FALSE(q.PopFor(std::chrono::seconds(30)).has_value());
+  // Consumed: the next wait runs to its deadline, or to an item.
+  EXPECT_FALSE(q.PopFor(std::chrono::milliseconds(10)).has_value());
+  q.Push(7);
+  q.Wake();
+  ASSERT_EQ(q.PopFor(std::chrono::seconds(30)), std::optional<int>(7));
 }
 
 TEST(ConcurrentQueue, ForEachSeesAllItemsWithoutRemoving) {

@@ -2,7 +2,8 @@
 // process or from disk: the TCP frame header, the progress report (with its
 // task ledger), the task batch, a spill batch, the pull path's vertex request and response
 // records (plain and labeled adjacency, in both wire encodings), a spilled
-// root-bundle task record and the checkpoint meta. Each starts from a valid
+// root-bundle task record, the checkpoint meta, a worker's checkpoint blob
+// and the status server's HTTP request line. Each starts from a valid
 // encoding and is fed every single-bit flip, seeded multi-bit flips, every
 // truncation and inflated length fields. Every input must come back as a
 // Status (or a decode that re-encodes to exactly the input bytes): never a
@@ -26,7 +27,9 @@
 #include "core/task.h"
 #include "core/vertex.h"
 #include "core/wire_codec.h"
+#include "apps/triangle_app.h"
 #include "net/frame.h"
+#include "net/http_server.h"
 #include "net/payload.h"
 #include "storage/spill_file.h"
 
@@ -368,7 +371,8 @@ TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
 TEST(DecoderFuzz, FrameHeader) {
   net::FrameHeader h;
   h.kind = net::FrameKind::kData;
-  h.msg_type = 5;
+  // The newest message type (kReportRequest, protocol v5).
+  h.msg_type = static_cast<uint8_t>(MsgType::kReportRequest);
   h.src = 1;
   h.dst = 2;
   const std::string payload = MakeReport().Encode().ToString();
@@ -403,6 +407,120 @@ TEST(DecoderFuzz, FrameHeader) {
     std::string m = payload;
     m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
     EXPECT_NE(net::Crc32C(m.data(), m.size()), h.crc32) << "bit " << bit;
+  }
+}
+
+WorkerCheckpoint MakeWorkerCheckpoint() {
+  WorkerCheckpoint ckpt;
+  ckpt.spawn_next = 5;
+  ckpt.records = {"task-a", "", "task-c-record"};
+  return ckpt;
+}
+
+TEST(DecoderFuzz, WorkerCheckpointBlob) {
+  const std::string valid = MakeWorkerCheckpoint().Encode();
+  const DecodeFn decode = [](const std::string& bytes, std::string* out) {
+    WorkerCheckpoint ckpt;
+    GT_RETURN_IF_ERROR(ckpt.Decode(bytes));
+    *out = ckpt.Encode();
+    return Status::Ok();
+  };
+  // Layout: u64 spawn cursor | u64 count | count (u64 length, bytes).
+  FuzzDecoder(decode, valid, {/*count=*/8, /*first record=*/16},
+              /*seed=*/6);
+}
+
+// Worker::RestoreFromCheckpoint decodes the whole blob before it banks a
+// task, and rejects a spawn cursor past the worker's local vertices.
+TEST(DecoderFuzz, RestoreFromCheckpointRejectsBadBlobs) {
+  JobConfig config;
+  config.num_workers = 1;
+  CommHub hub(2);
+  const std::string dir = TempDirPath("ckpt_fuzz");
+  {
+    Worker<TriangleComper> worker(
+        0, config, &hub, [] { return std::make_unique<TriangleComper>(); },
+        nullptr, dir);
+    for (VertexId v = 0; v < 5; ++v) worker.AddLocalVertex({v, {}});
+    worker.FinalizeLoad();
+
+    const std::string valid = MakeWorkerCheckpoint().Encode();
+    EXPECT_TRUE(
+        worker.RestoreFromCheckpoint(valid.substr(0, valid.size() - 1))
+            .IsCorruption());
+    WorkerCheckpoint past = MakeWorkerCheckpoint();
+    past.spawn_next = 6;
+    EXPECT_TRUE(worker.RestoreFromCheckpoint(past.Encode()).IsCorruption());
+    EXPECT_TRUE(worker.RestoreFromCheckpoint(valid).ok());
+  }  // the worker's spill writer finishes before the directory goes
+  RemoveTree(dir);
+}
+
+/// Checks what a parsed request line may hold, and that printing it back
+/// as a request parses to the same line.
+void ExpectSaneRequestLine(const net::HttpRequestLine& line,
+                           const std::string& what) {
+  EXPECT_FALSE(line.method.empty()) << what;
+  for (const std::string* part : {&line.method, &line.path}) {
+    EXPECT_EQ(part->find_first_of(" \n"), std::string::npos) << what;
+  }
+  EXPECT_EQ(line.path.find('?'), std::string::npos) << what;
+  net::HttpRequestLine again;
+  ASSERT_TRUE(net::ParseRequestLine(
+                  line.method + " " + line.path + " HTTP/1.0\r\n", &again)
+                  .ok())
+      << what;
+  EXPECT_EQ(again.method, line.method) << what;
+  EXPECT_EQ(again.path, line.path) << what;
+}
+
+// The status server reads the request line from any local client. Every
+// mutation must parse to a sane line or fail with Corruption (answered 400).
+TEST(DecoderFuzz, HttpRequestLine) {
+  const std::string valid =
+      "GET /metrics?name=x HTTP/1.0\r\nHost: localhost\r\n\r\n";
+  net::HttpRequestLine line;
+  ASSERT_TRUE(net::ParseRequestLine(valid, &line).ok());
+  EXPECT_EQ(line.method, "GET");
+  EXPECT_EQ(line.path, "/metrics");
+
+  auto check = [](const std::string& bytes, const std::string& what) {
+    net::HttpRequestLine parsed;
+    const Status s = net::ParseRequestLine(bytes, &parsed);
+    if (s.ok()) {
+      ExpectSaneRequestLine(parsed, what);
+    } else {
+      EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+    }
+  };
+  for (size_t bit = 0; bit < valid.size() * 8; ++bit) {
+    std::string m = valid;
+    m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    check(m, "flip bit " + std::to_string(bit));
+  }
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string m = valid;
+    const int flips = 2 + static_cast<int>(rng() % 15);
+    for (int f = 0; f < flips; ++f) {
+      const size_t bit = rng() % (m.size() * 8);
+      m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    }
+    check(m, "trial " + std::to_string(trial));
+  }
+  // A prefix that ends before the first line feed is no request line yet.
+  const size_t line_end = valid.find('\n');
+  for (size_t len = 0; len <= valid.size(); ++len) {
+    const std::string prefix = valid.substr(0, len);
+    if (len <= line_end) {
+      EXPECT_TRUE(net::ParseRequestLine(prefix, &line).IsCorruption())
+          << "prefix of " << len << " bytes parsed";
+    } else {
+      check(prefix, "prefix of " + std::to_string(len) + " bytes");
+    }
+  }
+  for (const std::string bad : {"\n", " /x HTTP/1.0\r\n", "GET\r\n"}) {
+    EXPECT_TRUE(net::ParseRequestLine(bad, &line).IsCorruption()) << bad;
   }
 }
 

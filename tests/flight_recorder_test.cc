@@ -167,8 +167,8 @@ TEST(FlightRecorder, DumpIsTheNewestTail) {
 
 // A healthy end-to-end run records its batch-level transitions in the same
 // ring as the per-task spans: a traced job's snapshot carries every worker's
-// spawn batches, ledger reports, terminate and drain phases, on the hub
-// clock next to the task events.
+// spawn batches, ledger reports, terminate and drain phases, and the
+// master's detection marks, on the hub clock next to the task events.
 TEST(FlightRecorderE2E, JobRecordsBatchTransitions) {
   static Graph g = Generator::ErdosRenyi(120, 500, 771);
   Job<TriangleComper> job;
@@ -193,6 +193,9 @@ TEST(FlightRecorderE2E, JobRecordsBatchTransitions) {
     EXPECT_EQ((counts[{w, obs::EventKind::kDrain}]), 4) << "worker " << w;
     EXPECT_GT((counts[{w, obs::EventKind::kExecute}]), 0) << "worker " << w;
   }
+  // The master (worker -1) marks both quiet snapshots and its kTerminate
+  // decision.
+  EXPECT_GE((counts[{-1, obs::EventKind::kDetect}]), 3);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -86,6 +87,27 @@ TEST(StatusServer, ServesMetricsStatusAndHealth) {
   EXPECT_EQ(obs::StatusServer::Current(), nullptr);
 }
 
+/// Max-clique comper whose Compute waits (up to 10 s) until `scrapes` is
+/// non-zero, so the job is still running when the first scrape lands
+/// however fast it would otherwise end.
+class WaitForScrapeComper : public MaxCliqueComper {
+ public:
+  explicit WaitForScrapeComper(const std::atomic<int>* scrapes)
+      : MaxCliqueComper(400), scrapes_(scrapes) {}
+  bool Compute(TaskT* task, const Frontier& frontier) override {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (scrapes_->load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return MaxCliqueComper::Compute(task, frontier);
+  }
+
+ private:
+  const std::atomic<int>* scrapes_;
+};
+
 // The acceptance-criterion path: scrape /metrics and /status.json from a
 // job that is actually running, then lint/parse what came back.
 TEST(StatusServerE2E, ScrapesLiveJob) {
@@ -122,7 +144,9 @@ TEST(StatusServerE2E, ScrapesLiveJob) {
   job.config.compers_per_worker = 2;
   job.config.status_port = -1;  // ephemeral; discovered via Current()
   job.graph = &g;
-  job.comper_factory = [] { return std::make_unique<MaxCliqueComper>(400); };
+  job.comper_factory = [&scrapes] {
+    return std::make_unique<WaitForScrapeComper>(&scrapes);
+  };
   job.trimmer = TrimToGreater;
   auto result = Cluster<MaxCliqueComper>::Run(job);
   job_done.store(true, std::memory_order_release);

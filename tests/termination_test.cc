@@ -14,7 +14,9 @@
 #include <memory>
 #include <thread>
 
+#include "apps/kclique_app.h"
 #include "apps/kernels.h"
+#include "apps/maxclique_app.h"
 #include "apps/triangle_app.h"
 #include "core/cluster.h"
 #include "graph/generator.h"
@@ -89,18 +91,24 @@ TEST(Termination, CleanRunLedgerBalances) {
   RunAndCheckCleanLedger(g, config);
 }
 
+/// `base` with every vertex ID tripled: on 3 workers with layout.reorder
+/// off, worker 0 owns every edge and so all of the work.
+Graph OnWorkerZero(const Graph& base) {
+  Graph g(3 * base.NumVertices());
+  for (VertexId u = 0; u < base.NumVertices(); ++u) {
+    for (VertexId v : base.GreaterNeighbors(u)) g.AddEdge(3 * u, 3 * v);
+  }
+  g.Finalize();
+  return g;
+}
+
 // Every edge joins multiples of 3, so worker 0 owns all the work, spills,
 // and the master has it donate to the starving workers 1 and 2. Stolen
 // batches enter the thief's L_file as `received` and donated spill files
 // leave the donor's unloaded, so spilled and loaded need not match; the
 // L_file flow identity must still hold.
 TEST(Termination, CleanRunLedgerBalancesWhileStealing) {
-  const Graph base = Generator::ErdosRenyi(3000, 200000, 74);
-  Graph g(3 * base.NumVertices());
-  for (VertexId u = 0; u < base.NumVertices(); ++u) {
-    for (VertexId v : base.GreaterNeighbors(u)) g.AddEdge(3 * u, 3 * v);
-  }
-  g.Finalize();
+  const Graph g = OnWorkerZero(Generator::ErdosRenyi(3000, 200000, 74));
   JobConfig config;
   config.num_workers = 3;
   config.compers_per_worker = 1;
@@ -204,6 +212,134 @@ TEST(Termination, BudgetExitOutlastsLongComputeWithoutAborting) {
                             }))
         << "worker " << w << " never drained its wire";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Late delivery. Every batch below lands milliseconds after it was sent, so
+// a worker's idle report, the master's report requests, aggregator syncs and
+// the confirming reports all arrive late and cross each other on the wire.
+// Detection may take round trips, never a wrong turn: each job must return
+// the serial answer, lose no task and end far inside its time budget.
+// ---------------------------------------------------------------------------
+
+/// A hung job would hit this budget; a healthy one ends in well under
+/// kLateEndS even under TSan.
+constexpr double kLateBudgetS = 60.0;
+constexpr double kLateEndS = 20.0;
+
+JobConfig LateConfig(int64_t latency_us) {
+  JobConfig config;
+  config.num_workers = 3;
+  config.compers_per_worker = 1;
+  config.enable_stealing = true;
+  config.comm.net.latency_us = latency_us;
+  config.time_budget_s = kLateBudgetS;
+  return config;
+}
+
+void ExpectCleanLateEnd(const JobStats& stats) {
+  EXPECT_FALSE(stats.timed_out);
+  EXPECT_LT(stats.elapsed_s, kLateEndS);
+  EXPECT_EQ(stats.tasks_lost, 0);
+  EXPECT_EQ(stats.tasks_live_at_exit, 0);
+  EXPECT_EQ(stats.ledger.donated, stats.ledger.received);
+}
+
+// TC runs root bundles: one task per spawn batch of roots. Worker 0 holds
+// all the work, so workers 1 and 2 turn idle early, and stolen bundles
+// sent to them land late and make them busy again.
+TEST(Termination, LateDeliveryTriangleBundles) {
+  const Graph g = OnWorkerZero(Generator::ErdosRenyi(600, 12000, 41));
+  Job<TriangleComper> job;
+  job.config = LateConfig(1'000);
+  job.config.layout.reorder = false;
+  // Small queues and a tight in-flight cap keep worker 0 busy for many
+  // round trips, long enough for the master to plan steals.
+  job.config.task_batch_size = 4;
+  job.config.task_queue_capacity_batches = 2;
+  job.config.inflight_task_cap = 8;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
+  ExpectCleanLateEnd(result.stats);
+}
+
+// MCF prunes with the global aggregate, which reaches the workers only in
+// the (late) kAggregatorSync that follows each snapshot.
+TEST(Termination, LateDeliveryMaxCliqueAggregator) {
+  Graph g = Generator::ErdosRenyi(200, 2000, 93);
+  Job<MaxCliqueComper> job;
+  job.config = LateConfig(2'000);
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<MaxCliqueComper>(30); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<MaxCliqueComper>::Run(job);
+  EXPECT_EQ(result.result.size(), MaxCliqueSerial(g).size());
+  ExpectCleanLateEnd(result.stats);
+}
+
+// A 1 us compute budget makes every k-clique task that mines more than one
+// candidate add its range children from Compute, so tasks are born while
+// the worker is busy and the idle transition comes late and often.
+TEST(Termination, LateDeliveryBudgetedKClique) {
+  Graph g = Generator::PowerLaw(300, 10.0, 2.4, 43);
+  Job<KCliqueComper> job;
+  job.config = LateConfig(3'000);
+  job.graph = &g;
+  job.comper_factory = [] {
+    return std::make_unique<KCliqueComper>(/*k=*/4, /*budget_us=*/1);
+  };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<KCliqueComper>::Run(job);
+  EXPECT_EQ(result.result, CountKCliquesSerial(g, 4));
+  EXPECT_GT(result.stats.tasks_spawned, static_cast<int64_t>(g.NumVertices()))
+      << "the compute budget never split a task";
+  ExpectCleanLateEnd(result.stats);
+}
+
+// The master asks for reports only when every worker's latest report is
+// idle and once more per quiet snapshot, so the reports it receives stay
+// within the progress cadence plus a few per worker. A ping-pong (a report
+// answered by a request or a sync that prompts the next report) would blow
+// through the bound at this long cadence: the job lasts many round trips
+// but few progress intervals.
+TEST(Termination, ProgressReportsStayNearTheCadence) {
+  Graph g = Generator::PowerLaw(3000, 12.0, 2.4, 47);
+  Job<TriangleComper> job;
+  job.config = LateConfig(1'000);
+  // Small bundles and a tight in-flight cap make the job a long chain of
+  // late pull round trips.
+  job.config.task_batch_size = 4;
+  job.config.task_queue_capacity_batches = 2;
+  job.config.inflight_task_cap = 8;
+  job.config.progress_interval_us = 10'000;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
+  const JobStats& stats = result.stats;
+  ExpectCleanLateEnd(stats);
+
+  int64_t reports = 0;
+  for (const obs::MetricsSnapshot& snap : stats.metrics) {
+    if (snap.scope == "hub") {
+      reports = snap.CounterValue("hub.progress_report.delivered");
+    }
+  }
+  ASSERT_GT(reports, 0);
+  const int64_t workers = job.config.num_workers;
+  const int64_t intervals = static_cast<int64_t>(
+      stats.elapsed_s * 1e6 / static_cast<double>(
+                                  job.config.progress_interval_us));
+  // Per worker: its cadence, the idle report, one answer to the idle round
+  // and one to the confirm round, the final report, plus slack for a steal
+  // that makes a worker busy and idle again.
+  constexpr int64_t kExtraPerWorker = 8;
+  EXPECT_LE(reports, workers * (intervals + 1 + kExtraPerWorker))
+      << "elapsed " << stats.elapsed_s << " s";
 }
 
 }  // namespace

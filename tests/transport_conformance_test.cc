@@ -317,6 +317,28 @@ TEST_P(TransportConformance, DeliveryStamping) {
   backend->HubFor(1).MarkProcessed(got.type);
 }
 
+// ---------------------------------------------------------------------------
+// Wake: another thread ends a blocked Receive long before its timeout, with
+// nothing delivered; a batch sent afterwards still arrives.
+// ---------------------------------------------------------------------------
+TEST_P(TransportConformance, WakeEndsABlockedReceive) {
+  auto backend = MakeBackend(GetParam(), 2);
+  CommHub& hub = backend->HubFor(1);
+  std::thread waker([&hub] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    hub.Wake(1);
+  });
+  Timer waited;
+  MessageBatch got;
+  EXPECT_FALSE(hub.Receive(1, 30'000'000, &got));
+  waker.join();
+  EXPECT_LT(waited.ElapsedSeconds(), 10.0);
+  backend->HubFor(0).Send(Make(0, 1, MsgType::kVertexRequest, "after"));
+  ASSERT_TRUE(hub.Receive(1, 2'000'000, &got));
+  EXPECT_EQ(got.payload.ToString(), "after");
+  hub.MarkProcessed(got.type);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
                          ::testing::Values("inproc", "tcp"));
 
