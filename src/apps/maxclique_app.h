@@ -42,8 +42,15 @@ using CliqueTask = Task<AdjList, CliqueContext>;
 /// KernelBitsetMaxVertices() threshold the kernel runs in BBMC bitset form
 /// (see apps/kernels.h); τ and that threshold interact — split tasks are by
 /// construction small enough for the bitset path when τ is under it.
+///
+/// It spawns hubs first (kSpawnHubsFirst): only a high-degree root can hold
+/// a large clique, so mining those roots first finds a large S_max early,
+/// and the TaskSpawn bound then prunes most low-degree roots outright
+/// instead of mining them against a bound that is still small.
 class MaxCliqueComper : public Comper<CliqueTask, std::vector<VertexId>> {
  public:
+  static constexpr bool kSpawnHubsFirst = true;
+
   /// τ: subgraph-size split threshold (paper default 40,000 on billion-edge
   /// graphs; scaled to our inputs).
   explicit MaxCliqueComper(size_t tau = 400) : tau_(tau) {}

@@ -86,6 +86,13 @@ class Comper {
   static AggT AggZero() { return AggT{}; }
   static AggT AggMerge(const AggT& a, const AggT& /*b*/) { return a; }
 
+  /// Spawn order. Each worker spawns its local vertices in ascending ID; an
+  /// app that shadows this with `true` spawns them in descending ID. Under
+  /// the default hub-last layout (JobConfig::layout) that is hubs first, so
+  /// a pruning app meets its large candidates early; with
+  /// `layout.reorder = false` it is reverse input-ID order.
+  static constexpr bool kSpawnHubsFirst = false;
+
   /// Adds a task to this comper's Q_task (usable from both UDFs). A task
   /// added from Compute — e.g. a child carrying part of an over-budget
   /// task's work (apps/split_context.h) — is one more creation in the

@@ -122,9 +122,16 @@ class Worker {
     spawn_order_.push_back(id);
   }
 
-  /// Sorts the spawn order; call once after all AddLocalVertex calls.
+  /// Sorts the spawn order, ascending or, for a comper that declares
+  /// kSpawnHubsFirst, descending; call once after all AddLocalVertex calls.
+  /// Spawn claims, steal donations and the checkpoint cursor all index it.
   void FinalizeLoad() {
-    std::sort(spawn_order_.begin(), spawn_order_.end());
+    if constexpr (ComperT::kSpawnHubsFirst) {
+      std::sort(spawn_order_.begin(), spawn_order_.end(),
+                std::greater<VertexId>());
+    } else {
+      std::sort(spawn_order_.begin(), spawn_order_.end());
+    }
     mem_.Consume(LocalTableBytes());
   }
 

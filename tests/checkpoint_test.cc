@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "apps/kernels.h"
 #include "apps/maxclique_app.h"
 #include "apps/triangle_app.h"
 #include "core/cluster.h"
+#include "core/protocol.h"
 #include "graph/generator.h"
 #include "storage/mini_dfs.h"
 #include "util/serializer.h"
@@ -160,6 +162,39 @@ TEST(Checkpoint, CheckpointUnderActiveStealingLosesNoTasks) {
   RemoveTree(dir);
 }
 
+std::string CheckpointMetaKey(uint64_t epoch) {
+  return "ckpt/" + std::to_string(epoch) + "/meta";
+}
+
+// Holds every task, re-pulling its frontier, until two more checkpoints
+// have committed after its first held iteration, then computes as
+// MaxCliqueComper. Between held iterations the comper parks for checkpoints
+// as usual. The second of those checkpoints was requested after this
+// comper's first task was live, so it snapshots held tasks, and no task can
+// finish before it commits.
+class HoldForCheckpointComper : public MaxCliqueComper {
+ public:
+  HoldForCheckpointComper(size_t tau, const MiniDfs* dfs)
+      : MaxCliqueComper(tau), dfs_(dfs) {}
+
+  bool Compute(TaskT* task, const Frontier& frontier) override {
+    if (release_key_.empty()) {
+      uint64_t committed = 0;
+      while (dfs_->Exists(CheckpointMetaKey(committed + 1))) ++committed;
+      release_key_ = CheckpointMetaKey(committed + 2);
+    }
+    if (!released_) released_ = dfs_->Exists(release_key_);
+    if (released_) return MaxCliqueComper::Compute(task, frontier);
+    for (const VertexT* u : frontier) task->Pull(u->id);
+    return true;
+  }
+
+ private:
+  const MiniDfs* dfs_;
+  std::string release_key_;
+  bool released_ = false;
+};
+
 TEST(Checkpoint, ResumeFreshFromEpochWorksForMaxClique) {
   Graph g = Generator::ErdosRenyi(200, 2000, 93);
   const size_t truth = MaxCliqueSerial(g).size();
@@ -168,24 +203,51 @@ TEST(Checkpoint, ResumeFreshFromEpochWorksForMaxClique) {
 
   int64_t checkpoints = 0;
   {
-    Job<MaxCliqueComper> job;
+    Job<HoldForCheckpointComper> job;
     job.config.num_workers = 2;
     job.config.compers_per_worker = 1;
     job.config.checkpoint_interval_us = 1'000;
     job.config.enable_stealing = false;
+    // Spawn batches of C = 10 roots, and at most D + 1 = 11 tasks waiting
+    // on pulls: once a worker holds a few batches, its held tasks cycle
+    // through Q_task and keep it above C, so refills stop and the
+    // checkpoints of the hold land mid-spawn.
+    job.config.task_batch_size = 10;
+    job.config.inflight_task_cap = 10;
     job.graph = &g;
     job.checkpoint_dfs = &dfs;
-    job.comper_factory = [] { return std::make_unique<MaxCliqueComper>(30); };
+    job.comper_factory = [&dfs] {
+      return std::make_unique<HoldForCheckpointComper>(30, &dfs);
+    };
     job.trimmer = TrimToGreater;
-    auto result = Cluster<MaxCliqueComper>::Run(job);
+    auto result = Cluster<HoldForCheckpointComper>::Run(job);
     EXPECT_EQ(result.result.size(), truth);
     checkpoints = result.stats.checkpoints;
   }
-  if (checkpoints == 0) {
-    GTEST_SKIP() << "job finished before any checkpoint";
+  ASSERT_GE(checkpoints, 2);
+  // The first checkpoint that holds tasks caught the job mid-spawn.
+  int64_t epoch = 0;
+  for (int64_t e = 1; e <= checkpoints && epoch == 0; ++e) {
+    uint64_t spawn_next = 0;
+    size_t records = 0;
+    for (int w = 0; w < 2; ++w) {
+      std::string blob;
+      ASSERT_TRUE(dfs.Get("ckpt/" + std::to_string(e) + "/worker_" +
+                              std::to_string(w),
+                          &blob)
+                      .ok());
+      WorkerCheckpoint ckpt;
+      ASSERT_TRUE(ckpt.Decode(blob).ok());
+      spawn_next += ckpt.spawn_next;
+      records += ckpt.records.size();
+    }
+    if (records == 0) continue;
+    epoch = e;
+    EXPECT_LT(spawn_next, g.NumVertices()) << "epoch " << e;
   }
+  ASSERT_GT(epoch, 0) << "no checkpoint holds a task";
   // Resuming a *completed* job's checkpoint must still converge to the
-  // right answer (it simply redoes the tail of the work).
+  // right answer (it redoes the work from that epoch on).
   {
     Job<MaxCliqueComper> job;
     job.config.num_workers = 2;
@@ -193,11 +255,12 @@ TEST(Checkpoint, ResumeFreshFromEpochWorksForMaxClique) {
     job.config.enable_stealing = false;
     job.graph = &g;
     job.checkpoint_dfs = &dfs;
-    job.resume_epoch = 1;
+    job.resume_epoch = epoch;
     job.comper_factory = [] { return std::make_unique<MaxCliqueComper>(30); };
     job.trimmer = TrimToGreater;
     auto result = Cluster<MaxCliqueComper>::Run(job);
     EXPECT_EQ(result.result.size(), truth);
+    EXPECT_GT(result.stats.ledger.restored, 0);
   }
   RemoveTree(dir);
 }
