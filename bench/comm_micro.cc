@@ -35,7 +35,6 @@
 #include "core/codec.h"
 #include "core/protocol.h"
 #include "core/vertex.h"
-#include "core/wire_codec.h"
 #include "net/comm_hub.h"
 #include "net/frame.h"
 #include "net/message.h"
@@ -79,11 +78,8 @@ std::unordered_map<VertexId, VertexT> MakeLocalTable(int hot, int degree) {
 /// One requester + one responder thread ping-ponging `rounds` pull batches.
 /// `req_hub` / `resp_hub` are each side's CommHub — the same object for the
 /// in-process backend, two socket-connected ones for the tcp-loopback row.
-/// `enc` selects the pooled path's response record format (the
-/// comm.wire_encoding ablation); the legacy path is always raw.
 PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
-                             int rounds, int batch, int hot, int degree,
-                             WireEncoding enc = WireEncoding::kRaw) {
+                             int rounds, int batch, int hot, int degree) {
   CommHub& hub = *req_hub;
   CommHub& rhub = *resp_hub;
   const auto table = MakeLocalTable(hot, degree);
@@ -106,7 +102,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
         // The worker's kVertexRequest handler, verbatim.
         vertices.clear();
         for (VertexId id : ids) vertices.push_back(&table.at(id));
-        resp.payload = EncodeVertexResponse(enc, vertices);
+        resp.payload = EncodeVertexResponse(vertices);
       } else {
         // Legacy: encode every record through Codec<VertexT>.
         ser.Write<uint64_t>(ids.size());
@@ -144,7 +140,7 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
     }
     result.response_bytes += static_cast<int64_t>(resp.payload.size());
     if (pooled) {
-      GT_CHECK_OK(DecodeVertexResponse(resp.payload, enc, &got));
+      GT_CHECK_OK(DecodeVertexResponse(resp.payload, &got));
       for (const VertexT& v : got) result.checksum += v.id + v.value.size();
     } else {
       Deserializer des(resp.payload.data(), resp.payload.size());
@@ -342,46 +338,6 @@ int Main(int argc, char** argv) {
       row->numbers["mb_per_s"] = mbps;
       row->numbers["reps"] = reps;
     }
-  }
-
-  // Wire-encoding ablation: the pooled ping-pong with the response records
-  // serialized raw (fixed-width, bit-identical to Codec) vs delta+varint
-  // adjacency groups. `bytes_ratio` is varint response bytes over raw
-  // response bytes — the wire-byte reduction the
-  // comm.wire_encoding=varint knob buys on this degree-2048 table.
-  {
-    std::printf("\nwire encoding ablation (pooled, %d rounds):\n", rounds);
-    double enc_bytes[2] = {0, 0};
-    for (const WireEncoding enc : {WireEncoding::kRaw, WireEncoding::kVarint}) {
-      auto run_enc = [&] {
-        CommHub hub(2);
-        return RunPullRoundTrips(&hub, &hub, /*pooled=*/true, rounds, batch,
-                                 hot, degree, enc);
-      };
-      PullResult r = run_enc();
-      for (int rep = 1; rep < 3; ++rep) {
-        PullResult again = run_enc();
-        if (again.elapsed_s < r.elapsed_s) r = again;
-      }
-      // The checksum sums ids and adjacency sizes, both of which survive
-      // re-encoding — so it must match the raw pooled run exactly.
-      GT_CHECK_EQ(r.checksum, checksums[1]);
-      const bool varint = enc == WireEncoding::kVarint;
-      enc_bytes[varint ? 1 : 0] = static_cast<double>(r.response_bytes);
-      const double rps = rounds / r.elapsed_s;
-      const double mbps = r.response_bytes / 1048576.0 / r.elapsed_s;
-      const char* label = varint ? "encoding/varint" : "encoding/raw";
-      std::printf("  %-16s %8.3f s %12.0f rt/s  %10" PRId64 " resp bytes\n",
-                  label, r.elapsed_s, rps, r.response_bytes);
-      auto* row = json.AddRow(label);
-      row->numbers["elapsed_s"] = r.elapsed_s;
-      row->numbers["roundtrips_per_s"] = rps;
-      row->numbers["response_mb_per_s"] = mbps;
-      row->numbers["response_bytes"] = static_cast<double>(r.response_bytes);
-    }
-    const double enc_ratio = enc_bytes[1] / enc_bytes[0];
-    std::printf("  varint/raw wire bytes: %.4f\n\n", enc_ratio);
-    json.AddRow("encoding/summary")->numbers["bytes_ratio"] = enc_ratio;
   }
 
   const Status s = json.WriteTo(JsonPathArg(argc, argv));

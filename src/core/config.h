@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/protocol.h"
-#include "core/wire_codec.h"
 #include "net/message.h"
 #include "obs/metrics.h"
 #include "obs/phase_profile.h"
@@ -36,19 +35,9 @@ struct CommConfig {
   /// Parsed hostfile (or set programmatically); size must equal num_workers.
   std::vector<std::string> hosts;
 
-  /// Vertex IDs per request batch appended to the sending module: the pull
-  /// coalescer flushes a destination at this many open IDs.
-  int request_batch_size = 256;
   /// Simulated interconnect for transport=inproc (0/0 = instantaneous);
   /// rejected under tcp, where the wire is real.
   NetConfig net;
-
-  /// Wire representation of kVertexResponse records (core/wire_codec.h):
-  /// kRaw keeps the fixed-width Codec format; kVarint delta+varint encodes
-  /// adjacency lists (small deltas after hub-last renumbering), shrinking
-  /// pull-response bytes on both backends. A job-level property — both ends
-  /// share the JobConfig, so no per-connection negotiation is needed.
-  WireEncoding wire_encoding = WireEncoding::kRaw;
 
   /// Fills `hosts` from `hostfile` (no-op when hosts is already set).
   Status LoadHostfile() {
@@ -87,8 +76,6 @@ struct JobConfig {
   double cache_overflow_alpha = 0.2;
   /// k: number of hash buckets in T_cache (paper: 10,000).
   int cache_num_buckets = 1024;
-  /// δ: per-thread uncommitted delta bound for the approximate s_cache.
-  int cache_counter_delta = 10;
   /// ABLATION ONLY (bench/ablation_ztable): disable the Z-table; GC then
   /// scans whole Γ-tables under the bucket lock to find evictable entries.
   bool cache_use_z_table = true;
@@ -200,9 +187,6 @@ struct JobConfig {
     if (cache_num_buckets <= 0) {
       return Status::InvalidArgument("cache_num_buckets must be positive");
     }
-    if (cache_counter_delta <= 0) {
-      return Status::InvalidArgument("cache_counter_delta must be positive");
-    }
     if (task_batch_size <= 0) {
       return Status::InvalidArgument("task_batch_size must be positive");
     }
@@ -214,9 +198,6 @@ struct JobConfig {
     if (inflight_task_cap < task_batch_size) {
       return Status::InvalidArgument(
           "inflight_task_cap must be >= task_batch_size");
-    }
-    if (comm.request_batch_size <= 0) {
-      return Status::InvalidArgument("request_batch_size must be positive");
     }
     if (comm.net.latency_us < 0 || comm.net.bandwidth_mbps < 0.0) {
       return Status::InvalidArgument("net parameters must be non-negative");
@@ -241,10 +222,6 @@ struct JobConfig {
             "checkpointing is not supported under transport=tcp (the "
             "quiesce relies on cluster-global in-flight counts)");
       }
-    }
-    if (comm.wire_encoding != WireEncoding::kRaw &&
-        comm.wire_encoding != WireEncoding::kVarint) {
-      return Status::InvalidArgument("unknown comm.wire_encoding");
     }
     if (progress_interval_us <= 0) {
       return Status::InvalidArgument("progress_interval_us must be positive");

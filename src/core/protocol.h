@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/wire_codec.h"
+#include "core/codec.h"
 #include "graph/types.h"
 #include "net/payload.h"
 #include "util/serializer.h"
@@ -224,22 +224,21 @@ inline Status DecodeVertexRequest(const Payload& payload,
 }
 
 /// kVertexResponse payload: a u64 count, then each vertex through
-/// WireCodec<VertexT> in the job's comm.wire_encoding. The whole response
-/// is one string; the R-table already merges concurrent pulls of a vertex, so
-/// nothing is memoized on the responder.
+/// Codec<VertexT>, the format spill files and checkpoints also use. The
+/// whole response is one string; the R-table already merges concurrent
+/// pulls of a vertex, so nothing is memoized on the responder.
 template <typename VertexT>
-Payload EncodeVertexResponse(WireEncoding encoding,
-                             const std::vector<const VertexT*>& vertices) {
+Payload EncodeVertexResponse(const std::vector<const VertexT*>& vertices) {
   Serializer ser;
   ser.Write<uint64_t>(vertices.size());
   for (const VertexT* v : vertices) {
-    WireCodec<VertexT>::Encode(encoding, ser, *v);
+    Codec<VertexT>::Encode(ser, *v);
   }
   return Payload(ser.Release());
 }
 
 template <typename VertexT>
-Status DecodeVertexResponse(const Payload& payload, WireEncoding encoding,
+Status DecodeVertexResponse(const Payload& payload,
                             std::vector<VertexT>* vertices) {
   Deserializer des(payload.data(), payload.size());
   uint64_t n = 0;
@@ -252,7 +251,7 @@ Status DecodeVertexResponse(const Payload& payload, WireEncoding encoding,
   vertices->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     VertexT v;
-    GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(encoding, des, &v));
+    GT_RETURN_IF_ERROR(Codec<VertexT>::Decode(des, &v));
     vertices->push_back(std::move(v));
   }
   return ExpectEnd(des, "vertex response");

@@ -10,14 +10,18 @@
 
 namespace gthinker {
 
+/// Vertex IDs per wire request batch: Worker's coalescer flushes a
+/// destination at this many open IDs.
+inline constexpr int64_t kRequestBatchSize = 256;
+
 /// Per-destination vertex-pull batching.
 ///
 /// Paper §V-C batches pull requests per destination worker to amortize the
 /// per-message cost. A destination's batch is sent when it reaches `max_ids`
-/// (comm.request_batch_size) IDs, or on the comm thread's next Flush(): the
-/// Add that opens the first window wakes the comm thread, whose receive
-/// wait then shrinks to Worker::kCommPollUs while IDs are open, so a partial
-/// batch waits about one poll slice.
+/// (kRequestBatchSize in a Worker) IDs, or on the comm thread's next
+/// Flush(): the Add that opens the first window wakes the comm thread, whose
+/// receive wait then shrinks to Worker::kCommPollUs while IDs are open, so a
+/// partial batch waits about one poll slice.
 ///
 /// There is no dedup here: the VertexCache's R-table already merges
 /// concurrent pulls of one vertex, so an ID reaches Add() at most once until

@@ -33,6 +33,10 @@ class SCacheCounter {
   int64_t delta_ = 0;
 };
 
+/// δ: the uncommitted magnitude at which a Worker's SCacheCounters commit
+/// to the shared s_cache (Worker passes it to its VertexCache).
+inline constexpr int kCacheCounterDelta = 10;
+
 /// The remote-vertex cache T_cache (paper §V-A, Fig. 6): an array of k hash
 /// buckets (k rounded up to a power of two so routing is a mask, not a
 /// divide), each guarded by its own lock and holding:

@@ -64,9 +64,9 @@ class Worker {
         trimmer_(std::move(trimmer)),
         spill_dir_(std::move(spill_dir)),
         cache_(config.cache_num_buckets, config.cache_capacity,
-               config.cache_overflow_alpha, config.cache_counter_delta,
+               config.cache_overflow_alpha, kCacheCounterDelta,
                &mem_, config.cache_use_z_table),
-        coalescer_(config.num_workers, config.comm.request_batch_size),
+        coalescer_(config.num_workers, kRequestBatchSize),
         metrics_("worker" + std::to_string(worker_id)) {
     master_id_ = config_.num_workers;  // master mailbox index
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
@@ -831,7 +831,7 @@ class Worker {
   /// per destination to combat round-trip time). Only the first pull of a
   /// vertex gets here: RequestBatch creates its R-table entry, and later
   /// pulls join that entry's waiter list until the response lands. The
-  /// coalescer flushes a destination at comm.request_batch_size IDs.
+  /// coalescer flushes a destination at kRequestBatchSize IDs.
   void EnqueueVertexRequest(VertexId v) {
     const int dst = OwnerOf(v, config_.num_workers);
     GT_CHECK_NE(dst, id_) << "local vertex routed to the cache";
@@ -1004,8 +1004,7 @@ class Worker {
           vertices.push_back(&it->second);
         }
         MessageBatch resp;
-        resp.payload =
-            EncodeVertexResponse(config_.comm.wire_encoding, vertices);
+        resp.payload = EncodeVertexResponse(vertices);
         resp.src_worker = id_;
         resp.dst_worker = mb.src_worker;
         resp.type = MsgType::kVertexResponse;
@@ -1016,9 +1015,7 @@ class Worker {
       case MsgType::kVertexResponse: {
         data_processed_.fetch_add(1, std::memory_order_relaxed);
         std::vector<VertexT> vertices;
-        GT_CHECK_OK(DecodeVertexResponse(mb.payload,
-                                         config_.comm.wire_encoding,
-                                         &vertices));
+        GT_CHECK_OK(DecodeVertexResponse(mb.payload, &vertices));
         for (VertexT& v : vertices) {
           for (uint64_t tid : cache_.InsertResponse(std::move(v))) {
             const int comper = ComperOfTaskId(tid);

@@ -1,7 +1,9 @@
 #include "graph/loader.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,19 +38,36 @@ Status GraphIo::WriteAdjacency(const Graph& graph, const std::string& path) {
 
 Status GraphIo::ParseAdjacencyLine(const std::string& line, VertexId* id,
                                    AdjList* adj) {
-  adj->clear();
-  std::istringstream in(line);
-  uint64_t v = 0;
-  if (!(in >> v)) {
+  auto bad = [&line] {
     return Status::Corruption("bad adjacency line: '" + line + "'");
+  };
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  adj->clear();
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  bool have_id = false;
+  while (true) {
+    while (p != end && is_space(*p)) ++p;
+    if (p == end) break;
+    // A token is a plain decimal ID below kInvalidVertex that ends at
+    // whitespace or the line's end: no sign, no fraction, no suffix.
+    VertexId v = 0;
+    const auto [next, ec] = std::from_chars(p, end, v);
+    if (ec != std::errc() || v == kInvalidVertex ||
+        (next != end && !is_space(*next))) {
+      return bad();
+    }
+    p = next;
+    if (have_id) {
+      adj->push_back(v);
+    } else {
+      *id = v;
+      have_id = true;
+    }
   }
-  *id = static_cast<VertexId>(v);
-  uint64_t u = 0;
-  while (in >> u) {
-    adj->push_back(static_cast<VertexId>(u));
-  }
-  if (in.bad()) return Status::Corruption("bad adjacency line: '" + line + "'");
-  return Status::Ok();
+  return have_id ? Status::Ok() : bad();
 }
 
 Status GraphIo::LoadAdjacency(const std::string& path, Graph* out) {

@@ -29,6 +29,9 @@ class GraphIo {
 
   /// Parses a single adjacency line "<id>\t<n1> <n2> ..." into (id, adj).
   /// This is the UDF-level parse step Worker exposes (paper §IV (5)).
+  /// Total: any token that is not a plain decimal ID below kInvalidVertex
+  /// (a sign, a fraction, trailing garbage, an out-of-range ID) is
+  /// Corruption.
   static Status ParseAdjacencyLine(const std::string& line, VertexId* id,
                                    AdjList* adj);
 

@@ -45,8 +45,6 @@ JobConfig RandomConfig(uint64_t seed, int* bitset_max) {
   config.cache_capacity = 32 + static_cast<int64_t>(rng.Uniform(5000));
   config.cache_num_buckets = 1 + static_cast<int>(rng.Uniform(512));
   config.cache_overflow_alpha = 0.01 + rng.NextDouble() * 2.0;
-  config.cache_counter_delta = 1 + static_cast<int>(rng.Uniform(20));
-  config.comm.request_batch_size = 1 + static_cast<int>(rng.Uniform(300));
   config.enable_stealing = rng.Bernoulli(0.5);
   config.refill_spawn_first = rng.Bernoulli(0.3);
   // Exercise both kernel paths: bitset disabled, a tiny threshold that

@@ -39,9 +39,6 @@ TEST(ConfigValidate, RejectsBadCacheParameters) {
   c = JobConfig{};
   c.cache_num_buckets = 0;
   EXPECT_FALSE(c.Validate().ok());
-  c = JobConfig{};
-  c.cache_counter_delta = 0;
-  EXPECT_FALSE(c.Validate().ok());
 }
 
 TEST(ConfigValidate, RejectsBadTaskParameters) {
@@ -53,9 +50,6 @@ TEST(ConfigValidate, RejectsBadTaskParameters) {
   EXPECT_FALSE(c.Validate().ok());
   c = JobConfig{};
   c.inflight_task_cap = c.task_batch_size - 1;
-  EXPECT_FALSE(c.Validate().ok());
-  c = JobConfig{};
-  c.comm.request_batch_size = 0;
   EXPECT_FALSE(c.Validate().ok());
 }
 

@@ -1,20 +1,23 @@
 // Deterministic mutation fuzzing of the decoders that read bytes from another
 // process or from disk: the TCP frame header, the progress report (with its
-// task ledger), the task batch, a spill batch, the pull path's vertex request and response
-// records (plain and labeled adjacency, in both wire encodings), a spilled
-// root-bundle task record, the checkpoint meta, a worker's checkpoint blob
-// and the status server's HTTP request line. Each starts from a valid
-// encoding and is fed every single-bit flip, seeded multi-bit flips, every
-// truncation and inflated length fields. Every input must come back as a
-// Status (or a decode that re-encodes to exactly the input bytes): never a
-// crash, an over-read or an implausible allocation. The ASan and UBSan CI
-// lanes run this binary like every other test.
+// task ledger), the task batch, a spill batch, the pull path's vertex
+// request and response records (plain and labeled adjacency), a spilled
+// root-bundle task record, the checkpoint meta, a worker's checkpoint blob,
+// the status server's HTTP request line and a DFS adjacency line. Each starts
+// from a valid encoding and is fed every single-bit flip, seeded multi-bit
+// flips, every truncation and inflated length fields. Every input must come
+// back as a Status (or a decode that re-encodes to exactly the input bytes):
+// never a crash, an over-read or an implausible allocation. The two text
+// lines instead check each parse against what a valid line may hold. The
+// ASan and UBSan CI lanes run this binary like every other test.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -26,8 +29,8 @@
 #include "core/root_bundle.h"
 #include "core/task.h"
 #include "core/vertex.h"
-#include "core/wire_codec.h"
 #include "apps/triangle_app.h"
+#include "graph/loader.h"
 #include "net/frame.h"
 #include "net/http_server.h"
 #include "net/payload.h"
@@ -185,43 +188,35 @@ TEST(DecoderFuzz, VertexRequest) {
   FuzzDecoder(decode, valid, {/*count=*/0}, /*seed=*/6);
 }
 
-/// One kVertexResponse record through WireCodec<VertexT> in the job's
-/// comm.wire_encoding, as DecodeVertexResponse reads each record. Here the
-/// record is the whole input, so an exact decode consumes every byte.
+/// One kVertexResponse record through Codec<VertexT>, as
+/// DecodeVertexResponse reads each record. Here the record is the whole
+/// input, so an exact decode consumes every byte.
 template <typename VertexT>
-DecodeFn ResponseRecordDecoder(WireEncoding enc) {
-  return [enc](const std::string& bytes, std::string* out) {
-    VertexT v;
-    Deserializer des(bytes);
-    GT_RETURN_IF_ERROR(WireCodec<VertexT>::Decode(enc, des, &v));
-    if (!des.AtEnd()) return Status::Corruption("trailing bytes");
-    Serializer ser;
-    WireCodec<VertexT>::Encode(enc, ser, v);
-    *out = ser.Release();
-    return Status::Ok();
-  };
+Status DecodeResponseRecord(const std::string& bytes, std::string* out) {
+  VertexT v;
+  Deserializer des(bytes);
+  GT_RETURN_IF_ERROR(Codec<VertexT>::Decode(des, &v));
+  if (!des.AtEnd()) return Status::Corruption("trailing bytes");
+  Serializer ser;
+  Codec<VertexT>::Encode(ser, v);
+  *out = ser.Release();
+  return Status::Ok();
 }
 
 template <typename VertexT>
-std::string EncodeResponseRecord(WireEncoding enc, const VertexT& v) {
+std::string EncodeResponseRecord(const VertexT& v) {
   Serializer ser;
-  WireCodec<VertexT>::Encode(enc, ser, v);
+  Codec<VertexT>::Encode(ser, v);
   return ser.Release();
 }
 
-// The varint forms carry their counts as varints, so they have no u64
-// length field to inflate; IdListDelta.RejectsCountPastEnd covers that.
 TEST(DecoderFuzz, AdjVertexResponseRecord) {
   Vertex<AdjList> v;
   v.id = 42;
   v.value = {43, 57, 1000, 65536, 4'000'000'000u};
-  // Raw layout: u32 id | u64 count | VertexId[count].
-  FuzzDecoder(ResponseRecordDecoder<Vertex<AdjList>>(WireEncoding::kRaw),
-              EncodeResponseRecord(WireEncoding::kRaw, v), {/*count=*/4},
-              /*seed=*/7);
-  FuzzDecoder(ResponseRecordDecoder<Vertex<AdjList>>(WireEncoding::kVarint),
-              EncodeResponseRecord(WireEncoding::kVarint, v), {},
-              /*seed=*/8);
+  // Layout: u32 id | u64 count | VertexId[count].
+  FuzzDecoder(DecodeResponseRecord<Vertex<AdjList>>, EncodeResponseRecord(v),
+              {/*count=*/4}, /*seed=*/7);
 }
 
 TEST(DecoderFuzz, LabeledVertexResponseRecord) {
@@ -229,41 +224,31 @@ TEST(DecoderFuzz, LabeledVertexResponseRecord) {
   v.id = 11;
   v.value.label = 3;
   v.value.adj = {{12, 1}, {40, 0}, {99, 300}, {4'000'000'000u, 7}};
-  // Raw layout: u32 id | u16 label | u64 count | LabeledNbr[count].
-  FuzzDecoder(ResponseRecordDecoder<Vertex<LabeledAdj>>(WireEncoding::kRaw),
-              EncodeResponseRecord(WireEncoding::kRaw, v), {/*count=*/6},
-              /*seed=*/9);
-  FuzzDecoder(
-      ResponseRecordDecoder<Vertex<LabeledAdj>>(WireEncoding::kVarint),
-      EncodeResponseRecord(WireEncoding::kVarint, v), {}, /*seed=*/10);
+  // Layout: u32 id | u16 label | u64 count | LabeledNbr[count].
+  FuzzDecoder(DecodeResponseRecord<Vertex<LabeledAdj>>,
+              EncodeResponseRecord(v), {/*count=*/6}, /*seed=*/9);
 }
 
 /// A whole kVertexResponse, decoded by DecodeVertexResponse.
 template <typename VertexT>
-DecodeFn ResponseDecoder(WireEncoding enc) {
-  return [enc](const std::string& bytes, std::string* out) {
-    std::vector<VertexT> vs;
-    GT_RETURN_IF_ERROR(DecodeVertexResponse(Payload(bytes), enc, &vs));
-    std::vector<const VertexT*> ptrs;
-    for (const VertexT& v : vs) ptrs.push_back(&v);
-    *out = EncodeVertexResponse(enc, ptrs).ToString();
-    return Status::Ok();
-  };
+Status DecodeResponse(const std::string& bytes, std::string* out) {
+  std::vector<VertexT> vs;
+  GT_RETURN_IF_ERROR(DecodeVertexResponse(Payload(bytes), &vs));
+  std::vector<const VertexT*> ptrs;
+  for (const VertexT& v : vs) ptrs.push_back(&v);
+  *out = EncodeVertexResponse(ptrs).ToString();
+  return Status::Ok();
 }
 
 template <typename VertexT>
-void FuzzResponse(const std::vector<VertexT>& vs, size_t raw_first_count,
+void FuzzResponse(const std::vector<VertexT>& vs, size_t first_record_count,
                   uint64_t seed) {
   std::vector<const VertexT*> ptrs;
   for (const VertexT& v : vs) ptrs.push_back(&v);
-  // Layout: u64 count | record[count]; a raw record also carries a u64
-  // neighbor count at `raw_first_count` for the first record.
-  FuzzDecoder(ResponseDecoder<VertexT>(WireEncoding::kRaw),
-              EncodeVertexResponse(WireEncoding::kRaw, ptrs).ToString(),
-              {/*count=*/0, raw_first_count}, seed);
-  FuzzDecoder(ResponseDecoder<VertexT>(WireEncoding::kVarint),
-              EncodeVertexResponse(WireEncoding::kVarint, ptrs).ToString(),
-              {/*count=*/0}, seed + 1);
+  // Layout: u64 count | record[count]; the first record carries its u64
+  // neighbor count at `first_record_count`.
+  FuzzDecoder(DecodeResponse<VertexT>, EncodeVertexResponse(ptrs).ToString(),
+              {/*count=*/0, first_record_count}, seed);
 }
 
 TEST(DecoderFuzz, VertexResponse) {
@@ -273,7 +258,7 @@ TEST(DecoderFuzz, VertexResponse) {
   adj[1].id = 7;
   adj[1].value = {3, 8};
   // 8 (count) + 4 (first record's id).
-  FuzzResponse(adj, /*raw_first_count=*/12, /*seed=*/11);
+  FuzzResponse(adj, /*first_record_count=*/12, /*seed=*/11);
 
   std::vector<Vertex<LabeledAdj>> labeled(2);
   labeled[0].id = 11;
@@ -283,7 +268,7 @@ TEST(DecoderFuzz, VertexResponse) {
   labeled[1].value.label = 1;
   labeled[1].value.adj = {{11, 3}};
   // 8 (count) + 4 (first record's id) + 2 (its label).
-  FuzzResponse(labeled, /*raw_first_count=*/14, /*seed=*/13);
+  FuzzResponse(labeled, /*first_record_count=*/14, /*seed=*/13);
 }
 
 TEST(DecoderFuzz, CheckpointMeta) {
@@ -521,6 +506,77 @@ TEST(DecoderFuzz, HttpRequestLine) {
   }
   for (const std::string bad : {"\n", " /x HTTP/1.0\r\n", "GET\r\n"}) {
     EXPECT_TRUE(net::ParseRequestLine(bad, &line).IsCorruption()) << bad;
+  }
+}
+
+/// The adjacency line a reference reading of `bytes` gives: split at
+/// whitespace, every token all digits with a value below kInvalidVertex, at
+/// least one token. False when any of that fails.
+bool ReferenceAdjacencyLine(const std::string& bytes, VertexId* id,
+                            AdjList* adj) {
+  std::vector<VertexId> ids;
+  size_t i = 0;
+  while (i < bytes.size()) {
+    if (std::isspace(static_cast<unsigned char>(bytes[i]))) {
+      ++i;
+      continue;
+    }
+    uint64_t v = 0;
+    size_t digits = 0;
+    for (; i < bytes.size() &&
+           !std::isspace(static_cast<unsigned char>(bytes[i]));
+         ++i) {
+      if (bytes[i] < '0' || bytes[i] > '9') return false;
+      v = v * 10 + static_cast<uint64_t>(bytes[i] - '0');
+      if (v >= kInvalidVertex) return false;
+      ++digits;
+    }
+    if (digits == 0) return false;
+    ids.push_back(static_cast<VertexId>(v));
+  }
+  if (ids.empty()) return false;
+  *id = ids[0];
+  adj->assign(ids.begin() + 1, ids.end());
+  return true;
+}
+
+// DFS part files and .adj inputs reach GraphIo::ParseAdjacencyLine line by
+// line. Every mutation must parse exactly as the reference reading does,
+// or fail with Corruption where the reference rejects the line.
+TEST(DecoderFuzz, AdjacencyLine) {
+  const std::string valid = "4000000000\t0 17 4096 4294967294";
+  auto check = [](const std::string& bytes, const std::string& what) {
+    VertexId id = 0, want_id = 0;
+    AdjList adj, want_adj;
+    const Status s = GraphIo::ParseAdjacencyLine(bytes, &id, &adj);
+    if (ReferenceAdjacencyLine(bytes, &want_id, &want_adj)) {
+      ASSERT_TRUE(s.ok()) << what << ": " << s.ToString();
+      EXPECT_EQ(id, want_id) << what;
+      EXPECT_EQ(adj, want_adj) << what;
+    } else {
+      EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+    }
+  };
+  for (size_t bit = 0; bit < valid.size() * 8; ++bit) {
+    std::string m = valid;
+    m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    check(m, "flip bit " + std::to_string(bit));
+  }
+  // Seeded splices of hostile tokens at random offsets, 1 to 4 per input.
+  const char* const tokens[] = {
+      "-1", "+3", "4294967295", "4294967296", "99999999999999999999",
+      "3.5", "x", "0x10", " ", "\t", "\r", "00042"};
+  std::mt19937_64 rng(16);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string m = valid;
+    const int splices = 1 + static_cast<int>(rng() % 4);
+    for (int k = 0; k < splices; ++k) {
+      m.insert(rng() % (m.size() + 1), tokens[rng() % std::size(tokens)]);
+    }
+    check(m, "trial " + std::to_string(trial) + ": '" + m + "'");
+  }
+  for (size_t len = 0; len <= valid.size(); ++len) {
+    check(valid.substr(0, len), "prefix of " + std::to_string(len));
   }
 }
 

@@ -167,6 +167,11 @@ TEST(GraphIo, ParseAdjacencyLine) {
   ASSERT_TRUE(GraphIo::ParseAdjacencyLine("7", &id, &adj).ok());
   EXPECT_EQ(id, 7u);
   EXPECT_TRUE(adj.empty());
+  // The largest ID, and a CRLF line end.
+  ASSERT_TRUE(GraphIo::ParseAdjacencyLine("4294967294\t0 7\r", &id, &adj)
+                  .ok());
+  EXPECT_EQ(id, 4294967294u);
+  EXPECT_EQ(adj, (AdjList{0, 7}));
 }
 
 TEST(GraphIo, ParseBadLineFails) {
@@ -174,6 +179,14 @@ TEST(GraphIo, ParseBadLineFails) {
   AdjList adj;
   EXPECT_FALSE(GraphIo::ParseAdjacencyLine("not-a-number", &id, &adj).ok());
   EXPECT_FALSE(GraphIo::ParseAdjacencyLine("", &id, &adj).ok());
+  // Out-of-range IDs, signs and trailing garbage are Corruption, never an
+  // aliased vertex or a silently shortened list.
+  for (const char* bad :
+       {"4294967296 1", "4294967295 1", "1 4294967295", "-1 2", "3 -2",
+        "+3 2", "1 2 x 3", "1 2 3.5", "1 2x", " \t "}) {
+    EXPECT_TRUE(GraphIo::ParseAdjacencyLine(bad, &id, &adj).IsCorruption())
+        << bad;
+  }
 }
 
 TEST(GraphIo, LoadMissingFileFails) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/vertex.h"
 #include "net/payload.h"
 #include "util/serializer.h"
 
@@ -152,46 +153,40 @@ std::vector<Vertex<AdjList>> ResponseVertices() {
   return vs;
 }
 
-TEST(ProtocolTest, VertexResponseRoundTripInBothEncodings) {
+TEST(ProtocolTest, VertexResponseRoundTripsAsCodecBytes) {
   const std::vector<Vertex<AdjList>> vs = ResponseVertices();
   std::vector<const Vertex<AdjList>*> ptrs;
   for (const auto& v : vs) ptrs.push_back(&v);
-  for (WireEncoding enc : {WireEncoding::kRaw, WireEncoding::kVarint}) {
-    const Payload wire = EncodeVertexResponse(enc, ptrs);
-    std::vector<Vertex<AdjList>> got;
-    ASSERT_TRUE(DecodeVertexResponse(wire, enc, &got).ok())
-        << WireEncodingName(enc);
-    ASSERT_EQ(got.size(), vs.size());
-    for (size_t i = 0; i < vs.size(); ++i) {
-      EXPECT_EQ(got[i].id, vs[i].id);
-      EXPECT_EQ(got[i].value, vs[i].value);
-    }
+  const Payload wire = EncodeVertexResponse(ptrs);
+  std::vector<Vertex<AdjList>> got;
+  ASSERT_TRUE(DecodeVertexResponse(wire, &got).ok());
+  ASSERT_EQ(got.size(), vs.size());
+  for (size_t i = 0; i < vs.size(); ++i) {
+    EXPECT_EQ(got[i].id, vs[i].id);
+    EXPECT_EQ(got[i].value, vs[i].value);
   }
-  // The raw form is the Codec bytes behind a u64 count.
+  // The response is the Codec bytes behind a u64 count.
   Serializer ser;
   ser.Write<uint64_t>(vs.size());
   for (const auto& v : vs) Codec<Vertex<AdjList>>::Encode(ser, v);
-  EXPECT_EQ(EncodeVertexResponse(WireEncoding::kRaw, ptrs), ser.Release());
+  EXPECT_EQ(wire, ser.Release());
 }
 
 TEST(ProtocolTest, VertexResponseRejectsBadCountAndTrailingBytes) {
   const std::vector<Vertex<AdjList>> vs = ResponseVertices();
   std::vector<const Vertex<AdjList>*> ptrs;
   for (const auto& v : vs) ptrs.push_back(&v);
-  const Payload wire = EncodeVertexResponse(WireEncoding::kRaw, ptrs);
+  const Payload wire = EncodeVertexResponse(ptrs);
   std::vector<Vertex<AdjList>> got;
-  EXPECT_TRUE(DecodeVertexResponse(Extend(wire), WireEncoding::kRaw, &got)
-                  .IsCorruption());
-  EXPECT_TRUE(DecodeVertexResponse(Truncate(wire, 1), WireEncoding::kRaw, &got)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeVertexResponse(Extend(wire), &got).IsCorruption());
+  EXPECT_TRUE(DecodeVertexResponse(Truncate(wire, 1), &got).IsCorruption());
   // A count above the remaining bytes is rejected before any reservation.
   Serializer ser;
   ser.Write<uint64_t>(uint64_t{1} << 60);
   ser.Write<uint64_t>(0);
-  EXPECT_TRUE(DecodeVertexResponse(Payload(ser.Release()), WireEncoding::kRaw, &got)
-                  .IsCorruption());
   EXPECT_TRUE(
-      DecodeVertexResponse(Payload(), WireEncoding::kRaw, &got).IsCorruption());
+      DecodeVertexResponse(Payload(ser.Release()), &got).IsCorruption());
+  EXPECT_TRUE(DecodeVertexResponse(Payload(), &got).IsCorruption());
 }
 
 TEST(ProtocolTest, TaskBatchRoundTripWithTimestamp) {
