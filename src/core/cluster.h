@@ -897,9 +897,11 @@ class Cluster {
     return global;
   }
 
+ public:
   /// Sends one steal order per starving worker, from the most loaded one
   /// (paper §V-B "Task Stealing": idle machines prefetch task batches from
-  /// busy machines via master-made plans).
+  /// busy machines via master-made plans). Public so a test can drive it
+  /// with fixed reports.
   static void PlanSteals(const std::vector<ProgressReport>& latest,
                          const JobConfig& config, int master_id,
                          CommHub* hub) {

@@ -359,11 +359,15 @@ class Worker {
     }
 
     /// pop() gates (paper: cache not overflowed, |T_task|+|B_task| <= D,
-    /// counted in roots like the Q_task bounds).
-    bool CanPop() const {
-      return !worker_->cache_.Overflowed() &&
-             inflight_roots_ <=
-                 static_cast<size_t>(worker_->config_.inflight_task_cap);
+    /// counted in roots like the Q_task bounds). A comper that finds the
+    /// cache gate closed wakes the GC, which evicts back down to c_cache.
+    bool CanPop() {
+      if (worker_->cache_.Overflowed()) {
+        worker_->WakeGc();
+        return false;
+      }
+      return inflight_roots_ <=
+             static_cast<size_t>(worker_->config_.inflight_task_cap);
     }
 
     /// pop(): refill if low, then take the head task and resolve its pulls.
@@ -1315,21 +1319,42 @@ class Worker {
   // GC thread (paper §V-A): lazy eviction when T_cache overflows.
   // ---------------------------------------------------------------------
 
-  /// Period of the GC's overflow check. The stop wakes the GC at once.
-  static constexpr int64_t kGcIntervalUs = 1000;
+  /// A comper found the pop gate closed on T_cache overflow. The exchange
+  /// makes a burst of gated rounds one wake per GC pass; taking gc_mutex_
+  /// after setting the flag keeps the notify from falling between the GC's
+  /// predicate check and its wait.
+  void WakeGc() {
+    if (gc_wanted_.exchange(true, std::memory_order_acq_rel)) return;
+    { std::lock_guard<std::mutex> lock(gc_mutex_); }
+    gc_cv_.notify_one();
+  }
 
+  /// Sleeps until a gated comper or kTerminate wakes it. Every comper checks
+  /// the gate every round and releases its pulls before its next round, so
+  /// a pass that finds nothing evictable is followed by another wake while
+  /// the gate stays closed.
   void GcLoop() {
     std::unique_lock<std::mutex> lock(gc_mutex_);
-    while (!stop_compers_.load(std::memory_order_acquire)) {
+    while (true) {
+      gc_cv_.wait(lock, [this] {
+        return gc_wanted_.load(std::memory_order_acquire) ||
+               stop_compers_.load(std::memory_order_acquire);
+      });
+      if (stop_compers_.load(std::memory_order_acquire)) return;
       lock.unlock();
+      // Cleared before the scan: a comper gated during it wakes one more.
+      gc_wanted_.store(false, std::memory_order_release);
       if (cache_.Overflowed()) {
         const int64_t excess = cache_.ExcessOverCapacity();
-        if (excess > 0) cache_.EvictUpTo(excess);
+        const int64_t start_us = hub_->NowUs();
+        const int64_t evicted = cache_.EvictUpTo(excess);
+        RecordEvent(-1, {.t_us = start_us,
+                         .dur_us = hub_->NowUs() - start_us,
+                         .kind = obs::EventKind::kGcPass,
+                         .a = evicted,
+                         .b = excess});
       }
       lock.lock();
-      gc_cv_.wait_for(lock, std::chrono::microseconds(kGcIntervalUs), [this] {
-        return stop_compers_.load(std::memory_order_acquire);
-      });
     }
   }
 
@@ -1472,9 +1497,12 @@ class Worker {
   std::atomic<bool> report_due_{false};
   /// A comper opened the first pull window and woke the comm thread.
   std::atomic<bool> window_opened_{false};
-  /// The GC thread's wait; kTerminate notifies it.
+  /// The GC thread's wait; a gated comper (WakeGc) and kTerminate
+  /// notify it.
   std::mutex gc_mutex_;
   std::condition_variable gc_cv_;
+  /// Set by WakeGc, cleared by the GC before each pass.
+  std::atomic<bool> gc_wanted_{false};
   std::once_flag spill_dir_made_;
   std::atomic<bool> drain_release_{false};
   std::atomic<int> compers_running_{0};

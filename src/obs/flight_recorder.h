@@ -34,8 +34,9 @@ inline constexpr size_t kTraceEventsPerWorker = size_t{1} << 16;
 /// stack — can find every live job's recorder; destruction unregisters.
 ///
 /// Recording cost is one relaxed fetch_add plus a sharded spinlock push
-/// (see ShardedRing); without tracing, events are batch-granularity, so a
-/// healthy run records a few hundred events per second per worker at most.
+/// (see ShardedRing); without tracing, events are batch-granularity (spawn
+/// batches, spill files, progress reports, GC passes), so a healthy run
+/// records a few thousand events per second per worker at most.
 class FlightRecorder {
  public:
   /// 64 shards: one ring takes the recording threads of every local worker,

@@ -45,6 +45,9 @@ enum class EventKind : uint8_t {
                       // snapshot formed, 1 kTerminate decided (budget
                       // exits record kTimeout instead); b = the
                       // snapshot's summed data messages sent
+  kGcPass = 17,       // one T_cache GC pass (EvictUpTo): a = entries
+                      // evicted, b = the excess it targeted, t_us = scan
+                      // start, dur_us = scan time
 };
 
 /// True for the per-task kinds that only span tracing records.
@@ -56,7 +59,7 @@ inline const char* EventKindName(EventKind kind) {
       "finish",      "loaded",       "spawn_batch",   "spill_write",
       "spill_load",  "steal_donate", "steal_receive", "ledger",
       "drain",       "checkpoint",   "timeout",       "terminate",
-      "detect"};
+      "detect",      "gc_pass"};
   const size_t i = static_cast<size_t>(kind);
   return i < std::size(kNames) ? kNames[i] : "unknown";
 }
@@ -65,7 +68,7 @@ inline const char* EventKindName(EventKind kind) {
 /// from different workers share an epoch and interleave correctly.
 struct SpanEvent {
   int64_t t_us = 0;
-  int64_t dur_us = 0;  // only kExecute carries a duration
+  int64_t dur_us = 0;  // only kExecute and kGcPass carry a duration
   /// Task span id (0 when tracing is off, and for batch kinds).
   uint64_t id = 0;
   /// On kSpawn: span id of the task whose Compute added this one (0 = none),
@@ -113,8 +116,9 @@ inline void WriteEventJson(JsonWriter* w, const SpanEvent& e) {
 
 /// Renders events as Chrome trace-event JSON ("JSON object format"),
 /// loadable in Perfetto / chrome://tracing: workers map to processes,
-/// compers to threads; execute events are complete ("X") slices with real
-/// durations, every other kind an instant ("i") mark on the same timeline.
+/// compers to threads; execute and gc_pass events are complete ("X") slices
+/// with real durations, every other kind an instant ("i") mark on the same
+/// timeline.
 /// Args carry the span ids and a batch kind's a/b. Timestamps are already
 /// microseconds, the unit the format expects.
 inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
@@ -143,7 +147,8 @@ inline std::string ChromeTraceJson(const std::vector<SpanEvent>& events,
     w.EndObject();
   }
   for (const SpanEvent& e : events) {
-    const bool slice = e.kind == EventKind::kExecute;
+    const bool slice =
+        e.kind == EventKind::kExecute || e.kind == EventKind::kGcPass;
     w.BeginObject();
     w.Key("name");
     w.String(EventKindName(e.kind));

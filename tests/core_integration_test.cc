@@ -179,6 +179,40 @@ TEST(Integration, TinyCacheForcesEviction) {
   EXPECT_GT(result.stats.cache_evictions, 0);
 }
 
+// c_cache = 1 with α = 0 closes the pop gate whenever more than one vertex
+// is cached, so compers are gated on most rounds and only the GC they wake
+// reopens it; the GC has no timer to fall back on. Every seed must finish
+// inside the budget with the exact answer.
+TEST(Integration, CacheOfOneWithZeroAlphaNeverHangs) {
+  const QueryGraph query = QueryGraph::Triangle(0, 1, 2);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Graph g = Generator::ErdosRenyi(250, 1800, 300 + seed);
+    auto labels = Generator::RandomLabels(g.NumVertices(), 3, 400 + seed);
+    const uint64_t truth = CountMatchesSerial(g, labels, query);
+
+    Job<MatchComper> job;
+    job.config.num_workers = 2;
+    job.config.compers_per_worker = 2;
+    job.config.cache_capacity = 1;
+    job.config.cache_overflow_alpha = 0.0;
+    job.config.time_budget_s = 10.0;  // a hang fails the test, not the lane
+    job.graph = &g;
+    job.labels = &labels;
+    job.comper_factory = [&query] {
+      return std::make_unique<MatchComper>(query);
+    };
+    job.trimmer = [&query](Vertex<LabeledAdj>& v) {
+      MatchComper::TrimByQuery(query, v);
+    };
+    auto result = Cluster<MatchComper>::Run(job);
+    ASSERT_FALSE(result.stats.timed_out);
+    EXPECT_EQ(result.result, truth);
+    EXPECT_GT(result.stats.cache_evictions, 0);
+    EXPECT_EQ(result.stats.tasks_lost, 0);
+  }
+}
+
 TEST(Integration, StealingStillCorrectOnSkewedGraph) {
   // A hub-heavy graph concentrates work; stealing must not lose tasks.
   Graph g = Generator::HubSkewed(500, 6, 120, 2.0, 81);

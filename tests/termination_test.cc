@@ -13,6 +13,8 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "apps/kclique_app.h"
 #include "apps/kernels.h"
@@ -340,6 +342,65 @@ TEST(Termination, ProgressReportsStayNearTheCadence) {
   constexpr int64_t kExtraPerWorker = 8;
   EXPECT_LE(reports, workers * (intervals + 1 + kExtraPerWorker))
       << "elapsed " << stats.elapsed_s << " s";
+}
+
+// The master's steal plan for fixed progress reports, read back off the hub
+// as (thief, donor) pairs in donor order. C = 10, so a donor must report
+// more than 2C = 20 remaining roots.
+using Orders = std::vector<std::pair<int, int>>;
+
+Orders PlannedSteals(const std::vector<ProgressReport>& latest) {
+  const int n = static_cast<int>(latest.size());
+  CommHub hub(n + 1);  // endpoint n is the master
+  JobConfig config;
+  config.task_batch_size = 10;
+  Cluster<TriangleComper>::PlanSteals(latest, config, /*master_id=*/n, &hub);
+  Orders orders;
+  for (int w = 0; w < n; ++w) {
+    MessageBatch mb;
+    while (hub.Receive(w, 0, &mb)) {
+      EXPECT_EQ(mb.type, MsgType::kStealOrder);
+      EXPECT_EQ(mb.src_worker, n);
+      int32_t thief = -1;
+      int64_t order_t_us = 0;
+      EXPECT_TRUE(DecodeStealOrder(mb.payload, &thief, &order_t_us).ok());
+      orders.emplace_back(thief, w);
+    }
+  }
+  EXPECT_EQ(hub.TotalBatchesSent(), static_cast<int64_t>(orders.size()));
+  return orders;
+}
+
+ProgressReport Report(bool idle, int64_t remaining) {
+  ProgressReport r;
+  r.idle = idle ? 1 : 0;
+  r.remaining_estimate = remaining;
+  return r;
+}
+
+TEST(StealPlanner, IdleThiefGetsOneOrderToTheDonorAbove2C) {
+  EXPECT_EQ(PlannedSteals({Report(true, 0), Report(false, 21),
+                           Report(false, 5)}),
+            (Orders{{0, 1}}));
+  // The most loaded donor wins.
+  EXPECT_EQ(PlannedSteals({Report(false, 30), Report(true, 0),
+                           Report(false, 90)}),
+            (Orders{{1, 2}}));
+}
+
+TEST(StealPlanner, DonorAtOrBelow2CGetsNoOrder) {
+  EXPECT_EQ(PlannedSteals({Report(true, 0), Report(false, 20)}), Orders{});
+  EXPECT_EQ(PlannedSteals({Report(true, 0), Report(false, 3),
+                           Report(false, 20)}),
+            Orders{});
+  // An idle worker that still estimates remaining work is no thief.
+  EXPECT_EQ(PlannedSteals({Report(true, 4), Report(false, 90)}), Orders{});
+}
+
+TEST(StealPlanner, TwoIdleThievesBothGetOrders) {
+  EXPECT_EQ(PlannedSteals({Report(true, 0), Report(true, 0),
+                           Report(false, 100)}),
+            (Orders{{0, 2}, {1, 2}}));
 }
 
 }  // namespace

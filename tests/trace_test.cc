@@ -97,6 +97,51 @@ TEST(Trace, ChromeTraceShowsSpillAndStealNextToTaskSlices) {
   EXPECT_GT(marks["steal_receive"], 0);
 }
 
+// A cache far below the working set keeps compers gated, so the GC runs
+// many passes. Each pass is one gc_pass event whose `a` counts what it
+// evicted, so the events add up to the job's eviction counter, and the
+// Chrome trace draws each pass as a slice.
+TEST(Trace, GcPassEventsSumToCacheEvictions) {
+  Graph g = Generator::PowerLaw(400, 10.0, 2.4, 80);
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.cache_capacity = 16;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+  ASSERT_GT(result.stats.cache_evictions, 0);
+  ASSERT_EQ(result.stats.span_events_total,
+            static_cast<int64_t>(result.stats.spans.size()));
+
+  int64_t passes = 0, evicted = 0;
+  for (const obs::SpanEvent& e : result.stats.spans) {
+    if (e.kind != obs::EventKind::kGcPass) continue;
+    ++passes;
+    evicted += e.a;
+    EXPECT_EQ(e.comper, -1);
+    EXPECT_LE(e.a, e.b);  // a pass never evicts past its target
+    EXPECT_GE(e.dur_us, 0);
+  }
+  EXPECT_GT(passes, 0);
+  EXPECT_EQ(evicted, result.stats.cache_evictions);
+
+  const std::string text =
+      obs::ChromeTraceJson(result.stats.spans, job.config.num_workers);
+  obs::JsonValue root;
+  ASSERT_TRUE(obs::JsonParse(text, &root).ok());
+  int64_t slices = 0;
+  for (const obs::JsonValue& e : root.Find("traceEvents")->array) {
+    if (e.Find("name")->string == "gc_pass") {
+      EXPECT_EQ(e.Find("ph")->string, "X");
+      ++slices;
+    }
+  }
+  EXPECT_EQ(slices, passes);
+}
+
 // Three hubs (IDs 0-2) each see the whole pool, and the pool is a perfect
 // matching, so in ID order with the Γ_> trim only the hubs root a 3-clique
 // task: every other task in the job is a range child that a budgeted
