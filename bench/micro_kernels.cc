@@ -23,6 +23,11 @@
 //                 the labeled compact view + backtracking matcher vs the
 //                 generic-join matcher on the task's rows. Exits 1 if any
 //                 task's count differs.
+//   bundle_close/tc_rmat: closing TC's root bundles (the tc-rmat-inproc
+//                 spawn batches, C = 150) into tasks, the comparison sort
+//                 the engine used to run vs its radix close
+//                 (RootBundleBuilder::Close). Exits 1 if any bundle's pulls,
+//                 slots or ends differ.
 
 #include <algorithm>
 #include <cinttypes>
@@ -30,13 +35,17 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/kernel_simd.h"
 #include "apps/kernels.h"
+#include "apps/triangle_app.h"
 #include "bench_util.h"
+#include "core/root_bundle.h"
+#include "core/task.h"
 #include "graph/generator.h"
 #include "graph/graph.h"
 #include "util/logging.h"
@@ -488,6 +497,36 @@ class Matcher {
   std::vector<bool> used_;
 };
 
+/// The root-bundle close before the radix sort: one packed (id << 32 |
+/// occurrence) word per root and candidate, std::sort, then one walk that
+/// dedups the pull list and writes every slot.
+template <typename TaskT>
+std::unique_ptr<TaskT> SortCloseBundle(const std::vector<VertexId>& ids,
+                                       const std::vector<uint32_t>& ends) {
+  auto task = std::make_unique<TaskT>();
+  RootBundle& bundle = task->context();
+  std::vector<uint64_t> keyed(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    keyed[i] = (static_cast<uint64_t>(ids[i]) << 32) | i;
+  }
+  std::sort(keyed.begin(), keyed.end());
+  size_t distinct = 0;
+  for (size_t k = 0; k < keyed.size(); ++k) {
+    distinct += k == 0 || (keyed[k] >> 32) != (keyed[k - 1] >> 32);
+  }
+  std::vector<VertexId> pulls;
+  pulls.reserve(distinct);
+  bundle.slots.resize(keyed.size());
+  for (uint64_t key : keyed) {
+    const auto id = static_cast<VertexId>(key >> 32);
+    if (pulls.empty() || pulls.back() != id) pulls.push_back(id);
+    bundle.slots[key & 0xffffffffu] = static_cast<uint32_t>(pulls.size() - 1);
+  }
+  bundle.ends = ends;
+  task->SetPulls(std::move(pulls));
+  return task;
+}
+
 }  // namespace legacy
 
 namespace {
@@ -879,6 +918,76 @@ int Main(int argc, char** argv) {
     GT_CHECK_EQ(v[0].checksum, v[1].checksum);
     PrintAndRecord(&json, "match/gm_ego", v,
                    static_cast<double>(tasks.size()));
+  }
+
+  // ---- root-bundle close: comparison sort vs radix ---------------------
+  // TC's spawn batches on the tc-rmat-inproc graph: C = 150 vertices a
+  // batch, and each vertex with two or more Γ_> neighbors a root that pulls
+  // itself and them. Both variants flatten a batch and close it into a task.
+  {
+    using BundleTask = Task<AdjList, RootBundle>;
+    constexpr VertexId kBatch = 150;
+    const Graph g = Generator::Rmat(13, 110'000, 1);
+    std::vector<std::vector<Vertex<AdjList>>> batches;
+    uint64_t occurrences = 0;
+    for (VertexId first = 0; first < g.NumVertices(); first += kBatch) {
+      std::vector<Vertex<AdjList>>& batch = batches.emplace_back();
+      for (VertexId v = first; v < std::min(first + kBatch, g.NumVertices());
+           ++v) {
+        Vertex<AdjList> root{v, g.Neighbors(v)};
+        TrimToGreater(root);
+        if (root.value.size() < 2) continue;
+        occurrences += 1 + root.value.size();
+        batch.push_back(std::move(root));
+      }
+    }
+    const auto digest = [](const BundleTask& task) {
+      uint64_t h = 1469598103934665603ULL;  // FNV-1a over 32-bit words
+      const auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+      for (VertexId id : task.pulls()) mix(id);
+      for (uint32_t slot : task.context().slots) mix(slot);
+      for (uint32_t end : task.context().ends) mix(end);
+      return h;
+    };
+    const auto sort_close = [](const std::vector<Vertex<AdjList>>& batch) {
+      std::vector<VertexId> ids;
+      std::vector<uint32_t> ends;
+      for (const Vertex<AdjList>& root : batch) {
+        ids.push_back(root.id);
+        ids.insert(ids.end(), root.value.begin(), root.value.end());
+        ends.push_back(static_cast<uint32_t>(ids.size()));
+      }
+      return legacy::SortCloseBundle<BundleTask>(ids, ends);
+    };
+    RootBundleBuilder builder;
+    const auto radix_close = [&](const std::vector<Vertex<AdjList>>& batch) {
+      for (const Vertex<AdjList>& root : batch) {
+        builder.Add(root.id, root.value);
+      }
+      return builder.Close<BundleTask>();
+    };
+    for (size_t b = 0; b < batches.size(); ++b) {
+      if (digest(*sort_close(batches[b])) != digest(*radix_close(batches[b]))) {
+        std::fprintf(stderr, "bundle_close/tc_rmat: bundle %zu differs\n", b);
+        return 1;
+      }
+    }
+    std::printf("bundle_close/tc_rmat: %zu bundles, %" PRIu64
+                " occurrences, best of %d\n",
+                batches.size(), occurrences, reps);
+    const auto run = [&](const auto& close) {
+      uint64_t sum = 0;
+      for (const auto& batch : batches) sum += digest(*close(batch));
+      return sum;
+    };
+    std::vector<Variant> v{{"sort"}, {"radix"}};
+    v[0].elapsed_s =
+        BestOf(reps, &v[0].checksum, [&] { return run(sort_close); });
+    v[1].elapsed_s =
+        BestOf(reps, &v[1].checksum, [&] { return run(radix_close); });
+    GT_CHECK_EQ(v[0].checksum, v[1].checksum);
+    PrintAndRecord(&json, "bundle_close/tc_rmat", v,
+                   static_cast<double>(occurrences));
   }
 
   const Status s = json.WriteTo(JsonPathArg(argc, argv));

@@ -2,6 +2,7 @@
 #define GTHINKER_CORE_ROOT_BUNDLE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -112,40 +113,40 @@ class RootBundleBuilder {
   void Add(VertexId root, const std::vector<VertexId>& pulls) {
     ids_.push_back(root);
     ids_.insert(ids_.end(), pulls.begin(), pulls.end());
-    // Slots and offsets are 32-bit, and Close() packs an occurrence in 32.
+    // Slots, offsets and Close()'s occurrence indices are 32-bit.
     GT_CHECK_LE(ids_.size(), size_t{UINT32_MAX}) << "root bundle too large";
     ends_.push_back(static_cast<uint32_t>(ids_.size()));
   }
 
   /// Moves the open roots into a new task: its pull list is their IDs
   /// deduplicated (ascending), and each occurrence becomes a slot into it.
-  /// Keeps no scratch between bundles, so an idle runtime holds no memory.
+  /// A stable LSD radix sort orders the 32-bit occurrence indices by ID, 11
+  /// bits a pass, ceil(bits(max ID) / 11) passes (2 below 2^22 IDs); one walk
+  /// over that order then dedups the pull list and writes every slot. Peak
+  /// scratch is the index pair, 8 bytes per occurrence; the second index
+  /// buffer is freed before the pulls and slots are built. Keeps no scratch
+  /// between bundles, so an idle runtime holds no memory.
   template <typename TaskT>
   std::unique_ptr<TaskT> Close() {
     static_assert(kBundlesRoots<TaskT>);
-    static_assert(sizeof(VertexId) <= 4, "Close() packs an ID in 32 bits");
+    static_assert(std::is_same_v<VertexId, uint32_t>,
+                  "Close() sorts 32-bit IDs");
     auto task = std::make_unique<TaskT>();
     RootBundle& bundle = task->context();
-    // Sort (id, occurrence) pairs packed in one word: equal IDs turn
-    // adjacent, and each keeps its occurrence to point its slot back.
-    std::vector<uint64_t> keyed(ids_.size());
-    for (size_t i = 0; i < ids_.size(); ++i) {
-      keyed[i] = (static_cast<uint64_t>(ids_[i]) << 32) | i;
-    }
-    ids_ = {};
-    std::sort(keyed.begin(), keyed.end());
+    const std::vector<uint32_t> order = SortOccurrences();
     size_t distinct = 0;
-    for (size_t k = 0; k < keyed.size(); ++k) {
-      distinct += k == 0 || (keyed[k] >> 32) != (keyed[k - 1] >> 32);
+    for (size_t k = 0; k < order.size(); ++k) {
+      distinct += k == 0 || ids_[order[k]] != ids_[order[k - 1]];
     }
     std::vector<VertexId> pulls;
     pulls.reserve(distinct);
-    bundle.slots.resize(keyed.size());
-    for (uint64_t key : keyed) {
-      const auto id = static_cast<VertexId>(key >> 32);
+    bundle.slots.resize(order.size());
+    for (uint32_t occurrence : order) {
+      const VertexId id = ids_[occurrence];
       if (pulls.empty() || pulls.back() != id) pulls.push_back(id);
-      bundle.slots[key & 0xffffffffu] = static_cast<uint32_t>(pulls.size() - 1);
+      bundle.slots[occurrence] = static_cast<uint32_t>(pulls.size() - 1);
     }
+    ids_ = {};
     bundle.ends = std::move(ends_);
     ends_ = {};
     task->SetPulls(std::move(pulls));
@@ -153,6 +154,48 @@ class RootBundleBuilder {
   }
 
  private:
+  static constexpr int kRadixBits = 11;
+
+  /// The occurrence indices 0..n-1 of ids_, stably sorted by ID: equal IDs
+  /// turn adjacent in occurrence order.
+  std::vector<uint32_t> SortOccurrences() const {
+    constexpr uint32_t kBuckets = 1u << kRadixBits;
+    VertexId max_id = 0;
+    for (VertexId id : ids_) max_id = std::max(max_id, id);
+    const int bits = static_cast<int>(std::bit_width(max_id));
+    const int passes = std::max(1, (bits + kRadixBits - 1) / kRadixBits);
+    // One scan counts every pass's digits; each count becomes its bucket's
+    // first output position.
+    std::vector<uint32_t> starts(static_cast<size_t>(passes) * kBuckets);
+    for (VertexId id : ids_) {
+      for (int p = 0; p < passes; ++p) {
+        ++starts[p * kBuckets + ((id >> (p * kRadixBits)) & (kBuckets - 1))];
+      }
+    }
+    for (int p = 0; p < passes; ++p) {
+      uint32_t* start = starts.data() + p * kBuckets;
+      uint32_t sum = 0;
+      for (uint32_t b = 0; b < kBuckets; ++b) {
+        sum += std::exchange(start[b], sum);
+      }
+    }
+    const auto n = static_cast<uint32_t>(ids_.size());
+    std::vector<uint32_t> order(n);
+    std::vector<uint32_t> next(n);
+    // Pass 0 scatters the identity order, so it reads ids_ sequentially.
+    for (uint32_t i = 0; i < n; ++i) {
+      order[starts[ids_[i] & (kBuckets - 1)]++] = i;
+    }
+    for (int p = 1; p < passes; ++p) {
+      uint32_t* start = starts.data() + p * kBuckets;
+      for (uint32_t i : order) {
+        next[start[(ids_[i] >> (p * kRadixBits)) & (kBuckets - 1)]++] = i;
+      }
+      order.swap(next);
+    }
+    return order;
+  }
+
   std::vector<VertexId> ids_;  // roots and candidates, in AddRoot order
   std::vector<uint32_t> ends_;
 };

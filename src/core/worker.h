@@ -27,6 +27,7 @@
 #include "net/comm_hub.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/phase_profile.h"
 #include "obs/span_trace.h"
 #include "storage/async_spill.h"
 #include "storage/file_list.h"
@@ -206,13 +207,6 @@ class Worker {
       const std::string label = "comper=" + std::to_string(index);
       compute_us_ =
           worker_->metrics_.GetHistogram("comper.compute_iter_us", label);
-      phase_compute_ = worker_->metrics_.GetCounter("phase.compute_us", label);
-      phase_pull_wait_ =
-          worker_->metrics_.GetCounter("phase.pull_wait_us", label);
-      phase_queue_wait_ =
-          worker_->metrics_.GetCounter("phase.queue_wait_us", label);
-      phase_spill_ = worker_->metrics_.GetCounter("phase.spill_us", label);
-      phase_loop_ = worker_->metrics_.GetCounter("phase.loop_us", label);
     }
 
     // ---- Comper<>::Runtime ----
@@ -247,7 +241,7 @@ class Worker {
           // time of this comper).
           wait_timer.Restart();
           worker_->MaybePark();
-          phase_queue_wait_->Add(wait_timer.ElapsedMicros());
+          phase_queue_wait_.AddNanos(wait_timer.ElapsedNanos());
         }
         rounds_.fetch_add(1, std::memory_order_relaxed);
         bool did = Push();
@@ -262,7 +256,7 @@ class Worker {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
           (t_size_.load(std::memory_order_relaxed) > 0 ? phase_pull_wait_
                                                        : phase_queue_wait_)
-              ->Add(wait_timer.ElapsedMicros());
+              .AddNanos(wait_timer.ElapsedNanos());
         }
       }
       phase_loop_->Add(loop_timer.ElapsedMicros());
@@ -424,7 +418,7 @@ class Worker {
               static_cast<int64_t>(records.size()), std::memory_order_relaxed);
           worker_->refill_spill_tasks_->Add(
               static_cast<int64_t>(records.size()));
-          phase_spill_->Add(spill_timer.ElapsedMicros());
+          phase_spill_.AddNanos(spill_timer.ElapsedNanos());
           worker_->RecordEvent(
               index_, {.kind = obs::EventKind::kSpillLoad,
                        .a = static_cast<int64_t>(records.size())});
@@ -489,7 +483,7 @@ class Worker {
         worker_->l_file_.PushBack(path, count);
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(count, std::memory_order_relaxed);
-        phase_spill_->Add(spill_timer.ElapsedMicros());
+        phase_spill_.AddNanos(spill_timer.ElapsedNanos());
         worker_->RecordEvent(index_,
                              {.kind = obs::EventKind::kSpillWrite, .a = count});
         q_weight_ -= spilled;
@@ -581,10 +575,11 @@ class Worker {
       running_span_ = task->span_id();
       Timer compute_timer;
       const bool more = user_->Compute(task.get(), frontier);
-      const int64_t compute_us = compute_timer.ElapsedMicros();
+      const int64_t compute_ns = compute_timer.ElapsedNanos();
+      const int64_t compute_us = compute_ns / 1000;
       running_span_ = 0;
       compute_us_->Record(compute_us);
-      phase_compute_->Add(compute_us);
+      phase_compute_.AddNanos(compute_ns);
       if (worker_->config_.enable_span_tracing) {
         // Stamp the slice at its start so the viewer draws [start, start+dur].
         worker_->RecordEvent(index_,
@@ -606,6 +601,12 @@ class Worker {
         worker_->OnTaskFinished();
         TaskEvent(obs::EventKind::kFinish, task->span_id());
       }
+    }
+
+    /// This comper's phase.<name>_us counter.
+    obs::Counter* Phase(const std::string& name) {
+      return worker_->metrics_.GetCounter("phase." + name + "_us",
+                                          "comper=" + std::to_string(index_));
     }
 
     /// Per-task transition of span `id` on this comper (recorded only under
@@ -649,16 +650,16 @@ class Worker {
     std::atomic<int64_t> idle_rounds_{0};
     std::atomic<int64_t> rounds_{0};
     obs::Histogram* compute_us_ = nullptr;  // owned by worker_->metrics_
-    // Phase-attribution counters (obs/phase_profile.h), owned by
-    // worker_->metrics_. Disjoint by construction: every loop
-    // microsecond lands in at most one of compute/pull_wait/queue_wait/
-    // spill, and phase.loop_us (recorded once at exit) is the total their
-    // sum is reconciled against.
-    obs::Counter* phase_compute_ = nullptr;
-    obs::Counter* phase_pull_wait_ = nullptr;
-    obs::Counter* phase_queue_wait_ = nullptr;
-    obs::Counter* phase_spill_ = nullptr;
-    obs::Counter* phase_loop_ = nullptr;
+    // Phase-attribution counters (obs/phase_profile.h), over counters owned
+    // by worker_->metrics_. Disjoint by construction: every loop nanosecond
+    // lands in at most one of compute/pull_wait/queue_wait/spill, and
+    // phase.loop_us (recorded once at exit) is the total their sum is
+    // reconciled against.
+    obs::PhaseCounter phase_compute_{Phase("compute")};
+    obs::PhaseCounter phase_pull_wait_{Phase("pull_wait")};
+    obs::PhaseCounter phase_queue_wait_{Phase("queue_wait")};
+    obs::PhaseCounter phase_spill_{Phase("spill")};
+    obs::Counter* phase_loop_ = Phase("loop");
   };
 
   // =======================================================================

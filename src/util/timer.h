@@ -23,6 +23,12 @@ class Timer {
         .count();
   }
 
+  int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                start_)
+        .count();
+  }
+
   int64_t ElapsedMillis() const { return ElapsedMicros() / 1000; }
 
  private:

@@ -67,6 +67,22 @@ TEST(PhaseProfile, BuildsRowsFromCounters) {
   EXPECT_EQ(w.NamedSum() + w.other_us, w.total_us);
 }
 
+TEST(PhaseProfile, PhaseCounterCarriesSubMicrosecondRemainders) {
+  obs::Counter us;
+  obs::PhaseCounter phase(&us);
+  // 1,000 intervals of 999 ns are 999 µs; truncating each one read 0.
+  for (int i = 0; i < 1000; ++i) phase.AddNanos(999);
+  EXPECT_EQ(us.value(), 999);
+  // A carry is never added early, so the counter never runs ahead of the
+  // time measured.
+  phase.AddNanos(999);
+  EXPECT_EQ(us.value(), 999);
+  phase.AddNanos(1);
+  EXPECT_EQ(us.value(), 1000);
+  phase.AddNanos(2'500);
+  EXPECT_EQ(us.value(), 1002);
+}
+
 TEST(PhaseProfile, EmptyWithoutPhaseCounters) {
   obs::MetricsSnapshot snap = MakeWorkerSnap(0);
   snap.counters.emplace_back("cache.hits", 10);
