@@ -4,12 +4,13 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,25 +34,23 @@
 
 namespace gthinker {
 
-/// Builds a Worker's vertex value for vertex `v` from its input row: `row`
-/// holds v's neighbors, sorted, in the IDs the job speaks; `labels` is
-/// indexed by the caller's IDs, reached through `layout`. Overloads cover the
-/// shipped value types; apps with custom values add their own.
-inline void BuildVertexValue(VertexId /*v*/, AdjList row,
-                             const std::vector<Label>* /*labels*/,
-                             const VertexLayout& /*layout*/, AdjList* out) {
-  *out = std::move(row);
+/// The list VertexLayout::ScatterRows fills with a vertex's sorted
+/// neighbors, in the IDs the job speaks. Overloads cover the shipped value
+/// types; an app with a custom value adds this and FinishVertexValue.
+inline AdjList* ScatterTarget(AdjList* value) { return value; }
+inline std::vector<LabeledNbr>* ScatterTarget(LabeledAdj* value) {
+  return &value->adj;
 }
-inline void BuildVertexValue(VertexId v, AdjList row,
-                             const std::vector<Label>* labels,
-                             const VertexLayout& layout, LabeledAdj* out) {
+
+/// Completes vertex `v`'s value once its row is scattered: `labels` is
+/// indexed by the caller's IDs, reached through `layout`.
+inline void FinishVertexValue(VertexId, const std::vector<Label>*,
+                              const VertexLayout&, AdjList*) {}
+inline void FinishVertexValue(VertexId v, const std::vector<Label>* labels,
+                              const VertexLayout& layout, LabeledAdj* out) {
   GT_CHECK(labels != nullptr) << "LabeledAdj vertices need Job::labels";
   out->label = (*labels)[layout.ToOld(v)];
-  out->adj.clear();
-  out->adj.reserve(row.size());
-  for (VertexId u : row) {
-    out->adj.push_back(LabeledNbr{u, (*labels)[layout.ToOld(u)]});
-  }
+  for (LabeledNbr& u : out->adj) u.label = (*labels)[layout.ToOld(u.id)];
 }
 
 /// A job description: configuration, the app (comper factory + optional
@@ -803,64 +802,66 @@ class Cluster {
       return i >= 0 && i < num_local ? (*workers)[i].get() : nullptr;
     };
     if (job.graph != nullptr) {
-      // One scatter pass fills a sorted row for every local vertex (new
-      // IDs), then each row moves into its owner's table.
+      // One scatter pass fills the sorted row of every local vertex (new
+      // IDs) in its slot.
       const Graph& g = *job.graph;
       const VertexId n = g.NumVertices();
-      constexpr VertexId kNotLocal = std::numeric_limits<VertexId>::max();
-      std::vector<VertexId> slot(n, kNotLocal);
-      VertexId num_rows = 0;
-      for (VertexId x = 0; x < n; ++x) {
-        if (local_owner(x) != nullptr) slot[x] = num_rows++;
-      }
-      std::vector<AdjList> rows(num_rows);
-      layout.ScatterRows(g, [&slot, &rows](VertexId x) -> AdjList* {
-        return slot[x] != kNotLocal ? &rows[slot[x]] : nullptr;
+      for (auto& worker : *workers) worker->SizeLocalTable(n);
+      layout.ScatterRows(g, [&](VertexId x) {
+        WorkerT* owner = local_owner(x);
+        return owner != nullptr ? ScatterTarget(&owner->LocalVertex(x).value)
+                                : nullptr;
       });
       for (VertexId x = 0; x < n; ++x) {
-        if (slot[x] == kNotLocal) continue;
-        VertexT vertex;
-        vertex.id = x;
-        BuildVertexValue(x, std::move(rows[slot[x]]), job.labels, layout,
-                         &vertex.value);
-        local_owner(x)->AddLocalVertex(std::move(vertex));
+        if (WorkerT* owner = local_owner(x)) {
+          FinishVertexValue(x, job.labels, layout,
+                            &owner->LocalVertex(x).value);
+        }
       }
-    } else {
-      // Adjacency-format part files on the DFS; the driver parses lines and
-      // routes each vertex to its hash owner (the shuffle a real HDFS load
-      // performs). Only AdjList-valued vertices are supported on this path.
+    } else if constexpr (std::is_same_v<decltype(VertexT::value), AdjList>) {
+      // Adjacency-format part files on the DFS; the driver keeps the lines
+      // its local workers own (the shuffle a real HDFS load performs).
       std::vector<std::string> keys;
       GT_CHECK_OK(job.dfs->List(job.dfs_graph_dir, &keys));
       GT_CHECK(!keys.empty()) << "no part files under " << job.dfs_graph_dir;
+      std::vector<VertexT> local_rows;
+      std::vector<VertexId> ids;  // every line's, local or not
+      VertexId max_named = 0;     // the largest ID any line names
       for (const std::string& key : keys) {
         std::string blob;
         GT_CHECK_OK(job.dfs->Get(key, &blob));
-        size_t pos = 0;
-        while (pos < blob.size()) {
-          size_t nl = blob.find('\n', pos);
-          if (nl == std::string::npos) nl = blob.size();
-          const std::string line = blob.substr(pos, nl - pos);
-          pos = nl + 1;
+        std::istringstream in(blob);
+        std::string line;
+        while (std::getline(in, line)) {
           if (line.empty()) continue;
           VertexT vertex;
-          GT_CHECK_OK(ParseDfsLine(line, &vertex));
-          if (WorkerT* owner = local_owner(vertex.id)) {
-            owner->AddLocalVertex(std::move(vertex));
-          }
+          GT_CHECK_OK(
+              GraphIo::ParseAdjacencyLine(line, &vertex.id, &vertex.value));
+          ids.push_back(vertex.id);
+          max_named = std::max(max_named, vertex.id);
+          for (VertexId u : vertex.value) max_named = std::max(max_named, u);
+          if (local_owner(vertex.id)) local_rows.push_back(std::move(vertex));
         }
       }
+      // The n lines must carry IDs 0..n-1, each once, and name no other ID
+      // (a comper pulls a neighbor by its slot). This is checked before any
+      // table is sized, so the tables are bounded by the input.
+      GT_CHECK(ids.empty() || max_named < ids.size())
+          << job.dfs_graph_dir << ": vertex " << max_named
+          << " is not below its " << ids.size() << " vertex lines";
+      std::vector<bool> seen(ids.size());
+      for (VertexId v : ids) {
+        GT_CHECK(!seen[v]) << "vertex " << v << " appears twice in the input";
+        seen[v] = true;
+      }
+      for (auto& worker : *workers) worker->SizeLocalTable(ids.size());
+      for (VertexT& v : local_rows) {
+        local_owner(v.id)->LocalVertex(v.id).value = std::move(v.value);
+      }
+    } else {
+      LOG_FATAL << "DFS loading supports AdjList vertex values only";
     }
     for (auto& worker : *workers) worker->FinalizeLoad();
-  }
-
-  static Status ParseDfsLine(const std::string& line,
-                             Vertex<AdjList>* vertex) {
-    return GraphIo::ParseAdjacencyLine(line, &vertex->id, &vertex->value);
-  }
-  template <typename V>
-  static Status ParseDfsLine(const std::string&, V*) {
-    return Status::InvalidArgument(
-        "DFS loading supports AdjList vertex values only");
   }
 
   static void CommitCheckpointMeta(const Job<ComperT>& job,

@@ -363,7 +363,7 @@ struct CheckpointAck {
 };
 
 /// A worker's checkpoint blob (ckpt/<epoch>/worker_<id> on the DFS): the
-/// spawn cursor into the worker's sorted local vertices, then every live
+/// spawn cursor (the worker's slots claimed so far), then every live
 /// task record. Layout: u64 spawn_next | u64 count | count blobs.
 struct WorkerCheckpoint {
   uint64_t spawn_next = 0;

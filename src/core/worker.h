@@ -113,27 +113,27 @@ class Worker {
     return static_cast<int>(v % static_cast<VertexId>(num_workers));
   }
 
-  /// Installs one local vertex; the Trimmer UDF (if any) runs here, right
-  /// after loading, so pulled responses already carry trimmed lists (§IV).
-  void AddLocalVertex(VertexT v) {
-    if (trimmer_) trimmer_(v);
-    GT_CHECK_EQ(OwnerOf(v.id, config_.num_workers), id_);
-    const VertexId id = v.id;
-    local_.emplace(id, std::move(v));
-    spawn_order_.push_back(id);
+  /// Sizes T_local for an input whose IDs are exactly 0..n-1: one slot per
+  /// ID this worker owns (SlotOf), stamped with that ID, for the loader to
+  /// fill through LocalVertex. Call once, first.
+  void SizeLocalTable(VertexId n) {
+    const size_t w = config_.num_workers;
+    local_.resize((n + w - 1 - id_) / w);
+    for (size_t s = 0; s < local_.size(); ++s) local_[s].id = s * w + id_;
   }
 
-  /// Sorts the spawn order, ascending or, for a comper that declares
-  /// kSpawnHubsFirst, descending; call once after all AddLocalVertex calls.
-  /// Spawn claims, steal donations and the checkpoint cursor all index it.
+  /// T_local's row of vertex v: an index read, for a v this worker owns.
+  VertexT& LocalVertex(VertexId v) { return local_[SlotOf(v)]; }
+
+  /// Call once every row is filled. The Trimmer UDF (if any) runs here, so
+  /// pulled responses already carry trimmed lists (§IV).
   void FinalizeLoad() {
-    if constexpr (ComperT::kSpawnHubsFirst) {
-      std::sort(spawn_order_.begin(), spawn_order_.end(),
-                std::greater<VertexId>());
-    } else {
-      std::sort(spawn_order_.begin(), spawn_order_.end());
+    int64_t bytes = 0;
+    for (VertexT& v : local_) {
+      if (trimmer_) trimmer_(v);
+      bytes += Codec<VertexT>::Bytes(v);
     }
-    mem_.Consume(LocalTableBytes());
+    mem_.Consume(bytes);
   }
 
   /// Pre-seeds state from a checkpoint blob (see EncodeCheckpoint). Restored
@@ -145,9 +145,9 @@ class Worker {
   Status RestoreFromCheckpoint(const std::string& blob) {
     WorkerCheckpoint ckpt;
     GT_RETURN_IF_ERROR(ckpt.Decode(blob));
-    if (ckpt.spawn_next > spawn_order_.size()) {
+    if (ckpt.spawn_next > local_.size()) {
       return Status::Corruption("worker checkpoint: spawn cursor past the " +
-                                std::to_string(spawn_order_.size()) +
+                                std::to_string(local_.size()) +
                                 " local vertices");
     }
     const size_t batch = static_cast<size_t>(config_.task_batch_size);
@@ -433,7 +433,7 @@ class Worker {
     /// A bundling app's batch becomes one root-bundle task.
     bool SpawnBatch() {
       if (spawn_exhausted_) return false;
-      std::vector<VertexId> to_spawn;
+      std::vector<const VertexT*> to_spawn;
       worker_->ClaimSpawnBatch(worker_->config_.task_batch_size, &to_spawn);
       if (to_spawn.empty()) {
         spawn_exhausted_ = true;
@@ -443,8 +443,8 @@ class Worker {
         }
         return false;
       }
-      for (VertexId v : to_spawn) {
-        user_->TaskSpawn(worker_->local_.at(v));  // UDF; AddTask or AddRoot
+      for (const VertexT* v : to_spawn) {
+        user_->TaskSpawn(*v);  // UDF; AddTask or AddRoot
       }
       this->CloseRootBundle();
       worker_->refill_spawn_tasks_->Add(static_cast<int64_t>(to_spawn.size()));
@@ -567,7 +567,7 @@ class Worker {
       frontier.reserve(pulls.size());
       for (VertexId v : pulls) {
         if (worker_->IsLocal(v)) {
-          frontier.push_back(&worker_->local_.at(v));
+          frontier.push_back(&worker_->LocalVertex(v));
         } else {
           frontier.push_back(worker_->cache_.GetLocked(v));
         }
@@ -803,25 +803,23 @@ class Worker {
     if (!to_flush.empty()) FlushOutputBatch(to_flush);
   }
 
-  int64_t LocalTableBytes() const {
-    int64_t bytes = 0;
-    for (const auto& [id, vertex] : local_) {
-      bytes += Codec<VertexT>::Bytes(vertex) + 16;
-    }
-    return bytes;
-  }
+  /// The one map from an ID to its T_local slot; slot order is ascending ID.
+  size_t SlotOf(VertexId v) const { return v / config_.num_workers; }
 
-  /// Atomically claims up to `count` not-yet-spawned local vertices.
-  void ClaimSpawnBatch(size_t count, std::vector<VertexId>* out) {
+  /// Atomically claims up to `count` not-yet-spawned slots: ascending, or
+  /// from the last slot down for a comper that declares kSpawnHubsFirst.
+  void ClaimSpawnBatch(size_t count, std::vector<const VertexT*>* out) {
     out->clear();
-    const size_t total = spawn_order_.size();
+    const size_t total = local_.size();
     size_t begin = next_spawn_.fetch_add(count, std::memory_order_relaxed);
     if (begin >= total) {
       next_spawn_.store(total, std::memory_order_relaxed);
       return;
     }
     const size_t end = std::min(begin + count, total);
-    out->assign(spawn_order_.begin() + begin, spawn_order_.begin() + end);
+    for (size_t k = begin; k < end; ++k) {
+      out->push_back(&local_[ComperT::kSpawnHubsFirst ? total - 1 - k : k]);
+    }
   }
 
   /// True once every comper has found the spawn order exhausted and flushed.
@@ -1003,10 +1001,11 @@ class Worker {
         std::vector<const VertexT*> vertices;
         vertices.reserve(ids.size());
         for (VertexId v : ids) {
-          auto it = local_.find(v);
-          GT_CHECK(it != local_.end())
-              << "request for vertex " << v << " not owned by worker " << id_;
-          vertices.push_back(&it->second);
+          // The one place an ID from a peer becomes a slot index.
+          GT_CHECK(IsLocal(v) && SlotOf(v) < local_.size())
+              << "worker " << id_ << ": worker " << mb.src_worker
+              << " requested vertex " << v << ", which it does not own";
+          vertices.push_back(&LocalVertex(v));
         }
         MessageBatch resp;
         resp.payload = EncodeVertexResponse(vertices);
@@ -1135,11 +1134,11 @@ class Worker {
           << "spill file " << file->path << " record count drifted";
       tasks_disk_donated_.fetch_add(file->records, std::memory_order_relaxed);
     } else {
-      std::vector<VertexId> to_spawn;
+      std::vector<const VertexT*> to_spawn;
       ClaimSpawnBatch(config_.task_batch_size, &to_spawn);
       if (!to_spawn.empty()) {
         steal_runtime_->SetSink(&records);
-        for (VertexId v : to_spawn) steal_comper_->TaskSpawn(local_.at(v));
+        for (const VertexT* v : to_spawn) steal_comper_->TaskSpawn(*v);
         // A bundling app donates the batch as one root-bundle task.
         steal_runtime_->CloseRootBundle();
         steal_runtime_->SetSink(nullptr);
@@ -1171,9 +1170,8 @@ class Worker {
     size_t queued = 0;
     for (const auto& engine : engines_) queued += engine->QueueSize();
     const size_t unspawned =
-        spawn_order_.size() -
-        std::min(next_spawn_.load(std::memory_order_relaxed),
-                 spawn_order_.size());
+        local_.size() -
+        std::min(next_spawn_.load(std::memory_order_relaxed), local_.size());
     // Exact disk-resident task count (restore tails and partial steal-spawn
     // bundles are smaller than a full batch), so PlanSteals compares donors
     // by real backlog instead of a files-times-batch-size overestimate.
@@ -1446,9 +1444,8 @@ class Worker {
   TrimmerFn trimmer_;
   const std::string spill_dir_;
 
-  std::unordered_map<VertexId, VertexT> local_;  // T_local
-  std::vector<VertexId> spawn_order_;
-  std::atomic<size_t> next_spawn_{0};
+  std::vector<VertexT> local_;  // T_local, indexed by SlotOf
+  std::atomic<size_t> next_spawn_{0};  // slots claimed for spawning
 
   MemTracker mem_;
   VertexCache<VertexT> cache_;  // T_cache

@@ -57,18 +57,18 @@ class VertexLayout {
   VertexId ToOld(VertexId new_id) const { return to_old_[new_id]; }
 
   /// The one relabel routine: for every new ID x with `row_of(x)` non-null,
-  /// fills *row_of(x) (empty on entry) with the new IDs of ToOld(x)'s
+  /// fills *row_of(x) (an empty vector) with the new IDs of ToOld(x)'s
   /// neighbors in g. It walks new IDs y ascending and appends each to its
   /// neighbors' rows, so every row comes out sorted with no per-row sort.
   template <typename RowOf>
   void ScatterRows(const Graph& g, RowOf row_of) const {
     const VertexId n = NumVertices();
     for (VertexId x = 0; x < n; ++x) {
-      if (AdjList* row = row_of(x)) row->reserve(g.Degree(ToOld(x)));
+      if (auto* row = row_of(x)) row->reserve(g.Degree(ToOld(x)));
     }
     for (VertexId y = 0; y < n; ++y) {
       for (VertexId u : g.Neighbors(ToOld(y))) {
-        if (AdjList* row = row_of(ToNew(u))) row->push_back(y);
+        if (auto* row = row_of(ToNew(u))) row->push_back({y});
       }
     }
   }

@@ -22,6 +22,7 @@
 #include "graph/generator.h"
 #include "graph/loader.h"
 #include "storage/mini_dfs.h"
+#include "storage/partitioned_graph.h"
 
 namespace gthinker {
 namespace {
@@ -295,6 +296,55 @@ TEST(Integration, LoadFromDfsPartFiles) {
   job.trimmer = TrimToGreater;
   auto result = Cluster<TriangleComper>::Run(job);
   EXPECT_EQ(result.result, truth);
+  RemoveTree(dir);
+}
+
+/// A 2-worker TC job over the part files under "graph" on `dfs`.
+Job<TriangleComper> DfsTriangleJob(MiniDfs* dfs) {
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.dfs = dfs;
+  job.dfs_graph_dir = "graph";
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  return job;
+}
+
+// A vertex line written twice used to spawn its root twice (TC counted 261
+// triangles here against 258): the load names the ID and fails instead.
+TEST(Integration, LoadFromDfsRejectsDuplicateLine) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Graph g = Generator::ErdosRenyi(200, 1200, 84);
+  const std::string dir = MakeTempDir("dfs_dup");
+  MiniDfs dfs(dir);
+  ASSERT_TRUE(WritePartitionedAdjacency(g, &dfs, "graph", 3).ok());
+  // Vertex 7's line, in part_1, is written to part_2 as well.
+  std::string part1;
+  std::string part2;
+  ASSERT_TRUE(dfs.Get("graph/part_1", &part1).ok());
+  ASSERT_TRUE(dfs.Get("graph/part_2", &part2).ok());
+  const size_t at = part1.find("\n7\t") + 1;
+  part2 += part1.substr(at, part1.find('\n', at) + 1 - at);
+  ASSERT_TRUE(dfs.Put("graph/part_2", part2).ok());
+  EXPECT_DEATH(Cluster<TriangleComper>::Run(DfsTriangleJob(&dfs)),
+               "vertex 7 appears twice in the input");
+  RemoveTree(dir);
+}
+
+// The slot tables are sized by the number of vertex lines, so an ID at or
+// above it fails the load before any table is sized: a line's own ID, or a
+// neighbor's, which a comper would pull.
+TEST(Integration, LoadFromDfsRejectsIdPastInput) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = MakeTempDir("dfs_big_id");
+  MiniDfs dfs(dir);
+  ASSERT_TRUE(dfs.Put("graph/part_0", "4000000000\t1\n").ok());
+  EXPECT_DEATH(Cluster<TriangleComper>::Run(DfsTriangleJob(&dfs)),
+               "vertex 4000000000 is not below its 1 vertex lines");
+  ASSERT_TRUE(dfs.Put("graph/part_0", "0\t1\n1\t0 6\n").ok());
+  EXPECT_DEATH(Cluster<TriangleComper>::Run(DfsTriangleJob(&dfs)),
+               "vertex 6 is not below its 2 vertex lines");
   RemoveTree(dir);
 }
 

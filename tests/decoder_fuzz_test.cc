@@ -416,7 +416,7 @@ TEST(DecoderFuzz, WorkerCheckpointBlob) {
 }
 
 // Worker::RestoreFromCheckpoint decodes the whole blob before it banks a
-// task, and rejects a spawn cursor past the worker's local vertices.
+// task, and rejects a spawn cursor past the worker's slot table.
 TEST(DecoderFuzz, RestoreFromCheckpointRejectsBadBlobs) {
   JobConfig config;
   config.num_workers = 1;
@@ -426,7 +426,7 @@ TEST(DecoderFuzz, RestoreFromCheckpointRejectsBadBlobs) {
     Worker<TriangleComper> worker(
         0, config, &hub, [] { return std::make_unique<TriangleComper>(); },
         nullptr, dir);
-    for (VertexId v = 0; v < 5; ++v) worker.AddLocalVertex({v, {}});
+    worker.SizeLocalTable(5);
     worker.FinalizeLoad();
 
     const std::string valid = MakeWorkerCheckpoint().Encode();

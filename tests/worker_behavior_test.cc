@@ -337,5 +337,47 @@ TEST(WorkerBehavior, RootBundlesCoverEveryVertexOncePerSpawnBatch) {
             static_cast<int64_t>(RecordBundlesComper::bundles.size()));
 }
 
+/// Spawns nothing: a worker that only answers pull requests.
+class NoTaskComper : public Comper<PlainTask, uint64_t> {
+ public:
+  void TaskSpawn(const VertexT&) override {}
+  bool Compute(TaskT*, const Frontier&) override { return false; }
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+};
+
+/// Starts worker 0 of 2 over vertices 0..9 (slots for 0, 2, 4, 6, 8), has
+/// worker 1 request `v` from it, and waits for the comm thread to answer.
+[[noreturn]] void RequestFromWorkerZero(VertexId v) {
+  JobConfig config;
+  config.num_workers = 2;
+  config.compers_per_worker = 1;
+  CommHub hub(3);
+  Worker<NoTaskComper> worker(
+      0, config, &hub, [] { return std::make_unique<NoTaskComper>(); },
+      nullptr, TempDirPath("pull_guard"));
+  worker.SizeLocalTable(10);
+  worker.FinalizeLoad();
+  worker.Start();
+  MessageBatch mb;
+  mb.src_worker = 1;
+  mb.dst_worker = 0;
+  mb.type = MsgType::kVertexRequest;
+  mb.payload = EncodeVertexRequest({v});
+  hub.Send(std::move(mb));
+  while (true) std::this_thread::sleep_for(std::chrono::seconds(1));
+}
+
+// A pull request is the one place an ID from another worker becomes a slot
+// index: one naming a vertex this worker does not own, by residue or past
+// its slot table, must fail naming the sender.
+TEST(WorkerBehaviorDeathTest, PullRequestForUnownedVertexDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(RequestFromWorkerZero(3),
+               "worker 1 requested vertex 3, which it does not own");
+  EXPECT_DEATH(RequestFromWorkerZero(10),
+               "worker 1 requested vertex 10, which it does not own");
+}
+
 }  // namespace
 }  // namespace gthinker
