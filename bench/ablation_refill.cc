@@ -2,6 +2,9 @@
 // task files BEFORE spawning new tasks — keeps the number of disk-resident
 // tasks minimal. Inverting it (spawn-first) lets spilled partially-computed
 // tasks pile up on disk, G-Miner style.
+//
+// Exits 1 if the two policies disagree on the clique size or if either row
+// did not spill (the comparison would then say nothing about §V-B).
 
 #include <cstdio>
 
@@ -15,25 +18,39 @@ int main() {
   Dataset d = MakeDataset("orkut", 0.35);
   std::printf("=== Ablation: Q_task refill priority (MCF on orkut-like) "
               "===\n");
-  std::printf("small C so spilling actually happens\n");
-  std::printf("%-16s %-24s %16s %14s\n", "policy", "time / mem",
-              "spilled batches", "tasks");
+  std::printf("tiny C, Q_task and D so spilling actually happens\n");
+  std::printf("%-22s %9s %10s %16s %10s %8s\n", "policy", "time", "mem",
+              "spilled batches", "tasks", "clique");
 
+  bool ok = true;
+  uint64_t clique[2] = {0, 0};
   for (bool spawn_first : {false, true}) {
     JobConfig config = DefaultConfig();
-    config.task_batch_size = 16;  // tiny queues => spills occur
-    config.inflight_task_cap = 128;
+    // Q_task holds 2 batches of 4 tasks and at most 8 tasks are in flight,
+    // so a comper whose tasks add children overflows Q_task and spills.
+    config.task_batch_size = 4;
+    config.task_queue_capacity_batches = 2;
+    config.inflight_task_cap = 8;
     config.refill_spawn_first = spawn_first;
     config.time_budget_s = kBudgetS;
-    RunOutcome gt = RunGthinkerMcf(d.graph, config, /*tau=*/200);
-    std::printf("%-16s %-24s %16lld %14lld\n",
+    RunOutcome gt = RunGthinkerMcf(d.graph, config, /*tau=*/20);
+    clique[spawn_first] = gt.value;
+    std::printf("%-22s %7.3f s %10s %16lld %10lld %8llu\n",
                 spawn_first ? "spawn-first" : "spilled-first (paper)",
-                FormatCell(gt, kBudgetS).c_str(),
+                gt.elapsed_s, FormatBytes(gt.peak_mem_bytes).c_str(),
                 static_cast<long long>(gt.stats.spilled_batches),
-                static_cast<long long>(gt.stats.tasks_finished));
+                static_cast<long long>(gt.stats.tasks_finished),
+                static_cast<unsigned long long>(gt.value));
+    if (gt.stats.spilled_batches == 0 || gt.timed_out) ok = false;
   }
-  std::printf("\nexpected: spawn-first spills far more batches (partially "
+  if (clique[0] != clique[1]) ok = false;
+  std::printf("\nexpected: spawn-first spills more batches (partially "
               "computed tasks sit on disk while new ones keep arriving), "
               "reproducing why the paper prioritizes spilled files.\n");
+  if (!ok) {
+    std::fprintf(stderr, "ablation_refill: a row did not spill, timed out, "
+                         "or the clique sizes differ\n");
+    return 1;
+  }
   return 0;
 }

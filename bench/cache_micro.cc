@@ -21,8 +21,8 @@
 //   [3] Spill round-trip: a spill stream written and read back through a
 //       bounded L_file window, synchronously (SpillFile::WriteBatch +
 //       ReadBatchAndDelete inline, the pre-writer-thread spill path) vs
-//       through AsyncSpillIo (writer thread + mem-hit cancellation +
-//       prefetch), the worker's only spill path.
+//       through AsyncSpillIo (writer thread + mem-hit cancellation), the
+//       worker's only spill path.
 //
 // `--rounds N` scales experiment [1]; `--json PATH` writes the machine-
 // readable rows (baseline checked in as BENCH_cache.json).
@@ -285,7 +285,6 @@ struct SpillResult {
   double elapsed_s = 0.0;
   int64_t batches = 0;
   int64_t mem_hits = 0;
-  int64_t prefetch_hits = 0;
 };
 
 /// Streams `batches` spill batches through a `lag`-deep L_file window: write
@@ -298,7 +297,7 @@ SpillResult RunSpillRoundTrip(bool async, int batches, int records_per_batch,
   const std::string dir = MakeTempDir(async ? "cache_micro_async"
                                             : "cache_micro_sync");
   FileList l_file;
-  AsyncSpillIo io(&l_file);
+  AsyncSpillIo io;
   if (async) io.Start();
 
   SpillResult result;
@@ -337,7 +336,6 @@ SpillResult RunSpillRoundTrip(bool async, int batches, int records_per_batch,
   result.elapsed_s = wall.ElapsedSeconds();
   if (async) {
     result.mem_hits = io.stats().mem_hits.load();
-    result.prefetch_hits = io.stats().prefetch_hits.load();
     io.Stop();
   }
   RemoveTree(dir);
@@ -438,8 +436,8 @@ int Main(int argc, char** argv) {
   std::printf("cache_micro [3]: spill round-trip, %d batches x %d x %d B "
               "(window %zu)\n",
               kSpillBatches, kRecordsPerBatch, kRecordBytes, kLag);
-  std::printf("%-18s %10s %14s %10s %10s\n", "mode", "time", "batches/s",
-              "mem hits", "pf hits");
+  std::printf("%-18s %10s %14s %10s\n", "mode", "time", "batches/s",
+              "mem hits");
   double sync_s = 0.0, async_s = 0.0;
   for (const bool async : {false, true}) {
     SpillResult r = RunSpillRoundTrip(async, kSpillBatches, kRecordsPerBatch,
@@ -453,13 +451,12 @@ int Main(int argc, char** argv) {
     const double batches_per_s = r.batches / r.elapsed_s;
     (async ? async_s : sync_s) = r.elapsed_s;
     const char* label = async ? "async" : "sync";
-    std::printf("%-18s %8.3f s %14.0f %10" PRId64 " %10" PRId64 "\n", label,
-                r.elapsed_s, batches_per_s, r.mem_hits, r.prefetch_hits);
+    std::printf("%-18s %8.3f s %14.0f %10" PRId64 "\n", label, r.elapsed_s,
+                batches_per_s, r.mem_hits);
     auto* row = json.AddRow(std::string("spill/") + label);
     row->numbers["elapsed_s"] = r.elapsed_s;
     row->numbers["batches_per_s"] = batches_per_s;
     row->numbers["mem_hits"] = static_cast<double>(r.mem_hits);
-    row->numbers["prefetch_hits"] = static_cast<double>(r.prefetch_hits);
   }
   const double spill_speedup = sync_s / async_s;
   std::printf("async/sync speedup: %.2fx\n", spill_speedup);

@@ -780,8 +780,7 @@ class Cluster {
 
   /// True when the workers speak hub-last IDs: layout.reorder applies to
   /// in-memory inputs only (DFS part files carry whatever IDs they were
-  /// written with; see GraphIo::LoadAdjacencyHubLast and the layout overload
-  /// of WritePartitionedAdjacency).
+  /// written with; see the layout overload of WritePartitionedAdjacency).
   static bool HubLastIds(const Job<ComperT>& job) {
     return job.config.layout.reorder && job.graph != nullptr;
   }

@@ -1,6 +1,7 @@
 #ifndef GTHINKER_CORE_CONFIG_H_
 #define GTHINKER_CORE_CONFIG_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -181,8 +182,10 @@ struct JobConfig {
     if (cache_capacity <= 0) {
       return Status::InvalidArgument("cache_capacity must be positive");
     }
-    if (cache_overflow_alpha < 0.0) {
-      return Status::InvalidArgument("cache_overflow_alpha must be >= 0");
+    // NaN would compare false everywhere: the pop gate would never close.
+    if (!std::isfinite(cache_overflow_alpha) || cache_overflow_alpha < 0.0) {
+      return Status::InvalidArgument(
+          "cache_overflow_alpha must be finite and >= 0");
     }
     if (cache_num_buckets <= 0) {
       return Status::InvalidArgument("cache_num_buckets must be positive");
@@ -199,8 +202,10 @@ struct JobConfig {
       return Status::InvalidArgument(
           "inflight_task_cap must be >= task_batch_size");
     }
-    if (comm.net.latency_us < 0 || comm.net.bandwidth_mbps < 0.0) {
-      return Status::InvalidArgument("net parameters must be non-negative");
+    if (comm.net.latency_us < 0 || !std::isfinite(comm.net.bandwidth_mbps) ||
+        comm.net.bandwidth_mbps < 0.0) {
+      return Status::InvalidArgument(
+          "net parameters must be finite and non-negative");
     }
     if (comm.transport == CommConfig::Transport::kTcp) {
       if (comm.hosts.empty() && comm.hostfile.empty()) {
@@ -226,8 +231,9 @@ struct JobConfig {
     if (progress_interval_us <= 0) {
       return Status::InvalidArgument("progress_interval_us must be positive");
     }
-    if (time_budget_s < 0.0 || checkpoint_interval_us < 0) {
-      return Status::InvalidArgument("budgets must be non-negative");
+    if (!std::isfinite(time_budget_s) || time_budget_s < 0.0 ||
+        checkpoint_interval_us < 0) {
+      return Status::InvalidArgument("budgets must be finite and non-negative");
     }
     if (drain_timeout_us <= progress_interval_us) {
       // Progress reports are the heartbeat the silence bound listens for.

@@ -79,7 +79,7 @@ class Worker {
     refill_spill_tasks_ = metrics_.GetCounter("refill.from_spill_tasks");
     refill_spawn_tasks_ = metrics_.GetCounter("refill.from_spawn_tasks");
     phase_steal_us_ = metrics_.GetCounter("phase.steal_us");
-    // Disk timings of the spill writer/prefetcher thread.
+    // Disk timings of the spill writer thread and of Fetch's disk reads.
     spill_io_.SetWriteObserver(
         [spill_write_us, spill_write_bytes](int64_t us, int64_t bytes) {
           spill_write_us->Record(us);
@@ -1418,10 +1418,6 @@ class Worker {
         stolen_batches_.load(std::memory_order_relaxed));
     const auto& ss = spill_io_.stats();
     set("spill.mem_hits", ss.mem_hits.load(std::memory_order_relaxed));
-    set("spill.prefetch_hits",
-        ss.prefetch_hits.load(std::memory_order_relaxed));
-    set("spill.prefetch_reads",
-        ss.prefetch_reads.load(std::memory_order_relaxed));
     // Peak writer-queue depth over the run (the live value is also on the
     // master sampler's spill_queue_depth series).
     metrics_.GetGauge("spill.queue_depth")
@@ -1476,10 +1472,10 @@ class Worker {
   /// The job's event ring (owned by the cluster); null until wired.
   obs::FlightRecorder* recorder_ = nullptr;
 
-  /// Spill writer/prefetcher thread: every spill write and read goes
-  /// through it. Declared after l_file_ and metrics_, which its thread
-  /// uses; started in the ctor body once its observers are installed.
-  AsyncSpillIo spill_io_{&l_file_};
+  /// Spill writer thread: every spill write and read goes through it.
+  /// Declared after metrics_, which its write observer records into;
+  /// started in the ctor body once its observers are installed.
+  AsyncSpillIo spill_io_;
 
   // output collection
   static constexpr size_t kOutputFlushRecords = 4096;

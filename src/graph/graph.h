@@ -70,25 +70,6 @@ class Graph {
   bool finalized_ = false;
 };
 
-/// Undirected graph with a label per vertex, for subgraph matching.
-class LabeledGraph {
- public:
-  LabeledGraph() = default;
-  LabeledGraph(Graph graph, std::vector<Label> labels)
-      : graph_(std::move(graph)), labels_(std::move(labels)) {}
-
-  const Graph& graph() const { return graph_; }
-  Graph* mutable_graph() { return &graph_; }
-
-  Label LabelOf(VertexId v) const { return labels_[v]; }
-  const std::vector<Label>& labels() const { return labels_; }
-  void SetLabels(std::vector<Label> labels) { labels_ = std::move(labels); }
-
- private:
-  Graph graph_;
-  std::vector<Label> labels_;
-};
-
 }  // namespace gthinker
 
 #endif  // GTHINKER_GRAPH_GRAPH_H_

@@ -96,15 +96,6 @@ Status GraphIo::LoadAdjacency(const std::string& path, Graph* out) {
   return Status::Ok();
 }
 
-Status GraphIo::LoadAdjacencyHubLast(const std::string& path, Graph* out,
-                                      VertexLayout* layout) {
-  Graph original;
-  GT_RETURN_IF_ERROR(LoadAdjacency(path, &original));
-  *layout = VertexLayout::HubLast(original);
-  *out = layout->Apply(original);
-  return Status::Ok();
-}
-
 Status GraphIo::WriteEdgeList(const Graph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return OpenFailed(path);

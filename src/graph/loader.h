@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/layout.h"
 #include "util/status.h"
 
 namespace gthinker {
@@ -18,14 +17,6 @@ class GraphIo {
   /// Vertices with no neighbors still get a line.
   static Status WriteAdjacency(const Graph& graph, const std::string& path);
   static Status LoadAdjacency(const std::string& path, Graph* out);
-
-  /// Layout-aware load: reads the file, computes the hub-last renumbering
-  /// (graph/layout.h), and returns the graph already renumbered plus the
-  /// old<->new map so the caller can translate results back to file IDs.
-  /// This is the DFS-side counterpart of the in-memory layout pass in
-  /// Cluster::LoadInput (JobConfig::layout.reorder).
-  static Status LoadAdjacencyHubLast(const std::string& path, Graph* out,
-                                      VertexLayout* layout);
 
   /// Parses a single adjacency line "<id>\t<n1> <n2> ..." into (id, adj).
   /// This is the UDF-level parse step Worker exposes (paper §IV (5)).

@@ -1,15 +1,10 @@
 #include "storage/async_spill.h"
 
-#include <chrono>
-#include <filesystem>
-
 #include "storage/spill_file.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace gthinker {
-
-AsyncSpillIo::AsyncSpillIo(FileList* l_file) : l_file_(l_file) {}
 
 AsyncSpillIo::~AsyncSpillIo() { Stop(); }
 
@@ -80,40 +75,16 @@ Status AsyncSpillIo::Fetch(const std::string& path,
         return Status::Ok();
       }
     }
-    // 2. In flight on the thread (write or prefetch): wait for it to land.
-    cv_done_.wait(lock, [&] {
-      return writing_path_ != path && prefetching_path_ != path;
-    });
-    // 3. Staged by the prefetcher: consume the staged copy and delete the
-    // file it was read from.
-    auto pit = prefetched_.find(path);
-    if (pit != prefetched_.end()) {
-      *records = std::move(pit->second.records);
-      if (bytes != nullptr) *bytes = pit->second.bytes;
-      prefetched_.erase(pit);
-      stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      return Status::Ok();
-    }
-    // 4. Fall through to a synchronous disk read; flag the path so a
-    // concurrent prefetch of the same file discards its result.
-    fetching_.insert(path);
+    // 2. Being written: wait for it to land, then read it like any other.
+    cv_done_.wait(lock, [&] { return writing_path_ != path; });
   }
+  // 3. On disk: a synchronous read that deletes the file.
   Timer read_timer;
   int64_t read_bytes = 0;
   Status st = SpillFile::ReadBatchAndDelete(path, records, &read_bytes);
   const int64_t us = read_timer.ElapsedMicros();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fetching_.erase(path);
-    prefetched_.erase(path);
-  }
   if (st.ok()) {
     stats_.reads.fetch_add(1, std::memory_order_relaxed);
-    stats_.read_bytes.fetch_add(read_bytes, std::memory_order_relaxed);
-    stats_.read_us.fetch_add(us, std::memory_order_relaxed);
     if (read_observer_) read_observer_(us, read_bytes);
     if (bytes != nullptr) *bytes = read_bytes;
   }
@@ -135,64 +106,20 @@ int64_t AsyncSpillIo::QueueDepth() const {
 void AsyncSpillIo::ThreadLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (l_file_ != nullptr && !stop_) {
-      // With a prefetch source we poll: L_file has no hook to wake this
-      // thread when a new front entry appears.
-      cv_work_.wait_for(lock, std::chrono::milliseconds(1),
-                        [&] { return stop_ || !pending_.empty(); });
-    } else {
-      cv_work_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-    }
-    if (!pending_.empty()) {
-      PendingWrite w = std::move(pending_.front());
-      pending_.pop_front();
-      writing_path_ = w.path;
-      lock.unlock();
-      Timer write_timer;
-      int64_t written = 0;
-      const Status st = SpillFile::WriteBatchTo(w.path, w.records, &written);
-      const int64_t us = write_timer.ElapsedMicros();
-      GT_CHECK_OK(st);
-      stats_.writes.fetch_add(1, std::memory_order_relaxed);
-      stats_.write_bytes.fetch_add(written, std::memory_order_relaxed);
-      stats_.write_us.fetch_add(us, std::memory_order_relaxed);
-      if (write_observer_) write_observer_(us, written);
-      lock.lock();
-      writing_path_.clear();
-      cv_done_.notify_all();
-      continue;
-    }
-    if (stop_) break;  // pending queue drained; safe to exit
-    if (l_file_ == nullptr || prefetched_.size() >= kMaxPrefetched) continue;
-    auto front = l_file_->PeekFront();
-    if (!front || prefetched_.count(front->path) != 0 ||
-        fetching_.count(front->path) != 0) {
-      continue;
-    }
-    prefetching_path_ = front->path;
+    cv_work_.wait(lock, [&] { return stop_ || !pending_.empty(); });
+    if (pending_.empty()) break;  // stop_ with the queue drained
+    PendingWrite w = std::move(pending_.front());
+    pending_.pop_front();
+    writing_path_ = w.path;
     lock.unlock();
-    Timer read_timer;
-    std::vector<std::string> staged;
-    int64_t staged_bytes = 0;
-    // Read WITHOUT deleting: a checkpoint snapshot or donor may still need
-    // the file on disk; it is deleted only when Fetch consumes the batch.
-    const Status st = SpillFile::ReadBatch(front->path, &staged,
-                                           &staged_bytes);
-    const int64_t us = read_timer.ElapsedMicros();
-    if (st.ok()) {
-      stats_.prefetch_reads.fetch_add(1, std::memory_order_relaxed);
-      stats_.read_bytes.fetch_add(staged_bytes, std::memory_order_relaxed);
-      stats_.read_us.fetch_add(us, std::memory_order_relaxed);
-      if (read_observer_) read_observer_(us, staged_bytes);
-    }
+    Timer write_timer;
+    int64_t written = 0;
+    const Status st = SpillFile::WriteBatchTo(w.path, w.records, &written);
+    const int64_t us = write_timer.ElapsedMicros();
+    GT_CHECK_OK(st);
+    if (write_observer_) write_observer_(us, written);
     lock.lock();
-    // A racing Fetch may have disk-read (and deleted) the same file while we
-    // were staging it — its entry in fetching_ means our copy is stale.
-    if (st.ok() && fetching_.count(front->path) == 0) {
-      prefetched_.emplace(front->path,
-                          Prefetched{std::move(staged), staged_bytes});
-    }
-    prefetching_path_.clear();
+    writing_path_.clear();
     cv_done_.notify_all();
   }
 }

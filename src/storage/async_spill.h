@@ -9,35 +9,29 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "storage/file_list.h"
 #include "util/status.h"
 
 namespace gthinker {
 
-/// Asynchronous spill pipeline for the §V-B scheduler: one writer/prefetcher
-/// thread per worker decouples compers from spill-file disk latency.
+/// Asynchronous spill writer for the §V-B scheduler: one thread per worker
+/// decouples compers from spill-file write latency.
 ///
 /// Write side: `Submit` reserves a unique spill path, queues the batch, and
 /// returns immediately — the comper pushes the path into L_file and moves on
 /// while the thread drains the queue to disk (double-buffered: producers
 /// append to the pending queue while the thread writes the batch it popped).
-/// Read side: `Fetch` first serves from memory — a still-pending write is a
-/// free round-trip (the batch never touches disk), and the thread uses idle
-/// time to prefetch the front L_file entry a comper's next Refill will ask
-/// for — before falling back to a synchronous disk read.
+/// The thread sleeps until a Submit or Stop wakes it.
+/// Read side: `Fetch` hands back a still-pending batch and cancels its write
+/// (the batch never touches disk), waits for a batch being written, and
+/// otherwise reads the file synchronously and deletes it.
 ///
 /// Consistency rules that keep the scheduler/checkpoint protocols intact:
 ///   * a Submitted path is valid for Fetch immediately, in any thread;
 ///   * `Flush` is a barrier after which every surviving batch is durable on
 ///     disk (DoCheckpoint calls it before snapshotting L_file, because the
-///     checkpoint reads spill files without popping them);
-///   * prefetching reads without deleting, so a checkpoint or donor racing
-///     the prefetcher still sees the file; the file is deleted only when the
-///     batch is actually consumed via Fetch.
+///     checkpoint reads spill files without popping them).
 ///
 /// The class is obs-free (storage layer does not depend on src/obs); the
 /// worker installs observers to route write/read timings into its
@@ -45,28 +39,20 @@ namespace gthinker {
 class AsyncSpillIo {
  public:
   struct Stats {
-    std::atomic<int64_t> writes{0};
-    std::atomic<int64_t> write_bytes{0};
-    std::atomic<int64_t> write_us{0};
-    std::atomic<int64_t> reads{0};  // synchronous disk reads in Fetch
-    std::atomic<int64_t> read_bytes{0};
-    std::atomic<int64_t> read_us{0};
-    std::atomic<int64_t> mem_hits{0};       // Fetch served from pending queue
-    std::atomic<int64_t> prefetch_hits{0};  // Fetch served from prefetch slot
-    std::atomic<int64_t> prefetch_reads{0};
+    std::atomic<int64_t> mem_hits{0};  // Fetch served from pending queue
+    std::atomic<int64_t> reads{0};     // synchronous disk reads in Fetch
     std::atomic<int64_t> peak_queue_depth{0};
   };
 
-  /// `l_file` (optional) enables the prefetcher: the thread peeks the front
-  /// entry — the one the next Refill pops — and stages it in memory.
-  explicit AsyncSpillIo(FileList* l_file = nullptr);
+  AsyncSpillIo() = default;
   ~AsyncSpillIo();
 
   AsyncSpillIo(const AsyncSpillIo&) = delete;
   AsyncSpillIo& operator=(const AsyncSpillIo&) = delete;
 
-  /// Timing observers (µs, bytes) for each disk write / disk read the thread
-  /// or Fetch performs. Install before Start.
+  /// Timing observers (µs, bytes): the write observer runs on the thread
+  /// after each disk write, the read observer in Fetch after each disk read.
+  /// Install before Start.
   void SetWriteObserver(std::function<void(int64_t, int64_t)> fn) {
     write_observer_ = std::move(fn);
   }
@@ -105,12 +91,6 @@ class AsyncSpillIo {
     std::string path;
     std::vector<std::string> records;
   };
-  struct Prefetched {
-    std::vector<std::string> records;
-    int64_t bytes = 0;
-  };
-
-  static constexpr size_t kMaxPrefetched = 2;
 
   void ThreadLoop();
   /// Serialized size of a batch in SpillFile format (u64 count, then u64
@@ -118,7 +98,6 @@ class AsyncSpillIo {
   /// counts a disk round-trip would.
   static int64_t EncodedSize(const std::vector<std::string>& records);
 
-  FileList* const l_file_;
   std::function<void(int64_t, int64_t)> write_observer_;
   std::function<void(int64_t, int64_t)> read_observer_;
 
@@ -127,11 +106,6 @@ class AsyncSpillIo {
   std::condition_variable cv_done_;  // thread -> Flush / waiting Fetch
   std::deque<PendingWrite> pending_;
   std::string writing_path_;  // non-empty while a write is in flight
-  std::unordered_map<std::string, Prefetched> prefetched_;
-  std::string prefetching_path_;  // non-empty while a prefetch read runs
-  /// Paths a Fetch is disk-reading right now: a prefetch finishing for one
-  /// of these must discard its copy (the file is being consumed under it).
-  std::unordered_set<std::string> fetching_;
   bool stop_ = false;
   bool started_ = false;
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gthinker {
 namespace {
 
@@ -66,6 +68,24 @@ TEST(ConfigValidate, RejectsNegativeBudgetsAndWire) {
   c = JobConfig{};
   c.checkpoint_interval_us = -2;
   EXPECT_FALSE(c.Validate().ok());
+}
+
+TEST(ConfigValidate, RejectsNonFiniteDoubles) {
+  // NaN slips past every `< 0` check: a NaN alpha never closes the cache
+  // pop gate, and a NaN budget silently means no budget.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    JobConfig c;
+    c.cache_overflow_alpha = bad;
+    EXPECT_TRUE(c.Validate().IsInvalidArgument()) << bad;
+    c = JobConfig{};
+    c.time_budget_s = bad;
+    EXPECT_TRUE(c.Validate().IsInvalidArgument()) << bad;
+    c = JobConfig{};
+    c.comm.net.bandwidth_mbps = bad;
+    EXPECT_TRUE(c.Validate().IsInvalidArgument()) << bad;
+  }
 }
 
 TEST(ConfigValidate, RejectsBadPeriodsAndPaths) {

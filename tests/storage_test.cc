@@ -170,21 +170,6 @@ TEST(FileListTest, SnapshotDoesNotDrain) {
   EXPECT_EQ(list.TotalRecords(), 3);
 }
 
-TEST(FileListTest, PeekFrontDoesNotRemove) {
-  FileList list;
-  EXPECT_FALSE(list.PeekFront().has_value());
-  list.PushBack("x", 5);
-  list.PushBack("y", 7);
-  auto peeked = list.PeekFront();
-  ASSERT_TRUE(peeked.has_value());
-  EXPECT_EQ(peeked->path, "x");
-  EXPECT_EQ(peeked->records, 5);
-  EXPECT_EQ(list.Size(), 2u);  // still there
-  auto popped = list.TryPopFront();
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->path, "x");  // peek saw the same entry the pop takes
-}
-
 TEST(FileListTest, ConcurrentPushPop) {
   FileList list;
   std::vector<std::thread> threads;

@@ -226,7 +226,7 @@ TEST(WorkerBehavior, DeepDecompositionCountsLeaves) {
 }
 
 TEST(WorkerBehavior, SpillAsyncAblationIsEquivalent) {
-  // The async spill writer/prefetcher is the only spill path, so the
+  // The async spill writer is the only spill path, so the
   // ablation is against not spilling at all: a queue large enough to hold
   // the whole task tree must give the same count and conserve tasks.
   struct Shape {
