@@ -6,6 +6,7 @@
 // Exits 1 if the two policies disagree on the clique size or if either row
 // did not spill (the comparison would then say nothing about §V-B).
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -13,14 +14,37 @@
 using namespace gthinker;
 using namespace gthinker::bench;
 
+namespace {
+
+/// L_file pops over every worker: served from memory (the batch's write
+/// was cancelled) and read back from disk.
+struct SpillPops {
+  int64_t mem_hits = 0;
+  int64_t disk_reads = 0;
+};
+
+SpillPops CountSpillPops(const JobStats& stats) {
+  SpillPops pops;
+  for (const obs::MetricsSnapshot& snap : stats.metrics) {
+    pops.mem_hits += std::max<int64_t>(0, snap.CounterValue("spill.mem_hits"));
+    if (const auto* reads = snap.FindHistogram("spill.read_us")) {
+      pops.disk_reads += reads->count;
+    }
+  }
+  return pops;
+}
+
+}  // namespace
+
 int main() {
   constexpr double kBudgetS = 120.0;
   Dataset d = MakeDataset("orkut", 0.35);
   std::printf("=== Ablation: Q_task refill priority (MCF on orkut-like) "
               "===\n");
   std::printf("tiny C, Q_task and D so spilling actually happens\n");
-  std::printf("%-22s %9s %10s %16s %10s %8s\n", "policy", "time", "mem",
-              "spilled batches", "tasks", "clique");
+  std::printf("%-22s %9s %10s %16s %9s %10s %10s %8s\n", "policy", "time",
+              "mem", "spilled batches", "mem hits", "disk reads", "tasks",
+              "clique");
 
   bool ok = true;
   uint64_t clique[2] = {0, 0};
@@ -35,10 +59,13 @@ int main() {
     config.time_budget_s = kBudgetS;
     RunOutcome gt = RunGthinkerMcf(d.graph, config, /*tau=*/20);
     clique[spawn_first] = gt.value;
-    std::printf("%-22s %7.3f s %10s %16lld %10lld %8llu\n",
+    const SpillPops pops = CountSpillPops(gt.stats);
+    std::printf("%-22s %7.3f s %10s %16lld %9lld %10lld %10lld %8llu\n",
                 spawn_first ? "spawn-first" : "spilled-first (paper)",
                 gt.elapsed_s, FormatBytes(gt.peak_mem_bytes).c_str(),
                 static_cast<long long>(gt.stats.spilled_batches),
+                static_cast<long long>(pops.mem_hits),
+                static_cast<long long>(pops.disk_reads),
                 static_cast<long long>(gt.stats.tasks_finished),
                 static_cast<unsigned long long>(gt.value));
     if (gt.stats.spilled_batches == 0 || gt.timed_out) ok = false;

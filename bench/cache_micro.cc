@@ -20,9 +20,9 @@
 //       90%-locked population bench/ablation_ztable uses.
 //   [3] Spill round-trip: a spill stream written and read back through a
 //       bounded L_file window, synchronously (SpillFile::WriteBatch +
-//       ReadBatchAndDelete inline, the pre-writer-thread spill path) vs
-//       through AsyncSpillIo (writer thread + mem-hit cancellation), the
-//       worker's only spill path.
+//       ReadBatchAndDelete inline over a local deque of paths, the
+//       pre-writer-thread spill path) vs through SpillList (writer thread +
+//       write cancellation), the worker's L_file.
 //
 // `--rounds N` scales experiment [1]; `--json PATH` writes the machine-
 // readable rows (baseline checked in as BENCH_cache.json).
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -41,10 +42,9 @@
 
 #include "bench_util.h"
 #include "core/vertex_cache.h"
-#include "storage/async_spill.h"
-#include "storage/file_list.h"
 #include "storage/mini_dfs.h"
 #include "storage/spill_file.h"
+#include "storage/spill_list.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -278,7 +278,7 @@ EvictResult RunEvictDuel(bool use_z_table) {
 }
 
 // ---------------------------------------------------------------------------
-// [3] Spill round-trip: synchronous ablation vs AsyncSpillIo.
+// [3] Spill round-trip: synchronous ablation vs SpillList.
 // ---------------------------------------------------------------------------
 
 struct SpillResult {
@@ -296,24 +296,24 @@ SpillResult RunSpillRoundTrip(bool async, int batches, int records_per_batch,
                               int record_bytes, size_t lag) {
   const std::string dir = MakeTempDir(async ? "cache_micro_async"
                                             : "cache_micro_sync");
-  FileList l_file;
-  AsyncSpillIo io;
-  if (async) io.Start();
+  SpillList l_file(dir);
+  std::deque<std::string> sync_paths;  // the sync row's own L_file
 
   SpillResult result;
   result.batches = batches;
+  size_t listed = 0;
   std::vector<std::string> records;
   std::vector<std::string> back;
-  auto fetch_oldest = [&] {
-    auto entry = l_file.TryPopFront();
-    GT_CHECK(entry.has_value());
+  auto pop_oldest = [&] {
     back.clear();
     if (async) {
-      GT_CHECK_OK(io.Fetch(entry->path, &back));
+      GT_CHECK(l_file.PopFront(&back));
     } else {
-      GT_CHECK_OK(SpillFile::ReadBatchAndDelete(entry->path, &back));
+      GT_CHECK_OK(SpillFile::ReadBatchAndDelete(sync_paths.front(), &back));
+      sync_paths.pop_front();
     }
-    GT_CHECK_EQ(static_cast<int64_t>(back.size()), entry->records);
+    GT_CHECK_EQ(static_cast<int64_t>(back.size()), records_per_batch);
+    --listed;
   };
 
   Timer wall;
@@ -323,21 +323,19 @@ SpillResult RunSpillRoundTrip(bool async, int batches, int records_per_batch,
       records.push_back(std::string(record_bytes, static_cast<char>(
                                                       'a' + (b + r) % 26)));
     }
-    std::string path;
     if (async) {
-      path = io.Submit(dir, std::move(records));
+      l_file.PushBack(std::move(records));
     } else {
+      std::string path;
       GT_CHECK_OK(SpillFile::WriteBatch(dir, records, &path));
+      sync_paths.push_back(std::move(path));
     }
-    l_file.PushBack(path, records_per_batch);
-    if (l_file.Size() > lag) fetch_oldest();
+    if (++listed > lag) pop_oldest();
   }
-  while (!l_file.Empty()) fetch_oldest();
+  while (listed > 0) pop_oldest();
   result.elapsed_s = wall.ElapsedSeconds();
-  if (async) {
-    result.mem_hits = io.stats().mem_hits.load();
-    io.Stop();
-  }
+  l_file.Stop();
+  result.mem_hits = l_file.stats().mem_hits.load();
   RemoveTree(dir);
   return result;
 }

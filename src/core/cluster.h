@@ -173,8 +173,12 @@ class Cluster {
   using VertexT = typename TaskT::VertexT;
 
   /// In-process execution: every worker and the master run as threads of
-  /// this process over the in-process transport.
+  /// this process over the in-process transport. A transport=tcp job is
+  /// fatal here: it runs one rank per process through RunDistributed.
   static RunResult<ComperT> Run(const Job<ComperT>& job) {
+    GT_CHECK(job.config.comm.transport == CommConfig::Transport::kInProc)
+        << "Cluster::Run is in-process only; a transport=tcp job runs "
+           "through Cluster::RunDistributed, one process per rank";
     return Drive(job, /*rank=*/-1);
   }
 
@@ -225,8 +229,8 @@ class Cluster {
     }
     const JobConfig& config = job.config;
 
-    // Created by a worker's first spill batch (Worker::SubmitSpill), so a
-    // job that never spills makes no directory.
+    // A worker's spill directory is created by the first batch its L_file
+    // writes to disk (SpillList), so a job that never spills makes none.
     std::string spill_root = config.spill_root;
     const bool own_spill_root = spill_root.empty();
     if (own_spill_root) spill_root = TempDirPath("spill");

@@ -67,17 +67,6 @@ class VertexCache {
                        // (OP1 case 2.1)
   };
 
-  /// Bucket-group granularity for hotspot stats: buckets are folded into
-  /// kNumBucketGroups contiguous groups so a skewed hash (one hot bucket
-  /// range) shows up without a counter per bucket.
-  static constexpr int kNumBucketGroups = 8;
-
-  struct GroupStats {
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};  // wait-joins + new requests
-    std::atomic<int64_t> evictions{0};
-  };
-
   struct Stats {
     std::atomic<int64_t> requests{0};
     std::atomic<int64_t> hits{0};
@@ -92,7 +81,6 @@ class VertexCache {
     /// Bucket-lock acquisitions that found the lock already held (the
     /// try_lock fast path failed and the caller had to block).
     std::atomic<int64_t> lock_contention{0};
-    GroupStats groups[kNumBucketGroups];
   };
 
   /// `num_buckets` is rounded up to the next power of two (so BucketIndexFor
@@ -114,8 +102,6 @@ class VertexCache {
     // Power-of-two invariant: the router masks instead of dividing.
     GT_CHECK_EQ(buckets_.size() & (buckets_.size() - 1), 0u);
     bucket_mask_ = buckets_.size() - 1;
-    log2_buckets_ = 0;
-    while ((size_t{1} << log2_buckets_) < buckets_.size()) ++log2_buckets_;
   }
 
   VertexCache(const VertexCache&) = delete;
@@ -127,9 +113,7 @@ class VertexCache {
   RequestResult Request(VertexId v, uint64_t task_id, SCacheCounter* counter,
                         const VertexT** out) {
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
-    const size_t bucket_index = BucketIndexFor(v);
-    GroupStats& group = stats_.groups[GroupOf(bucket_index)];
-    Bucket& bucket = buckets_[bucket_index];
+    Bucket& bucket = BucketFor(v);
     RequestResult result;
     {
       BucketLock lock(this, bucket);
@@ -138,15 +122,12 @@ class VertexCache {
     switch (result) {
       case RequestResult::kHit:
         stats_.hits.fetch_add(1, std::memory_order_relaxed);
-        group.hits.fetch_add(1, std::memory_order_relaxed);
         break;
       case RequestResult::kAlreadyRequested:
         stats_.wait_joins.fetch_add(1, std::memory_order_relaxed);
-        group.misses.fetch_add(1, std::memory_order_relaxed);
         break;
       case RequestResult::kNewRequest:
         stats_.new_requests.fetch_add(1, std::memory_order_relaxed);
-        group.misses.fetch_add(1, std::memory_order_relaxed);
         Bump(counter, +1);
         break;
     }
@@ -176,35 +157,22 @@ class VertexCache {
       const uint32_t seg_begin = seg_end - s.count[bucket_index];
       s.count[bucket_index] = 0;  // scratch ready for the next batch
       Bucket& bucket = buckets_[bucket_index];
-      int64_t hits = 0;
-      int64_t misses = 0;
-      {
-        BucketLock lock(this, bucket);
-        for (uint32_t k = seg_begin; k < seg_end; ++k) {
-          const VertexT* unused = nullptr;
-          switch (RequestLocked(bucket, ids[s.grouped[k]], task_id,
-                                &unused)) {
-            case RequestResult::kHit:
-              ++hits;
-              break;
-            case RequestResult::kAlreadyRequested:
-              ++misses;
-              ++total_joins;
-              break;
-            case RequestResult::kNewRequest:
-              ++misses;
-              ++total_new;
-              new_requests->push_back(ids[s.grouped[k]]);
-              break;
-          }
+      BucketLock lock(this, bucket);
+      for (uint32_t k = seg_begin; k < seg_end; ++k) {
+        const VertexT* unused = nullptr;
+        switch (RequestLocked(bucket, ids[s.grouped[k]], task_id, &unused)) {
+          case RequestResult::kHit:
+            ++total_hits;
+            break;
+          case RequestResult::kAlreadyRequested:
+            ++total_joins;
+            break;
+          case RequestResult::kNewRequest:
+            ++total_new;
+            new_requests->push_back(ids[s.grouped[k]]);
+            break;
         }
       }
-      GroupStats& group = stats_.groups[GroupOf(bucket_index)];
-      if (hits != 0) group.hits.fetch_add(hits, std::memory_order_relaxed);
-      if (misses != 0) {
-        group.misses.fetch_add(misses, std::memory_order_relaxed);
-      }
-      total_hits += static_cast<int>(hits);
     }
     if (total_hits != 0) {
       stats_.hits.fetch_add(total_hits, std::memory_order_relaxed);
@@ -300,10 +268,8 @@ class VertexCache {
     const size_t n = buckets_.size();
     Timer scan_timer;
     for (size_t scanned = 0; scanned < n && evicted < target; ++scanned) {
-      const size_t bucket_index = next_evict_bucket_;
-      Bucket& bucket = buckets_[bucket_index];
+      Bucket& bucket = buckets_[next_evict_bucket_];
       next_evict_bucket_ = (next_evict_bucket_ + 1) & bucket_mask_;
-      const int64_t evicted_before = evicted;
       int64_t bytes_freed = 0;
       {
         BucketLock lock(this, bucket);
@@ -330,10 +296,6 @@ class VertexCache {
         }
       }
       if (mem_ != nullptr && bytes_freed != 0) mem_->Release(bytes_freed);
-      if (evicted > evicted_before) {
-        stats_.groups[GroupOf(bucket_index)].evictions.fetch_add(
-            evicted - evicted_before, std::memory_order_relaxed);
-      }
     }
     stats_.evict_scan_us.fetch_add(scan_timer.ElapsedMicros(),
                                    std::memory_order_relaxed);
@@ -599,13 +561,6 @@ class VertexCache {
     return Mix64(static_cast<uint64_t>(v)) & bucket_mask_;
   }
 
-  /// Folds bucket index into one of kNumBucketGroups contiguous ranges
-  /// (power-of-two bucket count makes this a shift).
-  int GroupOf(size_t bucket_index) const {
-    return static_cast<int>((bucket_index * kNumBucketGroups) >>
-                            log2_buckets_);
-  }
-
   static size_t RoundUpPow2(int n) {
     size_t p = 1;
     while (p < static_cast<size_t>(n)) p <<= 1;
@@ -623,7 +578,6 @@ class VertexCache {
 
   std::vector<Bucket> buckets_;
   size_t bucket_mask_ = 0;
-  unsigned log2_buckets_ = 0;
   const int64_t capacity_;
   const double alpha_;
   const int counter_delta_;

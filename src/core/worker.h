@@ -6,7 +6,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,10 +28,9 @@
 #include "obs/metrics.h"
 #include "obs/phase_profile.h"
 #include "obs/span_trace.h"
-#include "storage/async_spill.h"
-#include "storage/file_list.h"
 #include "storage/mini_dfs.h"
 #include "storage/spill_file.h"
+#include "storage/spill_list.h"
 #include "util/concurrent_queue.h"
 #include "util/logging.h"
 #include "util/mem_tracker.h"
@@ -63,12 +61,12 @@ class Worker {
         config_(config),
         hub_(hub),
         trimmer_(std::move(trimmer)),
-        spill_dir_(std::move(spill_dir)),
         cache_(config.cache_num_buckets, config.cache_capacity,
                config.cache_overflow_alpha, kCacheCounterDelta,
                &mem_, config.cache_use_z_table),
         coalescer_(config.num_workers, kRequestBatchSize),
-        metrics_("worker" + std::to_string(worker_id)) {
+        metrics_("worker" + std::to_string(worker_id)),
+        l_file_(std::move(spill_dir)) {
     master_id_ = config_.num_workers;  // master mailbox index
     task_wait_us_ = metrics_.GetHistogram("task.wait_us");
     steal_rtt_us_ = metrics_.GetHistogram("steal.rtt_us");
@@ -79,18 +77,17 @@ class Worker {
     refill_spill_tasks_ = metrics_.GetCounter("refill.from_spill_tasks");
     refill_spawn_tasks_ = metrics_.GetCounter("refill.from_spawn_tasks");
     phase_steal_us_ = metrics_.GetCounter("phase.steal_us");
-    // Disk timings of the spill writer thread and of Fetch's disk reads.
-    spill_io_.SetWriteObserver(
+    // Disk timings of L_file's writer thread and of its pops' disk reads.
+    l_file_.SetWriteObserver(
         [spill_write_us, spill_write_bytes](int64_t us, int64_t bytes) {
           spill_write_us->Record(us);
           spill_write_bytes->Add(bytes);
         });
-    spill_io_.SetReadObserver(
+    l_file_.SetReadObserver(
         [spill_read_us, spill_read_bytes](int64_t us, int64_t bytes) {
           spill_read_us->Record(us);
           spill_read_bytes->Add(bytes);
         });
-    spill_io_.Start();
     for (int i = 0; i < config_.compers_per_worker; ++i) {
       engines_.push_back(std::make_unique<ComperEngine>(this, i, factory()));
     }
@@ -157,10 +154,9 @@ class Worker {
           std::make_move_iterator(ckpt.records.begin() + begin),
           std::make_move_iterator(ckpt.records.begin() + end));
       const auto count = static_cast<int64_t>(records.size());
-      const std::string path = SubmitSpill(std::move(records));
       live_tasks_.fetch_add(count);
       tasks_restored_.fetch_add(count, std::memory_order_relaxed);
-      l_file_.PushBack(path, count);
+      l_file_.PushBack(std::move(records));
     }
     next_spawn_.store(ckpt.spawn_next, std::memory_order_relaxed);
     return Status::Ok();
@@ -188,9 +184,9 @@ class Worker {
       if (t.joinable()) t.join();
     }
     threads_.clear();
-    // After the compers and comm thread exit nothing can submit spill work;
-    // drain whatever is still queued and retire the writer thread.
-    spill_io_.Stop();
+    // After the compers and comm thread exit nothing can push to L_file;
+    // retire its writer thread.
+    l_file_.Stop();
   }
 
   int64_t PeakMemBytes() const { return mem_.peak(); }
@@ -393,12 +389,9 @@ class Worker {
       const size_t target = 2 * worker_->config_.task_batch_size;
       while (q_weight_ < target) {
         if (worker_->config_.refill_spawn_first && SpawnBatch()) continue;
-        if (auto file = worker_->l_file_.TryPopFront()) {
-          Timer spill_timer;
-          std::vector<std::string> records;
-          GT_CHECK_OK(worker_->spill_io_.Fetch(file->path, &records));
-          GT_CHECK_EQ(static_cast<int64_t>(records.size()), file->records)
-              << "spill file " << file->path << " record count drifted";
+        Timer spill_timer;
+        std::vector<std::string> records;
+        if (worker_->l_file_.PopFront(&records)) {
           for (const std::string& rec : records) {
             auto task = std::make_unique<TaskT>();
             Deserializer des(rec);
@@ -479,8 +472,7 @@ class Worker {
         // Keep original queue order inside the file.
         std::reverse(records.begin(), records.end());
         const auto count = static_cast<int64_t>(records.size());
-        const std::string path = worker_->SubmitSpill(std::move(records));
-        worker_->l_file_.PushBack(path, count);
+        worker_->l_file_.PushBack(std::move(records));
         worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
         worker_->tasks_spilled_.fetch_add(count, std::memory_order_relaxed);
         phase_spill_.AddNanos(spill_timer.ElapsedNanos());
@@ -733,19 +725,6 @@ class Worker {
     if (!SpawnDone() || live_tasks_.load() != 0) return;
     report_due_.store(true, std::memory_order_release);
     hub_->Wake(id_);
-  }
-
-  /// Queues one spill batch (spill_io_.Submit). The worker's spill directory
-  /// is created by the first batch, so a job that never spills, steals or
-  /// restores touches no disk.
-  std::string SubmitSpill(std::vector<std::string> records) {
-    std::call_once(spill_dir_made_, [this] {
-      std::error_code ec;
-      std::filesystem::create_directories(spill_dir_, ec);
-      GT_CHECK(!ec) << "cannot create spill dir " << spill_dir_ << ": "
-                    << ec.message();
-    });
-    return spill_io_.Submit(spill_dir_, std::move(records));
   }
 
   /// Records one scheduler transition in the job's event ring, stamped with
@@ -1049,8 +1028,7 @@ class Worker {
           tasks_received_.fetch_add(static_cast<int64_t>(records.size()),
                                     std::memory_order_relaxed);
           const int64_t count = static_cast<int64_t>(records.size());
-          const std::string path = SubmitSpill(std::move(records));
-          l_file_.PushBack(path, count);
+          l_file_.PushBack(std::move(records));
           stolen_batches_.fetch_add(1, std::memory_order_relaxed);
           RecordEvent(-1, {.kind = obs::EventKind::kStealReceive,
                            .a = count,
@@ -1128,11 +1106,9 @@ class Worker {
   /// round-trip measurement.
   void DonateTasks(int dst, int64_t order_t_us) {
     std::vector<std::string> records;
-    if (auto file = l_file_.TryPopBack()) {
-      GT_CHECK_OK(spill_io_.Fetch(file->path, &records));
-      GT_CHECK_EQ(static_cast<int64_t>(records.size()), file->records)
-          << "spill file " << file->path << " record count drifted";
-      tasks_disk_donated_.fetch_add(file->records, std::memory_order_relaxed);
+    if (l_file_.PopBack(&records)) {
+      tasks_disk_donated_.fetch_add(static_cast<int64_t>(records.size()),
+                                    std::memory_order_relaxed);
     } else {
       std::vector<const VertexT*> to_spawn;
       ClaimSpawnBatch(config_.task_batch_size, &to_spawn);
@@ -1221,7 +1197,7 @@ class Worker {
         drained_messages_.load(std::memory_order_relaxed);
     report.queue_depth = static_cast<int64_t>(queued);
     report.cache_size = cache_.ApproxSize();
-    report.spill_queue_depth = spill_io_.QueueDepth();
+    report.spill_queue_depth = l_file_.QueueDepth();
     report.inbox_depth = hub_->InboxDepth(id_);
     {
       Serializer ser;
@@ -1264,18 +1240,12 @@ class Worker {
     }
     std::vector<std::string> records;
     for (auto& engine : engines_) engine->CollectCheckpointRecords(&records);
-    // Durability barrier: the snapshot below reads spill files from disk
-    // without popping them, so every batch the async writer still holds must
-    // land first. (The kTaskBatch quiesce already ran master-side, and the
-    // compers are parked, so nothing new can be submitted meanwhile.)
-    spill_io_.Flush();
-    // Spilled files are checkpointed by content (they stay on local disk for
-    // the continuing run, which a failure would wipe).
-    for (const FileList::Entry& entry : l_file_.Snapshot()) {
-      std::vector<std::string> batch;
-      GT_CHECK_OK(SpillFile::ReadBatch(entry.path, &batch));
-      for (std::string& r : batch) records.push_back(std::move(r));
-    }
+    // Spilled batches are checkpointed by content, without popping them
+    // (they stay in L_file for the continuing run, and their files on local
+    // disk, which a failure would wipe). The kTaskBatch quiesce already ran
+    // master-side and the compers are parked, so nothing is pushed or
+    // popped meanwhile.
+    l_file_.CopyRecords(&records);
     // Self-check: with the compers parked and (master-enforced) no donated
     // batch on the wire, the snapshot must cover exactly the live tasks.
     GT_CHECK_EQ(static_cast<int64_t>(records.size()), live_tasks_.load())
@@ -1385,9 +1355,8 @@ class Worker {
   /// everything. Call after Join(), before MetricsSnapshot().
   void FinalizeObs() {
     const auto& cs = cache_.stats();
-    auto set = [this](const char* name, int64_t v,
-                      const std::string& labels = "") {
-      metrics_.GetCounter(name, labels)->Add(v);
+    auto set = [this](const char* name, int64_t v) {
+      metrics_.GetCounter(name)->Add(v);
     };
     set("cache.requests", cs.requests.load(std::memory_order_relaxed));
     set("cache.hits", cs.hits.load(std::memory_order_relaxed));
@@ -1400,23 +1369,13 @@ class Worker {
     set("cache.gc_passes", cs.gc_passes.load(std::memory_order_relaxed));
     set("cache.lock_contention",
         cs.lock_contention.load(std::memory_order_relaxed));
-    for (int g = 0; g < VertexCache<VertexT>::kNumBucketGroups; ++g) {
-      const auto& group = cs.groups[g];
-      const std::string label = "group=" + std::to_string(g);
-      set("cache.group.hits", group.hits.load(std::memory_order_relaxed),
-          label);
-      set("cache.group.misses", group.misses.load(std::memory_order_relaxed),
-          label);
-      set("cache.group.evictions",
-          group.evictions.load(std::memory_order_relaxed), label);
-    }
     set("tasks.spawned", tasks_spawned_.load(std::memory_order_relaxed));
     set("tasks.finished", tasks_finished_.load(std::memory_order_relaxed));
     set("tasks.iterations", task_iterations_.load(std::memory_order_relaxed));
     set("spill.batches", spilled_batches_.load(std::memory_order_relaxed));
     set("steal.batches_received",
         stolen_batches_.load(std::memory_order_relaxed));
-    const auto& ss = spill_io_.stats();
+    const auto& ss = l_file_.stats();
     set("spill.mem_hits", ss.mem_hits.load(std::memory_order_relaxed));
     // Peak writer-queue depth over the run (the live value is also on the
     // master sampler's spill_queue_depth series).
@@ -1438,14 +1397,12 @@ class Worker {
   CommHub* hub_;
   int master_id_;
   TrimmerFn trimmer_;
-  const std::string spill_dir_;
 
   std::vector<VertexT> local_;  // T_local, indexed by SlotOf
   std::atomic<size_t> next_spawn_{0};  // slots claimed for spawning
 
   MemTracker mem_;
   VertexCache<VertexT> cache_;  // T_cache
-  FileList l_file_;             // L_file
   AggregatorState<ComperT> agg_;
 
   std::vector<std::unique_ptr<ComperEngine>> engines_;
@@ -1472,10 +1429,9 @@ class Worker {
   /// The job's event ring (owned by the cluster); null until wired.
   obs::FlightRecorder* recorder_ = nullptr;
 
-  /// Spill writer thread: every spill write and read goes through it.
-  /// Declared after metrics_, which its write observer records into;
-  /// started in the ctor body once its observers are installed.
-  AsyncSpillIo spill_io_;
+  /// L_file, with its writer thread. Declared after metrics_, which its
+  /// observers record into.
+  SpillList l_file_;
 
   // output collection
   static constexpr size_t kOutputFlushRecords = 4096;
@@ -1497,7 +1453,6 @@ class Worker {
   std::condition_variable gc_cv_;
   /// Set by WakeGc, cleared by the GC before each pass.
   std::atomic<bool> gc_wanted_{false};
-  std::once_flag spill_dir_made_;
   std::atomic<bool> drain_release_{false};
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};

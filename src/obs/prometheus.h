@@ -17,10 +17,10 @@ namespace gthinker::obs {
 /// Prometheus text exposition (format version 0.0.4) rendered straight from
 /// `MetricsSnapshot`s, dependency-free. Naming conventions:
 ///   - every metric is prefixed `gthinker_` and dots become underscores
-///     (`cache.group.hits` -> `gthinker_cache_group_hits`);
+///     (`cache.lock_contention` -> `gthinker_cache_lock_contention`);
 ///   - counters get the conventional `_total` suffix;
 ///   - the snapshot scope ("worker0", "hub") becomes a `scope` label and
-///     registry labels ("comper=3,group=1") become ordinary labels;
+///     registry labels ("comper=3,kind=task-batch") become ordinary labels;
 ///   - histograms map to cumulative `_bucket{le="..."}` series using the
 ///     power-of-2 bucket upper bounds, plus `_sum` and `_count`.
 

@@ -24,18 +24,6 @@ class SpillFile {
                            const std::vector<std::string>& records,
                            std::string* path, int64_t* bytes = nullptr);
 
-  /// Reserves a fresh unique spill path in `dir` without touching the disk.
-  /// The async spill writer uses this to register a batch in L_file
-  /// immediately and write the bytes later (the name allocation is the only
-  /// part that must be ordered with the scheduler).
-  static std::string ReservePath(const std::string& dir);
-
-  /// Writes a batch to an exact path previously obtained via ReservePath.
-  /// WriteBatch(dir, ...) == WriteBatchTo(ReservePath(dir), ...).
-  static Status WriteBatchTo(const std::string& path,
-                             const std::vector<std::string>& records,
-                             int64_t* bytes = nullptr);
-
   /// Reads a whole batch back and deletes the file.
   static Status ReadBatchAndDelete(const std::string& path,
                                    std::vector<std::string>* records,

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -14,10 +18,9 @@
 #include <vector>
 
 #include "core/vertex_cache.h"
-#include "storage/async_spill.h"
-#include "storage/file_list.h"
 #include "storage/mini_dfs.h"
 #include "storage/spill_file.h"
+#include "storage/spill_list.h"
 
 namespace gthinker {
 namespace {
@@ -194,16 +197,21 @@ void RunStress(bool use_z_table) {
 TEST(CacheStress, MutexZList) { RunStress(true); }
 TEST(CacheStress, MutexFullScan) { RunStress(false); }
 
-/// Async spill pipeline stress: a producer submits batches and a consumer
-/// fetches them back through every path (pending mem-hit, in-flight wait,
-/// disk read) while periodic Flush calls force
-/// checkpoint-style durability barriers. Every batch must come back exactly
-/// once with exact contents.
+/// Blocks until L_file's writer has caught up: every batch is on disk.
+void AwaitWritten(const SpillList& list) {
+  while (list.QueueDepth() != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+/// Async spill pipeline stress: a producer pushes batches into L_file and
+/// a consumer pops them back through every path (unwritten mem-hit,
+/// in-flight wait, disk read) while the producer takes periodic
+/// checkpoint-style copies. Every batch must come back exactly once with
+/// exact contents.
 TEST(CacheStress, AsyncSpillRoundTrips) {
   const std::string dir = MakeTempDir("async_spill_stress");
-  FileList l_file;
-  AsyncSpillIo io;
-  io.Start();
+  SpillList l_file(dir + "/l");
 
   constexpr int kBatches = 120;
   constexpr int kRecordsPerBatch = 16;
@@ -216,33 +224,32 @@ TEST(CacheStress, AsyncSpillRoundTrips) {
         records.push_back("batch" + std::to_string(b) + "_rec" +
                           std::to_string(r));
       }
-      const std::string path = io.Submit(dir, std::move(records));
-      l_file.PushBack(path, kRecordsPerBatch);
+      l_file.PushBack(std::move(records));
       if (b % 7 == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
-      if (b % 31 == 0) io.Flush();  // checkpoint-style durability barrier
+      if (b % 31 == 0) {
+        std::vector<std::string> copy;
+        l_file.CopyRecords(&copy);
+        EXPECT_EQ(copy.size() % kRecordsPerBatch, 0u);
+      }
     }
   });
 
   std::thread consumer([&] {
     int consumed = 0;
+    std::vector<std::string> records;
     while (consumed < kBatches) {
-      auto entry = l_file.TryPopFront();
-      if (!entry) {
+      if (!l_file.PopFront(&records)) {
         std::this_thread::sleep_for(std::chrono::microseconds(30));
         continue;
       }
-      std::vector<std::string> records;
-      int64_t bytes = 0;
-      EXPECT_TRUE(io.Fetch(entry->path, &records, &bytes).ok());
-      EXPECT_EQ(static_cast<int64_t>(records.size()), entry->records);
-      // One producer, FIFO L_file: the i-th batch fetched is batch i.
+      EXPECT_EQ(static_cast<int>(records.size()), kRecordsPerBatch);
+      // One producer, FIFO L_file: the i-th batch popped is batch i.
       for (size_t r = 0; r < records.size(); ++r) {
         EXPECT_EQ(records[r], "batch" + std::to_string(consumed) + "_rec" +
                                   std::to_string(r));
       }
-      EXPECT_GT(bytes, 0);
       records_back.fetch_add(static_cast<int64_t>(records.size()));
       ++consumed;
     }
@@ -250,39 +257,44 @@ TEST(CacheStress, AsyncSpillRoundTrips) {
 
   producer.join();
   consumer.join();
-  io.Flush();
   EXPECT_EQ(records_back.load(), int64_t{kBatches} * kRecordsPerBatch);
-  EXPECT_EQ(io.QueueDepth(), 0);
-  const auto& stats = io.stats();
+  EXPECT_EQ(l_file.QueueDepth(), 0);
+  EXPECT_EQ(l_file.TotalRecords(), 0);
+  const auto& stats = l_file.stats();
   // Every batch came back from memory or from disk, exactly once.
   EXPECT_EQ(stats.mem_hits.load() + stats.reads.load(), kBatches);
-  io.Stop();
-  EXPECT_TRUE(l_file.Empty());
+  l_file.Stop();
   RemoveTree(dir);
 }
 
-/// Pins the on-disk spill format that checkpoints read: a batch drained to
-/// disk by the async writer is byte-identical to SpillFile::WriteBatch.
+/// Pins the on-disk spill format that checkpoints read: a batch L_file's
+/// writer put on disk is byte-identical to SpillFile::WriteBatch's file.
 TEST(CacheStress, AsyncWriterMatchesSyncFormat) {
   const std::string dir = MakeTempDir("async_spill_format");
   std::vector<std::string> records = {"alpha", "bravo", std::string(1000, 'x'),
                                       ""};
   std::string sync_path;
-  int64_t sync_bytes = 0;
-  ASSERT_TRUE(
-      SpillFile::WriteBatch(dir, records, &sync_path, &sync_bytes).ok());
-  // Async write, flushed to disk (not fetched, so it cannot mem-hit).
-  AsyncSpillIo io;
-  io.Start();
-  const std::string async_path = io.Submit(dir, records);
-  io.Flush();
+  ASSERT_TRUE(SpillFile::WriteBatch(dir, records, &sync_path).ok());
+  // Written by the list's writer thread (not popped, so it cannot mem-hit).
+  const std::string list_dir = dir + "/l";
+  SpillList l_file(list_dir);
+  l_file.PushBack(records);
+  AwaitWritten(l_file);
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(list_dir)) {
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  auto bytes_of = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes_of(files[0].string()), bytes_of(sync_path));
   std::vector<std::string> back;
-  int64_t async_bytes = 0;
-  ASSERT_TRUE(
-      SpillFile::ReadBatchAndDelete(async_path, &back, &async_bytes).ok());
+  ASSERT_TRUE(l_file.PopFront(&back));
   EXPECT_EQ(back, records);
-  EXPECT_EQ(async_bytes, sync_bytes);
-  io.Stop();
+  EXPECT_EQ(l_file.stats().reads.load(), 1);
+  l_file.Stop();
   RemoveTree(dir);
 }
 

@@ -265,6 +265,68 @@ TEST(Checkpoint, ResumeFreshFromEpochWorksForMaxClique) {
   RemoveTree(dir);
 }
 
+// A checkpoint copies L_file without popping it: written batches from their
+// files, the rest from memory. With C = 4, D = 8 and τ = 4 the MCF compers
+// spill throughout the job, and spawn-first refill leaves the spilled
+// batches in L_file, so checkpoints every millisecond land while it holds
+// both kinds; a missed batch trips DoCheckpoint's fatal live-task
+// self-check. Resuming the last checkpoint with tasks restores them
+// through L_file and must reproduce the answer.
+TEST(Checkpoint, SnapshotsCoverSpilledBatches) {
+  Graph g = Generator::PowerLaw(1500, 16.0, 2.4, 95);
+  const size_t truth = MaxCliqueSerial(g).size();
+  const std::string dir = MakeTempDir("ckpt");
+  MiniDfs dfs(dir);
+  auto spilling_job = [&] {
+    Job<MaxCliqueComper> job;
+    job.config.num_workers = 2;
+    job.config.compers_per_worker = 2;
+    job.config.enable_stealing = false;
+    job.config.task_batch_size = 4;
+    job.config.task_queue_capacity_batches = 2;
+    job.config.inflight_task_cap = 8;
+    job.config.refill_spawn_first = true;
+    job.graph = &g;
+    job.checkpoint_dfs = &dfs;
+    job.comper_factory = [] { return std::make_unique<MaxCliqueComper>(4); };
+    job.trimmer = TrimToGreater;
+    return job;
+  };
+
+  int64_t checkpoints = 0;
+  {
+    Job<MaxCliqueComper> job = spilling_job();
+    job.config.checkpoint_interval_us = 1'000;
+    auto result = Cluster<MaxCliqueComper>::Run(job);
+    EXPECT_EQ(result.result.size(), truth);
+    ASSERT_GT(result.stats.spilled_batches, 0);
+    checkpoints = result.stats.checkpoints;
+  }
+  ASSERT_GE(checkpoints, 1);
+  int64_t epoch = 0;
+  for (int64_t e = checkpoints; e >= 1 && epoch == 0; --e) {
+    for (int w = 0; w < 2; ++w) {
+      std::string blob;
+      ASSERT_TRUE(dfs.Get("ckpt/" + std::to_string(e) + "/worker_" +
+                              std::to_string(w),
+                          &blob)
+                      .ok());
+      WorkerCheckpoint ckpt;
+      ASSERT_TRUE(ckpt.Decode(blob).ok());
+      if (!ckpt.records.empty()) epoch = e;
+    }
+  }
+  ASSERT_GT(epoch, 0) << "no checkpoint holds a task";
+  {
+    Job<MaxCliqueComper> job = spilling_job();
+    job.resume_epoch = epoch;
+    auto result = Cluster<MaxCliqueComper>::Run(job);
+    EXPECT_EQ(result.result.size(), truth);
+    EXPECT_GT(result.stats.ledger.restored, 0);
+  }
+  RemoveTree(dir);
+}
+
 // The layout flag comes last in ckpt/<epoch>/meta, so a meta written before
 // it existed, a truncated one, or one with trailing bytes fails to decode
 // with a Status instead of decoding shifted bytes.

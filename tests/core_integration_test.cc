@@ -348,6 +348,22 @@ TEST(Integration, LoadFromDfsRejectsIdPastInput) {
   RemoveTree(dir);
 }
 
+// JobConfig::Validate applies the TCP rules to a transport=tcp job; Run
+// must not then build the in-process hub under it and run the job anyway.
+TEST(Integration, RunRejectsTcpTransport) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Graph g = Generator::ErdosRenyi(40, 120, 84);
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.comm.transport = CommConfig::Transport::kTcp;
+  job.config.comm.hosts = {"127.0.0.1:1", "127.0.0.1:2"};
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  EXPECT_DEATH(Cluster<TriangleComper>::Run(job),
+               "in-process only.*Cluster::RunDistributed");
+}
+
 TEST(Integration, TimeBudgetAborts) {
   // A TC job that takes far longer than the budget must abort at a task
   // boundary and report the timeout (the paper's ">24 hr" entries).
@@ -379,6 +395,15 @@ TEST(Integration, StatsAreConsistent) {
   EXPECT_GT(s.max_peak_mem_bytes, 0);
   EXPECT_GT(s.elapsed_s, 0.0);
   EXPECT_GT(s.batches_sent, 0);
+  // A worker's cache counters are whole-cache totals, with no
+  // per-bucket-group series.
+  for (const obs::MetricsSnapshot& snap : s.metrics) {
+    if (snap.scope.rfind("worker", 0) != 0) continue;
+    EXPECT_GE(snap.CounterValue("cache.requests"), 0) << snap.scope;
+    for (const auto& [name, value] : snap.counters) {
+      EXPECT_EQ(name.rfind("cache.group", 0), std::string::npos) << name;
+    }
+  }
 }
 
 TEST(Integration, EmptyishGraphTerminates) {
