@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -172,12 +173,14 @@ struct JobConfig {
     if (num_workers <= 0) {
       return Status::InvalidArgument("num_workers must be positive");
     }
-    if (num_workers > (1 << 16)) {
-      return Status::InvalidArgument("num_workers exceeds 65536");
+    // Event records (obs::SpanEvent) carry worker and comper IDs as int16,
+    // with -1 for master / worker-level events.
+    constexpr int kMaxEventId = std::numeric_limits<int16_t>::max();
+    if (num_workers > kMaxEventId) {
+      return Status::InvalidArgument("num_workers exceeds 32767");
     }
-    if (compers_per_worker <= 0 || compers_per_worker > (1 << 16)) {
-      // Comper IDs pack into 16 bits of the task ID (core/protocol.h).
-      return Status::InvalidArgument("compers_per_worker out of [1, 65536]");
+    if (compers_per_worker <= 0 || compers_per_worker > kMaxEventId) {
+      return Status::InvalidArgument("compers_per_worker out of [1, 32767]");
     }
     if (cache_capacity <= 0) {
       return Status::InvalidArgument("cache_capacity must be positive");

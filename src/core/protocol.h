@@ -398,16 +398,6 @@ struct WorkerCheckpoint {
   }
 };
 
-/// 64-bit task IDs (paper §V-B): 16-bit comper index | 48-bit sequence.
-inline uint64_t MakeTaskId(int comper_index, uint64_t seq) {
-  return (static_cast<uint64_t>(comper_index) << 48) |
-         (seq & ((1ULL << 48) - 1));
-}
-
-inline int ComperOfTaskId(uint64_t task_id) {
-  return static_cast<int>(task_id >> 48);
-}
-
 }  // namespace gthinker
 
 #endif  // GTHINKER_CORE_PROTOCOL_H_

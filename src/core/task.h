@@ -63,7 +63,7 @@ class Task {
   uint32_t iteration() const { return iteration_; }
   void BumpIteration() { ++iteration_; }
 
-  /// Span-trace identity (core/protocol.h MakeTaskId). Transient: NOT
+  /// Span-trace identity (core/worker.h NextSpanId). Transient: NOT
   /// serialized — a task reloaded from spill or received from a steal gets a
   /// fresh id at its new home, starting a new span there.
   uint64_t span_id() const { return span_id_; }

@@ -46,8 +46,9 @@ inline constexpr int kCacheCounterDelta = 10;
 ///            lock/unlock transitions are O(1) pointer splices with no second
 ///            hash lookup, and GC eviction is a pointer chase in
 ///            unlock-order (oldest-idle first);
-///   R-table: requested-but-unanswered vertices, with lock counts and the IDs
-///            of tasks waiting for the response.
+///   R-table: requested-but-unanswered vertices, with lock counts and the
+///            waiter handles of the tasks waiting for the response (opaque
+///            to the cache; the Worker's are parked-task addresses).
 /// Operations OP1–OP4 each lock exactly one bucket, so operations on vertices
 /// hashed to different buckets proceed concurrently. The batched variants
 /// (RequestBatch / ReleaseBatch) additionally group one task's pull set by
@@ -107,17 +108,18 @@ class VertexCache {
   VertexCache(const VertexCache&) = delete;
   VertexCache& operator=(const VertexCache&) = delete;
 
-  /// OP1: task `task_id` requests Γ(v). On kHit the vertex is locked for the
-  /// caller and *out points at it (stable until the matching Release — the
-  /// lock count keeps GC away and the node-based Γ-table keeps the address).
-  RequestResult Request(VertexId v, uint64_t task_id, SCacheCounter* counter,
+  /// OP1: the task with waiter handle `waiter` requests Γ(v). On kHit the
+  /// vertex is locked for the caller and *out points at it (stable until the
+  /// matching Release — the lock count keeps GC away and the node-based
+  /// Γ-table keeps the address).
+  RequestResult Request(VertexId v, uint64_t waiter, SCacheCounter* counter,
                         const VertexT** out) {
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
     Bucket& bucket = BucketFor(v);
     RequestResult result;
     {
       BucketLock lock(this, bucket);
-      result = RequestLocked(bucket, v, task_id, out);
+      result = RequestLocked(bucket, v, waiter, out);
     }
     switch (result) {
       case RequestResult::kHit:
@@ -138,11 +140,11 @@ class VertexCache {
   /// each distinct bucket lock once (ids are grouped by bucket first).
   /// Occurrence order of duplicate IDs is preserved, so semantics match n
   /// sequential Request calls exactly: each occurrence takes one vertex
-  /// lock, and every non-hit occurrence registers `task_id` once in the
+  /// lock, and every non-hit occurrence registers `waiter` once in the
   /// R-table (the response wakes the task once per registration).
   /// Vertices needing a wire request are appended to *new_requests; the
   /// number of immediate Γ hits is returned.
-  int RequestBatch(const VertexId* ids, size_t n, uint64_t task_id,
+  int RequestBatch(const VertexId* ids, size_t n, uint64_t waiter,
                    SCacheCounter* counter,
                    std::vector<VertexId>* new_requests) {
     if (n == 0) return 0;
@@ -160,7 +162,7 @@ class VertexCache {
       BucketLock lock(this, bucket);
       for (uint32_t k = seg_begin; k < seg_end; ++k) {
         const VertexT* unused = nullptr;
-        switch (RequestLocked(bucket, ids[s.grouped[k]], task_id, &unused)) {
+        switch (RequestLocked(bucket, ids[s.grouped[k]], waiter, &unused)) {
           case RequestResult::kHit:
             ++total_hits;
             break;
@@ -188,9 +190,10 @@ class VertexCache {
   }
 
   /// OP2: the receiving thread installs a response, moving v from R-table to
-  /// Γ-table with its lock count transferred. Returns the IDs of the tasks
-  /// that were waiting for v. The serialized size is computed (and the
-  /// memory tracker charged) before the bucket lock is taken.
+  /// Γ-table with its lock count transferred. Returns the waiter handles
+  /// registered for v, one per non-hit request occurrence. The serialized
+  /// size is computed (and the memory tracker charged) before the bucket
+  /// lock is taken.
   std::vector<uint64_t> InsertResponse(VertexT vertex) {
     const VertexId v = vertex.id;
     const int64_t bytes = Codec<VertexT>::Bytes(vertex);
@@ -412,7 +415,7 @@ class VertexCache {
   };
   struct RequestEntry {
     int32_t lock_count = 0;
-    std::vector<uint64_t> waiting;
+    std::vector<uint64_t> waiting;  // waiter handles
   };
   struct Bucket {
     mutable std::mutex mutex;
@@ -478,7 +481,7 @@ class VertexCache {
 
   /// OP1 core, bucket lock held. On kHit the vertex lock is taken and *out
   /// set (out is never null; batch callers pass a scratch slot).
-  RequestResult RequestLocked(Bucket& bucket, VertexId v, uint64_t task_id,
+  RequestResult RequestLocked(Bucket& bucket, VertexId v, uint64_t waiter,
                               const VertexT** out) {
     auto git = bucket.gamma.find(v);
     if (git != bucket.gamma.end()) {
@@ -491,12 +494,12 @@ class VertexCache {
     auto rit = bucket.rtable.find(v);
     if (rit != bucket.rtable.end()) {
       ++rit->second.lock_count;
-      rit->second.waiting.push_back(task_id);
+      rit->second.waiting.push_back(waiter);
       return RequestResult::kAlreadyRequested;
     }
     RequestEntry entry;
     entry.lock_count = 1;
-    entry.waiting.push_back(task_id);
+    entry.waiting.push_back(waiter);
     bucket.rtable.emplace(v, std::move(entry));
     return RequestResult::kNewRequest;
   }

@@ -5,13 +5,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,10 +41,10 @@ namespace gthinker {
 
 /// One simulated machine (paper Fig. 3 / Fig. 7): a local vertex table
 /// T_local, a remote-vertex cache T_cache, a list of spilled task files
-/// L_file, n comper threads (each with Q_task / B_task / T_task), one
-/// communication thread, and one GC thread. The cluster driver plays the
-/// paper's "main thread of the master": it receives progress reports and
-/// issues steal/terminate/checkpoint control messages.
+/// L_file, n comper threads (each with Q_task and its parked tasks, T_task
+/// and B_task), one communication thread, and one GC thread. The cluster
+/// driver plays the paper's "main thread of the master": it receives
+/// progress reports and issues steal/terminate/checkpoint control messages.
 ///
 /// ComperT must derive from Comper<TaskT, AggT> (core/comper.h).
 template <typename ComperT>
@@ -192,6 +193,30 @@ class Worker {
   int64_t PeakMemBytes() const { return mem_.peak(); }
 
  private:
+  class ComperEngine;
+
+  /// A task waiting on remote pulls (paper §V-B T_task), owned by its
+  /// comper's list. The record's address is the task's waiter handle in
+  /// the T_cache R-table, so a response finds it with no lookup.
+  struct ParkedTask {
+    ComperEngine* owner;
+    std::unique_ptr<TaskT> task;
+    /// Hub-clock instant the task parked; the task.wait_us histogram
+    /// measures the pending->ready wait against it.
+    int64_t parked_at_us;
+    /// Remote pulls not yet in T_cache, plus a hold of 1 while Resolve is
+    /// still registering them. Whoever takes it to zero readies the task.
+    std::atomic<int> missing;
+    typename std::list<ParkedTask>::iterator self;  // in owner->parked_
+
+    uint64_t Waiter() const { return reinterpret_cast<uintptr_t>(this); }
+    static ParkedTask* FromWaiter(uint64_t waiter) {
+      return reinterpret_cast<ParkedTask*>(static_cast<uintptr_t>(waiter));
+    }
+  };
+  static_assert(sizeof(ParkedTask*) <= sizeof(uint64_t),
+                "a T_cache waiter handle holds a ParkedTask pointer");
+
   // =======================================================================
   // ComperEngine: the per-mining-thread state machine of Fig. 7.
   // =======================================================================
@@ -246,12 +271,11 @@ class Worker {
           // A round that processed nothing = CPU idle time, the quantity
           // G-thinker's design minimizes (paper §I). Reported per job.
           idle_rounds_.fetch_add(1, std::memory_order_relaxed);
-          // Idle with tasks parked in T_task = waiting on remote pulls;
-          // idle with nothing in flight = starved queue (imbalance/drain).
+          // Idle with parked tasks = waiting on remote pulls; idle with
+          // nothing in flight = starved queue (imbalance/drain).
           wait_timer.Restart();
           std::this_thread::sleep_for(std::chrono::microseconds(100));
-          (t_size_.load(std::memory_order_relaxed) > 0 ? phase_pull_wait_
-                                                       : phase_queue_wait_)
+          (parked_.empty() ? phase_queue_wait_ : phase_pull_wait_)
               .AddNanos(wait_timer.ElapsedNanos());
         }
       }
@@ -266,32 +290,18 @@ class Worker {
       }
     }
 
-    /// Called by the comm thread when Γ(v) lands for a task of this comper.
-    void OnVertexReady(uint64_t task_id) {
-      std::unique_ptr<TaskT> ready;
-      int64_t pending_at_us = 0;
-      {
-        std::lock_guard<std::mutex> lock(t_mutex_);
-        auto it = t_task_.find(task_id);
-        GT_CHECK(it != t_task_.end())
-            << "vertex response for unknown task " << task_id;
-        Pending& pending = it->second;
-        ++pending.met;
-        if (pending.req >= 0 && pending.met == pending.req) {
-          ready = std::move(pending.task);
-          pending_at_us = pending.pending_at_us;
-          t_task_.erase(it);
-        }
-      }
-      if (ready != nullptr) {
-        worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
-        TaskEvent(obs::EventKind::kReady, ready->span_id());
-        // Push to B_task *before* shrinking the T_task mirror: a reader that
-        // sees the smaller t_size_ then also sees the task in B_task, so the
-        // task is never invisible to both.
-        b_task_.Push(std::move(ready));
-        t_size_.fetch_sub(1, std::memory_order_release);
-      }
+    /// Called by the comm thread when Γ(v) lands for `parked`, a task of
+    /// this comper. The call that counts its last pull moves it to B_task;
+    /// after the push the record may be erased at once, so nothing here
+    /// touches it again.
+    void OnPullArrived(ParkedTask* parked) {
+      const int before =
+          parked->missing.fetch_sub(1, std::memory_order_acq_rel);
+      GT_CHECK_GT(before, 0) << "comper " << index_ << ": a parked task's "
+                             << "pull countdown went below 0";
+      if (before != 1) return;
+      MarkReady(*parked);
+      b_task_.Push(parked);
     }
 
     /// Q_task's weight in roots (core/root_bundle.h TaskWeight).
@@ -305,46 +315,26 @@ class Worker {
 
     int64_t Rounds() const { return rounds_.load(std::memory_order_relaxed); }
 
-    /// Checkpoint support: serializes every in-memory task of this engine.
-    /// Only safe while the comper thread is parked.
+    /// Checkpoint support: serializes every in-memory task of this engine
+    /// (Q_task, then T_task and B_task). Only safe while the comper thread
+    /// is parked and on the comm thread, so no response moves a record.
     void CollectCheckpointRecords(std::vector<std::string>* records) {
-      for (const auto& task : q_) {
+      auto add = [records](const TaskT& task) {
         Serializer ser;
-        task->Serialize(ser);
+        task.Serialize(ser);
         records->push_back(ser.Release());
-      }
-      b_task_.ForEach([records](const std::unique_ptr<TaskT>& task) {
-        Serializer ser;
-        task->Serialize(ser);
-        records->push_back(ser.Release());
-      });
-      std::lock_guard<std::mutex> lock(t_mutex_);
-      for (const auto& [id, pending] : t_task_) {
-        Serializer ser;
-        pending.task->Serialize(ser);
-        records->push_back(ser.Release());
-      }
+      };
+      for (const auto& task : q_) add(*task);
+      for (const ParkedTask& parked : parked_) add(*parked.task);
     }
 
    private:
-    struct Pending {
-      std::unique_ptr<TaskT> task;
-      int met = 0;
-      int req = -1;  // -1 = not yet committed by the popping comper
-      /// Hub-clock instant the task parked in T_task; pending->ready wait
-      /// time is measured against it (task.wait_us histogram).
-      int64_t pending_at_us = 0;
-    };
-
     /// push(): run one ready task from B_task (its pulls are all cached and
     /// locked for it).
     bool Push() {
       auto ready = b_task_.TryPop();
       if (!ready.has_value()) return false;
-      inflight_roots_ -= TaskWeight(**ready);
-      // The task was tracked while pending; ExecuteIteration re-tracks it.
-      worker_->mem_.Release((*ready)->MemoryBytes());
-      ExecuteIteration(std::move(*ready));
+      ExecuteIteration(Unpark(*ready));
       return true;
     }
 
@@ -495,54 +485,51 @@ class Worker {
         ExecuteIteration(std::move(task));
         return;
       }
-      const uint64_t tid = MakeTaskId(index_, seq_++);
       TaskEvent(obs::EventKind::kPending, task->span_id());
-      const int64_t pending_at_us = worker_->hub_->NowUs();
-      TaskT* raw = task.get();
       inflight_roots_ += TaskWeight(*task);
-      {
-        std::lock_guard<std::mutex> lock(t_mutex_);
-        t_task_.emplace(tid, Pending{std::move(task), 0, -1, pending_at_us});
-        t_size_.fetch_add(1, std::memory_order_relaxed);
-      }
-      worker_->mem_.Consume(raw->MemoryBytes());
+      worker_->mem_.Consume(task->MemoryBytes());
+      const int total_remote = static_cast<int>(remote_scratch_.size());
+      ParkedTask& parked = parked_.emplace_back(
+          this, std::move(task), worker_->hub_->NowUs(), total_remote + 1);
+      parked.self = std::prev(parked_.end());
       // Batched OP1: all of this task's remote pulls resolve with one lock
       // acquisition per distinct bucket instead of one per vertex.
-      const int total_remote = static_cast<int>(remote_scratch_.size());
       new_request_scratch_.clear();
       const int hits = worker_->cache_.RequestBatch(
-          remote_scratch_.data(), remote_scratch_.size(), tid, &counter_,
-          &new_request_scratch_);
+          remote_scratch_.data(), remote_scratch_.size(), parked.Waiter(),
+          &counter_, &new_request_scratch_);
       for (VertexId v : new_request_scratch_) {
         worker_->EnqueueVertexRequest(v);
       }
-      // Commit req; the task may already be complete (all hits, or responses
-      // raced in while we were requesting).
-      std::unique_ptr<TaskT> ready;
-      {
-        std::lock_guard<std::mutex> lock(t_mutex_);
-        auto it = t_task_.find(tid);
-        if (it != t_task_.end()) {
-          Pending& pending = it->second;
-          pending.met += hits;
-          if (pending.met == total_remote) {
-            ready = std::move(pending.task);
-            t_task_.erase(it);
-            t_size_.fetch_sub(1, std::memory_order_relaxed);
-          } else {
-            pending.req = total_remote;
-          }
-        }
-        // (it == end() cannot happen: req was -1, so only we can remove it.)
+      // Drop the hold with the hits. Reaching zero here means every pull
+      // hit, or the responses raced in while the pulls were registering.
+      const int before =
+          parked.missing.fetch_sub(hits + 1, std::memory_order_acq_rel);
+      GT_CHECK_GE(before, hits + 1)
+          << "comper " << index_ << ": a parked task's pull countdown went "
+          << "below 0";
+      if (before == hits + 1) {
+        MarkReady(parked);
+        ExecuteIteration(Unpark(&parked));
       }
-      if (ready != nullptr) {
-        // The responses raced in while we were still registering pulls.
-        worker_->task_wait_us_->Record(worker_->hub_->NowUs() - pending_at_us);
-        TaskEvent(obs::EventKind::kReady, ready->span_id());
-        inflight_roots_ -= TaskWeight(*ready);
-        worker_->mem_.Release(ready->MemoryBytes());
-        ExecuteIteration(std::move(ready));
-      }
+    }
+
+    /// The pending->ready transition of a task whose pulls are all in
+    /// T_cache: its wait time and kReady event.
+    void MarkReady(const ParkedTask& parked) {
+      worker_->task_wait_us_->Record(worker_->hub_->NowUs() -
+                                     parked.parked_at_us);
+      TaskEvent(obs::EventKind::kReady, parked.task->span_id());
+    }
+
+    /// Takes a ready task out of its record and erases the record.
+    std::unique_ptr<TaskT> Unpark(ParkedTask* parked) {
+      std::unique_ptr<TaskT> task = std::move(parked->task);
+      parked_.erase(parked->self);
+      inflight_roots_ -= TaskWeight(*task);
+      // The task was tracked while parked; ExecuteIteration re-tracks it.
+      worker_->mem_.Release(task->MemoryBytes());
+      return task;
     }
 
     /// One compute() iteration: build the frontier in pull order, run the
@@ -632,12 +619,13 @@ class Worker {
     std::deque<std::unique_ptr<TaskT>> q_;  // Q_task: comper thread only
     size_t q_weight_ = 0;                   // Q_task's roots: comper thread
     std::atomic<size_t> q_size_{0};         // mirror for cross-thread reads
-    ConcurrentQueue<std::unique_ptr<TaskT>> b_task_;
-    std::mutex t_mutex_;
-    std::unordered_map<uint64_t, Pending> t_task_;
-    std::atomic<size_t> t_size_{0};
+    /// T_task ∪ B_task: every parked task's record, comper thread only (the
+    /// comm thread reads it for a checkpoint while the comper is parked).
+    std::list<ParkedTask> parked_;
+    /// B_task: records whose last pull the comm thread counted (the comper
+    /// runs a task whose countdown it ends itself at once).
+    ConcurrentQueue<ParkedTask*> b_task_;
     size_t inflight_roots_ = 0;  // roots in T_task + B_task: comper thread
-    uint64_t seq_ = 0;
     bool spawn_exhausted_ = false;
     std::atomic<int64_t> idle_rounds_{0};
     std::atomic<int64_t> rounds_{0};
@@ -744,8 +732,8 @@ class Worker {
   }
 
   /// Globally-unique span identity: worker in the high 16 bits, a local
-  /// sequence from 1 below (mirrors MakeTaskId's packing). Never 0, which
-  /// events and `parent` links read as "no span".
+  /// sequence from 1 below. Never 0, which events and `parent` links read
+  /// as "no span".
   uint64_t NextSpanId() {
     return (static_cast<uint64_t>(id_) << 48) |
            span_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -1000,10 +988,11 @@ class Worker {
         std::vector<VertexT> vertices;
         GT_CHECK_OK(DecodeVertexResponse(mb.payload, &vertices));
         for (VertexT& v : vertices) {
-          for (uint64_t tid : cache_.InsertResponse(std::move(v))) {
-            const int comper = ComperOfTaskId(tid);
-            GT_CHECK_LT(comper, static_cast<int>(engines_.size()));
-            engines_[comper]->OnVertexReady(tid);
+          // InsertResponse dies on a vertex with no R-table entry, so only
+          // handles this worker's compers registered come back.
+          for (uint64_t waiter : cache_.InsertResponse(std::move(v))) {
+            ParkedTask* parked = ParkedTask::FromWaiter(waiter);
+            parked->owner->OnPullArrived(parked);
           }
         }
         break;
@@ -1219,13 +1208,13 @@ class Worker {
   void MaybePark() {
     if (!pause_.load(std::memory_order_acquire)) return;
     std::unique_lock<std::mutex> lock(pause_mutex_);
-    ++parked_;
+    ++compers_parked_;
     pause_cv_.notify_all();
     pause_cv_.wait(lock, [this] {
       return !pause_.load(std::memory_order_acquire) ||
              stop_compers_.load(std::memory_order_acquire);
     });
-    --parked_;
+    --compers_parked_;
   }
 
   void DoCheckpoint(uint64_t epoch) {
@@ -1235,7 +1224,7 @@ class Worker {
     {
       std::unique_lock<std::mutex> lock(pause_mutex_);
       pause_cv_.wait(lock, [this] {
-        return parked_ == static_cast<int>(engines_.size());
+        return compers_parked_ == static_cast<int>(engines_.size());
       });
     }
     std::vector<std::string> records;
@@ -1458,7 +1447,7 @@ class Worker {
   std::atomic<bool> pause_{false};
   std::mutex pause_mutex_;
   std::condition_variable pause_cv_;
-  int parked_ = 0;
+  int compers_parked_ = 0;
   bool started_ = false;
   std::vector<std::thread> threads_;
 

@@ -7,13 +7,13 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace gthinker {
 
 /// Unbounded multi-producer multi-consumer FIFO queue. Used for the ready-task
-/// buffer B_task (paper Fig. 7) and worker mailboxes: producers are the
-/// response-receiving threads, the consumer is the owning comper.
+/// buffer B_task (paper Fig. 7), which carries parked-task records from the
+/// response-receiving thread to the owning comper, and for the transports'
+/// worker mailboxes.
 template <typename T>
 class ConcurrentQueue {
  public:
@@ -30,17 +30,6 @@ class ConcurrentQueue {
     cv_.notify_one();
   }
 
-  template <typename It>
-  void PushBatch(It first, It last) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (It it = first; it != last; ++it) {
-        items_.push_back(std::move(*it));
-      }
-    }
-    cv_.notify_all();
-  }
-
   /// Non-blocking pop; empty optional when the queue is empty.
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -48,18 +37,6 @@ class ConcurrentQueue {
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
-  }
-
-  /// Pops up to `max_items` elements into `out`; returns how many were moved.
-  size_t TryPopBatch(size_t max_items, std::vector<T>* out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t n = 0;
-    while (n < max_items && !items_.empty()) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-      ++n;
-    }
-    return n;
   }
 
   /// Blocking pop with a deadline; empty optional on timeout or when Wake()
@@ -86,20 +63,10 @@ class ConcurrentQueue {
     cv_.notify_all();
   }
 
-  /// Applies `fn` to every queued element (const access) under the lock.
-  /// Used by checkpointing to snapshot in-flight tasks without draining.
-  template <typename F>
-  void ForEach(F fn) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const T& item : items_) fn(item);
-  }
-
   size_t Size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
   }
-
-  bool Empty() const { return Size() == 0; }
 
  private:
   mutable std::mutex mutex_;

@@ -26,29 +26,6 @@ TEST(ConcurrentQueue, FifoOrder) {
 TEST(ConcurrentQueue, TryPopEmptyReturnsNullopt) {
   ConcurrentQueue<int> q;
   EXPECT_FALSE(q.TryPop().has_value());
-  EXPECT_TRUE(q.Empty());
-  EXPECT_EQ(q.Size(), 0u);
-}
-
-TEST(ConcurrentQueue, PushBatchPreservesOrder) {
-  ConcurrentQueue<int> q;
-  std::vector<int> items = {5, 6, 7};
-  q.PushBatch(items.begin(), items.end());
-  EXPECT_EQ(q.Size(), 3u);
-  EXPECT_EQ(*q.TryPop(), 5);
-  EXPECT_EQ(*q.TryPop(), 6);
-  EXPECT_EQ(*q.TryPop(), 7);
-}
-
-TEST(ConcurrentQueue, TryPopBatchRespectsLimit) {
-  ConcurrentQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.TryPopBatch(4, &out), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.Size(), 6u);
-  out.clear();
-  EXPECT_EQ(q.TryPopBatch(100, &out), 6u);
   EXPECT_EQ(q.Size(), 0u);
 }
 
@@ -90,15 +67,6 @@ TEST(ConcurrentQueue, WakeEndsAPopForWait) {
   q.Push(7);
   q.Wake();
   ASSERT_EQ(q.PopFor(std::chrono::seconds(30)), std::optional<int>(7));
-}
-
-TEST(ConcurrentQueue, ForEachSeesAllItemsWithoutRemoving) {
-  ConcurrentQueue<int> q;
-  for (int i = 0; i < 5; ++i) q.Push(i);
-  int sum = 0;
-  q.ForEach([&sum](const int& x) { sum += x; });
-  EXPECT_EQ(sum, 10);
-  EXPECT_EQ(q.Size(), 5u);
 }
 
 TEST(ConcurrentQueue, MoveOnlyPayload) {

@@ -27,8 +27,22 @@ TEST(ConfigValidate, RejectsBadComperCounts) {
   JobConfig c;
   c.compers_per_worker = 0;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
-  c.compers_per_worker = (1 << 16) + 1;  // task IDs carry 16-bit comper ids
+  c.compers_per_worker = (1 << 16) + 1;
   EXPECT_TRUE(c.Validate().IsInvalidArgument());
+}
+
+// Event records (obs::SpanEvent) carry worker and comper IDs as int16, with
+// -1 for master / worker-level events, so neither count may pass 32767.
+TEST(ConfigValidate, RejectsCountsTheEventRecordCannotHold) {
+  JobConfig c;
+  c.num_workers = 32768;
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
+  c = JobConfig{};
+  c.compers_per_worker = 32768;
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
+  c.num_workers = 32767;
+  c.compers_per_worker = 32767;
+  EXPECT_TRUE(c.Validate().ok());
 }
 
 TEST(ConfigValidate, RejectsBadCacheParameters) {

@@ -337,11 +337,5 @@ TEST(ProtocolTest, TaskBatchRejectsTrailingAndTruncatedBytes) {
   EXPECT_TRUE(DecodeTaskBatch(Truncate(wire, 1), &records).IsCorruption());
 }
 
-TEST(ProtocolTest, TaskIdPacksComperAndSequence) {
-  const uint64_t id = MakeTaskId(5, 123456789);
-  EXPECT_EQ(ComperOfTaskId(id), 5);
-  EXPECT_EQ(id & ((1ULL << 48) - 1), 123456789ull);
-}
-
 }  // namespace
 }  // namespace gthinker

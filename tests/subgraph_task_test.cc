@@ -163,14 +163,6 @@ TEST(Task, CorruptBlobFailsCleanly) {
   EXPECT_FALSE(t.Deserialize(des).ok());
 }
 
-TEST(Protocol, TaskIdPacksComperAndSeq) {
-  const uint64_t id = MakeTaskId(5, 123456789);
-  EXPECT_EQ(ComperOfTaskId(id), 5);
-  EXPECT_EQ(id & ((1ULL << 48) - 1), 123456789ULL);
-  EXPECT_EQ(ComperOfTaskId(MakeTaskId(0, 0)), 0);
-  EXPECT_EQ(ComperOfTaskId(MakeTaskId(65535, 1)), 65535);
-}
-
 TEST(Protocol, ProgressReportRoundtrip) {
   ProgressReport r;
   r.worker_id = 3;

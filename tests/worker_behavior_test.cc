@@ -168,6 +168,85 @@ TEST(WorkerBehavior, MultiIterationTasksResumeCorrectly) {
   EXPECT_LE(result.result, 4 * spawned);
 }
 
+/// Every task pulls only remote vertices, duplicates included, from a pool
+/// of kPool vertices per worker that all compers share, for kIters
+/// iterations. With a cache of 2 the pool's vertices keep getting evicted
+/// and pulled again, so a task's pulls mix T_cache hits, joins on another
+/// task's open request and, now and then, responses that land while the
+/// task is still registering its pulls. Sums the IDs of every frontier.
+class SharedPoolComper : public Comper<PlainTask, uint64_t> {
+ public:
+  static constexpr VertexId kPool = 16;
+  static constexpr uint32_t kIters = 3;
+
+  /// Pull list of the task rooted at v in `iteration`: worker v % 2 owns v,
+  /// so pool vertex k is 2k + 1 - v % 2 on the other worker.
+  static std::vector<VertexId> PullsOf(VertexId v, uint32_t iteration) {
+    std::vector<VertexId> pulls;
+    for (VertexId j = 0; j < 5; ++j) {
+      const VertexId k = (7 * v + 3 * iteration + j * j) % kPool;
+      pulls.push_back(2 * k + 1 - v % 2);
+    }
+    pulls.push_back(pulls.front());  // at least one duplicate
+    return pulls;
+  }
+
+  void TaskSpawn(const VertexT& v) override {
+    auto task = std::make_unique<TaskT>();
+    task->context() = v.id;
+    for (VertexId u : PullsOf(v.id, 0)) task->Pull(u);
+    AddTask(std::move(task));
+  }
+
+  bool Compute(TaskT* task, const Frontier& frontier) override {
+    const std::vector<VertexId> pulls =
+        PullsOf(task->context(), task->iteration());
+    EXPECT_EQ(frontier.size(), pulls.size());
+    uint64_t sum = 0;
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      EXPECT_EQ(frontier[i]->id, pulls[i]);
+      sum += frontier[i]->id;
+    }
+    Aggregate(sum);
+    if (task->iteration() + 1 == kIters) return false;
+    for (VertexId u : PullsOf(task->context(), task->iteration() + 1)) {
+      task->Pull(u);
+    }
+    return true;
+  }
+
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+};
+
+TEST(WorkerBehavior, SharedRemotePullsRunEachIterationOnce) {
+  constexpr VertexId kVertices = 400;
+  uint64_t expected = 0;
+  for (VertexId v = 0; v < kVertices; ++v) {
+    for (uint32_t i = 0; i < SharedPoolComper::kIters; ++i) {
+      for (VertexId u : SharedPoolComper::PullsOf(v, i)) expected += u;
+    }
+  }
+  Graph g(kVertices);
+  g.Finalize();
+  Job<SharedPoolComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 4;
+  job.config.cache_capacity = 2;
+  job.config.cache_overflow_alpha = 0.0;
+  job.config.enable_stealing = false;  // a task's pulls stay remote
+  job.config.layout.reorder = false;
+  job.config.time_budget_s = 20.0;  // a hang fails the test, not the lane
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<SharedPoolComper>(); };
+  auto result = Cluster<SharedPoolComper>::Run(job);
+  ASSERT_FALSE(result.stats.timed_out);
+  EXPECT_EQ(result.result, expected);
+  // A task run twice, or never, would move the iteration count.
+  EXPECT_EQ(result.stats.task_iterations,
+            static_cast<int64_t>(kVertices * SharedPoolComper::kIters));
+}
+
 /// Decomposes each spawned task into a chain of `depth` children (each
 /// AddTask'ed without pulls), counting leaves. Exercises AddTask-from-
 /// Compute, queue spilling of decomposed tasks, and termination with purely
@@ -346,25 +425,71 @@ class NoTaskComper : public Comper<PlainTask, uint64_t> {
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
 };
 
-/// Starts worker 0 of 2 over vertices 0..9 (slots for 0, 2, 4, 6, 8), has
-/// worker 1 request `v` from it, and waits for the comm thread to answer.
-[[noreturn]] void RequestFromWorkerZero(VertexId v) {
+/// Worker 0's task for vertex 0 pulls vertex 1, which worker 1 owns.
+class PullVertexOneComper : public Comper<PlainTask, uint64_t> {
+ public:
+  void TaskSpawn(const VertexT& v) override {
+    if (v.id != 0) return;
+    auto task = std::make_unique<TaskT>();
+    task->Pull(1);
+    AddTask(std::move(task));
+  }
+  bool Compute(TaskT*, const Frontier&) override { return false; }
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+};
+
+/// Starts worker 0 of 2 over vertices 0..9 (slots for 0, 2, 4, 6, 8) on
+/// `hub`, whose endpoint 1 stands in for worker 1.
+template <typename ComperT>
+std::unique_ptr<Worker<ComperT>> StartWorkerZero(CommHub* hub) {
   JobConfig config;
   config.num_workers = 2;
   config.compers_per_worker = 1;
+  auto worker = std::make_unique<Worker<ComperT>>(
+      0, config, hub, [] { return std::make_unique<ComperT>(); }, nullptr,
+      TempDirPath("worker_zero"));
+  worker->SizeLocalTable(10);
+  worker->FinalizeLoad();
+  worker->Start();
+  return worker;
+}
+
+/// Has worker 1 request `v` from worker 0, and waits for the comm thread to
+/// answer.
+[[noreturn]] void RequestFromWorkerZero(VertexId v) {
   CommHub hub(3);
-  Worker<NoTaskComper> worker(
-      0, config, &hub, [] { return std::make_unique<NoTaskComper>(); },
-      nullptr, TempDirPath("pull_guard"));
-  worker.SizeLocalTable(10);
-  worker.FinalizeLoad();
-  worker.Start();
+  auto worker = StartWorkerZero<NoTaskComper>(&hub);
   MessageBatch mb;
   mb.src_worker = 1;
   mb.dst_worker = 0;
   mb.type = MsgType::kVertexRequest;
   mb.payload = EncodeVertexRequest({v});
   hub.Send(std::move(mb));
+  while (true) std::this_thread::sleep_for(std::chrono::seconds(1));
+}
+
+/// Sends worker 0 Γ(1) `times` times, as worker 1 answering a pull would,
+/// and waits for the comm thread to install it. With `await_request`, the
+/// first response goes out only once worker 0's pull of vertex 1 arrived.
+template <typename ComperT>
+[[noreturn]] void RespondToWorkerZero(int times, bool await_request) {
+  CommHub hub(3);
+  auto worker = StartWorkerZero<ComperT>(&hub);
+  MessageBatch request;  // endpoint 1 receives only worker 0's pulls
+  if (await_request) {
+    GT_CHECK(hub.Receive(1, 10'000'000, &request)) << "no pull of vertex 1";
+  }
+  typename ComperT::VertexT one;
+  one.id = 1;
+  for (int i = 0; i < times; ++i) {
+    MessageBatch mb;
+    mb.src_worker = 1;
+    mb.dst_worker = 0;
+    mb.type = MsgType::kVertexResponse;
+    mb.payload = EncodeVertexResponse<typename ComperT::VertexT>({&one});
+    hub.Send(std::move(mb));
+  }
   while (true) std::this_thread::sleep_for(std::chrono::seconds(1));
 }
 
@@ -377,6 +502,18 @@ TEST(WorkerBehaviorDeathTest, PullRequestForUnownedVertexDies) {
                "worker 1 requested vertex 3, which it does not own");
   EXPECT_DEATH(RequestFromWorkerZero(10),
                "worker 1 requested vertex 10, which it does not own");
+}
+
+// A response's waiter handles are parked-task addresses, so a response must
+// only ever meet an R-table entry this worker's compers opened: one for a
+// vertex never requested, or a second one after the first was installed,
+// must fail before any handle is read.
+TEST(WorkerBehaviorDeathTest, ResponseWithoutAnOpenRequestDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(RespondToWorkerZero<NoTaskComper>(1, false),
+               "response for never-requested vertex 1");
+  EXPECT_DEATH(RespondToWorkerZero<PullVertexOneComper>(2, true),
+               "response for never-requested vertex 1");
 }
 
 }  // namespace
