@@ -846,17 +846,10 @@ class Cluster {
           if (local_owner(vertex.id)) local_rows.push_back(std::move(vertex));
         }
       }
-      // The n lines must carry IDs 0..n-1, each once, and name no other ID
-      // (a comper pulls a neighbor by its slot). This is checked before any
-      // table is sized, so the tables are bounded by the input.
-      GT_CHECK(ids.empty() || max_named < ids.size())
-          << job.dfs_graph_dir << ": vertex " << max_named
-          << " is not below its " << ids.size() << " vertex lines";
-      std::vector<bool> seen(ids.size());
-      for (VertexId v : ids) {
-        GT_CHECK(!seen[v]) << "vertex " << v << " appears twice in the input";
-        seen[v] = true;
-      }
+      // A comper pulls a neighbor by its slot, so the tables are sized only
+      // once the lines pass the adjacency-input rule.
+      const Status ids_ok = GraphIo::CheckVertexIds(ids, max_named);
+      GT_CHECK(ids_ok.ok()) << job.dfs_graph_dir << ": " << ids_ok.ToString();
       for (auto& worker : *workers) worker->SizeLocalTable(ids.size());
       for (VertexT& v : local_rows) {
         local_owner(v.id)->LocalVertex(v.id).value = std::move(v.value);

@@ -65,8 +65,6 @@ class PullCoalescer {
     return true;
   }
 
-  int num_destinations() const { return static_cast<int>(buffers_.size()); }
-
   /// True while any destination has an open (sub-threshold) batch. Lets the
   /// comm thread wait event-driven when idle but keep the short flush
   /// cadence while pulls are buffered. Racy by design: an Add landing just

@@ -45,10 +45,6 @@ class Subgraph {
     auto it = index_.find(id);
     return it == index_.end() ? nullptr : &vertices_[it->second];
   }
-  VertexT* MutableVertex(VertexId id) {
-    auto it = index_.find(id);
-    return it == index_.end() ? nullptr : &vertices_[it->second];
-  }
 
   size_t NumVertices() const { return vertices_.size(); }
   const std::vector<VertexT>& vertices() const { return vertices_; }

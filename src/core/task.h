@@ -48,10 +48,6 @@ class Task {
     return out;
   }
   void SetPulls(std::vector<VertexId> pulls) { pulls_ = std::move(pulls); }
-  void ClearPulls() {
-    pulls_.clear();
-    pulls_.shrink_to_fit();
-  }
 
   SubgraphT& subgraph() { return subgraph_; }
   const SubgraphT& subgraph() const { return subgraph_; }

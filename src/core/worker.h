@@ -217,13 +217,31 @@ class Worker {
   static_assert(sizeof(ParkedTask*) <= sizeof(uint64_t),
                 "a T_cache waiter handle holds a ParkedTask pointer");
 
+  /// The Comper<>::Runtime services every comper of this worker shares;
+  /// each runtime below adds only its own AddTask.
+  class WorkerRuntime : public Comper<TaskT, AggT>::Runtime {
+   public:
+    explicit WorkerRuntime(Worker* worker) : worker_(worker) {}
+    void Aggregate(const AggT& delta) override { worker_->agg_.Aggregate(delta); }
+    AggT CurrentAgg() const override { return worker_->agg_.CurrentView(); }
+    void Output(std::string record) override {
+      worker_->WriteOutput(std::move(record));
+    }
+    VertexId OriginalId(VertexId v) const override {
+      return worker_->OriginalId(v);
+    }
+
+   protected:
+    Worker* const worker_;
+  };
+
   // =======================================================================
   // ComperEngine: the per-mining-thread state machine of Fig. 7.
   // =======================================================================
-  class ComperEngine final : public Comper<TaskT, AggT>::Runtime {
+  class ComperEngine final : public WorkerRuntime {
    public:
     ComperEngine(Worker* worker, int index, std::unique_ptr<ComperT> user)
-        : worker_(worker), index_(index), user_(std::move(user)) {
+        : WorkerRuntime(worker), index_(index), user_(std::move(user)) {
       user_->BindRuntime(this);
       const std::string label = "comper=" + std::to_string(index);
       compute_us_ =
@@ -239,15 +257,8 @@ class Worker {
                                       .parent = running_span_,
                                       .kind = obs::EventKind::kSpawn});
       }
+      worker_->mem_.Consume(task->MemoryBytes());
       AddToQueue(std::move(task));
-    }
-    void Aggregate(const AggT& delta) override { worker_->agg_.Aggregate(delta); }
-    AggT CurrentAgg() const override { return worker_->agg_.CurrentView(); }
-    void Output(std::string record) override {
-      worker_->WriteOutput(std::move(record));
-    }
-    VertexId OriginalId(VertexId v) const override {
-      return worker_->OriginalId(v);
     }
 
     /// Mining-thread body: each round runs push() then (gates permitting)
@@ -439,9 +450,10 @@ class Worker {
 
     /// Appends to Q_task; when `task` would overfill it (3C roots), the
     /// tasks at the tail weighing C roots are spilled to one file first
-    /// (paper §V-B (1)).
+    /// (paper §V-B (1)). A task is charged to mem_ at its current size from
+    /// the moment its comper holds it (AddTask, Refill) until it is spilled
+    /// or finished, whether queued, parked or computing.
     void AddToQueue(std::unique_ptr<TaskT> task) {
-      worker_->mem_.Consume(task->MemoryBytes());
       const size_t batch = worker_->config_.task_batch_size;
       const size_t cap =
           batch * worker_->config_.task_queue_capacity_batches;
@@ -479,7 +491,6 @@ class Worker {
     /// right away; otherwise it parks in T_task until the comm thread
     /// declares it ready.
     void Resolve(std::unique_ptr<TaskT> task) {
-      worker_->mem_.Release(task->MemoryBytes());
       CollectRemotePulls(task->pulls());
       if (remote_scratch_.empty()) {
         ExecuteIteration(std::move(task));
@@ -487,7 +498,6 @@ class Worker {
       }
       TaskEvent(obs::EventKind::kPending, task->span_id());
       inflight_roots_ += TaskWeight(*task);
-      worker_->mem_.Consume(task->MemoryBytes());
       const int total_remote = static_cast<int>(remote_scratch_.size());
       ParkedTask& parked = parked_.emplace_back(
           this, std::move(task), worker_->hub_->NowUs(), total_remote + 1);
@@ -527,8 +537,6 @@ class Worker {
       std::unique_ptr<TaskT> task = std::move(parked->task);
       parked_.erase(parked->self);
       inflight_roots_ -= TaskWeight(*task);
-      // The task was tracked while parked; ExecuteIteration re-tracks it.
-      worker_->mem_.Release(task->MemoryBytes());
       return task;
     }
 
@@ -536,12 +544,9 @@ class Worker {
     /// UDF, then release every remote pull back to the cache (OP3) so GC can
     /// evict in time.
     void ExecuteIteration(std::unique_ptr<TaskT> task) {
-      // Take the pulls *before* measuring: TakePulls leaves pulls_ empty, so
-      // consuming first would count buffer bytes the matching Release below
-      // never sees again (the mem-accounting skew grew by one pull buffer
-      // per iteration).
+      // The size the task is charged at, its pulls included.
+      const int64_t charged = task->MemoryBytes();
       const std::vector<VertexId> pulls = task->TakePulls();
-      worker_->mem_.Consume(task->MemoryBytes());
       typename ComperT::Frontier frontier;
       frontier.reserve(pulls.size());
       for (VertexId v : pulls) {
@@ -568,7 +573,10 @@ class Worker {
                               .kind = obs::EventKind::kExecute});
       }
       task->BumpIteration();
-      worker_->mem_.Release(task->MemoryBytes());
+      // Re-measured once: what Compute grew (its subgraph, its next pulls)
+      // reaches the tracked peak, and the task stays charged at this size.
+      const int64_t bytes = task->MemoryBytes();
+      worker_->mem_.Consume(bytes - charged);
       // Batched OP3: one lock acquisition per distinct bucket.
       CollectRemotePulls(pulls);
       worker_->cache_.ReleaseBatch(remote_scratch_.data(),
@@ -577,6 +585,7 @@ class Worker {
       if (more) {
         AddToQueue(std::move(task));
       } else {
+        worker_->mem_.Release(bytes);
         worker_->OnTaskFinished();
         TaskEvent(obs::EventKind::kFinish, task->span_id());
       }
@@ -605,7 +614,7 @@ class Worker {
       }
     }
 
-    Worker* worker_;
+    using WorkerRuntime::worker_;
     const int index_;
     std::unique_ptr<ComperT> user_;
     SCacheCounter counter_;
@@ -647,36 +656,23 @@ class Worker {
   // touching any comper's queue. AddTask serializes straight into the
   // donation batch.
   // =======================================================================
-  class StealRuntime final : public Comper<TaskT, AggT>::Runtime {
+  class StealRuntime final : public WorkerRuntime {
    public:
-    explicit StealRuntime(Worker* worker) : worker_(worker) {}
+    using WorkerRuntime::WorkerRuntime;
     void AddTask(std::unique_ptr<TaskT> task) override {
       // Spawned straight into the donation batch: counts as spawned (and
       // momentarily live) here, then as donated once the batch ships.
-      worker_->OnTaskSpawned();
+      this->worker_->OnTaskSpawned();
       Serializer ser;
       task->Serialize(ser);
       sink_->push_back(ser.Release());
     }
-    void Aggregate(const AggT& delta) override {
-      worker_->agg_.Aggregate(delta);
-    }
-    AggT CurrentAgg() const override { return worker_->agg_.CurrentView(); }
-    void Output(std::string record) override {
-      worker_->WriteOutput(std::move(record));
-    }
-    VertexId OriginalId(VertexId v) const override {
-      return worker_->OriginalId(v);
-    }
     void SetSink(std::vector<std::string>* sink) { sink_ = sink; }
 
    private:
-    Worker* worker_;
     std::vector<std::string>* sink_ = nullptr;
   };
 
-  friend class ComperEngine;
-  friend class StealRuntime;
 
   // ---------------------------------------------------------------------
   // Shared helpers.
@@ -837,29 +833,66 @@ class Worker {
   // Communication thread.
   // ---------------------------------------------------------------------
 
-  /// Receive-wait slice while request batches are open, and while the
-  /// drain polls for an empty wire.
+  /// Receive-wait slice while request batches are open.
   static constexpr int64_t kCommPollUs = 200;
 
-  /// Receive is event-driven: the transport's readiness signal (the mailbox
-  /// condition variable in-process; the poll(2) IO thread feeding it under
-  /// tcp) wakes this thread the moment a batch lands, and CommHub::Wake
-  /// wakes it for what happens outside the inbox — a comper opening a pull
-  /// window or turning the worker idle. So an idle wait lasts until the
-  /// next progress report is due.
+  /// The comm thread (paper §V-B): one receive loop runs the job and its
+  /// two-phase lossless shutdown. Receive is event-driven: the transport's
+  /// readiness signal (the mailbox condition variable in-process; the
+  /// poll(2) IO thread feeding it under tcp) wakes this thread the moment a
+  /// batch lands, and CommHub::Wake wakes it for what happens outside the
+  /// inbox — a comper opening a pull window, turning the worker idle or
+  /// exiting, and, once the drain began, the wire emptying. So a wait lasts
+  /// until the next progress report is due.
+  ///
+  /// After kTerminate the loop keeps servicing the wire — answering pull
+  /// requests, accepting responses and late donated batches — and takes
+  /// three one-shot steps as their conditions come true:
+  ///
+  /// 1. Local quiesce: once the compers' threads have exited (a comper
+  ///    mid-iteration may still issue vertex pulls, and a Compute() call
+  ///    cannot be interrupted, so this wait is unbounded; the last one out
+  ///    wakes this thread), flush the per-destination request buffers so
+  ///    nothing is stranded in them and report the quiesce with a
+  ///    kDrainBarrier.
+  /// 2. Release: the master echoes the barrier once every worker quiesced,
+  ///    so no new traffic can originate anywhere; announce it to the
+  ///    transport with BeginDrain.
+  /// 3. Wire drain: stop once CommHub::InFlightCount()==0 proves nothing is
+  ///    queued, in transit, or in a handler that could still send. The hub
+  ///    and the transport wake this thread whenever that count can have
+  ///    reached 0; a missed wake costs one progress interval, not a hang.
+  ///    Only then is the final report sent, so every task batch has been
+  ///    banked in L_file and counted by the ledger.
+  ///
+  /// Until BeginDrain, non-final progress reports keep flowing as the
+  /// heartbeat behind the master's silence bound (drain_timeout_us); after
+  /// it, a socket transport allows no spontaneous traffic. The worker has
+  /// no deadline of its own: the master's bound ends a job whose drain
+  /// cannot finish.
   void CommLoop() {
     Timer progress_timer;
-    while (true) {
-      int64_t wait_us = std::max<int64_t>(
-          config_.progress_interval_us - progress_timer.ElapsedMicros(), 1);
+    bool barrier_sent = false;
+    bool draining = false;
+    while (!draining || hub_->InFlightCount() != 0) {
+      int64_t wait_us =
+          draining ? config_.progress_interval_us
+                   : std::max<int64_t>(config_.progress_interval_us -
+                                           progress_timer.ElapsedMicros(),
+                                       1);
       if (coalescer_.HasPending()) {
         // Open request batches flush on the short comm cadence so
         // sub-threshold pulls are not delayed by an idle-length wait.
         wait_us = std::min(wait_us, kCommPollUs);
       }
+      // Only this thread sets stop_compers_ (on kTerminate).
+      const bool terminated = stop_compers_.load(std::memory_order_relaxed);
       MessageBatch mb;
       const bool got = hub_->Receive(id_, wait_us, &mb);
       if (got) {
+        if (terminated) {
+          drained_messages_.fetch_add(1, std::memory_order_relaxed);
+        }
         HandleMessage(mb);
         hub_->MarkProcessed(mb.type);
       }
@@ -870,63 +903,13 @@ class Worker {
       }
       // Besides the cadence, a report goes out the moment the worker turns
       // idle (NotifyIfIdle) and when the master asks (kReportRequest).
-      if (report_due_.exchange(false, std::memory_order_acq_rel) ||
-          progress_timer.ElapsedMicros() >= config_.progress_interval_us) {
+      if (!draining &&
+          (report_due_.exchange(false, std::memory_order_acq_rel) ||
+           progress_timer.ElapsedMicros() >= config_.progress_interval_us)) {
         SendProgress(/*final_report=*/false);
         progress_timer.Restart();
       }
-      if (stop_compers_.load(std::memory_order_acquire)) {
-        break;
-      }
-    }
-    DrainAndReport();
-  }
-
-  /// Two-phase lossless shutdown (paper §V-B termination, hardened): one
-  /// pump loop that keeps servicing the wire — answering pull requests,
-  /// accepting responses and late donated batches — through three one-shot
-  /// steps.
-  ///
-  /// 1. Local quiesce: the compers were told to stop popping. Once their
-  ///    threads have exited (a comper mid-iteration may still issue vertex
-  ///    pulls, and a Compute() call cannot be interrupted, so this wait is
-  ///    unbounded; the last one out wakes this thread), flush the
-  ///    per-destination request buffers so nothing is stranded in them and
-  ///    report the quiesce with a kDrainBarrier.
-  /// 2. Release: the master echoes the barrier once every worker quiesced,
-  ///    so no new traffic can originate anywhere; announce it to the
-  ///    transport with BeginDrain.
-  /// 3. Wire drain: stop once CommHub::InFlightCount()==0 proves nothing is
-  ///    queued, in transit, or in a handler that could still send. Only then
-  ///    is the final report sent, so every task batch has been banked in
-  ///    L_file and counted by the ledger.
-  ///
-  /// Until BeginDrain, non-final progress reports keep flowing as the
-  /// heartbeat behind the master's silence bound (drain_timeout_us); after
-  /// it, a socket transport allows no spontaneous traffic. The worker has
-  /// no deadline of its own: the master's bound ends a job whose drain
-  /// cannot finish.
-  void DrainAndReport() {
-    // a = drain phase: quiescing compers
-    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 0});
-    Timer heartbeat_timer;
-    bool barrier_sent = false;
-    bool draining = false;
-    while (true) {
-      // Draining, the wire empties without a wake for this thread, so it
-      // polls; before that, every event it waits for wakes it.
-      const int64_t wait_us =
-          draining ? kCommPollUs
-                   : std::max<int64_t>(config_.progress_interval_us -
-                                           heartbeat_timer.ElapsedMicros(),
-                                       1);
-      MessageBatch mb;
-      if (hub_->Receive(id_, wait_us, &mb)) {
-        drained_messages_.fetch_add(1, std::memory_order_relaxed);
-        HandleMessage(mb);
-        hub_->MarkProcessed(mb.type);
-      }
-      if (!barrier_sent &&
+      if (!barrier_sent && stop_compers_.load(std::memory_order_relaxed) &&
           compers_running_.load(std::memory_order_acquire) == 0) {
         FlushAllRequests();
         RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 1});  // barrier
@@ -938,19 +921,12 @@ class Worker {
         hub_->Send(std::move(barrier));
         barrier_sent = true;
       }
-      if (!draining && drain_release_.load(std::memory_order_acquire)) {
+      if (!draining && drain_release_) {
         // This worker will originate nothing further (only answer what
         // still arrives). Socket backends use the announcement to run their
-        // cluster-wide drain-marker protocol; in-process it is a no-op.
+        // cluster-wide drain-marker protocol.
         hub_->BeginDrain(id_);
         draining = true;
-      }
-      if (draining) {
-        if (hub_->InFlightCount() == 0) break;
-      } else if (heartbeat_timer.ElapsedMicros() >=
-                 config_.progress_interval_us) {
-        SendProgress(/*final_report=*/false);
-        heartbeat_timer.Restart();
       }
     }
     RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 2});  // wire empty
@@ -1067,6 +1043,8 @@ class Worker {
           stop_compers_.store(true, std::memory_order_release);
         }
         gc_cv_.notify_all();
+        // a = drain phase: quiescing compers
+        RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 0});
         break;
       }
       case MsgType::kReportRequest: {
@@ -1078,7 +1056,7 @@ class Worker {
       case MsgType::kDrainBarrier: {
         // Master's echo: every worker has quiesced its compers and flushed
         // its request buffers; the wire can now only shrink.
-        drain_release_.store(true, std::memory_order_release);
+        drain_release_ = true;
         break;
       }
       default:
@@ -1442,7 +1420,7 @@ class Worker {
   std::condition_variable gc_cv_;
   /// Set by WakeGc, cleared by the GC before each pass.
   std::atomic<bool> gc_wanted_{false};
-  std::atomic<bool> drain_release_{false};
+  bool drain_release_ = false;  // comm thread only
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};
   std::mutex pause_mutex_;

@@ -7,7 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string>
+#include <utility>
 
 namespace gthinker {
 
@@ -70,27 +71,48 @@ Status GraphIo::ParseAdjacencyLine(const std::string& line, VertexId* id,
   return have_id ? Status::Ok() : bad();
 }
 
+Status GraphIo::CheckVertexIds(const std::vector<VertexId>& ids,
+                               VertexId max_named) {
+  if (!ids.empty() && max_named >= ids.size()) {
+    return Status::Corruption("vertex " + std::to_string(max_named) +
+                              " is not below its " +
+                              std::to_string(ids.size()) + " vertex lines");
+  }
+  std::vector<bool> seen(ids.size());
+  for (VertexId v : ids) {
+    if (seen[v]) {
+      return Status::Corruption("vertex " + std::to_string(v) +
+                                " appears twice in the input");
+    }
+    seen[v] = true;
+  }
+  return Status::Ok();
+}
+
 Status GraphIo::LoadAdjacency(const std::string& path, Graph* out) {
   std::ifstream in(path);
   if (!in) return OpenFailed(path);
-  Graph g;
+  std::vector<VertexId> ids;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  VertexId max_named = 0;
   std::string line;
-  VertexId max_id = 0;
-  bool any = false;
   AdjList adj;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     VertexId id = 0;
     GT_RETURN_IF_ERROR(ParseAdjacencyLine(line, &id, &adj));
-    any = true;
-    max_id = std::max(max_id, id);
+    ids.push_back(id);
+    max_named = std::max(max_named, id);
     for (VertexId u : adj) {
-      max_id = std::max(max_id, u);
+      max_named = std::max(max_named, u);
       // Each undirected edge appears in both endpoint lines; only add once.
-      if (id < u) g.AddEdge(id, u);
+      if (id < u) edges.emplace_back(id, u);
     }
   }
-  if (any && g.NumVertices() < max_id + 1) g.Resize(max_id + 1);
+  // The graph is sized from its line count, never from an ID a line names.
+  GT_RETURN_IF_ERROR(CheckVertexIds(ids, max_named));
+  Graph g(static_cast<VertexId>(ids.size()));
+  for (const auto& [u, v] : edges) g.AddEdge(u, v);
   g.Finalize();
   *out = std::move(g);
   return Status::Ok();
@@ -106,20 +128,6 @@ Status GraphIo::WriteEdgeList(const Graph& graph, const std::string& path) {
   }
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
-Status GraphIo::LoadEdgeList(const std::string& path, Graph* out) {
-  std::ifstream in(path);
-  if (!in) return OpenFailed(path);
-  Graph g;
-  uint64_t u = 0, v = 0;
-  while (in >> u >> v) {
-    g.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));
-  }
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  g.Finalize();
-  *out = std::move(g);
   return Status::Ok();
 }
 
@@ -142,42 +150,6 @@ Status GraphIo::WriteLabeledAdjacency(const Graph& graph,
   }
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
-Status GraphIo::LoadLabeledAdjacency(const std::string& path, Graph* graph,
-                                     std::vector<Label>* labels) {
-  std::ifstream in(path);
-  if (!in) return OpenFailed(path);
-  Graph g;
-  std::vector<Label> lab;
-  std::string line;
-  VertexId max_id = 0;
-  bool any = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    uint64_t id = 0, label = 0;
-    if (!(ls >> id >> label)) {
-      return Status::Corruption("bad labeled line: '" + line + "'");
-    }
-    const VertexId v = static_cast<VertexId>(id);
-    any = true;
-    max_id = std::max(max_id, v);
-    if (lab.size() <= v) lab.resize(v + 1, 0);
-    lab[v] = static_cast<Label>(label);
-    uint64_t u = 0;
-    while (ls >> u) {
-      max_id = std::max(max_id, static_cast<VertexId>(u));
-      if (v < u) g.AddEdge(v, static_cast<VertexId>(u));
-    }
-    if (ls.bad()) return Status::Corruption("bad labeled line: '" + line + "'");
-  }
-  if (any && g.NumVertices() < max_id + 1) g.Resize(max_id + 1);
-  if (any && lab.size() < max_id + 1) lab.resize(max_id + 1, 0);
-  g.Finalize();
-  *graph = std::move(g);
-  *labels = std::move(lab);
   return Status::Ok();
 }
 

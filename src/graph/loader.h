@@ -14,9 +14,17 @@ namespace gthinker {
 class GraphIo {
  public:
   /// Adjacency format, one line per vertex: "<id>\t<n1> <n2> ...".
-  /// Vertices with no neighbors still get a line.
+  /// Vertices with no neighbors still get a line. LoadAdjacency returns
+  /// Corruption for a bad line or a file that breaks CheckVertexIds.
   static Status WriteAdjacency(const Graph& graph, const std::string& path);
   static Status LoadAdjacency(const std::string& path, Graph* out);
+
+  /// The rule every adjacency input obeys: its n lines carry the IDs
+  /// 0..n-1, each once, and name no ID >= n, neighbors included. `ids` are
+  /// the lines' own IDs, `max_named` the largest ID any line names.
+  /// Checked before a table is sized, so a hostile ID cannot size one.
+  static Status CheckVertexIds(const std::vector<VertexId>& ids,
+                               VertexId max_named);
 
   /// Parses a single adjacency line "<id>\t<n1> <n2> ..." into (id, adj).
   /// This is the UDF-level parse step Worker exposes (paper §IV (5)).
@@ -28,15 +36,12 @@ class GraphIo {
 
   /// Edge-list format, one line per undirected edge: "<u> <v>".
   static Status WriteEdgeList(const Graph& graph, const std::string& path);
-  static Status LoadEdgeList(const std::string& path, Graph* out);
 
   /// Labeled adjacency format, one line per vertex:
   /// "<id> <label>\t<n1> <n2> ...".
   static Status WriteLabeledAdjacency(const Graph& graph,
                                       const std::vector<Label>& labels,
                                       const std::string& path);
-  static Status LoadLabeledAdjacency(const std::string& path, Graph* graph,
-                                     std::vector<Label>* labels);
 };
 
 }  // namespace gthinker

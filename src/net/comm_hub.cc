@@ -19,7 +19,9 @@ int64_t SteadyNowUs() {
 }  // namespace
 
 CommHub::CommHub(int num_workers, NetConfig config)
-    : num_workers_(num_workers), epoch_us_(SteadyNowUs()) {
+    : num_workers_(num_workers),
+      epoch_us_(SteadyNowUs()),
+      draining_(num_workers) {
   GT_CHECK_GT(num_workers, 0);
   // Shared epoch: the transport stamps delivery times on the same clock the
   // hub measures with, so delivery_us histograms stay meaningful.
@@ -30,7 +32,8 @@ CommHub::CommHub(int num_workers, NetConfig config)
 CommHub::CommHub(int num_endpoints, std::unique_ptr<net::Transport> transport)
     : num_workers_(num_endpoints),
       epoch_us_(SteadyNowUs()),
-      transport_(std::move(transport)) {
+      transport_(std::move(transport)),
+      draining_(num_endpoints) {
   GT_CHECK_GT(num_endpoints, 0);
   GT_CHECK(transport_ != nullptr);
 }
@@ -53,9 +56,23 @@ void CommHub::Send(MessageBatch batch) {
 }
 
 void CommHub::MarkProcessed(MsgType type) {
-  processed_by_type_[static_cast<int>(type)].fetch_add(
-      1, std::memory_order_acq_rel);
-  unprocessed_.fetch_sub(1, std::memory_order_acq_rel);
+  // Sequentially consistent with BeginDrain: either this call sees the
+  // endpoint draining, or the endpoint's InFlightCount() after BeginDrain
+  // sees this batch processed.
+  processed_by_type_[static_cast<int>(type)].fetch_add(1);
+  const int64_t unprocessed = unprocessed_.fetch_sub(1) - 1;
+  if (num_draining_.load() == 0) return;
+  if (transport_->CountsGlobally() ? InFlightCount() != 0 : unprocessed != 0) {
+    return;
+  }
+  for (int e = 0; e < num_workers_; ++e) {
+    if (draining_[e].load()) transport_->Wake(e);
+  }
+}
+
+void CommHub::BeginDrain(int endpoint) {
+  if (!draining_[endpoint].exchange(true)) num_draining_.fetch_add(1);
+  transport_->BeginDrain(endpoint);
 }
 
 int64_t CommHub::InFlightCount() const {
@@ -64,10 +81,8 @@ int64_t CommHub::InFlightCount() const {
     for (int t = 0; t < kNumMsgTypes; ++t) {
       // Read processed before sent: a concurrent handler then reads as still
       // in flight (conservative), never as already done.
-      const int64_t processed =
-          processed_by_type_[t].load(std::memory_order_acquire);
-      in_flight +=
-          sent_by_type_[t].load(std::memory_order_acquire) - processed;
+      const int64_t processed = processed_by_type_[t].load();
+      in_flight += sent_by_type_[t].load() - processed;
     }
     return in_flight;
   }
@@ -76,7 +91,7 @@ int64_t CommHub::InFlightCount() const {
   // still holds or awaits (send buffers, inbox backlog, peers' outstanding
   // drain markers). Polling this also advances the transport's drain
   // protocol once the process goes locally quiet.
-  const int64_t unprocessed = unprocessed_.load(std::memory_order_acquire);
+  const int64_t unprocessed = unprocessed_.load();
   return unprocessed + transport_->DrainPending(unprocessed);
 }
 

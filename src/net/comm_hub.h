@@ -70,13 +70,18 @@ class CommHub {
   /// any messages the handler sent in response. A batch counts toward
   /// InFlightCount() from Send until MarkProcessed, so InFlightCount()==0
   /// means no message is queued, on the wire, or being handled — the wire is
-  /// provably quiet and no handler is about to send.
+  /// provably quiet and no handler is about to send. The call that leaves
+  /// nothing in flight (cluster-wide in-process; nothing unhandled in this
+  /// process under sockets) wakes every local endpoint that began its drain.
   void MarkProcessed(MsgType type);
 
   /// Announces that local endpoint `endpoint` has entered the shutdown
   /// drain (it will originate no further spontaneous traffic). Required for
-  /// socket backends to certify cluster-wide quiescence; no-op in-process.
-  void BeginDrain(int endpoint) { transport_->BeginDrain(endpoint); }
+  /// socket backends to certify cluster-wide quiescence. From here on the
+  /// hub (and a socket transport, as its drain markers land) Wakes the
+  /// endpoint when the wire can have emptied, so a drain that waits on
+  /// InFlightCount() need not poll.
+  void BeginDrain(int endpoint);
 
   /// Stops the transport (closing connections, flushing what it can within a
   /// bound). Idempotent. Call before the final MetricsSnapshot() so teardown
@@ -140,6 +145,10 @@ class CommHub {
   /// Batches this process received but has not MarkProcessed'd yet — the
   /// local half of InFlightCount() for backends that can't count globally.
   std::atomic<int64_t> unprocessed_{0};
+  /// Local endpoints that called BeginDrain, and how many: MarkProcessed
+  /// looks for quiet only once the count is non-zero.
+  std::vector<std::atomic<bool>> draining_;
+  std::atomic<int> num_draining_{0};
   std::array<std::atomic<int64_t>, kNumMsgTypes> sent_by_type_{};
   std::array<std::atomic<int64_t>, kNumMsgTypes> processed_by_type_{};
   std::array<std::atomic<int64_t>, kNumMsgTypes> bytes_by_type_{};

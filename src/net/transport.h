@@ -72,7 +72,9 @@ class Transport {
   /// drain: it will originate no further spontaneous traffic (only replies
   /// to batches still arriving). Idempotent per endpoint. Once all local
   /// endpoints have begun draining, a socket transport emits its
-  /// cluster-wide drain markers.
+  /// cluster-wide drain markers, and from then on Wakes every draining
+  /// endpoint when a marker lands or a send queue empties, since either can
+  /// lower DrainPending().
   virtual void BeginDrain(int endpoint) = 0;
 
   /// Wire-resident work this process still knows about or awaits: frames

@@ -373,6 +373,15 @@ void TcpTransport::BeginDrain(int endpoint) {
     // round-1 marker after all of our requests and donations.
     EnqueueFlushLocked(1);
     flush1_sent_ = true;
+    // A co-located endpoint may be draining already; with no peer, no
+    // marker or send queue would wake it.
+    WakeDrainingLocked();
+  }
+}
+
+void TcpTransport::WakeDrainingLocked() {
+  for (size_t i = 0; i < local_endpoints_.size(); ++i) {
+    if (drained_endpoints_ & (1 << i)) inboxes_[local_endpoints_[i]]->Wake();
   }
 }
 
@@ -610,6 +619,10 @@ bool TcpTransport::WritePeer(int q) {
     }
     if (peer.sendq.empty()) {
       peer.flushes.fetch_add(1, std::memory_order_relaxed);
+      lock.unlock();
+      // An empty send queue can be the last thing a drain waits for.
+      std::lock_guard<std::mutex> mu_lock(mu_);
+      if (flush1_sent_) WakeDrainingLocked();
       break;
     }
   }
@@ -641,6 +654,7 @@ const char* TcpTransport::HandleFrame(int q, const FrameHeader& h,
       } else {
         return "unknown drain marker round";
       }
+      WakeDrainingLocked();
       return nullptr;
     }
     case FrameKind::kData: {

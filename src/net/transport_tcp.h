@@ -151,6 +151,10 @@ class TcpTransport final : public Transport {
 
   void IoLoop();
   void WakeLocked();
+  /// Wakes the Receive of every local endpoint that began its drain: a drain
+  /// marker landed or a send queue emptied, so DrainPending may have
+  /// dropped.
+  void WakeDrainingLocked();
   void MarkPollsetDirtyLocked() { ++pollset_version_; }
   void DialLocked(int q);  // begins a nonblocking connect to rank q
   /// Makes accepted `fd`, whose HELLO named rank q, the link to q and seeds

@@ -34,7 +34,7 @@ enum class EventKind : uint8_t {
   kStealDonate = 9,   // a = tasks donated, b = destination worker
   kStealReceive = 10,  // a = tasks received, b = source worker
   kLedger = 11,       // a = ExpectedLive(), b = live tasks (progress cadence)
-  kDrain = 12,        // a = phase: worker DrainAndReport 0 quiescing,
+  kDrain = 12,        // a = phase: worker comm loop 0 saw kTerminate,
                       // 1 barrier sent, 2 wire drained, 4 final report (3
                       // is unused); 5 master silence bound tripped, b =
                       // final reports missing

@@ -202,6 +202,36 @@ TEST(DistributedDifferential, SplittingMaximalCliqueMatchesInProcess) {
   EXPECT_GT(got.stats.tasks_spawned, unbudgeted.stats.tasks_spawned);
 }
 
+// Over TCP the drain's last steps are the FLUSH marker rounds: the
+// transport wakes a draining comm thread as a marker lands or a send queue
+// empties, and the hub as the last received batch is handled. At a 1 s
+// progress interval a missed wake would stretch worker 0's barrier ->
+// wire-empty gap (kDrain phase 1 -> 2) to the whole interval.
+TEST(DistributedTermination, WokenDrainEndsWellInsideTheProgressInterval) {
+  Graph g = Generator::PowerLaw(2000, 10.0, 2.4, 53);
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.progress_interval_us = 1'000'000;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  job.config = TcpConfig(job.config, 2);
+  const RunResult<TriangleComper> rank0 = RunTcpCluster(job);
+  EXPECT_EQ(rank0.result, CountTrianglesSerial(g));
+  int64_t barrier_us = -1;
+  int64_t empty_us = -1;
+  for (const obs::SpanEvent& e : rank0.stats.spans) {
+    if (e.worker != 0 || e.kind != obs::EventKind::kDrain) continue;
+    if (e.a == 1) barrier_us = e.t_us;
+    if (e.a == 2) empty_us = e.t_us;
+  }
+  ASSERT_GE(barrier_us, 0);
+  ASSERT_GE(empty_us, barrier_us);
+  EXPECT_LT(empty_us - barrier_us, 250'000);
+}
+
 TEST(DistributedObservability, RankZeroLiveSurfacesCoverEveryRank) {
   static Graph g = Generator::PowerLaw(700, 12.0, 2.3, 4203);
   Job<MaxCliqueComper> job;

@@ -344,6 +344,37 @@ TEST(Termination, ProgressReportsStayNearTheCadence) {
       << "elapsed " << stats.elapsed_s << " s";
 }
 
+// The wire drain is woken, not polled: the hub wakes a draining comm thread
+// when the wire can have emptied. At a 1 s progress interval a missed wake
+// would stretch a worker's barrier -> wire-empty gap (kDrain phase 1 -> 2)
+// to the whole interval.
+TEST(Termination, WokenDrainEndsWellInsideTheProgressInterval) {
+  Graph g = Generator::PowerLaw(2000, 10.0, 2.4, 53);
+  Job<TriangleComper> job;
+  job.config.num_workers = 2;
+  job.config.compers_per_worker = 2;
+  job.config.progress_interval_us = 1'000'000;
+  job.config.enable_span_tracing = true;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+  job.trimmer = TrimToGreater;
+  auto result = Cluster<TriangleComper>::Run(job);
+  EXPECT_EQ(result.result, CountTrianglesSerial(g));
+  EXPECT_FALSE(result.stats.timed_out);
+  for (int w = 0; w < job.config.num_workers; ++w) {
+    int64_t barrier_us = -1;
+    int64_t empty_us = -1;
+    for (const obs::SpanEvent& e : result.stats.spans) {
+      if (e.worker != w || e.kind != obs::EventKind::kDrain) continue;
+      if (e.a == 1) barrier_us = e.t_us;
+      if (e.a == 2) empty_us = e.t_us;
+    }
+    ASSERT_GE(barrier_us, 0) << "worker " << w;
+    ASSERT_GE(empty_us, barrier_us) << "worker " << w;
+    EXPECT_LT(empty_us - barrier_us, 250'000) << "worker " << w;
+  }
+}
+
 // The master's steal plan for fixed progress reports, read back off the hub
 // as (thief, donor) pairs in donor order. C = 10, so a donor must report
 // more than 2C = 20 remaining roots.

@@ -416,6 +416,50 @@ TEST(WorkerBehavior, RootBundlesCoverEveryVertexOncePerSpawnBatch) {
             static_cast<int64_t>(RecordBundlesComper::bundles.size()));
 }
 
+/// Spawns one task, at vertex 0, whose Compute grows its subgraph by a
+/// vertex with 2^20 neighbors (about 4 MB) and records the grown size.
+class GrowInComputeComper : public Comper<PlainTask, uint64_t> {
+ public:
+  static std::atomic<int64_t> grown_bytes;
+
+  void TaskSpawn(const VertexT& v) override {
+    if (v.id == 0) AddTask(std::make_unique<TaskT>());
+  }
+
+  bool Compute(TaskT* task, const Frontier& /*frontier*/) override {
+    VertexT big;
+    big.id = 0;
+    big.value.resize(1 << 20);
+    for (size_t i = 0; i < big.value.size(); ++i) {
+      big.value[i] = static_cast<VertexId>(i);
+    }
+    task->subgraph().AddVertex(std::move(big));
+    grown_bytes.store(task->MemoryBytes());
+    Aggregate(1);
+    return false;
+  }
+
+  static AggT AggZero() { return 0; }
+  static AggT AggMerge(AggT a, AggT b) { return a + b; }
+};
+std::atomic<int64_t> GrowInComputeComper::grown_bytes{0};
+
+// A task is charged at its current size while its comper holds it, so what
+// Compute grows reaches the worker's tracked peak.
+TEST(WorkerBehavior, TaskGrowthInComputeReachesTrackedPeak) {
+  Graph g = Generator::ErdosRenyi(20, 40, 409);
+  Job<GrowInComputeComper> job;
+  job.config.num_workers = 1;
+  job.config.compers_per_worker = 1;
+  job.graph = &g;
+  job.comper_factory = [] { return std::make_unique<GrowInComputeComper>(); };
+  auto result = Cluster<GrowInComputeComper>::Run(job);
+  EXPECT_EQ(result.result, 1u);
+  const int64_t grown = GrowInComputeComper::grown_bytes.load();
+  EXPECT_GT(grown, int64_t{4} << 20);
+  EXPECT_GE(result.stats.max_peak_mem_bytes, grown);
+}
+
 /// Spawns nothing: a worker that only answers pull requests.
 class NoTaskComper : public Comper<PlainTask, uint64_t> {
  public:
