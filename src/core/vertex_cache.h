@@ -19,10 +19,10 @@
 namespace gthinker {
 
 /// Per-thread local counter for the approximate cache size s_cache
-/// (paper §V-A "Keeping s_cache Bounded"): each comper / receiver / GC thread
-/// accumulates deltas locally and commits to the shared counter only when the
-/// local magnitude reaches δ, trading a bounded estimation error
-/// (n_threads · δ) for low contention.
+/// (paper §V-A "Keeping s_cache Bounded"): each comper and the comm thread
+/// (which both receives responses and evicts) accumulates deltas locally
+/// and commits to the shared counter only when the local magnitude reaches
+/// δ, trading a bounded estimation error (n_threads · δ) for low contention.
 class SCacheCounter {
  public:
   int64_t delta() const { return delta_; }
@@ -261,11 +261,12 @@ class VertexCache {
 
   /// OP4: GC eviction. Scans buckets round-robin, evicting unlocked
   /// vertices, until `target` vertices are evicted or every bucket was
-  /// scanned once. Returns the number evicted. Single caller (the GC
-  /// thread). With the Z-list (default) each bucket scan chases exactly the
-  /// evictable entries in FIFO unlock order and frees the byte sizes stashed
-  /// at insertion; the ablation walks the whole Γ-table under the bucket
-  /// lock. Memory-tracker updates happen outside the lock.
+  /// scanned once. Returns the number evicted. Single caller (the worker's
+  /// comm thread, woken by a gated comper). With the Z-list (default) each
+  /// bucket scan chases exactly the evictable entries in FIFO unlock order
+  /// and frees the byte sizes stashed at insertion; the ablation walks the
+  /// whole Γ-table under the bucket lock. Memory-tracker updates happen
+  /// outside the lock.
   int64_t EvictUpTo(int64_t target) {
     int64_t evicted = 0;
     const size_t n = buckets_.size();

@@ -42,7 +42,8 @@ namespace gthinker {
 /// One simulated machine (paper Fig. 3 / Fig. 7): a local vertex table
 /// T_local, a remote-vertex cache T_cache, a list of spilled task files
 /// L_file, n comper threads (each with Q_task and its parked tasks, T_task
-/// and B_task), one communication thread, and one GC thread. The cluster
+/// and B_task) and one communication thread, which also evicts from
+/// T_cache when a comper finds it overflowed (paper §V-A's GC). The cluster
 /// driver plays the paper's "main thread of the master": it receives
 /// progress reports and issues steal/terminate/checkpoint control messages.
 ///
@@ -177,7 +178,6 @@ class Worker {
       threads_.emplace_back([e = engine.get()] { e->Loop(); });
     }
     threads_.emplace_back([this] { CommLoop(); });
-    threads_.emplace_back([this] { GcLoop(); });
   }
 
   void Join() {
@@ -351,10 +351,15 @@ class Worker {
 
     /// pop() gates (paper: cache not overflowed, |T_task|+|B_task| <= D,
     /// counted in roots like the Q_task bounds). A comper that finds the
-    /// cache gate closed wakes the GC, which evicts back down to c_cache.
+    /// cache gate closed wakes the comm thread, which evicts back down to
+    /// c_cache. The exchange makes a burst of gated rounds one wake per
+    /// pass; the wake is sticky, so none is lost.
     bool CanPop() {
       if (worker_->cache_.Overflowed()) {
-        worker_->WakeGc();
+        if (!worker_->evict_wanted_.exchange(true,
+                                             std::memory_order_acq_rel)) {
+          worker_->hub_->Wake(worker_->id_);
+        }
         return false;
       }
       return inflight_roots_ <=
@@ -841,9 +846,13 @@ class Worker {
   /// readiness signal (the mailbox condition variable in-process; the
   /// poll(2) IO thread feeding it under tcp) wakes this thread the moment a
   /// batch lands, and CommHub::Wake wakes it for what happens outside the
-  /// inbox — a comper opening a pull window, turning the worker idle or
-  /// exiting, and, once the drain began, the wire emptying. So a wait lasts
-  /// until the next progress report is due.
+  /// inbox — a comper opening a pull window, finding T_cache overflowed,
+  /// turning the worker idle or exiting, and, once the drain began, the
+  /// wire emptying. So a wait lasts until the next progress report is due.
+  ///
+  /// This thread is T_cache's only evictor (paper §V-A's GC): it runs a
+  /// pass when a gated comper asks for one, so EvictUpTo never races
+  /// itself.
   ///
   /// After kTerminate the loop keeps servicing the wire — answering pull
   /// requests, accepting responses and late donated batches — and takes
@@ -901,6 +910,13 @@ class Worker {
       if (!window_opened_.exchange(false, std::memory_order_acq_rel) || got) {
         FlushAllRequests();
       }
+      // The relaxed load keeps idle passes of this loop from writing the
+      // flag. It is cleared before the scan: a comper gated during it wakes
+      // one more pass.
+      if (evict_wanted_.load(std::memory_order_relaxed) &&
+          evict_wanted_.exchange(false, std::memory_order_acq_rel)) {
+        EvictPass();
+      }
       // Besides the cadence, a report goes out the moment the worker turns
       // idle (NotifyIfIdle) and when the master asks (kReportRequest).
       if (!draining &&
@@ -933,6 +949,23 @@ class Worker {
     if (!output_dir_.empty()) FinalFlushOutput();
     RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 4});  // final
     SendProgress(/*final_report=*/true);
+  }
+
+  /// One lazy eviction pass (paper §V-A's GC), run by the comm thread:
+  /// evict back down to c_cache in Z-list order. Every comper checks the
+  /// gate every round and releases its pulls before its next round, so a
+  /// pass that finds nothing evictable is followed by another wake while
+  /// the gate stays closed.
+  void EvictPass() {
+    if (!cache_.Overflowed()) return;
+    const int64_t excess = cache_.ExcessOverCapacity();
+    const int64_t start_us = hub_->NowUs();
+    const int64_t evicted = cache_.EvictUpTo(excess);
+    RecordEvent(-1, {.t_us = start_us,
+                     .dur_us = hub_->NowUs() - start_us,
+                     .kind = obs::EventKind::kGcPass,
+                     .a = evicted,
+                     .b = excess});
   }
 
   void HandleMessage(const MessageBatch& mb) {
@@ -1036,13 +1069,7 @@ class Worker {
       }
       case MsgType::kTerminate: {
         RecordEvent(-1, {.kind = obs::EventKind::kTerminate});
-        {
-          // Under gc_mutex_, so the GC thread cannot miss the notify
-          // between its stop check and its wait.
-          std::lock_guard<std::mutex> lock(gc_mutex_);
-          stop_compers_.store(true, std::memory_order_release);
-        }
-        gc_cv_.notify_all();
+        stop_compers_.store(true, std::memory_order_release);
         // a = drain phase: quiescing compers
         RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 0});
         break;
@@ -1251,49 +1278,6 @@ class Worker {
     hub_->Send(std::move(mb));
   }
 
-  // ---------------------------------------------------------------------
-  // GC thread (paper §V-A): lazy eviction when T_cache overflows.
-  // ---------------------------------------------------------------------
-
-  /// A comper found the pop gate closed on T_cache overflow. The exchange
-  /// makes a burst of gated rounds one wake per GC pass; taking gc_mutex_
-  /// after setting the flag keeps the notify from falling between the GC's
-  /// predicate check and its wait.
-  void WakeGc() {
-    if (gc_wanted_.exchange(true, std::memory_order_acq_rel)) return;
-    { std::lock_guard<std::mutex> lock(gc_mutex_); }
-    gc_cv_.notify_one();
-  }
-
-  /// Sleeps until a gated comper or kTerminate wakes it. Every comper checks
-  /// the gate every round and releases its pulls before its next round, so
-  /// a pass that finds nothing evictable is followed by another wake while
-  /// the gate stays closed.
-  void GcLoop() {
-    std::unique_lock<std::mutex> lock(gc_mutex_);
-    while (true) {
-      gc_cv_.wait(lock, [this] {
-        return gc_wanted_.load(std::memory_order_acquire) ||
-               stop_compers_.load(std::memory_order_acquire);
-      });
-      if (stop_compers_.load(std::memory_order_acquire)) return;
-      lock.unlock();
-      // Cleared before the scan: a comper gated during it wakes one more.
-      gc_wanted_.store(false, std::memory_order_release);
-      if (cache_.Overflowed()) {
-        const int64_t excess = cache_.ExcessOverCapacity();
-        const int64_t start_us = hub_->NowUs();
-        const int64_t evicted = cache_.EvictUpTo(excess);
-        RecordEvent(-1, {.t_us = start_us,
-                         .dur_us = hub_->NowUs() - start_us,
-                         .kind = obs::EventKind::kGcPass,
-                         .a = evicted,
-                         .b = excess});
-      }
-      lock.lock();
-    }
-  }
-
  public:
   /// Wires the DFS used for checkpoints (set by the cluster before Start).
   void SetCheckpointDfs(MiniDfs* dfs) { checkpoint_dfs_ = dfs; }
@@ -1414,12 +1398,8 @@ class Worker {
   std::atomic<bool> report_due_{false};
   /// A comper opened the first pull window and woke the comm thread.
   std::atomic<bool> window_opened_{false};
-  /// The GC thread's wait; a gated comper (WakeGc) and kTerminate
-  /// notify it.
-  std::mutex gc_mutex_;
-  std::condition_variable gc_cv_;
-  /// Set by WakeGc, cleared by the GC before each pass.
-  std::atomic<bool> gc_wanted_{false};
+  /// A gated comper asked the comm thread for an eviction pass.
+  std::atomic<bool> evict_wanted_{false};
   bool drain_release_ = false;  // comm thread only
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};

@@ -181,9 +181,9 @@ TEST(Integration, TinyCacheForcesEviction) {
 }
 
 // c_cache = 1 with α = 0 closes the pop gate whenever more than one vertex
-// is cached, so compers are gated on most rounds and only the GC they wake
-// reopens it; the GC has no timer to fall back on. Every seed must finish
-// inside the budget with the exact answer.
+// is cached, so compers are gated on most rounds and only the eviction pass
+// they wake on the comm thread reopens it. Every seed must finish inside the
+// budget with the exact answer.
 TEST(Integration, CacheOfOneWithZeroAlphaNeverHangs) {
   const QueryGraph query = QueryGraph::Triangle(0, 1, 2);
   for (uint64_t seed = 1; seed <= 8; ++seed) {
@@ -211,6 +211,31 @@ TEST(Integration, CacheOfOneWithZeroAlphaNeverHangs) {
     EXPECT_EQ(result.result, truth);
     EXPECT_GT(result.stats.cache_evictions, 0);
     EXPECT_EQ(result.stats.tasks_lost, 0);
+  }
+}
+
+// A gated comper wakes the comm thread, T_cache's evictor. The comm thread
+// also wakes on its progress cadence, so at a 1 s interval a missed wake
+// would stall every gated round until the next report is due.
+TEST(Integration, GatedComperWakesTheEvictorWellInsideTheProgressInterval) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Graph g = Generator::PowerLaw(400, 10.0, 2.4, 80 + seed);
+    const uint64_t truth = CountTrianglesSerial(g);
+
+    Job<TriangleComper> job;
+    job.config.num_workers = 2;
+    job.config.compers_per_worker = 2;
+    job.config.cache_capacity = 16;
+    job.config.progress_interval_us = 1'000'000;
+    job.graph = &g;
+    job.comper_factory = [] { return std::make_unique<TriangleComper>(); };
+    job.trimmer = TrimToGreater;
+    auto result = Cluster<TriangleComper>::Run(job);
+    EXPECT_EQ(result.result, truth);
+    EXPECT_GT(result.stats.cache_evictions, 0);
+    EXPECT_EQ(result.stats.tasks_lost, 0);
+    EXPECT_LT(result.stats.elapsed_s, 0.25);
   }
 }
 
