@@ -137,9 +137,10 @@ struct ProgressReport {
   /// these used to be silently dropped when the comm loop exited.
   int64_t drained_messages = 0;
 
-  // Point-in-time gauges: tasks in the compers' Q_task queues, Γ-table
-  // entries, batches waiting for the spill writer, batches in the worker's
-  // own hub inbox.
+  // Point-in-time gauges: roots in the compers' Q_task queues (TaskWeight:
+  // a root bundle counts its roots, any other task 1), Γ-table entries,
+  // batches waiting for the spill writer, batches in the worker's own hub
+  // inbox.
   int64_t queue_depth = 0;
   int64_t cache_size = 0;
   int64_t spill_queue_depth = 0;

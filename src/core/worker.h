@@ -6,11 +6,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +21,7 @@
 #include "core/config.h"
 #include "core/protocol.h"
 #include "core/pull_coalescer.h"
+#include "core/task_deque.h"
 #include "core/vertex_cache.h"
 #include "graph/layout.h"
 #include "net/comm_hub.h"
@@ -32,7 +32,6 @@
 #include "storage/mini_dfs.h"
 #include "storage/spill_file.h"
 #include "storage/spill_list.h"
-#include "util/concurrent_queue.h"
 #include "util/logging.h"
 #include "util/mem_tracker.h"
 #include "util/timer.h"
@@ -41,11 +40,12 @@ namespace gthinker {
 
 /// One simulated machine (paper Fig. 3 / Fig. 7): a local vertex table
 /// T_local, a remote-vertex cache T_cache, a list of spilled task files
-/// L_file, n comper threads (each with Q_task and its parked tasks, T_task
-/// and B_task) and one communication thread, which also evicts from
-/// T_cache when a comper finds it overflowed (paper §V-A's GC). The cluster
-/// driver plays the paper's "main thread of the master": it receives
-/// progress reports and issues steal/terminate/checkpoint control messages.
+/// L_file, n comper threads (each with a TaskDeque holding its Q_task and
+/// its parked tasks, T_task and B_task) and one communication thread, which
+/// also evicts from T_cache when a comper finds it overflowed (paper §V-A's
+/// GC). The cluster driver plays the paper's "main thread of the master": it
+/// receives progress reports and issues steal/terminate/checkpoint control
+/// messages.
 ///
 /// ComperT must derive from Comper<TaskT, AggT> (core/comper.h).
 template <typename ComperT>
@@ -194,28 +194,9 @@ class Worker {
 
  private:
   class ComperEngine;
-
-  /// A task waiting on remote pulls (paper §V-B T_task), owned by its
-  /// comper's list. The record's address is the task's waiter handle in
-  /// the T_cache R-table, so a response finds it with no lookup.
-  struct ParkedTask {
-    ComperEngine* owner;
-    std::unique_ptr<TaskT> task;
-    /// Hub-clock instant the task parked; the task.wait_us histogram
-    /// measures the pending->ready wait against it.
-    int64_t parked_at_us;
-    /// Remote pulls not yet in T_cache, plus a hold of 1 while Resolve is
-    /// still registering them. Whoever takes it to zero readies the task.
-    std::atomic<int> missing;
-    typename std::list<ParkedTask>::iterator self;  // in owner->parked_
-
-    uint64_t Waiter() const { return reinterpret_cast<uintptr_t>(this); }
-    static ParkedTask* FromWaiter(uint64_t waiter) {
-      return reinterpret_cast<ParkedTask*>(static_cast<uintptr_t>(waiter));
-    }
-  };
-  static_assert(sizeof(ParkedTask*) <= sizeof(uint64_t),
-                "a T_cache waiter handle holds a ParkedTask pointer");
+  /// A comper's Q_task, T_task and B_task; a parked record names its comper.
+  using Tasks = TaskDeque<TaskT, ComperEngine>;
+  using ParkedTask = typename Tasks::Parked;
 
   /// The Comper<>::Runtime services every comper of this worker shares;
   /// each runtime below adds only its own AddTask.
@@ -241,7 +222,10 @@ class Worker {
   class ComperEngine final : public WorkerRuntime {
    public:
     ComperEngine(Worker* worker, int index, std::unique_ptr<ComperT> user)
-        : WorkerRuntime(worker), index_(index), user_(std::move(user)) {
+        : WorkerRuntime(worker),
+          index_(index),
+          user_(std::move(user)),
+          tasks_(worker->config_, &worker->l_file_, &worker->mem_) {
       user_->BindRuntime(this);
       const std::string label = "comper=" + std::to_string(index);
       compute_us_ =
@@ -258,7 +242,7 @@ class Worker {
                                       .kind = obs::EventKind::kSpawn});
       }
       worker_->mem_.Consume(task->MemoryBytes());
-      AddToQueue(std::move(task));
+      Queue(std::move(task));
     }
 
     /// Mining-thread body: each round runs push() then (gates permitting)
@@ -286,7 +270,7 @@ class Worker {
           // nothing in flight = starved queue (imbalance/drain).
           wait_timer.Restart();
           std::this_thread::sleep_for(std::chrono::microseconds(100));
-          (parked_.empty() ? phase_queue_wait_ : phase_pull_wait_)
+          (tasks_.HasParked() ? phase_pull_wait_ : phase_queue_wait_)
               .AddNanos(wait_timer.ElapsedNanos());
         }
       }
@@ -302,23 +286,14 @@ class Worker {
     }
 
     /// Called by the comm thread when Γ(v) lands for `parked`, a task of
-    /// this comper. The call that counts its last pull moves it to B_task;
-    /// after the push the record may be erased at once, so nothing here
-    /// touches it again.
+    /// this comper. The call that counts its last pull readies the task and
+    /// moves it to B_task.
     void OnPullArrived(ParkedTask* parked) {
-      const int before =
-          parked->missing.fetch_sub(1, std::memory_order_acq_rel);
-      GT_CHECK_GT(before, 0) << "comper " << index_ << ": a parked task's "
-                             << "pull countdown went below 0";
-      if (before != 1) return;
-      MarkReady(*parked);
-      b_task_.Push(parked);
+      tasks_.Arrive(parked, [this](const ParkedTask& p) { MarkReady(p); });
     }
 
-    /// Q_task's weight in roots (core/root_bundle.h TaskWeight).
-    size_t QueueSize() const {
-      return q_size_.load(std::memory_order_relaxed);
-    }
+    /// This comper's task store.
+    const Tasks& tasks() const { return tasks_; }
 
     int64_t IdleRounds() const {
       return idle_rounds_.load(std::memory_order_relaxed);
@@ -326,26 +301,13 @@ class Worker {
 
     int64_t Rounds() const { return rounds_.load(std::memory_order_relaxed); }
 
-    /// Checkpoint support: serializes every in-memory task of this engine
-    /// (Q_task, then T_task and B_task). Only safe while the comper thread
-    /// is parked and on the comm thread, so no response moves a record.
-    void CollectCheckpointRecords(std::vector<std::string>* records) {
-      auto add = [records](const TaskT& task) {
-        Serializer ser;
-        task.Serialize(ser);
-        records->push_back(ser.Release());
-      };
-      for (const auto& task : q_) add(*task);
-      for (const ParkedTask& parked : parked_) add(*parked.task);
-    }
-
    private:
     /// push(): run one ready task from B_task (its pulls are all cached and
     /// locked for it).
     bool Push() {
-      auto ready = b_task_.TryPop();
-      if (!ready.has_value()) return false;
-      ExecuteIteration(Unpark(*ready));
+      std::unique_ptr<TaskT> ready = tasks_.TakeReady();
+      if (ready == nullptr) return false;
+      ExecuteIteration(std::move(ready));
       return true;
     }
 
@@ -362,70 +324,38 @@ class Worker {
         }
         return false;
       }
-      return inflight_roots_ <=
-             static_cast<size_t>(worker_->config_.inflight_task_cap);
+      return tasks_.ParkedUnderCap();
     }
 
-    /// pop(): refill if low, then take the head task and resolve its pulls.
+    /// pop(): take Q_task's head, refilled if low (TaskDeque::Pop), and
+    /// resolve its pulls.
     bool Pop() {
-      const size_t batch = worker_->config_.task_batch_size;
-      if (q_weight_ <= batch) Refill();
-      if (q_.empty()) return false;
-      std::unique_ptr<TaskT> task = std::move(q_.front());
-      q_.pop_front();
-      SetQueueWeight(q_weight_ - TaskWeight(*task));
+      std::unique_ptr<TaskT> task = tasks_.Pop(
+          [this] { return SpawnBatch(); },
+          [this](std::span<const std::unique_ptr<TaskT>> loaded,
+                 int64_t nanos) { OnLoaded(loaded, nanos); });
+      if (task == nullptr) return false;
       Resolve(std::move(task));
       return true;
     }
 
-    /// Q_task's bounds count roots (TaskWeight), so one-root apps see plain
-    /// task counts.
-    void SetQueueWeight(size_t weight) {
-      q_weight_ = weight;
-      q_size_.store(weight, std::memory_order_release);
-    }
-
-    /// Refills Q_task up to 2C from (1) spilled task files, then (2) fresh
-    /// spawns from T_local. (B_task, the paper's source (2), is consumed
-    /// directly by push() every round, which has the same effect without
-    /// moving ready tasks through the queue.) The spilled-first priority is
-    /// what keeps the number of disk-resident tasks minimal (§V-B); the
-    /// refill_spawn_first ablation inverts it.
-    void Refill() {
-      const size_t target = 2 * worker_->config_.task_batch_size;
-      while (q_weight_ < target) {
-        if (worker_->config_.refill_spawn_first && SpawnBatch()) continue;
-        Timer spill_timer;
-        std::vector<std::string> records;
-        if (worker_->l_file_.PopFront(&records)) {
-          for (const std::string& rec : records) {
-            auto task = std::make_unique<TaskT>();
-            Deserializer des(rec);
-            GT_CHECK_OK(task->Deserialize(des));
-            if (worker_->config_.enable_span_tracing) {
-              // Fresh span: the disk round-trip (or a steal) broke the old
-              // lifecycle, so the reloaded task starts a new one here.
-              task->set_span_id(worker_->NextSpanId());
-              TaskEvent(obs::EventKind::kLoaded, task->span_id());
-            }
-            worker_->mem_.Consume(task->MemoryBytes());
-            q_weight_ += TaskWeight(*task);
-            q_.push_back(std::move(task));
-          }
-          SetQueueWeight(q_weight_);
-          worker_->tasks_loaded_.fetch_add(
-              static_cast<int64_t>(records.size()), std::memory_order_relaxed);
-          worker_->refill_spill_tasks_->Add(
-              static_cast<int64_t>(records.size()));
-          phase_spill_.AddNanos(spill_timer.ElapsedNanos());
-          worker_->RecordEvent(
-              index_, {.kind = obs::EventKind::kSpillLoad,
-                       .a = static_cast<int64_t>(records.size())});
-          continue;
+    /// Records a batch the refill read back from L_file.
+    void OnLoaded(std::span<const std::unique_ptr<TaskT>> loaded,
+                  int64_t nanos) {
+      if (worker_->config_.enable_span_tracing) {
+        for (const auto& task : loaded) {
+          // Fresh span: the disk round-trip (or a steal) broke the old
+          // lifecycle, so the reloaded task starts a new one here.
+          task->set_span_id(worker_->NextSpanId());
+          TaskEvent(obs::EventKind::kLoaded, task->span_id());
         }
-        if (worker_->config_.refill_spawn_first) break;
-        if (!SpawnBatch()) break;
       }
+      const auto count = static_cast<int64_t>(loaded.size());
+      worker_->tasks_loaded_.fetch_add(count, std::memory_order_relaxed);
+      worker_->refill_spill_tasks_->Add(count);
+      phase_spill_.AddNanos(nanos);
+      worker_->RecordEvent(index_,
+                           {.kind = obs::EventKind::kSpillLoad, .a = count});
     }
 
     /// Spawns one batch of new tasks from T_local; false when exhausted.
@@ -453,42 +383,18 @@ class Worker {
       return true;
     }
 
-    /// Appends to Q_task; when `task` would overfill it (3C roots), the
-    /// tasks at the tail weighing C roots are spilled to one file first
-    /// (paper §V-B (1)). A task is charged to mem_ at its current size from
-    /// the moment its comper holds it (AddTask, Refill) until it is spilled
-    /// or finished, whether queued, parked or computing.
-    void AddToQueue(std::unique_ptr<TaskT> task) {
-      const size_t batch = worker_->config_.task_batch_size;
-      const size_t cap =
-          batch * worker_->config_.task_queue_capacity_batches;
-      const size_t weight = TaskWeight(*task);
-      if (!q_.empty() && q_weight_ + weight > cap) {
-        Timer spill_timer;
-        std::vector<std::string> records;
-        size_t spilled = 0;
-        while (spilled < batch && !q_.empty()) {
-          std::unique_ptr<TaskT> victim = std::move(q_.back());
-          q_.pop_back();
-          spilled += TaskWeight(*victim);
-          worker_->mem_.Release(victim->MemoryBytes());
-          Serializer ser;
-          victim->Serialize(ser);
-          records.push_back(ser.Release());
-        }
-        // Keep original queue order inside the file.
-        std::reverse(records.begin(), records.end());
-        const auto count = static_cast<int64_t>(records.size());
-        worker_->l_file_.PushBack(std::move(records));
-        worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
-        worker_->tasks_spilled_.fetch_add(count, std::memory_order_relaxed);
-        phase_spill_.AddNanos(spill_timer.ElapsedNanos());
-        worker_->RecordEvent(index_,
-                             {.kind = obs::EventKind::kSpillWrite, .a = count});
-        q_weight_ -= spilled;
-      }
-      q_.push_back(std::move(task));
-      SetQueueWeight(q_weight_ + weight);
+    /// Appends to Q_task, and records the batch TaskDeque::Push spilled to
+    /// make room, if any (paper §V-B (1)). A task is charged to mem_ at its
+    /// current size from the moment its comper holds it (AddTask, a refill)
+    /// until it is spilled or finished, whether queued, parked or computing.
+    void Queue(std::unique_ptr<TaskT> task) {
+      const typename Tasks::Spill spill = tasks_.Push(std::move(task));
+      if (spill.tasks == 0) return;
+      worker_->spilled_batches_.fetch_add(1, std::memory_order_relaxed);
+      worker_->tasks_spilled_.fetch_add(spill.tasks, std::memory_order_relaxed);
+      phase_spill_.AddNanos(spill.nanos);
+      worker_->RecordEvent(
+          index_, {.kind = obs::EventKind::kSpillWrite, .a = spill.tasks});
     }
 
     /// Resolves P(t): local pulls read T_local directly; remote pulls go
@@ -502,30 +408,23 @@ class Worker {
         return;
       }
       TaskEvent(obs::EventKind::kPending, task->span_id());
-      inflight_roots_ += TaskWeight(*task);
-      const int total_remote = static_cast<int>(remote_scratch_.size());
-      ParkedTask& parked = parked_.emplace_back(
-          this, std::move(task), worker_->hub_->NowUs(), total_remote + 1);
-      parked.self = std::prev(parked_.end());
+      ParkedTask* parked =
+          tasks_.Park(this, std::move(task), worker_->hub_->NowUs(),
+                      static_cast<int>(remote_scratch_.size()));
       // Batched OP1: all of this task's remote pulls resolve with one lock
       // acquisition per distinct bucket instead of one per vertex.
       new_request_scratch_.clear();
       const int hits = worker_->cache_.RequestBatch(
-          remote_scratch_.data(), remote_scratch_.size(), parked.Waiter(),
+          remote_scratch_.data(), remote_scratch_.size(), parked->Waiter(),
           &counter_, &new_request_scratch_);
       for (VertexId v : new_request_scratch_) {
         worker_->EnqueueVertexRequest(v);
       }
       // Drop the hold with the hits. Reaching zero here means every pull
       // hit, or the responses raced in while the pulls were registering.
-      const int before =
-          parked.missing.fetch_sub(hits + 1, std::memory_order_acq_rel);
-      GT_CHECK_GE(before, hits + 1)
-          << "comper " << index_ << ": a parked task's pull countdown went "
-          << "below 0";
-      if (before == hits + 1) {
-        MarkReady(parked);
-        ExecuteIteration(Unpark(&parked));
+      if (Tasks::CountDown(parked, hits + 1)) {
+        MarkReady(*parked);
+        ExecuteIteration(tasks_.Unpark(parked));
       }
     }
 
@@ -535,14 +434,6 @@ class Worker {
       worker_->task_wait_us_->Record(worker_->hub_->NowUs() -
                                      parked.parked_at_us);
       TaskEvent(obs::EventKind::kReady, parked.task->span_id());
-    }
-
-    /// Takes a ready task out of its record and erases the record.
-    std::unique_ptr<TaskT> Unpark(ParkedTask* parked) {
-      std::unique_ptr<TaskT> task = std::move(parked->task);
-      parked_.erase(parked->self);
-      inflight_roots_ -= TaskWeight(*task);
-      return task;
     }
 
     /// One compute() iteration: build the frontier in pull order, run the
@@ -588,7 +479,7 @@ class Worker {
                                    remote_scratch_.size());
       worker_->task_iterations_.fetch_add(1, std::memory_order_relaxed);
       if (more) {
-        AddToQueue(std::move(task));
+        Queue(std::move(task));
       } else {
         worker_->mem_.Release(bytes);
         worker_->OnTaskFinished();
@@ -630,16 +521,7 @@ class Worker {
     // parent a task added from Compute records. Comper thread only.
     uint64_t running_span_ = 0;
 
-    std::deque<std::unique_ptr<TaskT>> q_;  // Q_task: comper thread only
-    size_t q_weight_ = 0;                   // Q_task's roots: comper thread
-    std::atomic<size_t> q_size_{0};         // mirror for cross-thread reads
-    /// T_task ∪ B_task: every parked task's record, comper thread only (the
-    /// comm thread reads it for a checkpoint while the comper is parked).
-    std::list<ParkedTask> parked_;
-    /// B_task: records whose last pull the comm thread counted (the comper
-    /// runs a task whose countdown it ends itself at once).
-    ConcurrentQueue<ParkedTask*> b_task_;
-    size_t inflight_roots_ = 0;  // roots in T_task + B_task: comper thread
+    Tasks tasks_;
     bool spawn_exhausted_ = false;
     std::atomic<int64_t> idle_rounds_{0};
     std::atomic<int64_t> rounds_{0};
@@ -668,9 +550,7 @@ class Worker {
       // Spawned straight into the donation batch: counts as spawned (and
       // momentarily live) here, then as donated once the batch ships.
       this->worker_->OnTaskSpawned();
-      Serializer ser;
-      task->Serialize(ser);
-      sink_->push_back(ser.Release());
+      sink_->push_back(Tasks::Encode(*task));
     }
     void SetSink(std::vector<std::string>* sink) { sink_ = sink; }
 
@@ -1138,7 +1018,7 @@ class Worker {
     report.worker_id = id_;
     report.final_report = final_report ? 1 : 0;
     size_t queued = 0;
-    for (const auto& engine : engines_) queued += engine->QueueSize();
+    for (const auto& engine : engines_) queued += engine->tasks().Weight();
     const size_t unspawned =
         local_.size() -
         std::min(next_spawn_.load(std::memory_order_relaxed), local_.size());
@@ -1233,7 +1113,7 @@ class Worker {
       });
     }
     std::vector<std::string> records;
-    for (auto& engine : engines_) engine->CollectCheckpointRecords(&records);
+    for (auto& engine : engines_) engine->tasks().AppendRecords(&records);
     // Spilled batches are checkpointed by content, without popping them
     // (they stay in L_file for the continuing run, and their files on local
     // disk, which a failure would wipe). The kTaskBatch quiesce already ran

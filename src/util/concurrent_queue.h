@@ -10,10 +10,10 @@
 
 namespace gthinker {
 
-/// Unbounded multi-producer multi-consumer FIFO queue. Used for the ready-task
-/// buffer B_task (paper Fig. 7), which carries parked-task records from the
-/// response-receiving thread to the owning comper, and for the transports'
-/// worker mailboxes.
+/// Unbounded multi-producer multi-consumer FIFO queue. Used for a TaskDeque's
+/// ready-task buffer B_task (paper Fig. 7), which carries parked-task records
+/// from the thread that lands their last pull to the owning comper, and for
+/// the transports' worker mailboxes.
 template <typename T>
 class ConcurrentQueue {
  public:

@@ -304,10 +304,9 @@ TEST(WorkerBehavior, DeepDecompositionCountsLeaves) {
   EXPECT_EQ(result.stats.tasks_spawned, result.stats.tasks_finished);
 }
 
-TEST(WorkerBehavior, SpillAsyncAblationIsEquivalent) {
-  // The async spill writer is the only spill path, so the
-  // ablation is against not spilling at all: a queue large enough to hold
-  // the whole task tree must give the same count and conserve tasks.
+TEST(WorkerBehavior, SpillingAndNonSpillingQueuesAgree) {
+  // A queue that spills the task tree and one large enough to hold all of
+  // it must give the same count and conserve tasks.
   struct Shape {
     int batch;
     bool spills;
