@@ -2,21 +2,19 @@
 #define GTHINKER_CORE_CLUSTER_H_
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/codec.h"
 #include "core/config.h"
 #include "core/job_report.h"
+#include "core/master.h"
 #include "core/protocol.h"
 #include "core/worker.h"
 #include "graph/graph.h"
@@ -26,7 +24,6 @@
 #include "net/transport_tcp.h"
 #include "obs/flight_recorder.h"
 #include "obs/phase_profile.h"
-#include "obs/sampler.h"
 #include "obs/status_server.h"
 #include "storage/mini_dfs.h"
 #include "util/logging.h"
@@ -118,52 +115,11 @@ inline void MapResultToOriginalIds(std::vector<VertexId>* result,
   std::sort(result->begin(), result->end());
 }
 
-/// The master's record of one committed checkpoint (ckpt/<epoch>/meta): the
-/// global aggregate, plus what a resume must match. Task contexts and pulls
-/// in a checkpoint are vertex IDs, valid only in the ID space they were
-/// taken in, so the meta records whether the workers spoke hub-last IDs.
-template <typename AggT>
-struct CheckpointMeta {
-  uint64_t epoch = 0;
-  int32_t num_workers = 0;
-  AggT global{};
-  bool hub_last = false;
-
-  std::string Encode() const {
-    Serializer ser;
-    ser.Write(epoch);
-    ser.Write(num_workers);
-    Codec<AggT>::Encode(ser, global);
-    ser.Write<uint8_t>(hub_last ? 1 : 0);
-    return ser.Release();
-  }
-
-  /// Total: the flag comes last, so a meta written before it existed (or a
-  /// truncated one) fails with Corruption rather than decoding shifted bytes.
-  Status Decode(const std::string& blob) {
-    Deserializer des(blob);
-    GT_RETURN_IF_ERROR(des.Read(&epoch));
-    GT_RETURN_IF_ERROR(des.Read(&num_workers));
-    GT_RETURN_IF_ERROR(Codec<AggT>::Decode(des, &global));
-    uint8_t flag = 0;
-    GT_RETURN_IF_ERROR(des.Read(&flag));
-    if (flag > 1 || !des.AtEnd()) {
-      return Status::Corruption("checkpoint meta: bad layout flag or trailer");
-    }
-    hub_last = flag == 1;
-    return Status::Ok();
-  }
-};
-
-/// The job driver. Owns the hub and the local workers, and plays the master
-/// role (paper §V-B): receives progress reports, synchronizes the
-/// aggregator, plans work stealing, coordinates checkpoints, and detects
-/// termination (all workers idle and the data-message flow balanced, stable
-/// across two consecutive global snapshots; the master asks for the reports
-/// that complete a snapshot instead of waiting a progress interval for
-/// them). Run and RunDistributed share
-/// one driver; they differ only in the transport under the hub and in which
-/// workers live in this process.
+/// The job driver. Owns the hub and the local workers and takes a job
+/// through its phases: set-up, load, start, mining (in the master's
+/// process, Master::Run on this thread; core/master.h), join, roll-up and
+/// teardown. Run and RunDistributed share one driver; they differ only in
+/// the transport under the hub and in which workers live in this process.
 template <typename ComperT>
 class Cluster {
  public:
@@ -236,7 +192,6 @@ class Cluster {
     if (own_spill_root) spill_root = TempDirPath("spill");
 
     const int num_workers = config.num_workers;
-    const int master_id = num_workers;
     // This process hosts workers [first_local, first_local + num_local).
     const int first_local = rank < 0 ? 0 : rank;
     const int num_local = rank < 0 ? num_workers : 1;
@@ -301,32 +256,18 @@ class Cluster {
     JobStats& stats = out.stats;
     Timer wall;
 
-    // The latest progress report from every worker (agg_delta cleared): the
-    // one record of per-worker state. Only the master thread writes it,
-    // under latest_mu, and reads it unlocked; status-server scrapes copy it
-    // out under the lock.
-    std::vector<ProgressReport> latest(num_workers);
-    std::mutex latest_mu;
-    auto latest_copy = [&] {
-      std::lock_guard<std::mutex> lock(latest_mu);
-      return latest;
-    };
-    // Each report's gauges (obs::kWorkerSampledGauges), one series per
-    // worker and gauge, stamped with the hub clock as the master decodes it.
-    constexpr size_t kNumSeries = obs::kNumWorkerSampledGauges;
-    std::vector<obs::BoundedSeries> series;
+    // The master runs on this thread in the process that hosts it; its
+    // budget and silence clocks start with `wall`.
+    std::optional<Master<ComperT>> master;
     if (hosts_master) {
-      for (int w = 0; w < num_workers; ++w) {
-        for (const char* gauge : obs::kWorkerSampledGauges) {
-          series.emplace_back(gauge, w);
-        }
-      }
+      master.emplace(config, &hub, &recorder, job.checkpoint_dfs, hub_last,
+                     std::move(global), next_ckpt_epoch);
     }
 
     // Live status endpoint (knob `status_port`; 0 = off, -1 = ephemeral),
     // served by the master's process: the status document and the `job`
-    // metrics scope cover every worker from `latest`, the registries are
-    // this process's. Stopped before the workers are destroyed.
+    // metrics scope cover every worker from its latest reports, the
+    // registries are this process's. Stopped before the workers are freed.
     obs::StatusServer status_server(
         [&] {
           std::vector<obs::MetricsSnapshot> snaps;
@@ -336,11 +277,11 @@ class Cluster {
           }
           snaps.push_back(hub.MetricsSnapshot());
           snaps.push_back(
-              JobScopeMetrics(latest_copy(), wall.ElapsedMicros()));
+              JobScopeMetrics(master->LatestCopy(), wall.ElapsedMicros()));
           return snaps;
         },
         [&] {
-          return StatusJson(latest_copy(), wall.ElapsedSeconds(),
+          return StatusJson(master->LatestCopy(), wall.ElapsedSeconds(),
                             hub.TransportName(),
                             hub.SentCount(MsgType::kStealOrder));
         });
@@ -356,325 +297,20 @@ class Cluster {
       }
     }
 
-    // The master: snapshots, termination, steals, checkpoints, drain.
-    if (hosts_master) {
-      Timer ckpt_timer;
-      std::vector<bool> fresh(num_workers, false);
-
-      // A snapshot is quiet when every worker is idle, the data-message
-      // flow balances and the global task ledger is conserved.
-      struct Snapshot {
-        bool quiet = false;
-        std::vector<int64_t> sent, processed;
-      };
-      Snapshot prev;
-
-      int pending_ckpt_acks = 0;
-      uint64_t active_ckpt_epoch = 0;
-      // Checkpoint quiesce (paper §V-B fault tolerance, hardened): while
-      // true, the master stops issuing steal orders and holds the
-      // kCheckpointRequest broadcast until the wire carries no kStealOrder /
-      // kTaskBatch traffic, so no donated batch can fall between the donor's
-      // and the recipient's snapshots (outside both).
-      bool ckpt_quiescing = false;
-      // Checkpoint-consistent aggregate: per-link FIFO delivers everything a
-      // worker committed before its snapshot ahead of its ack, so deltas
-      // merge here until that worker's ack and never after it.
-      AggT ckpt_global = ComperT::AggZero();
-      std::vector<bool> ckpt_acked(num_workers, false);
-      bool terminate = false;
-
-      // Broadcasting a Payload is cheap by design: each copy bumps the
-      // buffer's refcount, so all N workers share the sender's one encoding.
-      auto broadcast = [&](MsgType type, const Payload& payload) {
-        for (int w = 0; w < num_workers; ++w) {
-          MessageBatch mb;
-          mb.src_worker = master_id;
-          mb.dst_worker = w;
-          mb.type = type;
-          mb.payload = payload;
-          hub.Send(std::move(mb));
-        }
-      };
-      // Reports, acks and barriers name their worker in the payload, and the
-      // master indexes per-worker state by that name. The transport ties
-      // mb.src_worker to the link a batch arrived on, so a payload naming
-      // any other worker is a protocol violation, never an index.
-      auto check_sender = [&](int32_t worker_id, const MessageBatch& mb) {
-        GT_CHECK(worker_id >= 0 && worker_id < num_workers &&
-                 worker_id == mb.src_worker)
-            << "master: " << MsgTypeName(mb.type) << " from endpoint "
-            << mb.src_worker << " names worker " << worker_id
-            << "; expected the sender itself, in [0, " << num_workers << ")";
-      };
-      // Every report: merge its aggregate delta, append its gauges to its
-      // worker's series and publish it in `latest`. Returns the worker.
-      auto take_report = [&](const MessageBatch& mb) {
-        ProgressReport report;
-        GT_CHECK_OK(report.Decode(mb.payload));
-        const int32_t w = report.worker_id;
-        check_sender(w, mb);
-        MergeInto(&global, report.agg_delta);
-        if (pending_ckpt_acks > 0 && !ckpt_acked[w]) {
-          MergeInto(&ckpt_global, report.agg_delta);
-        }
-        report.agg_delta.clear();
-        const int64_t t = hub.NowUs();
-        const auto gauges = SampledGauges(report);
-        for (size_t g = 0; g < kNumSeries; ++g) {
-          series[w * kNumSeries + g].Append(t, gauges[g]);
-        }
-        std::lock_guard<std::mutex> lock(latest_mu);
-        latest[w] = std::move(report);
-        return w;
-      };
-
-      // One loop runs the job and its drain. Until kTerminate it forms
-      // snapshots, plans steals, coordinates checkpoints and checks the
-      // budget. Then comes the two-phase drain (lossless shutdown): each
-      // worker, on kTerminate, stops its compers, flushes its request
-      // buffers and sends a kDrainBarrier; once all N arrive nobody can
-      // originate new traffic, so the master echoes an (empty) kDrainBarrier
-      // releasing the workers to pump the wire dry. They send their final
-      // report only after CommHub::InFlightCount() proves nothing is queued,
-      // in transit, or in a handler that could still send.
-      //
-      // One silence bound covers the whole job: workers heartbeat with
-      // progress reports until their drain begins (also while a comper
-      // finishes an uninterruptible Compute() after kTerminate), so one that
-      // owes its final report and stays silent for drain_timeout_us (a dead
-      // or wedged rank) fails the job: returning without it would be a
-      // partial answer.
-      // Once every worker's latest report says idle, the master asks those
-      // that have not reported since the last snapshot for a report now
-      // (kReportRequest), and after a quiet snapshot it asks all of them for
-      // the confirming one. `asked` allows one request per worker until a
-      // report says busy or a snapshot is quiet, so requests never
-      // ping-pong with reports while, say, a stolen batch is on the wire.
-      bool asked = false;
-      int barriers = 0;
-      int finals = 0;
-      std::vector<bool> barrier_seen(num_workers, false);
-      std::vector<int64_t> last_heard_us(num_workers, wall.ElapsedMicros());
-      while (finals < num_workers) {
-        const int64_t now_us = wall.ElapsedMicros();
-        for (int w = 0; w < num_workers; ++w) {
-          // A pending checkpoint ack means the worker's comm thread is busy
-          // parking its compers, which may sit in a long Compute().
-          if (latest[w].final_report != 0 ||
-              (pending_ckpt_acks > 0 && !ckpt_acked[w]) ||
-              now_us - last_heard_us[w] <= config.drain_timeout_us) {
-            continue;
-          }
-          std::string missing;
-          if (terminate) {
-            std::string no_barrier, no_final;
-            for (int v = 0; v < num_workers; ++v) {
-              if (!barrier_seen[v]) no_barrier += " " + std::to_string(v);
-              if (latest[v].final_report == 0) {
-                no_final += " " + std::to_string(v);
-              }
-            }
-            missing = "; no drain barrier from worker(s)" + no_barrier +
-                      "; no final report from worker(s)" + no_final;
-          }
-          // The fatal hook writes the crash dump, this event included.
-          recorder.Record({.t_us = hub.NowUs(),
-                           .kind = obs::EventKind::kDrain,
-                           .a = 5,  // phase: master silence bound tripped
-                           .b = num_workers - finals});
-          LOG_FATAL << "master: worker " << w << " silent for "
-                    << config.drain_timeout_us << " us "
-                    << (terminate ? "after" : "before") << " kTerminate"
-                    << missing;
-        }
-
-        MessageBatch mb;
-        if (hub.Receive(master_id, config.progress_interval_us, &mb)) {
-          if (mb.src_worker >= 0 && mb.src_worker < num_workers) {
-            last_heard_us[mb.src_worker] = wall.ElapsedMicros();
-          }
-          switch (mb.type) {
-            case MsgType::kProgressReport: {
-              // A worker's final report is the last one it sends.
-              const int w = take_report(mb);
-              if (latest[w].final_report != 0) {
-                ++finals;
-              } else {
-                fresh[w] = true;
-                if (latest[w].idle == 0) asked = false;
-              }
-              break;
-            }
-            case MsgType::kCheckpointAck: {
-              CheckpointAck ack;
-              GT_CHECK_OK(ack.Decode(mb.payload));
-              check_sender(ack.worker_id, mb);
-              MergeInto(&global, ack.agg_delta);
-              if (ack.epoch == active_ckpt_epoch && pending_ckpt_acks > 0 &&
-                  !ckpt_acked[ack.worker_id]) {
-                MergeInto(&ckpt_global, ack.agg_delta);
-                ckpt_acked[ack.worker_id] = true;
-                // A checkpoint still pending at kTerminate never commits.
-                if (--pending_ckpt_acks == 0 && !terminate) {
-                  CommitCheckpointMeta(job, {active_ckpt_epoch, num_workers,
-                                             ckpt_global, hub_last});
-                  ++stats.checkpoints;
-                }
-              }
-              break;
-            }
-            case MsgType::kDrainBarrier: {
-              int32_t worker_id = -1;
-              GT_CHECK_OK(DecodeDrainBarrier(mb.payload, &worker_id));
-              check_sender(worker_id, mb);
-              GT_CHECK(terminate) << "master: drain barrier from worker "
-                                  << worker_id << " before kTerminate";
-              if (!barrier_seen[worker_id]) {
-                barrier_seen[worker_id] = true;
-                if (++barriers == num_workers) {
-                  broadcast(MsgType::kDrainBarrier, "");
-                  // The master originates nothing further; on tcp this lets
-                  // the transport start its cluster-wide FLUSH marker rounds.
-                  hub.BeginDrain(master_id);
-                }
-              }
-              break;
-            }
-            default:
-              LOG_FATAL << "master: unexpected message type "
-                        << static_cast<int>(mb.type);
-          }
-          hub.MarkProcessed(mb.type);
-        }
-        if (terminate) continue;
-
-        // A global snapshot forms once every worker reported since the last.
-        if (std::all_of(fresh.begin(), fresh.end(), [](bool b) { return b; })) {
-          Snapshot snap;
-          bool all_idle = true;
-          int64_t sent = 0, processed = 0, live = 0;
-          TaskLedger sum;
-          for (int w = 0; w < num_workers; ++w) {
-            all_idle = all_idle && latest[w].idle != 0;
-            sent += latest[w].data_sent;
-            processed += latest[w].data_processed;
-            snap.sent.push_back(latest[w].data_sent);
-            snap.processed.push_back(latest[w].data_processed);
-            sum.Accumulate(latest[w].ledger);
-            live += latest[w].tasks_live;
-          }
-          // Task conservation: the summed ledger must account for exactly
-          // the tasks the workers report alive. In-flight kTaskBatch records
-          // are neutral (donor already counted `donated`, recipient not yet
-          // `received`), so a correct system balances at every snapshot; the
-          // counters are read without a global freeze, though, so a
-          // transient skew only delays termination by one snapshot rather
-          // than failing.
-          snap.quiet =
-              all_idle && sent == processed && sum.ExpectedLive() == live;
-
-          Serializer agg;
-          Codec<AggT>::Encode(agg, global);
-          broadcast(MsgType::kAggregatorSync, Payload(agg.Release()));
-
-          if (snap.quiet && prev.quiet && prev.sent == snap.sent &&
-              prev.processed == snap.processed && pending_ckpt_acks == 0 &&
-              !ckpt_quiescing) {
-            terminate = true;
-          } else if (config.enable_stealing && !all_idle && !ckpt_quiescing &&
-                     pending_ckpt_acks == 0) {
-            PlanSteals(latest, config, master_id, &hub);
-          }
-          if (snap.quiet) {
-            recorder.Record({.t_us = hub.NowUs(),
-                             .kind = obs::EventKind::kDetect,
-                             .a = 0,
-                             .b = sent});
-            asked = false;  // ask for the confirming snapshot
-          }
-          if (terminate) {
-            recorder.Record({.t_us = hub.NowUs(),
-                             .kind = obs::EventKind::kDetect,
-                             .a = 1,
-                             .b = sent});
-          }
-          prev = std::move(snap);
-          std::fill(fresh.begin(), fresh.end(), false);
-        }
-
-        if (!terminate && !asked && pending_ckpt_acks == 0 &&
-            !ckpt_quiescing &&
-            std::all_of(latest.begin(), latest.end(),
-                        [](const ProgressReport& r) { return r.idle != 0; })) {
-          for (int w = 0; w < num_workers; ++w) {
-            if (fresh[w]) continue;
-            MessageBatch mb;
-            mb.src_worker = master_id;
-            mb.dst_worker = w;
-            mb.type = MsgType::kReportRequest;
-            hub.Send(std::move(mb));
-          }
-          asked = true;
-        }
-
-        if (!terminate && config.time_budget_s > 0.0 &&
-            wall.ElapsedSeconds() > config.time_budget_s) {
-          stats.timed_out = true;
-          terminate = true;
-          // A budget exit is a diagnosis moment: dump the recent event
-          // history so the state that failed to converge is inspectable
-          // post-mortem.
-          recorder.Record(
-              {.t_us = hub.NowUs(),
-               .kind = obs::EventKind::kTimeout,
-               .a = static_cast<int64_t>(wall.ElapsedSeconds())});
-          obs::FlightRecorder::WriteCrashDump("timeout");
-        }
-
-        // Checkpointing is in-process only (Validate rejects it under tcp),
-        // so on a TCP rank neither checkpoint branch ever fires.
-        if (!terminate && config.checkpoint_interval_us > 0 &&
-            pending_ckpt_acks == 0 && !ckpt_quiescing &&
-            ckpt_timer.ElapsedMicros() >= config.checkpoint_interval_us) {
-          // Phase 1: stop feeding the wire with steal orders (PlanSteals is
-          // gated on !ckpt_quiescing) and wait for in-flight stealing
-          // traffic to settle before asking anyone to snapshot.
-          ckpt_quiescing = true;
-        }
-
-        if (!terminate && ckpt_quiescing &&
-            // Order matters: a donor sends its kTaskBatch *before* marking
-            // the kStealOrder processed, so once no steal order is
-            // unprocessed, every batch it will ever produce is already
-            // visible to the kTaskBatch count checked second.
-            hub.InFlightCount(MsgType::kStealOrder) == 0 &&
-            hub.InFlightCount(MsgType::kTaskBatch) == 0) {
-          ckpt_quiescing = false;
-          active_ckpt_epoch = next_ckpt_epoch++;
-          pending_ckpt_acks = num_workers;
-          ckpt_global = global;  // everything committed so far is pre-snapshot
-          std::fill(ckpt_acked.begin(), ckpt_acked.end(), false);
-          CheckpointRequest req;
-          req.epoch = active_ckpt_epoch;
-          broadcast(MsgType::kCheckpointRequest, req.Encode());
-          ckpt_timer.Restart();
-        }
-
-        if (terminate) broadcast(MsgType::kTerminate, "");
-      }
-    }
+    if (master) master->Run();
     // Off the master, the workers follow the master's broadcasts; their
     // comm threads exit once the drain proved the wire empty.
     for (auto& worker : workers) worker->Join();
 
     stats.elapsed_s = wall.ElapsedSeconds();
-    if (hosts_master) {
-      for (obs::BoundedSeries& s : series) {
+    if (master) {
+      stats.timed_out = master->timed_out();
+      stats.checkpoints = master->checkpoints();
+      for (obs::BoundedSeries& s : master->series()) {
         stats.timeseries.push_back(s.Take());
       }
-      // Every entry of `latest` is now its worker's final report.
-      for (const ProgressReport& r : latest) {
+      global = master->TakeGlobal();
+      for (const ProgressReport& r : master->LatestCopy()) {
         stats.tasks_spawned += r.ledger.spawned;
         stats.task_iterations += r.task_iterations;
         stats.tasks_finished += r.ledger.finished;
@@ -706,20 +342,11 @@ class Cluster {
     }
 
     // Clean completion also means no live task is left behind (counted on
-    // the master). Every run, timed out or not, ends with a provably empty
-    // wire, which under tcp each process certifies for its own transport
-    // after the FLUSH rounds.
+    // the master).
     if (!stats.timed_out) {
       GT_CHECK_EQ(stats.tasks_live_at_exit, 0)
           << "clean termination left live tasks behind";
     }
-    Timer drain_wait;
-    while (hub.InFlightCount() != 0 &&
-           drain_wait.ElapsedMicros() < config.drain_timeout_us) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    GT_CHECK_EQ(hub.InFlightCount(), 0)
-        << "the drain left undrained messages on the wire";
     stats.batches_sent = hub.TotalBatchesSent();
     stats.bytes_sent = hub.TotalBytesSent();
     stats.steal_orders = hub.SentCount(MsgType::kStealOrder);
@@ -729,7 +356,17 @@ class Cluster {
     // transport stops first so teardown accounting (any
     // transport.batches_abandoned frames) reaches the job report.
     for (auto& worker : workers) worker->FinalizeObs();
+    // Under tcp, Shutdown is the one wait for this rank's final report.
     hub.Shutdown();
+    const obs::MetricsSnapshot wire = hub.MetricsSnapshot();
+    // Every run, timed out or not, ends with a provably empty wire (under
+    // tcp each process certifies its own after the FLUSH rounds), and no
+    // batch was dropped at Stop.
+    GT_CHECK_EQ(hub.InFlightCount(), 0)
+        << "the drain left undrained messages on the wire";
+    // -1: the in-process transport abandons nothing and has no counter.
+    GT_CHECK_LE(wire.CounterValue("transport.batches_abandoned"), 0)
+        << "teardown abandoned batches the drain should have delivered";
     for (auto& worker : workers) {
       stats.metrics.push_back(worker->MetricsSnapshot());
       stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
@@ -737,7 +374,7 @@ class Cluster {
           std::max(stats.max_peak_mem_bytes, worker->PeakMemBytes());
       stats.records_output += worker->RecordsOutput();
     }
-    stats.metrics.push_back(hub.MetricsSnapshot());
+    stats.metrics.push_back(wire);
 
     if (config.enable_span_tracing) {
       stats.span_events_total = recorder.total();
@@ -773,13 +410,6 @@ class Cluster {
     if (hub_last) MapResultToOriginalIds(&global, layout);
     out.result = std::move(global);
     return out;
-  }
-
-  static void MergeInto(AggT* target, const std::string& blob) {
-    AggT delta{};
-    Deserializer des(blob);
-    GT_CHECK_OK(Codec<AggT>::Decode(des, &delta));
-    *target = ComperT::AggMerge(*target, delta);
   }
 
   /// True when the workers speak hub-last IDs: layout.reorder applies to
@@ -860,12 +490,6 @@ class Cluster {
     for (auto& worker : *workers) worker->FinalizeLoad();
   }
 
-  static void CommitCheckpointMeta(const Job<ComperT>& job,
-                                   const CheckpointMeta<AggT>& meta) {
-    GT_CHECK_OK(job.checkpoint_dfs->Put(
-        "ckpt/" + std::to_string(meta.epoch) + "/meta", meta.Encode()));
-  }
-
   static AggT Restore(const Job<ComperT>& job,
                       std::vector<std::unique_ptr<WorkerT>>* workers) {
     const std::string prefix = "ckpt/" + std::to_string(job.resume_epoch);
@@ -894,38 +518,6 @@ class Cluster {
     return global;
   }
 
- public:
-  /// Sends one steal order per starving worker, from the most loaded one
-  /// (paper §V-B "Task Stealing": idle machines prefetch task batches from
-  /// busy machines via master-made plans). Public so a test can drive it
-  /// with fixed reports.
-  static void PlanSteals(const std::vector<ProgressReport>& latest,
-                         const JobConfig& config, int master_id,
-                         CommHub* hub) {
-    const int64_t batch = config.task_batch_size;
-    for (size_t i = 0; i < latest.size(); ++i) {
-      if (latest[i].idle == 0 || latest[i].remaining_estimate > 0) continue;
-      // worker i is starving; find the most loaded donor
-      int donor = -1;
-      int64_t best = 2 * batch;  // only steal from meaningfully-loaded donors
-      for (size_t j = 0; j < latest.size(); ++j) {
-        if (j == i) continue;
-        if (latest[j].remaining_estimate > best) {
-          best = latest[j].remaining_estimate;
-          donor = static_cast<int>(j);
-        }
-      }
-      if (donor < 0) continue;
-      MessageBatch mb;
-      mb.src_worker = master_id;
-      mb.dst_worker = donor;
-      mb.type = MsgType::kStealOrder;
-      // Stamp the order with the hub clock; the recipient of the resulting
-      // kTaskBatch closes the round-trip measurement (steal.rtt_us).
-      mb.payload = EncodeStealOrder(static_cast<int32_t>(i), hub->NowUs());
-      hub->Send(std::move(mb));
-    }
-  }
 };
 
 }  // namespace gthinker

@@ -49,7 +49,6 @@ struct TaskLedger {
   int64_t loaded = 0;        // deserialized back from a local spill file
   int64_t donated = 0;       // serialized into an outgoing kTaskBatch
   int64_t received = 0;      // decoded from an incoming kTaskBatch
-  int64_t checkpointed = 0;  // serialized into a checkpoint snapshot
   int64_t disk_donated = 0;  // taken from L_file to fill a donation
   // L_file flow: spilled, received and restored tasks enter it; loaded and
   // disk_donated tasks leave it. So at a clean exit
@@ -63,7 +62,6 @@ struct TaskLedger {
     loaded += other.loaded;
     donated += other.donated;
     received += other.received;
-    checkpointed += other.checkpointed;
     disk_donated += other.disk_donated;
   }
 
@@ -80,7 +78,6 @@ struct TaskLedger {
     ser->Write(loaded);
     ser->Write(donated);
     ser->Write(received);
-    ser->Write(checkpointed);
     ser->Write(disk_donated);
   }
 
@@ -92,7 +89,6 @@ struct TaskLedger {
     GT_RETURN_IF_ERROR(des->Read(&loaded));
     GT_RETURN_IF_ERROR(des->Read(&donated));
     GT_RETURN_IF_ERROR(des->Read(&received));
-    GT_RETURN_IF_ERROR(des->Read(&checkpointed));
     return des->Read(&disk_donated);
   }
 };
@@ -101,14 +97,20 @@ struct TaskLedger {
 /// idle/remaining state driving stealing + termination, monotonic data-batch
 /// counters for the message-balance check, the task-conservation ledger, a
 /// stats snapshot, the worker's live gauges, and the committed aggregator
-/// delta (opaque bytes; master deserializes by AggT). It is the one record
-/// of per-worker state: the master's termination and steal planning, the
-/// job's final counters, the sampled time-series and the live status
-/// endpoints all read it.
+/// delta (opaque bytes; master deserializes by AggT). The only message a
+/// worker sends the master and its one record of per-worker state: the
+/// master's termination, steals, checkpoints and drain, the job's final
+/// counters, the sampled time-series and the live status endpoints read it.
 struct ProgressReport {
   int32_t worker_id = 0;
   uint8_t final_report = 0;
   uint8_t idle = 0;
+  /// The last checkpoint epoch snapshotted (0 = none); the first report
+  /// carrying an epoch acks it, sent while the compers are still parked.
+  uint64_t checkpoint_epoch = 0;
+  /// 1 once the compers exited after kTerminate and the request buffers
+  /// are flushed: this worker's share of the drain barrier.
+  uint8_t quiesced = 0;
   int64_t remaining_estimate = 0;
   int64_t data_sent = 0;
   int64_t data_processed = 0;
@@ -153,6 +155,8 @@ struct ProgressReport {
     ser.Write(worker_id);
     ser.Write(final_report);
     ser.Write(idle);
+    ser.Write(checkpoint_epoch);
+    ser.Write(quiesced);
     ser.Write(remaining_estimate);
     ser.Write(data_sent);
     ser.Write(data_processed);
@@ -183,6 +187,8 @@ struct ProgressReport {
     GT_RETURN_IF_ERROR(des.Read(&worker_id));
     GT_RETURN_IF_ERROR(des.Read(&final_report));
     GT_RETURN_IF_ERROR(des.Read(&idle));
+    GT_RETURN_IF_ERROR(des.Read(&checkpoint_epoch));
+    GT_RETURN_IF_ERROR(des.Read(&quiesced));
     GT_RETURN_IF_ERROR(des.Read(&remaining_estimate));
     GT_RETURN_IF_ERROR(des.Read(&data_sent));
     GT_RETURN_IF_ERROR(des.Read(&data_processed));
@@ -310,21 +316,6 @@ inline Status DecodeStealOrder(const Payload& payload, int32_t* dst_worker,
   return ExpectEnd(des, "steal order");
 }
 
-/// kDrainBarrier payload (worker -> master direction): the quiesced worker.
-/// The master -> worker direction carries an empty payload (the global
-/// "everyone quiesced, drain the wire" release).
-inline Payload EncodeDrainBarrier(int32_t worker_id) {
-  Serializer ser;
-  ser.Write(worker_id);
-  return Payload(ser.Release());
-}
-
-inline Status DecodeDrainBarrier(const Payload& payload, int32_t* worker_id) {
-  Deserializer des(payload.data(), payload.size());
-  GT_RETURN_IF_ERROR(des.Read(worker_id));
-  return ExpectEnd(des, "drain barrier");
-}
-
 /// kCheckpointRequest payload: the checkpoint epoch.
 struct CheckpointRequest {
   uint64_t epoch = 0;
@@ -338,28 +329,6 @@ struct CheckpointRequest {
     Deserializer des(payload.data(), payload.size());
     GT_RETURN_IF_ERROR(des.Read(&epoch));
     return ExpectEnd(des, "checkpoint request");
-  }
-};
-
-/// kCheckpointAck payload (worker -> master).
-struct CheckpointAck {
-  int32_t worker_id = 0;
-  uint64_t epoch = 0;
-  std::string agg_delta;
-
-  Payload Encode() const {
-    Serializer ser;
-    ser.Write(worker_id);
-    ser.Write(epoch);
-    ser.WriteString(agg_delta);
-    return Payload(ser.Release());
-  }
-  Status Decode(const Payload& payload) {
-    Deserializer des(payload.data(), payload.size());
-    GT_RETURN_IF_ERROR(des.Read(&worker_id));
-    GT_RETURN_IF_ERROR(des.Read(&epoch));
-    GT_RETURN_IF_ERROR(des.ReadString(&agg_delta));
-    return ExpectEnd(des, "checkpoint ack");
   }
 };
 

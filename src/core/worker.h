@@ -742,11 +742,11 @@ class Worker {
   ///    mid-iteration may still issue vertex pulls, and a Compute() call
   ///    cannot be interrupted, so this wait is unbounded; the last one out
   ///    wakes this thread), flush the per-destination request buffers so
-  ///    nothing is stranded in them and report the quiesce with a
-  ///    kDrainBarrier.
-  /// 2. Release: the master echoes the barrier once every worker quiesced,
-  ///    so no new traffic can originate anywhere; announce it to the
-  ///    transport with BeginDrain.
+  ///    nothing is stranded in them and send a progress report that says
+  ///    quiesced.
+  /// 2. Release: the master sends kDrainBarrier once every worker's report
+  ///    says quiesced, so no new traffic can originate anywhere; announce
+  ///    it to the transport with BeginDrain.
   /// 3. Wire drain: stop once CommHub::InFlightCount()==0 proves nothing is
   ///    queued, in transit, or in a handler that could still send. The hub
   ///    and the transport wake this thread whenever that count can have
@@ -761,7 +761,6 @@ class Worker {
   /// cannot finish.
   void CommLoop() {
     Timer progress_timer;
-    bool barrier_sent = false;
     bool draining = false;
     while (!draining || hub_->InFlightCount() != 0) {
       int64_t wait_us =
@@ -805,19 +804,15 @@ class Worker {
         SendProgress(/*final_report=*/false);
         progress_timer.Restart();
       }
-      if (!barrier_sent && stop_compers_.load(std::memory_order_relaxed) &&
+      if (!quiesced_ && stop_compers_.load(std::memory_order_relaxed) &&
           compers_running_.load(std::memory_order_acquire) == 0) {
         FlushAllRequests();
-        RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 1});  // barrier
-        MessageBatch barrier;
-        barrier.src_worker = id_;
-        barrier.dst_worker = master_id_;
-        barrier.type = MsgType::kDrainBarrier;
-        barrier.payload = EncodeDrainBarrier(static_cast<int32_t>(id_));
-        hub_->Send(std::move(barrier));
-        barrier_sent = true;
+        RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 1});  // quiesced
+        quiesced_ = true;
+        SendProgress(/*final_report=*/false);
+        progress_timer.Restart();
       }
-      if (!draining && drain_release_) {
+      if (!draining && got && mb.type == MsgType::kDrainBarrier) {
         // This worker will originate nothing further (only answer what
         // still arrives). Socket backends use the announcement to run their
         // cluster-wide drain-marker protocol.
@@ -960,12 +955,10 @@ class Worker {
         report_due_.store(true, std::memory_order_release);
         break;
       }
-      case MsgType::kDrainBarrier: {
-        // Master's echo: every worker has quiesced its compers and flushed
-        // its request buffers; the wire can now only shrink.
-        drain_release_ = true;
+      case MsgType::kDrainBarrier:
+        // The master's release: every worker has quiesced its compers and
+        // flushed its request buffers; CommLoop begins the wire drain.
         break;
-      }
       default:
         LOG_FATAL << "worker " << id_ << ": unexpected message type "
                   << static_cast<int>(mb.type);
@@ -1017,6 +1010,8 @@ class Worker {
     ProgressReport report;
     report.worker_id = id_;
     report.final_report = final_report ? 1 : 0;
+    report.checkpoint_epoch = checkpoint_epoch_;
+    report.quiesced = quiesced_ ? 1 : 0;
     size_t queued = 0;
     for (const auto& engine : engines_) queued += engine->tasks().Weight();
     const size_t unspawned =
@@ -1056,8 +1051,6 @@ class Worker {
     report.ledger.loaded = tasks_loaded_.load(std::memory_order_relaxed);
     report.ledger.donated = tasks_donated_.load(std::memory_order_relaxed);
     report.ledger.received = tasks_received_.load(std::memory_order_relaxed);
-    report.ledger.checkpointed =
-        tasks_checkpointed_.load(std::memory_order_relaxed);
     report.ledger.disk_donated =
         tasks_disk_donated_.load(std::memory_order_relaxed);
     report.tasks_live = live_tasks_.load();
@@ -1124,8 +1117,6 @@ class Worker {
     // batch on the wire, the snapshot must cover exactly the live tasks.
     GT_CHECK_EQ(static_cast<int64_t>(records.size()), live_tasks_.load())
         << "worker " << id_ << " checkpoint missed live tasks";
-    tasks_checkpointed_.fetch_add(static_cast<int64_t>(records.size()),
-                                  std::memory_order_relaxed);
     WorkerCheckpoint ckpt;
     ckpt.spawn_next = next_spawn_.load(std::memory_order_relaxed);
     ckpt.records = std::move(records);
@@ -1134,28 +1125,15 @@ class Worker {
     GT_CHECK_OK(checkpoint_dfs_->Put(key, ckpt.Encode()));
     RecordEvent(-1, {.kind = obs::EventKind::kCheckpoint,
                      .a = static_cast<int64_t>(epoch)});
-    // Cut the aggregator delta for the ack while the compers are still
-    // parked: everything committed so far is pre-snapshot by quiescence.
-    // Releasing first opened a race where a resumed comper finished a task
-    // that was just serialized into the snapshot and committed its
-    // contribution into this delta — the checkpoint meta then counted work
-    // the restored task would redo (double count on resume).
-    CheckpointAck ack;
-    ack.worker_id = id_;
-    ack.epoch = epoch;
-    {
-      Serializer agg_ser;
-      Codec<AggT>::Encode(agg_ser, agg_.TakeLocal());
-      ack.agg_delta = agg_ser.Release();
-    }
+    // The ack, the first report carrying this epoch, cuts its aggregator
+    // delta while the compers are still parked: everything committed so far
+    // is pre-snapshot. Releasing first would let a resumed comper finish a
+    // task just serialized into the snapshot and commit it into this delta,
+    // which a resume would then count twice.
+    checkpoint_epoch_ = epoch;
+    SendProgress(/*final_report=*/false);
     pause_.store(false, std::memory_order_release);
     pause_cv_.notify_all();
-    MessageBatch mb;
-    mb.src_worker = id_;
-    mb.dst_worker = master_id_;
-    mb.type = MsgType::kCheckpointAck;
-    mb.payload = ack.Encode();
-    hub_->Send(std::move(mb));
   }
 
  public:
@@ -1280,7 +1258,9 @@ class Worker {
   std::atomic<bool> window_opened_{false};
   /// A gated comper asked the comm thread for an eviction pass.
   std::atomic<bool> evict_wanted_{false};
-  bool drain_release_ = false;  // comm thread only
+  // Repeated by every progress report (comm thread only).
+  uint64_t checkpoint_epoch_ = 0;  // the last epoch snapshotted
+  bool quiesced_ = false;          // the drain's local quiesce
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};
   std::mutex pause_mutex_;
@@ -1309,7 +1289,6 @@ class Worker {
   std::atomic<int64_t> tasks_loaded_{0};
   std::atomic<int64_t> tasks_donated_{0};
   std::atomic<int64_t> tasks_received_{0};
-  std::atomic<int64_t> tasks_checkpointed_{0};
   std::atomic<int64_t> tasks_disk_donated_{0};
   std::atomic<int64_t> drained_messages_{0};
 };

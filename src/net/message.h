@@ -27,21 +27,19 @@ struct NetConfig {
 enum class MsgType : uint8_t {
   kVertexRequest = 0,   // u64 count + VertexId[count] (EncodeVertexRequest)
   kVertexResponse = 1,  // u64 count + count Codec-encoded (id, Γ(id)) records
-  kProgressReport = 2,  // ProgressReport::Encode: fixed-width counters +
-                        // TaskLedger (10 × i64) + live/disk/drained + agg blob
+  kProgressReport = 2,  // ProgressReport::Encode: counters, checkpoint epoch,
+                        // quiesced flag, TaskLedger (8 × i64), gauges, agg blob
   kStealOrder = 3,      // i32 dst_worker + i64 order_t_us (hub clock)
   kTaskBatch = 4,       // i64 steal_order_t_us + u64 count + count task blobs
   kAggregatorSync = 5,  // Codec<AggT>-encoded global aggregate (no framing)
   kTerminate = 6,       // empty payload
   kCheckpointRequest = 7,  // u64 epoch (CheckpointRequest::Encode)
-  kCheckpointAck = 8,      // i32 worker_id + u64 epoch + agg-delta blob
-  kDrainBarrier = 9,       // worker -> master: i32 worker_id;
-                           // master -> all: empty payload (drain release)
-  kReportRequest = 10,     // master -> worker: empty payload ("report now")
+  kDrainBarrier = 8,       // master -> all: empty payload (drain release)
+  kReportRequest = 9,      // master -> worker: empty payload ("report now")
 };
 
 /// Number of distinct MsgType values (for per-type wire accounting).
-inline constexpr int kNumMsgTypes = 11;
+inline constexpr int kNumMsgTypes = 10;
 
 /// Human-readable message-kind name (metrics labels, trace output).
 inline const char* MsgTypeName(MsgType type) {
@@ -62,8 +60,6 @@ inline const char* MsgTypeName(MsgType type) {
       return "terminate";
     case MsgType::kCheckpointRequest:
       return "checkpoint_request";
-    case MsgType::kCheckpointAck:
-      return "checkpoint_ack";
     case MsgType::kDrainBarrier:
       return "drain_barrier";
     case MsgType::kReportRequest:

@@ -175,16 +175,17 @@ void TcpTransport::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_.load(std::memory_order_relaxed)) return;
   }
-  // Best-effort flush: the engine's drain barrier normally leaves the send
-  // queues empty; the bound only matters on error paths.
-  const int64_t deadline_ms = SteadyNowMs() + kStopFlushMs;
-  while (SteadyNowMs() < deadline_ms) {
-    int64_t queued = 0;
-    for (const Peer& p : peers_) {
-      queued += p.queued_frames.load(std::memory_order_relaxed);
-    }
-    if (queued == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The one wait for a worker rank's final report, which a clean drain can
+  // leave queued: until each queue empties (WritePeer notifies), a link is
+  // lost (RecordLoss notifies) or kStopFlushMs passes. The rest is counted
+  // as abandoned below.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kStopFlushMs);
+  for (Peer& p : peers_) {
+    std::unique_lock<std::mutex> slock(p.send_mu);
+    p.send_cv.wait_until(slock, deadline, [&] {
+      return p.sendq.empty() || link_lost_.load(std::memory_order_relaxed);
+    });
   }
   stop_.store(true, std::memory_order_relaxed);
   {

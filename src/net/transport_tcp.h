@@ -119,7 +119,7 @@ class TcpTransport final : public Transport {
     std::string lost;          // mu_: why the link was lost (empty = not lost)
     // -- send plane: guarded by send_mu --
     std::mutex send_mu;
-    std::condition_variable send_cv;  // backpressure waiters
+    std::condition_variable send_cv;  // backpressure waiters, Stop's flush
     std::deque<OutFrame> sendq;       // framed messages, FIFO
     size_t front_off = 0;             // bytes of sendq.front() written
     // lock-free mirrors of the queue size for DrainPending / POLLOUT arming

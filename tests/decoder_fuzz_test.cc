@@ -103,6 +103,8 @@ ProgressReport MakeReport() {
   ProgressReport r;
   r.worker_id = 2;
   r.idle = 1;
+  r.checkpoint_epoch = 5;
+  r.quiesced = 1;
   r.remaining_estimate = 17;
   r.data_sent = 1234;
   r.data_processed = 1200;
@@ -116,7 +118,6 @@ ProgressReport MakeReport() {
   r.ledger.loaded = 6;
   r.ledger.donated = 5;
   r.ledger.received = 4;
-  r.ledger.checkpointed = 2;
   r.ledger.disk_donated = 2;
   r.tasks_live = 11;
   r.queue_depth = 9;
@@ -356,7 +357,7 @@ TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
 TEST(DecoderFuzz, FrameHeader) {
   net::FrameHeader h;
   h.kind = net::FrameKind::kData;
-  // The newest message type (kReportRequest, protocol v5).
+  // The highest message type (kReportRequest, protocol v6).
   h.msg_type = static_cast<uint8_t>(MsgType::kReportRequest);
   h.src = 1;
   h.dst = 2;

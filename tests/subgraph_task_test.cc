@@ -168,6 +168,8 @@ TEST(Protocol, ProgressReportRoundtrip) {
   r.worker_id = 3;
   r.final_report = 1;
   r.idle = 1;
+  r.checkpoint_epoch = 8;
+  r.quiesced = 1;
   r.remaining_estimate = 42;
   r.data_sent = 100;
   r.data_processed = 99;
@@ -179,7 +181,6 @@ TEST(Protocol, ProgressReportRoundtrip) {
   r.ledger.loaded = 3;
   r.ledger.donated = 1;
   r.ledger.received = 4;
-  r.ledger.checkpointed = 6;
   r.tasks_live = 6;
   r.tasks_on_disk = 2;
   r.drained_messages = 9;
@@ -189,6 +190,8 @@ TEST(Protocol, ProgressReportRoundtrip) {
   EXPECT_EQ(back.worker_id, 3);
   EXPECT_EQ(back.final_report, 1);
   EXPECT_EQ(back.idle, 1);
+  EXPECT_EQ(back.checkpoint_epoch, 8u);
+  EXPECT_EQ(back.quiesced, 1);
   EXPECT_EQ(back.remaining_estimate, 42);
   EXPECT_EQ(back.data_sent, 100);
   EXPECT_EQ(back.data_processed, 99);
@@ -200,18 +203,11 @@ TEST(Protocol, ProgressReportRoundtrip) {
   EXPECT_EQ(back.ledger.loaded, 3);
   EXPECT_EQ(back.ledger.donated, 1);
   EXPECT_EQ(back.ledger.received, 4);
-  EXPECT_EQ(back.ledger.checkpointed, 6);
   EXPECT_EQ(back.ledger.ExpectedLive(), 7);
   EXPECT_EQ(back.tasks_live, 6);
   EXPECT_EQ(back.tasks_on_disk, 2);
   EXPECT_EQ(back.drained_messages, 9);
   EXPECT_EQ(back.agg_delta, "blobby");
-}
-
-TEST(Protocol, DrainBarrierRoundtrip) {
-  int32_t worker = -1;
-  ASSERT_TRUE(DecodeDrainBarrier(EncodeDrainBarrier(11), &worker).ok());
-  EXPECT_EQ(worker, 11);
 }
 
 TEST(Protocol, VertexRequestRoundtrip) {
@@ -235,16 +231,6 @@ TEST(Protocol, CheckpointMessagesRoundtrip) {
   CheckpointRequest req_back;
   ASSERT_TRUE(req_back.Decode(req.Encode()).ok());
   EXPECT_EQ(req_back.epoch, 12u);
-
-  CheckpointAck ack;
-  ack.worker_id = 2;
-  ack.epoch = 12;
-  ack.agg_delta = "d";
-  CheckpointAck ack_back;
-  ASSERT_TRUE(ack_back.Decode(ack.Encode()).ok());
-  EXPECT_EQ(ack_back.worker_id, 2);
-  EXPECT_EQ(ack_back.epoch, 12u);
-  EXPECT_EQ(ack_back.agg_delta, "d");
 }
 
 TEST(Protocol, DecodeGarbageFails) {

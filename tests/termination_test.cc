@@ -385,7 +385,7 @@ Orders PlannedSteals(const std::vector<ProgressReport>& latest) {
   CommHub hub(n + 1);  // endpoint n is the master
   JobConfig config;
   config.task_batch_size = 10;
-  Cluster<TriangleComper>::PlanSteals(latest, config, /*master_id=*/n, &hub);
+  Master<TriangleComper>::PlanSteals(latest, config, /*master_id=*/n, &hub);
   Orders orders;
   for (int w = 0; w < n; ++w) {
     MessageBatch mb;
