@@ -112,7 +112,6 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
         resp.payload = Payload(ser.Release());
       }
       rhub.Send(std::move(resp));
-      rhub.MarkProcessed(MsgType::kVertexRequest);
     }
   });
 
@@ -152,7 +151,6 @@ PullResult RunPullRoundTrips(CommHub* req_hub, CommHub* resp_hub, bool pooled,
         result.checksum += v.id + v.value.size();
       }
     }
-    hub.MarkProcessed(MsgType::kVertexResponse);
   }
   result.elapsed_s = wall.ElapsedSeconds();
   responder.join();

@@ -299,7 +299,7 @@ class Cluster {
 
     if (master) master->Run();
     // Off the master, the workers follow the master's broadcasts; their
-    // comm threads exit once the drain proved the wire empty.
+    // comm threads exit once the master's release proved the wire empty.
     for (auto& worker : workers) worker->Join();
 
     stats.elapsed_s = wall.ElapsedSeconds();
@@ -310,6 +310,7 @@ class Cluster {
         stats.timeseries.push_back(s.Take());
       }
       global = master->TakeGlobal();
+      int64_t data_sent = 0, data_processed = 0;
       for (const ProgressReport& r : master->LatestCopy()) {
         stats.tasks_spawned += r.ledger.spawned;
         stats.task_iterations += r.task_iterations;
@@ -325,7 +326,19 @@ class Cluster {
         stats.ledger.Accumulate(r.ledger);
         stats.tasks_live_at_exit += r.tasks_live;
         stats.drained_messages += r.drained_messages;
+        data_sent += r.data_sent;
+        data_processed += r.data_processed;
+        // The final report is a worker's last act, after its last
+        // allocation, so its peak is the worker's whole-job peak.
+        stats.peak_mem_bytes.push_back(r.peak_mem_bytes);
+        stats.max_peak_mem_bytes =
+            std::max(stats.max_peak_mem_bytes, r.peak_mem_bytes);
       }
+      // Every run, timed out or not, ends with an empty wire: the release
+      // went out only once no data batch was on any link, so the final
+      // reports account for every one sent.
+      GT_CHECK_EQ(data_sent, data_processed)
+          << "the drain left data batches on the wire";
 
       // Task-conservation verdict. The final reports follow every worker's
       // quiesce and drain, so the summed ledger must account for every task
@@ -359,19 +372,23 @@ class Cluster {
     // Under tcp, Shutdown is the one wait for this rank's final report.
     hub.Shutdown();
     const obs::MetricsSnapshot wire = hub.MetricsSnapshot();
-    // Every run, timed out or not, ends with a provably empty wire (under
-    // tcp each process certifies its own after the FLUSH rounds), and no
-    // batch was dropped at Stop.
-    GT_CHECK_EQ(hub.InFlightCount(), 0)
-        << "the drain left undrained messages on the wire";
-    // -1: the in-process transport abandons nothing and has no counter.
+    // On every rank: nothing arrived after the release, and no batch was
+    // dropped at Stop (-1: the in-process transport abandons nothing and
+    // has no counter).
+    for (int e = 0; e <= num_workers; ++e) {
+      GT_CHECK_EQ(hub.InboxDepth(e), 0)
+          << "endpoint " << e << " holds a batch after the drain";
+    }
     GT_CHECK_LE(wire.CounterValue("transport.batches_abandoned"), 0)
         << "teardown abandoned batches the drain should have delivered";
     for (auto& worker : workers) {
       stats.metrics.push_back(worker->MetricsSnapshot());
-      stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
-      stats.max_peak_mem_bytes =
-          std::max(stats.max_peak_mem_bytes, worker->PeakMemBytes());
+      // A rank without the master has only its own workers' peaks.
+      if (!master) {
+        stats.peak_mem_bytes.push_back(worker->PeakMemBytes());
+        stats.max_peak_mem_bytes =
+            std::max(stats.max_peak_mem_bytes, worker->PeakMemBytes());
+      }
       stats.records_output += worker->RecordsOutput();
     }
     stats.metrics.push_back(wire);

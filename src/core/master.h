@@ -64,8 +64,8 @@ struct CheckpointMeta {
 /// coordinates checkpoints and detects termination: every worker idle and
 /// the data-message flow balanced, stable across two consecutive global
 /// snapshots (Mattern 1987). Its only per-worker state is each worker's
-/// latest report, so a checkpoint ack and a drain barrier are report fields,
-/// not messages of their own.
+/// latest report, so a checkpoint ack, the checkpoint quiesce and the drain
+/// release all read report fields, not messages of their own.
 template <typename ComperT>
 class Master {
  public:
@@ -76,7 +76,8 @@ class Master {
     kMining,
     kQuiescing,      // a checkpoint is due; steal traffic leaves the wire
     kCheckpointing,  // the request is out; epoch reports are awaited
-    kDraining,       // kTerminate is out
+    kDraining,       // kTerminate is out; the wire empties
+    kReleased,       // the release is out; final reports are awaited
   };
 
   /// `global` and `next_checkpoint_epoch` are where a resumed job picks up
@@ -103,10 +104,11 @@ class Master {
     }
   }
 
-  /// Runs the job and its two-phase drain (Worker::CommLoop) on the calling
-  /// thread; returns once every worker's final report has arrived. Once
-  /// every latest report says quiesced, nobody can originate new traffic,
-  /// and the master releases the workers with an empty kDrainBarrier.
+  /// Runs the job and its drain (Worker::CommLoop) on the calling thread;
+  /// returns once every worker's final report has arrived. After kTerminate
+  /// the master releases the workers with an empty kDrainBarrier, once the
+  /// reports prove the wire empty (WireEmpty); the release means "send your
+  /// final report and exit".
   ///
   /// Workers heartbeat with reports until the release, also while a comper
   /// finishes an uninterruptible Compute() after kTerminate. So one that
@@ -127,9 +129,8 @@ class Master {
         GT_CHECK(mb.type == MsgType::kProgressReport)
             << "master: unexpected message type " << static_cast<int>(mb.type);
         TakeReport(mb);
-        hub_->MarkProcessed(mb.type);
       }
-      if (phase_ == Phase::kDraining) continue;
+      if (Terminated()) continue;
       if (std::all_of(fresh_.begin(), fresh_.end(), [](bool b) { return b; })) {
         TakeSnapshot();
       }
@@ -157,10 +158,12 @@ class Master {
   /// (paper §V-B "Task Stealing": idle machines prefetch task batches from
   /// busy machines via master-made plans). Public so a test can drive it
   /// with fixed reports.
-  static void PlanSteals(const std::vector<ProgressReport>& latest,
-                         const JobConfig& config, int master_id,
-                         CommHub* hub) {
+  /// Returns the number of orders sent.
+  static int64_t PlanSteals(const std::vector<ProgressReport>& latest,
+                            const JobConfig& config, int master_id,
+                            CommHub* hub) {
     const int64_t batch = config.task_batch_size;
+    int64_t orders = 0;
     for (size_t i = 0; i < latest.size(); ++i) {
       if (latest[i].idle == 0 || latest[i].remaining_estimate > 0) continue;
       // worker i is starving; find the most loaded donor
@@ -181,7 +184,9 @@ class Master {
                  .type = MsgType::kStealOrder,
                  .payload = EncodeStealOrder(static_cast<int32_t>(i),
                                              hub->NowUs())});
+      ++orders;
     }
+    return orders;
   }
 
  private:
@@ -203,6 +208,41 @@ class Master {
     return r.checkpoint_epoch < active_epoch_;
   }
 
+  /// kTerminate is out.
+  bool Terminated() const {
+    return phase_ == Phase::kDraining || phase_ == Phase::kReleased;
+  }
+
+  /// The drain release's predicate over the latest reports: every worker
+  /// quiesced, every request batch answered, and every donated task
+  /// received. Stable once true: a quiesced worker originates nothing (its
+  /// compers are gone and its coalescer flushed) and handled its last steal
+  /// order before kTerminate (per-link FIFO), so each term only moves toward
+  /// its target. When all three hold, no request, response or task batch is
+  /// on any link.
+  bool WireEmpty() const {
+    TaskLedger sum;
+    for (const ProgressReport& r : latest_) {
+      if (r.quiesced == 0 || r.requests_unanswered != 0) return false;
+      sum.Accumulate(r.ledger);
+    }
+    return sum.donated == sum.received;
+  }
+
+  /// The checkpoint quiesce's predicate: every steal order sent has been
+  /// handled, so every task batch it will ever produce is counted as
+  /// donated, and every donated task has been received. Stable while no
+  /// order goes out (kQuiescing).
+  bool StealTrafficSettled() const {
+    int64_t handled = 0;
+    TaskLedger sum;
+    for (const ProgressReport& r : latest_) {
+      handled += r.steal_orders_handled;
+      sum.Accumulate(r.ledger);
+    }
+    return handled == steal_orders_sent_ && sum.donated == sum.received;
+  }
+
   // Broadcasting a Payload is cheap by design: each copy bumps the buffer's
   // refcount, so all N workers share the sender's one encoding.
   void Broadcast(MsgType type, const Payload& payload) {
@@ -221,7 +261,7 @@ class Master {
           now_us - last_heard_us_[w] <= config_.drain_timeout_us) {
         continue;
       }
-      const bool terminated = phase_ == Phase::kDraining;
+      const bool terminated = Terminated();
       std::string no_quiesce, no_final;
       int finals_missing = 0;
       for (int v = 0; v < num_workers_; ++v) {
@@ -260,7 +300,7 @@ class Master {
         << "master: " << MsgTypeName(mb.type) << " from endpoint "
         << mb.src_worker << " names worker " << w
         << "; expected the sender itself, in [0, " << num_workers_ << ")";
-    GT_CHECK(report.quiesced == 0 || phase_ == Phase::kDraining)
+    GT_CHECK(report.quiesced == 0 || Terminated())
         << "master: quiesced report from worker " << w
         << " before kTerminate";
     AggT delta{};
@@ -274,7 +314,6 @@ class Master {
       ckpt_global_ = ComperT::AggMerge(ckpt_global_, delta);
     }
     global_ = ComperT::AggMerge(global_, delta);
-    const bool was_quiesced = latest_[w].quiesced != 0;
     const int64_t t = hub_->NowUs();
     const auto gauges = SampledGauges(report);
     for (size_t g = 0; g < gauges.size(); ++g) {
@@ -304,13 +343,9 @@ class Master {
       phase_ = Phase::kMining;
     }
 
-    if (r.quiesced != 0 && !was_quiesced &&
-        std::all_of(latest_.begin(), latest_.end(),
-                    [](const ProgressReport& x) { return x.quiesced != 0; })) {
+    if (phase_ == Phase::kDraining && WireEmpty()) {
       Broadcast(MsgType::kDrainBarrier, "");
-      // The master originates nothing further; on tcp this lets the
-      // transport start its cluster-wide FLUSH marker rounds.
-      hub_->BeginDrain(id_);
+      phase_ = Phase::kReleased;
     }
   }
 
@@ -344,7 +379,7 @@ class Master {
       phase_ = Phase::kDraining;
     } else if (config_.enable_stealing && !all_idle &&
                phase_ == Phase::kMining) {
-      PlanSteals(latest_, config_, id_, hub_);
+      steal_orders_sent_ += PlanSteals(latest_, config_, id_, hub_);
     }
     if (snap.quiet) {
       recorder_->Record({.t_us = hub_->NowUs(),
@@ -382,7 +417,7 @@ class Master {
   }
 
   void CheckBudget() {
-    if (phase_ == Phase::kDraining || config_.time_budget_s <= 0.0 ||
+    if (Terminated() || config_.time_budget_s <= 0.0 ||
         wall_.ElapsedSeconds() <= config_.time_budget_s) {
       return;
     }
@@ -396,24 +431,21 @@ class Master {
     obs::FlightRecorder::WriteCrashDump("timeout");
   }
 
-  /// Checkpoint quiesce (paper §V-B fault tolerance, hardened); in-process
-  /// only, as Validate rejects checkpoints under tcp.
+  /// Checkpoint quiesce (paper §V-B fault tolerance, hardened). It reads
+  /// only reports; Validate still rejects checkpoints under tcp, since a
+  /// resume across ranks is not built.
   void StepCheckpoint() {
     if (phase_ == Phase::kMining && config_.checkpoint_interval_us > 0 &&
         ckpt_timer_.ElapsedMicros() >= config_.checkpoint_interval_us) {
       // Stop feeding the wire with steal orders and wait for in-flight
       // stealing traffic to settle before asking anyone to snapshot, so no
       // donated batch can fall between the donor's and the recipient's
-      // snapshots (outside both).
+      // snapshots (outside both). Fresh reports settle it sooner than the
+      // cadence would.
       phase_ = Phase::kQuiescing;
+      Broadcast(MsgType::kReportRequest, "");
     }
-    if (phase_ == Phase::kQuiescing &&
-        // Order matters: a donor sends its kTaskBatch *before* marking the
-        // kStealOrder processed, so once no steal order is unprocessed,
-        // every batch it will ever produce is already visible to the
-        // kTaskBatch count checked second.
-        hub_->InFlightCount(MsgType::kStealOrder) == 0 &&
-        hub_->InFlightCount(MsgType::kTaskBatch) == 0) {
+    if (phase_ == Phase::kQuiescing && StealTrafficSettled()) {
       phase_ = Phase::kCheckpointing;
       active_epoch_ = next_epoch_++;
       ckpt_global_ = global_;  // everything merged so far is pre-snapshot
@@ -447,6 +479,7 @@ class Master {
   std::vector<bool> fresh_;  // reported since the last snapshot
   Snapshot prev_;
   bool asked_ = false;
+  int64_t steal_orders_sent_ = 0;
 
   Timer ckpt_timer_;
   uint64_t next_epoch_;

@@ -109,11 +109,18 @@ struct ProgressReport {
   /// carrying an epoch acks it, sent while the compers are still parked.
   uint64_t checkpoint_epoch = 0;
   /// 1 once the compers exited after kTerminate and the request buffers
-  /// are flushed: this worker's share of the drain barrier.
+  /// are flushed: from then on this worker originates nothing.
   uint8_t quiesced = 0;
   int64_t remaining_estimate = 0;
   int64_t data_sent = 0;
   int64_t data_processed = 0;
+  /// kVertexRequest batches sent minus kVertexResponse batches handled; each
+  /// request batch gets exactly one response. One of the drain release's
+  /// terms.
+  int64_t requests_unanswered = 0;
+  /// kStealOrders handled, whether or not they found anything to donate:
+  /// the checkpoint quiesce compares their sum with the orders sent.
+  int64_t steal_orders_handled = 0;
 
   int64_t task_iterations = 0;
   int64_t spilled_batches = 0;
@@ -160,6 +167,8 @@ struct ProgressReport {
     ser.Write(remaining_estimate);
     ser.Write(data_sent);
     ser.Write(data_processed);
+    ser.Write(requests_unanswered);
+    ser.Write(steal_orders_handled);
     ser.Write(task_iterations);
     ser.Write(spilled_batches);
     ser.Write(stolen_batches);
@@ -192,6 +201,8 @@ struct ProgressReport {
     GT_RETURN_IF_ERROR(des.Read(&remaining_estimate));
     GT_RETURN_IF_ERROR(des.Read(&data_sent));
     GT_RETURN_IF_ERROR(des.Read(&data_processed));
+    GT_RETURN_IF_ERROR(des.Read(&requests_unanswered));
+    GT_RETURN_IF_ERROR(des.Read(&steal_orders_handled));
     GT_RETURN_IF_ERROR(des.Read(&task_iterations));
     GT_RETURN_IF_ERROR(des.Read(&spilled_batches));
     GT_RETURN_IF_ERROR(des.Read(&stolen_batches));

@@ -711,6 +711,7 @@ class Worker {
     mb.type = MsgType::kVertexRequest;
     mb.payload = EncodeVertexRequest(ids);
     data_sent_.fetch_add(1, std::memory_order_relaxed);
+    requests_unanswered_.fetch_add(1, std::memory_order_relaxed);
     hub_->Send(std::move(mb));
   }
 
@@ -722,52 +723,46 @@ class Worker {
   static constexpr int64_t kCommPollUs = 200;
 
   /// The comm thread (paper §V-B): one receive loop runs the job and its
-  /// two-phase lossless shutdown. Receive is event-driven: the transport's
-  /// readiness signal (the mailbox condition variable in-process; the
-  /// poll(2) IO thread feeding it under tcp) wakes this thread the moment a
-  /// batch lands, and CommHub::Wake wakes it for what happens outside the
-  /// inbox — a comper opening a pull window, finding T_cache overflowed,
-  /// turning the worker idle or exiting, and, once the drain began, the
-  /// wire emptying. So a wait lasts until the next progress report is due.
+  /// lossless shutdown. Receive is event-driven: the transport's readiness
+  /// signal (the mailbox condition variable in-process; the poll(2) IO
+  /// thread feeding it under tcp) wakes this thread the moment a batch
+  /// lands, and CommHub::Wake wakes it for what happens outside the inbox —
+  /// a comper opening a pull window, finding T_cache overflowed, turning the
+  /// worker idle or exiting. So a wait lasts until the next progress report
+  /// is due.
   ///
   /// This thread is T_cache's only evictor (paper §V-A's GC): it runs a
   /// pass when a gated comper asks for one, so EvictUpTo never races
   /// itself.
   ///
   /// After kTerminate the loop keeps servicing the wire — answering pull
-  /// requests, accepting responses and late donated batches — and takes
-  /// three one-shot steps as their conditions come true:
+  /// requests, accepting responses and late donated batches — and takes two
+  /// one-shot steps as their conditions come true:
   ///
   /// 1. Local quiesce: once the compers' threads have exited (a comper
   ///    mid-iteration may still issue vertex pulls, and a Compute() call
   ///    cannot be interrupted, so this wait is unbounded; the last one out
   ///    wakes this thread), flush the per-destination request buffers so
   ///    nothing is stranded in them and send a progress report that says
-  ///    quiesced.
-  /// 2. Release: the master sends kDrainBarrier once every worker's report
-  ///    says quiesced, so no new traffic can originate anywhere; announce
-  ///    it to the transport with BeginDrain.
-  /// 3. Wire drain: stop once CommHub::InFlightCount()==0 proves nothing is
-  ///    queued, in transit, or in a handler that could still send. The hub
-  ///    and the transport wake this thread whenever that count can have
-  ///    reached 0; a missed wake costs one progress interval, not a hang.
-  ///    Only then is the final report sent, so every task batch has been
-  ///    banked in L_file and counted by the ledger.
+  ///    quiesced. From then on the worker originates nothing, and it
+  ///    reports after each handled kVertexResponse or kTaskBatch: the only
+  ///    events that move its terms of the master's release predicate
+  ///    (Master::WireEmpty).
+  /// 2. Release: the master sends kDrainBarrier once the reports prove that
+  ///    no request, response or task batch is on any link. Flush the output
+  ///    and send the final report, so every task batch has been banked in
+  ///    L_file and counted by the ledger.
   ///
-  /// Until BeginDrain, non-final progress reports keep flowing as the
-  /// heartbeat behind the master's silence bound (drain_timeout_us); after
-  /// it, a socket transport allows no spontaneous traffic. The worker has
-  /// no deadline of its own: the master's bound ends a job whose drain
-  /// cannot finish.
+  /// Until the release, non-final progress reports keep flowing as the
+  /// heartbeat behind the master's silence bound (drain_timeout_us). The
+  /// worker has no deadline of its own: the master's bound ends a job whose
+  /// drain cannot finish.
   void CommLoop() {
     Timer progress_timer;
-    bool draining = false;
-    while (!draining || hub_->InFlightCount() != 0) {
-      int64_t wait_us =
-          draining ? config_.progress_interval_us
-                   : std::max<int64_t>(config_.progress_interval_us -
-                                           progress_timer.ElapsedMicros(),
-                                       1);
+    bool released = false;
+    while (!released) {
+      int64_t wait_us = std::max<int64_t>(
+          config_.progress_interval_us - progress_timer.ElapsedMicros(), 1);
       if (coalescer_.HasPending()) {
         // Open request batches flush on the short comm cadence so
         // sub-threshold pulls are not delayed by an idle-length wait.
@@ -782,7 +777,6 @@ class Worker {
           drained_messages_.fetch_add(1, std::memory_order_relaxed);
         }
         HandleMessage(mb);
-        hub_->MarkProcessed(mb.type);
       }
       // A wake that announced a new pull window only shortens the wait: the
       // window fills for one poll slice before it flushes.
@@ -797,10 +791,15 @@ class Worker {
         EvictPass();
       }
       // Besides the cadence, a report goes out the moment the worker turns
-      // idle (NotifyIfIdle) and when the master asks (kReportRequest).
-      if (!draining &&
-          (report_due_.exchange(false, std::memory_order_acq_rel) ||
-           progress_timer.ElapsedMicros() >= config_.progress_interval_us)) {
+      // idle (NotifyIfIdle), when the master asks (kReportRequest) and,
+      // once quiesced, when a drain term moved.
+      const bool drain_moved =
+          quiesced_ && got &&
+          (mb.type == MsgType::kVertexResponse ||
+           mb.type == MsgType::kTaskBatch);
+      if (report_due_.exchange(false, std::memory_order_acq_rel) ||
+          drain_moved ||
+          progress_timer.ElapsedMicros() >= config_.progress_interval_us) {
         SendProgress(/*final_report=*/false);
         progress_timer.Restart();
       }
@@ -812,15 +811,9 @@ class Worker {
         SendProgress(/*final_report=*/false);
         progress_timer.Restart();
       }
-      if (!draining && got && mb.type == MsgType::kDrainBarrier) {
-        // This worker will originate nothing further (only answer what
-        // still arrives). Socket backends use the announcement to run their
-        // cluster-wide drain-marker protocol.
-        hub_->BeginDrain(id_);
-        draining = true;
-      }
+      released = got && mb.type == MsgType::kDrainBarrier;
     }
-    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 2});  // wire empty
+    RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 2});  // released
     if (!output_dir_.empty()) FinalFlushOutput();
     RecordEvent(-1, {.kind = obs::EventKind::kDrain, .a = 4});  // final
     SendProgress(/*final_report=*/true);
@@ -869,6 +862,7 @@ class Worker {
       }
       case MsgType::kVertexResponse: {
         data_processed_.fetch_add(1, std::memory_order_relaxed);
+        requests_unanswered_.fetch_sub(1, std::memory_order_relaxed);
         std::vector<VertexT> vertices;
         GT_CHECK_OK(DecodeVertexResponse(mb.payload, &vertices));
         for (VertexT& v : vertices) {
@@ -922,6 +916,7 @@ class Worker {
         Timer steal_timer;
         DonateTasks(dst, order_t_us);
         phase_steal_us_->Add(steal_timer.ElapsedMicros());
+        ++steal_orders_handled_;
         break;
       }
       case MsgType::kAggregatorSync: {
@@ -956,8 +951,8 @@ class Worker {
         break;
       }
       case MsgType::kDrainBarrier:
-        // The master's release: every worker has quiesced its compers and
-        // flushed its request buffers; CommLoop begins the wire drain.
+        // The master's release: the wire is empty; CommLoop sends the final
+        // report and exits.
         break;
       default:
         LOG_FATAL << "worker " << id_ << ": unexpected message type "
@@ -1029,6 +1024,9 @@ class Worker {
     report.idle = (SpawnDone() && live_tasks_.load() == 0) ? 1 : 0;
     report.data_sent = data_sent_.load(std::memory_order_acquire);
     report.data_processed = data_processed_.load(std::memory_order_acquire);
+    report.requests_unanswered =
+        requests_unanswered_.load(std::memory_order_relaxed);
+    report.steal_orders_handled = steal_orders_handled_;
     report.task_iterations = task_iterations_.load(std::memory_order_relaxed);
     report.spilled_batches = spilled_batches_.load(std::memory_order_relaxed);
     report.stolen_batches = stolen_batches_.load(std::memory_order_relaxed);
@@ -1261,6 +1259,7 @@ class Worker {
   // Repeated by every progress report (comm thread only).
   uint64_t checkpoint_epoch_ = 0;  // the last epoch snapshotted
   bool quiesced_ = false;          // the drain's local quiesce
+  int64_t steal_orders_handled_ = 0;
   std::atomic<int> compers_running_{0};
   std::atomic<bool> pause_{false};
   std::mutex pause_mutex_;
@@ -1272,6 +1271,7 @@ class Worker {
   // counters
   std::atomic<int64_t> data_sent_{0};
   std::atomic<int64_t> data_processed_{0};
+  std::atomic<int64_t> requests_unanswered_{0};
   std::atomic<int64_t> tasks_spawned_{0};
   std::atomic<int64_t> task_iterations_{0};
   std::atomic<int64_t> tasks_finished_{0};

@@ -19,9 +19,7 @@ int64_t SteadyNowUs() {
 }  // namespace
 
 CommHub::CommHub(int num_workers, NetConfig config)
-    : num_workers_(num_workers),
-      epoch_us_(SteadyNowUs()),
-      draining_(num_workers) {
+    : num_workers_(num_workers), epoch_us_(SteadyNowUs()) {
   GT_CHECK_GT(num_workers, 0);
   // Shared epoch: the transport stamps delivery times on the same clock the
   // hub measures with, so delivery_us histograms stay meaningful.
@@ -32,8 +30,7 @@ CommHub::CommHub(int num_workers, NetConfig config)
 CommHub::CommHub(int num_endpoints, std::unique_ptr<net::Transport> transport)
     : num_workers_(num_endpoints),
       epoch_us_(SteadyNowUs()),
-      transport_(std::move(transport)),
-      draining_(num_endpoints) {
+      transport_(std::move(transport)) {
   GT_CHECK_GT(num_endpoints, 0);
   GT_CHECK(transport_ != nullptr);
 }
@@ -55,60 +52,10 @@ void CommHub::Send(MessageBatch batch) {
   transport_->Send(std::move(batch));
 }
 
-void CommHub::MarkProcessed(MsgType type) {
-  // Sequentially consistent with BeginDrain: either this call sees the
-  // endpoint draining, or the endpoint's InFlightCount() after BeginDrain
-  // sees this batch processed.
-  processed_by_type_[static_cast<int>(type)].fetch_add(1);
-  const int64_t unprocessed = unprocessed_.fetch_sub(1) - 1;
-  if (num_draining_.load() == 0) return;
-  if (transport_->CountsGlobally() ? InFlightCount() != 0 : unprocessed != 0) {
-    return;
-  }
-  for (int e = 0; e < num_workers_; ++e) {
-    if (draining_[e].load()) transport_->Wake(e);
-  }
-}
-
-void CommHub::BeginDrain(int endpoint) {
-  if (!draining_[endpoint].exchange(true)) num_draining_.fetch_add(1);
-  transport_->BeginDrain(endpoint);
-}
-
-int64_t CommHub::InFlightCount() const {
-  if (transport_->CountsGlobally()) {
-    int64_t in_flight = 0;
-    for (int t = 0; t < kNumMsgTypes; ++t) {
-      // Read processed before sent: a concurrent handler then reads as still
-      // in flight (conservative), never as already done.
-      const int64_t processed = processed_by_type_[t].load();
-      in_flight += sent_by_type_[t].load() - processed;
-    }
-    return in_flight;
-  }
-  // A socket backend can only prove *local* quiescence directly: batches we
-  // received but have not finished handling, plus everything the transport
-  // still holds or awaits (send buffers, inbox backlog, peers' outstanding
-  // drain markers). Polling this also advances the transport's drain
-  // protocol once the process goes locally quiet.
-  const int64_t unprocessed = unprocessed_.load();
-  return unprocessed + transport_->DrainPending(unprocessed);
-}
-
-int64_t CommHub::InFlightCount(MsgType type) const {
-  const int t = static_cast<int>(type);
-  const int64_t processed =
-      processed_by_type_[t].load(std::memory_order_acquire);
-  return sent_by_type_[t].load(std::memory_order_acquire) - processed;
-}
-
 bool CommHub::Receive(int worker, int64_t timeout_us, MessageBatch* out) {
   GT_CHECK_GE(worker, 0);
   GT_CHECK_LT(worker, num_workers_);
   if (!transport_->Receive(worker, timeout_us, out)) return false;
-  // Count as unprocessed *before* anything else can observe the pop, so
-  // InFlightCount never dips to zero between delivery and handling.
-  unprocessed_.fetch_add(1, std::memory_order_acq_rel);
   batches_delivered_.fetch_add(1, std::memory_order_acq_rel);
   const int t = static_cast<int>(out->type);
   delivered_by_type_[t].fetch_add(1, std::memory_order_relaxed);

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "net/message.h"
 #include "net/transport.h"
@@ -21,9 +20,9 @@ namespace gthinker {
 ///   - the transport only moves MessageBatches between endpoints — in-memory
 ///     mailboxes with simulated latency/bandwidth (InProcTransport, the
 ///     default) or framed TCP sockets (TcpTransport);
-///   - the hub owns every counter the engine reasons about — per-kind
-///     sent/processed/delivered/bytes, the delivery-latency histograms, and
-///     the InFlightCount() the termination protocol rests on.
+///   - the hub owns the wire's counters — per-kind sent/delivered/bytes and
+///     the delivery-latency histograms. Whether the wire is empty is the
+///     master's call, from the workers' progress reports (core/master.h).
 ///
 /// All inter-worker data crosses this hub as serialized batches — workers
 /// never touch each other's memory — so the in-process code path is the same
@@ -66,43 +65,13 @@ class CommHub {
   /// looks at state that changed outside its inbox (net::Transport::Wake).
   void Wake(int worker) { transport_->Wake(worker); }
 
-  /// Acknowledges that a received batch has been *fully handled*, including
-  /// any messages the handler sent in response. A batch counts toward
-  /// InFlightCount() from Send until MarkProcessed, so InFlightCount()==0
-  /// means no message is queued, on the wire, or being handled — the wire is
-  /// provably quiet and no handler is about to send. The call that leaves
-  /// nothing in flight (cluster-wide in-process; nothing unhandled in this
-  /// process under sockets) wakes every local endpoint that began its drain.
-  void MarkProcessed(MsgType type);
-
-  /// Announces that local endpoint `endpoint` has entered the shutdown
-  /// drain (it will originate no further spontaneous traffic). Required for
-  /// socket backends to certify cluster-wide quiescence. From here on the
-  /// hub (and a socket transport, as its drain markers land) Wakes the
-  /// endpoint when the wire can have emptied, so a drain that waits on
-  /// InFlightCount() need not poll.
-  void BeginDrain(int endpoint);
-
-  /// Stops the transport (closing connections, flushing what it can within a
-  /// bound). Idempotent. Call before the final MetricsSnapshot() so teardown
-  /// accounting — e.g. transport.batches_abandoned, the send-queue frames a
-  /// socket backend had to drop — lands in the job report instead of being
-  /// lost in the destructor.
+  /// Stops the transport (closing connections after a socket backend's
+  /// closing marker, flushing what it can within a bound). Idempotent. Call
+  /// before the final MetricsSnapshot() so teardown accounting — e.g.
+  /// transport.batches_abandoned, the send-queue frames a socket backend had
+  /// to drop — lands in the job report instead of being lost in the
+  /// destructor.
   void Shutdown() { transport_->Stop(); }
-
-  /// Batches sent but not yet MarkProcessed'd, over all message types.
-  /// With an in-process backend this is exact across the whole cluster.
-  /// With a socket backend it covers what *this process* can know: its own
-  /// unhandled receives plus the transport's wire-resident work (send
-  /// buffers, inbox backlog, outstanding drain markers) — it reaches zero
-  /// and stays zero only once the cluster-wide drain protocol completes.
-  int64_t InFlightCount() const;
-
-  /// Same, restricted to one message type (e.g. kTaskBatch for the
-  /// checkpoint quiesce and kStealOrder for steal-plan quiescing). Only
-  /// globally meaningful for an in-process backend; socket-backed runs gate
-  /// such features off in Validate().
-  int64_t InFlightCount(MsgType type) const;
 
   /// Batches of one type ever sent (steal-efficiency accounting: tasks
   /// received per kStealOrder issued). Local sends only under sockets.
@@ -124,7 +93,7 @@ class CommHub {
   /// Monotonic hub clock, microseconds.
   int64_t NowUs() const;
 
-  // --- wire statistics (for benches and termination detection) ---
+  // --- wire statistics (for benches and the job report) ---
   int64_t TotalBatchesSent() const {
     return batches_sent_.load(std::memory_order_acquire);
   }
@@ -142,15 +111,7 @@ class CommHub {
   std::atomic<int64_t> batches_sent_{0};
   std::atomic<int64_t> batches_delivered_{0};
   std::atomic<int64_t> bytes_sent_{0};
-  /// Batches this process received but has not MarkProcessed'd yet — the
-  /// local half of InFlightCount() for backends that can't count globally.
-  std::atomic<int64_t> unprocessed_{0};
-  /// Local endpoints that called BeginDrain, and how many: MarkProcessed
-  /// looks for quiet only once the count is non-zero.
-  std::vector<std::atomic<bool>> draining_;
-  std::atomic<int> num_draining_{0};
   std::array<std::atomic<int64_t>, kNumMsgTypes> sent_by_type_{};
-  std::array<std::atomic<int64_t>, kNumMsgTypes> processed_by_type_{};
   std::array<std::atomic<int64_t>, kNumMsgTypes> bytes_by_type_{};
   std::array<std::atomic<int64_t>, kNumMsgTypes> delivered_by_type_{};
   std::array<obs::Histogram, kNumMsgTypes> delivery_us_{};

@@ -21,11 +21,10 @@ namespace gthinker::net {
 //   ------  ----  --------------------------------------------------------
 //        0     4  magic        0x47544E46 ("GTNF", little-endian u32)
 //        4     2  version      protocol version (kProtocolVersion)
-//        6     1  kind         FrameKind (HELLO / DATA / FLUSH)
+//        6     1  kind         FrameKind (HELLO / DATA / BYE)
 //        7     1  msg_type     DATA: MsgType of the carried batch
-//                              FLUSH: drain round (1 or 2)
-//                              HELLO: 0 (reserved)
-//        8     4  src          DATA: source endpoint; HELLO/FLUSH: source
+//                              HELLO/BYE: 0 (reserved)
+//        8     4  src          DATA: source endpoint; HELLO/BYE: source
 //                              process rank (i32)
 //       12     4  dst          DATA: destination endpoint; else 0 (i32)
 //       16     4  payload_len  bytes of payload following the header (u32)
@@ -42,7 +41,7 @@ namespace gthinker::net {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kFrameMagic = 0x47544E46;  // "GTNF"
-inline constexpr uint16_t kProtocolVersion = 6;
+inline constexpr uint16_t kProtocolVersion = 7;
 inline constexpr size_t kFrameHeaderSize = 24;
 /// Sanity cap on a single frame's payload; anything larger is treated as a
 /// corrupt stream (a real batch never approaches this).
@@ -51,7 +50,7 @@ inline constexpr uint32_t kMaxFramePayload = 1u << 30;
 enum class FrameKind : uint8_t {
   kHello = 1,  // handshake: version + sender rank; first frame both ways
   kData = 2,   // one MessageBatch
-  kFlush = 3,  // drain marker (msg_type carries the round, 1 or 2)
+  kBye = 3,    // closing marker: the sender's last frame on the link
 };
 
 struct FrameHeader {
@@ -213,7 +212,7 @@ inline bool DecodeFrameHeader(const char* data, FrameHeader* h) {
   get(&h->crc32);
   if (h->magic != kFrameMagic) return false;
   if (kind < static_cast<uint8_t>(FrameKind::kHello) ||
-      kind > static_cast<uint8_t>(FrameKind::kFlush)) {
+      kind > static_cast<uint8_t>(FrameKind::kBye)) {
     return false;
   }
   h->kind = static_cast<FrameKind>(kind);

@@ -28,7 +28,8 @@ enum class MsgType : uint8_t {
   kVertexRequest = 0,   // u64 count + VertexId[count] (EncodeVertexRequest)
   kVertexResponse = 1,  // u64 count + count Codec-encoded (id, Γ(id)) records
   kProgressReport = 2,  // ProgressReport::Encode: counters, checkpoint epoch,
-                        // quiesced flag, TaskLedger (8 × i64), gauges, agg blob
+                        // quiesced flag, drain and quiesce terms, TaskLedger
+                        // (8 × i64), gauges, agg blob
   kStealOrder = 3,      // i32 dst_worker + i64 order_t_us (hub clock)
   kTaskBatch = 4,       // i64 steal_order_t_us + u64 count + count task blobs
   kAggregatorSync = 5,  // Codec<AggT>-encoded global aggregate (no framing)

@@ -19,7 +19,7 @@ namespace gthinker {
 ///   - Copying a Payload copies the handle — a refcount bump, never a byte
 ///     copy — so a broadcast and the in-process hub share one string.
 ///   - The last Payload referencing the string frees it (usually the
-///     receiver's decoded MessageBatch after MarkProcessed).
+///     receiver's decoded MessageBatch once its handler returned).
 ///
 /// Decoders read data()/size() in place.
 class Payload {

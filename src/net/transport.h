@@ -25,10 +25,10 @@ namespace gthinker::net {
 ///   - Send() never drops a batch while the transport is running; it may
 ///     block (backpressure) but must eventually accept.
 ///   - Receive() returns batches for a *local* endpoint only.
-///   - Drain: once every local endpoint has called BeginDrain() and the
-///     cluster-wide drain protocol completes, DrainPending() reaches 0 and
-///     stays 0 — at which point no batch is buffered, in a socket, or still
-///     able to arrive.
+///
+/// A transport does not decide when the wire is empty: the master does,
+/// from the workers' progress reports (core/master.h), and only then lets
+/// the processes stop.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -61,30 +61,6 @@ class Transport {
   /// Current backlog of `endpoint`'s inbox (sampled gauge). Remote
   /// endpoints report 0 — a process cannot see a peer's queues.
   virtual int64_t InboxDepth(int endpoint) const = 0;
-
-  /// True when this backend's senders and receivers share one process, so
-  /// CommHub's global sent/processed counters alone prove wire quiescence
-  /// (the in-process case). When false, CommHub derives InFlightCount from
-  /// DrainPending() instead.
-  virtual bool CountsGlobally() const = 0;
-
-  /// Announces that local endpoint `endpoint` has entered the shutdown
-  /// drain: it will originate no further spontaneous traffic (only replies
-  /// to batches still arriving). Idempotent per endpoint. Once all local
-  /// endpoints have begun draining, a socket transport emits its
-  /// cluster-wide drain markers, and from then on Wakes every draining
-  /// endpoint when a marker lands or a send queue empties, since either can
-  /// lower DrainPending().
-  virtual void BeginDrain(int endpoint) = 0;
-
-  /// Wire-resident work this process still knows about or awaits: frames
-  /// buffered for send, inbox backlog, and outstanding drain markers from
-  /// peers. `unprocessed` is the host's count of batches received but not
-  /// yet fully handled; a socket transport uses it to decide when this
-  /// process can promise it will send no further replies (advancing the
-  /// drain protocol as a side effect). Returns 0 for a CountsGlobally()
-  /// backend.
-  virtual int64_t DrainPending(int64_t unprocessed) = 0;
 
   /// Appends backend counters/gauges (per-peer send/flush/backpressure for
   /// sockets) to the hub's snapshot.

@@ -21,10 +21,6 @@ using Mailbox = ConcurrentQueue<MessageBatch>;
 /// are honored exactly as the pre-transport CommHub did: each non-local
 /// batch is stamped with a delivery time computed by serializing on its
 /// (src,dst) link, and the receiver sleeps out any remaining latency.
-///
-/// All senders and receivers share this process, so CommHub's global
-/// sent/processed counters alone prove wire quiescence: CountsGlobally() is
-/// true and the drain-marker machinery is a no-op.
 class InProcTransport final : public Transport {
  public:
   /// `epoch_us` anchors delivery stamping to the owning hub's clock (pass
@@ -40,9 +36,6 @@ class InProcTransport final : public Transport {
   int64_t InboxDepth(int endpoint) const override {
     return static_cast<int64_t>(mailboxes_[endpoint]->Size());
   }
-  bool CountsGlobally() const override { return true; }
-  void BeginDrain(int /*endpoint*/) override {}
-  int64_t DrainPending(int64_t /*unprocessed*/) override { return 0; }
   void AppendMetrics(obs::MetricsSnapshot* /*snap*/) const override {}
 
  private:

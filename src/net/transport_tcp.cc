@@ -75,11 +75,11 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
   GT_CHECK_GE(options_.rank, 0);
   GT_CHECK_LT(options_.rank, options_.num_workers);
   GT_CHECK_EQ(static_cast<int>(options_.hosts.size()), options_.num_workers);
-  local_endpoints_.push_back(options_.rank);
-  if (options_.rank == 0) local_endpoints_.push_back(options_.num_workers);
   inboxes_.resize(num_endpoints_);
-  for (int e : local_endpoints_) {
-    inboxes_[e] = std::make_unique<ConcurrentQueue<MessageBatch>>();
+  for (int e = 0; e < num_endpoints_; ++e) {
+    if (IsLocalEndpoint(e)) {
+      inboxes_[e] = std::make_unique<ConcurrentQueue<MessageBatch>>();
+    }
   }
 }
 
@@ -175,10 +175,22 @@ void TcpTransport::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_.load(std::memory_order_relaxed)) return;
   }
-  // The one wait for a worker rank's final report, which a clean drain can
-  // leave queued: until each queue empties (WritePeer notifies), a link is
-  // lost (RecordLoss notifies) or kStopFlushMs passes. The rest is counted
-  // as abandoned below.
+  {
+    // Each peer's last frame is our BYE, behind all of our data. A peer
+    // whose BYE arrived has stopped reading: it gets none.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int q = 0; q < options_.num_workers; ++q) {
+      Peer& peer = peers_[q];
+      if (q == options_.rank || !peer.hello_ok || peer.bye_rx) continue;
+      std::lock_guard<std::mutex> slock(peer.send_mu);
+      EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kBye, 0));
+    }
+    WakeLocked();
+  }
+  // The one wait for the send queues, where a worker rank's final report
+  // can still sit: until each queue empties (WritePeer and DropPeer notify),
+  // a link is lost (RecordLoss notifies) or kStopFlushMs passes. The rest is
+  // counted as abandoned below.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(kStopFlushMs);
   for (Peer& p : peers_) {
@@ -362,76 +374,6 @@ int64_t TcpTransport::InboxDepth(int endpoint) const {
   return static_cast<int64_t>(inboxes_[endpoint]->Size());
 }
 
-void TcpTransport::BeginDrain(int endpoint) {
-  GT_CHECK(IsLocalEndpoint(endpoint));
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < local_endpoints_.size(); ++i) {
-    if (local_endpoints_[i] == endpoint) drained_endpoints_ |= 1 << i;
-  }
-  const int all = (1 << local_endpoints_.size()) - 1;
-  if (drained_endpoints_ == all && !flush1_sent_) {
-    // Every local endpoint has gone quiet: per-connection FIFO puts this
-    // round-1 marker after all of our requests and donations.
-    EnqueueFlushLocked(1);
-    flush1_sent_ = true;
-    // A co-located endpoint may be draining already; with no peer, no
-    // marker or send queue would wake it.
-    WakeDrainingLocked();
-  }
-}
-
-void TcpTransport::WakeDrainingLocked() {
-  for (size_t i = 0; i < local_endpoints_.size(); ++i) {
-    if (drained_endpoints_ & (1 << i)) inboxes_[local_endpoints_[i]]->Wake();
-  }
-}
-
-int64_t TcpTransport::DrainPending(int64_t unprocessed) {
-  // A lost peer's drain markers can never arrive.
-  FailIfLinkLost();
-  int64_t pending = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t inbox = 0;
-  for (int e : local_endpoints_) {
-    inbox += static_cast<int64_t>(inboxes_[e]->Size());
-  }
-  pending += inbox;
-  bool all_flush1 = true;
-  for (int q = 0; q < options_.num_workers; ++q) {
-    if (q == options_.rank) continue;
-    const Peer& p = peers_[q];
-    pending += p.queued_frames.load(std::memory_order_relaxed);
-    if (!p.flush1_rx) {
-      all_flush1 = false;
-      ++pending;
-    }
-    if (!p.flush2_rx) ++pending;
-  }
-  if (!flush1_sent_) {
-    ++pending;  // some local endpoint is still active
-  } else if (!flush2_sent_ && all_flush1 && inbox == 0 && unprocessed == 0) {
-    // Locally quiet and every peer's pre-barrier traffic has been handled
-    // (their round-1 markers arrived after it, FIFO): promise no further
-    // sends. Handling anything that still arrives (responses to our own
-    // pre-barrier requests) never sends, so the promise holds.
-    EnqueueFlushLocked(2);
-    flush2_sent_ = true;
-    pending += static_cast<int64_t>(options_.num_workers - 1);
-  }
-  if (!flush2_sent_) ++pending;
-  return pending;
-}
-
-void TcpTransport::EnqueueFlushLocked(uint8_t round) {
-  for (int q = 0; q < options_.num_workers; ++q) {
-    if (q == options_.rank) continue;
-    Peer& peer = peers_[q];
-    std::lock_guard<std::mutex> slock(peer.send_mu);
-    EnqueueFrameLocked(peer, EncodeControlFrame(FrameKind::kFlush, round));
-  }
-  WakeLocked();
-}
-
 bool TcpTransport::AllHelloLocked() const {
   for (int q = 0; q < options_.num_workers; ++q) {
     if (q == options_.rank) continue;
@@ -507,17 +449,19 @@ void TcpTransport::DropPeer(int q, const std::string& why) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     MarkPollsetDirtyLocked();
-    orderly = peer.flush2_rx;
+    orderly = peer.bye_rx;
     // A start-up dial that failed: the dial loop retries it.
     if (!peer.hello_ok) peer.reconnects.fetch_add(1, std::memory_order_relaxed);
   }
   {
     // Nothing queued can reach the peer any more (before the handshake the
-    // queue holds only our HELLO, which the redial sends afresh).
+    // queue holds only our HELLO, which the redial sends afresh). Stop()
+    // may be waiting for this queue.
     std::lock_guard<std::mutex> slock(peer.send_mu);
     AbandonSendQueueLocked(peer);
+    peer.send_cv.notify_all();
   }
-  if (!orderly) RecordLoss(q, why + " before its drain marker");
+  if (!orderly) RecordLoss(q, why + " before its closing marker");
 }
 
 void TcpTransport::RecordLoss(int q, const std::string& why) {
@@ -620,10 +564,6 @@ bool TcpTransport::WritePeer(int q) {
     }
     if (peer.sendq.empty()) {
       peer.flushes.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      // An empty send queue can be the last thing a drain waits for.
-      std::lock_guard<std::mutex> mu_lock(mu_);
-      if (flush1_sent_) WakeDrainingLocked();
       break;
     }
   }
@@ -645,17 +585,9 @@ const char* TcpTransport::HandleFrame(int q, const FrameHeader& h,
       cv_start_.notify_all();
       return nullptr;
     }
-    case FrameKind::kFlush: {
+    case FrameKind::kBye: {
       std::lock_guard<std::mutex> lock(mu_);
-      Peer& peer = peers_[q];
-      if (h.msg_type == 1) {
-        peer.flush1_rx = true;
-      } else if (h.msg_type == 2) {
-        peer.flush2_rx = true;
-      } else {
-        return "unknown drain marker round";
-      }
-      WakeDrainingLocked();
+      peers_[q].bye_rx = true;
       return nullptr;
     }
     case FrameKind::kData: {
@@ -928,8 +860,8 @@ void TcpTransport::IoLoop() {
         EnqueueHello(q);
       }
       if (rev & (POLLERR | POLLHUP | POLLNVAL)) {
-        // Read out anything still buffered (a round-2 drain marker makes
-        // the close orderly) before declaring the link dead.
+        // Read out anything still buffered (a BYE makes the close orderly)
+        // before declaring the link dead.
         if (ReadPeer(q)) DropPeer(q, "connection hung up");
         continue;
       }

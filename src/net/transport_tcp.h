@@ -47,30 +47,22 @@ struct TcpTransportOptions {
 /// complete DATA body is copied out into its own payload for the inboxes.
 /// Send() applies backpressure above send_buffer_max_bytes. A link lives
 /// for the whole job: Start() redials a peer that is not listening yet, but
-/// a handshaken link is never redialed or replaced. If it closes before the
-/// peer's round-2 drain marker (and before our Stop()), or carries a corrupt
-/// or forged frame, the process's next Send/Receive/DrainPending dies naming
-/// the peer.
+/// a handshaken link is never redialed or replaced. Stop() sends each peer a
+/// BYE frame behind all of its data; a link that closes before the peer's
+/// BYE (and before our Stop()), or carries a corrupt or forged frame, is
+/// lost, and the process's next Send/Receive dies naming the peer.
 ///
 /// Locking (DESIGN.md "Transport layer", data plane):
 ///   - mu_ guards connection lifecycle (hello state, pending
-///     handshakes, drain flags, pollset version). Critical sections are
+///     handshakes, closing markers, pollset version). Critical sections are
 ///     short: no socket IO happens under mu_.
 ///   - each Peer's send_mu guards its send queue, so Send() to one peer
 ///     never contends with the poll loop or with sends to other peers.
 ///   - socket and receive-side state is confined to the IO thread.
 ///
-/// In-flight accounting across sockets: a process cannot see its peers'
-/// counters, so quiescence is certified by a two-round FLUSH marker
-/// protocol. Round 1 is emitted once every local endpoint called
-/// BeginDrain() — per-connection FIFO guarantees all of this process's
-/// requests and donations precede it. Round 2 is emitted once round-1
-/// markers arrived from all peers and the process is locally quiet (inboxes
-/// empty, nothing unprocessed) — at that point no pre-barrier request of
-/// ours is still unanswered anywhere, and since handling a response never
-/// sends, nothing can arrive after a peer's round-2 marker. DrainPending()
-/// returns 0 only once both rounds completed, all send queues flushed, and
-/// the inboxes are empty.
+/// The transport never decides that the wire is empty: the master releases
+/// the workers only once their progress reports prove it (core/master.h),
+/// so by Stop() nothing but a final report can still be queued.
 class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
@@ -83,9 +75,6 @@ class TcpTransport final : public Transport {
   bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) override;
   void Wake(int endpoint) override;
   int64_t InboxDepth(int endpoint) const override;
-  bool CountsGlobally() const override { return false; }
-  void BeginDrain(int endpoint) override;
-  int64_t DrainPending(int64_t unprocessed) override;
   void AppendMetrics(obs::MetricsSnapshot* snap) const override;
 
   /// The listen port actually bound (resolves a ":0" hostfile entry).
@@ -114,15 +103,14 @@ class TcpTransport final : public Transport {
     size_t rx_len = 0;  // filled prefix of rx
     size_t rx_off = 0;  // parsed prefix of rx
     int64_t redial_at_ms = 0;  // mu_: steady-clock ms of the next start-up dial
-    bool flush1_rx = false;    // mu_: drain markers from this peer
-    bool flush2_rx = false;    // mu_
+    bool bye_rx = false;       // mu_: the peer's closing marker arrived
     std::string lost;          // mu_: why the link was lost (empty = not lost)
     // -- send plane: guarded by send_mu --
     std::mutex send_mu;
     std::condition_variable send_cv;  // backpressure waiters, Stop's flush
     std::deque<OutFrame> sendq;       // framed messages, FIFO
     size_t front_off = 0;             // bytes of sendq.front() written
-    // lock-free mirrors of the queue size for DrainPending / POLLOUT arming
+    // lock-free mirrors of the queue size for backpressure / POLLOUT arming
     std::atomic<int64_t> queued_bytes{0};
     std::atomic<int64_t> queued_frames{0};
     // per-peer wire metrics (relaxed atomics; read lock-free by obs)
@@ -151,10 +139,6 @@ class TcpTransport final : public Transport {
 
   void IoLoop();
   void WakeLocked();
-  /// Wakes the Receive of every local endpoint that began its drain: a drain
-  /// marker landed or a send queue emptied, so DrainPending may have
-  /// dropped.
-  void WakeDrainingLocked();
   void MarkPollsetDirtyLocked() { ++pollset_version_; }
   void DialLocked(int q);  // begins a nonblocking connect to rank q
   /// Makes accepted `fd`, whose HELLO named rank q, the link to q and seeds
@@ -171,7 +155,7 @@ class TcpTransport final : public Transport {
   /// Counts a corrupt frame from rank q and loses the link; returns false.
   bool RejectFrame(int q, const std::string& why);
   /// Closes the link to rank q and discards its send queue; the close of a
-  /// handshaken link is a loss unless the peer's round-2 marker preceded it.
+  /// handshaken link is a loss unless the peer's BYE preceded it.
   void DropPeer(int q, const std::string& why);
   /// Marks the handshaken link to rank q lost (first reason wins; not once
   /// Stop() began) and wakes blocked senders.
@@ -183,12 +167,10 @@ class TcpTransport final : public Transport {
   OutFrame EncodeControlFrame(FrameKind kind, uint8_t msg_type) const;
   void EnqueueFrameLocked(Peer& peer, OutFrame frame);
   void EnqueueHello(int q);
-  void EnqueueFlushLocked(uint8_t round);
   bool AllHelloLocked() const;
 
   const TcpTransportOptions options_;
   const int num_endpoints_;
-  std::vector<int> local_endpoints_;
   std::vector<std::unique_ptr<ConcurrentQueue<MessageBatch>>> inboxes_;
 
   mutable std::mutex mu_;
@@ -202,9 +184,6 @@ class TcpTransport final : public Transport {
   /// Bumped (under mu_) whenever the set of pollable fds changes; the IO
   /// thread rebuilds its cached pollset only when its seen version lags.
   uint64_t pollset_version_ = 1;
-  int drained_endpoints_ = 0;  // bitmask over local_endpoints_ order
-  bool flush1_sent_ = false;
-  bool flush2_sent_ = false;
 
   std::atomic<int64_t> frames_corrupt_{0};
   std::atomic<int64_t> hello_rejected_{0};

@@ -35,9 +35,9 @@ enum class EventKind : uint8_t {
   kStealReceive = 10,  // a = tasks received, b = source worker
   kLedger = 11,       // a = ExpectedLive(), b = live tasks (progress cadence)
   kDrain = 12,        // a = phase: worker comm loop 0 saw kTerminate,
-                      // 1 quiesced report sent, 2 wire drained, 4 final
-                      // report (3 is unused); 5 master silence bound
-                      // tripped, b = final reports missing
+                      // 1 quiesced report sent, 2 release received, 4
+                      // final report (3 is unused); 5 master silence
+                      // bound tripped, b = final reports missing
   kCheckpoint = 13,   // a = checkpoint epoch
   kTimeout = 14,      // master hit the time budget; a = elapsed seconds
   kTerminate = 15,    // worker saw kTerminate

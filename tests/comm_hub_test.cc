@@ -93,47 +93,6 @@ TEST(CommHub, BandwidthSerializesLargeBatches) {
   EXPECT_GE(hub.NowUs() - before, 12'000);
 }
 
-TEST(CommHub, InFlightCountTracksSendHandleCycle) {
-  CommHub hub(2);
-  EXPECT_EQ(hub.InFlightCount(), 0);
-  hub.Send(Make(0, 1, "a"));
-  hub.Send(Make(0, 1, "b"));
-  EXPECT_EQ(hub.InFlightCount(), 2);
-  MessageBatch got;
-  ASSERT_TRUE(hub.Receive(1, 100'000, &got));
-  // Delivery alone is not enough: the receiver may still be inside its
-  // handler (and about to send a response), so the message stays in flight
-  // until it is explicitly marked processed.
-  EXPECT_EQ(hub.InFlightCount(), 2);
-  hub.MarkProcessed(got.type);
-  EXPECT_EQ(hub.InFlightCount(), 1);
-  ASSERT_TRUE(hub.Receive(1, 100'000, &got));
-  hub.MarkProcessed(got.type);
-  EXPECT_EQ(hub.InFlightCount(), 0);
-}
-
-TEST(CommHub, InFlightCountPerType) {
-  CommHub hub(3);
-  MessageBatch steal = Make(0, 1, "s");
-  steal.type = MsgType::kStealOrder;
-  MessageBatch batch = Make(1, 2, "t");
-  batch.type = MsgType::kTaskBatch;
-  hub.Send(std::move(steal));
-  hub.Send(std::move(batch));
-  EXPECT_EQ(hub.InFlightCount(MsgType::kStealOrder), 1);
-  EXPECT_EQ(hub.InFlightCount(MsgType::kTaskBatch), 1);
-  EXPECT_EQ(hub.InFlightCount(MsgType::kVertexRequest), 0);
-  EXPECT_EQ(hub.InFlightCount(), 2);
-  MessageBatch got;
-  ASSERT_TRUE(hub.Receive(1, 100'000, &got));
-  hub.MarkProcessed(MsgType::kStealOrder);
-  EXPECT_EQ(hub.InFlightCount(MsgType::kStealOrder), 0);
-  EXPECT_EQ(hub.InFlightCount(MsgType::kTaskBatch), 1);
-  ASSERT_TRUE(hub.Receive(2, 100'000, &got));
-  hub.MarkProcessed(MsgType::kTaskBatch);
-  EXPECT_EQ(hub.InFlightCount(), 0);
-}
-
 TEST(CommHub, ConcurrentSendersAllDelivered) {
   CommHub hub(4);
   std::vector<std::thread> senders;

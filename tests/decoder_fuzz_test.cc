@@ -108,6 +108,8 @@ ProgressReport MakeReport() {
   r.remaining_estimate = 17;
   r.data_sent = 1234;
   r.data_processed = 1200;
+  r.requests_unanswered = 3;
+  r.steal_orders_handled = 7;
   r.task_iterations = 99;
   r.cache_requests = 500;
   r.comper_rounds = 77;
@@ -357,7 +359,7 @@ TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
 TEST(DecoderFuzz, FrameHeader) {
   net::FrameHeader h;
   h.kind = net::FrameKind::kData;
-  // The highest message type (kReportRequest, protocol v6).
+  // The highest message type (kReportRequest, protocol v7).
   h.msg_type = static_cast<uint8_t>(MsgType::kReportRequest);
   h.src = 1;
   h.dst = 2;
@@ -388,6 +390,17 @@ TEST(DecoderFuzz, FrameHeader) {
     std::string m = valid;
     std::memcpy(&m[16], &inflated, sizeof(inflated));
     EXPECT_FALSE(decode(m, &reencoded).ok()) << "payload_len " << inflated;
+  }
+  // Exactly three frame kinds decode: HELLO, DATA and BYE (u8 at offset 6).
+  for (int kind = 0; kind < 256; ++kind) {
+    std::string m = valid;
+    m[6] = static_cast<char>(kind);
+    const bool known = kind >= static_cast<int>(net::FrameKind::kHello) &&
+                       kind <= static_cast<int>(net::FrameKind::kBye);
+    EXPECT_EQ(decode(m, &reencoded).ok(), known) << "kind " << kind;
+    if (known) {
+      EXPECT_EQ(reencoded, m) << "kind " << kind;
+    }
   }
   for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
     std::string m = payload;

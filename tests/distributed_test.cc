@@ -97,6 +97,10 @@ RunResult<ComperT> RunTcpCluster(const Job<ComperT>& job,
   EXPECT_FALSE(rank0.stats.phases.empty());
   EXPECT_FALSE(rank0.stats.timed_out);
   EXPECT_EQ(rank0.stats.tasks_lost, 0);
+  // Rank 0 tracks every worker's peak, from the final reports.
+  EXPECT_EQ(rank0.stats.peak_mem_bytes.size(),
+            static_cast<size_t>(job.config.num_workers));
+  for (int64_t peak : rank0.stats.peak_mem_bytes) EXPECT_GT(peak, 0);
   return rank0;
 }
 
@@ -202,11 +206,11 @@ TEST(DistributedDifferential, SplittingMaximalCliqueMatchesInProcess) {
   EXPECT_GT(got.stats.tasks_spawned, unbudgeted.stats.tasks_spawned);
 }
 
-// Over TCP the drain's last steps are the FLUSH marker rounds: the
-// transport wakes a draining comm thread as a marker lands or a send queue
-// empties, and the hub as the last received batch is handled. At a 1 s
-// progress interval a missed wake would stretch worker 0's barrier ->
-// wire-empty gap (kDrain phase 1 -> 2) to the whole interval.
+// Over TCP the release is event-driven too: the master sends it on the
+// report that proves the wire empty, and a quiesced worker reports as soon
+// as a drain term moves. At a 1 s progress interval a release that waited
+// for the cadence would stretch worker 0's quiesced -> released gap
+// (kDrain phase 1 -> 2) to the whole interval.
 TEST(DistributedTermination, WokenDrainEndsWellInsideTheProgressInterval) {
   Graph g = Generator::PowerLaw(2000, 10.0, 2.4, 53);
   Job<TriangleComper> job;
@@ -220,16 +224,16 @@ TEST(DistributedTermination, WokenDrainEndsWellInsideTheProgressInterval) {
   job.config = TcpConfig(job.config, 2);
   const RunResult<TriangleComper> rank0 = RunTcpCluster(job);
   EXPECT_EQ(rank0.result, CountTrianglesSerial(g));
-  int64_t barrier_us = -1;
-  int64_t empty_us = -1;
+  int64_t quiesced_us = -1;
+  int64_t released_us = -1;
   for (const obs::SpanEvent& e : rank0.stats.spans) {
     if (e.worker != 0 || e.kind != obs::EventKind::kDrain) continue;
-    if (e.a == 1) barrier_us = e.t_us;
-    if (e.a == 2) empty_us = e.t_us;
+    if (e.a == 1) quiesced_us = e.t_us;
+    if (e.a == 2) released_us = e.t_us;
   }
-  ASSERT_GE(barrier_us, 0);
-  ASSERT_GE(empty_us, barrier_us);
-  EXPECT_LT(empty_us - barrier_us, 250'000);
+  ASSERT_GE(quiesced_us, 0);
+  ASSERT_GE(released_us, quiesced_us);
+  EXPECT_LT(released_us - quiesced_us, 250'000);
 }
 
 TEST(DistributedObservability, RankZeroLiveSurfacesCoverEveryRank) {

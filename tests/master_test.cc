@@ -1,13 +1,13 @@
 // Master tests without workers: Master::Run runs on its own thread over a
 // bare in-process hub, and the test thread plays the workers. It sends
-// scripted progress reports from the worker endpoints, reads the master's
-// batches off them and marks each processed, as a worker's comm loop would.
+// scripted progress reports from the worker endpoints and reads the master's
+// batches off them, as a worker's comm loop would.
 //
-// The master handles one batch per loop pass and marks a report processed
-// before the rest of that pass (snapshot, report requests, budget,
-// checkpoint) runs. So once a later report is processed, every step the
-// earlier one triggered is on the wire: Fence() uses that to make "nothing
-// was sent" checks exact.
+// The master handles one batch per loop pass and pops the next one only
+// after the rest of that pass (snapshot, report requests, budget,
+// checkpoint) ran. So once it popped a later report, every step the earlier
+// one triggered is on the wire: Fence() uses that to make "nothing was sent"
+// checks exact.
 
 #include <gtest/gtest.h>
 
@@ -112,23 +112,23 @@ class Rig {
     for (int w = 0; w < n_; ++w) Send(w);
   }
 
-  /// Re-sends worker `w`'s report and waits until the master processed it,
-  /// so every step its earlier reports triggered has been sent. A fence
-  /// counts toward the next snapshot like any report.
+  /// Re-sends worker `w`'s report twice and waits until the master popped
+  /// the second, which it does only once it handled the first: every step
+  /// the earlier reports triggered has been sent. A fence counts toward the
+  /// next snapshot like any report.
   void Fence(int w) {
     Send(w);
-    while (hub_.InFlightCount(MsgType::kProgressReport) != 0) {
+    Send(w);
+    while (hub_.InboxDepth(n_) != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
 
-  /// The next batch the master sent worker `w` (waits up to 5 s), marked
-  /// processed unless `hold`.
-  MessageBatch Next(int w, bool hold = false) {
+  /// The next batch the master sent worker `w` (waits up to 5 s).
+  MessageBatch Next(int w) {
     MessageBatch mb;
     EXPECT_TRUE(hub_.Receive(w, 5'000'000, &mb)) << "worker " << w;
     if (mb.type == MsgType::kTerminate) terminated_[w] = true;
-    if (!hold) hub_.MarkProcessed(mb.type);
     return mb;
   }
 
@@ -181,7 +181,6 @@ class Rig {
             default:
               break;
           }
-          hub_.MarkProcessed(mb.type);
         }
       }
     }
@@ -262,6 +261,83 @@ TEST(Master, TwoQuietSnapshotsTerminateAndQuiescedReportsRelease) {
   for (const ProgressReport& r : rig.master().LatestCopy()) {
     EXPECT_EQ(r.final_report, 1);
   }
+}
+
+/// Two quiet snapshots of `rig`'s 2 idle workers: the master sends
+/// kTerminate.
+void Terminate(Rig& rig) {
+  rig.Idle(0, 2);
+  rig.Idle(1, 2);
+  rig.Round();
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_EQ(rig.NextTypes(w, 2), (Types{kSync, kAsk}));
+  }
+  rig.Round();
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_EQ(rig.NextTypes(w, 2), (Types{kSync, MsgType::kTerminate}));
+  }
+}
+
+TEST(Master, CleanJobsLastQuiescedReportReleases) {
+  Rig rig(RigConfig(2));
+  rig.Start();
+  Terminate(rig);
+  rig.state(1).quiesced = 1;
+  rig.Send(1);
+  rig.Fence(0);
+  EXPECT_TRUE(rig.InboxEmpty(0));
+  EXPECT_TRUE(rig.InboxEmpty(1));
+  // No report follows the last quiesced one.
+  rig.state(0).quiesced = 1;
+  rig.Send(0);
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_EQ(rig.Next(w).type, MsgType::kDrainBarrier);
+  }
+  for (int w = 0; w < 2; ++w) rig.state(w).final_report = 1;
+  rig.Round();
+  rig.Join();
+}
+
+TEST(Master, ReleaseWaitsForUnansweredRequestsAndUndeliveredTasks) {
+  Rig rig(RigConfig(2));
+  rig.Start();
+  Terminate(rig);
+  // Everyone quiesced, but worker 0 still awaits two responses.
+  rig.state(0).quiesced = 1;
+  rig.state(0).requests_unanswered = 2;
+  rig.state(1).quiesced = 1;
+  rig.Round();
+  rig.Fence(1);
+  EXPECT_TRUE(rig.InboxEmpty(0));
+  EXPECT_TRUE(rig.InboxEmpty(1));
+  // Answered, but worker 1 donated three tasks that worker 0 has not
+  // received yet.
+  rig.state(1).ledger.donated = 3;
+  rig.Send(1);
+  rig.state(0).requests_unanswered = 0;
+  rig.Send(0);
+  rig.Fence(1);
+  EXPECT_TRUE(rig.InboxEmpty(0));
+  EXPECT_TRUE(rig.InboxEmpty(1));
+  rig.state(0).ledger.received = 2;
+  rig.Send(0);
+  rig.Fence(1);
+  EXPECT_TRUE(rig.InboxEmpty(0));
+  EXPECT_TRUE(rig.InboxEmpty(1));
+  // The report that clears the predicate brings one release per worker, and
+  // later reports bring no other.
+  rig.state(0).ledger.received = 3;
+  rig.Send(0);
+  rig.Fence(0);
+  rig.Fence(1);
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_EQ(rig.hub().InboxDepth(w), 1) << "worker " << w;
+    EXPECT_EQ(rig.Next(w).type, MsgType::kDrainBarrier);
+  }
+  for (int w = 0; w < 2; ++w) rig.state(w).final_report = 1;
+  rig.Round();
+  rig.Join();
+  for (int w = 0; w < 2; ++w) EXPECT_TRUE(rig.InboxEmpty(w));
 }
 
 TEST(Master, CountsThatMovedBetweenQuietSnapshotsNeedAThird) {
@@ -377,28 +453,30 @@ TEST(Master, CheckpointWaitsForStealTrafficAndCutsTheAggregateAtEachAck) {
   rig.Round();
   EXPECT_EQ(rig.Next(0).type, kSync);
   EXPECT_EQ(rig.Next(1).type, kSync);
-  // Worker 1 holds the steal order unprocessed past the checkpoint period.
-  ASSERT_EQ(rig.Next(1, /*hold=*/true).type, MsgType::kStealOrder);
+  // Worker 1 reports no handled steal order past the checkpoint period.
+  ASSERT_EQ(rig.Next(1).type, MsgType::kStealOrder);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  // Quiescing: no request, and a snapshot plans no steal.
+  // Quiescing: every worker is asked for a report, no request goes out, and
+  // a snapshot plans no steal.
+  for (int w = 0; w < 2; ++w) EXPECT_EQ(rig.Next(w).type, kAsk);
   rig.Round();
   EXPECT_EQ(rig.Next(0).type, kSync);
   EXPECT_EQ(rig.Next(1).type, kSync);
   rig.Fence(0);
   EXPECT_TRUE(rig.InboxEmpty(0));
   EXPECT_TRUE(rig.InboxEmpty(1));
-  // The donor sends its batch before it marks the order processed; the
-  // request still waits for the batch.
-  MessageBatch batch;
-  batch.src_worker = 1;
-  batch.dst_worker = 0;
-  batch.type = MsgType::kTaskBatch;
-  batch.payload = EncodeTaskBatch({"task"});
-  rig.hub().Send(std::move(batch));
-  rig.hub().MarkProcessed(MsgType::kStealOrder);
+  // The donor's report counts the order handled and its task donated; the
+  // request still waits for the recipient's report of the task.
+  rig.state(1).steal_orders_handled = 1;
+  rig.state(1).ledger.donated = 1;
+  rig.Send(1);  // completes a snapshot
+  EXPECT_EQ(rig.Next(0).type, kSync);
+  EXPECT_EQ(rig.Next(1).type, kSync);
   rig.Fence(0);
-  EXPECT_EQ(rig.hub().InboxDepth(0), 1);  // only the task batch
-  ASSERT_EQ(rig.Next(0).type, MsgType::kTaskBatch);
+  EXPECT_TRUE(rig.InboxEmpty(0));
+  EXPECT_TRUE(rig.InboxEmpty(1));
+  rig.state(0).ledger.received = 1;
+  rig.Send(0);
   for (int w = 0; w < 2; ++w) {
     const MessageBatch req = rig.Next(w);
     ASSERT_EQ(req.type, MsgType::kCheckpointRequest);
@@ -444,8 +522,11 @@ TEST(Master, CheckpointPendingAtTerminateNeverCommits) {
   config.time_budget_s = 0.2;
   Rig rig(config, &dfs);
   rig.Start();
+  // No steal order went out, so the quiesce's report requests settle
+  // nothing: the checkpoint request follows at once.
   for (int w = 0; w < 2; ++w) {
-    EXPECT_EQ(rig.Next(w).type, MsgType::kCheckpointRequest);
+    EXPECT_EQ(rig.NextTypes(w, 2),
+              (Types{kAsk, MsgType::kCheckpointRequest}));
   }
   // Nobody acks before the budget ends the job; the acks come after it.
   for (int w = 0; w < 2; ++w) {

@@ -41,6 +41,8 @@ ProgressReport MakeReport() {
   r.remaining_estimate = 42;
   r.data_sent = 100;
   r.data_processed = 99;
+  r.requests_unanswered = 8;
+  r.steal_orders_handled = 6;
   r.task_iterations = 21;
   r.spilled_batches = 2;
   r.stolen_batches = 1;
@@ -83,6 +85,8 @@ TEST(ProtocolTest, ProgressReportRoundTrip) {
   EXPECT_EQ(got.remaining_estimate, r.remaining_estimate);
   EXPECT_EQ(got.data_sent, r.data_sent);
   EXPECT_EQ(got.data_processed, r.data_processed);
+  EXPECT_EQ(got.requests_unanswered, r.requests_unanswered);
+  EXPECT_EQ(got.steal_orders_handled, r.steal_orders_handled);
   EXPECT_EQ(got.task_iterations, r.task_iterations);
   EXPECT_EQ(got.spilled_batches, r.spilled_batches);
   EXPECT_EQ(got.stolen_batches, r.stolen_batches);

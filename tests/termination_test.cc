@@ -204,7 +204,8 @@ TEST(Termination, BudgetExitOutlastsLongComputeWithoutAborting) {
   EXPECT_GE(stats.elapsed_s, 1.0);  // the master waited for the nap
   EXPECT_EQ(stats.tasks_lost, 0);
   EXPECT_EQ(stats.ledger.ExpectedLive(), stats.tasks_live_at_exit);
-  // Each worker reached drain phase 2: its wire drained empty.
+  // Each worker reached drain phase 2: the master released it once the
+  // reports proved the wire empty.
   for (int w = 0; w < 2; ++w) {
     EXPECT_TRUE(std::any_of(stats.spans.begin(), stats.spans.end(),
                             [w](const obs::SpanEvent& e) {
@@ -344,10 +345,11 @@ TEST(Termination, ProgressReportsStayNearTheCadence) {
       << "elapsed " << stats.elapsed_s << " s";
 }
 
-// The wire drain is woken, not polled: the hub wakes a draining comm thread
-// when the wire can have emptied. At a 1 s progress interval a missed wake
-// would stretch a worker's barrier -> wire-empty gap (kDrain phase 1 -> 2)
-// to the whole interval.
+// The release is event-driven, not polled: the master sends it on the
+// report that proves the wire empty, and a quiesced worker reports as soon
+// as a drain term moves. At a 1 s progress interval a release that waited
+// for the cadence would stretch a worker's quiesced -> released gap (kDrain
+// phase 1 -> 2) to the whole interval.
 TEST(Termination, WokenDrainEndsWellInsideTheProgressInterval) {
   Graph g = Generator::PowerLaw(2000, 10.0, 2.4, 53);
   Job<TriangleComper> job;
@@ -362,16 +364,16 @@ TEST(Termination, WokenDrainEndsWellInsideTheProgressInterval) {
   EXPECT_EQ(result.result, CountTrianglesSerial(g));
   EXPECT_FALSE(result.stats.timed_out);
   for (int w = 0; w < job.config.num_workers; ++w) {
-    int64_t barrier_us = -1;
-    int64_t empty_us = -1;
+    int64_t quiesced_us = -1;
+    int64_t released_us = -1;
     for (const obs::SpanEvent& e : result.stats.spans) {
       if (e.worker != w || e.kind != obs::EventKind::kDrain) continue;
-      if (e.a == 1) barrier_us = e.t_us;
-      if (e.a == 2) empty_us = e.t_us;
+      if (e.a == 1) quiesced_us = e.t_us;
+      if (e.a == 2) released_us = e.t_us;
     }
-    ASSERT_GE(barrier_us, 0) << "worker " << w;
-    ASSERT_GE(empty_us, barrier_us) << "worker " << w;
-    EXPECT_LT(empty_us - barrier_us, 250'000) << "worker " << w;
+    ASSERT_GE(quiesced_us, 0) << "worker " << w;
+    ASSERT_GE(released_us, quiesced_us) << "worker " << w;
+    EXPECT_LT(released_us - quiesced_us, 250'000) << "worker " << w;
   }
 }
 

@@ -1,10 +1,11 @@
 // Transport conformance suite: every net::Transport backend must present the
-// same contract to CommHub — per-link FIFO, InFlightCount that reaches zero
-// exactly when the wire is provably empty after a drain announcement, and
-// well-defined delivery stamping. The TCP backend additionally must reject
-// stray connections (bad magic, wrong protocol version, a second HELLO for a
-// live rank) without taking the cluster down, and must never deliver a
-// corrupt or forged frame: that loses the link, which is fatal.
+// same contract to CommHub — per-link FIFO, a Wake that ends a blocked
+// Receive, and well-defined delivery stamping. The TCP backend additionally
+// must reject stray connections (bad magic, wrong protocol version, a second
+// HELLO for a live rank) without taking the cluster down, must never deliver
+// a corrupt or forged frame, and must tell a peer's orderly close (after its
+// BYE) from a lost link: a corrupt frame or an early close loses the link,
+// which is fatal.
 //
 // The TCP rows run a real multi-rank cluster inside one test process: one
 // TcpTransport + CommHub pair per rank, full mesh over 127.0.0.1.
@@ -122,9 +123,6 @@ class Backend {
   virtual const char* name() const = 0;
   virtual int num_workers() const = 0;
   virtual CommHub& HubFor(int endpoint) = 0;
-  virtual std::vector<CommHub*> Hubs() = 0;
-  /// The endpoints hosted by each hub, matching Hubs() order.
-  virtual std::vector<std::vector<int>> LocalEndpoints() = 0;
 };
 
 class InProcBackend : public Backend {
@@ -136,12 +134,6 @@ class InProcBackend : public Backend {
   const char* name() const override { return "inproc"; }
   int num_workers() const override { return num_workers_; }
   CommHub& HubFor(int) override { return hub_; }
-  std::vector<CommHub*> Hubs() override { return {&hub_}; }
-  std::vector<std::vector<int>> LocalEndpoints() override {
-    std::vector<int> all;
-    for (int e = 0; e <= num_workers_; ++e) all.push_back(e);
-    return {all};
-  }
 
  private:
   int num_workers_;
@@ -192,20 +184,6 @@ class TcpBackend : public Backend {
   CommHub& HubFor(int endpoint) override {
     return *hubs_[endpoint == num_workers_ ? 0 : endpoint];
   }
-  std::vector<CommHub*> Hubs() override {
-    std::vector<CommHub*> out;
-    for (auto& h : hubs_) out.push_back(h.get());
-    return out;
-  }
-  std::vector<std::vector<int>> LocalEndpoints() override {
-    std::vector<std::vector<int>> out;
-    for (int r = 0; r < num_workers_; ++r) {
-      std::vector<int> eps{r};
-      if (r == 0) eps.push_back(num_workers_);
-      out.push_back(eps);
-    }
-    return out;
-  }
   int port(int rank) const { return ports_[rank]; }
 
  private:
@@ -245,58 +223,7 @@ TEST_P(TransportConformance, FifoPerLink) {
     ASSERT_TRUE(receiver.Receive(1, 2'000'000, &got)) << "at " << i;
     EXPECT_EQ(got.src_worker, 0);
     EXPECT_EQ(got.payload.ToString(), std::to_string(i));
-    receiver.MarkProcessed(got.type);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bidirectional traffic + drain: after every endpoint announces BeginDrain,
-// every hub's InFlightCount must reach 0 and stay there.
-// ---------------------------------------------------------------------------
-TEST_P(TransportConformance, InFlightReachesZeroAtDrain) {
-  auto backend = MakeBackend(GetParam(), 3);
-  const int n = backend->num_workers();
-  constexpr int kPerLink = 25;
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      if (a == b) continue;
-      for (int i = 0; i < kPerLink; ++i) {
-        backend->HubFor(a).Send(
-            Make(a, b, MsgType::kVertexRequest, "x" + std::to_string(i)));
-      }
-    }
-  }
-  // Drain every inbox.
-  for (int b = 0; b < n; ++b) {
-    CommHub& hub = backend->HubFor(b);
-    for (int i = 0; i < kPerLink * (n - 1); ++i) {
-      MessageBatch got;
-      ASSERT_TRUE(hub.Receive(b, 2'000'000, &got));
-      hub.MarkProcessed(got.type);
-    }
-  }
-  // Announce drain from every endpoint of every process.
-  const auto hubs = backend->Hubs();
-  const auto locals = backend->LocalEndpoints();
-  for (size_t h = 0; h < hubs.size(); ++h) {
-    for (int e : locals[h]) hubs[h]->BeginDrain(e);
-  }
-  // All hubs must converge to InFlightCount() == 0. The count is pumped
-  // round-robin because the tcp drain-marker rounds advance as a side
-  // effect of polling it (mirroring every worker's drain loop).
-  Timer deadline;
-  bool all_zero = false;
-  while (!all_zero && deadline.ElapsedSeconds() < 10.0) {
-    all_zero = true;
-    for (CommHub* hub : hubs) {
-      if (hub->InFlightCount() != 0) all_zero = false;
-    }
-    if (!all_zero) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(all_zero) << "wire never drained";
-  // Zero is sticky: the drained state cannot regress.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  for (CommHub* hub : hubs) EXPECT_EQ(hub->InFlightCount(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +241,6 @@ TEST_P(TransportConformance, DeliveryStamping) {
   } else {
     EXPECT_EQ(got.sent_at_us, 0);
   }
-  backend->HubFor(1).MarkProcessed(got.type);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,7 +262,6 @@ TEST_P(TransportConformance, WakeEndsABlockedReceive) {
   backend->HubFor(0).Send(Make(0, 1, MsgType::kVertexRequest, "after"));
   ASSERT_TRUE(hub.Receive(1, 2'000'000, &got));
   EXPECT_EQ(got.payload.ToString(), "after");
-  hub.MarkProcessed(got.type);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
@@ -382,7 +307,6 @@ void ExpectRoundTrip(Backend& backend, int from, int to) {
   MessageBatch got;
   ASSERT_TRUE(backend.HubFor(to).Receive(to, 5'000'000, &got));
   EXPECT_EQ(got.payload.ToString(), "still-alive");
-  backend.HubFor(to).MarkProcessed(got.type);
 }
 
 /// Rank 0 of a 2-rank cluster whose rank 1 the test plays over a raw socket
@@ -401,10 +325,23 @@ class LoneRankZero {
   }
   ~LoneRankZero() {
     hub_.reset();  // our own Stop() first: the close that follows is orderly
-    ::close(fd_);
+    CloseRaw();
   }
   CommHub& hub() { return *hub_; }
   int fd() const { return fd_; }
+  /// Closes the raw rank 1's end of the link.
+  void CloseRaw() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+  /// Waits until rank 0's IO thread rebuilt its pollset `after` times, as it
+  /// does when a link is dropped.
+  bool WaitForPollRebuild(int64_t after) {
+    return WaitForCounter(*hub_, "transport.poll_rebuilds", after + 1);
+  }
+  int64_t PollRebuilds() {
+    return CounterValue(hub_->MetricsSnapshot(), "transport.poll_rebuilds");
+  }
 
  private:
   std::unique_ptr<CommHub> hub_;
@@ -490,6 +427,41 @@ TEST(TransportTcp, ForgedSourceDataFrameDropsConnection) {
 }
 
 // ---------------------------------------------------------------------------
+// Closing marker: a peer's Stop() sends a BYE behind all of its data, so a
+// close after the BYE is orderly and leaves rank 0 running. A close before
+// it is a lost link: the next Receive dies naming the peer.
+// ---------------------------------------------------------------------------
+TEST(TransportTcp, CloseAfterTheClosingMarkerIsSilent) {
+  LoneRankZero rank0;
+  net::FrameHeader bye;
+  bye.kind = net::FrameKind::kBye;
+  bye.src = 1;
+  bye.dst = 0;
+  RawSendAll(rank0.fd(), EncodeFrame(bye));
+  ASSERT_TRUE(
+      WaitForCounter(rank0.hub(), "transport.frames_received{peer=1}", 1));
+  const int64_t rebuilds = rank0.PollRebuilds();
+  rank0.CloseRaw();
+  ASSERT_TRUE(rank0.WaitForPollRebuild(rebuilds));  // the link is dropped
+  MessageBatch got;
+  EXPECT_FALSE(rank0.hub().Receive(0, 100'000, &got));  // and not lost
+  EXPECT_EQ(CounterValue(rank0.hub().MetricsSnapshot(),
+                         "transport.frames_corrupt"),
+            0);
+}
+
+TEST(TransportTcp, CloseBeforeTheClosingMarkerIsALossNamingThePeer) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  LoneRankZero rank0;
+  const int64_t rebuilds = rank0.PollRebuilds();
+  rank0.CloseRaw();
+  ASSERT_TRUE(rank0.WaitForPollRebuild(rebuilds));
+  MessageBatch got;
+  EXPECT_DEATH(rank0.hub().Receive(0, 100'000, &got),
+               "link to rank 1 lost .*before its closing marker");
+}
+
+// ---------------------------------------------------------------------------
 // Start-up redial: rank 1 starts about 100 ms before rank 0 listens, so its
 // first dials are refused. Start() redials at a fixed short interval inside
 // its handshake window, and both sides come up.
@@ -522,7 +494,6 @@ TEST(TransportTcp, LateListenerIsRedialedWithinStart) {
   MessageBatch got;
   ASSERT_TRUE(hubs[1]->Receive(1, 5'000'000, &got));
   EXPECT_EQ(got.payload.ToString(), "up");
-  hubs[1]->MarkProcessed(got.type);
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +527,6 @@ TEST(TransportTcp, TinySndbufSplitsFramesLosslessly) {
     EXPECT_EQ(body.substr(0, chunk_a.size()), chunk_a);
     EXPECT_EQ(body[chunk_a.size()], static_cast<char>('a' + i % 26));
     EXPECT_EQ(body.substr(chunk_a.size() + 1), chunk_b);
-    receiver.MarkProcessed(got.type);
   }
   // Short writes really happened: the frames completed across more syscalls
   // than a single gather would need (otherwise the test proves nothing).
@@ -593,7 +563,6 @@ TEST(TransportTcp, FramesLargerThanTheReceiveBufferArriveIntact) {
     EXPECT_TRUE(got.payload == sent[i])
         << "at " << i << ": " << got.payload.size() << " bytes, expected "
         << sent[i].size() << " bytes of '" << sent[i][0] << "'";
-    receiver.MarkProcessed(got.type);
   }
 }
 
@@ -616,7 +585,6 @@ TEST(TransportTcp, BackpressureWaitersWakePromptly) {
       MessageBatch got;
       ASSERT_TRUE(receiver.Receive(1, 10'000'000, &got)) << "at " << i;
       ASSERT_EQ(got.payload.size(), body.size());
-      receiver.MarkProcessed(got.type);
     }
   });
   Timer t;
