@@ -365,9 +365,9 @@ class Cluster {
     stats.steal_orders = hub.SentCount(MsgType::kStealOrder);
 
     // Per-scope metric snapshots: every local worker's registry (with the
-    // cache / task roll-ups folded in) plus the hub's wire view. The
-    // transport stops first so teardown accounting (any
-    // transport.batches_abandoned frames) reaches the job report.
+    // cache / spill roll-ups folded in) plus the hub's wire view. The
+    // transport stops first, so the check below sees its teardown
+    // accounting (transport.batches_abandoned).
     for (auto& worker : workers) worker->FinalizeObs();
     // Under tcp, Shutdown is the one wait for this rank's final report.
     hub.Shutdown();
@@ -448,7 +448,7 @@ class Cluster {
     const int num_workers = job.config.num_workers;
     const int num_local = static_cast<int>(workers->size());
     auto local_owner = [&](VertexId v) -> WorkerT* {
-      const int i = WorkerT::OwnerOf(v, num_workers) - first_local;
+      const int i = OwnerOf(v, num_workers) - first_local;
       return i >= 0 && i < num_local ? (*workers)[i].get() : nullptr;
     };
     if (job.graph != nullptr) {

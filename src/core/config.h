@@ -119,7 +119,7 @@ struct JobConfig {
   /// its final report and sends nothing for this long (a dead or wedged
   /// rank) fails the job, naming it, instead of hanging or returning a
   /// partial answer. Progress reports are the heartbeat; a worker keeps
-  /// sending them until its drain begins, also while a comper finishes a
+  /// sending them until the master's release, also while a comper finishes a
   /// long Compute() after kTerminate. A worker owing a checkpoint ack is
   /// exempt while its comm thread parks its compers.
   int64_t drain_timeout_us = 10'000'000;
@@ -227,8 +227,8 @@ struct JobConfig {
       }
       if (checkpoint_interval_us != 0) {
         return Status::InvalidArgument(
-            "checkpointing is not supported under transport=tcp (the "
-            "quiesce relies on cluster-global in-flight counts)");
+            "checkpointing is not supported under transport=tcp (no rank "
+            "can resume: RunDistributed refuses resume_epoch)");
       }
     }
     if (progress_interval_us <= 0) {
@@ -299,7 +299,7 @@ struct JobStats {
   TaskLedger ledger;
   int64_t tasks_live_at_exit = 0;
   int64_t tasks_lost = 0;
-  // Messages workers serviced after kTerminate (previously dropped).
+  // Messages workers serviced after kTerminate.
   int64_t drained_messages = 0;
 
   // Records emitted through Comper::Output.

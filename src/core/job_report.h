@@ -57,21 +57,6 @@ inline obs::JobReport MakeJobReport(const std::string& job_name,
   report.ints["span_events_total"] = stats.span_events_total;
   report.ints["tasks_live_at_exit"] = stats.tasks_live_at_exit;
   report.ints["status_port"] = stats.status_port;
-  // Data batches a socket transport had to drop at teardown (sent but never
-  // written to the wire before Stop()'s flush bound expired). Always 0 on a
-  // clean drain; nonzero flags a run whose wire totals are untrustworthy.
-  {
-    int64_t abandoned = 0;
-    bool present = false;
-    for (const obs::MetricsSnapshot& snap : stats.metrics) {
-      const int64_t v = snap.CounterValue("transport.batches_abandoned");
-      if (v >= 0) {
-        abandoned += v;
-        present = true;
-      }
-    }
-    if (present) report.ints["batches_abandoned"] = abandoned;
-  }
 
   // -- derived health ratios --
   std::map<std::string, double> cluster;

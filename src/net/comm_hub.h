@@ -69,7 +69,7 @@ class CommHub {
   /// closing marker, flushing what it can within a bound). Idempotent. Call
   /// before the final MetricsSnapshot() so teardown accounting — e.g.
   /// transport.batches_abandoned, the send-queue frames a socket backend had
-  /// to drop — lands in the job report instead of being lost in the
+  /// to drop — lands in that snapshot instead of being lost in the
   /// destructor.
   void Shutdown() { transport_->Stop(); }
 

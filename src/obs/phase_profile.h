@@ -222,7 +222,7 @@ inline int WorkerFromScope(const std::string& scope) {
 }  // namespace internal_phase
 
 /// Aggregates the per-comper phase counters (recorded by the comper loops,
-/// see Worker::ComperEngine) and worker-level steal timing into the
+/// see ComperEngine) and worker-level steal timing into the
 /// breakdown, and mines span events for the straggler table. Rows appear
 /// only for scopes that carry phase counters (worker registries do; the
 /// hub's does not).

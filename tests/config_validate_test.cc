@@ -119,6 +119,18 @@ TEST(ConfigValidate, RejectsBadPeriodsAndPaths) {
   EXPECT_TRUE(c.Validate().ok());
 }
 
+// No rank of a TCP job can resume from a checkpoint, so a TCP job may not
+// take one.
+TEST(ConfigValidate, RejectsCheckpointsUnderTcp) {
+  JobConfig c;
+  c.num_workers = 2;
+  c.comm.transport = CommConfig::Transport::kTcp;
+  c.comm.hosts = {"127.0.0.1:7001", "127.0.0.1:7002"};
+  EXPECT_TRUE(c.Validate().ok());
+  c.checkpoint_interval_us = 1'000'000;
+  EXPECT_TRUE(c.Validate().IsInvalidArgument());
+}
+
 TEST(ConfigValidate, AcceptsAggressiveButLegalValues) {
   JobConfig c;
   c.num_workers = 16;

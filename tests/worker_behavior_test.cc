@@ -14,6 +14,7 @@
 #include "core/cluster.h"
 #include "graph/generator.h"
 #include "graph/layout.h"
+#include "worker_zero.h"
 
 namespace gthinker {
 namespace {
@@ -481,22 +482,6 @@ class PullVertexOneComper : public Comper<PlainTask, uint64_t> {
   static AggT AggZero() { return 0; }
   static AggT AggMerge(AggT a, AggT b) { return a + b; }
 };
-
-/// Starts worker 0 of 2 over vertices 0..9 (slots for 0, 2, 4, 6, 8) on
-/// `hub`, whose endpoint 1 stands in for worker 1.
-template <typename ComperT>
-std::unique_ptr<Worker<ComperT>> StartWorkerZero(CommHub* hub) {
-  JobConfig config;
-  config.num_workers = 2;
-  config.compers_per_worker = 1;
-  auto worker = std::make_unique<Worker<ComperT>>(
-      0, config, hub, [] { return std::make_unique<ComperT>(); }, nullptr,
-      TempDirPath("worker_zero"));
-  worker->SizeLocalTable(10);
-  worker->FinalizeLoad();
-  worker->Start();
-  return worker;
-}
 
 /// Has worker 1 request `v` from worker 0, and waits for the comm thread to
 /// answer.
