@@ -24,7 +24,7 @@ namespace gthinker {
 /// the pull path, and the backend-specific tuning.
 struct CommConfig {
   enum class Transport {
-    kInProc,  // per-endpoint in-memory mailboxes; supports simulated latency
+    kInProc,  // CommHub's own in-memory inboxes; supports simulated latency
     kTcp,     // framed sockets, one process per rank; selected by
               // Cluster::RunDistributed (Cluster::Run is always in-process)
   };

@@ -235,13 +235,12 @@ class Worker {
   static constexpr int64_t kCommPollUs = 200;
 
   /// The comm thread (paper §V-B): one receive loop runs the job and its
-  /// lossless shutdown. Receive is event-driven: the transport's readiness
-  /// signal (the mailbox condition variable in-process; the poll(2) IO
-  /// thread feeding it under tcp) wakes this thread the moment a batch
-  /// lands, and CommHub::Wake wakes it for what happens outside the inbox —
-  /// a comper opening a pull window, finding T_cache overflowed, turning the
-  /// worker idle or exiting. So a wait lasts until the next progress report
-  /// is due.
+  /// lossless shutdown. Receive is event-driven: the hub's inbox wakes this
+  /// thread the moment a batch lands in it (pushed by a sender in-process,
+  /// or by the transport's poll(2) IO thread under tcp), and CommHub::Wake
+  /// wakes it for what happens outside the inbox — a comper opening a pull
+  /// window, finding T_cache overflowed, turning the worker idle or exiting.
+  /// So a wait lasts until the next progress report is due.
   ///
   /// This thread is T_cache's only evictor (paper §V-A's GC): it runs a
   /// pass when a gated comper asks for one, so EvictUpTo never races
@@ -404,12 +403,11 @@ class Worker {
         GT_CHECK_OK(DecodeTaskBatch(mb.payload, &records, &order_t_us));
         if (!records.empty()) {
           // Full steal round-trip: master's order -> donor -> this arrival.
-          // Valid across workers in-process because all timestamps share one
-          // hub clock; across processes (tcp) the epochs differ, so a
-          // nonsensical (negative) delta is discarded rather than recorded.
-          if (order_t_us > 0) {
-            const int64_t rtt_us = shared_.hub->NowUs() - order_t_us;
-            if (rtt_us >= 0) steal_rtt_us_->Record(rtt_us);
+          // Only a batch this process's hub stamped shares the master's
+          // clock; a transport's batches (tcp) are unstamped, and another
+          // process's epoch would skew the sample.
+          if (order_t_us > 0 && mb.sent_at_us > 0) {
+            steal_rtt_us_->Record(shared_.hub->NowUs() - order_t_us);
           }
           // Count the tasks as live *before* banking the batch so there is
           // no instant at which they are invisible to the idle check.

@@ -1,7 +1,7 @@
 #ifndef GTHINKER_NET_TRANSPORT_H_
 #define GTHINKER_NET_TRANSPORT_H_
 
-#include <cstdint>
+#include <functional>
 
 #include "net/message.h"
 #include "obs/metrics.h"
@@ -9,58 +9,54 @@
 
 namespace gthinker::net {
 
-/// The pluggable byte-moving backend under CommHub (DESIGN.md "Transport
-/// layer"). CommHub stays the single routing/accounting surface the engine
-/// talks to; a Transport only moves MessageBatches between *endpoints* and
-/// answers questions about what it still holds.
+/// The pluggable backend under CommHub that carries batches between
+/// processes (DESIGN.md "Transport layer"). CommHub stays the single
+/// routing/accounting surface the engine talks to, and it owns every
+/// endpoint's inbox; a Transport only carries each batch to the process
+/// that hosts its destination and hands it to that process's hub.
 ///
 /// Endpoint model: endpoints 0..num_workers-1 are the workers and endpoint
 /// num_workers is the master. A transport instance serves one process, which
-/// hosts one or more *local* endpoints (all of them for the in-process
-/// backend; one worker rank — plus the master on rank 0 — for TCP).
+/// hosts one or more *local* endpoints (one worker rank — plus the master on
+/// rank 0 — for TCP).
 ///
 /// Contract (enforced by tests/transport_conformance_test.cc):
 ///   - FIFO per (src, dst): batches between one ordered pair are delivered
 ///     in send order.
 ///   - Send() never drops a batch while the transport is running; it may
 ///     block (backpressure) but must eventually accept.
-///   - Receive() returns batches for a *local* endpoint only.
+///   - Deliver receives batches for *local* endpoints only, unstamped
+///     (sent_at_us == 0: there is no clock shared across processes).
 ///
 /// A transport does not decide when the wire is empty: the master does,
 /// from the workers' progress reports (core/master.h), and only then lets
 /// the processes stop.
 class Transport {
  public:
+  /// The hub's inbox: takes a batch addressed to a local endpoint. Called
+  /// from any transport thread.
+  using Deliver = std::function<void(MessageBatch)>;
+
   virtual ~Transport() = default;
 
-  /// Short backend name for metrics/status output ("inproc", "tcp").
+  /// Short backend name for metrics/status output ("tcp").
   virtual const char* name() const = 0;
 
-  /// Establishes connections / handshakes. Must be called (and succeed)
-  /// before the first Send. Trivial for the in-process backend.
-  virtual Status Start() = 0;
+  /// Establishes connections / handshakes and from then on hands every
+  /// batch for a local endpoint to `deliver`. Must be called (and succeed)
+  /// before the first Send.
+  virtual Status Start(Deliver deliver) = 0;
 
   /// Flushes what it can and tears down. Idempotent.
   virtual void Stop() = 0;
 
-  /// Queues `batch` for delivery to batch.dst_worker. Called concurrently
-  /// from many threads. May block under backpressure.
+  /// Carries `batch` to batch.dst_worker. Called concurrently from many
+  /// threads. May block under backpressure.
   virtual void Send(MessageBatch batch) = 0;
 
-  /// Pops the next batch addressed to local endpoint `endpoint`, waiting up
-  /// to `timeout_us` real microseconds. Returns false on timeout.
-  virtual bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) = 0;
-
-  /// Ends a Receive blocked on local endpoint `endpoint` early (it returns
-  /// false, or a batch if one landed meanwhile); a Wake with no Receive
-  /// blocked ends the next one at once. Any thread may call it: this is how
-  /// an endpoint's own threads tell its receiving thread that state outside
-  /// the inbox changed.
-  virtual void Wake(int endpoint) = 0;
-
-  /// Current backlog of `endpoint`'s inbox (sampled gauge). Remote
-  /// endpoints report 0 — a process cannot see a peer's queues.
-  virtual int64_t InboxDepth(int endpoint) const = 0;
+  /// Dies naming the peer if a link the job needs is lost. The hub calls it
+  /// around each Receive wait, so a lost link fails the next Receive.
+  virtual void CheckLinks() const = 0;
 
   /// Appends backend counters/gauges (per-peer send/flush/backpressure for
   /// sockets) to the hub's snapshot.

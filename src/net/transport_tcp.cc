@@ -75,12 +75,6 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
   GT_CHECK_GE(options_.rank, 0);
   GT_CHECK_LT(options_.rank, options_.num_workers);
   GT_CHECK_EQ(static_cast<int>(options_.hosts.size()), options_.num_workers);
-  inboxes_.resize(num_endpoints_);
-  for (int e = 0; e < num_endpoints_; ++e) {
-    if (IsLocalEndpoint(e)) {
-      inboxes_[e] = std::make_unique<ConcurrentQueue<MessageBatch>>();
-    }
-  }
 }
 
 TcpTransport::~TcpTransport() { Stop(); }
@@ -88,13 +82,15 @@ TcpTransport::~TcpTransport() { Stop(); }
 /// Start() fails if the full-mesh handshake is not done within this.
 constexpr int64_t kHandshakeTimeoutMs = 10'000;
 
-Status TcpTransport::Start() {
+Status TcpTransport::Start(Deliver deliver) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (running_.load(std::memory_order_relaxed)) {
       return Status::Aborted("tcp transport already running");
     }
   }
+  GT_CHECK(deliver != nullptr);
+  deliver_ = std::move(deliver);
   std::string host;
   int port = 0;
   if (!SplitHostPort(options_.hosts[options_.rank], &host, &port)) {
@@ -301,17 +297,15 @@ void TcpTransport::EnqueueHello(int q) {
 }
 
 void TcpTransport::Send(MessageBatch batch) {
-  FailIfLinkLost();
+  CheckLinks();
   const int dst_rank = EndpointRank(batch.dst_worker);
   GT_CHECK_GE(batch.dst_worker, 0);
   GT_CHECK_LT(batch.dst_worker, num_endpoints_);
   if (dst_rank == options_.rank) {
     // Intra-process traffic (worker 0 <-> master on rank 0) never touches a
-    // socket. No wire stamp: cross-endpoint latency histograms are an
-    // in-process-backend feature.
-    batch.deliver_at_us = 0;
-    batch.sent_at_us = 0;
-    inboxes_[batch.dst_worker]->Push(std::move(batch));
+    // socket. The hub left it unstamped: cross-endpoint latency histograms
+    // are an in-process feature.
+    deliver_(std::move(batch));
     return;
   }
   GT_CHECK(running_.load(std::memory_order_relaxed));
@@ -331,7 +325,7 @@ void TcpTransport::Send(MessageBatch batch) {
       });
       if (link_lost_.load(std::memory_order_acquire)) {
         lock.unlock();
-        FailIfLinkLost();
+        CheckLinks();
       }
       if (stop_.load(std::memory_order_relaxed)) {
         // Teardown: the batch is abandoned with the run — but audited.
@@ -348,30 +342,6 @@ void TcpTransport::Send(MessageBatch batch) {
     std::lock_guard<std::mutex> lock(mu_);
     WakeLocked();
   }
-}
-
-bool TcpTransport::Receive(int endpoint, int64_t timeout_us,
-                           MessageBatch* out) {
-  GT_CHECK(IsLocalEndpoint(endpoint));
-  FailIfLinkLost();
-  auto popped =
-      inboxes_[endpoint]->PopFor(std::chrono::microseconds(timeout_us));
-  if (!popped.has_value()) {
-    FailIfLinkLost();
-    return false;
-  }
-  *out = std::move(*popped);
-  return true;
-}
-
-void TcpTransport::Wake(int endpoint) {
-  GT_CHECK(IsLocalEndpoint(endpoint));
-  inboxes_[endpoint]->Wake();
-}
-
-int64_t TcpTransport::InboxDepth(int endpoint) const {
-  if (!IsLocalEndpoint(endpoint)) return 0;
-  return static_cast<int64_t>(inboxes_[endpoint]->Size());
 }
 
 bool TcpTransport::AllHelloLocked() const {
@@ -481,7 +451,7 @@ void TcpTransport::RecordLoss(int q, const std::string& why) {
   }
 }
 
-void TcpTransport::FailIfLinkLost() const {
+void TcpTransport::CheckLinks() const {
   if (!link_lost_.load(std::memory_order_acquire)) return;
   std::string lost;
   {
@@ -611,9 +581,7 @@ const char* TcpTransport::HandleFrame(int q, const FrameHeader& h,
       batch.payload = Payload(std::string(payload, h.payload_len));
       // No cross-process clock: remote batches deliver immediately and are
       // excluded from the delivery-latency histograms (sent_at_us == 0).
-      batch.deliver_at_us = 0;
-      batch.sent_at_us = 0;
-      inboxes_[h.dst]->Push(std::move(batch));
+      deliver_(std::move(batch));
       return nullptr;
     }
   }

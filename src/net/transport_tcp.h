@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -16,7 +15,6 @@
 #include "net/message.h"
 #include "net/payload.h"
 #include "net/transport.h"
-#include "util/concurrent_queue.h"
 
 namespace gthinker::net {
 
@@ -44,13 +42,13 @@ struct TcpTransportOptions {
 /// socket. Writes gather the per-peer send queue of framed messages
 /// (header + live Payload, no copy) into a single sendmsg()
 /// per syscall; reads land in one growable buffer per peer, and each
-/// complete DATA body is copied out into its own payload for the inboxes.
+/// complete DATA body is copied out into its own payload for the hub.
 /// Send() applies backpressure above send_buffer_max_bytes. A link lives
 /// for the whole job: Start() redials a peer that is not listening yet, but
 /// a handshaken link is never redialed or replaced. Stop() sends each peer a
 /// BYE frame behind all of its data; a link that closes before the peer's
 /// BYE (and before our Stop()), or carries a corrupt or forged frame, is
-/// lost, and the process's next Send/Receive dies naming the peer.
+/// lost, and the process's next Send or hub Receive dies naming the peer.
 ///
 /// Locking (DESIGN.md "Transport layer", data plane):
 ///   - mu_ guards connection lifecycle (hello state, pending
@@ -69,12 +67,11 @@ class TcpTransport final : public Transport {
   ~TcpTransport() override;
 
   const char* name() const override { return "tcp"; }
-  Status Start() override;
+  Status Start(Deliver deliver) override;
   void Stop() override;
   void Send(MessageBatch batch) override;
-  bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) override;
-  void Wake(int endpoint) override;
-  int64_t InboxDepth(int endpoint) const override;
+  /// Dies naming every lost peer, if any link is lost.
+  void CheckLinks() const override;
   void AppendMetrics(obs::MetricsSnapshot* snap) const override;
 
   /// The listen port actually bound (resolves a ":0" hostfile entry).
@@ -160,8 +157,6 @@ class TcpTransport final : public Transport {
   /// Marks the handshaken link to rank q lost (first reason wins; not once
   /// Stop() began) and wakes blocked senders.
   void RecordLoss(int q, const std::string& why);
-  /// Dies naming every lost peer, if any link is lost.
-  void FailIfLinkLost() const;
   void AbandonSendQueueLocked(Peer& peer);  // requires peer.send_mu
   OutFrame EncodeDataFrame(MessageBatch batch) const;
   OutFrame EncodeControlFrame(FrameKind kind, uint8_t msg_type) const;
@@ -171,7 +166,7 @@ class TcpTransport final : public Transport {
 
   const TcpTransportOptions options_;
   const int num_endpoints_;
-  std::vector<std::unique_ptr<ConcurrentQueue<MessageBatch>>> inboxes_;
+  Deliver deliver_;  // set by Start(), before the IO thread runs
 
   mutable std::mutex mu_;
   std::condition_variable cv_start_;  // handshake completion

@@ -10,7 +10,7 @@ namespace gthinker::obs {
 
 /// Gauge names the master samples from every worker's progress reports,
 /// one point per report. This is the single source of truth for the
-/// sampled set: the cluster indexes its series buffers by position here
+/// sampled set: the master indexes its series buffers by position here
 /// (SampledGauges in core/job_report.h reads a report in this order), and
 /// tests derive the expected `timeseries` count (workers x this) from its
 /// size instead of hardcoding it.

@@ -13,7 +13,7 @@ namespace gthinker {
 /// Unbounded multi-producer multi-consumer FIFO queue. Used for a TaskDeque's
 /// ready-task buffer B_task (paper Fig. 7), which carries parked-task records
 /// from the thread that lands their last pull to the owning comper, and for
-/// the transports' worker mailboxes.
+/// CommHub's per-endpoint inboxes.
 template <typename T>
 class ConcurrentQueue {
  public:

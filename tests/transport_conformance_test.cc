@@ -1,11 +1,11 @@
-// Transport conformance suite: every net::Transport backend must present the
-// same contract to CommHub — per-link FIFO, a Wake that ends a blocked
-// Receive, and well-defined delivery stamping. The TCP backend additionally
-// must reject stray connections (bad magic, wrong protocol version, a second
-// HELLO for a live rank) without taking the cluster down, must never deliver
-// a corrupt or forged frame, and must tell a peer's orderly close (after its
-// BYE) from a lost link: a corrupt frame or an early close loses the link,
-// which is fatal.
+// Transport conformance suite: a CommHub must present the same contract
+// whether it delivers in-process or over a net::Transport backend — per-link
+// FIFO, a Wake that ends a blocked Receive, and well-defined delivery
+// stamping. The TCP backend additionally must reject stray connections (bad
+// magic, wrong protocol version, a second HELLO for a live rank) without
+// taking the cluster down, must never deliver a corrupt or forged frame, and
+// must tell a peer's orderly close (after its BYE) from a lost link: a
+// corrupt frame or an early close loses the link, which is fatal.
 //
 // The TCP rows run a real multi-rank cluster inside one test process: one
 // TcpTransport + CommHub pair per rank, full mesh over 127.0.0.1.
@@ -127,7 +127,7 @@ class Backend {
 
 class InProcBackend : public Backend {
  public:
-  explicit InProcBackend(int num_workers, NetConfig net = NetConfig())
+  explicit InProcBackend(int num_workers, const NetConfig& net = NetConfig())
       : num_workers_(num_workers), hub_(num_workers + 1, net) {
     GT_CHECK_OK(hub_.Start());
   }
@@ -268,8 +268,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
                          ::testing::Values("inproc", "tcp"));
 
 // ---------------------------------------------------------------------------
-// In-process-only: simulated latency still delays delivery through the
-// extracted backend (the knobs survived the transport refactor).
+// In-process-only: simulated latency delays delivery on a hub with no
+// transport, reached through the same Backend seam as the rows above.
 // ---------------------------------------------------------------------------
 TEST(TransportInProc, SimulatedLatencyDelaysDelivery) {
   NetConfig net;

@@ -1,5 +1,5 @@
 // The worker's side of the progress-report protocol, without a master: one
-// real Worker runs over a bare in-process hub, and the test thread plays
+// real Worker runs over a hub in the test's process, and the test thread plays
 // the master (endpoint 2) and worker 1 (endpoint 1). It sends the master's
 // control messages and a peer's pulls, and reads the worker's reports and
 // batches off those endpoints, as Master::Run and a peer's comm loop would.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/cluster.h"
-#include "net/transport_inproc.h"
 #include "storage/mini_dfs.h"
 #include "worker_zero.h"
 
@@ -106,35 +105,34 @@ class OutputComper : public Comper<PlainTask, uint64_t> {
 
 using SendHook = std::function<void(const MessageBatch&)>;
 
-/// The in-process transport, plus a hook that the sending thread runs on
-/// every batch before the batch is delivered.
+/// The rig's wire: Send runs the hook on the sending thread, then delivers
+/// the batch to the hub, unstamped, as a socket backend delivers a batch
+/// from another process.
 class HookedTransport final : public net::Transport {
  public:
-  HookedTransport(int endpoints, SendHook hook)
-      : inner_(endpoints, NetConfig{}, 0), hook_(std::move(hook)) {}
+  explicit HookedTransport(SendHook hook) : hook_(std::move(hook)) {}
 
-  const char* name() const override { return inner_.name(); }
-  Status Start() override { return inner_.Start(); }
-  void Stop() override { inner_.Stop(); }
+  const char* name() const override { return "hooked"; }
+  Status Start(Deliver deliver) override {
+    deliver_ = std::move(deliver);
+    return Status::Ok();
+  }
+  void Stop() override {}
   void Send(MessageBatch batch) override {
     if (hook_) hook_(batch);
-    inner_.Send(std::move(batch));
+    deliver_(std::move(batch));
   }
-  bool Receive(int endpoint, int64_t timeout_us, MessageBatch* out) override {
-    return inner_.Receive(endpoint, timeout_us, out);
-  }
-  void Wake(int endpoint) override { inner_.Wake(endpoint); }
-  int64_t InboxDepth(int endpoint) const override {
-    return inner_.InboxDepth(endpoint);
-  }
-  void AppendMetrics(obs::MetricsSnapshot* snap) const override {
-    inner_.AppendMetrics(snap);
-  }
+  void CheckLinks() const override {}
+  void AppendMetrics(obs::MetricsSnapshot*) const override {}
 
  private:
-  net::InProcTransport inner_;
   const SendHook hook_;
+  Deliver deliver_;
 };
+
+/// How the rig's hub delivers: through a HookedTransport, or by itself on
+/// the in-process wire, which stamps every batch with the hub clock.
+enum class Wire { kTransport, kInProcess };
 
 /// Worker 0 of 2 with one comper, and the test thread as its master and
 /// its peer.
@@ -144,9 +142,13 @@ class Rig {
   using WorkerT = Worker<ComperT>;
 
   explicit Rig(const std::function<void(WorkerT*)>& setup = nullptr,
-               SendHook hook = nullptr)
-      : hub_(3, std::make_unique<HookedTransport>(3, std::move(hook))),
-        worker_(LoadWorkerZero<ComperT>(&hub_, Config(), setup)) {
+               SendHook hook = nullptr, Wire wire = Wire::kTransport)
+      : hub_(wire == Wire::kInProcess
+                 ? std::make_unique<CommHub>(3)
+                 : std::make_unique<CommHub>(
+                       3, std::make_unique<HookedTransport>(std::move(hook)))) {
+    GT_CHECK_OK(hub_->Start());
+    worker_ = LoadWorkerZero<ComperT>(hub_.get(), Config(), setup);
     worker_->Start();
   }
 
@@ -174,7 +176,8 @@ class Rig {
     return config;
   }
 
-  CommHub& hub() { return hub_; }
+  CommHub& hub() { return *hub_; }
+  WorkerT& worker() { return *worker_; }
 
   void FromMaster(MsgType type, Payload payload = {}) {
     if (type == MsgType::kDrainBarrier) released_ = true;
@@ -192,7 +195,7 @@ class Rig {
     MessageBatch mb;
     ProgressReport report;
     report.worker_id = -1;
-    if (!hub_.Receive(kMaster, 5'000'000, &mb)) {
+    if (!hub_->Receive(kMaster, 5'000'000, &mb)) {
       ADD_FAILURE() << "no progress report within 5 s";
       return report;
     }
@@ -203,7 +206,7 @@ class Rig {
   }
 
   /// Reports queued for the master.
-  int64_t Reports() const { return hub_.InboxDepth(kMaster); }
+  int64_t Reports() const { return hub_->InboxDepth(kMaster); }
 
   /// Has the peer pull vertex 0 and waits for the answer; see the file
   /// comment. Returns the batches the peer got before it.
@@ -212,7 +215,7 @@ class Rig {
     std::vector<MessageBatch> before;
     while (true) {
       MessageBatch mb;
-      if (!hub_.Receive(kPeer, 5'000'000, &mb)) {
+      if (!hub_->Receive(kPeer, 5'000'000, &mb)) {
         ADD_FAILURE() << "the fence pull was not answered within 5 s";
         return before;
       }
@@ -228,10 +231,10 @@ class Rig {
     mb.dst_worker = 0;
     mb.type = type;
     mb.payload = std::move(payload);
-    hub_.Send(std::move(mb));
+    hub_->Send(std::move(mb));
   }
 
-  CommHub hub_;
+  std::unique_ptr<CommHub> hub_;
   std::unique_ptr<WorkerT> worker_;
   bool released_ = false;
 };
@@ -416,6 +419,27 @@ TEST(WorkerProtocol, CheckpointParksTheCompersAndAcksWithTheEpoch) {
     EXPECT_EQ(rig.NextReport().checkpoint_epoch, 3u);
   }
   ASSERT_TRUE(dfs.Clear().ok());
+}
+
+// steal.rtt_us subtracts the master's order stamp from this hub's clock,
+// so a sample is taken only for a batch this hub stamped. A transport
+// delivers batches unstamped: one from another process would carry a stamp
+// from that process's clock.
+TEST(WorkerProtocol, StealRttIsSampledOnlyForHubStampedBatches) {
+  for (const Wire wire : {Wire::kTransport, Wire::kInProcess}) {
+    SCOPED_TRACE(wire == Wire::kTransport ? "transport" : "in-process");
+    Rig<IdleComper> rig(nullptr, nullptr, wire);
+    EXPECT_EQ(rig.NextReport().idle, 1);
+    const std::vector<std::string> donated = {
+        ComperEngine<IdleComper>::Tasks::Encode(PlainTask())};
+    // An order the master stamped 1 µs into the hub clock.
+    rig.FromPeer(MsgType::kTaskBatch, EncodeTaskBatch(donated, 1));
+    rig.Fence();
+    const obs::MetricsSnapshot snap = rig.worker().MetricsSnapshot();
+    const obs::HistogramSnapshot* rtt = snap.FindHistogram("steal.rtt_us");
+    ASSERT_NE(rtt, nullptr);
+    EXPECT_EQ(rtt->count, wire == Wire::kInProcess ? 1 : 0);
+  }
 }
 
 }  // namespace
