@@ -935,24 +935,49 @@ QueryGraph QueryGraph::Star(Label center, const std::vector<Label>& leaves) {
 
 namespace {
 
-/// Matcher row source over a task subgraph: a member is its vertex, and
-/// each row entry carries the neighbor's label inline.
-struct SubgraphRows {
+/// What the matcher reads of a labeled member vertex: its row, whose
+/// entries carry the neighbor's label inline. The row sources below differ
+/// only in Find.
+struct LabeledVertexRows {
   using Member = const Vertex<LabeledAdj>*;
   using Entry = LabeledNbr;
   struct Key {
     VertexId operator()(const LabeledNbr& e) const { return e.id; }
   };
 
-  const Subgraph<Vertex<LabeledAdj>>& g;
-
   Label EntryLabel(const LabeledNbr& e) const { return e.label; }
   Label MemberLabel(Member m) const { return m->value.label; }
   VertexId IdOf(Member m) const { return m->id; }
   const std::vector<LabeledNbr>& Row(Member m) const { return m->value.adj; }
+};
+
+/// Matcher row source over a task subgraph: a member is its vertex.
+struct SubgraphRows : LabeledVertexRows {
+  const Subgraph<Vertex<LabeledAdj>>& g;
+
   bool Find(VertexId id, Member* m) const {
     *m = g.GetVertex(id);
     return *m != nullptr;
+  }
+};
+
+/// Matcher row source over the vertices one root pulled, read where they
+/// lie: a member is the root or one of `nbrs`, which ascend by ID.
+struct PulledRows : LabeledVertexRows {
+  const Vertex<LabeledAdj>& root;
+  const std::vector<const Vertex<LabeledAdj>*>& nbrs;
+
+  bool Find(VertexId id, Member* m) const {
+    if (id == root.id) {
+      *m = &root;
+      return true;
+    }
+    const auto it = std::lower_bound(
+        nbrs.begin(), nbrs.end(), id,
+        [](Member a, VertexId b) { return a->id < b; });
+    if (it == nbrs.end() || (*it)->id != id) return false;
+    *m = *it;
+    return true;
   }
 };
 
@@ -1065,7 +1090,13 @@ uint64_t CountMatchesFromRoot(const Subgraph<Vertex<LabeledAdj>>& g,
                               const QueryGraph& q, VertexId root) {
   const Vertex<LabeledAdj>* r = g.GetVertex(root);
   GT_CHECK(r != nullptr) << "match root " << root << " is not a member";
-  return RowMatcher<SubgraphRows>(SubgraphRows{g}, q).CountFrom(r);
+  return RowMatcher<SubgraphRows>(SubgraphRows{{}, g}, q).CountFrom(r);
+}
+
+uint64_t CountMatchesFromPulledRows(
+    const Vertex<LabeledAdj>& root,
+    const std::vector<const Vertex<LabeledAdj>*>& nbrs, const QueryGraph& q) {
+  return RowMatcher<PulledRows>(PulledRows{{}, root, nbrs}, q).CountFrom(&root);
 }
 
 uint64_t CountMatchesSerial(const Graph& g, const std::vector<Label>& labels,

@@ -218,6 +218,7 @@ struct QueryGraph {
 /// task subgraph `g` with query vertex 0 mapped to member `root` and every
 /// image a member. (Embeddings are counted per mapping; query automorphisms
 /// are not quotiented out — every engine in this repo counts the same way.)
+/// Multi-hop GM tasks and the G-Miner baseline count with it.
 ///
 /// Reads the members' rows directly (no compact view), so an edge counts
 /// only where a mapped endpoint's row names it. Precondition: every `adj`
@@ -226,6 +227,15 @@ struct QueryGraph {
 /// keeps both). Rows may name non-members.
 uint64_t CountMatchesFromRoot(const Subgraph<Vertex<LabeledAdj>>& g,
                               const QueryGraph& q, VertexId root);
+
+/// CountMatchesFromRoot over the rows a root pulled, with no subgraph: the
+/// members are `root` and `nbrs`, which must ascend by ID (a root bundle's
+/// candidates, in the order of root's row). Only for q.DepthFromRoot() <= 1,
+/// where every image is root or a neighbor of it. Same count, same
+/// preconditions on the rows.
+uint64_t CountMatchesFromPulledRows(
+    const Vertex<LabeledAdj>& root,
+    const std::vector<const Vertex<LabeledAdj>*>& nbrs, const QueryGraph& q);
 
 /// Serial whole-graph ground truth: Σ over all root candidates, on the same
 /// matcher over g's rows.

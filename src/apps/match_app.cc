@@ -26,16 +26,30 @@ void MatchComper::TrimByQuery(const QueryGraph& query,
 void MatchComper::TaskSpawn(const VertexT& v) {
   if (v.value.label != query_.labels[0]) return;
   if (query_.NumVertices() > 1 && v.value.adj.empty()) return;
-  auto task = std::make_unique<TaskT>();
-  task->context() = v.id;
-  task->subgraph().AddVertex(v);  // root first
-  if (depth_ >= 1) {
-    for (const LabeledNbr& nbr : v.value.adj) task->Pull(nbr.id);
+  if (depth_ <= 1) {
+    row_ids_.clear();
+    if (depth_ == 1) {
+      for (const LabeledNbr& nbr : v.value.adj) row_ids_.push_back(nbr.id);
+    }
+    AddRoot(v.id, row_ids_);
+    return;
   }
+  auto task = std::make_unique<TaskT>();
+  task->subgraph().AddVertex(v);  // root first
+  for (const LabeledNbr& nbr : v.value.adj) task->Pull(nbr.id);
   AddTask(std::move(task));
 }
 
 bool MatchComper::Compute(TaskT* task, const Frontier& frontier) {
+  if (depth_ <= 1) {
+    uint64_t count = 0;
+    auto count_root = [&](const VertexT& root, const Frontier& nbrs) {
+      count += CountMatchesFromPulledRows(root, nbrs, query_);
+    };
+    ForEachRoot(task->context(), frontier, count_root);
+    if (count > 0) Aggregate(count);
+    return false;
+  }
   for (const VertexT* u : frontier) {
     if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
   }
@@ -53,9 +67,8 @@ bool MatchComper::Compute(TaskT* task, const Frontier& frontier) {
     }
     if (!task->pulls().empty()) return true;
   }
-  GT_CHECK_EQ(task->subgraph().vertices().front().id, task->context());
-  const uint64_t count =
-      CountMatchesFromRoot(task->subgraph(), query_, task->context());
+  const VertexId root = task->subgraph().vertices().front().id;
+  const uint64_t count = CountMatchesFromRoot(task->subgraph(), query_, root);
   if (count > 0) Aggregate(count);
   return false;
 }

@@ -2,6 +2,7 @@
 #define GTHINKER_APPS_MATCH_APP_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "apps/kernels.h"
 #include "core/comper.h"
@@ -9,15 +10,21 @@
 
 namespace gthinker {
 
-using MatchTask = Task<LabeledAdj, /*ContextT=*/VertexId>;
+using MatchTask = Task<LabeledAdj, RootBundle>;
 
 /// Subgraph matching (GM): counts embeddings of a small labeled query
-/// pattern. One task per data vertex v whose label matches query vertex 0;
-/// the task pulls label-filtered neighborhoods hop by hop out to the query's
-/// BFS depth, then counts embeddings rooted at v by intersecting the
-/// subgraph's sorted rows (CountMatchesFromRoot, apps/kernels.h). The
-/// search space is partitioned by the image of query vertex 0 (paper §IV:
-/// "partition by different vertex instances of the same label").
+/// pattern. A root is a data vertex v whose label matches query vertex 0;
+/// the search space is partitioned by the image of query vertex 0 (paper
+/// §IV: "partition by different vertex instances of the same label").
+/// - Query depth <= 1 (triangle, star, clique): roots are bundled
+///   (core/root_bundle.h). Each root pulls its label-filtered neighbors, and
+///   its embeddings are counted straight from the pulled rows
+///   (CountMatchesFromPulledRows, apps/kernels.h), with nothing copied.
+/// - Deeper queries: one task per root, its bundle empty. The task pulls
+///   label-filtered neighborhoods hop by hop out to the query's BFS depth
+///   into its subgraph, root first, then counts the embeddings rooted there
+///   (CountMatchesFromRoot). A bundle runs one iteration, so multi-hop
+///   input cannot ride in one.
 class MatchComper : public Comper<MatchTask, uint64_t> {
  public:
   explicit MatchComper(QueryGraph query);
@@ -35,6 +42,7 @@ class MatchComper : public Comper<MatchTask, uint64_t> {
  private:
   const QueryGraph query_;
   const int depth_;
+  std::vector<VertexId> row_ids_;  // TaskSpawn's buffer: one root's pulls
 };
 
 }  // namespace gthinker

@@ -163,6 +163,45 @@ TEST(Integration, TinyTaskBatchForcesSpills) {
   EXPECT_EQ(result.result, truth);
 }
 
+// GM's root bundles (depth <= 1, including a one-vertex query, whose roots
+// pull nothing else) and its per-root multi-hop tasks (Path3) both spill to
+// L_file and come back: with C = 4 and a queue of 2C roots, a refill that
+// spawns a second bundle or batch overfills the queue.
+TEST(Integration, SubgraphMatchSpillsAndRefills) {
+  Graph g = Generator::ErdosRenyi(200, 1200, 81);
+  auto labels = Generator::RandomLabels(g.NumVertices(), 2, 82);
+  QueryGraph one_vertex;
+  one_vertex.labels = {0};
+  one_vertex.adj = {{}};
+  for (const QueryGraph& query :
+       {QueryGraph::Triangle(0, 1, 1), QueryGraph::Path3(0, 1, 0),
+        one_vertex}) {
+    SCOPED_TRACE("query of " + std::to_string(query.NumVertices()) +
+                 " vertices, depth " + std::to_string(query.DepthFromRoot()));
+    const uint64_t truth = CountMatchesSerial(g, labels, query);
+    ASSERT_GT(truth, 0u);
+
+    Job<MatchComper> job;
+    job.config.num_workers = 2;
+    job.config.compers_per_worker = 2;
+    job.config.task_batch_size = 4;
+    job.config.task_queue_capacity_batches = 2;
+    job.config.inflight_task_cap = 32;
+    job.graph = &g;
+    job.labels = &labels;
+    job.comper_factory = [&query] {
+      return std::make_unique<MatchComper>(query);
+    };
+    job.trimmer = [&query](Vertex<LabeledAdj>& v) {
+      MatchComper::TrimByQuery(query, v);
+    };
+    auto result = Cluster<MatchComper>::Run(job);
+    EXPECT_EQ(result.result, truth);
+    EXPECT_GT(result.stats.spilled_batches, 0);
+    EXPECT_GT(result.stats.ledger.loaded, 0);
+  }
+}
+
 TEST(Integration, TinyCacheForcesEviction) {
   Graph g = Generator::PowerLaw(400, 10.0, 2.4, 80);
   const uint64_t truth = CountTrianglesSerial(g);

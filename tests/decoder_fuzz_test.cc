@@ -2,7 +2,8 @@
 // process or from disk: the TCP frame header, the progress report (with its
 // task ledger), the task batch, a spill batch, the pull path's vertex
 // request and response records (plain and labeled adjacency), a spilled
-// root-bundle task record, the checkpoint meta, a worker's checkpoint blob,
+// root-bundle task record and a spilled multi-hop GM task (a labeled
+// subgraph with an empty bundle), the checkpoint meta, a worker's checkpoint blob,
 // the status server's HTTP request line and a DFS adjacency line. Each starts
 // from a valid encoding and is fed every single-bit flip, seeded multi-bit
 // flips, every truncation and inflated length fields. Every input must come
@@ -349,6 +350,59 @@ TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
            {"huge slot", with_u32(slots, 0xffffffffu)}}) {
     const Status s = DecodeBundleTask(bytes, &out);
     EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
+  }
+}
+
+using MatchBundleTask = Task<LabeledAdj, RootBundle>;
+
+/// A multi-hop GM task as Q_task spills it: one root in its subgraph, its
+/// next hop's pulls, and an empty bundle.
+std::string MultiHopMatchTaskRecord() {
+  MatchBundleTask task;
+  Vertex<LabeledAdj> root;
+  root.id = 3;
+  root.value.label = 0;
+  root.value.adj = {{5, 1}, {9, 1}};
+  task.subgraph().AddVertex(root);
+  task.Pull(5);
+  task.Pull(9);
+  Serializer ser;
+  task.Serialize(ser);
+  return ser.Release();
+}
+
+Status DecodeMatchBundleTask(const std::string& bytes, std::string* out) {
+  MatchBundleTask task;
+  Deserializer des(bytes);
+  GT_RETURN_IF_ERROR(task.Deserialize(des));
+  if (!des.AtEnd()) return Status::Corruption("trailing bytes");
+  Serializer ser;
+  task.Serialize(ser);
+  *out = ser.Release();
+  return Status::Ok();
+}
+
+// Layout: u32 iteration | u64 n, n pull ids | u64 subgraph size | the root:
+// u32 id, u16 label, u64 count, LabeledNbr[count] | u64 0 ends | u64 0
+// slots.
+constexpr size_t kMatchSubgraphAt = 20;
+constexpr size_t kMatchRowAt = kMatchSubgraphAt + 8 + 4 + 2;
+constexpr size_t kMatchEndsAt = kMatchRowAt + 8 + 2 * sizeof(LabeledNbr);
+constexpr size_t kMatchSlotsAt = kMatchEndsAt + 8;
+
+TEST(DecoderFuzz, SpilledMultiHopMatchTask) {
+  const std::string valid = MultiHopMatchTaskRecord();
+  ASSERT_EQ(valid.size(), kMatchSlotsAt + 8);
+  FuzzDecoder(DecodeMatchBundleTask, valid,
+              {kPullsAt, kMatchSubgraphAt, kMatchRowAt, kMatchEndsAt,
+               kMatchSlotsAt},
+              /*seed=*/17);
+  // A cut record, even one cut at a field boundary, is corrupt.
+  std::string out;
+  for (size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_TRUE(
+        DecodeMatchBundleTask(valid.substr(0, len), &out).IsCorruption())
+        << "prefix of " << len << " bytes";
   }
 }
 

@@ -580,10 +580,11 @@ std::vector<QueryGraph> OracleQueries() {
   };
 }
 
-/// A GM task subgraph built the way MatchComper builds one: the root first,
-/// then, hop by hop out to q.DepthFromRoot(), every vertex a member's row
-/// names, each carrying its TrimByQuery row. The last hop's rows name
-/// vertices that were never pulled.
+/// A GM task subgraph built the way a multi-hop MatchComper task builds one:
+/// the root first, then, hop by hop out to q.DepthFromRoot(), every vertex a
+/// member's row names, each carrying its TrimByQuery row. The last hop's
+/// rows name vertices that were never pulled. At depth <= 1 its members are
+/// the vertices a root bundle pulls for the root.
 Subgraph<Vertex<LabeledAdj>> MatchTaskSubgraph(const Graph& g,
                                                const std::vector<Label>& labels,
                                                const QueryGraph& q,
@@ -640,28 +641,81 @@ void ExpectRowsMatchLegacy(const Graph& g, const std::vector<Label>& labels,
   }
 }
 
+/// The graphs every MatchOracle case runs on, each with its labels: sparse
+/// and dense random graphs, a power-law graph whose hubs make the
+/// intersections gallop, and that graph renumbered hub-last, as
+/// layout.reorder loads it.
+std::vector<std::pair<Graph, std::vector<Label>>> OracleGraphs() {
+  std::vector<std::pair<Graph, std::vector<Label>>> graphs;
+  for (uint64_t seed : {61, 62, 63}) {
+    Graph sparse = Generator::ErdosRenyi(60, 200, seed);
+    auto sparse_labels =
+        Generator::RandomLabels(sparse.NumVertices(), 2, seed + 1);
+    graphs.emplace_back(std::move(sparse), std::move(sparse_labels));
+    Graph dense = Generator::ErdosRenyi(24, 160, seed + 2);
+    auto dense_labels =
+        Generator::RandomLabels(dense.NumVertices(), 2, seed + 3);
+    graphs.emplace_back(std::move(dense), std::move(dense_labels));
+  }
+  Graph hubs = Generator::PowerLaw(300, 6.0, 2.1, 64);
+  auto hub_labels = Generator::RandomLabels(hubs.NumVertices(), 2, 65);
+  const VertexLayout layout = VertexLayout::HubLast(hubs);
+  Graph reordered = layout.Apply(hubs);
+  auto reordered_labels = layout.ApplyLabels(hub_labels);
+  graphs.emplace_back(std::move(hubs), std::move(hub_labels));
+  graphs.emplace_back(std::move(reordered), std::move(reordered_labels));
+  return graphs;
+}
+
 TEST(MatchOracle, RowMatcherEqualsLegacyPerRoot) {
   std::vector<uint64_t> totals;
-  for (uint64_t seed : {61, 62, 63}) {
-    SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    const Graph sparse = Generator::ErdosRenyi(60, 200, seed);
-    ExpectRowsMatchLegacy(
-        sparse, Generator::RandomLabels(sparse.NumVertices(), 2, seed + 1),
-        &totals);
-    const Graph dense = Generator::ErdosRenyi(24, 160, seed + 2);
-    ExpectRowsMatchLegacy(
-        dense, Generator::RandomLabels(dense.NumVertices(), 2, seed + 3),
-        &totals);
+  const auto graphs = OracleGraphs();
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    SCOPED_TRACE(::testing::Message() << "graph " << gi);
+    ExpectRowsMatchLegacy(graphs[gi].first, graphs[gi].second, &totals);
   }
-  // Hubs: a hub's row is many times a leaf's, so the intersections gallop.
-  const Graph hubs = Generator::PowerLaw(300, 6.0, 2.1, 64);
-  const std::vector<Label> hub_labels =
-      Generator::RandomLabels(hubs.NumVertices(), 2, 65);
-  ExpectRowsMatchLegacy(hubs, hub_labels, &totals);
-  // The same graph renumbered hub-last, as layout.reorder loads it.
-  const VertexLayout layout = VertexLayout::HubLast(hubs);
-  ExpectRowsMatchLegacy(layout.Apply(hubs), layout.ApplyLabels(hub_labels),
-                        &totals);
+  for (size_t qi = 0; qi < totals.size(); ++qi) {
+    EXPECT_GT(totals[qi], 0u) << "query " << qi << " never matched";
+  }
+}
+
+/// For every oracle query of depth <= 1, and a one-vertex query: per root,
+/// the count over the rows the root pulled, as a GM root bundle hands them
+/// to Compute (no subgraph), equals the count on the root's task subgraph.
+TEST(MatchOracle, PulledRowsEqualSubgraphPerRoot) {
+  std::vector<QueryGraph> queries;
+  for (const QueryGraph& q : OracleQueries()) {
+    if (q.DepthFromRoot() <= 1) queries.push_back(q);
+  }
+  ASSERT_EQ(queries.size(), 3u);  // triangle, star, K4
+  queries.push_back(MakeQuery({1}, {}));
+  std::vector<uint64_t> totals(queries.size());
+  const auto graphs = OracleGraphs();
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const auto& [g, labels] = graphs[gi];
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const QueryGraph& q = queries[qi];
+      SCOPED_TRACE(::testing::Message() << "graph " << gi << " query " << qi);
+      for (VertexId root = 0; root < g.NumVertices(); ++root) {
+        if (labels[root] != q.labels[0]) continue;
+        const auto task = MatchTaskSubgraph(g, labels, q, root);
+        // The subgraph holds the root, then its row's vertices in row
+        // order: ascending, as a bundle's candidates arrive.
+        std::vector<const Vertex<LabeledAdj>*> nbrs;
+        for (size_t i = 1; i < task.vertices().size(); ++i) {
+          nbrs.push_back(&task.vertices()[i]);
+        }
+        ASSERT_TRUE(std::is_sorted(
+            nbrs.begin(), nbrs.end(),
+            [](const auto* a, const auto* b) { return a->id < b->id; }));
+        const uint64_t want = CountMatchesFromRoot(task, q, root);
+        ASSERT_EQ(CountMatchesFromPulledRows(task.vertices().front(), nbrs, q),
+                  want)
+            << "root " << root;
+        totals[qi] += want;
+      }
+    }
+  }
   for (size_t qi = 0; qi < totals.size(); ++qi) {
     EXPECT_GT(totals[qi], 0u) << "query " << qi << " never matched";
   }
