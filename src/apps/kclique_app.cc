@@ -18,33 +18,21 @@ void KCliqueComper::TaskSpawn(const VertexT& v) {
   if (v.value.size() < static_cast<size_t>(k_ - 1)) return;
   auto task = std::make_unique<TaskT>();
   task->context().root = v.id;
-  task->subgraph().AddVertex(v);  // root first => compact index 0
+  task->Pull(v.id);  // root first => compact index 0
   for (VertexId u : v.value) task->Pull(u);
   AddTask(std::move(task));
 }
 
 bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const std::function<bool()> over_budget = budget_.Start();
-  // Merge the pulled Γ_> lists; CompactFromSubgraph drops adjacency entries
-  // pointing outside {root} ∪ Γ_>(root), which is exactly the ext-trimming
-  // the old throwaway-subgraph construction did by hand. Pulls arrive in
-  // ascending ID order and root is the minimum, so compact index order
-  // matches ID order — the precondition of the Γ_> recursion.
-  for (const VertexT* u : frontier) {
-    if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
-  }
+  // The frontier is the root, then Γ_>(root) ascending — a narrowed parent
+  // or range child pulls the same members again. CompactFromRows drops
+  // adjacency entries pointing outside those members (the ext-trimming).
+  // Root is the minimum, so compact index order matches ID order — the
+  // precondition of the Γ_> recursion.
   SplitCtx& ctx = task->context();
-  // Compact form cached in the task scratch across budgeted re-entries;
-  // invalidated on a frontier merge (the subgraph just changed).
-  if (!frontier.empty()) task->set_scratch(nullptr);
-  auto cg_ptr = std::static_pointer_cast<CompactGraph>(task->scratch());
-  if (cg_ptr == nullptr) {
-    cg_ptr = std::make_shared<CompactGraph>(
-        CompactFromSubgraph(task->subgraph()));
-    task->set_scratch(cg_ptr);
-  }
-  const CompactGraph& cg = *cg_ptr;
-  GT_CHECK_EQ(cg.ids[0], ctx.root);
+  GT_CHECK(!frontier.empty() && frontier[0]->id == ctx.root);
+  const CompactGraph cg = CompactFromRows(frontier);
   const uint64_t candidates = LargerIdNeighbors(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   // Unbudgeted, the kernel counts the whole range in one call.
@@ -54,9 +42,11 @@ bool KCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   if (count > 0) Aggregate(count);
   if (next < end) {
     // Budget overrun: bank the partial count, narrow to the unprocessed
-    // suffix and hand its later shards to new tasks.
+    // suffix, pull the members again and hand the later shards to new
+    // tasks.
     ctx.begin = next;
     ctx.end = end;
+    task->SetPulls(cg.ids);
     for (auto& child : SplitByCandidateRange(task)) AddTask(std::move(child));
     return true;
   }

@@ -12,12 +12,13 @@ namespace gthinker {
 
 using KCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 
-/// k-clique counting: one task per vertex v merges the subgraph induced by
-/// {v} ∪ Γ_>(v) (exactly the MCF task construction, paper Fig. 5 line 2)
-/// and counts the k-cliques containing v — each global k-clique is counted
-/// once, by its minimum vertex. k = 3 reduces to triangle counting, which
-/// the tests exploit as a cross-check. Small task subgraphs count via the
-/// word-parallel Γ_> recursion (apps/kernels.h dense/sparse switch).
+/// k-clique counting: one task per vertex v pulls v and Γ_>(v), compacts
+/// the subgraph they induce straight from the pulled rows (the MCF task
+/// construction, paper Fig. 5 line 2) and counts the k-cliques containing
+/// v — each global k-clique is counted once, by its minimum vertex. k = 3
+/// reduces to triangle counting, which the tests exploit as a cross-check.
+/// Small task subgraphs count via the word-parallel Γ_> recursion
+/// (apps/kernels.h dense/sparse switch).
 ///
 /// Pair with the Γ_> trimmer (TrimToGreater): pulled adjacency lists then
 /// carry only larger-ID neighbors, which is all the recursion reads.

@@ -24,16 +24,16 @@ void PrefixSum(std::vector<uint32_t>* offsets) {
   }
 }
 
-/// Builds the CSR rows of CompactFromSubgraph. Output row i is the
-/// ascending, duplicate-free set of members that i's row names or whose
-/// rows name i: task subgraphs often carry trimmed (Γ_>) lists, where each
-/// edge appears in one endpoint's list only.
+/// Builds the CSR rows of CompactFromRows. Output row i is the ascending,
+/// duplicate-free set of members that i's row names or whose rows name i:
+/// task subgraphs often carry trimmed (Γ_>) lists, where each edge appears
+/// in one endpoint's list only.
 ///
 /// Each row is walked against the ID-sorted members with the adaptive
 /// merge/gallop, so a long row gallops over the few members instead of
 /// probing an index once per entry, and the symmetric CSR comes out of two
 /// transposes with counting passes — no per-row vectors, no sorts.
-void BuildCompactCsr(const std::vector<Vertex<AdjList>>& members,
+void BuildCompactCsr(const std::vector<const Vertex<AdjList>*>& members,
                      std::vector<VertexId>* ids,
                      std::vector<uint32_t>* offsets,
                      std::vector<int32_t>* nbrs) {
@@ -41,22 +41,46 @@ void BuildCompactCsr(const std::vector<Vertex<AdjList>>& members,
   std::vector<std::pair<VertexId, int32_t>> by_id(n);
   ids->resize(n);
   for (size_t k = 0; k < n; ++k) {
-    (*ids)[k] = members[k].id;
-    by_id[k] = {members[k].id, static_cast<int32_t>(k)};
+    (*ids)[k] = members[k]->id;
+    by_id[k] = {members[k]->id, static_cast<int32_t>(k)};
   }
   std::sort(by_id.begin(), by_id.end());
 
-  // fwd(k): the members k's row names (in ID order, not index order).
+  // fwd(k): the members k's row names (in ID order, not index order). Row
+  // k names at most min(|row|, n) members, so that bounds its slots.
   std::vector<uint32_t> fwd_off(n + 1, 0);
-  std::vector<int32_t> fwd;
-  for (size_t k = 0; k < n; ++k) {
-    const AdjList& row = members[k].value;
-    simd::IntersectAdaptiveForEach(
-        row.data(), row.size(), by_id.data(), n, simd::Identity{},
-        [](const std::pair<VertexId, int32_t>& p) { return p.first; },
-        [&](size_t, size_t r) { fwd.push_back(by_id[r].second); });
-    fwd_off[k + 1] = static_cast<uint32_t>(fwd.size());
+  size_t bound = 0;
+  for (const Vertex<AdjList>* m : members) {
+    bound += std::min(m->value.size(), n);
   }
+  std::vector<int32_t> fwd(bound);
+  size_t nfwd = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const AdjList& row = members[k]->value;
+    const size_t len = row.size();
+    if (len > 0 && n / len < simd::kGallopRatio &&
+        len / n < simd::kGallopRatio) {
+      // Comparable lengths merge with no branch on a match, whose outcome
+      // is a coin flip on a dense task subgraph: every step writes the
+      // next slot, and only a match keeps it. While the merge runs, the
+      // row has fewer matches than its bound, so the write stays in it.
+      size_t i = 0, j = 0;
+      while (i < len && j < n) {
+        const VertexId a = row[i], b = by_id[j].first;
+        fwd[nfwd] = by_id[j].second;
+        nfwd += a == b;
+        i += a <= b;
+        j += b <= a;
+      }
+    } else {
+      simd::IntersectAdaptiveForEach(
+          row.data(), len, by_id.data(), n, simd::Identity{},
+          [](const std::pair<VertexId, int32_t>& p) { return p.first; },
+          [&](size_t, size_t r) { fwd[nfwd++] = by_id[r].second; });
+    }
+    fwd_off[k + 1] = static_cast<uint32_t>(nfwd);
+  }
+  fwd.resize(nfwd);
 
   // rev(t) = {k : t ∈ fwd(k)}, the transpose of fwd.
   std::vector<uint32_t> rev_off(n + 1, 0);
@@ -132,8 +156,15 @@ bool CompactGraph::HasEdge(int a, int b) const {
 }
 
 CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g) {
+  std::vector<const Vertex<AdjList>*> rows;
+  rows.reserve(g.NumVertices());
+  for (const Vertex<AdjList>& v : g.vertices()) rows.push_back(&v);
+  return CompactFromRows(rows);
+}
+
+CompactGraph CompactFromRows(const std::vector<const Vertex<AdjList>*>& rows) {
   CompactGraph out;
-  BuildCompactCsr(g.vertices(), &out.ids, &out.offsets, &out.nbrs);
+  BuildCompactCsr(rows, &out.ids, &out.offsets, &out.nbrs);
   return out;
 }
 
@@ -824,10 +855,6 @@ uint64_t CountKCliquesSerial(const Graph& g, int k) {
 // ---------------------------------------------------------------------------
 // Triangles.
 // ---------------------------------------------------------------------------
-
-uint64_t SortedIntersectionCount(const AdjList& a, const AdjList& b) {
-  return simd::IntersectAdaptive(a.data(), a.size(), b.data(), b.size());
-}
 
 uint64_t CountTrianglesSerial(const Graph& g) {
   uint64_t total = 0;

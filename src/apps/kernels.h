@@ -58,6 +58,12 @@ struct CompactGraph {
 /// unsorted row silently loses edges.
 CompactGraph CompactFromSubgraph(const Subgraph<Vertex<AdjList>>& g);
 
+/// The same compact view built straight from pulled rows, e.g. a Compute
+/// frontier: compact index i is rows[i]. Same precondition as
+/// CompactFromSubgraph, plus distinct IDs; rows in a subgraph's insertion
+/// order give a byte-identical CSR.
+CompactGraph CompactFromRows(const std::vector<const Vertex<AdjList>*>& rows);
+
 /// Builds a compact view of the whole input graph (serial baselines, tests).
 CompactGraph CompactFromGraph(const Graph& g);
 
@@ -182,11 +188,6 @@ uint64_t CountKCliquesSerial(const Graph& g, int k);
 
 /// Forward algorithm over Γ_>: Σ_v Σ_{u∈Γ_>(v)} |Γ_>(v) ∩ Γ_>(u)|.
 uint64_t CountTrianglesSerial(const Graph& g);
-
-/// Number of elements common to two sorted ranges. Thin wrapper over
-/// simd::IntersectAdaptive (apps/kernel_simd.h), kept for callers that
-/// don't want the header.
-uint64_t SortedIntersectionCount(const AdjList& a, const AdjList& b);
 
 // ---------------------------------------------------------------------------
 // Subgraph matching.

@@ -19,7 +19,7 @@ void MaxCliqueComper::TaskSpawn(const VertexT& v) {
   if (s_max.size() >= 1 + v.value.size()) return;
   auto task = std::make_unique<TaskT>();
   task->context().s = {v.id};
-  task->subgraph().AddVertex(v);  // carries Γ_>(v) = ext(S) for iteration 0
+  task->Pull(v.id);  // root first: its row Γ_>(v) is ext(S)
   for (VertexId u : v.value) task->Pull(u);
   AddTask(std::move(task));
 }
@@ -27,21 +27,20 @@ void MaxCliqueComper::TaskSpawn(const VertexT& v) {
 bool MaxCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   if (!frontier.empty()) {
     // Top-level task: build t.g as the subgraph induced by ext(S) = Γ_>(v),
-    // filtering every pulled adjacency list down to ext(S) (vertices two
-    // hops from v cannot be in a clique containing v).
+    // read in place from the root's pulled row, filtering every other
+    // pulled adjacency list down to ext(S) (vertices two hops from v cannot
+    // be in a clique containing v).
     GT_CHECK_EQ(task->context().s.size(), 1u);
-    const VertexT* root = task->subgraph().GetVertex(task->context().s[0]);
-    GT_CHECK(root != nullptr);
-    const AdjList ext = root->value;
-    typename TaskT::SubgraphT g;
-    for (const VertexT* u : frontier) {
+    GT_CHECK_EQ(frontier[0]->id, task->context().s[0]);
+    const AdjList& ext = frontier[0]->value;
+    for (size_t i = 1; i < frontier.size(); ++i) {
+      const VertexT* u = frontier[i];
       VertexT nu;
       nu.id = u->id;
       simd::IntersectAdaptiveInto(u->value.data(), u->value.size(),
                                   ext.data(), ext.size(), &nu.value);
-      g.AddVertex(std::move(nu));
+      task->subgraph().AddVertex(std::move(nu));
     }
-    task->subgraph() = std::move(g);
   }
   Process(task);
   return false;

@@ -35,7 +35,9 @@ using CliqueTask = Task<AdjList, CliqueContext>;
 /// Maximum clique finding (MCF), the application of paper Fig. 5.
 ///
 /// A task ⟨S, ext(S)⟩ holds S in its context and the subgraph induced by
-/// ext(S) = Γ_>(S) in task->subgraph(). Tasks whose subgraph exceeds τ
+/// ext(S) = Γ_>(S) in task->subgraph(). A root task pulls v first, reads
+/// ext({v}) = Γ_>(v) from its row and builds that subgraph from the other
+/// pulled rows in its first Compute. Tasks whose subgraph exceeds τ
 /// vertices are decomposed into one child task per subgraph vertex;
 /// small-enough subgraphs run the serial branch-and-bound kernel with the
 /// aggregator's current best |S_max| as the pruning bound. Below the

@@ -15,29 +15,18 @@ void MaximalCliqueComper::TaskSpawn(const VertexT& v) {
   }
   auto task = std::make_unique<TaskT>();
   task->context().root = v.id;
-  task->subgraph().AddVertex(v);  // root first => compact index 0
+  task->Pull(v.id);  // root first => compact index 0
   for (VertexId u : v.value) task->Pull(u);
   AddTask(std::move(task));
 }
 
 bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const std::function<bool()> over_budget = budget_.Start();
-  for (const VertexT* u : frontier) {
-    if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
-  }
+  // The frontier is the root, then Γ(root) — a narrowed parent or range
+  // child pulls the same members again.
   SplitCtx& ctx = task->context();
-  // Compact form cached in the task scratch across budgeted re-entries (a
-  // split-narrowed parent re-enters with an empty frontier and the same
-  // subgraph); a frontier merge changes the subgraph, so rebuild.
-  if (!frontier.empty()) task->set_scratch(nullptr);
-  auto cg_ptr = std::static_pointer_cast<CompactGraph>(task->scratch());
-  if (cg_ptr == nullptr) {
-    cg_ptr = std::make_shared<CompactGraph>(
-        CompactFromSubgraph(task->subgraph()));
-    task->set_scratch(cg_ptr);
-  }
-  const CompactGraph& cg = *cg_ptr;
-  GT_CHECK_EQ(cg.ids[0], ctx.root);
+  GT_CHECK(!frontier.empty() && frontier[0]->id == ctx.root);
+  const CompactGraph cg = CompactFromRows(frontier);
   const uint64_t candidates = LargerIdNeighbors(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   uint64_t count;
@@ -55,9 +44,11 @@ bool MaximalCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   if (count > 0) Aggregate(count);
   if (next < end) {
     // Budget overrun: bank the partial count, narrow to the unprocessed
-    // suffix and hand its later shards to new tasks.
+    // suffix, pull the members again and hand the later shards to new
+    // tasks.
     ctx.begin = next;
     ctx.end = end;
+    task->SetPulls(cg.ids);
     for (auto& child : SplitByCandidateRange(task)) AddTask(std::move(child));
     return true;
   }

@@ -12,8 +12,8 @@ namespace gthinker {
 
 using MaximalCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 
-/// Maximal clique *enumeration* (counting): one task per vertex v pulls v's
-/// full neighborhood Γ(v) (no trimming — maximality needs smaller-ID
+/// Maximal clique *enumeration* (counting): one task per vertex v pulls v and
+/// its full neighborhood Γ(v) (no trimming — maximality needs smaller-ID
 /// neighbors in the Bron–Kerbosch X set) and counts the maximal cliques
 /// whose minimum member is v. Per-task counts sum to the global number of
 /// maximal cliques. Small task subgraphs run Bron–Kerbosch with bitset P/X

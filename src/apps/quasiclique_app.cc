@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -13,45 +14,38 @@ void QuasiCliqueComper::TaskSpawn(const VertexT& v) {
   if (min_size_ > 1 && v.value.empty()) return;
   auto task = std::make_unique<TaskT>();
   task->context().root = v.id;
-  task->subgraph().AddVertex(v);
-  for (VertexId u : v.value) task->Pull(u);  // iteration 1: Γ(v)
+  task->Pull(v.id);  // iteration 1: the root, then Γ(v)
+  for (VertexId u : v.value) task->Pull(u);
   AddTask(std::move(task));
 }
 
 bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   const std::function<bool()> over_budget = budget_.Start();
-  for (const VertexT* u : frontier) {
-    if (!task->subgraph().HasVertex(u->id)) task->subgraph().AddVertex(*u);
-  }
   SplitCtx& ctx = task->context();
-  if (task->iteration() == 0 && !frontier.empty()) {
-    // Iteration 2: pull 2nd-hop vertices. Only candidates (ID > root) are
-    // needed as potential members; 1-hop intermediates of any ID are already
-    // in the subgraph and provide the connecting edges. (A split child
-    // re-entering at iteration 0 has an empty frontier and goes straight to
-    // mining — its ego-network is already complete.)
-    std::unordered_set<VertexId> requested;
-    for (const VertexT* u : frontier) {
-      for (VertexId w : u->value) {
-        if (w > ctx.root && !task->subgraph().HasVertex(w) &&
-            requested.insert(w).second) {
-          task->Pull(w);
-        }
+  GT_CHECK(!frontier.empty() && frontier[0]->id == ctx.root);
+  if (task->iteration() == 0 && ctx.end == SplitCtx::kUnbounded) {
+    // Iteration 1 read the root and Γ(root) in place; pull them again with
+    // the 2nd-hop vertices for the mining iteration. Only candidates
+    // (ID > root) are needed as potential members; 1-hop intermediates of
+    // any ID provide the connecting edges. (A range child also starts at
+    // iteration 0, but with a bounded range and its members pulled.)
+    std::unordered_set<VertexId> seen;
+    for (const VertexT* u : frontier) seen.insert(u->id);
+    std::vector<VertexId> hop2;
+    for (size_t i = 1; i < frontier.size(); ++i) {
+      for (VertexId w : frontier[i]->value) {
+        if (w > ctx.root && seen.insert(w).second) hop2.push_back(w);
       }
     }
-    if (!task->pulls().empty()) return true;
+    if (!hop2.empty()) {
+      for (const VertexT* u : frontier) task->Pull(u->id);
+      for (VertexId w : hop2) task->Pull(w);
+      return true;
+    }
   }
-  // Compact form cached in the task scratch across budgeted re-entries;
-  // invalidated on a frontier merge (the subgraph just changed).
-  if (!frontier.empty()) task->set_scratch(nullptr);
-  auto cg_ptr = std::static_pointer_cast<CompactGraph>(task->scratch());
-  if (cg_ptr == nullptr) {
-    cg_ptr = std::make_shared<CompactGraph>(
-        CompactFromSubgraph(task->subgraph()));
-    task->set_scratch(cg_ptr);
-  }
-  const CompactGraph& cg = *cg_ptr;
-  GT_CHECK_EQ(cg.ids[0], ctx.root);
+  // The frontier holds every member: the root, Γ(root), then the 2nd-hop
+  // candidates — a narrowed parent or range child pulls the same list.
+  const CompactGraph cg = CompactFromRows(frontier);
   const uint64_t candidates = LargerIdVertices(cg, /*root=*/0);
   const uint64_t end = std::min(ctx.end, candidates);
   // Seed the search with the best size found so far, cluster-wide, so a
@@ -64,9 +58,11 @@ bool QuasiCliqueComper::Compute(TaskT* task, const Frontier& frontier) {
   if (found.size() > CurrentAgg().size()) Aggregate(found);
   if (next < end) {
     // Budget overrun: bank the best so far, narrow to the unprocessed
-    // suffix and hand its later shards to new tasks.
+    // suffix, pull the members again and hand the later shards to new
+    // tasks.
     ctx.begin = next;
     ctx.end = end;
+    task->SetPulls(cg.ids);
     for (auto& child : SplitByCandidateRange(task)) AddTask(std::move(child));
     return true;
   }

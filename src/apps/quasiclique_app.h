@@ -15,17 +15,18 @@ namespace gthinker {
 using QuasiCliqueTask = Task<AdjList, /*ContextT=*/SplitCtx>;
 
 /// Largest γ-quasi-clique (γ >= 0.5), the motivating application of paper
-/// §III: a task spawned from v pulls Γ(v) in iteration 1 and the 2nd-hop
-/// neighborhood in iteration 2 (any two members of a γ-quasi-clique are
-/// within 2 hops, ref [17]), then mines the collected ego-network with a
-/// serial set-enumeration search (adjacency probes hoisted to bitset rows
-/// on small subgraphs — apps/kernels.h). Double-counting is avoided by only
+/// §III: a task spawned from v pulls v and Γ(v) for iteration 1, reads
+/// them in place to find the 2nd-hop neighborhood, and pulls all of them
+/// for iteration 2 (any two members of a γ-quasi-clique are within 2 hops,
+/// ref [17]), which mines the pulled ego-network with a serial
+/// set-enumeration search (adjacency probes hoisted to bitset rows on small
+/// subgraphs — apps/kernels.h). Double-counting is avoided by only
 /// admitting members with IDs larger than v.
 ///
 /// Do NOT pair this comper with the Γ_> trimmer: 2-hop reachability may pass
 /// through intermediate vertices of any ID.
 ///
-/// Decomposable: the candidate range covers the larger-ID subgraph vertices
+/// Decomposable: the candidate range covers the larger-ID members
 /// ascending (branches keyed by the first chosen member). A Compute() call
 /// that overruns `budget_us` (0 = never) adds the rest of its range as
 /// children (apps/split_context.h). Shards prune against the shared

@@ -45,7 +45,13 @@ struct Codec<SplitCtx> : CodecBase<SplitCtx> {
   static Status Decode(Deserializer& des, SplitCtx* c) {
     GT_RETURN_IF_ERROR(des.Read(&c->root));
     GT_RETURN_IF_ERROR(des.Read(&c->begin));
-    return des.Read(&c->end);
+    GT_RETURN_IF_ERROR(des.Read(&c->end));
+    // A kernel runs no candidate of such a range, so the task's share of
+    // the answer would silently go missing.
+    if (c->begin > c->end) {
+      return Status::Corruption("split context: range begins past its end");
+    }
+    return Status::Ok();
   }
 };
 
@@ -75,21 +81,22 @@ class ComputeBudget {
 };
 
 /// Shared split skeleton of the range-decomposable apps, run from Compute()
-/// after a budget overrun narrowed the task's range to its unmined suffix:
-/// narrows `task` in place to the first shard of that range and returns up
-/// to kSplitFanout-1 new children owning the later shards, each with a full
-/// copy of the parent's subgraph. The app passes each child to AddTask and
-/// returns true, so the narrowed parent requeues behind them. Returns no
-/// children — leaving the task untouched — when fewer than two candidates
-/// remain.
+/// after a budget overrun narrowed the task's range to its unmined suffix
+/// and set its pulls to the task's members, root first: narrows `task` in
+/// place to the first shard of that range and returns up to kSplitFanout-1
+/// new children owning the later shards, each pulling the same members. The
+/// app passes each child to AddTask and returns true, so the narrowed parent
+/// requeues behind them; it and every child compact their members again
+/// from the frontier. Returns no children — leaving the task untouched —
+/// when fewer than two candidates remain.
 template <typename TaskT>
 std::vector<std::unique_ptr<TaskT>> SplitByCandidateRange(TaskT* task) {
   std::vector<std::unique_ptr<TaskT>> children;
   SplitCtx& ctx = task->context();
-  // The overrun happens while mining, after every pull has been merged, so
-  // the children's subgraph copies never need a re-pull round-trip.
-  GT_CHECK(ctx.end != SplitCtx::kUnbounded && task->pulls().empty())
+  GT_CHECK(ctx.end != SplitCtx::kUnbounded)
       << "split of a task that never yielded on its budget";
+  GT_CHECK(!task->pulls().empty() && task->pulls().front() == ctx.root)
+      << "split of a task that does not pull its members, root first";
   if (ctx.end <= ctx.begin) return children;
   const uint64_t remaining = ctx.end - ctx.begin;
   const uint64_t shards =
@@ -105,11 +112,7 @@ std::vector<std::unique_ptr<TaskT>> SplitByCandidateRange(TaskT* task) {
   const uint64_t parent_end = ctx.end;
   for (uint64_t i = 1; i < shards; ++i) {
     auto child = std::make_unique<TaskT>();
-    child->subgraph() = task->subgraph();
-    // The child's subgraph is a copy of the parent's, so the parent's cached
-    // compact form (if any) is valid for the child too: share, don't rebuild.
-    // A child that is later serialized (spill/steal) drops it on Deserialize.
-    child->set_scratch(task->scratch());
+    child->SetPulls(task->pulls());
     child->context().root = ctx.root;
     child->context().begin = shard_begin(i);
     child->context().end = i + 1 < shards ? shard_begin(i + 1) : parent_end;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "apps/kernel_simd.h"
 #include "util/serializer.h"
 
 namespace gthinker {
@@ -32,25 +33,19 @@ bool TriangleListComper::Compute(TaskT* task, const Frontier& frontier) {
   auto list_root = [&](const VertexT& root, const Frontier& candidates) {
     const AdjList& root_gt = root.value;
     for (const VertexT* u : candidates) {
-      const AdjList& u_gt = u->value;
-      size_t i = 0, j = 0;
-      while (i < root_gt.size() && j < u_gt.size()) {
-        if (root_gt[i] < u_gt[j]) {
-          ++i;
-        } else if (root_gt[i] > u_gt[j]) {
-          ++j;
-        } else {
-          // Records speak the caller's IDs: map each corner back and
-          // re-sort, since the load-time layout need not preserve ID order.
-          std::array<VertexId, 3> t = {OriginalId(root.id), OriginalId(u->id),
-                                       OriginalId(root_gt[i])};
-          std::sort(t.begin(), t.end());
-          Output(EncodeTriangle({t[0], t[1], t[2]}));
-          ++count;
-          ++i;
-          ++j;
-        }
-      }
+      simd::IntersectAdaptiveForEach(
+          root_gt.data(), root_gt.size(), u->value.data(), u->value.size(),
+          simd::Identity{}, simd::Identity{}, [&](size_t i, size_t) {
+            // Records speak the caller's IDs: map each corner back and
+            // re-sort, since the load-time layout need not preserve ID
+            // order.
+            std::array<VertexId, 3> t = {OriginalId(root.id),
+                                         OriginalId(u->id),
+                                         OriginalId(root_gt[i])};
+            std::sort(t.begin(), t.end());
+            Output(EncodeTriangle({t[0], t[1], t[2]}));
+            ++count;
+          });
     }
   };
   ForEachRoot(task->context(), frontier, list_root);

@@ -69,10 +69,11 @@ class Comper {
 
   /// UDF (ii): run one iteration of `task`. `frontier[i]` is the vertex the
   /// task pulled as pulls()[i] in its previous iteration (empty on a task
-  /// that pulled nothing). Copy what you need into task->subgraph(): frontier
-  /// vertices are released right after this returns. Return true to run
-  /// another iteration (after the new Pull()s are satisfied), false when the
-  /// task is finished.
+  /// that pulled nothing). Read the frontier in place: its vertices are
+  /// released right after this returns, so a row a later iteration needs is
+  /// either pulled again (Pull) or copied into task->subgraph(). Return true
+  /// to run another iteration (after the new Pull()s are satisfied), false
+  /// when the task is finished.
   ///
   /// The engine resolves the whole pull set of a task as one batch:
   /// remote pulls hit T_cache through `VertexCache::RequestBatch` (one

@@ -13,9 +13,9 @@
 namespace gthinker {
 
 /// Paper Fig. 4 class (2): the subgraph g a task constructs and mines. A task
-/// must copy whatever it needs out of `frontier` into its subgraph, because
-/// frontier vertices are released back to the cache right after compute()
-/// returns (§III).
+/// copies into it what must outlive one compute() call and that it does not
+/// pull again, because frontier vertices are released back to the cache
+/// right after compute() returns (§III).
 ///
 /// Stored as a vertex array plus an id->index map; adjacency lists live in
 /// the vertex values.

@@ -2,7 +2,6 @@
 #define GTHINKER_CORE_TASK_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -65,17 +64,6 @@ class Task {
   uint64_t span_id() const { return span_id_; }
   void set_span_id(uint64_t id) { span_id_ = id; }
 
-  /// App-owned scratch cached across a task's budgeted re-entries (e.g. the
-  /// CompactGraph a budgeted app rebuilds each Compute call). Transient
-  /// like span_id_: NOT serialized, reset on Deserialize, and excluded from
-  /// MemoryBytes (so the paired Consume/Release accounting stays balanced
-  /// across spills) — its footprint is bounded by the already-tracked
-  /// subgraph. Apps must invalidate (set to nullptr) whenever the subgraph
-  /// changes, i.e. on a non-empty frontier merge. Range children may share
-  /// the parent's pointer: their subgraph is a copy of the parent's.
-  const std::shared_ptr<void>& scratch() const { return scratch_; }
-  void set_scratch(std::shared_ptr<void> s) { scratch_ = std::move(s); }
-
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(sizeof(*this)) + subgraph_.MemoryBytes() +
            Codec<ContextT>::Bytes(context_) +
@@ -90,7 +78,6 @@ class Task {
   }
 
   Status Deserialize(Deserializer& des) {
-    scratch_.reset();
     GT_RETURN_IF_ERROR(des.Read(&iteration_));
     GT_RETURN_IF_ERROR(des.ReadVector(&pulls_));
     GT_RETURN_IF_ERROR(subgraph_.Deserialize(des));
@@ -108,7 +95,6 @@ class Task {
   std::vector<VertexId> pulls_;
   uint32_t iteration_ = 0;
   uint64_t span_id_ = 0;
-  std::shared_ptr<void> scratch_;
 };
 
 }  // namespace gthinker

@@ -2,15 +2,16 @@
 // process or from disk: the TCP frame header, the progress report (with its
 // task ledger), the task batch, a spill batch, the pull path's vertex
 // request and response records (plain and labeled adjacency), a spilled
-// root-bundle task record and a spilled multi-hop GM task (a labeled
-// subgraph with an empty bundle), the checkpoint meta, a worker's checkpoint blob,
-// the status server's HTTP request line and a DFS adjacency line. Each starts
-// from a valid encoding and is fed every single-bit flip, seeded multi-bit
-// flips, every truncation and inflated length fields. Every input must come
-// back as a Status (or a decode that re-encodes to exactly the input bytes):
-// never a crash, an over-read or an implausible allocation. The two text
-// lines instead check each parse against what a valid line may hold. The
-// ASan and UBSan CI lanes run this binary like every other test.
+// root-bundle task record, a spilled multi-hop GM task (a labeled subgraph
+// with an empty bundle), a spilled split k-clique task (member pulls and a
+// candidate range, no subgraph), the checkpoint meta, a worker's checkpoint
+// blob, the status server's HTTP request line and a DFS adjacency line.
+// Each starts from a valid encoding and is fed every single-bit flip, seeded
+// multi-bit flips, every truncation and inflated length fields. Every input
+// must come back as a Status (or a decode that re-encodes to exactly the
+// input bytes): never a crash, an over-read or an implausible allocation.
+// The two text lines instead check each parse against what a valid line may
+// hold. The ASan and UBSan CI lanes run this binary like every other test.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@
 #include "core/root_bundle.h"
 #include "core/task.h"
 #include "core/vertex.h"
+#include "apps/kclique_app.h"
 #include "apps/triangle_app.h"
 #include "graph/loader.h"
 #include "net/frame.h"
@@ -305,8 +307,10 @@ std::string BundleTaskRecord() {
   return ser.Release();
 }
 
-Status DecodeBundleTask(const std::string& bytes, std::string* out) {
-  BundleTask task;
+/// Decodes a spilled TaskT record; returns its re-encoding.
+template <typename TaskT>
+Status DecodeTaskRecord(const std::string& bytes, std::string* out) {
+  TaskT task;
   Deserializer des(bytes);
   GT_RETURN_IF_ERROR(task.Deserialize(des));
   if (!des.AtEnd()) return Status::Corruption("trailing bytes");
@@ -326,14 +330,14 @@ constexpr size_t kSlotsAt = 52;
 TEST(DecoderFuzz, SpilledRootBundleTask) {
   const std::string valid = BundleTaskRecord();
   ASSERT_EQ(valid.size(), kSlotsAt + 8 + 6 * sizeof(uint32_t));
-  FuzzDecoder(DecodeBundleTask, valid,
+  FuzzDecoder(DecodeTaskRecord<BundleTask>, valid,
               {kPullsAt, kSubgraphAt, kEndsAt, kSlotsAt}, /*seed=*/5);
 }
 
 TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
   const std::string valid = BundleTaskRecord();
   std::string out;
-  ASSERT_TRUE(DecodeBundleTask(valid, &out).ok());
+  ASSERT_TRUE(DecodeTaskRecord<BundleTask>(valid, &out).ok());
   auto with_u32 = [&valid](size_t at, uint32_t value) {
     std::string m = valid;
     std::memcpy(&m[at], &value, sizeof(value));
@@ -348,7 +352,7 @@ TEST(DecoderFuzz, RootBundleRejectsBadOffsetsAndSlots) {
            {"offsets end short of the slots", with_u32(ends + 4, 5)},
            {"slot outside the pull list", with_u32(slots + 8, 4)},
            {"huge slot", with_u32(slots, 0xffffffffu)}}) {
-    const Status s = DecodeBundleTask(bytes, &out);
+    const Status s = DecodeTaskRecord<BundleTask>(bytes, &out);
     EXPECT_TRUE(s.IsCorruption()) << what << ": " << s.ToString();
   }
 }
@@ -371,17 +375,6 @@ std::string MultiHopMatchTaskRecord() {
   return ser.Release();
 }
 
-Status DecodeMatchBundleTask(const std::string& bytes, std::string* out) {
-  MatchBundleTask task;
-  Deserializer des(bytes);
-  GT_RETURN_IF_ERROR(task.Deserialize(des));
-  if (!des.AtEnd()) return Status::Corruption("trailing bytes");
-  Serializer ser;
-  task.Serialize(ser);
-  *out = ser.Release();
-  return Status::Ok();
-}
-
 // Layout: u32 iteration | u64 n, n pull ids | u64 subgraph size | the root:
 // u32 id, u16 label, u64 count, LabeledNbr[count] | u64 0 ends | u64 0
 // slots.
@@ -393,16 +386,64 @@ constexpr size_t kMatchSlotsAt = kMatchEndsAt + 8;
 TEST(DecoderFuzz, SpilledMultiHopMatchTask) {
   const std::string valid = MultiHopMatchTaskRecord();
   ASSERT_EQ(valid.size(), kMatchSlotsAt + 8);
-  FuzzDecoder(DecodeMatchBundleTask, valid,
+  FuzzDecoder(DecodeTaskRecord<MatchBundleTask>, valid,
               {kPullsAt, kMatchSubgraphAt, kMatchRowAt, kMatchEndsAt,
                kMatchSlotsAt},
               /*seed=*/17);
   // A cut record, even one cut at a field boundary, is corrupt.
   std::string out;
   for (size_t len = 0; len < valid.size(); ++len) {
-    EXPECT_TRUE(
-        DecodeMatchBundleTask(valid.substr(0, len), &out).IsCorruption())
+    EXPECT_TRUE(DecodeTaskRecord<MatchBundleTask>(valid.substr(0, len), &out)
+                    .IsCorruption())
         << "prefix of " << len << " bytes";
+  }
+}
+
+/// A narrowed k-clique task as Q_task spills it after a budget overrun: no
+/// subgraph, its members' pulls (root first) and the candidate range it
+/// still owns.
+std::string SplitTaskRecord() {
+  KCliqueTask task;
+  task.BumpIteration();
+  task.SetPulls({3, 5, 8, 13});
+  task.context() = {.root = 3, .begin = 1, .end = 3};
+  Serializer ser;
+  task.Serialize(ser);
+  return ser.Release();
+}
+
+// Layout: u32 iteration | u64 n, n pull ids | u64 subgraph size | u32 root |
+// u64 begin | u64 end.
+constexpr size_t kSplitSubgraphAt = kPullsAt + 8 + 4 * sizeof(VertexId);
+constexpr size_t kSplitBeginAt = kSplitSubgraphAt + 8 + sizeof(VertexId);
+constexpr size_t kSplitEndAt = kSplitBeginAt + 8;
+
+TEST(DecoderFuzz, SpilledSplitTask) {
+  const std::string valid = SplitTaskRecord();
+  ASSERT_EQ(valid.size(), kSplitEndAt + 8);
+  FuzzDecoder(DecodeTaskRecord<KCliqueTask>, valid,
+              {kPullsAt, kSplitSubgraphAt}, /*seed=*/19);
+  // A range that begins past its end would run no candidate: the task's
+  // share of the answer would go missing, so the decoder refuses it.
+  std::string out;
+  for (const auto& [begin, end] :
+       std::vector<std::pair<uint64_t, uint64_t>>{
+           {3, 1}, {4, 3}, {SplitCtx::kUnbounded, 0}}) {
+    std::string m = valid;
+    std::memcpy(&m[kSplitBeginAt], &begin, sizeof(begin));
+    std::memcpy(&m[kSplitEndAt], &end, sizeof(end));
+    EXPECT_TRUE(DecodeTaskRecord<KCliqueTask>(m, &out).IsCorruption())
+        << "[" << begin << ", " << end << ")";
+  }
+  // An empty range and the unpinned range still decode.
+  for (const auto& [begin, end] :
+       std::vector<std::pair<uint64_t, uint64_t>>{
+           {2, 2}, {0, SplitCtx::kUnbounded}}) {
+    std::string m = valid;
+    std::memcpy(&m[kSplitBeginAt], &begin, sizeof(begin));
+    std::memcpy(&m[kSplitEndAt], &end, sizeof(end));
+    EXPECT_TRUE(DecodeTaskRecord<KCliqueTask>(m, &out).ok())
+        << "[" << begin << ", " << end << ")";
   }
 }
 

@@ -1,8 +1,9 @@
-// Big-task decomposition tests: range kernels partition exactly, runs of a
-// budgeted app (which adds its range children with AddTask) produce
-// bit-identical counts to unbudgeted runs, the TakePulls post-move state is
-// pinned, timeout exits stay accounted with splitting armed, and the
-// conservation ledger balances while splits race steals and spills.
+// Big-task decomposition tests: range kernels partition exactly, a split
+// hands its shards to tasks that re-pull the members, runs of a budgeted app
+// (which adds its range children with AddTask) produce bit-identical counts
+// to unbudgeted runs, the TakePulls post-move state is pinned, timeout exits
+// stay accounted with splitting armed, and the conservation ledger balances
+// while splits race steals and spills.
 
 #include <gtest/gtest.h>
 
@@ -167,6 +168,50 @@ TEST(RangeKernels, QuasiCliqueShardMaxMatchesWhole) {
       EXPECT_EQ(best, whole.size()) << "root=" << root << " seed=" << seed;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// SplitByCandidateRange: the narrowed parent and its children hold no rows,
+// only the members' pulls, and their ranges partition the parent's exactly.
+// ---------------------------------------------------------------------------
+
+TEST(SplitByCandidateRange, ChildrenRepullTheMembersAndPartitionTheRange) {
+  const std::vector<VertexId> members = {7, 9, 12, 20, 31};
+  for (uint64_t begin : {0, 3}) {
+    for (uint64_t width : {2, 3, 5, 11}) {
+      SCOPED_TRACE(::testing::Message() << "[" << begin << ", +" << width
+                                        << ")");
+      KCliqueTask parent;
+      parent.context() = {.root = 7, .begin = begin, .end = begin + width};
+      parent.SetPulls(members);
+      const std::vector<std::unique_ptr<KCliqueTask>> children =
+          SplitByCandidateRange(&parent);
+      ASSERT_EQ(children.size(),
+                std::min<uint64_t>(kSplitFanout, width) - 1);
+      // The parent keeps the first shard; each child starts where the
+      // previous shard ends, and the last ends where the parent's range did.
+      std::vector<const KCliqueTask*> shards = {&parent};
+      for (const auto& child : children) shards.push_back(child.get());
+      uint64_t cursor = begin;
+      for (const KCliqueTask* t : shards) {
+        EXPECT_EQ(t->pulls(), members);
+        EXPECT_EQ(t->subgraph().NumVertices(), 0u);
+        EXPECT_EQ(t->context().root, 7u);
+        EXPECT_EQ(t->context().begin, cursor);
+        EXPECT_LT(t->context().begin, t->context().end);
+        cursor = t->context().end;
+      }
+      EXPECT_EQ(cursor, begin + width);
+    }
+  }
+  // One candidate left: no children, and the task keeps its range and pulls.
+  KCliqueTask last;
+  last.context() = {.root = 7, .begin = 4, .end = 5};
+  last.SetPulls(members);
+  EXPECT_TRUE(SplitByCandidateRange(&last).empty());
+  EXPECT_EQ(last.context().begin, 4u);
+  EXPECT_EQ(last.context().end, 5u);
+  EXPECT_EQ(last.pulls(), members);
 }
 
 // ---------------------------------------------------------------------------
